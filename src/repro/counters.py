@@ -122,7 +122,7 @@ class Counters:
 
     def merge(self, snapshot: dict[str, int]) -> None:
         """Fold a :meth:`snapshot` dict (e.g. shipped back from a worker
-        process) into this accumulator."""
+        process, which adds its ``kernel_calls``) into this accumulator."""
         with self._lock:
             self.flops += int(snapshot.get("flops", 0))
             self.syncs += int(snapshot.get("syncs", 0))
@@ -131,6 +131,8 @@ class Counters:
             self.store_read_bytes += int(snapshot.get("store_read_bytes", 0))
             self.store_write_bytes += int(snapshot.get("store_write_bytes", 0))
             # roundtrips are counted on the parent side of the pipe only.
+            for kernel, n in snapshot.get("kernel_calls", {}).items():
+                self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + n
 
     def add_call(self, kernel: str) -> None:
         with self._lock:

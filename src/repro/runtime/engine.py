@@ -9,7 +9,8 @@ watchdog — so every resilience feature landed three times or not at all.
 :class:`ExecutionEngine` owns that lifecycle once, behind two pluggable
 axes:
 
-* **clock** — ``"real"`` runs tasks on worker threads (wall-clock);
+* **clock** — ``"real"`` runs tasks on worker threads, or in the
+  worker processes of a pool fed by one dispatcher loop (wall-clock);
   ``"virtual"`` replays the graph as a discrete-event simulation priced
   by a :class:`~repro.machine.model.MachineModel`.
 * **frontier** — how ready tasks are distributed to workers on the real
@@ -29,6 +30,8 @@ as single-window programs and behave exactly as before.
 
 from __future__ import annotations
 
+import os
+import select
 import threading
 import time
 from collections import deque
@@ -49,6 +52,14 @@ from repro.runtime.trace import TaskRecord, Trace
 __all__ = ["ExecutionEngine", "CentralFrontier", "StealingFrontier"]
 
 _EPS = 1e-12
+
+#: Tasks in flight per worker process under the dispatcher (queued in
+#: its pipe or running).  Deep enough that one message carries several
+#: small tasks, shallow enough that a newly released critical-path task
+#: never waits behind more than three; measured as the knee among
+#: 2/4/8 (docs/RUNTIME.md).  Not a tuning knob.
+_MAX_INFLIGHT = 4
+_POLL_S = 0.05  # dispatcher's wait for replies before it re-checks liveness and abort
 
 
 class CentralFrontier:
@@ -285,6 +296,12 @@ class ExecutionEngine:
         only).
     thread_name:
         Prefix for worker thread names.
+    process_pool:
+        A :class:`~repro.runtime.process._WorkerPool`: tasks carrying a
+        ``meta["op"]`` descriptor then run in its worker processes, fed
+        by one dispatcher loop instead of ``n_workers`` threads (see
+        :meth:`_RealClockRun.dispatcher`); the pool may be shared by
+        concurrent engines.
     """
 
     def __init__(
@@ -326,27 +343,6 @@ class ExecutionEngine:
         self.thread_name = thread_name
         self.process_pool = process_pool
 
-    def _execute(self, task, core: int) -> None:
-        """Run one task's work: in a pool worker if it carries an op
-        descriptor, else its closure inline in this (proxy) thread.
-
-        When a ``process_pool`` is configured and the task has a
-        ``meta["op"]`` descriptor, the kernel runs in worker process
-        *core* over the shared-memory arena and ``meta["op_sync"]``
-        mirrors worker-side results into parent-side workspace objects;
-        any worker-side exception (or a structured ``worker_death``
-        failure) re-raises here, feeding the normal retry path.
-        """
-        pool = self.process_pool
-        op = task.meta.get("op") if (pool is not None and task.meta) else None
-        if op is not None:
-            pool.run(core, op)
-            sync = task.meta.get("op_sync")
-            if sync is not None:
-                sync()
-        elif task.fn is not None:
-            task.fn()
-
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
@@ -385,341 +381,10 @@ class ExecutionEngine:
         )
 
     # ------------------------------------------------------------------
-    # Real clock: worker threads
+    # Real clock: worker threads, or one dispatcher over a process pool
     # ------------------------------------------------------------------
     def _run_threads(self, program: GraphProgram, bk: _Bookkeeping, journal) -> Trace:
-        graph = program.graph
-        frontier = self.frontier if self.frontier is not None else CentralFrontier(self.policy)
-        lock = make_lock("engine.state")
-        work_available = make_condition("engine.state", lock)
-        errors: list[BaseException] = []
-        records: list[TaskRecord] = []
-        events: list[ResilienceEvent] = []
-        ran_on: dict[int, int] = {}
-        running: dict[int, tuple] = {}  # core -> (task, monotonic start)
-        progress = [time.monotonic()]  # last completion, for stall detection
-        stop = threading.Event()  # watchdog fired: abandon stuck workers
-        retry = self.retry
-        plan = self.fault_plan
-        t0 = time.perf_counter()
-
-        initial = bk.start()
-        if bk.n_skipped:
-            events.append(self._resume_event(bk))
-        frontier.seed_tasks(initial)
-
-        def record_event(ev: ResilienceEvent) -> None:
-            with lock:
-                events.append(ev)
-
-        def partial_trace() -> Trace:
-            with lock:
-                return Trace(list(records), self.n_workers, list(events))
-
-        def worker(core: int) -> None:
-            while True:
-                with work_available:
-                    while not frontier and not bk.finished and not errors:
-                        # Timed wait + re-check: a missed notify (however
-                        # unlikely) then costs one poll period, never a
-                        # hung worker that only the watchdog could reap.
-                        work_available.wait(0.1)
-                    if bk.finished or errors:
-                        work_available.notify_all()
-                        return
-                    task = frontier.pop(core)
-                    if task is None:  # unreachable for a truthy frontier
-                        work_available.notify_all()
-                        return
-                    if frontier.counts_placement:
-                        # Snapshot predecessor placement under the lock:
-                        # ran_on is written by completing workers, so an
-                        # unlocked read would race (and miscount syncs).
-                        placement = [ran_on.get(p, core) for p in graph.preds[task.tid]]
-                    else:
-                        placement = None
-                    running[core] = (task, time.monotonic())
-                if placement is not None:
-                    # Account inter-worker synchronization: one sync (and
-                    # the task's input volume) per remote predecessor.
-                    remote = sum(1 for p in placement if p != core)
-                    if remote:
-                        _counters.add_sync(remote)
-                        _counters.add_words(int(task.cost.words))
-                attempt = 0
-                while True:
-                    start = time.perf_counter() - t0
-                    try:
-                        if plan is not None:
-                            plan.pre_task(task, attempt, record=record_event)
-                        self._execute(task, core)
-                        if plan is not None:
-                            plan.post_task(task, attempt, record=record_event)
-                    except BaseException as exc:  # noqa: BLE001 - handled below
-                        if retry is not None and not errors and retry.should_retry(task, exc, attempt):
-                            record_event(
-                                ResilienceEvent(
-                                    "retry",
-                                    task.name,
-                                    task.tid,
-                                    detail=(
-                                        f"attempt {attempt + 1} after "
-                                        f"{type(exc).__name__}: {exc}"
-                                    ),
-                                )
-                            )
-                            time.sleep(retry.delay(attempt, task.tid))
-                            attempt += 1
-                            continue
-                        if not isinstance(exc, RuntimeFailure):
-                            kind = "injected" if isinstance(exc, InjectedFault) else "task_error"
-                            failure = RuntimeFailure(
-                                f"task {task.name!r} failed after {attempt + 1} attempt(s): {exc}",
-                                task=task.name,
-                                tid=task.tid,
-                                failure_kind=kind,
-                            )
-                            failure.__cause__ = exc
-                            exc = failure
-                        with work_available:
-                            running.pop(core, None)
-                            errors.append(exc)
-                            bk.remaining -= 1
-                            work_available.notify_all()
-                        return
-                    break
-                end = time.perf_counter() - t0
-                # Numerical health guard, outside the lock (it reads
-                # only blocks this task owns).
-                fatal_event = None
-                guard = task.meta.get("health") if (self.health_checks and task.meta) else None
-                if guard is not None:
-                    verdict = guard()
-                    if verdict is not None:
-                        record_event(verdict)
-                        if verdict.fatal:
-                            fatal_event = verdict
-                # Write-ahead journal entry: only after the guards pass,
-                # so a resumed run never skips a task whose output was
-                # found corrupted.  Outside the lock (may hit disk).
-                if fatal_event is None and journal is not None:
-                    try:
-                        journal.record(task)
-                    except Exception as exc:
-                        with work_available:
-                            running.pop(core, None)
-                            errors.append(
-                                RuntimeFailure(
-                                    f"journal write failed after task {task.name!r}: {exc}",
-                                    task=task.name,
-                                    tid=task.tid,
-                                    failure_kind="task_error",
-                                )
-                            )
-                            bk.remaining -= 1
-                            work_available.notify_all()
-                        return
-                with work_available:
-                    running.pop(core, None)
-                    progress[0] = time.monotonic()
-                    ran_on[task.tid] = core
-                    records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
-                    if fatal_event is not None:
-                        errors.append(
-                            RuntimeFailure(
-                                f"health guard failed after task {task.name!r}: "
-                                f"{fatal_event.detail}",
-                                task=task.name,
-                                tid=task.tid,
-                                failure_kind="health",
-                            )
-                        )
-                        bk.remaining -= 1
-                        work_available.notify_all()
-                        return
-                    # complete() may expand the program: emitting the
-                    # next window(s) happens here, under the lock, while
-                    # other workers keep executing their current tasks.
-                    frontier.push_released(bk.complete(task.tid), core)
-                    work_available.notify_all()
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(c,), name=f"{self.thread_name}-{c}", daemon=True
-            )
-            for c in range(self.n_workers)
-        ]
-
-        watchdog_active = (
-            self.task_timeout is not None
-            or self.stall_timeout is not None
-            or self.deadline is not None
-        )
-
-        def watchdog() -> None:
-            deadlock_polls = 0
-            while not stop.wait(self.watchdog_poll_s):
-                with work_available:
-                    if bk.remaining <= 0 or errors:
-                        return
-                    n = bk.registered
-                    done_count = n - bk.remaining
-                    now = time.monotonic()
-                    if self.deadline is not None and now >= self.deadline:
-                        # The run's absolute deadline passed.  Tasks may
-                        # still be progressing — this is *lateness*, not
-                        # a hang — so it is reported as its own kind.
-                        events.append(
-                            ResilienceEvent(
-                                "deadline",
-                                detail=(
-                                    f"run deadline passed with {done_count}/{n} "
-                                    "tasks done"
-                                ),
-                                value=now - self.deadline,
-                                fatal=True,
-                            )
-                        )
-                        errors.append(
-                            RuntimeFailure(
-                                f"run exceeded its deadline ({done_count}/{n} "
-                                "tasks done)",
-                                failure_kind="deadline",
-                            )
-                        )
-                        stop.set()
-                        work_available.notify_all()
-                        return
-                    if self.task_timeout is not None:
-                        for core, (task, ts) in list(running.items()):
-                            if now - ts > self.task_timeout:
-                                events.append(
-                                    ResilienceEvent(
-                                        "timeout",
-                                        task.name,
-                                        task.tid,
-                                        detail=(
-                                            f"exceeded task_timeout={self.task_timeout:.3g}s "
-                                            f"on worker {core}"
-                                        ),
-                                        value=now - ts,
-                                        fatal=True,
-                                    )
-                                )
-                                errors.append(
-                                    RuntimeFailure(
-                                        f"task {task.name!r} stalled: ran longer than "
-                                        f"{self.task_timeout:.3g}s on worker {core}",
-                                        task=task.name,
-                                        tid=task.tid,
-                                        failure_kind="timeout",
-                                    )
-                                )
-                                stop.set()
-                                work_available.notify_all()
-                                return
-                    if self.stall_timeout is not None and now - progress[0] > self.stall_timeout:
-                        stalled = ", ".join(t.name for t, _ in running.values()) or "none"
-                        events.append(
-                            ResilienceEvent(
-                                "stall",
-                                detail=(
-                                    f"no task completed for {self.stall_timeout:.3g}s "
-                                    f"(running: {stalled})"
-                                ),
-                                fatal=True,
-                            )
-                        )
-                        errors.append(
-                            RuntimeFailure(
-                                f"runtime stalled: no task completed for "
-                                f"{self.stall_timeout:.3g}s ({done_count}/{n} done, "
-                                f"running: {stalled})",
-                                failure_kind="stall",
-                            )
-                        )
-                        stop.set()
-                        work_available.notify_all()
-                        return
-                    dead = [
-                        c
-                        for c, th in enumerate(threads)
-                        if c in running and not th.is_alive()
-                    ]
-                    if dead:
-                        task = running[dead[0]][0]
-                        events.append(
-                            ResilienceEvent(
-                                "worker_death",
-                                task.name,
-                                task.tid,
-                                detail=f"worker {dead[0]} died with task in flight",
-                                fatal=True,
-                            )
-                        )
-                        errors.append(
-                            RuntimeFailure(
-                                f"worker {dead[0]} died while running task {task.name!r}",
-                                task=task.name,
-                                tid=task.tid,
-                                failure_kind="worker_death",
-                            )
-                        )
-                        stop.set()
-                        work_available.notify_all()
-                        return
-                    # Deadlocked queue: tasks remain, nothing runs,
-                    # nothing is ready.  Cannot happen for a valid DAG;
-                    # confirmed over two polls to dodge races.
-                    if bk.remaining > 0 and not running and not frontier:
-                        deadlock_polls += 1
-                        if deadlock_polls >= 2:
-                            events.append(
-                                ResilienceEvent(
-                                    "deadlock",
-                                    detail=(
-                                        f"{done_count}/{n} tasks done, "
-                                        "none ready or running"
-                                    ),
-                                    fatal=True,
-                                )
-                            )
-                            errors.append(
-                                RuntimeFailure(
-                                    f"runtime deadlock: {done_count}/{n} tasks "
-                                    "completed, none ready or running",
-                                    failure_kind="deadlock",
-                                )
-                            )
-                            stop.set()
-                            work_available.notify_all()
-                            return
-                    else:
-                        deadlock_polls = 0
-
-        for th in threads:
-            th.start()
-        watchdog_thread = None
-        if watchdog_active:
-            watchdog_thread = threading.Thread(target=watchdog, name="repro-watchdog", daemon=True)
-            watchdog_thread.start()
-        for th in threads:
-            if not watchdog_active:
-                th.join()
-            else:
-                # A stuck worker cannot be killed; once the watchdog
-                # fires we stop waiting and abandon the daemon thread.
-                while th.is_alive() and not stop.is_set():
-                    th.join(0.05)
-        if watchdog_thread is not None:
-            stop.set()
-            watchdog_thread.join(1.0)
-        if errors:
-            exc = errors[0]
-            if isinstance(exc, RuntimeFailure) and exc.trace is None:
-                exc.trace = partial_trace()
-            raise exc
-        return Trace(records, self.n_workers, events, stats=bk.stats())
+        return _RealClockRun(self, program, bk, journal).run()
 
     # ------------------------------------------------------------------
     # Virtual clock: discrete-event simulation
@@ -882,3 +547,517 @@ class ExecutionEngine:
             running = still
 
         return Trace(records, mach.cores, events, stats=bk.stats())
+
+
+class _RealClockRun:
+    """One real-clock run: its shared state and the task lifecycle.
+
+    Thread workers (:meth:`worker`, one per core) and the process
+    backend's single :meth:`dispatcher` are two ways of getting a
+    task's work done; everything around the work — claiming a ready
+    task, fault injection, retry, failure wrapping, health guards,
+    journal, record, release — exists once, here, and both call it.
+    """
+
+    def __init__(self, engine: ExecutionEngine, program: GraphProgram, bk: _Bookkeeping, journal):
+        self.engine = engine
+        self.retry = engine.retry
+        self.plan = engine.fault_plan
+        self.health_checks = engine.health_checks
+        self.graph = program.graph
+        self.bk = bk
+        self.journal = journal
+        self.frontier = (
+            engine.frontier if engine.frontier is not None else CentralFrontier(engine.policy)
+        )
+        self.lock = make_lock("engine.state")
+        self.work_available = make_condition("engine.state", self.lock)
+        self.errors: list[BaseException] = []
+        self.records: list[TaskRecord] = []
+        self.events: list[ResilienceEvent] = []
+        self.ran_on: dict[int, int] = {}
+        self.running: dict[int, tuple] = {}  # tid -> (task, monotonic start, core)
+        self.progress = [time.monotonic()]  # last completion, for stall detection
+        self.stop = threading.Event()  # watchdog fired: abandon stuck workers
+        self.threads: list[threading.Thread] = []
+        # The dispatcher's books (process backend only).
+        self.load = [0] * engine.n_workers  # tasks in flight per worker
+        self.redo: deque = deque()  # (task, attempt) to send again, ahead of the frontier
+        self.stats: dict = {}
+        self.t0 = time.perf_counter()
+
+    def run(self) -> Trace:
+        engine, bk = self.engine, self.bk
+        initial = bk.start()
+        if bk.n_skipped:
+            self.events.append(engine._resume_event(bk))
+        self.frontier.seed_tasks(initial)
+        if engine.process_pool is None:
+            self.threads = [
+                threading.Thread(
+                    target=self.worker, args=(c,), name=f"{engine.thread_name}-{c}", daemon=True
+                )
+                for c in range(engine.n_workers)
+            ]
+        else:
+            self.threads = [
+                threading.Thread(target=self.dispatcher, name=engine.thread_name, daemon=True)
+            ]
+        watchdog_active = (
+            engine.task_timeout is not None
+            or engine.stall_timeout is not None
+            or engine.deadline is not None
+        )
+        for th in self.threads:
+            th.start()
+        watchdog_thread = None
+        if watchdog_active:
+            watchdog_thread = threading.Thread(
+                target=self.watchdog, name="repro-watchdog", daemon=True
+            )
+            watchdog_thread.start()
+        for th in self.threads:
+            if not watchdog_active:
+                th.join()
+            else:
+                # A stuck worker cannot be killed; once the watchdog
+                # fires we stop waiting and abandon the daemon thread.
+                while th.is_alive() and not self.stop.is_set():
+                    th.join(0.05)
+        if watchdog_thread is not None:
+            self.stop.set()
+            watchdog_thread.join(1.0)
+        if not self.errors and not bk.finished:  # a worker thread died of a bug
+            self.errors.append(
+                RuntimeFailure(
+                    "a worker thread ended with tasks outstanding", failure_kind="worker_death"
+                )
+            )
+        if self.errors:
+            exc = self.errors[0]
+            if isinstance(exc, RuntimeFailure) and exc.trace is None:
+                exc.trace = self.partial_trace()
+            raise exc
+        return Trace(self.records, engine.n_workers, self.events, stats={**bk.stats(), **self.stats})
+
+    # ------------------------------------------------------------------
+    # The lifecycle both execution paths share
+    # ------------------------------------------------------------------
+    def record_event(self, ev: ResilienceEvent) -> None:
+        with self.lock:
+            self.events.append(ev)
+
+    def partial_trace(self) -> Trace:
+        with self.lock:
+            return Trace(list(self.records), self.engine.n_workers, list(self.events))
+
+    def _claim(self, core: int):
+        """Pop a ready task for *core* (lock held): ``(task, remote)``
+        with its count of predecessors that ran elsewhere, or None."""
+        task = self.frontier.pop(core)
+        if task is None:
+            return None
+        remote = 0
+        if self.frontier.counts_placement:
+            # Predecessor placement is read under the lock: ran_on is
+            # written by completing workers, so an unlocked read would
+            # race (and miscount syncs).
+            ran_on = self.ran_on
+            for p in self.graph.preds[task.tid]:
+                if ran_on.get(p, core) != core:
+                    remote += 1
+        self.running[task.tid] = (task, time.monotonic(), core)
+        return task, remote
+
+    @staticmethod
+    def _count_remote(task: Task, remote: int) -> None:
+        """Account inter-worker synchronization: one sync per remote
+        predecessor, and the task's input volume."""
+        _counters.add_sync(remote)
+        _counters.add_words(int(task.cost.words))
+
+    def _abort(self, task: Task, exc: BaseException) -> None:
+        """Record a run-ending failure of *task* and wake everyone."""
+        with self.work_available:
+            self.running.pop(task.tid, None)
+            self.errors.append(exc)
+            self.bk.remaining -= 1
+            self.work_available.notify_all()
+
+    def _attempt_failed(self, task: Task, exc: BaseException, attempt: int) -> bool:
+        """After a failed attempt: back off and return True when the
+        :class:`RetryPolicy` grants another, else end the run with a
+        structured failure and return False."""
+        retry = self.retry
+        if retry is not None and not self.errors and retry.should_retry(task, exc, attempt):
+            self.record_event(
+                ResilienceEvent(
+                    "retry",
+                    task.name,
+                    task.tid,
+                    detail=f"attempt {attempt + 1} after {type(exc).__name__}: {exc}",
+                )
+            )
+            time.sleep(retry.delay(attempt, task.tid))
+            return True
+        if not isinstance(exc, RuntimeFailure):
+            kind = "injected" if isinstance(exc, InjectedFault) else "task_error"
+            failure = RuntimeFailure(
+                f"task {task.name!r} failed after {attempt + 1} attempt(s): {exc}",
+                task=task.name,
+                tid=task.tid,
+                failure_kind=kind,
+            )
+            failure.__cause__ = exc
+            exc = failure
+        self._abort(task, exc)
+        return False
+
+    def _run_inline(self, task: Task, attempt: int = 0):
+        """Run *task*'s closure in this thread, under the fault plan and
+        the retry policy; its ``(start, end)`` span, or None once the
+        failure has ended the run."""
+        plan, t0, clock = self.plan, self.t0, time.perf_counter
+        while True:
+            start = clock() - t0
+            try:
+                if plan is not None:
+                    plan.pre_task(task, attempt, record=self.record_event)
+                if task.fn is not None:
+                    task.fn()
+                if plan is not None:
+                    plan.post_task(task, attempt, record=self.record_event)
+            except BaseException as exc:  # noqa: BLE001 - handled by the policy
+                if not self._attempt_failed(task, exc, attempt):
+                    return None
+                attempt += 1
+                continue
+            return start, clock() - t0
+
+    def _finish(self, task: Task, core: int, start: float, end: float) -> bool:
+        """Everything owed after *task*'s work succeeded: health guard,
+        journal, record, release of its successors.  False when the run
+        must end (the failure is recorded)."""
+        # Numerical health guard, outside the lock (it reads only
+        # blocks this task owns).
+        fatal_event = None
+        guard = task.meta.get("health") if (self.health_checks and task.meta) else None
+        if guard is not None:
+            verdict = guard()
+            if verdict is not None:
+                self.record_event(verdict)
+                if verdict.fatal:
+                    fatal_event = verdict
+        # Write-ahead journal entry: only after the guards pass, so a
+        # resumed run never skips a task whose output was found
+        # corrupted.  Outside the lock (may hit disk).
+        if fatal_event is None and self.journal is not None:
+            try:
+                self.journal.record(task)
+            except Exception as exc:
+                self._abort(
+                    task,
+                    RuntimeFailure(
+                        f"journal write failed after task {task.name!r}: {exc}",
+                        task=task.name,
+                        tid=task.tid,
+                        failure_kind="task_error",
+                    ),
+                )
+                return False
+        with self.work_available:
+            self.running.pop(task.tid, None)
+            self.progress[0] = time.monotonic()
+            self.ran_on[task.tid] = core
+            self.records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
+            if fatal_event is not None:
+                self.errors.append(
+                    RuntimeFailure(
+                        f"health guard failed after task {task.name!r}: {fatal_event.detail}",
+                        task=task.name,
+                        tid=task.tid,
+                        failure_kind="health",
+                    )
+                )
+                self.bk.remaining -= 1
+                self.work_available.notify_all()
+                return False
+            # complete() may expand the program: emitting the next
+            # window(s) happens here, under the lock, while the workers
+            # keep executing their current tasks.
+            self.frontier.push_released(self.bk.complete(task.tid), core)
+            self.work_available.notify_all()
+        return True
+
+    # ------------------------------------------------------------------
+    # Threads: one worker per core
+    # ------------------------------------------------------------------
+    def worker(self, core: int) -> None:
+        bk, frontier, errors = self.bk, self.frontier, self.errors
+        while True:
+            with self.work_available:
+                while not frontier and not bk.finished and not errors:
+                    # Timed wait + re-check: a missed notify (however
+                    # unlikely) then costs one poll period, never a
+                    # hung worker that only the watchdog could reap.
+                    self.work_available.wait(0.1)
+                claimed = None if (bk.finished or errors) else self._claim(core)
+                if claimed is None:  # done, failing, or (unreachable) an empty pop
+                    self.work_available.notify_all()
+                    return
+            task, remote = claimed
+            if remote:
+                self._count_remote(task, remote)
+            span = self._run_inline(task)
+            if span is None or not self._finish(task, core, *span):
+                return
+
+    # ------------------------------------------------------------------
+    # Processes: one dispatcher for the whole pool
+    # ------------------------------------------------------------------
+    def dispatcher(self) -> None:
+        """Feed the worker pool from one loop.
+
+        Each pass deals ready tasks to the least-loaded worker (at most
+        :data:`_MAX_INFLIGHT` in flight each), sends what one worker
+        was dealt as one message, runs descriptor-less tasks inline,
+        then sleeps in one ``poll`` over the pipes with messages out
+        and takes each reply apart into per-task acks (:meth:`_absorb`).
+        Once the run is failing nothing new is dealt but messages
+        already out are still collected — their tasks ran, so they are
+        journaled and recorded; only the watchdog's ``stop`` abandons
+        them.
+        """
+        pool, plan = self.engine.process_pool, self.plan
+        bk, frontier, load, redo = self.bk, self.frontier, self.load, self.redo
+        out: dict[int, tuple] = {}  # ticket -> (core, [(task, attempt)], sent at)
+        poller = select.poll()
+        watched: dict[int, int] = {}  # fd -> core, pipes with a message of ours out
+        wake_r, wake_w = os.pipe()  # written by a sharing engine that drained our reply
+        os.set_blocking(wake_w, False)
+        poller.register(wake_r, select.POLLIN)
+        messages, dispatch_s = 0, 0.0
+
+        def wake() -> None:
+            try:
+                os.write(wake_w, b"\0")
+            except BlockingIOError:  # pipe full: a wake is pending already
+                pass
+
+        try:
+            while not self.stop.is_set():
+                dealt: list[tuple] = []
+                with self.work_available:
+                    if not self.errors:
+                        if bk.finished:
+                            break
+                        while (redo or frontier) and min(load) < _MAX_INFLIGHT:
+                            core = load.index(min(load))
+                            if redo:
+                                task, attempt = redo.popleft()
+                                self.running[task.tid] = (task, time.monotonic(), core)
+                                dealt.append((core, task, attempt, 0))
+                            else:
+                                task, remote = self._claim(core)
+                                dealt.append((core, task, 0, remote))
+                            load[core] += 1
+                    if not dealt and not out:
+                        if self.errors:
+                            break
+                        # Nothing ready, nothing out: not a state a valid
+                        # DAG reaches; idle until the watchdog rules.
+                        self.work_available.wait(0.1)
+                        continue
+                batches: dict[int, list] = {}
+                inline = []
+                for core, task, attempt, remote in dealt:
+                    if remote:
+                        self._count_remote(task, remote)
+                    if not (task.meta and task.meta.get("op")):
+                        inline.append((core, task, attempt))
+                        continue
+                    try:
+                        if plan is not None:
+                            plan.pre_task(task, attempt, record=self.record_event)
+                    except BaseException as exc:  # noqa: BLE001 - handled by the policy
+                        load[core] -= 1
+                        if self._attempt_failed(task, exc, attempt):
+                            redo.append((task, attempt + 1))
+                        continue
+                    batches.setdefault(core, []).append((task, attempt))
+                for core, batch in batches.items():
+                    sent = time.perf_counter()
+                    try:
+                        ticket = pool.submit(core, [t.meta["op"] for t, _ in batch], wake)
+                    except Exception as exc:  # worker down and throttled, pool closed
+                        dispatch_s += self._absorb(core, batch, exc, sent)
+                        continue
+                    out[ticket] = (core, batch, sent)
+                    messages += 1
+                    fd = pool.fileno(core)
+                    if fd is not None and watched.get(fd) != core:
+                        poller.register(fd, select.POLLIN)
+                        watched[fd] = core
+                for core, task, attempt in inline:
+                    load[core] -= 1
+                    span = self._run_inline(task, attempt)
+                    if span is not None:
+                        self._finish(task, core, *span)
+                if not out:
+                    continue
+                # Wait for a reply -- unless this pass left something to
+                # deal: inline tasks release successors, a retry is due.
+                busy = inline or (redo and min(load) < _MAX_INFLIGHT)
+                ready = poller.poll(0 if busy else _POLL_S * 1000)
+                cores = {watched.get(fd) for fd, _ in ready}
+                if not ready:
+                    if busy:
+                        continue
+                    # A poll period without a reply: make sure silence
+                    # is not a death whose hang-up never reached us.
+                    for core in {core for core, _, _ in out.values()}:
+                        pool.ensure_alive(core)
+                elif None in cores:  # the wake pipe: our reply may be on any core
+                    os.read(wake_r, 4096)
+                    cores = set(range(len(load)))
+                for ticket, (core, batch, sent) in list(out.items()):
+                    if core not in cores:
+                        continue
+                    try:
+                        reply = pool.collect(core, ticket, block=False)
+                    except RuntimeFailure as exc:  # the worker died with it in flight
+                        reply = exc
+                    if reply is not None:
+                        del out[ticket]
+                        dispatch_s += self._absorb(core, batch, reply, sent)
+                for fd, core in list(watched.items()):
+                    if pool.fileno(core) != fd or not any(c == core for c, _, _ in out.values()):
+                        poller.unregister(fd)
+                        del watched[fd]
+        finally:
+            for ticket, (core, _, _) in out.items():
+                pool.abandon(core, ticket)
+            os.close(wake_r)
+            os.close(wake_w)
+            self.stats = {"messages": messages, "dispatch_seconds": dispatch_s}
+
+    def _absorb(self, core: int, batch: list, reply, sent: float) -> float:
+        """Take one message's reply apart: each task gets its own ack.
+
+        A task whose op succeeded has its ``op_sync`` mirror and the
+        fault plan's post-task hook run, then goes through
+        :meth:`_finish` with the *worker's* span; one that failed
+        follows the retry policy (re-sent via ``redo``, or the run ends);
+        one the worker never started is re-dealt at the same attempt.
+        A *reply* that is a failure (the worker died, or was down) is
+        every task's failure.  Returns the message's dispatch seconds:
+        send-to-ack wall minus the worker's own spans.
+        """
+        now = time.perf_counter()
+        redo = self.redo
+        self.load[core] -= len(batch)
+        if isinstance(reply, BaseException):
+            reply = [(False, reply, now, now, None)] * len(batch)
+        plan = self.plan
+        worked = 0.0
+        for (task, attempt), (ok, err, start, end, _) in zip(batch, reply, strict=True):
+            if ok is None:
+                redo.append((task, attempt))
+                continue
+            worked += end - start
+            if ok:
+                try:
+                    sync = task.meta.get("op_sync")
+                    if sync is not None:
+                        sync()
+                    if plan is not None:
+                        plan.post_task(task, attempt, record=self.record_event)
+                except BaseException as exc:  # noqa: BLE001 - handled by the policy
+                    err = exc
+                else:
+                    self._finish(task, core, start - self.t0, end - self.t0)
+                    continue
+            if self._attempt_failed(task, err, attempt):
+                redo.append((task, attempt + 1))
+        return (now - sent) - worked
+
+    # ------------------------------------------------------------------
+    # Watchdog
+    # ------------------------------------------------------------------
+    def watchdog(self) -> None:
+        engine, bk, running = self.engine, self.bk, self.running
+        deadlock_polls = 0
+        while not self.stop.wait(engine.watchdog_poll_s):
+            with self.work_available:
+                if bk.remaining <= 0 or self.errors:
+                    return
+                n = bk.registered
+                done = f"{n - bk.remaining}/{n}"
+                now = time.monotonic()
+                if engine.deadline is not None and now >= engine.deadline:
+                    # The run's absolute deadline passed.  Tasks may
+                    # still be progressing — this is *lateness*, not a
+                    # hang — so it is reported as its own kind.
+                    return self._trip(
+                        "deadline",
+                        f"run deadline passed with {done} tasks done",
+                        f"run exceeded its deadline ({done} tasks done)",
+                        value=now - engine.deadline,
+                    )
+                if engine.task_timeout is not None:
+                    for task, ts, core in list(running.values()):
+                        if now - ts > engine.task_timeout:
+                            return self._trip(
+                                "timeout",
+                                f"exceeded task_timeout={engine.task_timeout:.3g}s on worker {core}",
+                                f"task {task.name!r} stalled: ran longer than "
+                                f"{engine.task_timeout:.3g}s on worker {core}",
+                                task,
+                                value=now - ts,
+                            )
+                if engine.stall_timeout is not None and now - self.progress[0] > engine.stall_timeout:
+                    stalled = ", ".join(t.name for t, _, _ in running.values()) or "none"
+                    return self._trip(
+                        "stall",
+                        f"no task completed for {engine.stall_timeout:.3g}s (running: {stalled})",
+                        f"runtime stalled: no task completed for {engine.stall_timeout:.3g}s "
+                        f"({done} done, running: {stalled})",
+                    )
+                # A task is in the hands of thread `core`, or of the
+                # one dispatcher thread.
+                dead = [
+                    (task, core)
+                    for task, _, core in running.values()
+                    if not self.threads[min(core, len(self.threads) - 1)].is_alive()
+                ]
+                if dead:
+                    task, core = dead[0]
+                    return self._trip(
+                        "worker_death",
+                        f"worker {core} died with task in flight",
+                        f"worker {core} died while running task {task.name!r}",
+                        task,
+                    )
+                # Deadlocked queue: tasks remain, nothing runs, nothing
+                # is ready.  Cannot happen for a valid DAG; confirmed
+                # over two polls to dodge races.
+                if bk.remaining > 0 and not running and not self.frontier:
+                    deadlock_polls += 1
+                    if deadlock_polls >= 2:
+                        return self._trip(
+                            "deadlock",
+                            f"{done} tasks done, none ready or running",
+                            f"runtime deadlock: {done} tasks completed, none ready or running",
+                        )
+                else:
+                    deadlock_polls = 0
+
+    def _trip(self, kind: str, detail: str, message: str, task: Task | None = None, value=None):
+        """The watchdog's verdict (lock held): log the fatal event, fail
+        the run, let every waiter go."""
+        name, tid = ("", -1) if task is None else (task.name, task.tid)
+        self.events.append(ResilienceEvent(kind, name, tid, detail=detail, value=value, fatal=True))
+        self.errors.append(RuntimeFailure(message, task=name, tid=tid, failure_kind=kind))
+        self.stop.set()
+        self.work_available.notify_all()
+

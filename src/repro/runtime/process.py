@@ -12,30 +12,36 @@ dominates and the threaded backend cannot scale with physical cores.
   the CALU/CAQR/TSLU/TSQR builders; see :mod:`repro.runtime.ops`) —
   never as pickled closures or matrix blocks;
 * scheduling stays in the parent: the executor reuses the unified
-  :class:`~repro.runtime.engine.ExecutionEngine` with one lightweight
-  *proxy thread* per worker process.  A proxy pops a ready task from the
-  frontier exactly like a threaded worker, ships the descriptor down its
-  worker's pipe, blocks until the completion message comes back, then
-  runs the task's ``meta["op_sync"]`` hook to mirror worker-side results
-  (pivots, degradation flags, Q factors) into parent-side workspace
-  objects.  Journal, retry, fault injection, health guards, streaming
-  ``GraphProgram`` windows and the watchdog therefore behave identically
-  across the threaded and process backends.
+  :class:`~repro.runtime.engine.ExecutionEngine`, whose single
+  *dispatcher* deals ready tasks to the least-loaded worker, ships the
+  descriptors dealt to one worker as **one message**
+  (:meth:`_WorkerPool.submit`), waits on every worker pipe at once and
+  gets back **one reply with one ack per task**
+  (:meth:`_WorkerPool.collect`).  Each ack then goes through the same
+  post-task lifecycle as a threaded task — ``meta["op_sync"]`` mirrors
+  worker-side results (pivots, degradation flags, Q factors) into
+  parent-side workspace objects, then fault injection, health guards,
+  journal, record, release — so journal, retry, streaming
+  ``GraphProgram`` windows and the watchdog behave identically across
+  the threaded and process backends.
 
 Tasks without a descriptor (checkpoint snapshots, ABFT checksum hooks,
 row-swap epilogues, arbitrary test graphs) run their ordinary closure
-inline in the proxy thread — correct, just not parallel across
-processes.  Worker death is detected by the pipe/liveness poll, the
-worker is respawned, and the failure surfaces as a structured
-:class:`~repro.resilience.recovery.RuntimeFailure` with
-``failure_kind="worker_death"`` so an idempotent task is retried by the
+inline in the dispatcher — correct, just not parallel across
+processes.  Worker death shows as a hang-up on the worker's pipe: the
+worker is respawned and every task it had in flight surfaces a
+structured :class:`~repro.resilience.recovery.RuntimeFailure` with
+``failure_kind="worker_death"``, so an idempotent task is retried by the
 usual :class:`~repro.resilience.recovery.RetryPolicy` machinery.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import select
+import time
 
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
@@ -49,41 +55,72 @@ from repro.runtime.trace import Trace
 
 __all__ = ["ProcessExecutor", "resolve_executor"]
 
-_POLL_S = 0.05  # liveness poll interval while awaiting a completion
+_POLL_S = 0.05  # liveness re-check interval while awaiting a reply
+
+#: Ack of an op the worker never started: an earlier op of the same
+#: message failed, so the parent decides again (it re-deals the task).
+_NOT_RUN = (None, None, 0.0, 0.0, None)
 
 
 def _worker_main(conn) -> None:
-    """Worker process loop: receive descriptors, run kernels, ack.
+    """Worker process loop: receive messages, run their ops, reply.
 
-    Each op runs under a fresh per-worker :class:`~repro.counters.Counters`
-    whose snapshot ships back with the ack, so kernel flops and
-    tile-store traffic performed *in the worker* still land in the
-    parent's active accumulator (merged by :meth:`_WorkerPool.run`) —
-    counting stays backend-agnostic.
+    A message is ``(ticket, ops, count)``: the descriptors dealt to this
+    worker in one dispatcher pass.  The reply ``(ticket, acks)`` carries
+    one ack ``(ok, err, start, end, tallies)`` per op, in order: *start*
+    and *end* are this process's ``perf_counter`` around the op (the
+    clock is CLOCK_MONOTONIC, shared with the parent), and *tallies* the
+    op's flops, kernel calls and tile-store traffic — counted only when
+    *count* says the parent has an active
+    :class:`~repro.counters.Counters`, ``None`` otherwise.  The first
+    failing op stops the message: the rest are acked :data:`_NOT_RUN`.
     """
     from repro.runtime.ops import run_op
 
+    clock = time.perf_counter
     tallies = _counters.Counters()
     while True:
         try:
-            op = conn.recv()
+            msg = conn.recv()
         except (EOFError, OSError):
             break
-        if op is None:
+        if msg is None:
             break
-        try:
-            with _counters.counting(tallies):
-                run_op(op)
-        except BaseException as exc:  # ship the failure to the parent
+        ticket, ops, count = msg
+        acks = []
+        for op in ops:
+            if acks and acks[-1][0] is not True:
+                acks.append(_NOT_RUN)
+                continue
+            err = None
+            start = clock()
             try:
-                conn.send((False, exc, tallies.snapshot()))
-            except Exception:
-                conn.send(
-                    (False, RuntimeError(f"{type(exc).__name__}: {exc!r}"), tallies.snapshot())
+                if count:
+                    with _counters.counting(tallies):
+                        run_op(op)
+                else:
+                    run_op(op)
+            except BaseException as exc:  # ship the failure to the parent
+                err = exc
+            end = clock()
+            counted = None
+            if count:
+                counted = tallies.snapshot()
+                counted["kernel_calls"] = dict(tallies.kernel_calls)
+                tallies.reset()
+            acks.append((err is None, err, start, end, counted))
+        try:
+            conn.send((ticket, acks))
+        except Exception:  # an error that does not pickle: ship its description
+            conn.send(
+                (
+                    ticket,
+                    [
+                        (ok, err and RuntimeError(f"{type(err).__name__}: {err!r}"), *rest)
+                        for ok, err, *rest in acks
+                    ],
                 )
-        else:
-            conn.send((True, None, tallies.snapshot()))
-        tallies.reset()
+            )
     conn.close()
 
 
@@ -91,22 +128,26 @@ class _WorkerPool:
     """Persistent worker processes, one duplex pipe each.
 
     Workers start lazily on first use (so constructing an executor is
-    free) and persist across ``run()`` calls — process spawn cost is
-    paid once, matching the paper's persistent Pthreads pool.
+    free) and persist across runs — process spawn cost is paid once,
+    matching the paper's persistent Pthreads pool.
 
-    The pool is **thread-safe at worker granularity**: every
-    send/receive cycle on worker *core* holds that core's lock, so
-    several :class:`~repro.runtime.engine.ExecutionEngine` runs (a
-    service multiplexing concurrent requests) can share one pool — two
-    proxies targeting the same worker simply interleave whole ops
-    instead of corrupting the pipe protocol.
+    The unit of traffic is a **message**: :meth:`submit` writes a list
+    of descriptors to worker *core* and returns a ticket;
+    :meth:`collect` hands back that ticket's reply.  Several
+    :class:`~repro.runtime.engine.ExecutionEngine` runs (a service
+    multiplexing concurrent requests) can share one pool: a worker
+    serves its messages in arrival order, the per-core lock covers one
+    pipe write or one drain of the replies already waiting — never the
+    wait for a worker — and whichever caller drains a pipe files each
+    reply under its ticket and wakes the ticket's owner, so every engine
+    gets its own acks.
 
     *respawn_governor* (optional; see
     :class:`~repro.service.supervisor.RespawnGovernor`) rate-limits
     worker respawns: a crash-looping workload cannot livelock the pool
     by burning every cycle on process spawns.  When the governor denies
     a respawn the worker stays down and the failure says so — the next
-    ``run()`` on that core re-asks the governor, so the denial is
+    message for that core re-asks the governor, so the denial is
     temporary by construction.
     """
 
@@ -126,7 +167,14 @@ class _WorkerPool:
         self._ctx = multiprocessing.get_context(start_method)
         self._procs: list = [None] * n_workers
         self._conns: list = [None] * n_workers
+        self._pollers: list = [None] * n_workers  # one persistent poll per pipe
         self._locks = [make_lock("process.core") for _ in range(n_workers)]
+        self._tickets = itertools.count(1)
+        # Per core, under its lock: messages awaiting a reply
+        # ``ticket -> (ops, wake)`` and replies awaiting their owner
+        # ``ticket -> acks | RuntimeFailure``.
+        self._pending: list[dict] = [{} for _ in range(n_workers)]
+        self._replies: list[dict] = [{} for _ in range(n_workers)]
         self._closed = False
         self.respawn_governor = respawn_governor
         self.respawns = 0  # lifetime respawn count (post-death restarts)
@@ -147,6 +195,8 @@ class _WorkerPool:
         child_conn.close()
         self._procs[core] = proc
         self._conns[core] = parent_conn
+        self._pollers[core] = select.poll()
+        self._pollers[core].register(parent_conn.fileno(), select.POLLIN)
 
     def _admit(self, core: int) -> None:
         """Make worker *core* runnable, honouring the respawn throttle.
@@ -158,65 +208,149 @@ class _WorkerPool:
         ``worker_death`` the original death raised.
         """
         proc = self._procs[core]
-        if proc is not None and not proc.is_alive():
-            governor = self.respawn_governor
-            if governor is not None and not governor.allow_respawn(core):
-                raise RuntimeFailure(
-                    f"worker process {core} is down and its respawn throttled"
-                    " (crash-loop guard)",
-                    failure_kind="worker_death",
-                )
-            self._reap(core)
+        if proc is None:
             self._ensure(core)
-            self.respawns += 1
-            return
+        elif not proc.is_alive() and not self._bury(core):
+            raise RuntimeFailure(
+                f"worker process {core} is down and its respawn throttled"
+                " (crash-loop guard)",
+                failure_kind="worker_death",
+            )
+
+    def _bury(self, core: int, cause: BaseException | None = None) -> bool:
+        """Worker *core* is dead (core lock held): fail what it had in flight, respawn.
+
+        Every message awaiting its reply gets a structured
+        ``worker_death`` in its place and its owner is woken.  The
+        worker is respawned so the pool stays whole — unless the
+        governor says the pool is crash-looping, in which case the dead
+        process object stays in place for :meth:`_admit` to re-ask
+        about.  Returns whether the worker is back.
+        """
+        proc = self._procs[core]
+        proc.join(timeout=1.0)  # the hang-up precedes the exit status by a moment
+        exitcode = proc.exitcode
+        conn = self._conns[core]
+        if conn is not None:  # first sight of this death
+            self.deaths += 1
+            conn.close()
+            self._conns[core] = self._pollers[core] = None
+        governor = self.respawn_governor
+        throttled = governor is not None and not governor.allow_respawn(core)
+        for ticket, (ops, wake) in self._pending[core].items():
+            failure = RuntimeFailure(
+                f"worker process {core} died running {_op_names(ops)}"
+                f" (exitcode={exitcode})"
+                + ("; respawn throttled (crash-loop guard)" if throttled else ""),
+                failure_kind="worker_death",
+            )
+            failure.__cause__ = cause
+            self._replies[core][ticket] = failure
+            if wake is not None:
+                wake()
+        self._pending[core].clear()
+        if throttled:
+            return False
+        self._reap(core)
         self._ensure(core)
+        self.respawns += 1
+        return True
+
+    # ------------------------------------------------------------------
+    # Messages
+    # ------------------------------------------------------------------
+    def submit(self, core: int, ops: list, wake=None) -> int:
+        """Send *ops* to worker *core* as one message; returns its ticket.
+
+        One pipe write per message — a dispatcher pass ships everything
+        it dealt to this worker here, and a fused super-task is one
+        descriptor of the list.  *wake* (optional, must not block) is
+        called when the reply has been filed by **another** caller's
+        drain, so an owner waiting on file descriptors learns of it.
+        Raises ``worker_death`` when the worker is down and throttled,
+        or dies under the write.
+        """
+        if self._closed:
+            raise ValueError("worker pool is closed")
+        note_roundtrip()
+        _counters.add_roundtrip()
+        count = _counters.current_counters() is not None
+        ticket = next(self._tickets)
+        with self._locks[core]:
+            self._admit(core)
+            self._pending[core][ticket] = (ops, wake)
+            try:
+                self._conns[core].send((ticket, ops, count))
+            except OSError as exc:  # died since the liveness check
+                self._bury(core, exc)
+                raise self._replies[core].pop(ticket) from exc
+        return ticket
+
+    def collect(self, core: int, ticket: int, block: bool = True):
+        """The acks of message *ticket*, one ``(ok, err, start, end, tallies)`` per op.
+
+        With ``block=False`` returns ``None`` when the reply has not
+        arrived.  Raises the structured ``worker_death`` if the worker
+        died with the message in flight.  Tallies are folded into the
+        caller's active :class:`~repro.counters.Counters`, so counting
+        stays backend-agnostic.
+        """
+        while True:
+            with self._locks[core]:
+                pending, replies = self._pending[core], self._replies[core]
+                conn = self._conns[core]
+                me = pending.get(ticket, (None, None))[1]  # this caller's wake
+                try:
+                    # File every reply already waiting in the pipe, ours
+                    # or not; owners other than this caller are woken.
+                    while conn is not None and self._pollers[core].poll(0):
+                        t, acks = conn.recv()
+                        entry = pending.pop(t, None)
+                        if entry is None:
+                            continue  # abandoned by its run
+                        replies[t] = acks
+                        if entry[1] is not None and entry[1] is not me:
+                            entry[1]()
+                except (EOFError, OSError) as exc:
+                    # The worker died (OOM kill, segfault, kill -9): its
+                    # end of the pipe hung up.
+                    self._bury(core, exc)
+                reply = replies.pop(ticket, None)
+                if reply is None and ticket not in pending:
+                    raise KeyError(f"no message {ticket} in flight on worker {core}")
+            if reply is not None or not block:
+                break
+            try:
+                idle = not conn.poll(_POLL_S)
+            except OSError:  # closed under us by another caller's _bury
+                continue
+            if idle:
+                self.ensure_alive(core)
+        if isinstance(reply, BaseException):
+            raise reply
+        active = _counters.current_counters()
+        if reply is not None and active is not None:
+            for ack in reply:
+                if ack[4]:
+                    active.merge(ack[4])
+        return reply
+
+    def abandon(self, core: int, ticket: int) -> None:
+        """Forget message *ticket*: its reply, when it comes, is dropped."""
+        with self._locks[core]:
+            self._pending[core].pop(ticket, None)
+            self._replies[core].pop(ticket, None)
 
     def run(self, core: int, op: tuple) -> None:
         """Execute one descriptor on worker *core*; raises its error."""
-        if self._closed:
-            raise ValueError("worker pool is closed")
-        with self._locks[core]:
-            self._admit(core)
-            conn = self._conns[core]
-            try:
-                # The per-core lock is deliberately held across this
-                # pipe round-trip: it *is* the worker's serialization.
-                # One send/recv cycle per descriptor batch — a fused
-                # super-task ships its whole op list in this one write.
-                note_roundtrip()
-                _counters.add_roundtrip()
-                conn.send(op)
-                while not conn.poll(_POLL_S):
-                    if not self._procs[core].is_alive():
-                        raise EOFError
-                ok, err, tallies = conn.recv()
-                active = _counters.current_counters()
-                if active is not None and tallies:
-                    active.merge(tallies)
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                # The worker died mid-task (OOM kill, segfault, kill -9).
-                # Respawn it so the pool stays whole — unless the
-                # governor says the pool is crash-looping — then surface
-                # a structured failure the RetryPolicy can act on.
-                exitcode = getattr(self._procs[core], "exitcode", None)
-                self._reap(core)
-                self.deaths += 1
-                governor = self.respawn_governor
-                throttled = governor is not None and not governor.allow_respawn(core)
-                if not throttled:
-                    self._ensure(core)
-                    self.respawns += 1
-                failure = RuntimeFailure(
-                    f"worker process {core} died running op {op[0]!r}"
-                    f" (exitcode={exitcode})"
-                    + ("; respawn throttled (crash-loop guard)" if throttled else ""),
-                    failure_kind="worker_death",
-                )
-                failure.__cause__ = exc
-                raise failure from exc
+        ok, err, *_ = self.collect(core, self.submit(core, [op]))[0]
         if not ok:
             raise err
+
+    def fileno(self, core: int) -> int | None:
+        """File descriptor of worker *core*'s pipe (``None`` while down)."""
+        conn = self._conns[core]
+        return None if conn is None else conn.fileno()
 
     # ------------------------------------------------------------------
     # Supervision surface (heartbeats)
@@ -234,28 +368,22 @@ class _WorkerPool:
         """Respawn a *spawned-but-dead* worker off the request path.
 
         Called by the supervisor's heartbeat so a worker killed while
-        idle is back before the next task targets it.  Respects the
-        respawn governor; returns True when a respawn happened.  Never
-        spawns a worker that was not yet started (lazy spawn stays
-        lazy), and never touches a core mid-request (the core lock is
-        only taken when free).
+        idle is back before the next task targets it, and by whoever
+        waited a poll period on worker *core* in vain.  Messages the
+        dead worker had in flight fail with ``worker_death``.  Respects
+        the respawn governor; returns True when a respawn happened.
+        Never spawns a worker that was not yet started (lazy spawn
+        stays lazy), and never waits for the core lock.
         """
         if self._closed:
             return False
         if not self._locks[core].acquire(blocking=False):
-            return False  # a request holds the core; its run() recovers
+            return False  # mid-write or mid-drain; that caller recovers
         try:
             proc = self._procs[core]
             if proc is None or proc.is_alive():
                 return False
-            self.deaths += 1
-            governor = self.respawn_governor
-            if governor is not None and not governor.allow_respawn(core):
-                return False
-            self._reap(core)
-            self._ensure(core)
-            self.respawns += 1
-            return True
+            return self._bury(core)
         finally:
             self._locks[core].release()
 
@@ -274,7 +402,7 @@ class _WorkerPool:
             except Exception:
                 pass
         self._procs[core] = None
-        self._conns[core] = None
+        self._conns[core] = self._pollers[core] = None
 
     @property
     def started(self) -> bool:
@@ -299,6 +427,12 @@ class _WorkerPool:
             self._reap(core)
 
 
+def _op_names(ops: list) -> str:
+    names = [op[0] for op in ops]
+    return f"op {names[0]!r}" if len(names) == 1 else f"ops {names}"
+
+
+
 class ProcessExecutor:
     """Execute a task graph on a pool of worker *processes*.
 
@@ -309,7 +443,7 @@ class ProcessExecutor:
     scales with physical cores instead of GIL time slices.
 
     Tasks carrying ``meta["op"]`` descriptors run in workers; tasks
-    without one run inline in the parent-side proxy thread.  The pool is
+    without one run inline in the parent-side dispatcher.  The pool is
     persistent across runs; call :meth:`close` (or use the executor as a
     context manager) when done.
 
@@ -379,7 +513,7 @@ class ProcessExecutor:
             stall_timeout=self.stall_timeout,
             health_checks=self.health_checks,
             watchdog_poll_s=self.watchdog_poll_s,
-            thread_name="repro-proc-proxy",
+            thread_name="repro-dispatch",
             process_pool=self.pool,
         )
         return engine.run(graph, journal=journal)

@@ -19,13 +19,14 @@ runtime assumes.
 Lifecycle: the driver that created the arena owns the segments and must
 call :meth:`SharedArena.destroy` (close + unlink) when the run is over,
 after copying any results out of the arena views.  Workers only ever
-attach; their handles are cached per process and dropped when the
-worker exits.
+attach; their handles are cached per process and dropped once the
+arena behind them has been destroyed (or when the worker exits).
 """
 
 from __future__ import annotations
 
 import atexit
+import os
 import weakref
 from multiprocessing import shared_memory
 
@@ -235,24 +236,53 @@ class ShmBinding:
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
+def _unlinked(seg: shared_memory.SharedMemory) -> bool:
+    """Whether *seg*'s owner has unlinked it (when in doubt, it has not)."""
+    try:
+        return os.fstat(seg._fd).st_nlink == 0
+    except (AttributeError, OSError):
+        return False
+
+
+def _drop_unlinked() -> None:
+    """Unmap every cached segment whose arena has been destroyed.
+
+    The cache would otherwise be grow-only: a persistent worker kept
+    every finished run's arena mapped (tens of MiB of resident set per
+    round of ops).  A segment some view still exports refuses to close
+    (``BufferError``) and simply stays until a later sweep.
+    """
+    for name, seg in list(_ATTACHED.items()):
+        if _unlinked(seg):
+            try:
+                seg.close()
+            except BufferError:
+                continue
+            del _ATTACHED[name]
+
+
 def attach_array(spec: tuple) -> np.ndarray:
     """Decode a :meth:`SharedArena.spec` into a zero-copy view.
 
     Safe in any process: segment handles are opened once per process and
-    cached.  Attaching must not register the segment with the resource
-    tracker — the parent (the arena owner) is the only unlinker.  With a
-    forked worker the tracker is shared with the parent, so a second
-    registration (or an unregister) unbalances the parent's bookkeeping;
-    with a spawned worker the child's own tracker would unlink the
-    segment when the worker exits, destroying it under everyone else.
-    Python 3.13 grew ``track=False`` for exactly this; on 3.11 we
-    suppress the registration call around the attach instead.
+    cached; the first attach of a new segment — a new run's arena —
+    sweeps out the handles of arenas destroyed since
+    (:func:`_drop_unlinked`), so no per-task work is added.  Attaching
+    must not register the segment with the resource tracker — the
+    parent (the arena owner) is the only unlinker.  With a forked worker
+    the tracker is shared with the parent, so a second registration (or
+    an unregister) unbalances the parent's bookkeeping; with a spawned
+    worker the child's own tracker would unlink the segment when the
+    worker exits, destroying it under everyone else.  Python 3.13 grew
+    ``track=False`` for exactly this; on 3.11 we suppress the
+    registration call around the attach instead.
     """
     name, offset, shape, dtype = spec
     seg = _ATTACHED.get(name)
     if seg is None:
         from multiprocessing import resource_tracker
 
+        _drop_unlinked()
         orig_register = resource_tracker.register
         resource_tracker.register = lambda *a, **k: None
         try:

@@ -430,7 +430,8 @@ def attach_array(spec: tuple) -> np.ndarray:
     :func:`repro.runtime.shm.attach_array`; absolute-path names map the
     spill file (``numpy.memmap``, shared mapping, so cross-process
     writes are coherent through the page cache).  Whole-file mappings
-    are cached per process like shm handles.
+    are cached per process like shm handles, and like them dropped — on
+    the first attach of a new file — once their store has been removed.
     """
     name, offset, shape, dtype = spec
     if not os.path.isabs(name):
@@ -439,6 +440,8 @@ def attach_array(spec: tuple) -> np.ndarray:
     nbytes = int(dt.itemsize * int(np.prod(shape, dtype=np.int64)))
     mm = _MMAP_ATTACHED.get(name)
     if mm is None or offset + nbytes > mm.nbytes:
+        for path in [p for p in _MMAP_ATTACHED if not os.path.exists(p)]:
+            del _MMAP_ATTACHED[path]  # its store is gone; live views keep the map
         mm = np.memmap(name, dtype=np.uint8, mode="r+", shape=(os.path.getsize(name),))
         _MMAP_ATTACHED[name] = mm
     return np.ndarray(tuple(shape), dtype=dt, buffer=mm, offset=offset)

@@ -21,8 +21,8 @@ lock-order graph and evaluate the lint rules:
   lock-coverage rule);
 * **calls** — every call that might resolve to project code, so the
   graph pass can propagate acquisitions interprocedurally;
-* **thread entry points** — functions passed as ``target=`` to
-  ``Thread``/``Process``.
+* **thread entry points** — functions or bound methods passed as
+  ``target=`` to ``Thread``/``Process``.
 
 The analysis is deliberately syntactic and conservative: it
 over-approximates aliasing (a method call resolves to every project
@@ -625,6 +625,9 @@ class _FunctionWalker:
             for kw in call.keywords:
                 if kw.arg == "target" and isinstance(kw.value, ast.Name):
                     self.mod.index.entry_points.append((kw.value.id, site))
+                elif kw.arg == "target" and isinstance(kw.value, ast.Attribute):
+                    # A bound method (``target=self.worker``): by name.
+                    self.mod.index.entry_points.append((kw.value.attr, site))
         if not isinstance(fn, ast.Attribute):
             if isinstance(fn, ast.Name):
                 if fn.id == "sleep":

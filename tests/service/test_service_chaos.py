@@ -190,11 +190,10 @@ class TestChaosProcess:
             _exercise_respawn_path(svc, problems)
             stats = svc.stats()
         _assert_contract(outcomes, hung, expected_total=n_clients * n_requests)
-        # Holding the per-core pipe lock across the worker round-trip is
-        # this backend's design (see the lockcheck suppression file); any
-        # other lock spanning IPC, or any acquisition order the static
-        # graph does not predict, is a real finding.
-        assert_lock_sanity(witness, allowed_roundtrip=("process.core",))
+        # The per-core pipe lock covers one write or one drain, never the
+        # wait for a worker: any lock spanning IPC, or any acquisition
+        # order the static graph does not predict, is a real finding.
+        assert_lock_sanity(witness)
         return outcomes, stats
 
     def test_worker_kill_soak(self):

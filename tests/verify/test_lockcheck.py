@@ -331,6 +331,9 @@ class TestRepoAnalysis:
         assert ("engine.state", "counters.counters") in edges
         # The worker pool respawns crashed workers under the core lock.
         assert ("process.core", "service.respawn") in edges
+        # The core lock now covers one pipe write or one drain, nothing
+        # else: round-trips and tallies are counted outside it.
+        assert ("process.core", "counters.counters") not in edges
         # TaskJournal.bind resets/appends through its store under its lock.
         assert ("resilience.journal", "checkpoint.memory") in edges
         assert ("resilience.journal", "checkpoint.file") in edges
@@ -354,15 +357,29 @@ class TestRepoAnalysis:
             "checkpoint.file",
         } <= locks
 
+    def test_inventory_is_exact(self):
+        # Pinned on purpose: a new lock or order edge should be a
+        # decision, not a side effect.  The dispatcher added neither.
+        _, analysis = run_lockcheck()
+        assert len(analysis.index.locks) == 14
+        assert analysis.edge_names() == {
+            ("engine.state", "counters.counters"),
+            ("process.core", "service.respawn"),
+            ("resilience.journal", "checkpoint.file"),
+            ("resilience.journal", "checkpoint.memory"),
+        }
+
     def test_entry_points_cover_engine_threads(self):
         _, analysis = run_lockcheck()
-        entries = set(analysis.entry_locks)
-        assert any("worker" in e for e in entries)
-        assert any("watchdog" in e for e in entries)
+        entries = analysis.entry_locks
+        # Bound-method targets (``target=self.worker``) are entry points too.
+        worker = entries["engine.py:_RealClockRun.worker"]
+        dispatcher = entries["engine.py:_RealClockRun.dispatcher"]
+        # Only the dispatcher talks to the pool; both share the lifecycle.
+        assert "process.core" in dispatcher and "process.core" not in worker
+        assert {"engine.state", "resilience.journal"} <= set(worker) & set(dispatcher)
         # The watchdog must touch only the engine's own state.
-        for entry, locks in analysis.entry_locks.items():
-            if "watchdog" in entry:
-                assert locks == ("engine.state",)
+        assert entries["engine.py:_RealClockRun.watchdog"] == ("engine.state",)
 
 
 class TestSuppressions:
