@@ -31,7 +31,7 @@ from repro.core.layout import BlockLayout, Chunk
 from repro.core.priorities import lookahead_depth, task_priority
 from repro.core.trees import TreeKind
 from repro.core.tslu import PanelWorkspace, add_tslu_tasks
-from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
+from repro.kernels.blas import laswp
 from repro.kernels.lu import piv_to_perm
 from repro.resilience.abft import gemm_abft_guard, gemm_checksums
 from repro.resilience.checkpoint import restore_matrix
@@ -39,12 +39,21 @@ from repro.resilience.events import ResilienceEvent
 from repro.resilience.health import finite_block_guard, validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.ops import calu_s_blocks, op_task
+from repro.runtime.process import staged
 from repro.runtime.program import GraphProgram, supports_streaming
 from repro.runtime.task import Cost, TaskKind
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
-__all__ = ["CALUFactorization", "build_calu_graph", "calu", "calu_program", "merged_chunks"]
+__all__ = [
+    "CALUFactorization",
+    "build_calu_graph",
+    "calu",
+    "calu_program",
+    "merged_chunks",
+    "panel_verdicts",
+]
 
 
 def merged_chunks(layout: BlockLayout, K: int, tr: int) -> list[Chunk]:
@@ -63,45 +72,19 @@ def merged_chunks(layout: BlockLayout, K: int, tr: int) -> list[Chunk]:
     return chunks
 
 
-def _l_fn(A: np.ndarray, k0: int, c0: int, c1: int, r0: int, r1: int):
-    def fn() -> None:
-        trsm_runn(A[k0 : k0 + (c1 - c0), c0:c1], A[r0:r1, c0:c1])
-
-    return fn
-
-
-def _u_fn(A: np.ndarray, m: int, k0: int, bk: int, c0: int, c1: int, j0: int, j1: int, ws: PanelWorkspace):
-    def fn() -> None:
-        laswp(A[k0:m, j0:j1], ws.piv)
-        trsm_llnu(A[k0 : k0 + bk, c0:c1], A[k0 : k0 + bk, j0:j1])
-
-    return fn
-
-
-def _s_fn(A: np.ndarray, k0: int, bk: int, c0: int, c1: int, r0: int, r1: int, j0: int, j1: int):
-    def fn() -> None:
-        gemm(A[r0:r1, j0:j1], A[r0:r1, c0:c1], A[k0 : k0 + bk, j0:j1])
-
-    return fn
-
-
-def _s_fn_abft(
-    A: np.ndarray, k0: int, bk: int, c0: int, c1: int, r0: int, r1: int, j0: int, j1: int, cell: list
-):
-    """S-task closure that also posts Huang-Abraham checksums.
+def _s_fn_abft(s_fn, payload: dict, cell: list):
+    """Wrap an S task's body so it also posts Huang-Abraham checksums.
 
     The expected row/column sums of ``C - L U`` are computed from the
     pre-update operands and left in *cell* for the task's ABFT health
     guard, which runs after any injected corruption and repairs a
-    single bad element in place.
+    single bad element in place.  The update itself is *s_fn*, the
+    task's one ``calu_s`` body.
     """
 
     def fn() -> None:
-        C = A[r0:r1, j0:j1]
-        L = A[r0:r1, c0:c1]
-        U = A[k0 : k0 + bk, j0:j1]
-        cell[0] = gemm_checksums(C, L, U)
-        gemm(C, L, U)
+        cell[0] = gemm_checksums(*calu_s_blocks(payload))
+        s_fn()
 
     return fn
 
@@ -150,9 +133,7 @@ def _ckpt_fn(A: np.ndarray, layout: BlockLayout, ckpt, K: int, workspaces: list[
             ws = workspaces[P]
             if ws.piv is not None:
                 extra[f"piv{P}"] = np.asarray(ws.piv, dtype=np.int64)
-            extra[f"flags{P}"] = np.array(
-                [int(ws.degraded), int(ws.recomputed)], dtype=np.int64
-            )
+            extra[f"flags{P}"] = ws.flags.copy()
         ckpt.save_snapshot(
             K,
             cols=A[:, prev_c1:c1],
@@ -191,7 +172,7 @@ def calu_program(
     checkpoint=None,
     abft: bool = False,
     recompute: bool = True,
-    shm=None,
+    store=None,
 ) -> tuple[GraphProgram, list[PanelWorkspace]]:
     """Build the CALU task graph as a streaming :class:`GraphProgram`.
 
@@ -204,11 +185,12 @@ def calu_program(
     eager graph task-for-task and edge-for-edge (the emission order is
     exactly the old builder's loop order).
 
-    With ``A`` given (an ``m x n`` array factored in place), tasks
-    carry numeric closures; with ``A=None`` the graph is symbolic and
-    only carries costs (used to simulate paper-scale problems).
-    Returns ``(program, per-panel workspaces)``; the workspace list
-    fills as panel windows are emitted.
+    With ``A`` given (an ``m x n`` array factored in place), tasks are
+    numeric — every P/L/U/S step a descriptor run by
+    :func:`repro.runtime.ops.run_op`; with ``A=None`` the graph is
+    symbolic and only carries costs (used to simulate paper-scale
+    problems).  Returns ``(program, per-panel workspaces)``; the
+    workspace list fills as panel windows are emitted.
 
     With *guards* (the default, numeric runs only) the TSLU tasks carry
     corruption detectors that trigger the partial-pivoting fallback,
@@ -234,12 +216,13 @@ def calu_program(
     place.  *recompute* enables the TSLU tournament-replay rung of the
     recovery ladder (see :func:`repro.core.tslu.add_tslu_tasks`).
 
-    *shm* (a :class:`~repro.runtime.shm.ShmBinding` whose matrix view
-    **is** *A*; numeric runs only) additionally attaches ``meta["op"]``
-    descriptors to the P/L/U/S tasks so a
-    :class:`~repro.runtime.process.ProcessExecutor` can dispatch them to
-    worker processes; checkpoint, ABFT and left-swap tasks keep only
-    their closures and run inline in the parent.
+    *store* binds *A* and the per-panel workspace buffers (numeric runs
+    only): the default is a :class:`~repro.runtime.tilestore.HeapBinding`
+    of *A*; with a :class:`~repro.runtime.shm.ShmBinding` whose matrix
+    view **is** *A* the same descriptors are also published as
+    ``meta["op"]`` so a :class:`~repro.runtime.process.ProcessExecutor`
+    dispatches them to worker processes.  Checkpoint, ABFT and left-swap
+    tasks are parent-only closures and run inline in the parent.
     """
     numeric = A is not None
     m, n, b, N = layout.m, layout.n, layout.b, layout.N
@@ -250,6 +233,8 @@ def calu_program(
         lookahead = lookahead_depth()
     guards = guards and numeric
     absmax = float(np.abs(A).max()) if guards and A.size else None
+    if numeric and store is None:
+        store = HeapBinding(A)
     workspaces: list[PanelWorkspace] = []
     n_panels = layout.n_panels
     n_windows = n_panels + (1 if n_panels > 1 else 0)
@@ -273,7 +258,7 @@ def calu_program(
             K,
             chunks,
             tree,
-            A=A,
+            store=store,
             ws=ws,
             lookahead=lookahead,
             library=library,
@@ -282,8 +267,10 @@ def calu_program(
             guards=guards,
             absmax=absmax,
             recompute=recompute,
-            shm=shm,
         )
+        # What every L/U/S descriptor of this panel shares: the matrix
+        # and the pivot block's corner, width and columns.
+        panel = numeric and {"a": store.a_spec, "m": m, "k0": k0, "bk": bk, "c0": c0, "c1": c1}
 
         # Task L: blocks of the current column of L (dtrsm).
         for chunk in chunks:
@@ -300,18 +287,15 @@ def calu_program(
                 library=library,
             )
             blocks = [(i, K) for i in range(r0 // b, chunk.b1)]
-            l_meta = {}
-            if shm is not None and numeric:
-                l_meta["op"] = (
-                    "calu_l",
-                    {"a": shm.a_spec, "k0": k0, "c0": c0, "c1": c1, "r0": r0, "r1": chunk.r1},
-                )
+            l_fn, l_meta = None, {}
+            if numeric:
+                l_fn, l_meta = op_task(store, "calu_l", {**panel, "r0": r0, "r1": chunk.r1})
             tracker.add_task(
                 graph,
                 f"L[{K}]{chunk.index}",
                 TaskKind.L,
                 cost,
-                fn=_l_fn(A, k0, c0, c1, r0, chunk.r1) if numeric else None,
+                fn=l_fn,
                 reads=[(K, K)],
                 writes=blocks,
                 priority=task_priority("L", K, lookahead=lookahead, n_cols=N),
@@ -354,28 +338,17 @@ def calu_program(
                 library=upd_lib,
             )
             u_writes = [blk for Jc in jcols for blk in layout.active_blocks(K, Jc)]
-            u_meta = {}
-            if shm is not None and numeric:
-                u_meta["op"] = (
-                    "calu_u",
-                    {
-                        "a": shm.a_spec,
-                        "m": m,
-                        "k0": k0,
-                        "bk": bk,
-                        "c0": c0,
-                        "c1": c1,
-                        "j0": j0,
-                        "j1": j1,
-                        "piv": shm.piv_specs[K][1],
-                    },
+            u_fn, u_meta = None, {}
+            if numeric:
+                u_fn, u_meta = op_task(
+                    store, "calu_u", {**panel, "j0": j0, "j1": j1, "piv": ws.piv_spec}
                 )
             u_tid = tracker.add_task(
                 graph,
                 f"U[{K}]{J}",
                 TaskKind.U,
                 cost_u,
-                fn=_u_fn(A, m, k0, bk, c0, c1, j0, j1, ws) if numeric else None,
+                fn=u_fn,
                 # The row swaps consume the panel's pivot sequence, so
                 # ("piv", K) joins the read footprint alongside the
                 # factored diagonal block.
@@ -402,36 +375,21 @@ def calu_program(
                 )
                 blocks = [(i, Jc) for Jc in jcols for i in range(r0 // b, chunk.b1)]
                 s_name = f"S[{K}]{chunk.index},{J}"
+                s_fn, s_meta = None, {}
+                if numeric:
+                    s_payload = {**panel, "r0": r0, "r1": chunk.r1, "j0": j0, "j1": j1}
+                    s_fn, s_meta = op_task(store, "calu_s", s_payload)
                 if guards and abft:
+                    # The checksum cell lives in the parent process, so
+                    # an ABFT S task is parent-only: no meta["op"].
                     cell: list = [None]
-                    s_fn = _s_fn_abft(A, k0, bk, c0, c1, r0, chunk.r1, j0, j1, cell)
+                    s_fn = _s_fn_abft(s_fn, s_payload, cell)
                     s_meta = {
                         "health": gemm_abft_guard(A, r0, chunk.r1, j0, j1, cell, s_name),
                         "corrupt": _corrupt_block(A, r0, chunk.r1, j0, j1),
                     }
                 elif guards:
-                    s_fn = _s_fn(A, k0, bk, c0, c1, r0, chunk.r1, j0, j1)
-                    s_meta = {"health": finite_block_guard(A, r0, chunk.r1, j0, j1, s_name)}
-                else:
-                    s_fn = _s_fn(A, k0, bk, c0, c1, r0, chunk.r1, j0, j1) if numeric else None
-                    s_meta = {}
-                if shm is not None and numeric and not (guards and abft):
-                    # ABFT S tasks keep closure-only execution: the
-                    # checksum cell lives in the parent process.
-                    s_meta["op"] = (
-                        "calu_s",
-                        {
-                            "a": shm.a_spec,
-                            "k0": k0,
-                            "bk": bk,
-                            "c0": c0,
-                            "c1": c1,
-                            "r0": r0,
-                            "r1": chunk.r1,
-                            "j0": j0,
-                            "j1": j1,
-                        },
-                    )
+                    s_meta["health"] = finite_block_guard(A, r0, chunk.r1, j0, j1, s_name)
                 tracker.add_task(
                     graph,
                     s_name,
@@ -563,6 +521,23 @@ def build_calu_graph(
         recompute=recompute,
     )
     return program.materialize(), workspaces
+
+
+def panel_verdicts(layout: BlockLayout, workspaces: list[PanelWorkspace]):
+    """What a finished run's workspaces say: ``(piv, degraded, recovered)``.
+
+    *piv* is the global LAPACK-style swap sequence of length
+    ``min(m, n)`` stitched from the per-panel ones; the other two are
+    the indices of the panels that fell back to partial pivoting and of
+    those whose tournament was replayed.
+    """
+    piv = np.arange(min(layout.m, layout.n), dtype=np.int64)
+    for K, ws in enumerate(workspaces):
+        k0, bk = K * layout.b, layout.panel_width(K)
+        piv[k0 : k0 + bk] = ws.piv[:bk] + k0
+    degraded = tuple(K for K, ws in enumerate(workspaces) if ws.degraded)
+    recovered = tuple(K for K, ws in enumerate(workspaces) if ws.recomputed)
+    return piv, degraded, recovered
 
 
 @dataclass
@@ -714,7 +689,6 @@ def calu(
     Returns a :class:`CALUFactorization`.
     """
     A = validate_matrix(A, "A", require_finite=check_finite)
-    dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
     # check_finite=False means the caller opted into non-finite input
     # ("garbage in"); the finiteness guards would only fight that.
     guards = guards and check_finite
@@ -722,111 +696,87 @@ def calu(
     if b is None:
         b = min(100, n)
     layout = BlockLayout(m, n, b)
-    from repro.runtime.process import ProcessExecutor, resolve_executor
-
-    autotune_decision = None
-    if isinstance(executor, str) and executor == "auto":
-        from repro.machine.autotune import autotune
-
-        autotune_decision = autotune("lu", m, n, b=b, tr=tr, tree=tree)
-        executor = autotune_decision.backend
-        if fuse is None:
+    hints = {"kind": "lu", "m": m, "n": n, "b": b, "tr": tr, "tree": tree}
+    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
+        executor,
+        store,
+        autotune_decision,
+    ):
+        A = store.A
+        if fuse is None and autotune_decision is not None:
             fuse = autotune_decision.max_ops
-    if executor is None:
-        executor = ThreadedExecutor(min(tr, 4))
-    executor, owned_executor = resolve_executor(executor, min(tr, 4))
-    use_shm = isinstance(executor, ProcessExecutor)
-    arena = shm = None
-    if use_shm:
-        # Process backend: the matrix is staged straight onto the
-        # shared-memory tile plane (one copy, converting dtype/layout
-        # on the way — no parent-side intermediate even with
-        # overwrite=False) so worker processes factor it in place;
-        # results are copied back out below (see repro.runtime.shm).
-        from repro.runtime.shm import SharedArena, ShmBinding
-
-        arena = SharedArena()
-        shared = arena.alloc(A.shape, dtype, zero=False)
-        np.copyto(shared, A)
-        A = shared
-        shm = ShmBinding(arena, A)
-    else:
-        A = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
-    program, workspaces = calu_program(
-        layout,
-        tr,
-        tree,
-        A=A,
-        lookahead=lookahead,
-        leaf_kernel=leaf_kernel,
-        update_width=update_width,
-        guards=guards,
-        checkpoint=checkpoint,
-        abft=abft,
-        recompute=tournament_recompute,
-        shm=shm,
-    )
-    if fuse is not None and fuse > 1:
-        from repro.runtime.fuse import fuse_program
-
-        # Per-window rewrite: journal resume below still addresses
-        # windows by panel iteration, and checkpoint (X) tasks keep
-        # their identity inside the fused program.
-        program = fuse_program(program, max_ops=fuse)
-    # Engine-backed executors consume the streaming program directly,
-    # keeping graph construction off the critical path; a caller-made
-    # (duck-typed) executor gets the materialized eager graph, which is
-    # the historical contract.
-    source = program if supports_streaming(executor) else program.materialize()
-    journal = None
-    if checkpoint is not None:
-        import zlib
-
-        signature = {
-            "algo": "calu",
-            "m": m,
-            "n": n,
-            "b": int(b),
-            "tr": int(tr),
-            "tree": tree.value,
-            "leaf_kernel": leaf_kernel,
-            "update_width": update_width,
-            "a_digest": zlib.crc32(A.tobytes()),
-        }
-        usable = checkpoint.prepare(signature)
-        resumed_from, snaps = (
-            restore_matrix(A, layout, checkpoint) if usable else (-1, {})
+        program, workspaces = calu_program(
+            layout,
+            tr,
+            tree,
+            A=A,
+            lookahead=lookahead,
+            leaf_kernel=leaf_kernel,
+            update_width=update_width,
+            guards=guards,
+            checkpoint=checkpoint,
+            abft=abft,
+            recompute=tournament_recompute,
+            store=store,
         )
-        # The journal from a crashed run holds mid-panel completions
-        # whose effects are NOT in the restored matrix (it carries the
-        # *boundary* state); reseed it with exactly the tasks the
-        # snapshot covers.  The terminal left-swap task is never marked:
-        # snapshots are taken before it, so it must always re-run.
-        journal = checkpoint.journal()
-        journal.reset()
-        journal.bind(source)
-        if resumed_from >= 0:
-            # Window K holds every task of iteration K, so emitting
-            # through the resumed boundary makes the whole journaled
-            # prefix enumerable (no-op on the eager path).
-            program.emit_through(resumed_from)
-            for snap in snaps.values():
-                for key, val in snap.items():
-                    if key.startswith("piv"):
-                        workspaces[int(key[3:])].piv = np.asarray(val)
-                    elif key.startswith("flags"):
-                        ws = workspaces[int(key[5:])]
-                        ws.degraded = bool(val[0])
-                        ws.recomputed = bool(val[1])
-            journal.mark_completed(
-                t.name
-                for t in program.graph.tasks
-                if t.iteration <= resumed_from and t.name != "leftswaps"
+        if fuse is not None and fuse > 1:
+            from repro.runtime.fuse import fuse_program
+
+            # Per-window rewrite: journal resume below still addresses
+            # windows by panel iteration, and checkpoint (X) tasks keep
+            # their identity inside the fused program.
+            program = fuse_program(program, max_ops=fuse)
+        # Engine-backed executors consume the streaming program directly,
+        # keeping graph construction off the critical path; a caller-made
+        # (duck-typed) executor gets the materialized eager graph, which is
+        # the historical contract.
+        source = program if supports_streaming(executor) else program.materialize()
+        journal = None
+        if checkpoint is not None:
+            import zlib
+
+            signature = {
+                "algo": "calu",
+                "m": m,
+                "n": n,
+                "b": int(b),
+                "tr": int(tr),
+                "tree": tree.value,
+                "leaf_kernel": leaf_kernel,
+                "update_width": update_width,
+                "a_digest": zlib.crc32(A.tobytes()),
+            }
+            usable = checkpoint.prepare(signature)
+            resumed_from, snaps = (
+                restore_matrix(A, layout, checkpoint) if usable else (-1, {})
             )
-    plan = getattr(executor, "fault_plan", None)
-    if plan is not None and plan.target is None:
-        plan.target = A
-    try:
+            # The journal from a crashed run holds mid-panel completions
+            # whose effects are NOT in the restored matrix (it carries the
+            # *boundary* state); reseed it with exactly the tasks the
+            # snapshot covers.  The terminal left-swap task is never marked:
+            # snapshots are taken before it, so it must always re-run.
+            journal = checkpoint.journal()
+            journal.reset()
+            journal.bind(source)
+            if resumed_from >= 0:
+                # Window K holds every task of iteration K, so emitting
+                # through the resumed boundary makes the whole journaled
+                # prefix enumerable (no-op on the eager path).
+                program.emit_through(resumed_from)
+                for snap in snaps.values():
+                    for key, val in snap.items():
+                        if key.startswith("piv"):
+                            workspaces[int(key[3:])].piv = np.asarray(val)
+                        elif key.startswith("flags"):
+                            workspaces[int(key[5:])].flags[:] = val
+                journal.mark_completed(
+                    t.name
+                    for t in program.graph.tasks
+                    if t.iteration <= resumed_from and t.name != "leftswaps"
+                )
+        plan = getattr(executor, "fault_plan", None)
+        if plan is not None and plan.target is None:
+            plan.target = A
         trace = (
             executor.run(source, journal=journal) if journal is not None else executor.run(source)
         )
@@ -841,34 +791,19 @@ def calu(
                 failure_kind="health",
                 trace=trace,
             )
-        r = min(m, n)
-        piv = np.arange(r, dtype=np.int64)
-        for K, ws in enumerate(workspaces):
-            k0 = K * b
-            bk = layout.panel_width(K)
-            assert ws.piv is not None
-            piv[k0 : k0 + bk] = ws.piv[:bk] + k0
+        piv, degraded, recovered = panel_verdicts(layout, workspaces)
         if checkpoint is not None:
             # Drain the async snapshot writer so a completed run leaves
             # its full chain on disk (and any write error surfaces here
             # rather than being dropped with the daemon thread).
             checkpoint.flush()
-        if use_shm:
-            A = np.array(A)  # copy the factors off the arena
-    finally:
-        if arena is not None:
-            arena.destroy()
-        if owned_executor and use_shm:
-            executor.close()
-    degraded = tuple(K for K, ws in enumerate(workspaces) if ws.degraded)
-    recovered = tuple(K for K, ws in enumerate(workspaces) if ws.recomputed)
-    return CALUFactorization(
-        lu=A,
-        piv=piv,
-        b=b,
-        tr=tr,
-        tree=tree,
-        trace=trace,
-        degraded_panels=degraded,
-        recovered_panels=recovered,
-    )
+        return CALUFactorization(
+            lu=store.detach(A),
+            piv=piv,
+            b=b,
+            tr=tr,
+            tree=tree,
+            trace=trace,
+            degraded_panels=degraded,
+            recovered_panels=recovered,
+        )

@@ -28,42 +28,19 @@ from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth, task_priority
 from repro.core.trees import TreeKind
 from repro.core.tsqr import PanelQRStore, add_tsqr_tasks
-from repro.kernels.qr import larfb_left_t
-from repro.kernels.structured import tpmqrt_left_t
 from repro.resilience.checkpoint import restore_matrix
 from repro.resilience.events import ResilienceEvent
 from repro.resilience.health import finite_block_guard, validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.ops import op_task
+from repro.runtime.process import staged
 from repro.runtime.program import GraphProgram, supports_streaming
 from repro.runtime.task import Cost, TaskKind
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
 __all__ = ["CAQRFactorization", "build_caqr_graph", "caqr", "caqr_program"]
-
-
-def _leaf_update_fn(A: np.ndarray, store: PanelQRStore, slot: int, j0: int, j1: int):
-    def fn() -> None:
-        leaf = store.leaves[slot]
-        larfb_left_t(leaf.V, leaf.T, A[leaf.r0 : leaf.r1, j0:j1])
-
-    return fn
-
-
-def _merge_update_fn(A: np.ndarray, store: PanelQRStore, pair_indices: list[int], j0: int, j1: int):
-    def fn() -> None:
-        for idx in pair_indices:
-            mf = store.merges[idx]
-            assert mf is not None
-            tpmqrt_left_t(
-                mf.Vb,
-                mf.T,
-                A[mf.top0 : mf.top0 + mf.r, j0:j1],
-                A[mf.bot0 : mf.bot0 + mf.r, j0:j1],
-            )
-
-    return fn
 
 
 def _ckpt_fn(A: np.ndarray, layout: BlockLayout, ckpt, K: int, stores: list[PanelQRStore]):
@@ -116,7 +93,7 @@ def caqr_program(
     arity: int = 4,
     guards: bool = True,
     checkpoint=None,
-    shm=None,
+    store=None,
 ) -> tuple[GraphProgram, list[PanelQRStore]]:
     """Build the CAQR task graph as a streaming :class:`GraphProgram`.
 
@@ -134,14 +111,17 @@ def caqr_program(
     factors.  *checkpoint* adds per-boundary ``C[K]`` snapshot tasks
     exactly as in :func:`repro.core.calu.build_calu_graph`.
 
-    *shm* (a :class:`~repro.runtime.shm.ShmBinding` whose matrix view
-    **is** *A*; numeric runs only) attaches ``meta["op"]`` descriptors
-    to the P and S tasks for
-    :class:`~repro.runtime.process.ProcessExecutor` dispatch; the WY
-    factors then live in shared-memory buffers referenced by spec.
+    *store* binds *A* and the WY-factor buffers (numeric runs only):
+    a :class:`~repro.runtime.tilestore.HeapBinding` of *A* by default;
+    with a :class:`~repro.runtime.shm.ShmBinding` whose matrix view
+    **is** *A* the P and S tasks' descriptors are also published as
+    ``meta["op"]`` for :class:`~repro.runtime.process.ProcessExecutor`
+    dispatch (see :func:`repro.core.calu.calu_program`).
     """
     numeric = A is not None
     guards = guards and numeric
+    if numeric and store is None:
+        store = HeapBinding(A)
     if lookahead is None:
         lookahead = lookahead_depth()
     N = layout.N
@@ -156,9 +136,9 @@ def caqr_program(
         K = window
         bk = layout.panel_width(K)
         chunks = merged_chunks(layout, K, tr)
-        store = PanelQRStore() if numeric else None
+        qstore = PanelQRStore() if numeric else None
         if numeric:
-            stores.append(store)
+            stores.append(qstore)
 
         handles = add_tsqr_tasks(
             graph,
@@ -167,13 +147,12 @@ def caqr_program(
             K,
             chunks,
             tree,
-            A=A,
             store=store,
+            qstore=qstore,
             lookahead=lookahead,
             library=library,
             leaf_kernel=leaf_kernel,
             arity=arity,
-            shm=shm,
         )
         panel_q_keys.append(
             [("qleaf", K, slot) for slot in sorted(handles.leaf_tids)]
@@ -217,17 +196,14 @@ def caqr_program(
                     library=library,
                 )
                 s_name = f"S[{K}]leaf{slot},{J}"
-                s_meta = (
-                    {"health": finite_block_guard(A, chunk.r0, chunk.r1, j0, j1, s_name)}
-                    if guards
-                    else {}
-                )
-                if shm is not None and numeric:
+                s_fn, s_meta = None, {}
+                if numeric:
                     v_spec, t_spec = handles.leaf_bufs[slot]
-                    s_meta["op"] = (
+                    s_fn, s_meta = op_task(
+                        store,
                         "caqr_leaf_update",
                         {
-                            "a": shm.a_spec,
+                            "a": store.a_spec,
                             "r0": chunk.r0,
                             "r1": chunk.r1,
                             "j0": j0,
@@ -236,12 +212,14 @@ def caqr_program(
                             "t": t_spec,
                         },
                     )
+                if guards:
+                    s_meta["health"] = finite_block_guard(A, chunk.r0, chunk.r1, j0, j1, s_name)
                 tracker.add_task(
                     graph,
                     s_name,
                     TaskKind.S,
                     cost,
-                    fn=_leaf_update_fn(A, store, slot, j0, j1) if numeric else None,
+                    fn=s_fn,
                     # The applied reflector comes out of the store, not
                     # the matrix: ("qleaf", K, slot) carries that edge.
                     reads=chunk.blocks(K) + [("qleaf", K, slot)],
@@ -266,38 +244,23 @@ def caqr_program(
                 )
                 blocks = [(step.dst.b0, J)] + [(s.b0, J) for s in step.srcs]
                 s_name = f"S[{K}]node{step.dst.index}l{step.level},{J}"
-                s_meta = (
-                    {
-                        "health": finite_block_guard(
-                            A, step.dst.r0, step.dst.r0 + bk, j0, j1, s_name
-                        )
-                    }
-                    if guards
-                    else {}
-                )
-                if shm is not None and numeric:
-                    s_meta["op"] = (
+                s_fn, s_meta = None, {}
+                if numeric:
+                    s_fn, s_meta = op_task(
+                        store,
                         "caqr_merge_update",
-                        {
-                            "a": shm.a_spec,
-                            "j0": j0,
-                            "j1": j1,
-                            "pairs": [
-                                (top0, bot0, bk, vb_spec, t_spec)
-                                for top0, bot0, vb_spec, t_spec in handles.merge_bufs[
-                                    step.ordinal
-                                ]
-                            ],
-                        },
+                        {"a": store.a_spec, "j0": j0, "j1": j1, "bk": bk, "pairs": step.pairs},
+                    )
+                if guards:
+                    s_meta["health"] = finite_block_guard(
+                        A, step.dst.r0, step.dst.r0 + bk, j0, j1, s_name
                     )
                 tracker.add_task(
                     graph,
                     s_name,
                     TaskKind.S,
                     cost,
-                    fn=_merge_update_fn(A, store, step.pair_indices, j0, j1)
-                    if numeric
-                    else None,
+                    fn=s_fn,
                     reads=blocks + [("qmerge", K, step.ordinal)],
                     writes=blocks,
                     extra_deps=[step.tid],
@@ -480,106 +443,85 @@ def caqr(
     super-tasks dispatch with one scheduler slot / pipe round-trip each.
     """
     A = validate_matrix(A, "A", require_finite=check_finite)
-    dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
-    A = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
     guards = guards and check_finite
     m, n = A.shape
     if b is None:
         b = min(100, n)
     layout = BlockLayout(m, n, b)
-    from repro.runtime.process import ProcessExecutor, resolve_executor
-
-    autotune_decision = None
-    if isinstance(executor, str) and executor == "auto":
-        from repro.machine.autotune import autotune
-
-        autotune_decision = autotune("qr", m, n, b=b, tr=tr, tree=tree)
-        executor = autotune_decision.backend
-        if fuse is None:
+    hints = {"kind": "qr", "m": m, "n": n, "b": b, "tr": tr, "tree": tree}
+    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
+        executor,
+        store,
+        autotune_decision,
+    ):
+        A = store.A
+        if fuse is None and autotune_decision is not None:
             fuse = autotune_decision.max_ops
-    if executor is None:
-        executor = ThreadedExecutor(min(tr, 4))
-    executor, owned_executor = resolve_executor(executor, min(tr, 4))
-    use_shm = isinstance(executor, ProcessExecutor)
-    arena = shm = None
-    if use_shm:
-        # Process backend: matrix and WY factors live on the shared-
-        # memory tile plane; results are copied back out below.
-        from repro.runtime.shm import SharedArena, ShmBinding
-
-        arena = SharedArena()
-        A = arena.place(A)
-        shm = ShmBinding(arena, A)
-    program, stores = caqr_program(
-        layout,
-        tr,
-        tree,
-        A=A,
-        lookahead=lookahead,
-        leaf_kernel=leaf_kernel,
-        guards=guards,
-        checkpoint=checkpoint,
-        shm=shm,
-    )
-    if fuse is not None and fuse > 1:
-        from repro.runtime.fuse import fuse_program
-
-        # Per-window rewrite; checkpoint (X) tasks keep their identity.
-        program = fuse_program(program, max_ops=fuse)
-    # Stream through engine-backed executors; materialize for
-    # caller-made (duck-typed) ones — the historical contract.
-    source = program if supports_streaming(executor) else program.materialize()
-    journal = None
-    if checkpoint is not None:
-        import zlib
-
-        signature = {
-            "algo": "caqr",
-            "m": m,
-            "n": n,
-            "b": int(b),
-            "tr": int(tr),
-            "tree": tree.value,
-            "leaf_kernel": leaf_kernel,
-            "a_digest": zlib.crc32(A.tobytes()),
-        }
-        usable = checkpoint.prepare(signature)
-        resumed_from, snaps = (
-            restore_matrix(A, layout, checkpoint) if usable else (-1, {})
+        program, stores = caqr_program(
+            layout,
+            tr,
+            tree,
+            A=A,
+            lookahead=lookahead,
+            leaf_kernel=leaf_kernel,
+            guards=guards,
+            checkpoint=checkpoint,
+            store=store,
         )
-        journal = checkpoint.journal()
-        journal.reset()
-        journal.bind(source)
-        if resumed_from >= 0:
-            # Emit the resumed prefix so its tasks are enumerable
-            # (no-op on the eager path).
-            program.emit_through(resumed_from)
-            # Rebuild the covered panels' implicit-Q stores in place
-            # (the task closures and the returned factorization share
-            # the store objects).
-            for snap in snaps.values():
-                per_panel: dict[int, dict] = {}
-                for key, val in snap.items():
-                    if not key.startswith("q"):
-                        continue
-                    head, _, rest = key.partition("_")
-                    try:
-                        P = int(head[1:])
-                    except ValueError:
-                        continue
-                    per_panel.setdefault(P, {})[rest] = val
-                for P, arrays in per_panel.items():
-                    restored = PanelQRStore.from_arrays(arrays)
-                    stores[P].leaves.clear()
-                    stores[P].leaves.update(restored.leaves)
-                    stores[P].merges[:] = restored.merges
-            journal.mark_completed(
-                t.name for t in program.graph.tasks if t.iteration <= resumed_from
+        if fuse is not None and fuse > 1:
+            from repro.runtime.fuse import fuse_program
+
+            # Per-window rewrite; checkpoint (X) tasks keep their identity.
+            program = fuse_program(program, max_ops=fuse)
+        # Stream through engine-backed executors; materialize for
+        # caller-made (duck-typed) ones — the historical contract.
+        source = program if supports_streaming(executor) else program.materialize()
+        journal = None
+        if checkpoint is not None:
+            import zlib
+
+            signature = {
+                "algo": "caqr",
+                "m": m,
+                "n": n,
+                "b": int(b),
+                "tr": int(tr),
+                "tree": tree.value,
+                "leaf_kernel": leaf_kernel,
+                "a_digest": zlib.crc32(A.tobytes()),
+            }
+            usable = checkpoint.prepare(signature)
+            resumed_from, snaps = (
+                restore_matrix(A, layout, checkpoint) if usable else (-1, {})
             )
-    plan = getattr(executor, "fault_plan", None)
-    if plan is not None and plan.target is None:
-        plan.target = A
-    try:
+            journal = checkpoint.journal()
+            journal.reset()
+            journal.bind(source)
+            if resumed_from >= 0:
+                # Emit the resumed prefix so its tasks are enumerable
+                # (no-op on the eager path).
+                program.emit_through(resumed_from)
+                # Refill the covered panels' implicit-Q buffers (the
+                # tasks and the returned factorization share them).
+                for snap in snaps.values():
+                    per_panel: dict[int, dict] = {}
+                    for key, val in snap.items():
+                        if not key.startswith("q"):
+                            continue
+                        head, _, rest = key.partition("_")
+                        try:
+                            P = int(head[1:])
+                        except ValueError:
+                            continue
+                        per_panel.setdefault(P, {})[rest] = val
+                    for P, arrays in per_panel.items():
+                        stores[P].restore(arrays)
+                journal.mark_completed(
+                    t.name for t in program.graph.tasks if t.iteration <= resumed_from
+                )
+        plan = getattr(executor, "fault_plan", None)
+        if plan is not None and plan.target is None:
+            plan.target = A
         trace = (
             executor.run(source, journal=journal) if journal is not None else executor.run(source)
         )
@@ -595,17 +537,11 @@ def caqr(
             # Drain the async snapshot writer so a completed run leaves
             # its full chain on disk (and any write error surfaces here).
             checkpoint.flush()
-        if use_shm:
-            # Copy the packed factors and implicit-Q stores off the
-            # arena before teardown.
-            A = np.array(A)
-            stores = [
-                PanelQRStore.from_arrays({k: np.array(v) for k, v in s.to_arrays().items()})
-                for s in stores
-            ]
-    finally:
-        if arena is not None:
-            arena.destroy()
-        if owned_executor and use_shm:
-            executor.close()
-    return CAQRFactorization(packed=A, panels=stores, b=b, tr=tr, tree=tree, trace=trace)
+        return CAQRFactorization(
+            packed=store.detach(A),
+            panels=[qs.detached(store.detach) for qs in stores],
+            b=b,
+            tr=tr,
+            tree=tree,
+            trace=trace,
+        )

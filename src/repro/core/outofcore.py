@@ -66,16 +66,17 @@ from repro.analysis.flops import (
 )
 from repro.core.layout import BlockLayout, Chunk
 from repro.core.trees import TreeKind, reduction_schedule
-from repro.core.tslu import PanelWorkspace, _merge_fn, _select_pivots
+from repro.core.tslu import PanelWorkspace
 from repro.kernels.blas import trsm_runn
 from repro.kernels.lu import getf2_nopiv, perm_from_piv_rows
 from repro.kernels.qr import extract_v, geqr2, geqr3, larfb_left_t, larft
 from repro.kernels.structured import tpmqrt_left_t, tpqrt
 from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.ops import op_task, run_op
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
-from repro.runtime.tilestore import TileStore, open_store
+from repro.runtime.tilestore import HeapBinding, TileStore, open_store
 
 __all__ = [
     "MatrixSource",
@@ -536,33 +537,51 @@ def tslu_ooc_program(
     _, _, (m, n), _ = a_spec
     bk = n
     r = min(bk, m)
-    ws = PanelWorkspace()
-    state = _OOCLUState()
-    sub = TileStore.sub
+    # The candidate slots live on the heap whatever the panel's store:
+    # the tournament's workspace is the part that always fits in RAM.
+    heap = HeapBinding()
     slots = [c.index for c in chunks]
     root = slots[0]
+    ws = PanelWorkspace()
+    ws.allocate(heap, np.dtype(a_spec[3]), slots, bk, r)
+    state = _OOCLUState()
+    sub = TileStore.sub
 
     def _leaf_ooc(chunk: Chunk):
         def fn() -> None:
             W = store.load(sub(a_spec, chunk.r0, chunk.r1))
-            sel = _select_pivots(W, leaf_kernel)
-            ws.cand_rows[chunk.index] = W[sel].copy()
-            ws.cand_gidx[chunk.index] = chunk.r0 + sel
+            # The one leaf body, over the loaded window: its row 0 is
+            # panel row chunk.r0 (an in-heap array is its own spec).
+            run_op(
+                (
+                    "tslu_leaf",
+                    {
+                        "a": W,
+                        "r0": 0,
+                        "r1": chunk.rows,
+                        "c0": 0,
+                        "c1": n,
+                        "k0": -chunk.r0,
+                        "leaf_kernel": leaf_kernel,
+                        "slot": ws.slot_specs[chunk.index],
+                    },
+                )
+            )
 
         return fn
 
     def _finalize_ooc():
         def fn() -> None:
-            gidx = ws.cand_gidx.get(root)
-            cand = ws.cand_rows.get(root)
-            if ws.degraded or gidx is None or cand is None or not np.isfinite(cand).all():
+            cand, gidx, count = ws.slots[root]
+            nc = int(count[0])
+            if ws.degraded or nc == 0 or not np.isfinite(cand[:nc]).all():
                 # No out-of-core degradation ladder: repair or fallback
                 # would re-stream the whole panel, so fail loudly.
                 raise RuntimeError(
                     "tslu_ooc: tournament candidates corrupted; "
                     "out-of-core panels have no partial-pivoting fallback"
                 )
-            piv = perm_from_piv_rows(gidx, m)
+            piv = perm_from_piv_rows(gidx[:nc], m)
             ws.piv = state.piv = piv
             # laswp(A, piv), replayed with windowed row transfers: the
             # top r rows are hot (every swap touches one) and stay
@@ -628,6 +647,17 @@ def tslu_ooc_program(
                     dst = slots[dst_pos]
                     srcs = [slots[p] for p in src_pos]
                     stacked = sum(cand_rows[s] for s in srcs)
+                    fn, _ = op_task(
+                        heap,
+                        "tslu_merge",
+                        {
+                            "srcs": [ws.slot_specs[s] for s in srcs],
+                            "dst": ws.slot_specs[dst],
+                            "bk": bk,
+                            "leaf_kernel": leaf_kernel,
+                            "flags": ws.flags_spec,
+                        },
+                    )
                     tracker.add_task(
                         graph,
                         f"P[0]merge{dst}<{','.join(map(str, srcs))}",
@@ -639,7 +669,7 @@ def tslu_ooc_program(
                             flops=lu_panel_flops(stacked, min(stacked, bk)),
                             words=2.0 * stacked * bk,
                         ),
-                        fn=_merge_fn(ws, dst, srcs, bk, leaf_kernel),
+                        fn=fn,
                         reads=[cand(s) for s in srcs],
                         writes=[cand(dst)],
                     )

@@ -16,7 +16,7 @@ what makes TSQR useful for the paper's motivating application
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,13 +24,15 @@ from repro.analysis.flops import qr_flops, tpqrt_tt_flops
 from repro.core.layout import BlockLayout, Chunk
 from repro.core.priorities import task_priority
 from repro.core.trees import TreeKind, reduction_schedule
-from repro.kernels.qr import extract_v, geqr2, geqr3, larfb_left_t, larft
-from repro.kernels.structured import tpqrt, tpmqrt_left_t
+from repro.kernels.qr import larfb_left_t
+from repro.kernels.structured import tpmqrt_left_t
 from repro.resilience.health import validate_matrix
 from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.ops import op_task
+from repro.runtime.process import staged
 from repro.runtime.program import GraphProgram, supports_streaming
 from repro.runtime.task import Cost, TaskKind
-from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.tilestore import HeapBinding
 
 __all__ = [
     "LeafFactor",
@@ -68,10 +70,35 @@ class MergeFactor:
 
 @dataclass
 class PanelQRStore:
-    """Implicit-Q storage for one panel: leaves plus ordered merges."""
+    """Implicit-Q storage for one panel: leaves plus ordered merges.
+
+    A builder fills it when the panel's window is emitted: the entries'
+    ``V``/``T``/``Vb`` arrays are views of buffers allocated from the
+    builder's ``store=`` binding, which the panel's tasks then write —
+    on every backend, so there is no second copy to publish.
+    """
 
     leaves: dict[int, LeafFactor] = field(default_factory=dict)
     merges: list[MergeFactor | None] = field(default_factory=list)
+
+    def detached(self, detach) -> "PanelQRStore":
+        """This store with every factor passed through *detach* (a
+        binding's copy-out), for results that outlive the binding."""
+        leaves = {s: replace(f, V=detach(f.V), T=detach(f.T)) for s, f in self.leaves.items()}
+        merges = [replace(f, Vb=detach(f.Vb), T=detach(f.T)) for f in self.merges]
+        return PanelQRStore(leaves, merges)
+
+    def restore(self, arrays: dict) -> None:
+        """Refill the factor buffers from a :meth:`to_arrays` payload
+        (checkpoint resume), in place: the buffers are what the tasks'
+        descriptors address."""
+        saved = PanelQRStore.from_arrays(arrays)
+        for slot, leaf in saved.leaves.items():
+            np.copyto(self.leaves[slot].V, leaf.V)
+            np.copyto(self.leaves[slot].T, leaf.T)
+        for mine, theirs in zip(self.merges, saved.merges, strict=True):
+            np.copyto(mine.Vb, theirs.Vb)
+            np.copyto(mine.T, theirs.T)
 
     def apply_qt(self, C: np.ndarray) -> None:
         """Apply this panel's ``Q^T`` to (the full-height) ``C`` in place."""
@@ -153,7 +180,10 @@ class MergeStep:
     level: int
     dst: Chunk
     srcs: list[Chunk]
-    pair_indices: list[int]  # indices into PanelQRStore.merges
+    #: Numeric builds: one ``(top0, bot0, Vb_spec, T_spec)`` per source,
+    #: in ``PanelQRStore.merges`` order — the step's ``tsqr_merge``
+    #: payload, and what CAQR's node updates apply.
+    pairs: list[tuple] = field(default_factory=list)
     #: Ordinal of this step within its panel; keys the step's implicit-Q
     #: output in task footprints as ``("qmerge", K, ordinal)``.
     ordinal: int = 0
@@ -166,76 +196,9 @@ class TSQRTasks:
     leaf_tids: dict[int, int]
     leaf_chunks: dict[int, Chunk]
     merge_steps: list[MergeStep]
-    #: Shared-memory buffer specs for descriptor dispatch (populated
-    #: only when built with ``shm=``): per leaf slot ``(V, T)`` specs,
-    #: and per merge step (aligned with ``merge_steps``) a list of
-    #: ``(top0, bot0, Vb_spec, T_spec)`` — what the CAQR trailing-update
-    #: descriptors reference.
+    #: Per leaf slot, the ``(V, T)`` buffer specs (numeric builds only)
+    #: the CAQR leaf-update descriptors reference.
     leaf_bufs: dict[int, tuple] = field(default_factory=dict)
-    merge_bufs: list[list[tuple]] = field(default_factory=list)
-
-
-def _leaf_sync(store: PanelQRStore, chunk: Chunk, v_view, t_view):
-    """op_sync hook: publish a worker-computed leaf WY factor into the
-    parent store as live shared-memory views."""
-
-    def sync() -> None:
-        store.leaves[chunk.index] = LeafFactor(
-            slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=v_view, T=t_view
-        )
-
-    return sync
-
-
-def _merge_sync(store: PanelQRStore, bk: int, entries: list):
-    """op_sync hook: publish worker-computed merge reflectors; *entries*
-    is ``[(idx, top0, bot0, vb_view, t_view), ...]``."""
-
-    def sync() -> None:
-        for idx, top0, bot0, vb_view, t_view in entries:
-            store.merges[idx] = MergeFactor(top0=top0, bot0=bot0, r=bk, Vb=vb_view, T=t_view)
-
-    return sync
-
-
-def _leaf_fn(A: np.ndarray, chunk: Chunk, c0: int, c1: int, store: PanelQRStore, kernel: str):
-    def fn() -> None:
-        block = A[chunk.r0 : chunk.r1, c0:c1]
-        if kernel == "geqr3":
-            T = geqr3(block)
-        else:
-            tau = geqr2(block)
-            T = larft(extract_v(block), tau)
-        store.leaves[chunk.index] = LeafFactor(
-            slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=extract_v(block), T=T
-        )
-
-    return fn
-
-
-def _merge_fn(
-    A: np.ndarray,
-    dst: Chunk,
-    srcs: list[Chunk],
-    c0: int,
-    c1: int,
-    store: PanelQRStore,
-    pair_indices: list[int],
-):
-    bk = c1 - c0
-
-    def fn() -> None:
-        d0 = dst.r0
-        for src, idx in zip(srcs, pair_indices, strict=True):
-            s0 = src.r0
-            Rtop = A[d0 : d0 + bk, c0:c1]
-            Bsrc = A[s0 : s0 + bk, c0:c1]
-            T = tpqrt(Rtop, Bsrc, bottom_triangular=True)
-            store.merges[idx] = MergeFactor(
-                top0=d0, bot0=s0, r=bk, Vb=np.triu(Bsrc).copy(), T=T
-            )
-
-    return fn
 
 
 def add_tsqr_tasks(
@@ -246,34 +209,39 @@ def add_tsqr_tasks(
     chunks: list[Chunk],
     tree: TreeKind = TreeKind.BINARY,
     *,
-    A: np.ndarray | None = None,
-    store: PanelQRStore | None = None,
+    store=None,
+    qstore: PanelQRStore | None = None,
     lookahead: int = 1,
     library: str = "repro_qr",
     leaf_kernel: str = "geqr3",
     arity: int = 4,
-    shm=None,
 ) -> TSQRTasks:
     """Emit the TSQR panel tasks (leaf QRs + tree merges) for panel *K*.
 
     Returns the task handles CAQR uses to attach trailing updates.
-    With ``A=None`` the tasks are symbolic.  With *shm* (a
-    :class:`~repro.runtime.shm.ShmBinding`; numeric runs only) the WY
-    factors live in shared-memory buffers, each task carries a
-    ``meta["op"]`` descriptor for process dispatch, and the returned
-    handles include the buffer specs the CAQR trailing updates need.
+    With ``store=None`` the tasks are symbolic.  Numeric tasks are
+    descriptors over *store*, the binding of the matrix they factor in
+    place (a :class:`~repro.runtime.tilestore.HeapBinding` or a
+    :class:`~repro.runtime.shm.ShmBinding`): the WY factors live in
+    buffers allocated from it, *qstore*'s entries are created here as
+    views of those buffers, and the returned handles carry the buffer
+    specs the CAQR trailing updates need.
     """
+    numeric = store is not None
+    if isinstance(store, PanelQRStore) or (numeric and qstore is None):
+        raise TypeError(
+            "store= is the heap/shm binding of the matrix; the PanelQRStore "
+            "that receives the implicit Q goes in qstore="
+        )
     c0 = K * layout.b
     c1 = c0 + layout.panel_width(K)
     bk = c1 - c0
-    numeric = A is not None
-    use_shm = shm is not None and numeric
+    dtype = store.A.dtype if numeric else None
     prio_p = task_priority("P", K, lookahead=lookahead, n_cols=layout.N)
 
     leaf_tids: dict[int, int] = {}
     leaf_chunks: dict[int, Chunk] = {}
     leaf_bufs: dict[int, tuple] = {}
-    merge_bufs: list[list[tuple]] = []
     by_slot = {c.index: c for c in chunks}
     for chunk in chunks:
         cost = Cost(
@@ -284,17 +252,20 @@ def add_tsqr_tasks(
             words=2.0 * chunk.rows * bk,
             library=library,
         )
-        fn = _leaf_fn(A, chunk, c0, c1, store, leaf_kernel) if numeric else None
-        meta = {}
-        if use_shm:
+        fn, meta = None, {}
+        if numeric:
             k = min(chunk.rows, bk)  # reflector count of this leaf
-            v_view, v_spec = shm.alloc((chunk.rows, k))
-            t_view, t_spec = shm.alloc((k, k))
+            v_view, v_spec = store.alloc((chunk.rows, k), dtype)
+            t_view, t_spec = store.alloc((k, k), dtype)
             leaf_bufs[chunk.index] = (v_spec, t_spec)
-            meta["op"] = (
+            qstore.leaves[chunk.index] = LeafFactor(
+                slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=v_view, T=t_view
+            )
+            fn, meta = op_task(
+                store,
                 "tsqr_leaf",
                 {
-                    "a": shm.a_spec,
+                    "a": store.a_spec,
                     "r0": chunk.r0,
                     "r1": chunk.r1,
                     "c0": c0,
@@ -304,7 +275,6 @@ def add_tsqr_tasks(
                     "t": t_spec,
                 },
             )
-            meta["op_sync"] = _leaf_sync(store, chunk, v_view, t_view)
         # ("qleaf", K, slot) keys the WY factor this task deposits in
         # the panel's PanelQRStore — read later by the trailing updates
         # that apply the leaf reflector.
@@ -325,15 +295,10 @@ def add_tsqr_tasks(
 
     merge_steps: list[MergeStep] = []
     slots = [c.index for c in chunks]
-    n_pairs = 0
     for lvl, level in enumerate(reduction_schedule(len(slots), tree, arity), start=1):
         for dst_pos, src_pos in level:
             dst = by_slot[slots[dst_pos]]
             srcs = [by_slot[slots[p]] for p in src_pos if slots[p] != slots[dst_pos]]
-            pair_indices = list(range(n_pairs, n_pairs + len(srcs)))
-            n_pairs += len(srcs)
-            if store is not None:
-                store.merges.extend([None] * len(srcs))
             cost = Cost(
                 "tpqrt_tt",
                 m=2 * bk,
@@ -343,28 +308,22 @@ def add_tsqr_tasks(
                 words=3.0 * bk * bk * len(srcs),
                 library=library,
             )
-            fn = (
-                _merge_fn(A, dst, srcs, c0, c1, store, pair_indices) if numeric else None
-            )
             ordinal = len(merge_steps)
             rblocks = [(dst.b0, K)] + [(s.b0, K) for s in srcs]
-            meta = {}
-            if use_shm:
-                pairs = []
-                sync_entries = []
-                step_bufs = []
-                for src, idx in zip(srcs, pair_indices, strict=True):
-                    vb_view, vb_spec = shm.alloc((bk, bk))
-                    t_view, t_spec = shm.alloc((bk, bk))
+            fn, meta, pairs = None, {}, []
+            if numeric:
+                for src in srcs:
+                    vb_view, vb_spec = store.alloc((bk, bk), dtype)
+                    t_view, t_spec = store.alloc((bk, bk), dtype)
                     pairs.append((dst.r0, src.r0, vb_spec, t_spec))
-                    sync_entries.append((idx, dst.r0, src.r0, vb_view, t_view))
-                    step_bufs.append((dst.r0, src.r0, vb_spec, t_spec))
-                merge_bufs.append(step_bufs)
-                meta["op"] = (
+                    qstore.merges.append(
+                        MergeFactor(top0=dst.r0, bot0=src.r0, r=bk, Vb=vb_view, T=t_view)
+                    )
+                fn, meta = op_task(
+                    store,
                     "tsqr_merge",
-                    {"a": shm.a_spec, "c0": c0, "c1": c1, "bk": bk, "pairs": pairs},
+                    {"a": store.a_spec, "c0": c0, "c1": c1, "bk": bk, "pairs": pairs},
                 )
-                meta["op_sync"] = _merge_sync(store, bk, sync_entries)
             tid = tracker.add_task(
                 graph,
                 f"P[{K}]merge{dst.index}<{','.join(str(s.index) for s in srcs)}",
@@ -383,8 +342,8 @@ def add_tsqr_tasks(
                     level=lvl,
                     dst=dst,
                     srcs=srcs,
-                    pair_indices=pair_indices,
                     ordinal=ordinal,
+                    pairs=pairs,
                 )
             )
     return TSQRTasks(
@@ -392,7 +351,6 @@ def add_tsqr_tasks(
         leaf_chunks=leaf_chunks,
         merge_steps=merge_steps,
         leaf_bufs=leaf_bufs,
-        merge_bufs=merge_bufs,
     )
 
 
@@ -445,20 +403,23 @@ def tsqr_program(
     tree: TreeKind = TreeKind.FLAT,
     *,
     leaf_kernel: str = "geqr3",
-    shm=None,
+    store=None,
 ) -> tuple[GraphProgram, PanelQRStore]:
     """Streaming program for one standalone TSQR panel (one window
     holding the leaf factorizations and the reduction-tree merges).
 
     *A* must already be a float C-ordered tall array (``m >= n``); it
-    is factored in place.  Returns ``(program, implicit-Q store)``.
+    is factored in place.  *store* binds it (default: the heap; see
+    :func:`add_tsqr_tasks`).  Returns ``(program, implicit-Q store)``.
     """
     m, n = A.shape
     layout = BlockLayout(m, n, b=n)
     from repro.core.calu import merged_chunks  # shared chunk policy
 
     chunks = merged_chunks(layout, 0, tr)
-    store = PanelQRStore()
+    qstore = PanelQRStore()
+    if store is None:
+        store = HeapBinding(A)
 
     def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
         add_tsqr_tasks(
@@ -468,13 +429,12 @@ def tsqr_program(
             0,
             chunks,
             tree,
-            A=A,
             store=store,
+            qstore=qstore,
             leaf_kernel=leaf_kernel,
-            shm=shm,
         )
 
-    return GraphProgram(f"tsqr{m}x{n}", 1, emit), store
+    return GraphProgram(f"tsqr{m}x{n}", 1, emit), qstore
 
 
 def tsqr(
@@ -534,56 +494,26 @@ def tsqr(
             check_finite=check_finite,
         )
     A = validate_matrix(A, "A", require_finite=check_finite)
-    dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
     m, n = A.shape
     if m < n:
         raise ValueError(f"tsqr requires a tall panel (m >= n), got {A.shape}")
-    from repro.runtime.process import ProcessExecutor, resolve_executor
-
-    if isinstance(executor, str) and executor == "auto":
-        from repro.machine.autotune import autotune
-
-        decision = autotune("qr", m, n, b=n, tr=tr, tree=tree)
-        executor = decision.backend
-        if fuse is None:
+    hints = {"kind": "qr", "m": m, "n": n, "b": n, "tr": tr, "tree": tree}
+    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
+        executor,
+        binding,
+        decision,
+    ):
+        if fuse is None and decision is not None:
             fuse = decision.max_ops
-    if executor is None:
-        executor = ThreadedExecutor(min(tr, 4))
-    executor, owned = resolve_executor(executor, min(tr, 4))
-    use_shm = isinstance(executor, ProcessExecutor)
-    arena = shm = None
-    if use_shm:
-        # Process backend: panel and WY factors live on the shared-
-        # memory plane; results are copied off before teardown.  Stage
-        # straight onto the arena — one copy (converting dtype/layout
-        # on the way) instead of a parent-side copy that the place
-        # would immediately duplicate.
-        from repro.runtime.shm import SharedArena, ShmBinding
-
-        arena = SharedArena()
-        shared = arena.alloc(A.shape, dtype, zero=False)
-        np.copyto(shared, A)
-        A = shared
-        shm = ShmBinding(arena, A)
-    else:
-        A = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
-    try:
-        program, store_q = tsqr_program(A, tr, tree, leaf_kernel=leaf_kernel, shm=shm)
+        program, qstore = tsqr_program(
+            binding.A, tr, tree, leaf_kernel=leaf_kernel, store=binding
+        )
         if fuse is not None and fuse > 1:
             from repro.runtime.fuse import fuse_program
 
             program = fuse_program(program, max_ops=fuse)
-        source = program if supports_streaming(executor) else program.materialize()
-        executor.run(source)
-        R = np.triu(A[:n, :])  # np.triu already allocates a fresh array
-        if use_shm:
-            # Deep-copy the WY factors off the arena before teardown.
-            store_q = PanelQRStore.from_arrays(
-                {k: np.array(v) for k, v in store_q.to_arrays().items()}
-            )
-    finally:
-        if arena is not None:
-            arena.destroy()
-        if owned and use_shm:
-            executor.close()
-    return TSQRFactorization(m=m, n=n, store=store_q, R=R, tr=tr, tree=tree)
+        executor.run(program if supports_streaming(executor) else program.materialize())
+        R = np.triu(binding.A[:n, :])  # np.triu already allocates a fresh array
+        return TSQRFactorization(
+            m=m, n=n, store=qstore.detached(binding.detach), R=R, tr=tr, tree=tree
+        )

@@ -27,7 +27,15 @@ import numpy as np
 from repro.counters import add_call, add_comparisons, add_flops
 from repro.kernels.blas import gemm, ger, laswp, trsm_llnu
 
-__all__ = ["getf2", "getf2_nopiv", "rgetf2", "getrf", "piv_to_perm", "perm_from_piv_rows"]
+__all__ = [
+    "getf2",
+    "getf2_nopiv",
+    "rgetf2",
+    "getrf",
+    "piv_to_perm",
+    "perm_from_piv_rows",
+    "select_pivots",
+]
 
 
 def getf2(A: np.ndarray) -> np.ndarray:
@@ -175,6 +183,24 @@ def perm_from_piv_rows(rows: np.ndarray, m: int) -> np.ndarray:
             loc[i], loc[p] = rp, ri
             pos[ri], pos[rp] = p, i
     return piv
+
+
+def select_pivots(block: np.ndarray, leaf_kernel: str) -> np.ndarray:
+    """GEPP a *copy* of *block*; return the selected pivot positions in order.
+
+    The tournament-pivoting selection step (TSLU leaves and merges).
+    The input is never modified — callers forward the original rows up
+    the reduction tree, so the factored values must not leak into the
+    candidate sets.
+    """
+    rows, cols = block.shape
+    work = block.copy()
+    if leaf_kernel == "rgetf2" and rows >= cols:
+        piv = rgetf2(work)
+    else:
+        piv = getf2(work)
+    perm = piv_to_perm(piv, rows)
+    return perm[: min(rows, cols)]
 
 
 def _unit_lower(B: np.ndarray) -> np.ndarray:

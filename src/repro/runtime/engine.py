@@ -944,9 +944,10 @@ class _RealClockRun:
     def _absorb(self, core: int, batch: list, reply, sent: float) -> float:
         """Take one message's reply apart: each task gets its own ack.
 
-        A task whose op succeeded has its ``op_sync`` mirror and the
-        fault plan's post-task hook run, then goes through
-        :meth:`_finish` with the *worker's* span; one that failed
+        A task whose op succeeded has the fault plan's post-task hook
+        run, then goes through :meth:`_finish` with the *worker's* span
+        (its results are already in the shared store buffers the
+        parent's guards read — nothing is copied back); one that failed
         follows the retry policy (re-sent via ``redo``, or the run ends);
         one the worker never started is re-dealt at the same attempt.
         A *reply* that is a failure (the worker died, or was down) is
@@ -967,9 +968,6 @@ class _RealClockRun:
             worked += end - start
             if ok:
                 try:
-                    sync = task.meta.get("op_sync")
-                    if sync is not None:
-                        sync()
                     if plan is not None:
                         plan.post_task(task, attempt, record=self.record_event)
                 except BaseException as exc:  # noqa: BLE001 - handled by the policy

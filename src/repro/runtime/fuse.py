@@ -22,9 +22,9 @@ it — is unchanged in meaning:
   its dependencies are the members' out-of-group dependencies, so the
   static race proof, the DAG lint and the dynamic footprint sanitizer
   in :mod:`repro.verify` apply to the fused graph unmodified;
-* ``op_sync`` mirrors and health guards chain in member order and run
-  once per super-task; journal, retry, deadline and fault-injection
-  semantics all act at super-task granularity.
+* health guards chain in member order and run once per super-task;
+  journal, retry, deadline and fault-injection semantics all act at
+  super-task granularity.
 
 **Which tasks fuse.**  Groups grow by contracting dependency edges of
 the condensed graph, greedily and deterministically, up to *max_ops*
@@ -86,14 +86,6 @@ def _chain_fns(fns):
             fn()
 
     return fused_fn
-
-
-def _chain_syncs(syncs):
-    def fused_sync() -> None:
-        for sync in syncs:
-            sync()
-
-    return fused_sync
 
 
 def _chain_guards(guards):
@@ -265,9 +257,6 @@ def _append_group(
         fn = _chain_fns([t.fn for t in tasks])
     if all("op" in t.meta for t in tasks):
         meta["op"] = (FUSED_KERNEL, {"ops": [t.meta["op"] for t in tasks]})
-    syncs = [t.meta["op_sync"] for t in tasks if "op_sync" in t.meta]
-    if syncs:
-        meta["op_sync"] = _chain_syncs(syncs)
     guards = [t.meta["health"] for t in tasks if "health" in t.meta]
     if guards:
         meta["health"] = _chain_guards(guards)

@@ -1,46 +1,50 @@
-"""Descriptor-dispatched kernel operations for the process backend.
+"""The task bodies: every numeric P/L/U/S step, written once.
 
-A task crossing the process boundary is not a closure — closures capture
-parent-process arrays and workspace objects that do not exist in a
-worker.  Instead, builders attach ``meta["op"] = (opname, payload)`` to
-each task: the kernel name plus block coordinates and tile-plane buffer
-specs (see :mod:`repro.runtime.shm` and
-:mod:`repro.runtime.tilestore`).  A worker receives the descriptor,
-attaches the referenced buffers as zero-copy views and runs
-:func:`run_op`, which performs *exactly* the sequence of kernel calls
-the task's in-process closure would have — same slices, same kernels,
-same order — so threaded and process executions of the same graph
-produce bitwise-identical factors (enforced by ``repro.verify`` and
-``tests/runtime/test_process_backend.py``).
+A numeric task of the CALU/CAQR/TSLU/TSQR builders is a *descriptor*
+``(opname, payload)`` — the kernel step's name plus block coordinates
+and buffer specs — and its closure is ``partial(run_op, descriptor)``.
+The threaded, work-stealing and simulated executors, the footprint
+sanitizer and the process backend's workers therefore all execute the
+same function over the same coordinates; there is no second body to
+keep in agreement.
 
-Specs resolve through the tile-store dispatcher, so a buffer may live
-in a ``multiprocessing.shared_memory`` segment *or* an mmap-backed
-spill file (:class:`~repro.runtime.tilestore.MmapTileStore`) — the ops
-are oblivious to which plane backs them.
+A spec resolves through :func:`repro.runtime.tilestore.attach_array`:
+an ndarray is its own spec (the in-heap
+:class:`~repro.runtime.tilestore.HeapBinding`), a 4-tuple names a
+``multiprocessing.shared_memory`` segment
+(:class:`~repro.runtime.shm.ShmBinding`) or an mmap-backed spill file —
+the ops are oblivious to which plane backs them.  Only descriptors
+over process-shared specs are also published as ``meta["op"]`` and
+shipped to workers.
 
-Workspace state that lives in Python objects on the threaded path
-(tournament candidate slots, pivot sequences, implicit-Q factors) is
-carried in arena buffers here, with small conventions:
+Workspace state lives in store buffers on every backend, with small
+conventions:
 
 * a candidate slot is a ``(rows, gidx, count)`` buffer triple; only the
   first ``count[0]`` rows are valid;
 * a pivot buffer stores ``[length, swap_0, swap_1, ...]``;
-* a panel's ``flags`` buffer is ``[degraded, recomputed]``.
+* a panel's ``flags`` buffer is ``[degraded, recomputed]``;
+* leaf ``V``/``T`` and merge ``Vb``/``T`` buffers hold the implicit-Q
+  factors the ``PanelQRStore`` entries are views of.
 
-Core-layer imports happen inside the op bodies: this module is imported
-by the runtime package (and by bare worker processes), and the core
-builders import the runtime — lazy imports keep that acyclic.
+Payloads carry coordinates and specs only — no :mod:`repro.core`
+object — so this module imports the kernels at module scope and stays
+importable by a bare worker process.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 
+from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
+from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
+from repro.kernels.qr import extract_v, geqr2, geqr3, larfb_left_t, larft
+from repro.kernels.structured import tpmqrt_left_t, tpqrt
 from repro.runtime.tilestore import attach_array
 
-__all__ = ["run_op", "OPS"]
+__all__ = ["run_op", "op_task", "OPS", "calu_s_blocks"]
 
 
 # ---------------------------------------------------------------------------
@@ -48,69 +52,96 @@ __all__ = ["run_op", "OPS"]
 # ---------------------------------------------------------------------------
 
 
-def _op_tslu_leaf(p: dict) -> None:
-    from repro.core.tslu import _select_pivots
+def _elect(rows: np.ndarray, gidx: np.ndarray, leaf_kernel: str) -> tuple[np.ndarray, np.ndarray]:
+    """One tournament round: the winning candidate rows (copies of the
+    originals, never the factored values) and their panel-local indices."""
+    sel = select_pivots(rows, leaf_kernel)
+    return rows[sel], gidx[sel]
 
+
+def _fill_slot(slot: tuple, rows: np.ndarray, gidx: np.ndarray) -> None:
+    n = len(gidx)
+    attach_array(slot[0])[:n] = rows
+    attach_array(slot[1])[:n] = gidx
+    attach_array(slot[2])[0] = n
+
+
+def _read_slot(slot: tuple) -> tuple[np.ndarray, np.ndarray]:
+    n = int(attach_array(slot[2])[0])
+    return attach_array(slot[0])[:n], attach_array(slot[1])[:n]
+
+
+def _op_tslu_leaf(p: dict) -> None:
     A = attach_array(p["a"])
-    rows = attach_array(p["rows"])
-    gidx = attach_array(p["gidx"])
-    count = attach_array(p["count"])
-    block = A[p["r0"] : p["r1"], p["c0"] : p["c1"]]
-    sel = _select_pivots(block, p["leaf_kernel"])
-    n = len(sel)
-    rows[:n] = block[sel]
-    gidx[:n] = (p["r0"] - p["k0"]) + sel
-    count[0] = n
+    r0, r1, k0 = p["r0"], p["r1"], p["k0"]
+    block = A[r0:r1, p["c0"] : p["c1"]]
+    _fill_slot(p["slot"], *_elect(block, np.arange(r0 - k0, r1 - k0), p["leaf_kernel"]))
 
 
 def _op_tslu_merge(p: dict) -> None:
-    from repro.core.tslu import _select_pivots
-
-    stacked = []
-    gidxs = []
-    for rspec, gspec, cspec in p["srcs"]:
-        c = int(attach_array(cspec)[0])
-        stacked.append(attach_array(rspec)[:c].copy())
-        gidxs.append(attach_array(gspec)[:c].copy())
-    rows = np.vstack(stacked)
-    gidx = np.concatenate(gidxs)
-    drows = attach_array(p["dst"][0])
-    dgidx = attach_array(p["dst"][1])
-    dcount = attach_array(p["dst"][2])
-    bk = p["bk"]
+    srcs = [_read_slot(s) for s in p["srcs"]]
+    rows = np.vstack([r for r, _ in srcs])
+    gidx = np.concatenate([g for _, g in srcs])
     if not np.isfinite(rows).all():
-        # Corrupted candidates: degrade the panel, stop the poison —
-        # the same verdict _merge_fn reaches on the threaded path.
+        # Corrupted candidates: mark the panel degraded and stop
+        # propagating poison up the tree.  The finalize task will fall
+        # back to partial pivoting on the panel itself.
         attach_array(p["flags"])[0] = 1
-        n = min(len(rows), bk)
-        drows[:n] = rows[:n]
-        dgidx[:n] = gidx[:n]
-        dcount[0] = n
+        n = min(len(rows), p["bk"])
+        _fill_slot(p["dst"], rows[:n], gidx[:n])
         return
-    sel = _select_pivots(rows, p["leaf_kernel"])
-    n = len(sel)
-    drows[:n] = rows[sel]
-    dgidx[:n] = gidx[sel]
-    dcount[0] = n
+    _fill_slot(p["dst"], *_elect(rows, gidx, p["leaf_kernel"]))
+
+
+def _recompute_tournament(
+    A: np.ndarray,
+    k0: int,
+    c0: int,
+    c1: int,
+    leaves: list[tuple[int, int, int]],
+    merges: list[tuple[int, list[int]]],
+    leaf_kernel: str,
+) -> np.ndarray | None:
+    """Replay a panel's whole tournament serially from the matrix.
+
+    The tournament tasks only *read* the panel (candidates are copies),
+    so after a corruption of the candidate buffers the reduction can be
+    replayed from the untouched panel data.  *leaves* is the panel's
+    ``(slot, r0, r1)`` row partition and *merges* its ``(dst, srcs)``
+    reduction schedule in level order — the replay makes the exact
+    selections of the task graph, so the returned root candidate
+    indices, and hence the pivots, are identical to a fault-free run.
+    Returns None when the panel itself is unusable (non-finite
+    entries), which sends the finalize task down the next rung of the
+    ladder.
+    """
+    cand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for slot, r0, r1 in leaves:
+        block = A[r0:r1, c0:c1]
+        if not np.isfinite(block).all():
+            return None
+        cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), leaf_kernel)
+    for dst, srcs in merges:
+        cand[dst] = _elect(
+            np.vstack([cand[s][0] for s in srcs]),
+            np.concatenate([cand[s][1] for s in srcs]),
+            leaf_kernel,
+        )
+    return cand[leaves[0][0]][1]
 
 
 def _op_tslu_finalize(p: dict) -> None:
-    from repro.core.trees import TreeKind
-    from repro.core.tslu import _recompute_tournament
-    from repro.kernels.blas import laswp
-    from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows
-
     A = attach_array(p["a"])
     k0, m, c0, c1 = p["k0"], p["m"], p["c0"], p["c1"]
-    nc = int(attach_array(p["root"][2])[0])
-    cand = attach_array(p["root"][0])[:nc]
-    gidx = attach_array(p["root"][1])[:nc]
+    cand, gidx = _read_slot(p["root"])
     flags = attach_array(p["flags"])
-    degraded = bool(flags[0]) or nc == 0 or not np.isfinite(cand).all()
-    if degraded and p["allow_recompute"] and p["chunks"]:
-        chunks = [SimpleNamespace(index=i, r0=r0, r1=r1) for i, r0, r1 in p["chunks"]]
+    degraded = bool(flags[0]) or len(gidx) == 0 or not np.isfinite(cand).all()
+    if degraded and p["allow_recompute"]:
+        # Recovery ladder, rung 1: the tournament tasks never wrote the
+        # matrix, so replay the whole reduction from the clean panel.
+        # Success restores fault-free pivots bit for bit.
         replayed = _recompute_tournament(
-            A, k0, c0, c1, chunks, TreeKind(p["tree"]), p["arity"], p["leaf_kernel"]
+            A, k0, c0, c1, p["leaves"], p["merges"], p["leaf_kernel"]
         )
         if replayed is not None:
             gidx = replayed
@@ -118,9 +149,13 @@ def _op_tslu_finalize(p: dict) -> None:
             flags[0] = 0
             flags[1] = 1
     if degraded:
+        # Rung 2 — graceful degradation: the tournament's candidates
+        # are unusable, so select pivots by classic GEPP partial
+        # pivoting on a *copy* of the panel (selection only — the
+        # actual panel is then swapped and factored exactly as in the
+        # tournament path, leaving the sub-pivot rows for the L tasks).
         flags[0] = 1
-        work = A[k0:m, c0:c1].copy()
-        piv = getf2(work)
+        piv = getf2(A[k0:m, c0:c1].copy())
     else:
         piv = perm_from_piv_rows(gidx, m - k0)
     piv_buf = attach_array(p["piv"])
@@ -137,16 +172,12 @@ def _op_tslu_finalize(p: dict) -> None:
 
 
 def _op_calu_l(p: dict) -> None:
-    from repro.kernels.blas import trsm_runn
-
     A = attach_array(p["a"])
     k0, c0, c1 = p["k0"], p["c0"], p["c1"]
     trsm_runn(A[k0 : k0 + (c1 - c0), c0:c1], A[p["r0"] : p["r1"], c0:c1])
 
 
 def _op_calu_u(p: dict) -> None:
-    from repro.kernels.blas import laswp, trsm_llnu
-
     A = attach_array(p["a"])
     piv_buf = attach_array(p["piv"])
     piv = piv_buf[1 : 1 + int(piv_buf[0])]
@@ -156,16 +187,15 @@ def _op_calu_u(p: dict) -> None:
     trsm_llnu(A[k0 : k0 + bk, p["c0"] : p["c1"]], A[k0 : k0 + bk, j0:j1])
 
 
-def _op_calu_s(p: dict) -> None:
-    from repro.kernels.blas import gemm
-
+def calu_s_blocks(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(C, L, U)`` operands of a ``calu_s`` payload (``C -= L U``)."""
     A = attach_array(p["a"])
-    k0, bk = p["k0"], p["bk"]
-    gemm(
-        A[p["r0"] : p["r1"], p["j0"] : p["j1"]],
-        A[p["r0"] : p["r1"], p["c0"] : p["c1"]],
-        A[k0 : k0 + bk, p["j0"] : p["j1"]],
-    )
+    k0, r0, r1, j0, j1 = p["k0"], p["r0"], p["r1"], p["j0"], p["j1"]
+    return A[r0:r1, j0:j1], A[r0:r1, p["c0"] : p["c1"]], A[k0 : k0 + p["bk"], j0:j1]
+
+
+def _op_calu_s(p: dict) -> None:
+    gemm(*calu_s_blocks(p))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +204,6 @@ def _op_calu_s(p: dict) -> None:
 
 
 def _op_tsqr_leaf(p: dict) -> None:
-    from repro.kernels.qr import extract_v, geqr2, geqr3, larft
-
     A = attach_array(p["a"])
     block = A[p["r0"] : p["r1"], p["c0"] : p["c1"]]
     if p["kernel"] == "geqr3":
@@ -188,8 +216,6 @@ def _op_tsqr_leaf(p: dict) -> None:
 
 
 def _op_tsqr_merge(p: dict) -> None:
-    from repro.kernels.structured import tpqrt
-
     A = attach_array(p["a"])
     c0, c1, bk = p["c0"], p["c1"], p["bk"]
     for d0, s0, vb_spec, t_spec in p["pairs"]:
@@ -201,8 +227,6 @@ def _op_tsqr_merge(p: dict) -> None:
 
 
 def _op_caqr_leaf_update(p: dict) -> None:
-    from repro.kernels.qr import larfb_left_t
-
     A = attach_array(p["a"])
     larfb_left_t(
         attach_array(p["v"]), attach_array(p["t"]), A[p["r0"] : p["r1"], p["j0"] : p["j1"]]
@@ -210,16 +234,14 @@ def _op_caqr_leaf_update(p: dict) -> None:
 
 
 def _op_caqr_merge_update(p: dict) -> None:
-    from repro.kernels.structured import tpmqrt_left_t
-
     A = attach_array(p["a"])
-    j0, j1 = p["j0"], p["j1"]
-    for top0, bot0, r, vb_spec, t_spec in p["pairs"]:
+    j0, j1, bk = p["j0"], p["j1"], p["bk"]
+    for top0, bot0, vb_spec, t_spec in p["pairs"]:
         tpmqrt_left_t(
             attach_array(vb_spec),
             attach_array(t_spec),
-            A[top0 : top0 + r, j0:j1],
-            A[bot0 : bot0 + r, j0:j1],
+            A[top0 : top0 + bk, j0:j1],
+            A[bot0 : bot0 + bk, j0:j1],
         )
 
 
@@ -275,3 +297,15 @@ def run_op(op: tuple[str, dict]) -> None:
     except KeyError:
         raise ValueError(f"unknown op {name!r}") from None
     fn(payload)
+
+
+def op_task(store, name: str, payload: dict) -> tuple[partial, dict]:
+    """The one form of a numeric task: ``(fn, meta)`` for ``add_task``.
+
+    ``fn`` runs the descriptor in whichever process calls it; the
+    descriptor is also published as ``meta["op"]`` — what a
+    :class:`~repro.runtime.process.ProcessExecutor` ships to a worker —
+    only when *store*'s specs can cross a process boundary.
+    """
+    op = (name, payload)
+    return partial(run_op, op), ({"op": op} if store.shared else {})

@@ -8,9 +8,10 @@ dominates and the threaded backend cannot scale with physical cores.
 * the matrix and all panel workspace buffers live in a shared-memory
   arena (:mod:`repro.runtime.shm`) that every worker maps zero-copy;
 * tasks cross the process boundary as compact *descriptors* — kernel
-  name plus block coordinates and buffer specs (``meta["op"]``, built by
-  the CALU/CAQR/TSLU/TSQR builders; see :mod:`repro.runtime.ops`) —
-  never as pickled closures or matrix blocks;
+  name plus block coordinates and buffer specs (``meta["op"]``, which
+  the CALU/CAQR/TSLU/TSQR builders publish when their ``store=`` is
+  process-shared; see :mod:`repro.runtime.ops`) — never as pickled
+  closures or matrix blocks;
 * scheduling stays in the parent: the executor reuses the unified
   :class:`~repro.runtime.engine.ExecutionEngine`, whose single
   *dispatcher* deals ready tasks to the least-loaded worker, ships the
@@ -18,16 +19,16 @@ dominates and the threaded backend cannot scale with physical cores.
   (:meth:`_WorkerPool.submit`), waits on every worker pipe at once and
   gets back **one reply with one ack per task**
   (:meth:`_WorkerPool.collect`).  Each ack then goes through the same
-  post-task lifecycle as a threaded task — ``meta["op_sync"]`` mirrors
-  worker-side results (pivots, degradation flags, Q factors) into
-  parent-side workspace objects, then fault injection, health guards,
-  journal, record, release — so journal, retry, streaming
-  ``GraphProgram`` windows and the watchdog behave identically across
-  the threaded and process backends.
+  post-task lifecycle as a threaded task — fault injection, health
+  guards (reading the very store buffers the worker wrote: pivots,
+  degradation flags, Q factors), journal, record, release — so journal,
+  retry, streaming ``GraphProgram`` windows and the watchdog behave
+  identically across the threaded and process backends.
 
-Tasks without a descriptor (checkpoint snapshots, ABFT checksum hooks,
-row-swap epilogues, arbitrary test graphs) run their ordinary closure
-inline in the dispatcher — correct, just not parallel across
+Tasks without ``meta["op"]`` (checkpoint snapshots, ABFT checksum
+hooks, row-swap epilogues, arbitrary test graphs, and every task of a
+graph bound to the heap rather than an arena) run their ordinary
+closure inline in the dispatcher — correct, just not parallel across
 processes.  Worker death shows as a hang-up on the worker's pipe: the
 worker is respawned and every task it had in flight surfaces a
 structured :class:`~repro.resilience.recovery.RuntimeFailure` with
@@ -37,11 +38,14 @@ usual :class:`~repro.resilience.recovery.RetryPolicy` machinery.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
 import select
 import time
+
+import numpy as np
 
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
@@ -50,10 +54,12 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import CentralFrontier, ExecutionEngine
 from repro.runtime.graph import TaskGraph
+from repro.runtime.shm import SharedArena, ShmBinding
 from repro.runtime.sync import make_lock, note_roundtrip
+from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
-__all__ = ["ProcessExecutor", "resolve_executor"]
+__all__ = ["ProcessExecutor", "resolve_executor", "staged"]
 
 _POLL_S = 0.05  # liveness re-check interval while awaiting a reply
 
@@ -583,3 +589,42 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
         f"unknown executor {executor!r}; expected 'threaded', 'stealing', "
         "'process' or 'auto'"
     )
+
+
+@contextlib.contextmanager
+def staged(A: np.ndarray, executor, n_workers: int, *, overwrite: bool = False, hints=None):
+    """Stage *A* where *executor*'s tasks can reach it, for one driver run.
+
+    Resolves the ``executor=`` argument (``None`` is the threaded
+    default; ``"auto"`` consults the autotuner with *hints*) and makes
+    the one working copy: for a :class:`ProcessExecutor`, an
+    ``alloc(zero=False)`` + ``copyto`` straight onto a fresh arena
+    (dtype and layout converted on the way) bound as a
+    :class:`ShmBinding`; otherwise a float C-ordered heap array (*A*
+    itself when *overwrite* allows) bound as a :class:`HeapBinding`.
+    Yields ``(executor, store, decision)``, *decision* being the
+    autotuner's choice under ``"auto"``, else None.  Results leave
+    through ``store.detach`` inside the block; on exit the arena is
+    destroyed and an executor created here for it is closed.
+    """
+    auto = isinstance(executor, str) and executor == "auto"
+    executor, owned = resolve_executor(
+        "threaded" if executor is None else executor, n_workers, hints=hints
+    )
+    dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
+    arena = None
+    try:
+        if isinstance(executor, ProcessExecutor):
+            arena = SharedArena()
+            shared = arena.alloc(A.shape, dtype, zero=False)
+            np.copyto(shared, A)
+            store = ShmBinding(arena, shared)
+        else:
+            heap = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
+            store = HeapBinding(heap)
+        yield executor, store, executor.autotune_decision if auto else None
+    finally:
+        if arena is not None:
+            arena.destroy()
+            if owned:
+                executor.close()

@@ -117,6 +117,10 @@ class SharedArena:
         if seg_idx is None:
             size = max(self.segment_bytes, _aligned(nbytes))
             seg = shared_memory.SharedMemory(create=True, size=size)
+            # The owner resolves its own specs through this mapping too
+            # (parent-only tasks, a service's threaded fallback): never
+            # by re-opening the name under the tracker patch below.
+            _ATTACHED[seg.name] = seg
             self._segments.append(seg)
             self._used.append(0)
             self._sizes.append(seg.size)
@@ -176,8 +180,8 @@ class SharedArena:
 
         Unlink comes first so no shared-memory file outlives the run.
         ``close`` can legitimately fail with :class:`BufferError` while
-        NumPy views into a segment are still referenced (workspace pivot
-        arrays, ``op_sync`` closures in a retained graph); the mapping
+        NumPy views into a segment are still referenced (workspace
+        buffers of a retained graph); the mapping
         then stays valid until those views are garbage collected and is
         released with them — copy any results you keep out first.
         """
@@ -185,6 +189,7 @@ class SharedArena:
             return
         self._destroyed = True
         for seg in self._segments:
+            _ATTACHED.pop(seg.name, None)
             try:
                 seg.unlink()
             except (FileNotFoundError, OSError):  # already gone
@@ -206,33 +211,41 @@ class SharedArena:
 
 
 class ShmBinding:
-    """What a builder needs to emit process-dispatchable tasks.
+    """The process-shared ``store=`` of the builders.
 
     Bundles the arena, the shared matrix view and its spec; the
     CALU/CAQR/TSLU/TSQR builders allocate their per-panel workspace
-    buffers through it and attach ``meta["op"]`` descriptors (kernel
-    name + coordinates + buffer specs) next to the ordinary closures.
+    buffers through it and put the specs into each task's descriptor
+    (kernel name + coordinates + buffer specs).  ``shared`` is True:
+    the specs name memory any process can attach, so the builders also
+    publish the descriptor as ``meta["op"]`` for dispatch to a worker.
+    :class:`~repro.runtime.tilestore.HeapBinding` is the in-heap twin.
     """
+
+    shared = True
 
     def __init__(self, arena: SharedArena, A: np.ndarray) -> None:
         self.arena = arena
         self.A = A
         self.a_spec = arena.spec(A)
-        #: per-panel pivot buffer specs, stashed by the TSLU builder so
-        #: the CALU builder can reference panel K's pivots in U-task
-        #: descriptors: ``piv_specs[K] = (view, spec)``.
-        self.piv_specs: dict[int, tuple] = {}
 
     def alloc(self, shape, dtype=np.float64) -> tuple[np.ndarray, tuple]:
-        """Allocate a workspace buffer; returns ``(view, spec)``."""
+        """Allocate a zeroed workspace buffer; returns ``(view, spec)``."""
         arr = self.arena.alloc(shape, dtype)
         return arr, self.arena.spec(arr)
 
+    @staticmethod
+    def detach(array: np.ndarray) -> np.ndarray:
+        """A heap copy of *array*, valid after the arena is destroyed."""
+        return np.array(array)
+
 
 # ---------------------------------------------------------------------------
-# Worker-side attach
+# Attach: spec -> view
 # ---------------------------------------------------------------------------
 
+#: Segments mapped in this process, by name: an arena's own (entered at
+#: creation, removed at destroy) and those a worker attached.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 

@@ -97,6 +97,12 @@ class Task:
     :class:`~repro.resilience.events.ResilienceEvent`) and
     ``meta["corrupt"]`` (a zero-argument fault-injection target).
 
+    ``meta["op"]``, when present, is the ``(opname, payload)``
+    descriptor ``fn`` runs (:mod:`repro.runtime.ops`) over
+    process-shared buffer specs: a
+    :class:`~repro.runtime.process.ProcessExecutor` ships it to a
+    worker instead of calling ``fn``.
+
     ``meta["reads"]`` / ``meta["writes"]`` are the task's *declared
     footprint*: frozensets of block keys recorded by
     :class:`~repro.runtime.graph.BlockTracker` (or set directly by a

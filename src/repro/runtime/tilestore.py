@@ -19,6 +19,12 @@ Because specs stay 4-tuples and the segment name says which kind it is
 so the descriptor-dispatched ops in :mod:`repro.runtime.ops` and their
 worker processes are oblivious to where a buffer actually lives.
 
+The third plane is the process's own heap (:class:`HeapBinding`): a
+buffer that never leaves the address space needs no name, so its spec
+is the ndarray itself and :func:`attach_array` hands it straight back.
+That is what lets the threaded, stealing and simulated executors run
+the very descriptors the process workers run.
+
 Explicit transfers, measured traffic
 ------------------------------------
 Out-of-core drivers move data with :meth:`TileStore.load` (slow ->
@@ -58,6 +64,7 @@ __all__ = [
     "ArenaTileStore",
     "MmapTileStore",
     "open_store",
+    "HeapBinding",
     "attach_array",
     "spec_nbytes",
 ]
@@ -414,8 +421,35 @@ def open_store(store, **kwargs) -> tuple[TileStore, bool]:
     raise ValueError(f"unknown tile store {store!r}; expected 'shm', 'mmap' or a TileStore")
 
 
+class HeapBinding:
+    """The default ``store=`` of the builders: matrix and workspace on the heap.
+
+    Same surface as :class:`~repro.runtime.shm.ShmBinding` — the matrix
+    ``A`` with its spec, ``alloc(shape, dtype) -> (view, spec)`` and
+    ``detach`` — but a buffer's spec is the buffer: nothing to register,
+    name or tear down.  ``shared`` is False: a heap spec must not cross
+    a process boundary (it would pickle the data), so builders attach
+    no ``meta["op"]`` and a process executor runs such tasks inline.
+    """
+
+    shared = False
+
+    def __init__(self, A: np.ndarray | None = None) -> None:
+        self.A = self.a_spec = A  # None: a workspace-only binding
+
+    def alloc(self, shape, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """Allocate a zeroed workspace buffer; returns ``(view, spec)``."""
+        arr = np.zeros(shape, dtype)
+        return arr, arr
+
+    @staticmethod
+    def detach(array: np.ndarray) -> np.ndarray:
+        """*array* as the caller may keep it: heap buffers outlive the run."""
+        return array
+
+
 # ---------------------------------------------------------------------------
-# Worker-side attach (both backends)
+# Attach: spec -> view, any plane
 # ---------------------------------------------------------------------------
 
 #: Whole-file maps cached per process, keyed by path; remapped when the
@@ -423,9 +457,10 @@ def open_store(store, **kwargs) -> tuple[TileStore, bool]:
 _MMAP_ATTACHED: dict[str, np.memmap] = {}
 
 
-def attach_array(spec: tuple) -> np.ndarray:
-    """Decode a spec from *either* backend into a zero-copy view.
+def attach_array(spec) -> np.ndarray:
+    """Decode a spec from *any* plane into a zero-copy view.
 
+    A heap spec is the array itself (:class:`HeapBinding`).
     Shared-memory segment names resolve through
     :func:`repro.runtime.shm.attach_array`; absolute-path names map the
     spill file (``numpy.memmap``, shared mapping, so cross-process
@@ -433,6 +468,8 @@ def attach_array(spec: tuple) -> np.ndarray:
     are cached per process like shm handles, and like them dropped — on
     the first attach of a new file — once their store has been removed.
     """
+    if isinstance(spec, np.ndarray):
+        return spec
     name, offset, shape, dtype = spec
     if not os.path.isabs(name):
         return _attach_shm(spec)

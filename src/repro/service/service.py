@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.calu import CALUFactorization, calu_program
+from repro.core.calu import CALUFactorization, calu_program, panel_verdicts
 from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
@@ -175,11 +175,11 @@ class ServiceConfig:
 class _CompiledPlan:
     """One cached, re-runnable factorization graph and its buffer.
 
-    The graph's closures (and shared-memory op descriptors, when built
-    for the process backend) are bound to ``A_buf``; :meth:`load`
-    copies a request's matrix in and resets the per-run workspace state
-    so the graph replays cleanly.  A plan serves one request at a time
-    (the cache enforces exclusivity).
+    The graph's task descriptors are bound to ``A_buf`` (on a
+    shared-memory arena when built for the process backend, on the heap
+    otherwise); :meth:`load` copies a request's matrix in and resets
+    the per-run workspace state so the graph replays cleanly.  A plan
+    serves one request at a time (the cache enforces exclusivity).
     """
 
     def __init__(
@@ -195,14 +195,18 @@ class _CompiledPlan:
         self.runs = 0
 
     def load(self, A: np.ndarray) -> None:
+        """Copy a request's matrix in and forget the previous request.
+
+        CALU's per-panel state lives only in the workspaces' store
+        buffers, so resetting them is the whole reset on either backend
+        (and re-arms the growth monitor with this matrix's magnitude);
+        CAQR's factor buffers are overwritten wholesale by every run.
+        """
         self.A_buf[...] = A
         if self.workspaces is not None:
+            absmax = float(np.abs(A).max())
             for ws in self.workspaces:
-                # The closures reassign piv/candidates wholesale, but
-                # the degradation flags are only ever *set* — stale
-                # True values would leak into this run's report.
-                ws.degraded = False
-                ws.recomputed = False
+                ws.reset(absmax)
         self.runs += 1
 
     def destroy(self) -> None:
@@ -522,18 +526,7 @@ class FactorizationService:
 
     @staticmethod
     def _assemble_piv(plan: _CompiledPlan, params):
-        b = params[0]
-        m, n = plan.A_buf.shape
-        layout = BlockLayout(m, n, b)
-        r = min(m, n)
-        piv = np.arange(r, dtype=np.int64)
-        for K, ws in enumerate(plan.workspaces):
-            k0 = K * b
-            bk = layout.panel_width(K)
-            piv[k0 : k0 + bk] = ws.piv[:bk] + k0
-        degraded = tuple(K for K, ws in enumerate(plan.workspaces) if ws.degraded)
-        recovered = tuple(K for K, ws in enumerate(plan.workspaces) if ws.recomputed)
-        return piv, degraded, recovered
+        return panel_verdicts(BlockLayout(*plan.A_buf.shape, params[0]), plan.workspaces)
 
     def _finish_solve(self, A, f, rhs, auto_refine, rtol, report):
         """Solve + residual monitoring, mirroring :func:`repro.linalg.solve`."""
@@ -681,19 +674,16 @@ class FactorizationService:
         m, n = shape
         layout = BlockLayout(m, n, b)
         max_ops, decision = self._fusion_for(op, shape, params)
-        arena = shm = None
+        arena = store = None
         if self.backend == "process":
             from repro.runtime.shm import SharedArena, ShmBinding
 
             arena = SharedArena()
             A_buf = arena.alloc((m, n))
-            shm = ShmBinding(arena, A_buf)
+            store = ShmBinding(arena, A_buf)
         else:
             A_buf = np.zeros((m, n))
-        # Note: the pivot-growth monitor keys off the buffer's build-time
-        # magnitude (zero here), so cached plans run without it; the
-        # fatal finiteness guards — and the final _guard_finite sweep —
-        # remain fully armed.  See docs/SERVICE.md.
+
         def compile_graph(program):
             graph = program.materialize()
             if max_ops > 1:
@@ -703,7 +693,7 @@ class FactorizationService:
             return graph
 
         if op == "lu":
-            program, workspaces = calu_program(layout, tr, tree, A=A_buf, shm=shm)
+            program, workspaces = calu_program(layout, tr, tree, A=A_buf, store=store)
             return _CompiledPlan(
                 key,
                 compile_graph(program),
@@ -712,7 +702,7 @@ class FactorizationService:
                 arena=arena,
                 decision=decision,
             )
-        program, stores = caqr_program(layout, tr, tree, A=A_buf, shm=shm)
+        program, stores = caqr_program(layout, tr, tree, A=A_buf, store=store)
         return _CompiledPlan(
             key, compile_graph(program), A_buf, stores=stores, arena=arena, decision=decision
         )

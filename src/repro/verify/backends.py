@@ -1,20 +1,22 @@
 """Threaded-vs-process backend equivalence pass.
 
-The :class:`~repro.runtime.process.ProcessExecutor` runs the same task
-graph as the :class:`~repro.runtime.threaded.ThreadedExecutor`, but the
-kernels execute in worker processes against a shared-memory arena and
-the results flow back through ``op_sync`` mirrors instead of closure
-side effects.  Because every task is a deterministic function of its
-DAG-ordered inputs, scheduling and process placement must not change a
-single bit of the output: this pass factors the same matrix through
-both backends and demands *bitwise* identical factors — CALU's packed
-LU and pivot sequence, CAQR's ``R``, packed trailing matrix and every
-implicit-Q ``V``/``T``/``Vb`` buffer in the panel stores.
+The :class:`~repro.runtime.process.ProcessExecutor` and the
+:class:`~repro.runtime.threaded.ThreadedExecutor` run the same task
+descriptors through the same :func:`~repro.runtime.ops.run_op` bodies;
+what differs is the *store*: matrix and workspace buffers on a
+shared-memory arena, attached by worker processes, versus plain heap
+arrays.  Because every task is a deterministic function of its
+DAG-ordered inputs, scheduling, process placement and the plane behind
+a spec must not change a single bit of the output: this pass factors
+the same matrix through both backends and demands *bitwise* identical
+factors — CALU's packed LU and pivot sequence, CAQR's ``R``, packed
+trailing matrix and every implicit-Q ``V``/``T``/``Vb`` buffer in the
+panel stores.
 
-Any difference means the shared-memory wiring diverged from the
-closure path (a descriptor slicing bug, a missed sync, a buffer
-aliasing error) and is reported as an ``error``-severity
-``backend-mismatch`` finding.
+Any difference means the store wiring is wrong (a spec that addresses
+the wrong bytes, a buffer allocated in one dtype and read in another,
+an aliasing error between arena allocations) and is reported as an
+``error``-severity ``backend-mismatch`` finding.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ def _compare(name: str, label: str, a: np.ndarray, b: np.ndarray) -> list[Findin
             graph=name,
             message=(
                 f"{label} differs between ThreadedExecutor and ProcessExecutor "
-                f"({detail}); the shared-memory op descriptors must reproduce "
-                "the closure path bitwise"
+                f"({detail}); a descriptor must compute the same bits over "
+                "shared-memory specs as over heap arrays"
             ),
         )
     ]

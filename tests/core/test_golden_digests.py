@@ -1,0 +1,96 @@
+"""Golden digests: the factors are bit-for-bit those of commit b673aad.
+
+``golden_digests.json`` holds CRC32s recorded at the commit *before* the
+builders were moved onto the single descriptor form (ISSUE 13): CALU's
+packed ``lu`` + ``piv`` and CAQR's ``packed`` + every ``PanelQRStore``
+array, for the ``benchmarks/e2e/workloads.py`` shapes and two ragged
+ones (``m < n``, ``min(m, n) % b != 0``), binary and flat trees, with
+and without fusion.  Every executor must reproduce them: a refactor of
+the task form, the store bindings or the ops may move no bit.
+
+``python tests/core/test_golden_digests.py`` re-records the file (only
+ever meaningful when an issue *intends* to change the arithmetic).
+"""
+
+from __future__ import annotations
+
+import json
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.calu import calu
+from repro.core.caqr import caqr
+from repro.core.trees import TreeKind
+from repro.machine.presets import generic
+from repro.runtime.process import ProcessExecutor
+from repro.runtime.simulated import SimulatedExecutor
+from repro.runtime.stealing import WorkStealingExecutor
+from repro.runtime.threaded import ThreadedExecutor
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+#: (m, n, b, tr): lu_tall/qr_tall, lu_square, svc_solve, then m < n and
+#: min(m, n) % b != 0.
+SHAPES = [(2560, 128, 32, 8), (256, 256, 16, 2), (320, 320, 64, 2), (48, 80, 16, 3), (100, 70, 16, 4)]
+TREES = [TreeKind.BINARY, TreeKind.FLAT]
+FUSE = [None, 8]
+CASES = [
+    (kind, *shape, tree, fuse)
+    for kind in ("lu", "qr")
+    for shape in SHAPES
+    for tree in TREES
+    for fuse in FUSE
+]
+
+
+def case_id(case) -> str:
+    kind, m, n, b, tr, tree, fuse = case
+    return f"{kind}-{m}x{n}b{b}tr{tr}-{tree.value}-fuse{fuse}"
+
+
+def _crc(arrays) -> int:
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
+    return crc
+
+
+def digest(case, executor) -> int:
+    kind, m, n, b, tr, tree, fuse = case
+    A = np.random.default_rng(20240613).standard_normal((m, n))
+    if kind == "lu":
+        f = calu(A, b=b, tr=tr, tree=tree, executor=executor, fuse=fuse)
+        return _crc([f.lu, f.piv])
+    f = caqr(A, b=b, tr=tr, tree=tree, executor=executor, fuse=fuse)
+    arrays = [f.packed]
+    for store in f.panels:
+        flat = store.to_arrays()
+        arrays += [flat[key] for key in sorted(flat)]
+    return _crc(arrays)
+
+
+@pytest.fixture(scope="module")
+def executors():
+    made = {
+        "threaded": ThreadedExecutor(2),
+        "stealing": WorkStealingExecutor(2),
+        "simulated": SimulatedExecutor(generic(2), execute=True),
+        "process": ProcessExecutor(2),
+    }
+    yield made
+    made["process"].close()
+
+
+@pytest.mark.parametrize("backend", ["threaded", "stealing", "simulated", "process"])
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_factors_match_parent_commit(case, backend, executors):
+    golden = json.loads(GOLDEN.read_text())
+    assert digest(case, executors[backend]) == golden[case_id(case)]
+
+
+if __name__ == "__main__":
+    ex = ThreadedExecutor(2)
+    GOLDEN.write_text(json.dumps({case_id(c): digest(c, ex) for c in CASES}, indent=1) + "\n")

@@ -1,0 +1,193 @@
+"""The op registry is the contract: one body, any store.
+
+Every numeric op in :data:`repro.runtime.ops.OPS` is run twice from the
+same starting state — in this process over a
+:class:`~repro.runtime.tilestore.HeapBinding`, and in a
+:class:`~repro.runtime.process.ProcessExecutor` worker over a
+:class:`~repro.runtime.shm.ShmBinding` — and must leave the matrix and
+every workspace buffer it touches ``array_equal``.  The case table is
+keyed by op name, so a new op cannot land without a case here.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.tslu import PanelWorkspace
+from repro.runtime import ops
+from repro.runtime.process import ProcessExecutor
+from repro.runtime.shm import SharedArena, ShmBinding
+from repro.runtime.tilestore import HeapBinding
+
+M, N, BK = 24, 12, 4  # a 24 x 12 matrix, panel columns [0, 4), two 12-row chunks
+
+
+def _workspace(store) -> PanelWorkspace:
+    ws = PanelWorkspace()
+    ws.allocate(store, store.A.dtype, [0, 1], BK, BK)
+    return ws
+
+
+def _leaf(store, ws, slot):
+    r0 = 12 * slot
+    payload = {
+        "a": store.a_spec,
+        "r0": r0,
+        "r1": r0 + 12,
+        "c0": 0,
+        "c1": BK,
+        "k0": 0,
+        "leaf_kernel": "rgetf2",
+        "slot": ws.slot_specs[slot],
+    }
+    return ("tslu_leaf", payload)
+
+
+def _merge(ws):
+    payload = {
+        "srcs": [ws.slot_specs[0], ws.slot_specs[1]],
+        "dst": ws.slot_specs[0],
+        "bk": BK,
+        "leaf_kernel": "rgetf2",
+        "flags": ws.flags_spec,
+    }
+    return ("tslu_merge", payload)
+
+
+def _finalize(store, ws):
+    payload = {
+        "a": store.a_spec,
+        "k0": 0,
+        "m": M,
+        "c0": 0,
+        "c1": BK,
+        "root": ws.slot_specs[0],
+        "flags": ws.flags_spec,
+        "piv": ws.piv_spec,
+        "leaves": [(0, 0, 12), (1, 12, 24)],
+        "merges": [(0, [0, 1])],
+        "leaf_kernel": "rgetf2",
+        "allow_recompute": True,
+    }
+    return ("tslu_finalize", payload)
+
+
+def _slot_buffers(ws, slot):
+    return list(ws.slots[slot])
+
+
+# Each case: store -> (ops to run first, in this process; the op under
+# test; the buffers it may write besides the matrix).
+
+
+def case_tslu_leaf(store):
+    ws = _workspace(store)
+    return [], _leaf(store, ws, 1), _slot_buffers(ws, 1)
+
+
+def case_tslu_merge(store):
+    ws = _workspace(store)
+    pre = [_leaf(store, ws, 0), _leaf(store, ws, 1)]
+    return pre, _merge(ws), _slot_buffers(ws, 0) + [ws.flags]
+
+
+def case_tslu_finalize(store):
+    ws = _workspace(store)
+    pre = [_leaf(store, ws, 0), _leaf(store, ws, 1), _merge(ws)]
+    return pre, _finalize(store, ws), [ws.flags, ws.piv_buf]
+
+
+def case_calu_l(store):
+    payload = {"a": store.a_spec, "k0": 0, "c0": 0, "c1": BK, "r0": 4, "r1": 24}
+    return [], ("calu_l", payload), []
+
+
+def case_calu_u(store):
+    piv, spec = store.alloc((BK + 1,), np.int64)
+    piv[:] = [BK, 7, 1, 20, 3]
+    payload = {"a": store.a_spec, "m": M, "k0": 0, "bk": BK, "c0": 0, "c1": BK, "j0": 4, "j1": 8, "piv": spec}
+    return [], ("calu_u", payload), [piv]
+
+
+def case_calu_s(store):
+    payload = {"a": store.a_spec, "k0": 0, "bk": BK, "c0": 0, "c1": BK, "r0": 4, "r1": 24, "j0": 4, "j1": 12}
+    return [], ("calu_s", payload), []
+
+
+def _qr_leaf(store, r0, r1):
+    v, v_spec = store.alloc((r1 - r0, BK), store.A.dtype)
+    t, t_spec = store.alloc((BK, BK), store.A.dtype)
+    payload = {"a": store.a_spec, "r0": r0, "r1": r1, "c0": 0, "c1": BK, "kernel": "geqr3", "v": v_spec, "t": t_spec}
+    return ("tsqr_leaf", payload), (v, t), (v_spec, t_spec)
+
+
+def _qr_merge(store):
+    vb, vb_spec = store.alloc((BK, BK), store.A.dtype)
+    t, t_spec = store.alloc((BK, BK), store.A.dtype)
+    payload = {"a": store.a_spec, "c0": 0, "c1": BK, "bk": BK, "pairs": [(0, 12, vb_spec, t_spec)]}
+    return ("tsqr_merge", payload), (vb, t), (vb_spec, t_spec)
+
+
+def case_tsqr_leaf(store):
+    op, bufs, _ = _qr_leaf(store, 0, 12)
+    return [], op, list(bufs)
+
+
+def case_tsqr_merge(store):
+    top, _, _ = _qr_leaf(store, 0, 12)
+    bot, _, _ = _qr_leaf(store, 12, 24)
+    op, bufs, _ = _qr_merge(store)
+    return [top, bot], op, list(bufs)
+
+
+def case_caqr_leaf_update(store):
+    leaf, bufs, (v_spec, t_spec) = _qr_leaf(store, 0, 12)
+    payload = {"a": store.a_spec, "r0": 0, "r1": 12, "j0": 4, "j1": 12, "v": v_spec, "t": t_spec}
+    return [leaf], ("caqr_leaf_update", payload), list(bufs)
+
+
+def case_caqr_merge_update(store):
+    top, _, _ = _qr_leaf(store, 0, 12)
+    bot, _, _ = _qr_leaf(store, 12, 24)
+    merge, bufs, (vb_spec, t_spec) = _qr_merge(store)
+    payload = {"a": store.a_spec, "j0": 4, "j1": 12, "bk": BK, "pairs": [(0, 12, vb_spec, t_spec)]}
+    return [top, bot, merge], ("caqr_merge_update", payload), list(bufs)
+
+
+CASES = {name[len("case_") :]: fn for name, fn in globals().items() if name.startswith("case_")}
+NUMERIC_OPS = sorted(set(ops.OPS) - {"fused", "noop"})
+
+
+@pytest.fixture(scope="module")
+def executor():
+    with ProcessExecutor(1) as ex:
+        yield ex
+
+
+@pytest.mark.parametrize("name", NUMERIC_OPS)
+def test_same_descriptor_same_bits_on_heap_and_in_a_worker(name, executor):
+    assert name in CASES, f"op {name!r} has no heap-vs-worker case in {__file__}"
+    A0 = np.random.default_rng(7).standard_normal((M, N))
+    arena = SharedArena()
+    try:
+        heap = HeapBinding(A0.copy())
+        shm = ShmBinding(arena, arena.place(A0))
+
+        pre, op, heap_bufs = CASES[name](heap)
+        for step in pre:
+            ops.run_op(step)
+        ops.run_op(op)
+
+        pre, op, shm_bufs = CASES[name](shm)
+        for step in pre:
+            ops.run_op(step)
+        before = [buf.copy() for buf in (shm.A, *shm_bufs)]
+        executor.pool.run(0, op)  # in the worker, over the arena
+
+        after = (shm.A, *shm_bufs)
+        assert any(not np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+        for got, want in zip(after, (heap.A, *heap_bufs), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    finally:
+        arena.destroy()

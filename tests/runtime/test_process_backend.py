@@ -8,9 +8,10 @@ Four layers, matching the subsystem's structure:
   worker-side exceptions propagate, a killed worker is detected,
   respawned and surfaced as a structured ``worker_death`` failure;
 * engine dispatch — ``meta["op"]`` tasks go to workers (their closures
-  are *not* called), descriptor-less tasks run inline, ``op_sync``
-  mirrors worker results into the parent, and an idempotent task whose
-  worker dies is retried by the usual :class:`RetryPolicy`;
+  are *not* called) and leave their results in the shared buffers the
+  parent reads, tasks without one — closure-only, or bound to the heap
+  — run inline, and an idempotent task whose worker dies is retried by
+  the usual :class:`RetryPolicy`;
 * end to end — CALU and CAQR through ``executor="process"`` produce
   **bitwise-identical** factors to the threaded backend on binary and
   flat reduction trees, and checkpoint/resume works across backends.
@@ -21,8 +22,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.calu import calu
+from repro.core.calu import calu, calu_program
 from repro.core.caqr import caqr
+from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
@@ -247,7 +249,6 @@ class TestEngineDispatch:
     def test_op_task_runs_in_worker_not_closure(self):
         arena = SharedArena()
         closure_ran = []
-        synced = []
         try:
             buf = arena.alloc(1)
             with ProcessExecutor(1) as ex:
@@ -255,11 +256,11 @@ class TestEngineDispatch:
                     _one_task_graph(
                         fn=lambda: closure_ran.append(1),
                         op=("test_write_pid", {"buf": arena.spec(buf)}),
-                        op_sync=lambda: synced.append(float(buf[0])),
                     )
                 )
             assert not closure_ran, "descriptor tasks must not run their closure"
-            assert synced and synced[0] > 0 and int(synced[0]) != os.getpid()
+            # The worker's result is in the shared buffer itself.
+            assert buf[0] > 0 and int(buf[0]) != os.getpid()
         finally:
             arena.destroy()
 
@@ -270,6 +271,21 @@ class TestEngineDispatch:
             assert ran == [os.getpid()]
             # No descriptors were dispatched, so no worker ever started.
             assert not ex.pool.started
+
+    def test_heap_bound_graph_runs_inline_and_ships_no_array(self):
+        # calu_program(A=<plain ndarray>) binds to the heap: its specs
+        # are the arrays themselves, so nothing may cross to a worker.
+        A = np.random.default_rng(3).standard_normal((96, 64))
+        ref = calu(A, b=16, tr=3)
+        work = A.copy()
+        program, workspaces = calu_program(BlockLayout(96, 64, 16), 3, A=work)
+        with ProcessExecutor(2) as ex:
+            ex.run(program)
+            assert not ex.pool.started
+        assert all("op" not in t.meta for t in program.graph.tasks)
+        assert np.array_equal(work, ref.lu)
+        piv = np.concatenate([ws.piv + 16 * K for K, ws in enumerate(workspaces)])
+        assert np.array_equal(piv, ref.piv)
 
     def test_worker_death_retried_for_idempotent_task(self):
         arena = SharedArena()

@@ -88,3 +88,16 @@ def test_alloc_after_destroy_raises(arena):
     arena.destroy()
     with pytest.raises(ValueError, match="destroyed"):
         arena.alloc((4,))
+
+
+def test_owner_resolves_its_specs_through_its_own_mapping(arena):
+    # Parent-only tasks (ABFT updates, a service's threaded fallback) run
+    # descriptors over arena specs in the owning process: that must hit
+    # the arena's own mapping, not open the segment a second time.
+    from repro.runtime import shm
+
+    x = arena.alloc((6, 4))
+    name = arena.spec(x)[0]
+    assert np.shares_memory(attach_array(arena.spec(x)), x)
+    arena.destroy()
+    assert name not in shm._ATTACHED

@@ -9,6 +9,7 @@ from repro.counters import counting
 from repro.runtime.shm import SharedArena
 from repro.runtime.tilestore import (
     ArenaTileStore,
+    HeapBinding,
     MmapTileStore,
     TileStore,
     attach_array,
@@ -90,6 +91,48 @@ def test_attach_array_resolves_both_backends(store):
     # (shared plane, not a private copy).
     view[0, 0] = 99.0
     assert store.load(TileStore.sub(spec, 0, 1))[0, 0] == 99.0
+
+
+@pytest.fixture(params=["shm", "mmap", "heap"])
+def alloc(request):
+    """``alloc(shape) -> (view, spec)`` on each plane a descriptor may address."""
+    if request.param == "heap":
+        yield HeapBinding().alloc
+        return
+    s, _ = open_store(request.param)
+
+    def alloc(shape):
+        view = s.alloc(shape)
+        return view, s.spec(view)
+
+    yield alloc
+    s.destroy()
+
+
+def test_alloc_spec_roundtrips_through_attach_array(alloc):
+    # The workspace path: a binding's alloc() hands back (view, spec);
+    # attach_array must resolve shm names, absolute spill-file paths and
+    # in-heap arrays (which are their own spec) to that same buffer.
+    view, spec = alloc((9, 3))
+    np.testing.assert_array_equal(view, np.zeros((9, 3)))  # the workspace contract
+    vals = np.arange(27, dtype=np.float64).reshape(9, 3)
+    view[...] = vals
+    attached = attach_array(spec)
+    np.testing.assert_array_equal(attached, vals)
+    # Writes through the attached view land in the allocated buffer
+    # (shared plane, not a private copy).
+    attached[0, 0] = 99.0
+    assert view[0, 0] == 99.0
+
+
+def test_heap_spec_is_the_array_and_is_not_shared():
+    A = np.ones((4, 4))
+    heap = HeapBinding(A)
+    assert heap.a_spec is A and attach_array(A) is A
+    view, spec = heap.alloc((3,), np.int64)
+    assert spec is view and view.dtype == np.int64
+    assert heap.detach(view) is view
+    assert not heap.shared
 
 
 def test_mmap_spec_of_view_walks_to_root():

@@ -134,6 +134,112 @@ class TestPlanCache:
         assert stats["builds"] == 4
 
 
+BACKENDS = ["threaded", pytest.param("process", marks=fork_only)]
+
+
+class TestCachedPlanState:
+    """A cached plan owes each request a clean slate and armed guards.
+
+    The per-panel state (candidate counts, ``[degraded, recomputed]``
+    flags, pivots) lives in store buffers only, and
+    ``_CompiledPlan.load`` resets it there — the same place on both
+    backends.  Both regressions below fail on the parent commit.
+    """
+
+    PARAMS = (16, 3, TreeKind.BINARY)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_clean_run_after_corrupted_run_on_one_plan(self, backend):
+        from repro.runtime.engine import CentralFrontier, ExecutionEngine
+
+        A = make_rng(21).standard_normal((96, 96))
+        ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
+        with FactorizationService(ServiceConfig(cores=2, backend=backend)) as svc:
+            plan = svc._build_plan(None, "lu", A.shape, self.PARAMS)
+            pool = svc._executor.pool if backend == "process" else None
+
+            def run(fault_plan):
+                plan.load(A)
+                engine = ExecutionEngine(
+                    n_workers=2,
+                    frontier=CentralFrontier("priority"),
+                    fault_plan=fault_plan,
+                    process_pool=pool,
+                )
+                trace = engine.run(plan.graph)
+                return trace, svc._assemble_piv(plan, self.PARAMS)
+
+            try:
+                faulty = FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)
+                trace1, (piv1, degraded1, recovered1) = run(faulty)
+                assert [e.kind for e in trace1.events].count("recompute") == 1
+                assert (degraded1, recovered1) == ((), (0,))
+                assert np.array_equal(piv1, ref.piv)
+
+                trace2, (piv2, degraded2, recovered2) = run(None)
+                assert not {"recompute", "degraded"} & {e.kind for e in trace2.events}
+                assert (degraded2, recovered2) == ((), ())
+                assert np.array_equal(piv2, ref.piv)
+                assert np.array_equal(plan.A_buf, ref.lu)
+            finally:
+                plan.destroy()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_degradation_does_not_outlive_its_request(self, backend, monkeypatch):
+        import functools
+
+        from repro.service import service as service_module
+
+        # Recompute disabled: a corrupted tournament degrades to partial
+        # pivoting.  A stale flag would silently degrade every later
+        # request served by the same cached plan.
+        monkeypatch.setattr(
+            service_module,
+            "calu_program",
+            functools.partial(service_module.calu_program, recompute=False),
+        )
+        A = make_rng(22).standard_normal((96, 96))
+        ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
+        plans = iter([FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)])
+        cfg = ServiceConfig(
+            cores=2, backend=backend, fault_plan_factory=lambda: next(plans, None)
+        )
+        with FactorizationService(cfg) as svc:
+            b, tr, tree = self.PARAMS
+            first = svc.factor(A, b=b, tr=tr, tree=tree)
+            assert first.degraded_panels == (0,)
+            for _ in range(2):
+                later = svc.factor(A, b=b, tr=tr, tree=tree)
+                assert later.degraded_panels == () and later.recovered_panels == ()
+                assert "degraded" not in {e.kind for e in later.trace.events}
+                assert np.array_equal(later.piv, ref.piv)
+                assert np.array_equal(later.lu, ref.lu)
+            assert svc.stats()["plans"]["builds"] == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_growth_monitor_is_armed_on_every_request_of_a_plan(self, backend):
+        # A Wilkinson-type matrix: partial (and tournament) pivoting
+        # never swaps, and the last column doubles every step —
+        # growth 2^(n-1), far above DEFAULT_GROWTH_LIMIT.
+        n = 40
+        W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        W[:, -1] = 1.0
+        direct = calu(W, b=8, tr=2, tree=TreeKind.BINARY)
+        assert any("pivot growth" in e.detail for e in direct.trace.events)
+        with FactorizationService(ServiceConfig(cores=2, backend=backend)) as svc:
+            for _ in range(3):
+                f = svc.factor(W, b=8, tr=2, tree=TreeKind.BINARY)
+                growth = [e for e in f.trace.events if "pivot growth" in e.detail]
+                assert growth and growth[0].kind == "health" and not growth[0].fatal
+                assert growth[0].value > 1e8
+                assert np.array_equal(f.lu, direct.lu)
+            # ... and a benign matrix on the same plan raises no alarm:
+            # the limit is measured against *this* request's magnitude.
+            calm = svc.factor(make_rng(23).standard_normal((n, n)), b=8, tr=2, tree=TreeKind.BINARY)
+            assert not [e for e in calm.trace.events if e.kind == "health"]
+            assert svc.stats()["plans"]["builds"] == 1
+
+
 class TestConcurrency:
     def test_concurrent_clients_all_correct(self):
         rng = make_rng(9)
