@@ -5,10 +5,12 @@ plane with a 40 MiB fast-memory budget — a 12.8x out-of-core ratio —
 and checks the measured store traffic against the closed forms in
 :mod:`repro.analysis.io_model`:
 
-* **tsqr / tslu streaming**: total words moved (staging write + leaf
-  reads + factored write-backs) must land within ``[0.5, 2]x`` of
-  ``panel_io_ca_flat``.  Asserted unconditionally — it is a property
-  of the streaming schedule, not of the host.
+* **tsqr / tslu streaming**: factor-phase words moved (leaf reads +
+  factored write-backs; the staging write that puts the panel in slow
+  memory is reported in its own column — the models price a panel that
+  is already there) must land within 5 % of ``panel_io_tsqr_flat``
+  resp. the two-phase ``panel_io_ca_flat``.  Asserted unconditionally
+  — it is a property of the streaming schedule, not of the host.
 * **direct TSQR**: the R-only pass touches no store at all (the
   read-once floor); with ``want_q`` the measured traffic is compared
   against ``panel_io_direct_tsqr(want_q=True)``.
@@ -83,16 +85,20 @@ def _maxrss_bytes() -> int:
 def _traffic_row(name, kind, wall_s, ctr, n_chunks, staged_bytes, extra_words=0):
     """Pair measured store traffic with its io_model closed form.
 
+    The comparison is on factor-phase traffic: *staged_bytes* (the
+    write that first puts the panel in the store) is subtracted, since
+    every closed form prices a panel already in slow memory.
     ``extra_words`` accounts for source reads that bypass the store
     (the generator hands blocks straight to the staging/leaf kernels),
     so direct TSQR's read-once floor is represented honestly.
     """
-    measured_words = (ctr.store_read_bytes + ctr.store_write_bytes) // 8 + extra_words
+    store_bytes = ctr.store_read_bytes + ctr.store_write_bytes
+    measured_words = (store_bytes - staged_bytes) // 8 + extra_words
     predicted = predicted_panel_io(kind, M, N, BUDGET // 8)
     ratio = measured_words / predicted
-    assert 0.5 <= ratio <= 2.0, (
-        f"{name}: measured/predicted store traffic = {ratio:.3f}, "
-        f"outside the [0.5, 2] acceptance band"
+    assert 0.95 <= ratio <= 1.05, (
+        f"{name}: measured/predicted factor-phase traffic = {ratio:.4f}, "
+        f"not within 5% of the {kind!r} closed form"
     )
     return {
         "case": name,
@@ -121,7 +127,7 @@ def _run_tsqr(G):
         assert np.allclose(RtR, G, rtol=1e-6, atol=1e-6 * np.abs(G).max()), (
             "tsqr_ooc: R fails the Gram identity R'R = A'A"
         )
-        row = _traffic_row("tsqr_ooc", "ca_flat", wall, c, len(f.chunks), PANEL_BYTES)
+        row = _traffic_row("tsqr_ooc", "tsqr_flat", wall, c, len(f.chunks), PANEL_BYTES)
     finally:
         f.destroy()
     return row
@@ -229,15 +235,16 @@ def test_outofcore_report(save_result):
         f"{BUDGET / (1 << 20):.0f} MiB budget ({PANEL_BYTES / BUDGET:.1f}x out of core, "
         f"{N_WORKERS} workers, mmap store)",
         f"{'case':<16}{'wall s':>8}{'chunks':>8}{'read MiB':>10}{'write MiB':>10}"
-        f"{'meas Mw':>9}{'pred Mw':>9}{'ratio':>7}{'rss MiB':>9}",
+        f"{'stage MiB':>10}{'meas Mw':>9}{'pred Mw':>9}{'ratio':>8}{'rss MiB':>9}",
     ]
     for r in rows:
         lines.append(
             f"{r['case']:<16}{r['wall_s']:>8.2f}{r['n_chunks']:>8}"
             f"{r['store_read_bytes'] / (1 << 20):>10.1f}"
             f"{r['store_write_bytes'] / (1 << 20):>10.1f}"
+            f"{r['staging_write_bytes'] / (1 << 20):>10.1f}"
             f"{r['measured_words'] / 1e6:>9.1f}{r['predicted_words'] / 1e6:>9.1f}"
-            f"{r['measured_over_predicted']:>7.2f}"
+            f"{r['measured_over_predicted']:>8.4f}"
             f"{r['ru_maxrss_bytes'] / (1 << 20):>9.0f}"
         )
     lines.append(

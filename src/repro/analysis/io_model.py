@@ -8,10 +8,15 @@ memory of ``W`` words and slow memory) for the panel strategies:
 
 * classic partial pivoting re-touches the trailing panel on every
   column — ``~m b² / 2`` words once the panel exceeds the fast memory;
-* TSLU/TSQR with a flat tree streams the panel once per phase
-  (tournament + factor) plus ``O(b²)`` per merge — ``~2 m b`` words.
+* TSLU/TSQR with a flat tree streams the panel once per phase plus
+  ``O(b²)`` per leaf — ``~3 m b`` words for TSLU's two phases
+  (tournament + factor), ``~2 m b`` for TSQR's single one.
 
-The ``b/4``-fold separation mirrors the parallel ``O(b)`` message
+These count traffic of a panel that already *is* in slow memory:
+writing it there in the first place (the out-of-core drivers' staging
+pass) is not part of any of them.
+
+The ``~b/6``-fold separation mirrors the parallel ``O(b)`` message
 separation of :mod:`repro.analysis.communication`.
 """
 
@@ -22,6 +27,7 @@ import math
 __all__ = [
     "panel_io_classic",
     "panel_io_ca_flat",
+    "panel_io_tsqr_flat",
     "panel_io_direct_tsqr",
     "predicted_panel_io",
     "lu_io_lower_bound",
@@ -44,21 +50,44 @@ def panel_io_classic(m: int, b: int, fast_words: int) -> float:
     return float(reads) + m * b  # one final write-back of the factors
 
 
-def panel_io_ca_flat(m: int, b: int, fast_words: int) -> float:
-    """Slow-memory words for a flat-tree TSLU/TSQR panel of size ``m x b``.
+def _flat_leaves(m: int, b: int, fast_words: int) -> int:
+    """Leaf count of a sequential flat-tree panel: leaves are whole
+    ``b``-row blocks a third of fast memory tall — one loaded leaf, the
+    resident root/pivot block and one staging buffer, the residency
+    :func:`repro.core.outofcore.plan_chunks` budgets for one worker."""
+    block_rows = b * max(1, fast_words // (3 * b * b))
+    return math.ceil(m / block_rows)
 
-    Leaf blocks are sized to fit fast memory, so the tournament streams
-    the panel once (each block read once, candidates ``b x b`` written
-    per leaf), the winner block is factored in cache, and the final
-    panel factorization streams the panel once more.
+
+def panel_io_ca_flat(m: int, b: int, fast_words: int) -> float:
+    """Slow-memory words for a flat-tree TSLU panel of size ``m x b``.
+
+    The two-phase form: the tournament streams the panel once (each
+    leaf block read once) and the final panel factorization streams it
+    once more (read + write against the pivot block), plus one
+    ``b x b`` block per leaf — the candidates a leaf would spill, or,
+    as :func:`repro.core.outofcore.tslu_ooc` does it (candidates stay
+    in fast memory), the pivot block each leaf's ``L`` solve re-reads.
+    Flat-tree TSQR has a single phase: :func:`panel_io_tsqr_flat`.
     """
     if m * b <= fast_words:
         return 2.0 * m * b
-    block_rows = max(b, fast_words // (2 * b))
-    n_leaves = math.ceil(m / block_rows)
-    tournament = m * b + n_leaves * b * b  # read blocks, write candidates
+    tournament = m * b + _flat_leaves(m, b, fast_words) * b * b
     factor = 2.0 * m * b  # read + write the panel against the pivot block
     return tournament + factor
+
+
+def panel_io_tsqr_flat(m: int, b: int, fast_words: int) -> float:
+    """Slow-memory words for a flat-tree TSQR panel of size ``m x b``.
+
+    One phase: every leaf block is read, QR-factored and written back
+    (``2 m b``), and the merge re-reads and re-writes each leaf's
+    ``b x b`` ``R`` block as it folds it into the root
+    (``2 n_leaves b²``).
+    """
+    if m * b <= fast_words:
+        return 2.0 * m * b
+    return 2.0 * m * b + 2.0 * _flat_leaves(m, b, fast_words) * b * b
 
 
 def panel_io_direct_tsqr(m: int, b: int, fast_words: int, want_q: bool = False) -> float:
@@ -81,13 +110,15 @@ def predicted_panel_io(kind: str, m: int, b: int, fast_words: int) -> float:
     """Dispatch a panel-traffic prediction by strategy name.
 
     ``kind`` is ``"classic"``, ``"ca_flat"`` (streaming flat-tree
-    TSLU/TSQR), ``"direct_tsqr"`` or ``"direct_tsqr_q"``.  This is the
+    TSLU), ``"tsqr_flat"`` (streaming flat-tree TSQR),
+    ``"direct_tsqr"`` or ``"direct_tsqr_q"``.  This is the
     lookup the out-of-core benchmark uses to pair each measured
     byte count with its closed form.
     """
     table = {
         "classic": lambda: panel_io_classic(m, b, fast_words),
         "ca_flat": lambda: panel_io_ca_flat(m, b, fast_words),
+        "tsqr_flat": lambda: panel_io_tsqr_flat(m, b, fast_words),
         "direct_tsqr": lambda: panel_io_direct_tsqr(m, b, fast_words),
         "direct_tsqr_q": lambda: panel_io_direct_tsqr(m, b, fast_words, want_q=True),
     }
@@ -126,6 +157,6 @@ def lu_io_lower_bound(m: int, n: int, fast_words: int) -> float:
 
 
 def panel_io_reduction_factor(m: int, b: int, fast_words: int) -> float:
-    """Traffic ratio classic/CA for one panel (``~ b/4`` when streaming)."""
+    """Traffic ratio classic/CA for one panel (``~ b/6`` when streaming)."""
     ca = panel_io_ca_flat(m, b, fast_words)
     return panel_io_classic(m, b, fast_words) / ca if ca else float("inf")

@@ -7,26 +7,31 @@ tree moves the I/O-optimal number of words between fast and slow memory
 spill plane, bigger than RAM), and the drivers stream it through fast
 memory one leaf block at a time.
 
-Three entry points:
+:func:`tsqr_ooc` and :func:`tslu_ooc` are not second implementations:
+they stage the panel into the store, bind it as a
+:class:`~repro.runtime.tilestore.StreamedBinding` and run the in-memory
+drivers' own :func:`~repro.core.tsqr.tsqr_program` /
+:func:`~repro.core.tslu.tslu_program` over it.  Every task loads the
+rows it slices and writes back the block it updated, so what is resident
+is one window per running task plus the ``O(tr · b²)`` workspace
+(candidates, ``T`` factors), never the panel.
 
 :func:`tsqr_ooc`
-    Flat-tree TSQR with implicit ``Q``.  Each leaf block is loaded,
-    QR-factored (``dgeqr3``) and written back; the running ``R`` stays
-    resident and absorbs each leaf's ``R`` through a structured
-    ``[R; R_i]`` merge (``tpqrt``), exactly the kernel sequence of the
-    in-memory flat tree — so on sizes both paths can run, the factored
-    panels are bitwise identical (``tests/core/test_outofcore.py``).
-    Traffic: read ``m·b`` + write ``m·b`` words, once each.
+    Flat-tree TSQR with implicit ``Q``: each leaf block is loaded,
+    QR-factored and written back; the merge task loads the root ``R``
+    once, folds each leaf's ``R`` block into it (``tpqrt``) and writes
+    both back.  The leaf reflectors stay packed in the stored panel.
+    Traffic: ``2·m·b + 2·n_leaves·b²`` words
+    (:func:`repro.analysis.io_model.panel_io_tsqr_flat`).
 
 :func:`tslu_ooc`
-    Tournament-pivoting TSLU.  Pass 1 streams the blocks read-only to
-    elect candidate rows (the tournament's leaves; candidates are tiny
-    and stay in RAM through the reduction).  The finalize swaps the
-    winners to the top with windowed row transfers replicating
-    ``laswp``'s exact swap sequence, factors the pivot block, and a
-    final streaming pass applies the ``L`` triangular solves.
-    Traffic: ``≈ 3·m·b`` words — the :func:`repro.analysis.io_model.
-    panel_io_ca_flat` prediction the out-of-core benchmark gates on.
+    Tournament-pivoting TSLU.  The leaves stream the blocks read-only
+    to elect candidate rows (candidates are tiny and stay in RAM through
+    the reduction); the finalize gathers the at most ``2b`` rows its
+    swaps touch, factors the pivot block and scatters them back; a final
+    streaming pass applies the ``L`` triangular solves.
+    Traffic: ``≈ 3·m·b`` words — the two-phase
+    :func:`repro.analysis.io_model.panel_io_ca_flat` prediction.
 
 :func:`direct_tsqr`
     The single-pass "Direct TSQR" variant (Benson, Gleich & Demmel):
@@ -34,7 +39,8 @@ Three entry points:
     factors, optional explicit ``Q`` reconstruction.  With ``want_q=
     False`` the panel is consumed *once* from its source and nothing is
     written back — the read-once regime for when only ``R`` (or a
-    least-squares solve) is needed.
+    least-squares solve) is needed.  The one genuinely different
+    algorithm here, and the only code in this module that calls kernels.
 
 Sources are an in-RAM array or a ``(shape, fill)`` generator pair
 (``fill(r0, r1)`` returns rows ``[r0, r1)``), so panels larger than RAM
@@ -43,40 +49,31 @@ never exist as one array.  All streaming transfers go through
 lands in the global ``store_read_bytes``/``store_write_bytes`` counters
 that ``benchmarks/bench_outofcore.py`` compares against the I/O model.
 
-Degradation ladder: the in-memory TSLU can repair or degrade a
-corrupted tournament by re-reading the whole panel; out of core that
-re-read is the dominant cost, so a corrupted tournament raises instead
-(:class:`RuntimeError`) — rerun the panel.
+Degradation ladder: the finalize task is the in-memory one, so a
+corrupted tournament is *replayed* from the stored panel (rung 1: one
+extra streamed read of the panel, pivots and factors bitwise those of a
+fault-free run, reported as :attr:`OOCPanelLU.recovered`).  Rung 2 —
+partial pivoting on a copy of the whole panel — is the one step with no
+streamed form: the panel refuses a window that tall, and the run fails
+with a :class:`RuntimeError` saying the tournament was corrupted.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.analysis.flops import (
-    lu_flops,
-    lu_panel_flops,
-    qr_flops,
-    tpqrt_tt_flops,
-    trsm_right_flops,
-)
 from repro.core.layout import BlockLayout, Chunk
-from repro.core.trees import TreeKind, reduction_schedule
-from repro.core.tslu import PanelWorkspace
-from repro.kernels.blas import trsm_runn
-from repro.kernels.lu import getf2_nopiv, perm_from_piv_rows
-from repro.kernels.qr import extract_v, geqr2, geqr3, larfb_left_t, larft
-from repro.kernels.structured import tpmqrt_left_t, tpqrt
-from repro.runtime.graph import BlockTracker, TaskGraph
-from repro.runtime.ops import op_task, run_op
-from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
+from repro.core.trees import TreeKind
+from repro.core.tslu import tslu_program
+from repro.core.tsqr import TSQRFactorization, tsqr_program
+from repro.kernels.qr import extract_v, geqr3
 from repro.runtime.threaded import ThreadedExecutor
-from repro.runtime.tilestore import HeapBinding, TileStore, open_store
+from repro.runtime.tilestore import StreamedBinding, TileStore, open_store
 
 __all__ = [
     "MatrixSource",
@@ -128,6 +125,19 @@ def as_source(source) -> MatrixSource:
     return MatrixSource(shape=A.shape, fill=lambda r0, r1: A[r0:r1])
 
 
+def _plan_tr(m: int, n: int, tr: int | None, memory_budget: int | None, n_workers: int) -> int:
+    """The ``tr`` to hand the in-memory program: the caller's, or the
+    one whose chunk height keeps the resident set — one loaded block
+    per worker, the resident root/top block and one staging buffer —
+    under *memory_budget* bytes."""
+    if tr is not None:
+        return tr
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else int(memory_budget)
+    block_row_bytes = n * n * np.dtype(np.float64).itemsize
+    per = max(1, budget // ((n_workers + 2) * block_row_bytes))  # block-rows per chunk
+    return max(1, math.ceil(BlockLayout(m, n, b=n).M / per))
+
+
 def plan_chunks(
     m: int,
     n: int,
@@ -139,26 +149,18 @@ def plan_chunks(
 ) -> list[Chunk]:
     """Row-chunk a panel so streaming fits a fast-memory budget.
 
-    With *tr* the chunking is exactly the in-memory drivers' (this is
-    how the parity tests pin both paths to identical blocks).  With
-    *memory_budget* (bytes) the chunk height is chosen so the resident
-    set — one loaded block per worker, the resident root/top block and
-    one staging buffer — stays under budget.  ``merge_tail`` applies
+    With *tr* the chunking is exactly the in-memory drivers'; with
+    *memory_budget* (bytes) *tr* is derived first (:func:`_plan_tr`).
+    The partition itself is the drivers' own: ``merge_tail`` applies
     the tail-merge policy TSQR shares with CALU
     (:func:`repro.core.calu.merged_chunks`); TSLU uses the plain
-    partition, matching :meth:`BlockLayout.panel_chunks`.
+    :meth:`BlockLayout.panel_chunks`.
     """
     from repro.core.calu import merged_chunks  # shared chunk policy
 
     layout = BlockLayout(m, n, b=n)
-    if tr is None:
-        budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else int(memory_budget)
-        resident = n_workers + 2
-        block_row_bytes = n * n * np.dtype(np.float64).itemsize
-        per = max(1, budget // (resident * block_row_bytes))  # block-rows per chunk
-        tr = max(1, math.ceil(layout.M / per))
-    chunks = merged_chunks(layout, 0, tr) if merge_tail else layout.panel_chunks(0, tr)
-    return chunks
+    tr = _plan_tr(m, n, tr, memory_budget, n_workers)
+    return merged_chunks(layout, 0, tr) if merge_tail else layout.panel_chunks(0, tr)
 
 
 def _stage_panel(
@@ -188,225 +190,76 @@ def _resolve_store(store, spill_dir):
     return open_store(store, **kwargs)
 
 
-# ---------------------------------------------------------------------------
-# Out-of-core TSQR (flat tree, implicit Q)
-# ---------------------------------------------------------------------------
+@dataclass(kw_only=True)
+class StoreHandle:
+    """Handle on a factored panel that lives in a tile store.
 
-
-class _OOCQRState:
-    """Resident state of one streaming TSQR run."""
-
-    def __init__(self) -> None:
-        self.Rtop: np.ndarray | None = None  # running n x n R factor
-        self.leaf_T: dict[int, np.ndarray] = {}
-        self.merge_T: list[np.ndarray] = []
-
-
-def tsqr_ooc_program(
-    store: TileStore,
-    a_spec: tuple,
-    chunks: list[Chunk],
-    *,
-    leaf_kernel: str = "geqr3",
-) -> tuple[GraphProgram, _OOCQRState]:
-    """Streaming program for one out-of-core flat-tree TSQR panel.
-
-    Window *i* holds leaf *i* (load block, QR, write back) and, for
-    ``i >= 1``, the merge folding its ``R`` into the resident root; a
-    final epilogue window writes the root ``R`` back.  With the
-    program's look-ahead of 1 at most three leaf blocks are in flight,
-    so fast memory stays bounded by the planner's resident-set model.
-    The merges replay the in-memory flat tree's ``tpqrt`` calls in the
-    same order on the same values, which is what makes the two paths
-    bitwise identical.
-    """
-    _, _, (m, n), _ = a_spec
-    bk = n
-    state = _OOCQRState()
-    sub = TileStore.sub
-
-    def _leaf_fn(chunk: Chunk):
-        def fn() -> None:
-            spec = sub(a_spec, chunk.r0, chunk.r1)
-            W = store.load(spec)
-            if leaf_kernel == "geqr3":
-                T = geqr3(W)
-            else:
-                tau = geqr2(W)
-                T = larft(extract_v(W), tau)
-            state.leaf_T[chunk.index] = T
-            store.store(spec, W)
-
-        return fn
-
-    def _merge_fn_qr(src: Chunk):
-        def fn() -> None:
-            if state.Rtop is None:
-                state.Rtop = store.load(sub(a_spec, chunks[0].r0, chunks[0].r0 + bk))
-            spec = sub(a_spec, src.r0, src.r0 + bk)
-            B = store.load(spec)
-            T = tpqrt(state.Rtop, B, bottom_triangular=True)
-            state.merge_T.append(T)
-            store.store(spec, B)
-
-        return fn
-
-    def _flush_fn():
-        def fn() -> None:
-            if state.Rtop is None:  # single chunk: no merges ran
-                state.Rtop = store.load(sub(a_spec, chunks[0].r0, chunks[0].r0 + bk))
-            else:
-                store.store(sub(a_spec, chunks[0].r0, chunks[0].r0 + bk), state.Rtop)
-
-        return fn
-
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        if window == len(chunks):
-            tracker.add_task(
-                graph,
-                "flushR",
-                TaskKind.P,
-                Cost("store_flush", m=bk, n=bk, flops=0, words=1.0 * bk * bk),
-                fn=_flush_fn(),
-                reads=[("oocroot",)],
-                writes=[("oocroot",), ("oocblk", chunks[0].index)],
-            )
-            return
-        chunk = chunks[window]
-        tracker.add_task(
-            graph,
-            f"P[0]leaf{chunk.index}",
-            TaskKind.P,
-            Cost(
-                leaf_kernel,
-                m=chunk.rows,
-                n=bk,
-                flops=qr_flops(chunk.rows, bk),
-                words=2.0 * chunk.rows * bk,
-            ),
-            fn=_leaf_fn(chunk),
-            reads=[("oocblk", chunk.index)],
-            writes=[("oocblk", chunk.index)],
-        )
-        if window >= 1:
-            # RAW on both touched blocks, WAW on the root chains the
-            # merges in leaf order — the in-memory flat merge's loop
-            # order, load-bearing for bitwise parity.
-            tracker.add_task(
-                graph,
-                f"P[0]merge0<{chunk.index}",
-                TaskKind.P,
-                Cost(
-                    "tpqrt_tt",
-                    m=2 * bk,
-                    n=bk,
-                    k=bk,
-                    flops=tpqrt_tt_flops(bk),
-                    words=3.0 * bk * bk,
-                ),
-                fn=_merge_fn_qr(chunk),
-                reads=[("oocblk", chunks[0].index), ("oocblk", chunk.index)],
-                writes=[("oocroot",), ("oocblk", chunk.index)],
-            )
-
-    program = GraphProgram(f"tsqr_ooc{m}x{n}", len(chunks) + 1, emit, lookahead=1)
-    return program, state
-
-
-@dataclass
-class OOCTSQRFactorization:
-    """Result of :func:`tsqr_ooc`: ``A = Q R`` with ``Q`` implicit *in
-    the store* (the factored panel holds the leaf reflectors; merge
-    ``V_b`` factors are the written-back block tops).
-
-    Duck-compatible with :class:`~repro.core.tsqr.TSQRFactorization`
-    (``R``, ``apply_qt``, ``apply_q``, ``q_explicit``, ``solve_ls``) —
-    the applies stream the reflector blocks back in on demand, so the
-    vectors being transformed are the only full-height arrays in RAM.
+    The caller owns it: ``destroy()`` (or leaving the ``with`` block)
+    tears down *tiles* when this run created it.
     """
 
-    m: int
-    n: int
-    store: TileStore
+    tiles: TileStore
     a_spec: tuple
     chunks: list[Chunk]
-    leaf_T: dict[int, np.ndarray]
-    merge_T: list[np.ndarray]
-    R: np.ndarray
-    tr: int
-    tree: TreeKind = TreeKind.FLAT
     owns_store: bool = True
-
-    def _leaf_V(self, chunk: Chunk) -> np.ndarray:
-        return extract_v(self.store.load(TileStore.sub(self.a_spec, chunk.r0, chunk.r1)))
-
-    def _merge_Vb(self, src: Chunk) -> np.ndarray:
-        return np.triu(self.store.load(TileStore.sub(self.a_spec, src.r0, src.r0 + self.n)))
-
-    def apply_qt(self, C: np.ndarray) -> np.ndarray:
-        """Return ``Q^T C`` (``C`` is ``(m, p)`` or ``(m,)``)."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        for chunk in self.chunks:
-            larfb_left_t(self._leaf_V(chunk), self.leaf_T[chunk.index], W[chunk.r0 : chunk.r1])
-        top0, bk = self.chunks[0].r0, self.n
-        for src, T in zip(self.chunks[1:], self.merge_T, strict=True):
-            tpmqrt_left_t(
-                self._merge_Vb(src), T, W[top0 : top0 + bk], W[src.r0 : src.r0 + bk]
-            )
-        return W[:, 0] if squeeze else W
-
-    def apply_q(self, C: np.ndarray) -> np.ndarray:
-        """Return ``Q C`` (``C`` is ``(m, p)`` or ``(m,)``)."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        top0, bk = self.chunks[0].r0, self.n
-        for src, T in zip(
-            reversed(self.chunks[1:]), reversed(self.merge_T), strict=True
-        ):
-            tpmqrt_left_t(
-                self._merge_Vb(src),
-                T,
-                W[top0 : top0 + bk],
-                W[src.r0 : src.r0 + bk],
-                transpose=False,
-            )
-        for chunk in self.chunks:
-            V, T = self._leaf_V(chunk), self.leaf_T[chunk.index]
-            Cv = W[chunk.r0 : chunk.r1]
-            Wk = T @ (V.T @ Cv)
-            Cv -= V @ Wk
-        return W[:, 0] if squeeze else W
-
-    def q_explicit(self) -> np.ndarray:
-        """The thin ``Q`` (``m x n``) — materializes in RAM; small panels only."""
-        E = np.zeros((self.m, self.n))
-        np.fill_diagonal(E, 1.0)
-        return self.apply_q(E)
-
-    def solve_ls(self, rhs: np.ndarray) -> np.ndarray:
-        """Least-squares solution of ``min ||A x - rhs||`` via ``Q R``."""
-        import scipy.linalg
-
-        y = self.apply_qt(rhs)
-        return scipy.linalg.solve_triangular(self.R, y[: self.n])
 
     def panel(self) -> np.ndarray:
         """The factored panel, materialized in RAM (tests; small panels)."""
-        return self.store.load(self.a_spec)
+        return self.tiles.load(self.a_spec)
 
     def destroy(self) -> None:
-        """Tear down the store if this factorization owns it."""
+        """Tear down the store if this result owns it."""
         if self.owns_store:
-            self.store.destroy()
+            self.tiles.destroy()
 
-    def __enter__(self) -> "OOCTSQRFactorization":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
         self.destroy()
+
+
+@contextmanager
+def _streamed(
+    name, merge_tail, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
+):
+    """Stage *source* into *store* (chunked with or without
+    *merge_tail*, as the driver *name* does in memory) and bind it for
+    the in-memory programs: yields ``(binding, tr, handle)`` — the
+    :class:`StreamedBinding`, the ``tr`` to build the program with and
+    the :class:`StoreHandle` fields of the result.  The binding's
+    window bound is the plan's tallest chunk (or the ``2b`` rows a
+    merge or a finalize holds); a failed run destroys a store it made.
+    """
+    src = as_source(source)
+    m, n = src.shape
+    if m < n:
+        raise ValueError(f"{name} requires a tall panel (m >= n), got {src.shape}")
+    tr = _plan_tr(m, n, tr, memory_budget, n_workers)
+    chunks = plan_chunks(m, n, tr=tr, merge_tail=merge_tail)
+    tiles, owned = _resolve_store(store, spill_dir)
+    try:
+        a_spec = _stage_panel(tiles, src, chunks, check_finite)
+        binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
+        yield binding, tr, {"tiles": tiles, "a_spec": a_spec, "chunks": chunks, "owns_store": owned}
+    except BaseException:
+        if owned:
+            tiles.destroy()
+        raise
+
+
+# ---------------------------------------------------------------------------
+# Out-of-core TSQR and TSLU: the in-memory programs over a streamed binding
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class OOCTSQRFactorization(StoreHandle, TSQRFactorization):
+    """Result of :func:`tsqr_ooc`: a :class:`~repro.core.tsqr.
+    TSQRFactorization` whose leaf reflectors stay packed in the stored
+    panel — the applies stream them back in on demand, so the vectors
+    being transformed are the only full-height arrays in RAM.
+    """
 
 
 def tsqr_ooc(
@@ -430,288 +283,40 @@ def tsqr_ooc(
     The caller owns the returned factorization and should ``destroy()``
     it (or use it as a context manager) once done with ``Q``.
     """
-    src = as_source(source)
-    m, n = src.shape
-    if m < n:
-        raise ValueError(f"tsqr requires a tall panel (m >= n), got {src.shape}")
-    chunks = plan_chunks(
-        m, n, tr=tr, memory_budget=memory_budget, n_workers=n_workers, merge_tail=True
-    )
-    store_obj, owned = _resolve_store(store, spill_dir)
-    try:
-        a_spec = _stage_panel(store_obj, src, chunks, check_finite)
-        program, state = tsqr_ooc_program(
-            store_obj, a_spec, chunks, leaf_kernel=leaf_kernel
+    with _streamed(
+        "tsqr", True, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
+    ) as (binding, tr, handle):
+        m, n = binding.A.shape
+        program, qstore = tsqr_program(
+            binding.A, tr, TreeKind.FLAT, leaf_kernel=leaf_kernel, store=binding
         )
-        executor = ThreadedExecutor(max(1, n_workers))
-        executor.run(program)
-        assert state.Rtop is not None
-        R = np.triu(state.Rtop)
-    except BaseException:
-        if owned:
-            store_obj.destroy()
-        raise
+        ThreadedExecutor(max(1, n_workers)).run(program)
+        R = np.triu(binding.A[:n, :])
     return OOCTSQRFactorization(
-        m=m,
-        n=n,
-        store=store_obj,
-        a_spec=a_spec,
-        chunks=chunks,
-        leaf_T=state.leaf_T,
-        merge_T=state.merge_T,
-        R=R,
-        tr=len(chunks),
-        owns_store=owned,
+        m=m, n=n, store=qstore, R=R, tr=tr, tree=TreeKind.FLAT, **handle
     )
-
-
-# ---------------------------------------------------------------------------
-# Out-of-core TSLU (tournament pivoting)
-# ---------------------------------------------------------------------------
 
 
 @dataclass
-class OOCPanelLU:
+class OOCPanelLU(StoreHandle):
     """Result of :func:`tslu_ooc`: the packed ``LU`` lives in the store.
 
     ``piv`` is the LAPACK-style swap sequence, exactly as :func:`~
     repro.core.tslu.tslu` returns it.  ``lu()`` materializes the packed
     factors in RAM (tests / small panels); ``lu_rows`` streams a row
-    window for consumers that stay out of core.
+    window for consumers that stay out of core.  ``recovered`` says the
+    tournament was found corrupted and replayed from the stored panel.
     """
 
     m: int
     n: int
-    store: TileStore
-    a_spec: tuple
-    chunks: list[Chunk]
     piv: np.ndarray
-    degraded: bool = False
-    owns_store: bool = True
+    recovered: bool = False
 
-    def lu(self) -> np.ndarray:
-        return self.store.load(self.a_spec)
+    lu = StoreHandle.panel
 
     def lu_rows(self, r0: int, r1: int) -> np.ndarray:
-        return self.store.load(TileStore.sub(self.a_spec, r0, r1))
-
-    def destroy(self) -> None:
-        if self.owns_store:
-            self.store.destroy()
-
-    def __enter__(self) -> "OOCPanelLU":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.destroy()
-
-
-class _OOCLUState:
-    """Resident state of one streaming TSLU run."""
-
-    def __init__(self) -> None:
-        self.U: np.ndarray | None = None  # factored top block (rows 0..r)
-        self.piv: np.ndarray | None = None
-
-
-def tslu_ooc_program(
-    store: TileStore,
-    a_spec: tuple,
-    chunks: list[Chunk],
-    tree: TreeKind = TreeKind.FLAT,
-    *,
-    leaf_kernel: str = "rgetf2",
-    arity: int = 4,
-) -> tuple[GraphProgram, PanelWorkspace, _OOCLUState]:
-    """Streaming program for one out-of-core TSLU panel.
-
-    Windows ``0..len(chunks)-1`` each stream one leaf block in
-    (read-only) and elect its candidate pivot rows; window
-    ``len(chunks)`` runs the in-RAM candidate reduction plus the
-    finalize (windowed row swaps replicating ``laswp``'s sequence, then
-    the pivot-block factorization); the last window streams the ``L``
-    triangular solves block by block.  The candidate sets are ``Tr ·
-    b`` rows — they stay in RAM whatever the panel height, which is the
-    property that makes tournament pivoting out-of-core friendly.
-    """
-    _, _, (m, n), _ = a_spec
-    bk = n
-    r = min(bk, m)
-    # The candidate slots live on the heap whatever the panel's store:
-    # the tournament's workspace is the part that always fits in RAM.
-    heap = HeapBinding()
-    slots = [c.index for c in chunks]
-    root = slots[0]
-    ws = PanelWorkspace()
-    ws.allocate(heap, np.dtype(a_spec[3]), slots, bk, r)
-    state = _OOCLUState()
-    sub = TileStore.sub
-
-    def _leaf_ooc(chunk: Chunk):
-        def fn() -> None:
-            W = store.load(sub(a_spec, chunk.r0, chunk.r1))
-            # The one leaf body, over the loaded window: its row 0 is
-            # panel row chunk.r0 (an in-heap array is its own spec).
-            run_op(
-                (
-                    "tslu_leaf",
-                    {
-                        "a": W,
-                        "r0": 0,
-                        "r1": chunk.rows,
-                        "c0": 0,
-                        "c1": n,
-                        "k0": -chunk.r0,
-                        "leaf_kernel": leaf_kernel,
-                        "slot": ws.slot_specs[chunk.index],
-                    },
-                )
-            )
-
-        return fn
-
-    def _finalize_ooc():
-        def fn() -> None:
-            cand, gidx, count = ws.slots[root]
-            nc = int(count[0])
-            if ws.degraded or nc == 0 or not np.isfinite(cand[:nc]).all():
-                # No out-of-core degradation ladder: repair or fallback
-                # would re-stream the whole panel, so fail loudly.
-                raise RuntimeError(
-                    "tslu_ooc: tournament candidates corrupted; "
-                    "out-of-core panels have no partial-pivoting fallback"
-                )
-            piv = perm_from_piv_rows(gidx[:nc], m)
-            ws.piv = state.piv = piv
-            # laswp(A, piv), replayed with windowed row transfers: the
-            # top r rows are hot (every swap touches one) and stay
-            # resident; the partner row makes one round trip.  Same
-            # sequence, same values as the in-memory swap.
-            top = store.load(sub(a_spec, 0, r))
-            for i in range(len(piv)):
-                p = int(piv[i])
-                if p == i:
-                    continue
-                if p < r:
-                    tmp = top[i].copy()
-                    top[i] = top[p]
-                    top[p] = tmp
-                else:
-                    pspec = sub(a_spec, p, p + 1)
-                    partner = store.load(pspec)
-                    tmp = top[i].copy()
-                    top[i] = partner[0]
-                    partner[0] = tmp
-                    store.store(pspec, partner)
-            getf2_nopiv(top)
-            state.U = top
-            store.store(sub(a_spec, 0, r), top)
-
-        return fn
-
-    def _l_ooc(r0: int, r1: int):
-        def fn() -> None:
-            spec = sub(a_spec, r0, r1)
-            W = store.load(spec)
-            trsm_runn(state.U, W)
-            store.store(spec, W)
-
-        return fn
-
-    def cand(slot: int) -> tuple:
-        return ("cand", slot)
-
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        if window < len(chunks):
-            chunk = chunks[window]
-            tracker.add_task(
-                graph,
-                f"P[0]leaf{chunk.index}",
-                TaskKind.P,
-                Cost(
-                    leaf_kernel if chunk.rows >= bk else "getf2",
-                    m=chunk.rows,
-                    n=bk,
-                    flops=lu_flops(chunk.rows, bk),
-                    words=2.0 * chunk.rows * bk,
-                ),
-                fn=_leaf_ooc(chunk),
-                reads=[("oocblk", chunk.index)],
-                writes=[cand(chunk.index)],
-            )
-            return
-        if window == len(chunks):
-            cand_rows = {c.index: min(c.rows, bk) for c in chunks}
-            for level in reduction_schedule(len(slots), tree, arity):
-                for dst_pos, src_pos in level:
-                    dst = slots[dst_pos]
-                    srcs = [slots[p] for p in src_pos]
-                    stacked = sum(cand_rows[s] for s in srcs)
-                    fn, _ = op_task(
-                        heap,
-                        "tslu_merge",
-                        {
-                            "srcs": [ws.slot_specs[s] for s in srcs],
-                            "dst": ws.slot_specs[dst],
-                            "bk": bk,
-                            "leaf_kernel": leaf_kernel,
-                            "flags": ws.flags_spec,
-                        },
-                    )
-                    tracker.add_task(
-                        graph,
-                        f"P[0]merge{dst}<{','.join(map(str, srcs))}",
-                        TaskKind.P,
-                        Cost(
-                            "gepp_merge",
-                            m=stacked,
-                            n=bk,
-                            flops=lu_panel_flops(stacked, min(stacked, bk)),
-                            words=2.0 * stacked * bk,
-                        ),
-                        fn=fn,
-                        reads=[cand(s) for s in srcs],
-                        writes=[cand(dst)],
-                    )
-                    cand_rows[dst] = min(stacked, bk)
-            tracker.add_task(
-                graph,
-                "F[0]",
-                TaskKind.P,
-                Cost(
-                    "getf2_nopiv",
-                    m=r,
-                    n=bk,
-                    flops=lu_panel_flops(r, r),
-                    words=4.0 * bk * bk,
-                ),
-                fn=_finalize_ooc(),
-                reads=[cand(root)] + [("oocblk", c.index) for c in chunks],
-                writes=[("u",)] + [("oocblk", c.index) for c in chunks],
-            )
-            return
-        for chunk in chunks:
-            r0 = max(chunk.r0, n)
-            if r0 >= chunk.r1:
-                continue
-            tracker.add_task(
-                graph,
-                f"L[0]{chunk.index}",
-                TaskKind.L,
-                Cost(
-                    "trsm_runn",
-                    m=chunk.r1 - r0,
-                    k=n,
-                    flops=trsm_right_flops(chunk.r1 - r0, n),
-                    words=2.0 * (chunk.r1 - r0) * n,
-                ),
-                fn=_l_ooc(r0, chunk.r1),
-                reads=[("u",), ("oocblk", chunk.index)],
-                writes=[("oocblk", chunk.index)],
-            )
-
-    program = GraphProgram(f"tslu_ooc{m}x{n}", len(chunks) + 2, emit, lookahead=1)
-    return program, ws, state
+        return self.tiles.load(TileStore.sub(self.a_spec, r0, r1))
 
 
 def tslu_ooc(
@@ -730,42 +335,18 @@ def tslu_ooc(
 
     Same source/staging/ownership contract as :func:`tsqr_ooc`; the
     default tree is flat (the I/O-optimal sequential schedule — the
-    candidate reduction happens in RAM either way, but flat matches the
-    in-memory driver call for call when pinned to the same *tr*).
-    Returns an :class:`OOCPanelLU`; ``lu()``/``piv`` reproduce
+    candidate reduction happens in RAM either way).  Returns an
+    :class:`OOCPanelLU`; ``lu()``/``piv`` reproduce
     :func:`repro.core.tslu.tslu`'s ``(lu, piv)`` bitwise on sizes both
     paths can run.
     """
-    src = as_source(source)
-    m, n = src.shape
-    if m < n:
-        raise ValueError(f"tslu requires a tall panel (m >= n), got {src.shape}")
-    chunks = plan_chunks(
-        m, n, tr=tr, memory_budget=memory_budget, n_workers=n_workers, merge_tail=False
-    )
-    store_obj, owned = _resolve_store(store, spill_dir)
-    try:
-        a_spec = _stage_panel(store_obj, src, chunks, check_finite)
-        program, ws, state = tslu_ooc_program(
-            store_obj, a_spec, chunks, tree, leaf_kernel=leaf_kernel
-        )
-        executor = ThreadedExecutor(max(1, n_workers))
-        executor.run(program)
-        assert state.piv is not None
-    except BaseException:
-        if owned:
-            store_obj.destroy()
-        raise
-    return OOCPanelLU(
-        m=m,
-        n=n,
-        store=store_obj,
-        a_spec=a_spec,
-        chunks=chunks,
-        piv=state.piv,
-        degraded=ws.degraded,
-        owns_store=owned,
-    )
+    with _streamed(
+        "tslu", False, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
+    ) as (binding, tr, handle):
+        m, n = binding.A.shape
+        program, ws = tslu_program(binding.A, tr, tree, leaf_kernel=leaf_kernel, store=binding)
+        ThreadedExecutor(max(1, n_workers)).run(program)
+    return OOCPanelLU(m=m, n=n, piv=np.array(ws.piv), recovered=ws.recomputed, **handle)
 
 
 # ---------------------------------------------------------------------------

@@ -231,8 +231,9 @@ def add_tslu_tasks(
 
     Numeric tasks are descriptors over *store*, the binding of the
     matrix they factor in place (a
-    :class:`~repro.runtime.tilestore.HeapBinding` or a
-    :class:`~repro.runtime.shm.ShmBinding`): *ws* gets its candidate
+    :class:`~repro.runtime.tilestore.HeapBinding`, a
+    :class:`~repro.runtime.shm.ShmBinding` or, out of core, a
+    :class:`~repro.runtime.tilestore.StreamedBinding`): *ws* gets its candidate
     slots, flags and pivot buffer allocated from it, and every task is
     ``op_task(store, ...)`` — the same body on every backend,
     dispatchable to a
@@ -433,9 +434,10 @@ def tslu_program(
     Window 0 is the tournament (leaves + reduction tree + finalize),
     window 1 the ``L`` triangular solves below the pivot block — so the
     solves are not even created until the tournament is underway.
-    *A* must already be a float C-ordered tall array (``m >= n``); it
-    is factored in place.  *store* binds it (default: the heap; see
-    :func:`add_tslu_tasks`).  Returns ``(program, panel workspace)``.
+    *A* must already be a float C-ordered tall array (``m >= n``) — or
+    the matrix of a streamed binding; it is factored in place.  *store*
+    binds it (default: the heap; see :func:`add_tslu_tasks`).  Returns
+    ``(program, panel workspace)``.
     """
     m, n = A.shape
     layout = BlockLayout(m, n, b=n)
@@ -529,7 +531,7 @@ def tslu(
             )
         from repro.core.outofcore import tslu_ooc
 
-        res = tslu_ooc(
+        with tslu_ooc(
             A,
             tr=None if memory_budget is not None else tr,
             memory_budget=memory_budget,
@@ -538,11 +540,8 @@ def tslu(
             tree=tree,
             leaf_kernel=leaf_kernel,
             check_finite=check_finite,
-        )
-        try:
-            return res.lu(), np.array(res.piv)
-        finally:
-            res.destroy()
+        ) as res:
+            return res.lu(), res.piv
     A = validate_matrix(A, "A", require_finite=check_finite)
     m, n = A.shape
     if m < n:

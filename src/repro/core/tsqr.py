@@ -75,7 +75,9 @@ class PanelQRStore:
     A builder fills it when the panel's window is emitted: the entries'
     ``V``/``T``/``Vb`` arrays are views of buffers allocated from the
     builder's ``store=`` binding, which the panel's tasks then write —
-    on every backend, so there is no second copy to publish.
+    on every backend, so there is no second copy to publish.  (Over a
+    streamed binding a leaf's ``V`` is not a buffer but an array-like
+    that unpacks the reflectors from the stored panel on use.)
     """
 
     leaves: dict[int, LeafFactor] = field(default_factory=dict)
@@ -103,7 +105,7 @@ class PanelQRStore:
     def apply_qt(self, C: np.ndarray) -> None:
         """Apply this panel's ``Q^T`` to (the full-height) ``C`` in place."""
         for leaf in self.leaves.values():
-            larfb_left_t(leaf.V, leaf.T, C[leaf.r0 : leaf.r1])
+            larfb_left_t(np.asarray(leaf.V), leaf.T, C[leaf.r0 : leaf.r1])
         for mf in self.merges:
             assert mf is not None
             tpmqrt_left_t(mf.Vb, mf.T, C[mf.top0 : mf.top0 + mf.r], C[mf.bot0 : mf.bot0 + mf.r])
@@ -120,7 +122,7 @@ class PanelQRStore:
                 transpose=False,
             )
         for leaf in self.leaves.values():
-            V, T = leaf.V, leaf.T
+            V, T = np.asarray(leaf.V), leaf.T
             Cv = C[leaf.r0 : leaf.r1]
             W = T @ (V.T @ Cv)
             Cv -= V @ W
@@ -221,11 +223,12 @@ def add_tsqr_tasks(
     Returns the task handles CAQR uses to attach trailing updates.
     With ``store=None`` the tasks are symbolic.  Numeric tasks are
     descriptors over *store*, the binding of the matrix they factor in
-    place (a :class:`~repro.runtime.tilestore.HeapBinding` or a
-    :class:`~repro.runtime.shm.ShmBinding`): the WY factors live in
-    buffers allocated from it, *qstore*'s entries are created here as
-    views of those buffers, and the returned handles carry the buffer
-    specs the CAQR trailing updates need.
+    place (a :class:`~repro.runtime.tilestore.HeapBinding`, a
+    :class:`~repro.runtime.shm.ShmBinding` or, out of core, a
+    :class:`~repro.runtime.tilestore.StreamedBinding`): the WY factors
+    live in buffers allocated from it, *qstore*'s entries are created
+    here as views of those buffers, and the returned handles carry the
+    buffer specs the CAQR trailing updates need.
     """
     numeric = store is not None
     if isinstance(store, PanelQRStore) or (numeric and qstore is None):
@@ -255,7 +258,7 @@ def add_tsqr_tasks(
         fn, meta = None, {}
         if numeric:
             k = min(chunk.rows, bk)  # reflector count of this leaf
-            v_view, v_spec = store.alloc((chunk.rows, k), dtype)
+            v_view, v_spec = store.alloc_v(chunk.r0, chunk.r1, c0, c1)
             t_view, t_spec = store.alloc((k, k), dtype)
             leaf_bufs[chunk.index] = (v_spec, t_spec)
             qstore.leaves[chunk.index] = LeafFactor(
@@ -392,8 +395,6 @@ class TSQRFactorization:
         import scipy.linalg
 
         y = self.apply_qt(rhs)
-        if y.ndim == 1:
-            return scipy.linalg.solve_triangular(self.R, y[: self.n])
         return scipy.linalg.solve_triangular(self.R, y[: self.n])
 
 
@@ -408,9 +409,10 @@ def tsqr_program(
     """Streaming program for one standalone TSQR panel (one window
     holding the leaf factorizations and the reduction-tree merges).
 
-    *A* must already be a float C-ordered tall array (``m >= n``); it
-    is factored in place.  *store* binds it (default: the heap; see
-    :func:`add_tsqr_tasks`).  Returns ``(program, implicit-Q store)``.
+    *A* must already be a float C-ordered tall array (``m >= n``) — or
+    the matrix of a streamed binding; it is factored in place.  *store*
+    binds it (default: the heap; see :func:`add_tsqr_tasks`).  Returns
+    ``(program, implicit-Q store)``.
     """
     m, n = A.shape
     layout = BlockLayout(m, n, b=n)
@@ -465,9 +467,9 @@ def tsqr(
     into the tile store and streamed block by block (*A* may then also
     be a ``(shape, fill)`` source; see :func:`repro.core.outofcore.
     tsqr_ooc`, to which all other arguments forward).  The result is an
-    :class:`~repro.core.outofcore.OOCTSQRFactorization` — duck-
-    compatible with :class:`TSQRFactorization`, but the caller must
-    ``destroy()`` it to release the spill files.
+    :class:`~repro.core.outofcore.OOCTSQRFactorization` — a
+    :class:`TSQRFactorization` whose reflectors stay in the tile store,
+    so the caller must ``destroy()`` it to release the spill files.
 
     Copy semantics: ``overwrite=True`` factors *A* in place only on the
     threaded (shared-address-space) path.  The process backend always

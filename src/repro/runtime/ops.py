@@ -12,10 +12,14 @@ A spec resolves through :func:`repro.runtime.tilestore.attach_array`:
 an ndarray is its own spec (the in-heap
 :class:`~repro.runtime.tilestore.HeapBinding`), a 4-tuple names a
 ``multiprocessing.shared_memory`` segment
-(:class:`~repro.runtime.shm.ShmBinding`) or an mmap-backed spill file —
-the ops are oblivious to which plane backs them.  Only descriptors
-over process-shared specs are also published as ``meta["op"]`` and
-shipped to workers.
+(:class:`~repro.runtime.shm.ShmBinding`) or an mmap-backed spill file,
+and a :class:`~repro.runtime.tilestore.StreamedPanel` loads the rows an
+op slices out of a tile store (the out-of-core
+:class:`~repro.runtime.tilestore.StreamedBinding`) — the ops are
+oblivious to which plane backs them, except that a panel op which
+updates a block in place hands it to :func:`_write_back` afterwards.
+Only descriptors over process-shared specs are also published as
+``meta["op"]`` and shipped to workers.
 
 Workspace state lives in store buffers on every backend, with small
 conventions:
@@ -45,6 +49,15 @@ from repro.kernels.structured import tpmqrt_left_t, tpqrt
 from repro.runtime.tilestore import attach_array
 
 __all__ = ["run_op", "op_task", "OPS", "calu_s_blocks"]
+
+
+def _write_back(A, r0: int, r1: int, c0: int, c1: int, block: np.ndarray) -> None:
+    """Commit *block* — ``A[r0:r1, c0:c1]`` as an op sliced it, since
+    updated in place.  Over an ndarray the slice was a view and there
+    is nothing to do; a streamed panel handed out a copy of the rows
+    and takes them back with a counted store."""
+    if not isinstance(A, np.ndarray):
+        A[r0:r1, c0:c1] = block
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +168,27 @@ def _op_tslu_finalize(p: dict) -> None:
         # actual panel is then swapped and factored exactly as in the
         # tournament path, leaving the sub-pivot rows for the L tasks).
         flags[0] = 1
-        piv = getf2(A[k0:m, c0:c1].copy())
+        try:
+            piv = getf2(A[k0:m, c0:c1].copy())
+        except MemoryError as exc:  # e.g. a streamed panel: taller than fast memory
+            raise RuntimeError(
+                f"tournament corrupted; no memory for the panel-copy fallback: {exc}"
+            ) from exc
     else:
         piv = perm_from_piv_rows(gidx, m - k0)
     piv_buf = attach_array(p["piv"])
     piv_buf[0] = len(piv)
     piv_buf[1 : 1 + len(piv)] = piv
-    laswp(A[k0:m, c0:c1], piv)
+    # The swaps touch only the top r rows and their partners: gather
+    # those (at most 2r) rows, swap and factor the compact block, and
+    # scatter it back — the swap sequence and values of a whole-panel
+    # laswp, without asking any plane for the whole panel.
     r = min(c1 - c0, m - k0)
-    getf2_nopiv(A[k0 : k0 + r, c0:c1])
+    touched = np.union1d(np.arange(r), piv)  # sorted: row i < r sits at position i
+    block = A[k0 + touched, c0:c1]
+    laswp(block, np.searchsorted(touched, piv))
+    getf2_nopiv(block[:r])
+    A[k0 + touched, c0:c1] = block
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +198,10 @@ def _op_tslu_finalize(p: dict) -> None:
 
 def _op_calu_l(p: dict) -> None:
     A = attach_array(p["a"])
-    k0, c0, c1 = p["k0"], p["c0"], p["c1"]
-    trsm_runn(A[k0 : k0 + (c1 - c0), c0:c1], A[p["r0"] : p["r1"], c0:c1])
+    k0, c0, c1, r0, r1 = p["k0"], p["c0"], p["c1"], p["r0"], p["r1"]
+    block = A[r0:r1, c0:c1]
+    trsm_runn(A[k0 : k0 + (c1 - c0), c0:c1], block)
+    _write_back(A, r0, r1, c0, c1, block)
 
 
 def _op_calu_u(p: dict) -> None:
@@ -205,25 +232,31 @@ def _op_calu_s(p: dict) -> None:
 
 def _op_tsqr_leaf(p: dict) -> None:
     A = attach_array(p["a"])
-    block = A[p["r0"] : p["r1"], p["c0"] : p["c1"]]
+    r0, r1, c0, c1 = p["r0"], p["r1"], p["c0"], p["c1"]
+    block = A[r0:r1, c0:c1]
     if p["kernel"] == "geqr3":
         T = geqr3(block)
     else:
         tau = geqr2(block)
         T = larft(extract_v(block), tau)
-    attach_array(p["v"])[...] = extract_v(block)
+    if p["v"] is not None:  # None: the binding keeps V packed in the panel
+        attach_array(p["v"])[...] = extract_v(block)
     attach_array(p["t"])[...] = T
+    _write_back(A, r0, r1, c0, c1, block)
 
 
 def _op_tsqr_merge(p: dict) -> None:
     A = attach_array(p["a"])
     c0, c1, bk = p["c0"], p["c1"], p["bk"]
-    for d0, s0, vb_spec, t_spec in p["pairs"]:
-        Rtop = A[d0 : d0 + bk, c0:c1]
+    d0 = p["pairs"][0][0]  # every pair of one merge task folds into the same R
+    Rtop = A[d0 : d0 + bk, c0:c1]
+    for _, s0, vb_spec, t_spec in p["pairs"]:
         Bsrc = A[s0 : s0 + bk, c0:c1]
         T = tpqrt(Rtop, Bsrc, bottom_triangular=True)
         attach_array(vb_spec)[...] = np.triu(Bsrc)
         attach_array(t_spec)[...] = T
+        _write_back(A, s0, s0 + bk, c0, c1, Bsrc)
+    _write_back(A, d0, d0 + bk, c0, c1, Rtop)
 
 
 def _op_caqr_leaf_update(p: dict) -> None:

@@ -234,6 +234,10 @@ class ShmBinding:
         arr = self.arena.alloc(shape, dtype)
         return arr, self.arena.spec(arr)
 
+    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, tuple]:
+        """Buffer for the unit-lower ``V`` of a leaf QR of ``A[r0:r1, c0:c1]``."""
+        return self.alloc((r1 - r0, min(r1 - r0, c1 - c0)), self.A.dtype)
+
     @staticmethod
     def detach(array: np.ndarray) -> np.ndarray:
         """A heap copy of *array*, valid after the arena is destroyed."""

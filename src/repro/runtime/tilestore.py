@@ -25,6 +25,13 @@ is the ndarray itself and :func:`attach_array` hands it straight back.
 That is what lets the threaded, stealing and simulated executors run
 the very descriptors the process workers run.
 
+The fourth is the *streamed* plane (:class:`StreamedBinding`): the
+matrix stays in a :class:`TileStore` and its spec is a
+:class:`StreamedPanel`, which answers ``A[r0:r1, c0:c1]`` with a
+counted :meth:`TileStore.load` of exactly those rows and takes
+``A[rows, cols] = block`` as a counted :meth:`TileStore.store`.  The
+ops run unchanged over it — that is all "out of core" is.
+
 Explicit transfers, measured traffic
 ------------------------------------
 Out-of-core drivers move data with :meth:`TileStore.load` (slow ->
@@ -65,6 +72,8 @@ __all__ = [
     "MmapTileStore",
     "open_store",
     "HeapBinding",
+    "StreamedPanel",
+    "StreamedBinding",
     "attach_array",
     "spec_nbytes",
 ]
@@ -442,10 +451,98 @@ class HeapBinding:
         arr = np.zeros(shape, dtype)
         return arr, arr
 
+    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffer for the unit-lower ``V`` of a leaf QR of ``A[r0:r1, c0:c1]``."""
+        return self.alloc((r1 - r0, min(r1 - r0, c1 - c0)), self.A.dtype)
+
     @staticmethod
     def detach(array: np.ndarray) -> np.ndarray:
         """*array* as the caller may keep it: heap buffers outlive the run."""
         return array
+
+
+class StreamedPanel:
+    """A 2-D :class:`TileStore` region addressed like an array: the
+    matrix spec of the streamed (out-of-core) plane.
+
+    ``A[rows, cols]`` — *rows* a slice or an integer array — loads
+    exactly those rows into a private in-RAM block (one counted
+    :meth:`TileStore.load` per contiguous run) and returns its *cols*;
+    ``A[rows, cols] = block`` stores whole rows back the same way.  An
+    op that updated such a block in place therefore has to write it
+    back, which over an ndarray view is a no-op.
+
+    One access may touch at most *max_rows* rows — the tallest window
+    the out-of-core plan budgeted for — and a taller one raises
+    :class:`MemoryError`: a step with no streamed form (anything that
+    wants the whole panel at once) fails loudly instead of quietly
+    materializing the panel.
+    """
+
+    def __init__(self, store: TileStore, spec: tuple, max_rows: int) -> None:
+        self.store, self.spec, self.max_rows = store, spec, int(max_rows)
+        self.shape = tuple(spec[2])
+        self.dtype = np.dtype(spec[3])
+
+    def _runs(self, rows) -> list[tuple[int, int]]:
+        """The contiguous ``[r0, r1)`` runs of *rows*, in order."""
+        if isinstance(rows, slice):
+            r0, r1, _ = rows.indices(self.shape[0])
+            runs = [(r0, max(r0, r1))]
+        else:
+            rows = np.asarray(rows)
+            cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+            runs = [(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, cuts)]
+        height = sum(r1 - r0 for r0, r1 in runs)
+        if height > self.max_rows:
+            raise MemoryError(
+                f"a {height}-row window of a streamed {self.shape} panel exceeds "
+                f"the {self.max_rows} rows its plan keeps in fast memory"
+            )
+        return runs
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        blocks = [self.store.load(TileStore.sub(self.spec, *run)) for run in self._runs(rows)]
+        return (blocks[0] if len(blocks) == 1 else np.vstack(blocks))[:, cols]
+
+    def __setitem__(self, key, block: np.ndarray) -> None:
+        rows, cols = key
+        if cols.indices(self.shape[1]) != (0, self.shape[1], 1):
+            raise ValueError("a streamed panel is written whole rows at a time")
+        at = 0
+        for r0, r1 in self._runs(rows):
+            self.store.store(TileStore.sub(self.spec, r0, r1), block[at : at + r1 - r0])
+            at += r1 - r0
+
+
+class _PackedV:
+    """A leaf's ``V`` left packed in its factored rows of a streamed
+    panel: ``np.asarray`` loads the window and unpacks it on use."""
+
+    def __init__(self, A: StreamedPanel, r0: int, r1: int, c0: int, c1: int) -> None:
+        self.A, self.window = A, (slice(r0, r1), slice(c0, c1))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        from repro.kernels.qr import extract_v  # kernels -> counters -> runtime: cyclic at import
+
+        return extract_v(self.A[self.window])
+
+
+class StreamedBinding(HeapBinding):
+    """The out-of-core ``store=``: the matrix streams through *store*
+    (its spec is a :class:`StreamedPanel` over the region *spec*), the
+    workspace stays on the heap — the part of a tall-skinny panel's
+    state that fits in RAM whatever the panel's height.
+    """
+
+    def __init__(self, store: TileStore, spec: tuple, max_rows: int) -> None:
+        super().__init__(StreamedPanel(store, spec, max_rows))
+
+    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[_PackedV, None]:
+        """No buffer: the reflectors stay in the panel (spec ``None``
+        tells the leaf op to skip its copy)."""
+        return _PackedV(self.A, r0, r1, c0, c1), None
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +557,16 @@ _MMAP_ATTACHED: dict[str, np.memmap] = {}
 def attach_array(spec) -> np.ndarray:
     """Decode a spec from *any* plane into a zero-copy view.
 
-    A heap spec is the array itself (:class:`HeapBinding`).
-    Shared-memory segment names resolve through
+    A heap spec is the array itself (:class:`HeapBinding`) and a
+    streamed one the :class:`StreamedPanel` itself.  Shared-memory
+    segment names resolve through
     :func:`repro.runtime.shm.attach_array`; absolute-path names map the
     spill file (``numpy.memmap``, shared mapping, so cross-process
     writes are coherent through the page cache).  Whole-file mappings
     are cached per process like shm handles, and like them dropped — on
     the first attach of a new file — once their store has been removed.
     """
-    if isinstance(spec, np.ndarray):
+    if isinstance(spec, (np.ndarray, StreamedPanel)):
         return spec
     name, offset, shape, dtype = spec
     if not os.path.isabs(name):

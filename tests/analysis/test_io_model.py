@@ -33,7 +33,7 @@ class TestPanelTraffic:
         assert t2 / t1 == pytest.approx(2.0, rel=0.5)
 
     def test_reduction_factor_order_b(self):
-        """The §II sequential claim: CA saves a ~b/4 factor on panels."""
+        """The §II sequential claim: CA saves a ~b/6 factor on panels."""
         b = 128
         f = panel_io_reduction_factor(1_000_000, b, fast_words=50_000)
         assert b / 10 < f < b

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis.io_model import panel_io_ca_flat, predicted_panel_io
+from repro.analysis.io_model import panel_io_ca_flat, panel_io_tsqr_flat, predicted_panel_io
 from repro.core.outofcore import (
     MatrixSource,
     as_source,
@@ -17,10 +17,13 @@ from repro.core.outofcore import (
     tsqr_ooc,
 )
 from repro.core.trees import TreeKind
-from repro.core.tslu import tslu
+from repro.core.tslu import tslu, tslu_program
 from repro.core.tsqr import tsqr
 from repro.counters import counting
 from repro.kernels.lu import piv_to_perm
+from repro.resilience import FaultPlan
+from repro.runtime.threaded import ThreadedExecutor
+from repro.runtime.tilestore import ArenaTileStore, StreamedBinding
 
 RNG = np.random.default_rng(7)
 
@@ -98,6 +101,25 @@ def test_tslu_ooc_binary_tree_matches_in_memory():
         np.testing.assert_array_equal(piv_mem, res.piv)
 
 
+@pytest.mark.parametrize("store_kind", ["mmap", "shm"])
+def test_parity_when_tail_merging_leaves_fewer_chunks_than_tr(store_kind):
+    # m = 4n + 3: the 3-row tail folds into its neighbour, so TSQR runs
+    # 4 leaves for tr = 5 — the program must get the requested tr.
+    n, tr = 12, 5
+    m = 4 * n + 3
+    A = RNG.standard_normal((m, n))
+    Amem = np.array(A, order="C")
+    f_mem = tsqr(Amem, tr=tr, tree=TreeKind.FLAT, overwrite=True)
+    with tsqr_ooc(A, tr=tr, store=store_kind) as f_ooc:
+        assert len(f_ooc.chunks) != tr
+        np.testing.assert_array_equal(f_mem.R, f_ooc.R)
+        np.testing.assert_array_equal(Amem, f_ooc.panel())
+    lu_mem, piv_mem = tslu(A, tr=tr, tree=TreeKind.FLAT)
+    with tslu_ooc(A, tr=tr, store=store_kind) as res:
+        np.testing.assert_array_equal(lu_mem, res.lu())
+        np.testing.assert_array_equal(piv_mem, res.piv)
+
+
 def test_driver_store_param_routes_out_of_core():
     m, n, tr = 600, 10, 4
     A = RNG.standard_normal((m, n))
@@ -149,6 +171,30 @@ def test_check_finite_during_staging():
     # fails loudly in the tournament rather than silently).
     with pytest.raises(RuntimeError, match="corrupted"):
         tslu_ooc(A, tr=2, check_finite=False)
+
+
+def test_corrupted_tournament_is_replayed_out_of_core():
+    # Rung 1 of the recovery ladder crosses the store boundary: the
+    # finalize streams the leaf windows once more and restores the
+    # fault-free pivots, bit for bit.
+    m, n, tr = 900, 12, 5
+    A = RNG.standard_normal((m, n))
+    lu_mem, piv_mem = tslu(A, tr=tr, tree=TreeKind.BINARY)
+    plan = FaultPlan(seed=1, corrupt_rate={"P": 0.5, "*": 0.0}, max_faults=2)
+    with ArenaTileStore() as tiles:
+        spec = tiles.spec(tiles.place(A))
+        binding = StreamedBinding(tiles, spec, max_rows=m // tr)
+        program, ws = tslu_program(binding.A, tr, TreeKind.BINARY, store=binding)
+        before = tiles.io.read_bytes
+        trace = ThreadedExecutor(2, fault_plan=plan).run(program)
+        assert ws.recomputed and not ws.degraded
+        counts = trace.resilience_summary()
+        assert counts["fault_corrupt"] >= 1 and counts["recompute"] == 1
+        assert "degraded" not in counts
+        # One extra panel read: tournament + replay + L solves < 4 passes.
+        assert 3 * A.nbytes - n * n * 8 <= tiles.io.read_bytes - before < 3.2 * A.nbytes
+        np.testing.assert_array_equal(lu_mem, tiles.load(spec))
+        np.testing.assert_array_equal(piv_mem, ws.piv)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +257,39 @@ def test_streamed_traffic_within_model_bounds(algo):
         else:
             fact = tslu_ooc(A, memory_budget=budget, n_workers=1)
         fact.destroy()
-    measured_words = (c.store_read_bytes + c.store_write_bytes) / 8
-    predicted = panel_io_ca_flat(m, n, budget // 8)
+    # Factor-phase traffic: the models price a panel already in slow
+    # memory, so the staging write (m*n words) is not theirs.
+    measured_words = (c.store_read_bytes + c.store_write_bytes) / 8 - m * n
+    form = panel_io_tsqr_flat if algo == "tsqr" else panel_io_ca_flat
+    predicted = form(m, n, budget // 8)
     assert predicted < 2.0 * m * n * 3  # sanity: model is in streaming regime
     ratio = measured_words / predicted
-    assert 0.5 <= ratio <= 2.0, f"{algo}: measured/predicted = {ratio:.3f}"
+    assert 0.95 <= ratio <= 1.05, f"{algo}: measured/predicted = {ratio:.3f}"
+
+
+def test_streamed_traffic_exact():
+    """Store bytes of a pinned plan, as integers from the closed forms."""
+    m, n, tr = 4000, 16, 7
+    A = RNG.standard_normal((m, n))
+    word, blk = 8, n * n * 8
+    with counting() as c:
+        with tsqr_ooc(A, tr=tr, n_workers=1) as f:
+            leaves = len(f.chunks)
+    # Staging + every leaf written back + each leaf's R block by the merge.
+    assert c.store_write_bytes == 2 * m * n * word + leaves * blk
+    # Every leaf read + each R block by the merge + the final R.
+    assert c.store_read_bytes == m * n * word + (leaves + 1) * blk
+    with counting() as c:
+        with tslu_ooc(A, tr=tr, n_workers=1) as res:
+            swapped = len(np.union1d(np.arange(n), res.piv)) * n * word
+            solves = sum(chunk.r1 > n for chunk in res.chunks)
+    # Staging + the rows the swaps touch + the L rows below the pivot block.
+    assert c.store_write_bytes == m * n * word + swapped + (m - n) * n * word
+    # Tournament pass + swapped rows + L rows, the pivot block once per
+    # L solve and once for the finalize's health guard.
+    assert c.store_read_bytes == (
+        m * n * word + swapped + (m - n) * n * word + (solves + 1) * blk
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +300,7 @@ _CAPPED_SCRIPT = textwrap.dedent(
     """
     import resource, sys
     import numpy as np
-    from repro.analysis.io_model import panel_io_ca_flat
+    from repro.analysis.io_model import panel_io_ca_flat, panel_io_tsqr_flat
     from repro.core.outofcore import tsqr_ooc, tslu_ooc
     from repro.counters import counting
     from repro.kernels.lu import piv_to_perm
@@ -269,9 +343,9 @@ _CAPPED_SCRIPT = textwrap.dedent(
         G += blk.T @ blk
     assert np.allclose(f.R.T @ f.R, G), "R fails the Gram identity"
     f.destroy()
-    words = (c.store_read_bytes + c.store_write_bytes) / 8
-    ratio = words / panel_io_ca_flat(m, n, budget // 8)
-    assert 0.5 <= ratio <= 2.0, f"tsqr traffic ratio {ratio:.3f}"
+    words = (c.store_read_bytes + c.store_write_bytes) / 8 - m * n  # minus staging
+    ratio = words / panel_io_tsqr_flat(m, n, budget // 8)
+    assert 0.95 <= ratio <= 1.05, f"tsqr traffic ratio {ratio:.3f}"
 
     with counting() as c:
         lu = tslu_ooc(((m, n), fill), memory_budget=budget, n_workers=1)
@@ -286,9 +360,9 @@ _CAPPED_SCRIPT = textwrap.dedent(
         rows[i - r0] = fill(src, src + 1)[0]
     assert np.allclose(Lw @ U, rows), "PA != LU on sampled window"
     lu.destroy()
-    words = (c.store_read_bytes + c.store_write_bytes) / 8
+    words = (c.store_read_bytes + c.store_write_bytes) / 8 - m * n  # minus staging
     ratio = words / panel_io_ca_flat(m, n, budget // 8)
-    assert 0.5 <= ratio <= 2.0, f"tslu traffic ratio {ratio:.3f}"
+    assert 0.95 <= ratio <= 1.05, f"tslu traffic ratio {ratio:.3f}"
     print("CAPPED-OK")
     """
 )

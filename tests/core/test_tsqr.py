@@ -59,9 +59,13 @@ def test_vector_rhs_shapes():
 def test_least_squares():
     A0 = make_rng(7).standard_normal((200, 15))
     x0 = make_rng(8).standard_normal(15)
-    f = tsqr(A0, tr=4)
-    x = f.solve_ls(A0 @ x0)
-    assert np.linalg.norm(x - x0) < 1e-10
+    X0 = make_rng(8).standard_normal((15, 3))
+    with tsqr(A0, tr=4, store="mmap") as f_ooc:  # the same class, streamed
+        for f in (tsqr(A0, tr=4), f_ooc):
+            x = f.solve_ls(A0 @ x0)
+            assert np.linalg.norm(x - x0) < 1e-10
+            X = f.solve_ls(A0 @ X0)
+            assert X.shape == X0.shape and np.linalg.norm(X - X0) < 1e-10
 
 
 def test_least_squares_matches_lstsq():

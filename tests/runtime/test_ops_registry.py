@@ -1,12 +1,15 @@
 """The op registry is the contract: one body, any store.
 
-Every numeric op in :data:`repro.runtime.ops.OPS` is run twice from the
-same starting state — in this process over a
-:class:`~repro.runtime.tilestore.HeapBinding`, and in a
+Every numeric op in :data:`repro.runtime.ops.OPS` is run from the same
+starting state in this process over a
+:class:`~repro.runtime.tilestore.HeapBinding`, in a
 :class:`~repro.runtime.process.ProcessExecutor` worker over a
-:class:`~repro.runtime.shm.ShmBinding` — and must leave the matrix and
-every workspace buffer it touches ``array_equal``.  The case table is
-keyed by op name, so a new op cannot land without a case here.
+:class:`~repro.runtime.shm.ShmBinding`, and — unless it is listed in
+``RESIDENT_ONLY`` — in this process over a
+:class:`~repro.runtime.tilestore.StreamedBinding`, and must leave the
+matrix and every workspace buffer it touches ``array_equal``.  The case
+table is keyed by op name, so a new op cannot land without a case here,
+nor without either a streamed form or an entry in that list.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.core.tslu import PanelWorkspace
 from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.shm import SharedArena, ShmBinding
-from repro.runtime.tilestore import HeapBinding
+from repro.runtime.tilestore import ArenaTileStore, HeapBinding, StreamedBinding
 
 M, N, BK = 24, 12, 4  # a 24 x 12 matrix, panel columns [0, 4), two 12-row chunks
 
@@ -116,7 +119,7 @@ def case_calu_s(store):
 
 
 def _qr_leaf(store, r0, r1):
-    v, v_spec = store.alloc((r1 - r0, BK), store.A.dtype)
+    v, v_spec = store.alloc_v(r0, r1, 0, BK)
     t, t_spec = store.alloc((BK, BK), store.A.dtype)
     payload = {"a": store.a_spec, "r0": r0, "r1": r1, "c0": 0, "c1": BK, "kernel": "geqr3", "v": v_spec, "t": t_spec}
     return ("tsqr_leaf", payload), (v, t), (v_spec, t_spec)
@@ -157,6 +160,9 @@ def case_caqr_merge_update(store):
 
 CASES = {name[len("case_") :]: fn for name, fn in globals().items() if name.startswith("case_")}
 NUMERIC_OPS = sorted(set(ops.OPS) - {"fused", "noop"})
+#: Trailing-matrix ops: no out-of-core driver emits them (yet), and they
+#: update blocks in place without a write-back.
+RESIDENT_ONLY = {"calu_u", "calu_s", "caqr_leaf_update", "caqr_merge_update"}
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +194,21 @@ def test_same_descriptor_same_bits_on_heap_and_in_a_worker(name, executor):
         after = (shm.A, *shm_bufs)
         assert any(not np.array_equal(x, y) for x, y in zip(before, after, strict=True))
         for got, want in zip(after, (heap.A, *heap_bufs), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        if name in RESIDENT_ONLY:
+            return
+        # The streamed plane holds full-width panels: stage columns [0, BK).
+        tiles = ArenaTileStore(arena)
+        spec = arena.spec(arena.place(np.ascontiguousarray(A0[:, :BK])))
+        pre, op, streamed_bufs = CASES[name](StreamedBinding(tiles, spec, max_rows=M))
+        for step in pre:
+            ops.run_op(step)
+        ops.run_op(op)
+        want_all = (heap.A[:, :BK], *heap_bufs)
+        # np.asarray: a streamed leaf's V unpacks from the stored panel on use.
+        for got, want in zip((tiles.load(spec), *streamed_bufs), want_all, strict=True):
+            got = np.asarray(got)
             assert got.dtype == want.dtype and np.array_equal(got, want)
     finally:
         arena.destroy()

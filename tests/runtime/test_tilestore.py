@@ -11,6 +11,7 @@ from repro.runtime.tilestore import (
     ArenaTileStore,
     HeapBinding,
     MmapTileStore,
+    StreamedBinding,
     TileStore,
     attach_array,
     open_store,
@@ -133,6 +134,43 @@ def test_heap_spec_is_the_array_and_is_not_shared():
     assert spec is view and view.dtype == np.int64
     assert heap.detach(view) is view
     assert not heap.shared
+
+
+def test_streamed_spec_loads_and_stores_exactly_the_rows_sliced(store):
+    vals = np.arange(60, dtype=np.float64).reshape(20, 3)
+    spec = store.reserve((20, 3))
+    store.store(spec, vals)
+    binding = StreamedBinding(store, spec, max_rows=8)
+    A = binding.A
+    assert attach_array(A) is A and binding.a_spec is A and not binding.shared
+    assert A.shape == (20, 3) and A.dtype == np.float64
+    io0 = store.io.snapshot()
+    block = A[4:9, 0:3]
+    np.testing.assert_array_equal(block, vals[4:9])
+    assert store.io.read_bytes - io0["read_bytes"] == 5 * 3 * 8
+    block *= 2.0  # a private copy: nothing stored until written back
+    np.testing.assert_array_equal(store.load(spec), vals)
+    A[4:9, 0:3] = block
+    np.testing.assert_array_equal(store.load(spec)[4:9], 2.0 * vals[4:9])
+    # An integer row array gathers (one load per contiguous run) and scatters.
+    rows = np.array([0, 1, 2, 11, 17])
+    io0 = store.io.snapshot()
+    got = A[rows, 0:3]
+    np.testing.assert_array_equal(got, vals[rows])
+    assert store.io.reads - io0["reads"] == 3
+    A[rows, 0:3] = -got
+    np.testing.assert_array_equal(store.load(spec)[rows], -vals[rows])
+    assert store.io.write_bytes - io0["write_bytes"] == 5 * 3 * 8
+    # The window bound: nothing taller than the plan's chunk height.
+    with pytest.raises(MemoryError, match="9-row window"):
+        A[0:9, 0:3]
+    with pytest.raises(MemoryError):
+        A[np.arange(0, 18, 2), 0:3]
+    with pytest.raises(ValueError, match="whole rows"):
+        A[0:2, 0:1] = np.zeros((2, 1))
+    # Workspace buffers stay on the heap.
+    view, wspec = binding.alloc((2, 2))
+    assert wspec is view
 
 
 def test_mmap_spec_of_view_walks_to_root():
