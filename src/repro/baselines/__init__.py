@@ -16,27 +16,23 @@
 
 from repro.baselines.lapack_lu import (
     build_getf2_graph,
-    build_getrf_graph,
     getf2_lu,
     getrf_lu,
     getrf_program,
 )
 from repro.baselines.lapack_qr import (
     build_geqr2_graph,
-    build_geqrf_graph,
     geqr2_qr,
     geqrf_program,
     geqrf_qr,
 )
 from repro.baselines.tiled_lu import (
     TiledLU,
-    build_tiled_lu_graph,
     tiled_lu,
     tiled_lu_program,
 )
 from repro.baselines.tiled_qr import (
     TiledQR,
-    build_tiled_qr_graph,
     tiled_qr,
     tiled_qr_program,
 )
@@ -45,11 +41,7 @@ __all__ = [
     "TiledLU",
     "TiledQR",
     "build_geqr2_graph",
-    "build_geqrf_graph",
     "build_getf2_graph",
-    "build_getrf_graph",
-    "build_tiled_lu_graph",
-    "build_tiled_qr_graph",
     "geqr2_qr",
     "geqrf_program",
     "geqrf_qr",

@@ -29,7 +29,6 @@ __all__ = [
     "getf2_lu",
     "getrf_lu",
     "build_getf2_graph",
-    "build_getrf_graph",
     "getrf_program",
 ]
 
@@ -172,26 +171,3 @@ def getrf_program(
     return GraphProgram(
         f"getrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead
     )
-
-
-def build_getrf_graph(
-    m: int,
-    n: int,
-    b: int = 64,
-    row_chunks: int = 8,
-    library: str = "mkl",
-    lookahead: int = 0,
-    panel_kernel: str = "getrf_panel",
-    fork_join: bool = True,
-) -> TaskGraph:
-    """Eagerly materialized :func:`getrf_program` (historical interface)."""
-    return getrf_program(
-        m,
-        n,
-        b,
-        row_chunks=row_chunks,
-        library=library,
-        lookahead=lookahead,
-        panel_kernel=panel_kernel,
-        fork_join=fork_join,
-    ).materialize()

@@ -24,7 +24,6 @@ __all__ = [
     "geqr2_qr",
     "geqrf_qr",
     "build_geqr2_graph",
-    "build_geqrf_graph",
     "geqrf_program",
 ]
 
@@ -137,24 +136,3 @@ def geqrf_program(
     return GraphProgram(
         f"geqrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead
     )
-
-
-def build_geqrf_graph(
-    m: int,
-    n: int,
-    b: int = 64,
-    library: str = "mkl",
-    lookahead: int = 0,
-    panel_kernel: str = "geqrf_panel",
-    fork_join: bool = True,
-) -> TaskGraph:
-    """Eagerly materialized :func:`geqrf_program` (historical interface)."""
-    return geqrf_program(
-        m,
-        n,
-        b,
-        library=library,
-        lookahead=lookahead,
-        panel_kernel=panel_kernel,
-        fork_join=fork_join,
-    ).materialize()

@@ -34,7 +34,7 @@ from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
-__all__ = ["TiledLU", "tiled_lu", "build_tiled_lu_graph", "tiled_lu_program"]
+__all__ = ["TiledLU", "tiled_lu", "tiled_lu_program"]
 
 
 @dataclass
@@ -238,14 +238,3 @@ def tiled_lu_program(
     return GraphProgram(
         f"tiled_lu{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead
     )
-
-
-def build_tiled_lu_graph(
-    m: int,
-    n: int,
-    nb: int = 200,
-    library: str = "plasma",
-    lookahead: int = 1,
-) -> TaskGraph:
-    """Eagerly materialized :func:`tiled_lu_program` (historical interface)."""
-    return tiled_lu_program(m, n, nb, library=library, lookahead=lookahead).materialize()

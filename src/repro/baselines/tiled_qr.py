@@ -31,7 +31,7 @@ from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
-__all__ = ["TiledQR", "tiled_qr", "build_tiled_qr_graph", "tiled_qr_program"]
+__all__ = ["TiledQR", "tiled_qr", "tiled_qr_program"]
 
 
 @dataclass
@@ -248,14 +248,3 @@ def tiled_qr_program(
     return GraphProgram(
         f"tiled_qr{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead
     )
-
-
-def build_tiled_qr_graph(
-    m: int,
-    n: int,
-    nb: int = 200,
-    library: str = "plasma",
-    lookahead: int = 1,
-) -> TaskGraph:
-    """Eagerly materialized :func:`tiled_qr_program` (historical interface)."""
-    return tiled_qr_program(m, n, nb, library=library, lookahead=lookahead).materialize()

@@ -455,11 +455,10 @@ class DagFigure:
 def fig1_fig2(b: int = 100, tr: int = 2, n_threads: int = 4) -> DagFigure:
     """Figures 1-2: the task DAG of CALU on a 4x4-block matrix and its
     4-thread step schedule (paper Section III)."""
-    from repro.core.calu import build_calu_graph
+    from repro.core.calu import calu_program
     from repro.core.layout import BlockLayout
 
-    layout = BlockLayout(4 * b, 4 * b, b)
-    graph, _ = build_calu_graph(layout, tr)
+    graph = calu_program(BlockLayout(4 * b, 4 * b, b), tr)[0].materialize()
     steps = [
         [graph.tasks[t].name for t in step] for step in graph.step_schedule(n_threads)
     ]

@@ -18,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.flops import lu_flops, qr_flops
-from repro.baselines.lapack_lu import build_getf2_graph, build_getrf_graph
-from repro.baselines.lapack_qr import build_geqr2_graph, build_geqrf_graph
-from repro.baselines.tiled_lu import build_tiled_lu_graph
-from repro.baselines.tiled_qr import build_tiled_qr_graph
-from repro.core.calu import build_calu_graph
-from repro.core.caqr import build_caqr_graph
+from repro.baselines.lapack_lu import build_getf2_graph, getrf_program
+from repro.baselines.lapack_qr import build_geqr2_graph, geqrf_program
+from repro.baselines.tiled_lu import tiled_lu_program
+from repro.baselines.tiled_qr import tiled_qr_program
+from repro.core.calu import calu_program
+from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
+from repro.machine.autotune import recommend_params
 from repro.machine.model import MachineModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.simulated import SimulatedExecutor
@@ -74,30 +75,29 @@ def lu_graph(
     paper's Section V for the ``calu*`` methods.
     """
     if method in ("calu", "calu_hybrid"):
-        bb = b if b is not None else min(100, n)
-        layout = BlockLayout(m, n, bb)
-        graph, _ = build_calu_graph(
-            layout,
+        bb = b if b is not None else recommend_params(m, n).b
+        program, _ = calu_program(
+            BlockLayout(m, n, bb),
             tr,
             tree,
-            A=None,
             lookahead=lookahead,
             update_width=update_width,
             update_library="mkl" if method == "calu_hybrid" else None,
         )
-        return graph
-    if method == "mkl_getrf":
-        return build_getrf_graph(
-            m, n, b=min(VENDOR_PANEL, n), row_chunks=row_chunks, library="mkl", lookahead=lookahead
-        )
-    if method == "acml_getrf":
-        return build_getrf_graph(
-            m, n, b=min(VENDOR_PANEL, n), row_chunks=row_chunks, library="acml", lookahead=lookahead
-        )
+        return program.materialize()
+    if method in ("mkl_getrf", "acml_getrf"):
+        return getrf_program(
+            m,
+            n,
+            b=min(VENDOR_PANEL, n),
+            row_chunks=row_chunks,
+            library=method.split("_")[0],
+            lookahead=lookahead,
+        ).materialize()
     if method == "mkl_getf2":
         return build_getf2_graph(m, n, library="mkl")
     if method == "plasma_getrf":
-        return build_tiled_lu_graph(m, n, nb=nb, library="plasma", lookahead=lookahead)
+        return tiled_lu_program(m, n, nb=nb, library="plasma", lookahead=lookahead).materialize()
     raise ValueError(f"unknown LU method {method!r}")
 
 
@@ -114,20 +114,23 @@ def qr_graph(
 ) -> TaskGraph:
     """Build the (symbolic) QR task graph for *method*."""
     if method in ("caqr", "tsqr"):
-        bb = b if b is not None else min(100, n)
+        bb = b if b is not None else recommend_params(m, n).b
         if method == "tsqr":
             bb = n  # single panel: the pure TSQR of Figure 8
-        layout = BlockLayout(m, n, bb)
-        graph, _ = build_caqr_graph(layout, tr, tree, A=None, lookahead=lookahead)
-        return graph
-    if method == "mkl_geqrf":
-        return build_geqrf_graph(m, n, b=min(VENDOR_PANEL_QR, n), library="mkl", lookahead=lookahead)
-    if method == "acml_geqrf":
-        return build_geqrf_graph(m, n, b=min(VENDOR_PANEL_QR, n), library="acml", lookahead=lookahead)
+        program, _ = caqr_program(BlockLayout(m, n, bb), tr, tree, lookahead=lookahead)
+        return program.materialize()
+    if method in ("mkl_geqrf", "acml_geqrf"):
+        return geqrf_program(
+            m,
+            n,
+            b=min(VENDOR_PANEL_QR, n),
+            library=method.split("_")[0],
+            lookahead=lookahead,
+        ).materialize()
     if method == "mkl_geqr2":
         return build_geqr2_graph(m, n, library="mkl")
     if method == "plasma_geqrf":
-        return build_tiled_qr_graph(m, n, nb=nb, library="plasma", lookahead=lookahead)
+        return tiled_qr_program(m, n, nb=nb, library="plasma", lookahead=lookahead).materialize()
     raise ValueError(f"unknown QR method {method!r}")
 
 

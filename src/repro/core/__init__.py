@@ -9,8 +9,8 @@
     look-ahead priorities.
 """
 
-from repro.core.calu import CALUFactorization, build_calu_graph, calu, calu_program
-from repro.core.caqr import CAQRFactorization, build_caqr_graph, caqr, caqr_program
+from repro.core.calu import CALUFactorization, calu, calu_program
+from repro.core.caqr import CAQRFactorization, caqr, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind, reduction_schedule
@@ -23,8 +23,6 @@ __all__ = [
     "CAQRFactorization",
     "TSQRFactorization",
     "TreeKind",
-    "build_calu_graph",
-    "build_caqr_graph",
     "calu",
     "calu_program",
     "caqr",

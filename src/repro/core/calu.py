@@ -34,21 +34,16 @@ from repro.core.tslu import PanelWorkspace, add_tslu_tasks
 from repro.kernels.blas import laswp
 from repro.kernels.lu import piv_to_perm
 from repro.resilience.abft import gemm_abft_guard, gemm_checksums
-from repro.resilience.checkpoint import restore_matrix
-from repro.resilience.events import ResilienceEvent
-from repro.resilience.health import finite_block_guard, validate_matrix
-from repro.resilience.recovery import RuntimeFailure
+from repro.resilience.health import finite_block_guard
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.ops import calu_s_blocks, op_task
-from repro.runtime.process import staged
-from repro.runtime.program import GraphProgram, supports_streaming
+from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
 __all__ = [
     "CALUFactorization",
-    "build_calu_graph",
     "calu",
     "calu_program",
     "merged_chunks",
@@ -114,48 +109,6 @@ def _leftswap_fn(A: np.ndarray, layout: BlockLayout, workspaces: list[PanelWorks
     return fn
 
 
-def _ckpt_fn(A: np.ndarray, layout: BlockLayout, ckpt, K: int, workspaces: list[PanelWorkspace]):
-    """Snapshot closure for the boundary-*K* checkpoint task.
-
-    Saves the panel columns and U block rows factored since the
-    previous boundary (final bytes, modulo the terminal left-swap task
-    which always re-runs on resume), the live trailing matrix, and the
-    covered panels' pivot sequences and degradation flags.
-    """
-
-    def fn() -> None:
-        m, n, b = layout.m, layout.n, layout.b
-        prevK = ckpt.prev_boundary(K)
-        prev_c1 = prevK * b + layout.panel_width(prevK) if prevK >= 0 else 0
-        c1 = K * b + layout.panel_width(K)
-        extra: dict = {}
-        for P in range(max(prevK + 1, 0), K + 1):
-            ws = workspaces[P]
-            if ws.piv is not None:
-                extra[f"piv{P}"] = np.asarray(ws.piv, dtype=np.int64)
-            extra[f"flags{P}"] = ws.flags.copy()
-        ckpt.save_snapshot(
-            K,
-            cols=A[:, prev_c1:c1],
-            urows=A[prev_c1:c1, c1:n],
-            trailing=A[c1:m, c1:n],
-            extra=extra,
-        )
-
-    return fn
-
-
-def _ckpt_guard(K: int, name: str):
-    """Emit a (non-fatal) ``checkpoint`` event once the snapshot is saved."""
-
-    def guard() -> ResilienceEvent:
-        return ResilienceEvent(
-            "checkpoint", task=name, detail=f"panel boundary {K} snapshot saved"
-        )
-
-    return guard
-
-
 def calu_program(
     layout: BlockLayout,
     tr: int,
@@ -181,9 +134,8 @@ def calu_program(
     epilogue window holding the deferred left-swap task.  Windows are
     emitted incrementally as predecessors complete — graph construction
     stays off the critical path and the scheduler's live set is bounded
-    by the look-ahead window — and ``materialize()`` reproduces the old
-    eager graph task-for-task and edge-for-edge (the emission order is
-    exactly the old builder's loop order).
+    by the look-ahead window; ``materialize()`` emits them all up front,
+    the same tasks and edges (what the verify/DOT/analysis tooling reads).
 
     With ``A`` given (an ``m x n`` array factored in place), tasks are
     numeric — every P/L/U/S step a descriptor run by
@@ -406,46 +358,23 @@ def calu_program(
                     **s_meta,
                 )
 
-        # Task C: the boundary-K checkpoint.  Reading every block the
-        # iteration wrote gives it RAW edges from all of iteration K's
-        # tasks and WAR edges to iteration K+1's writers, so the
-        # snapshot sees exactly the boundary state — consistent even
-        # under look-ahead pipelining.
         if numeric and checkpoint is not None and checkpoint.should_snapshot(K):
-            prevK = checkpoint.prev_boundary(K)
-            prev_c1 = prevK * b + layout.panel_width(prevK) if prevK >= 0 else 0
-            ck_words = 2.0 * (
-                m * (c1 - prev_c1)
-                + (c1 - prev_c1) * max(n - c1, 0)
-                + max(m - c1, 0) * max(n - c1, 0)
-            )
-            ck_name = f"C[{K}]"
-            ck_reads = [
-                (i, J)
-                for J in range(max(prevK + 1, 0), N)
-                for i in range(layout.M)
-                if J <= K or i > prevK
-            ]
-            # The snapshot also serializes the covered panels' pivot
-            # sequences and degradation flags from the workspaces.
-            ck_reads += [("piv", P) for P in range(max(prevK + 1, 0), K + 1)]
-            tracker.add_task(
+            checkpoint.add_snapshot_task(
                 graph,
-                ck_name,
-                TaskKind.X,
-                Cost("laswp", words=ck_words, library=library),
-                fn=_ckpt_fn(A, layout, checkpoint, K, workspaces),
-                reads=ck_reads,
+                tracker,
+                layout,
+                K,
+                A,
+                workspaces,
+                state_reads=[("piv", P) for P in checkpoint.covered_panels(K)],
                 priority=task_priority("X", K, lookahead=lookahead, n_cols=N) + 1.0,
-                iteration=K,
-                health=_ckpt_guard(K, ck_name),
+                library=library,
             )
 
     def _emit_epilogue(graph: TaskGraph) -> None:
         # Deferred left swaps (Algorithm 1 line 41).  Depends on all
-        # sinks, i.e. transitively on the entire factorization.  Window
-        # ordering guarantees every panel window is already emitted, so
-        # the sink set matches the eager builder's exactly.
+        # sinks, i.e. transitively on the entire factorization: window
+        # ordering guarantees every panel window is already emitted.
         sinks = [t for t in range(len(graph.tasks)) if not graph.succs[t]]
         swap_words = 2.0 * sum(
             K * b * layout.panel_width(K) for K in range(1, layout.n_panels)
@@ -479,48 +408,6 @@ def calu_program(
         lookahead=lookahead,
     )
     return program, workspaces
-
-
-def build_calu_graph(
-    layout: BlockLayout,
-    tr: int,
-    tree: TreeKind = TreeKind.BINARY,
-    *,
-    A: np.ndarray | None = None,
-    lookahead: int | None = None,
-    library: str = "repro",
-    leaf_kernel: str = "rgetf2",
-    arity: int = 4,
-    update_width: int | None = None,
-    update_library: str | None = None,
-    guards: bool = True,
-    checkpoint=None,
-    abft: bool = False,
-    recompute: bool = True,
-) -> tuple[TaskGraph, list[PanelWorkspace]]:
-    """Build the complete (eager) CALU task graph for *layout*.
-
-    Materializes :func:`calu_program` up front — the historical
-    interface, still what the verify/DOT/analysis tooling consumes.
-    See :func:`calu_program` for the parameters.
-    """
-    program, workspaces = calu_program(
-        layout,
-        tr,
-        tree,
-        A=A,
-        lookahead=lookahead,
-        library=library,
-        leaf_kernel=leaf_kernel,
-        arity=arity,
-        update_width=update_width,
-        update_library=update_library,
-        guards=guards,
-        checkpoint=checkpoint,
-        abft=abft,
-        recompute=recompute,
-    )
-    return program.materialize(), workspaces
 
 
 def panel_verdicts(layout: BlockLayout, workspaces: list[PanelWorkspace]):
@@ -664,7 +551,7 @@ def calu(
     update_width : optional trailing-update block size ``B >= b``
         (paper Section V extension): coarser, fewer update tasks.
     guards : attach numerical health guards to the task graph (see
-        :func:`build_calu_graph`); disabled, a corrupted run may
+        :func:`calu_program`); disabled, a corrupted run may
         raise from deep inside a kernel instead of degrading
         gracefully.
     checkpoint : optional
@@ -688,122 +575,23 @@ def calu(
 
     Returns a :class:`CALUFactorization`.
     """
-    A = validate_matrix(A, "A", require_finite=check_finite)
-    # check_finite=False means the caller opted into non-finite input
-    # ("garbage in"); the finiteness guards would only fight that.
-    guards = guards and check_finite
-    m, n = A.shape
-    if b is None:
-        b = min(100, n)
-    layout = BlockLayout(m, n, b)
-    hints = {"kind": "lu", "m": m, "n": n, "b": b, "tr": tr, "tree": tree}
-    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
-        executor,
-        store,
-        autotune_decision,
-    ):
-        A = store.A
-        if fuse is None and autotune_decision is not None:
-            fuse = autotune_decision.max_ops
-        program, workspaces = calu_program(
-            layout,
-            tr,
-            tree,
-            A=A,
-            lookahead=lookahead,
-            leaf_kernel=leaf_kernel,
-            update_width=update_width,
-            guards=guards,
-            checkpoint=checkpoint,
-            abft=abft,
-            recompute=tournament_recompute,
-            store=store,
-        )
-        if fuse is not None and fuse > 1:
-            from repro.runtime.fuse import fuse_program
+    from repro.core.driver import ALGORITHMS, factorize
 
-            # Per-window rewrite: journal resume below still addresses
-            # windows by panel iteration, and checkpoint (X) tasks keep
-            # their identity inside the fused program.
-            program = fuse_program(program, max_ops=fuse)
-        # Engine-backed executors consume the streaming program directly,
-        # keeping graph construction off the critical path; a caller-made
-        # (duck-typed) executor gets the materialized eager graph, which is
-        # the historical contract.
-        source = program if supports_streaming(executor) else program.materialize()
-        journal = None
-        if checkpoint is not None:
-            import zlib
-
-            signature = {
-                "algo": "calu",
-                "m": m,
-                "n": n,
-                "b": int(b),
-                "tr": int(tr),
-                "tree": tree.value,
-                "leaf_kernel": leaf_kernel,
-                "update_width": update_width,
-                "a_digest": zlib.crc32(A.tobytes()),
-            }
-            usable = checkpoint.prepare(signature)
-            resumed_from, snaps = (
-                restore_matrix(A, layout, checkpoint) if usable else (-1, {})
-            )
-            # The journal from a crashed run holds mid-panel completions
-            # whose effects are NOT in the restored matrix (it carries the
-            # *boundary* state); reseed it with exactly the tasks the
-            # snapshot covers.  The terminal left-swap task is never marked:
-            # snapshots are taken before it, so it must always re-run.
-            journal = checkpoint.journal()
-            journal.reset()
-            journal.bind(source)
-            if resumed_from >= 0:
-                # Window K holds every task of iteration K, so emitting
-                # through the resumed boundary makes the whole journaled
-                # prefix enumerable (no-op on the eager path).
-                program.emit_through(resumed_from)
-                for snap in snaps.values():
-                    for key, val in snap.items():
-                        if key.startswith("piv"):
-                            workspaces[int(key[3:])].piv = np.asarray(val)
-                        elif key.startswith("flags"):
-                            workspaces[int(key[5:])].flags[:] = val
-                journal.mark_completed(
-                    t.name
-                    for t in program.graph.tasks
-                    if t.iteration <= resumed_from and t.name != "leftswaps"
-                )
-        plan = getattr(executor, "fault_plan", None)
-        if plan is not None and plan.target is None:
-            plan.target = A
-        trace = (
-            executor.run(source, journal=journal) if journal is not None else executor.run(source)
-        )
-        if autotune_decision is not None:
-            trace.events.append(autotune_decision.event())
-        if guards and not np.isfinite(A).all():
-            # Last line of defense: a corruption that landed outside every
-            # guarded block (e.g. in an already-finished region) must still
-            # surface as a structured failure, never as wrong factors.
-            raise RuntimeFailure(
-                "CALU produced non-finite factors (undetected corruption)",
-                failure_kind="health",
-                trace=trace,
-            )
-        piv, degraded, recovered = panel_verdicts(layout, workspaces)
-        if checkpoint is not None:
-            # Drain the async snapshot writer so a completed run leaves
-            # its full chain on disk (and any write error surfaces here
-            # rather than being dropped with the daemon thread).
-            checkpoint.flush()
-        return CALUFactorization(
-            lu=store.detach(A),
-            piv=piv,
-            b=b,
-            tr=tr,
-            tree=tree,
-            trace=trace,
-            degraded_panels=degraded,
-            recovered_panels=recovered,
-        )
+    return factorize(
+        ALGORITHMS["lu"],
+        A,
+        b=b,
+        tr=tr,
+        tree=tree,
+        executor=executor,
+        lookahead=lookahead,
+        leaf_kernel=leaf_kernel,
+        overwrite=overwrite,
+        check_finite=check_finite,
+        guards=guards,
+        checkpoint=checkpoint,
+        fuse=fuse,
+        update_width=update_width,
+        abft=abft,
+        recompute=tournament_recompute,
+    )

@@ -28,57 +28,15 @@ from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth, task_priority
 from repro.core.trees import TreeKind
 from repro.core.tsqr import PanelQRStore, add_tsqr_tasks
-from repro.resilience.checkpoint import restore_matrix
-from repro.resilience.events import ResilienceEvent
-from repro.resilience.health import finite_block_guard, validate_matrix
-from repro.resilience.recovery import RuntimeFailure
+from repro.resilience.health import finite_block_guard
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.ops import op_task
-from repro.runtime.process import staged
-from repro.runtime.program import GraphProgram, supports_streaming
+from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
-__all__ = ["CAQRFactorization", "build_caqr_graph", "caqr", "caqr_program"]
-
-
-def _ckpt_fn(A: np.ndarray, layout: BlockLayout, ckpt, K: int, stores: list[PanelQRStore]):
-    """Snapshot closure for the boundary-*K* CAQR checkpoint task.
-
-    Besides the matrix regions (packed ``V``/``R`` columns, final
-    ``R`` block rows, live trailing matrix) the covered panels'
-    implicit-Q stores are flattened into the payload — a resumed run
-    needs them for ``apply_q``/``apply_qt``.
-    """
-
-    def fn() -> None:
-        m, n, b = layout.m, layout.n, layout.b
-        prevK = ckpt.prev_boundary(K)
-        prev_c1 = prevK * b + layout.panel_width(prevK) if prevK >= 0 else 0
-        c1 = K * b + layout.panel_width(K)
-        extra: dict = {}
-        for P in range(max(prevK + 1, 0), K + 1):
-            for key, val in stores[P].to_arrays().items():
-                extra[f"q{P}_{key}"] = val
-        ckpt.save_snapshot(
-            K,
-            cols=A[:, prev_c1:c1],
-            urows=A[prev_c1:c1, c1:n],
-            trailing=A[c1:m, c1:n],
-            extra=extra,
-        )
-
-    return fn
-
-
-def _ckpt_guard(K: int, name: str):
-    def guard() -> ResilienceEvent:
-        return ResilienceEvent(
-            "checkpoint", task=name, detail=f"panel boundary {K} snapshot saved"
-        )
-
-    return guard
+__all__ = ["CAQRFactorization", "caqr", "caqr_program"]
 
 
 def caqr_program(
@@ -99,8 +57,7 @@ def caqr_program(
 
     One window per panel iteration (TSQR tree, leaf/node trailing
     updates, optional ``C[K]`` checkpoint task); symbolic when ``A`` is
-    None.  ``materialize()`` reproduces the old eager graph exactly —
-    see :func:`repro.core.calu.calu_program` for the streaming
+    None.  See :func:`repro.core.calu.calu_program` for the streaming
     semantics.
 
     Returns ``(program, per-panel implicit-Q stores)``; the store list
@@ -109,7 +66,7 @@ def caqr_program(
     guards: QR has no partial-pivoting fallback, so a corrupted panel
     surfaces as a fatal structured failure rather than silently wrong
     factors.  *checkpoint* adds per-boundary ``C[K]`` snapshot tasks
-    exactly as in :func:`repro.core.calu.build_calu_graph`.
+    exactly as in :func:`repro.core.calu.calu_program`.
 
     *store* binds *A* and the WY-factor buffers (numeric runs only):
     a :class:`~repro.runtime.tilestore.HeapBinding` of *A* by default;
@@ -270,37 +227,17 @@ def caqr_program(
                     **s_meta,
                 )
 
-        # Task C: the boundary-K checkpoint (see build_calu_graph).
         if numeric and checkpoint is not None and checkpoint.should_snapshot(K):
-            m, n, b = layout.m, layout.n, layout.b
-            prevK = checkpoint.prev_boundary(K)
-            prev_c1 = prevK * b + layout.panel_width(prevK) if prevK >= 0 else 0
-            ck_words = 2.0 * (
-                m * (c1 - prev_c1)
-                + (c1 - prev_c1) * max(n - c1, 0)
-                + max(m - c1, 0) * max(n - c1, 0)
-            )
-            ck_name = f"C[{K}]"
-            ck_reads = [
-                (i, J)
-                for J in range(max(prevK + 1, 0), N)
-                for i in range(layout.M)
-                if J <= K or i > prevK
-            ]
-            # The snapshot flattens the covered panels' implicit-Q
-            # stores into its payload.
-            for P in range(max(prevK + 1, 0), K + 1):
-                ck_reads += panel_q_keys[P]
-            tracker.add_task(
+            checkpoint.add_snapshot_task(
                 graph,
-                ck_name,
-                TaskKind.X,
-                Cost("laswp", words=ck_words, library=library),
-                fn=_ckpt_fn(A, layout, checkpoint, K, stores),
-                reads=ck_reads,
+                tracker,
+                layout,
+                K,
+                A,
+                stores,
+                state_reads=[key for P in checkpoint.covered_panels(K) for key in panel_q_keys[P]],
                 priority=task_priority("X", K, lookahead=lookahead, n_cols=N) + 1.0,
-                iteration=K,
-                health=_ckpt_guard(K, ck_name),
+                library=library,
             )
 
     program = GraphProgram(
@@ -310,40 +247,6 @@ def caqr_program(
         lookahead=lookahead,
     )
     return program, stores
-
-
-def build_caqr_graph(
-    layout: BlockLayout,
-    tr: int,
-    tree: TreeKind = TreeKind.FLAT,
-    *,
-    A: np.ndarray | None = None,
-    lookahead: int | None = None,
-    library: str = "repro_qr",
-    leaf_kernel: str = "geqr3",
-    arity: int = 4,
-    guards: bool = True,
-    checkpoint=None,
-) -> tuple[TaskGraph, list[PanelQRStore]]:
-    """Build the complete (eager) CAQR task graph for *layout*.
-
-    Materializes :func:`caqr_program` up front — the historical
-    interface, still what the verify/DOT/analysis tooling consumes.
-    See :func:`caqr_program` for the parameters.
-    """
-    program, stores = caqr_program(
-        layout,
-        tr,
-        tree,
-        A=A,
-        lookahead=lookahead,
-        library=library,
-        leaf_kernel=leaf_kernel,
-        arity=arity,
-        guards=guards,
-        checkpoint=checkpoint,
-    )
-    return program.materialize(), stores
 
 
 @dataclass
@@ -442,106 +345,20 @@ def caqr(
     the autotuner picks backend and fusion granularity, and fused
     super-tasks dispatch with one scheduler slot / pipe round-trip each.
     """
-    A = validate_matrix(A, "A", require_finite=check_finite)
-    guards = guards and check_finite
-    m, n = A.shape
-    if b is None:
-        b = min(100, n)
-    layout = BlockLayout(m, n, b)
-    hints = {"kind": "qr", "m": m, "n": n, "b": b, "tr": tr, "tree": tree}
-    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
-        executor,
-        store,
-        autotune_decision,
-    ):
-        A = store.A
-        if fuse is None and autotune_decision is not None:
-            fuse = autotune_decision.max_ops
-        program, stores = caqr_program(
-            layout,
-            tr,
-            tree,
-            A=A,
-            lookahead=lookahead,
-            leaf_kernel=leaf_kernel,
-            guards=guards,
-            checkpoint=checkpoint,
-            store=store,
-        )
-        if fuse is not None and fuse > 1:
-            from repro.runtime.fuse import fuse_program
+    from repro.core.driver import ALGORITHMS, factorize
 
-            # Per-window rewrite; checkpoint (X) tasks keep their identity.
-            program = fuse_program(program, max_ops=fuse)
-        # Stream through engine-backed executors; materialize for
-        # caller-made (duck-typed) ones — the historical contract.
-        source = program if supports_streaming(executor) else program.materialize()
-        journal = None
-        if checkpoint is not None:
-            import zlib
-
-            signature = {
-                "algo": "caqr",
-                "m": m,
-                "n": n,
-                "b": int(b),
-                "tr": int(tr),
-                "tree": tree.value,
-                "leaf_kernel": leaf_kernel,
-                "a_digest": zlib.crc32(A.tobytes()),
-            }
-            usable = checkpoint.prepare(signature)
-            resumed_from, snaps = (
-                restore_matrix(A, layout, checkpoint) if usable else (-1, {})
-            )
-            journal = checkpoint.journal()
-            journal.reset()
-            journal.bind(source)
-            if resumed_from >= 0:
-                # Emit the resumed prefix so its tasks are enumerable
-                # (no-op on the eager path).
-                program.emit_through(resumed_from)
-                # Refill the covered panels' implicit-Q buffers (the
-                # tasks and the returned factorization share them).
-                for snap in snaps.values():
-                    per_panel: dict[int, dict] = {}
-                    for key, val in snap.items():
-                        if not key.startswith("q"):
-                            continue
-                        head, _, rest = key.partition("_")
-                        try:
-                            P = int(head[1:])
-                        except ValueError:
-                            continue
-                        per_panel.setdefault(P, {})[rest] = val
-                    for P, arrays in per_panel.items():
-                        stores[P].restore(arrays)
-                journal.mark_completed(
-                    t.name for t in program.graph.tasks if t.iteration <= resumed_from
-                )
-        plan = getattr(executor, "fault_plan", None)
-        if plan is not None and plan.target is None:
-            plan.target = A
-        trace = (
-            executor.run(source, journal=journal) if journal is not None else executor.run(source)
-        )
-        if autotune_decision is not None:
-            trace.events.append(autotune_decision.event())
-        if guards and not np.isfinite(A).all():
-            raise RuntimeFailure(
-                "CAQR produced non-finite factors (undetected corruption)",
-                failure_kind="health",
-                trace=trace,
-            )
-        if checkpoint is not None:
-            # Drain the async snapshot writer so a completed run leaves
-            # its full chain on disk (and any write error surfaces here).
-            checkpoint.flush()
-        return CAQRFactorization(
-            packed=store.detach(A),
-            panels=[qs.detached(store.detach) for qs in stores],
-            b=b,
-            tr=tr,
-            tree=tree,
-            trace=trace,
-        )
+    return factorize(
+        ALGORITHMS["qr"],
+        A,
+        b=b,
+        tr=tr,
+        tree=tree,
+        executor=executor,
+        lookahead=lookahead,
+        leaf_kernel=leaf_kernel,
+        overwrite=overwrite,
+        check_finite=check_finite,
+        guards=guards,
+        checkpoint=checkpoint,
+        fuse=fuse,
+    )

@@ -33,11 +33,10 @@ from repro.core.layout import BlockLayout, Chunk
 from repro.core.priorities import task_priority
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.resilience.events import ResilienceEvent
-from repro.resilience.health import DEFAULT_GROWTH_LIMIT, validate_matrix
+from repro.resilience.health import DEFAULT_GROWTH_LIMIT
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.ops import op_task
-from repro.runtime.process import staged
-from repro.runtime.program import GraphProgram, supports_streaming
+from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.tilestore import HeapBinding
 
@@ -97,17 +96,24 @@ class PanelWorkspace:
         if self.absmax is not None:
             self.absmax = absmax
 
+    def to_arrays(self) -> dict:
+        """The panel's verdict as named arrays (checkpoint payloads):
+        the length-prefixed pivot buffer and the flags."""
+        return {"piv": self.piv_buf, "flags": self.flags}
+
+    def restore(self, arrays: dict) -> None:
+        """Refill the buffers from a :meth:`to_arrays` payload
+        (checkpoint resume), in place: the tasks' descriptors address
+        them."""
+        self.piv_buf[:] = arrays["piv"]
+        self.flags[:] = arrays["flags"]
+
     @property
     def piv(self) -> np.ndarray | None:
         """The panel's swap sequence; None until the finalize task ran."""
         if self.piv_buf is None or self.piv_buf[0] == 0:
             return None
         return self.piv_buf[1 : 1 + int(self.piv_buf[0])]
-
-    @piv.setter
-    def piv(self, value: np.ndarray) -> None:
-        self.piv_buf[0] = len(value)
-        self.piv_buf[1 : 1 + len(value)] = value
 
     @property
     def degraded(self) -> bool:
@@ -542,11 +548,15 @@ def tslu(
             check_finite=check_finite,
         ) as res:
             return res.lu(), res.piv
-    A = validate_matrix(A, "A", require_finite=check_finite)
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"tslu requires a tall panel (m >= n), got {A.shape}")
-    with staged(A, executor, min(tr, 4), overwrite=overwrite) as (executor, binding, _):
-        program, ws = tslu_program(binding.A, tr, tree, leaf_kernel=leaf_kernel, store=binding)
-        executor.run(program if supports_streaming(executor) else program.materialize())
-        return binding.detach(binding.A), np.array(ws.piv)
+    from repro.core.driver import TSLU, factorize
+
+    return factorize(
+        TSLU,
+        A,
+        tr=tr,
+        tree=tree,
+        executor=executor,
+        leaf_kernel=leaf_kernel,
+        overwrite=overwrite,
+        check_finite=check_finite,
+    )

@@ -26,11 +26,9 @@ from repro.core.priorities import task_priority
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.kernels.qr import larfb_left_t
 from repro.kernels.structured import tpmqrt_left_t
-from repro.resilience.health import validate_matrix
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.ops import op_task
-from repro.runtime.process import staged
-from repro.runtime.program import GraphProgram, supports_streaming
+from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.tilestore import HeapBinding
 
@@ -81,7 +79,7 @@ class PanelQRStore:
     """
 
     leaves: dict[int, LeafFactor] = field(default_factory=dict)
-    merges: list[MergeFactor | None] = field(default_factory=list)
+    merges: list[MergeFactor] = field(default_factory=list)
 
     def detached(self, detach) -> "PanelQRStore":
         """This store with every factor passed through *detach* (a
@@ -90,30 +88,31 @@ class PanelQRStore:
         merges = [replace(f, Vb=detach(f.Vb), T=detach(f.T)) for f in self.merges]
         return PanelQRStore(leaves, merges)
 
+    def reset(self, absmax: float | None = None) -> None:
+        """Nothing to forget between runs of a cached graph (cf.
+        ``PanelWorkspace.reset``): every run overwrites every buffer."""
+
     def restore(self, arrays: dict) -> None:
         """Refill the factor buffers from a :meth:`to_arrays` payload
         (checkpoint resume), in place: the buffers are what the tasks'
         descriptors address."""
-        saved = PanelQRStore.from_arrays(arrays)
-        for slot, leaf in saved.leaves.items():
-            np.copyto(self.leaves[slot].V, leaf.V)
-            np.copyto(self.leaves[slot].T, leaf.T)
-        for mine, theirs in zip(self.merges, saved.merges, strict=True):
-            np.copyto(mine.Vb, theirs.Vb)
-            np.copyto(mine.T, theirs.T)
+        for slot, leaf in self.leaves.items():
+            np.copyto(leaf.V, arrays[f"leaf{slot}_V"])
+            np.copyto(leaf.T, arrays[f"leaf{slot}_T"])
+        for i, mf in enumerate(self.merges):
+            np.copyto(mf.Vb, arrays[f"merge{i}_Vb"])
+            np.copyto(mf.T, arrays[f"merge{i}_T"])
 
     def apply_qt(self, C: np.ndarray) -> None:
         """Apply this panel's ``Q^T`` to (the full-height) ``C`` in place."""
         for leaf in self.leaves.values():
             larfb_left_t(np.asarray(leaf.V), leaf.T, C[leaf.r0 : leaf.r1])
         for mf in self.merges:
-            assert mf is not None
             tpmqrt_left_t(mf.Vb, mf.T, C[mf.top0 : mf.top0 + mf.r], C[mf.bot0 : mf.bot0 + mf.r])
 
     def apply_q(self, C: np.ndarray) -> None:
         """Apply this panel's ``Q`` to ``C`` in place (reverse replay)."""
         for mf in reversed(self.merges):
-            assert mf is not None
             tpmqrt_left_t(
                 mf.Vb,
                 mf.T,
@@ -138,40 +137,10 @@ class PanelQRStore:
             out[f"leaf{slot}_V"] = leaf.V
             out[f"leaf{slot}_T"] = leaf.T
         for i, mf in enumerate(self.merges):
-            if mf is None:
-                continue
             out[f"merge{i}_idx"] = np.array([mf.top0, mf.bot0, mf.r], dtype=np.int64)
             out[f"merge{i}_Vb"] = mf.Vb
             out[f"merge{i}_T"] = mf.T
         return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "PanelQRStore":
-        """Inverse of :meth:`to_arrays`."""
-        store = cls()
-        store.merges = [None] * int(arrays.get("n_merges", 0))
-        for key, val in arrays.items():
-            if not key.endswith("_idx"):
-                continue
-            if key.startswith("leaf"):
-                slot = int(key[4:-4])
-                store.leaves[slot] = LeafFactor(
-                    slot=int(val[0]),
-                    r0=int(val[1]),
-                    r1=int(val[2]),
-                    V=np.asarray(arrays[f"leaf{slot}_V"]),
-                    T=np.asarray(arrays[f"leaf{slot}_T"]),
-                )
-            elif key.startswith("merge"):
-                i = int(key[5:-4])
-                store.merges[i] = MergeFactor(
-                    top0=int(val[0]),
-                    bot0=int(val[1]),
-                    r=int(val[2]),
-                    Vb=np.asarray(arrays[f"merge{i}_Vb"]),
-                    T=np.asarray(arrays[f"merge{i}_T"]),
-                )
-        return store
 
 
 @dataclass
@@ -495,27 +464,16 @@ def tsqr(
             leaf_kernel=leaf_kernel,
             check_finite=check_finite,
         )
-    A = validate_matrix(A, "A", require_finite=check_finite)
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"tsqr requires a tall panel (m >= n), got {A.shape}")
-    hints = {"kind": "qr", "m": m, "n": n, "b": n, "tr": tr, "tree": tree}
-    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
-        executor,
-        binding,
-        decision,
-    ):
-        if fuse is None and decision is not None:
-            fuse = decision.max_ops
-        program, qstore = tsqr_program(
-            binding.A, tr, tree, leaf_kernel=leaf_kernel, store=binding
-        )
-        if fuse is not None and fuse > 1:
-            from repro.runtime.fuse import fuse_program
+    from repro.core.driver import TSQR, factorize
 
-            program = fuse_program(program, max_ops=fuse)
-        executor.run(program if supports_streaming(executor) else program.materialize())
-        R = np.triu(binding.A[:n, :])  # np.triu already allocates a fresh array
-        return TSQRFactorization(
-            m=m, n=n, store=qstore.detached(binding.detach), R=R, tr=tr, tree=tree
-        )
+    return factorize(
+        TSQR,
+        A,
+        tr=tr,
+        tree=tree,
+        executor=executor,
+        leaf_kernel=leaf_kernel,
+        overwrite=overwrite,
+        check_finite=check_finite,
+        fuse=fuse,
+    )

@@ -22,11 +22,13 @@ import numpy as np
 from repro.core.calu import CALUFactorization, calu
 from repro.core.caqr import caqr
 from repro.core.trees import TreeKind
+from repro.machine.autotune import resolve_params
 from repro.resilience.health import NumericalHealthWarning, validate_matrix, validate_rhs
 
 __all__ = [
     "SolveReport",
     "solve",
+    "monitored_solve",
     "lstsq",
     "iterative_refinement",
     "condest_1",
@@ -80,7 +82,7 @@ def solve(
     """Solve the square system ``A x = rhs`` with CALU.
 
     Unset parameters are filled from the paper's tuning heuristics
-    (:func:`repro.core.autotune.recommend_params`).  ``refine`` extra
+    (:func:`repro.machine.autotune.resolve_params`).  ``refine`` extra
     steps of iterative refinement sharpen the result to working
     accuracy (see :func:`iterative_refinement`).
 
@@ -132,16 +134,39 @@ def solve(
         )
     if deadline_s is not None:
         raise ValueError("deadline_s requires service=")
-    from repro.core.autotune import recommend_params
-
     A = np.asarray(validate_matrix(A, "A"), dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"solve requires a square matrix, got shape {A.shape}")
     rhs = np.asarray(validate_rhs(rhs, A.shape[0], "rhs"), dtype=float)
-    rec = recommend_params(A.shape[0], A.shape[1], cores=cores, kind="lu")
-    f = calu(A, b=b if b is not None else rec.b, tr=tr if tr is not None else rec.tr,
-             tree=tree if tree is not None else rec.tree, checkpoint=checkpoint,
-             executor=executor, lookahead=lookahead)
+    b, tr, tree = resolve_params(*A.shape, b, tr, tree, cores=cores, kind="lu")
+    f = calu(A, b=b, tr=tr, tree=tree, checkpoint=checkpoint, executor=executor,
+             lookahead=lookahead)
+    return monitored_solve(
+        A, f, rhs, refine=refine, auto_refine=auto_refine, rtol=rtol, report=report
+    )
+
+
+def monitored_solve(
+    A: np.ndarray,
+    f: CALUFactorization,
+    rhs: np.ndarray,
+    *,
+    refine: int = 0,
+    auto_refine: bool = True,
+    rtol: float | None = None,
+    report: bool = False,
+):
+    """Solve with factors *f* of *A*, watching the residual.
+
+    The back half of :func:`solve` (whose parameters these are), shared
+    with :meth:`FactorizationService.solve
+    <repro.service.service.FactorizationService.solve>`: *refine* fixed
+    refinement steps, then the scaled-residual check against *rtol*,
+    auto-escalation to iterative refinement and the
+    :class:`~repro.resilience.health.NumericalHealthWarning` when even
+    that falls short.  Returns ``x``, or ``(x, SolveReport)`` with
+    *report*.
+    """
     x = f.solve(rhs)
     rep = SolveReport(degraded_panels=f.degraded_panels)
     if refine > 0:
@@ -170,7 +195,7 @@ def solve(
                 f"{tol:.3g} after {rep.refine_steps} refinement steps "
                 "(ill-conditioned system?)",
                 NumericalHealthWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return (x, rep) if report else x
 
@@ -204,16 +229,12 @@ def lstsq(
         return service.lstsq(A, rhs, b=b, tr=tr, tree=tree, deadline_s=deadline_s)
     if deadline_s is not None:
         raise ValueError("deadline_s requires service=")
-    from repro.core.autotune import recommend_params
-
     A = np.asarray(validate_matrix(A, "A"), dtype=float)
     if A.shape[0] < A.shape[1]:
         raise ValueError(f"lstsq requires m >= n, got shape {A.shape}")
     rhs = np.asarray(validate_rhs(rhs, A.shape[0], "rhs"), dtype=float)
-    rec = recommend_params(A.shape[0], A.shape[1], cores=cores, kind="qr")
-    f = caqr(A, b=b if b is not None else rec.b, tr=tr if tr is not None else rec.tr,
-             tree=tree if tree is not None else rec.tree,
-             executor=executor, lookahead=lookahead)
+    b, tr, tree = resolve_params(*A.shape, b, tr, tree, cores=cores, kind="qr")
+    f = caqr(A, b=b, tr=tr, tree=tree, executor=executor, lookahead=lookahead)
     return f.solve_ls(rhs)
 
 

@@ -18,10 +18,16 @@ graph (no arithmetic executed) and picks
   cost without flattening intra-panel parallelism.
 
 Exposed as ``executor="auto"`` on the drivers (``calu``/``caqr``/
-``tsqr``), through :func:`repro.runtime.process.resolve_executor`, and
-as the ``FactorizationService`` backend; every decision is a
+``tsqr``/``tslu``), through :func:`repro.runtime.process.resolve_executor`,
+and as the ``FactorizationService`` backend; every decision is a
 :class:`DispatchDecision` recorded into the run's trace (an
 ``"autotune"`` resilience event) so benchmarks can audit the choice.
+
+The tuner's *prior* is the paper's own Section IV findings —
+``b = min(100, n)``, ``Tr = cores`` for tall-skinny panels and a small
+``Tr`` for large square matrices, the flat tree for QR and the binary
+one for LU — as :func:`recommend_params`; :func:`resolve_params` fills
+whatever a caller left unset from it.
 """
 
 from __future__ import annotations
@@ -29,17 +35,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.resilience.events import ResilienceEvent
+
+if TYPE_CHECKING:
+    from repro.core.trees import TreeKind
 
 __all__ = [
     "DispatchDecision",
     "PipeCalibration",
+    "TuneResult",
     "autotune",
     "calibrate_pipe",
     "measure_roundtrip",
     "clear_cache",
+    "recommend_params",
+    "resolve_params",
 ]
 
 #: Fallback dispatch prices when worker processes cannot be spawned in
@@ -54,6 +66,59 @@ _MAX_OPS_CAP = 16
 #: A super-task's kernel work should dominate its round-trip by this
 #: factor before we stop growing the batch.
 _BATCH_WORK_FACTOR = 8.0
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    """Recommended CALU/CAQR parameters for a problem shape."""
+
+    b: int
+    tr: int
+    tree: TreeKind
+    rationale: str
+
+
+def recommend_params(m: int, n: int, cores: int = 8, kind: str = "lu") -> TuneResult:
+    """Recommend ``(b, Tr, tree)`` for an ``m x n`` factorization.
+
+    *kind* is ``"lu"`` or ``"qr"``.  The rules encode the paper's
+    measured optima; they are starting points, not guarantees.
+    """
+    from repro.core.driver import algorithm
+
+    if m < 1 or n < 1 or cores < 1:
+        raise ValueError("m, n and cores must be positive")
+    tree = algorithm(kind).tree
+    b = min(100, n)
+    aspect = m / n
+    if aspect >= 8.0:
+        # Tall and skinny: the panel dominates; throw every core at it.
+        tr = cores
+        rationale = (
+            "tall-skinny: panel on the critical path, Tr = cores removes "
+            "its idle time (paper Figures 3-4)"
+        )
+    elif max(m, n) >= 8000:
+        # Large square-ish: updates dominate; small Tr avoids redundant
+        # tournament work (paper Table I: Tr=2 best at 10^4).
+        tr = min(2, cores)
+        rationale = "large square: updates dominate, small Tr avoids redundant panel flops (Table I)"
+    else:
+        tr = max(1, min(cores, cores // 2 or 1))
+        rationale = "moderate size: balance panel parallelism against task count (Tables I-III)"
+    # Don't use more tournament leaves than full-height panel chunks exist.
+    tr = max(1, min(tr, m // max(b, 1) or 1))
+    return TuneResult(b=b, tr=tr, tree=tree, rationale=rationale)
+
+
+def resolve_params(m: int, n: int, b=None, tr=None, tree=None, *, cores: int = 8, kind: str = "lu"):
+    """``(b, tr, tree)`` with every unset one filled from :func:`recommend_params`."""
+    rec = recommend_params(m, n, cores=cores, kind=kind)
+    return (
+        int(b if b is not None else rec.b),
+        int(tr if tr is not None else rec.tr),
+        tree if tree is not None else rec.tree,
+    )
 
 
 @dataclass(frozen=True)
@@ -170,18 +235,10 @@ def measure_roundtrip(samples: int = 64, *, refresh: bool = False) -> float:
 
 
 def _symbolic_graph(kind: str, m: int, n: int, b: int, tr: int, tree):
+    from repro.core.driver import algorithm
     from repro.core.layout import BlockLayout
 
-    layout = BlockLayout(m, n, b)
-    if kind == "lu":
-        from repro.core.calu import build_calu_graph
-
-        return build_calu_graph(layout, tr, tree)[0]
-    if kind == "qr":
-        from repro.core.caqr import build_caqr_graph
-
-        return build_caqr_graph(layout, tr, tree)[0]
-    raise ValueError(f"unknown factorization kind {kind!r}; expected 'lu' or 'qr'")
+    return algorithm(kind).program(BlockLayout(m, n, b), tr, tree)[0].materialize()
 
 
 def _pick_max_ops(mean_task_s: float, dispatch_s: float) -> int:
@@ -252,7 +309,7 @@ def autotune(
         return decision
 
     if b is None:
-        b = min(100, n)
+        b = recommend_params(m, n, cores, kind).b
     if tr is None:
         tr = 4
     graph = _symbolic_graph(kind, m, n, b, tr, tree)

@@ -41,19 +41,29 @@ import zlib
 
 import numpy as np
 
+from repro.resilience.events import ResilienceEvent
 from repro.runtime.sync import make_condition, make_lock
+from repro.runtime.task import Cost, TaskKind
 
 __all__ = [
     "CheckpointStore",
     "MemoryStore",
     "FileStore",
     "Checkpoint",
+    "SNAPSHOT_FORMAT",
     "pack_arrays",
     "unpack_arrays",
     "restore_matrix",
 ]
 
 _MAGIC = b"RPCK1\n"
+
+#: Version of the snapshot payload's key layout: 2 stores each covered
+#: panel's ``to_arrays()`` under ``panel{P}_{key}`` (1 had ``piv{P}``/
+#: ``flags{P}`` for CALU, ``q{P}_{key}`` for CAQR).  It is part of the
+#: signature the driver hands :meth:`Checkpoint.prepare`, so a chain in
+#: another layout is cleared and the run restarts — never half-read.
+SNAPSHOT_FORMAT = 2
 
 
 def pack_arrays(arrays: dict) -> bytes:
@@ -469,6 +479,106 @@ class Checkpoint:
     def prev_boundary(self, K: int) -> int:
         """The snapshot boundary preceding *K* (-1 when K is the first)."""
         return K - self.interval
+
+    def covered_panels(self, K: int) -> range:
+        """The panels whose state the boundary-*K* snapshot carries:
+        those factored since the previous boundary."""
+        return range(max(self.prev_boundary(K) + 1, 0), K + 1)
+
+    def add_snapshot_task(
+        self,
+        graph,
+        tracker,
+        layout,
+        K: int,
+        A: np.ndarray,
+        panels: list,
+        *,
+        state_reads: list,
+        priority: float,
+        library: str,
+    ) -> None:
+        """Emit ``C[K]``, the boundary-*K* snapshot task of a CALU/CAQR graph.
+
+        It saves the panel columns and ``U``/``R`` block rows factored
+        since the previous boundary (final bytes, modulo CALU's terminal
+        left-swap task, which always re-runs on resume), the live
+        trailing matrix, and each covered panel's
+        ``panels[P].to_arrays()`` under ``panel{P}_{key}`` (read back by
+        :meth:`restore_panels`); *panels* is the builder's growing
+        per-panel state list.
+
+        Reading every block the iteration wrote — plus *state_reads*,
+        the footprint keys of the covered panels' state — gives the task
+        RAW edges from all of iteration ``K``'s tasks and WAR edges to
+        iteration ``K+1``'s writers, so the snapshot sees exactly the
+        boundary state, consistent even under look-ahead pipelining.
+        A non-fatal ``checkpoint`` event marks the save in the trace.
+        """
+        m, n, b = layout.m, layout.n, layout.b
+        prevK = self.prev_boundary(K)
+        prev_c1 = prevK * b + layout.panel_width(prevK) if prevK >= 0 else 0
+        c1 = K * b + layout.panel_width(K)
+        covered = self.covered_panels(K)
+        name = f"C[{K}]"
+
+        def snapshot() -> None:
+            extra = {
+                f"panel{P}_{key}": val
+                for P in covered
+                for key, val in panels[P].to_arrays().items()
+            }
+            self.save_snapshot(
+                K,
+                cols=A[:, prev_c1:c1],
+                urows=A[prev_c1:c1, c1:n],
+                trailing=A[c1:m, c1:n],
+                extra=extra,
+            )
+
+        def saved() -> ResilienceEvent:
+            return ResilienceEvent(
+                "checkpoint", task=name, detail=f"panel boundary {K} snapshot saved"
+            )
+
+        words = 2.0 * (
+            m * (c1 - prev_c1)
+            + (c1 - prev_c1) * max(n - c1, 0)
+            + max(m - c1, 0) * max(n - c1, 0)
+        )
+        blocks = [
+            (i, J)
+            for J in range(covered.start, layout.N)
+            for i in range(layout.M)
+            if J <= K or i > prevK
+        ]
+        tracker.add_task(
+            graph,
+            name,
+            TaskKind.X,
+            Cost("laswp", words=words, library=library),
+            fn=snapshot,
+            reads=blocks + state_reads,
+            priority=priority,
+            iteration=K,
+            health=saved,
+        )
+
+    def restore_panels(self, snaps: dict, panels: list) -> None:
+        """Refill per-panel state from :func:`restore_matrix`'s snapshots.
+
+        Each covered panel's ``panel{P}_{key}`` entries go back through
+        ``panels[P].restore`` — in place, because the buffers behind the
+        state are what the tasks' descriptors (and the returned
+        factorization) address.  *panels* must already hold every
+        covered panel: the program is emitted through the boundary.
+        """
+        for K, snap in snaps.items():
+            for P in self.covered_panels(K):
+                prefix = f"panel{P}_"
+                panels[P].restore(
+                    {k[len(prefix) :]: v for k, v in snap.items() if k.startswith(prefix)}
+                )
 
     def save_snapshot(
         self,

@@ -13,9 +13,8 @@ appending that iteration's tasks to a shared, growing
 :class:`~repro.runtime.graph.TaskGraph`.  Because dependencies are
 derived from :class:`~repro.runtime.graph.BlockTracker` footprints —
 which only ever reference already-emitted tasks — incremental emission
-discovers exactly the edges the eager builder would have, and
-:meth:`materialize` (emit every window up front) reproduces the old
-eager graph task-for-task and edge-for-edge.  The
+discovers exactly the edges :meth:`materialize` (emit every window up
+front) does.  The
 :class:`~repro.runtime.engine.ExecutionEngine` consumes programs
 directly, expanding the emitted frontier as windows complete.
 """
@@ -111,9 +110,8 @@ class GraphProgram:
     def materialize(self) -> TaskGraph:
         """Emit every remaining window; returns the complete graph.
 
-        This is the eager path: the result matches what the pre-streaming
-        builders produced task-for-task and edge-for-edge, and is what
-        the verify/DOT/analysis tooling consumes.
+        This is the eager path: what the verify/DOT/analysis tooling
+        consumes.
         """
         while not self.exhausted:
             self.emit_next()

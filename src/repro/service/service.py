@@ -30,21 +30,18 @@ import itertools
 import multiprocessing
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.core.calu import CALUFactorization, calu_program, panel_verdicts
-from repro.core.caqr import CAQRFactorization, caqr_program
+from repro.core.calu import CALUFactorization
+from repro.core.driver import ALGORITHMS, guard_finite, validate_knobs
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
-from repro.resilience.health import (
-    NumericalHealthWarning,
-    validate_matrix,
-    validate_rhs,
-)
+from repro.linalg import monitored_solve
+from repro.machine.autotune import resolve_params
+from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import CentralFrontier, ExecutionEngine
 from repro.runtime.sync import make_condition, make_lock
@@ -178,18 +175,17 @@ class _CompiledPlan:
     The graph's task descriptors are bound to ``A_buf`` (on a
     shared-memory arena when built for the process backend, on the heap
     otherwise); :meth:`load` copies a request's matrix in and resets
-    the per-run workspace state so the graph replays cleanly.  A plan
+    the per-run panel state so the graph replays cleanly.  A plan
     serves one request at a time (the cache enforces exclusivity).
     """
 
-    def __init__(
-        self, key, graph, A_buf, *, workspaces=None, stores=None, arena=None, decision=None
-    ):
+    def __init__(self, key, alg, params, graph, A_buf, panels, *, arena=None, decision=None):
         self.key = key
+        self.alg = alg  # the driver's Algorithm record
+        self.params = params  # (b, tr, tree)
         self.graph = graph
         self.A_buf = A_buf
-        self.workspaces = workspaces  # CALU: per-panel PanelWorkspace
-        self.stores = stores  # CAQR: per-panel PanelQRStore
+        self.panels = panels  # per-panel state: PanelWorkspace (LU) / PanelQRStore (QR)
         self.arena = arena  # process backend only
         self.decision = decision  # autotuner DispatchDecision (fuse="auto")
         self.runs = 0
@@ -197,17 +193,33 @@ class _CompiledPlan:
     def load(self, A: np.ndarray) -> None:
         """Copy a request's matrix in and forget the previous request.
 
-        CALU's per-panel state lives only in the workspaces' store
-        buffers, so resetting them is the whole reset on either backend
-        (and re-arms the growth monitor with this matrix's magnitude);
-        CAQR's factor buffers are overwritten wholesale by every run.
+        The per-panel state lives only in the panels' store buffers, so
+        resetting them is the whole reset on either backend (and
+        re-arms CALU's growth monitor with this matrix's magnitude).
         """
         self.A_buf[...] = A
-        if self.workspaces is not None:
-            absmax = float(np.abs(A).max())
-            for ws in self.workspaces:
-                ws.reset(absmax)
+        absmax = float(np.abs(A).max())
+        for panel in self.panels:
+            panel.reset(absmax)
         self.runs += 1
+
+    def result(self, trace, detach=lambda array: array):
+        """Guard the run's factors and assemble the algorithm's result.
+
+        By default it views the plan's buffers — valid only while the
+        plan is held; *detach* copies what must outlive the request.
+        """
+        guard_finite(self.alg, self.A_buf, trace)
+        b, tr, tree = self.params
+        return self.alg.result(
+            self.A_buf,
+            self.panels,
+            detach,
+            layout=BlockLayout(*self.A_buf.shape, b),
+            tr=tr,
+            tree=tree,
+            trace=trace,
+        )
 
     def destroy(self) -> None:
         if self.arena is not None:
@@ -316,23 +328,9 @@ class FactorizationService:
         """CALU-factor *A*; returns a detached :class:`CALUFactorization`."""
         A = np.asarray(validate_matrix(A, "A"), dtype=float)
         params = self._resolve(A.shape, b, tr, tree, kind="lu")
-
-        def extract(plan, trace):
-            self._guard_finite(plan, "CALU")
-            lu = np.array(plan.A_buf)
-            piv, degraded, recovered = self._assemble_piv(plan, params)
-            return CALUFactorization(
-                lu=lu,
-                piv=piv,
-                b=params[0],
-                tr=params[1],
-                tree=params[2],
-                trace=trace,
-                degraded_panels=degraded,
-                recovered_panels=recovered,
-            )
-
-        return self._request("lu", A, params, deadline_s, extract)
+        return self._request(
+            "lu", A, params, deadline_s, lambda plan, trace: plan.result(trace, np.array)
+        )
 
     def solve(
         self,
@@ -347,11 +345,12 @@ class FactorizationService:
         report: bool = False,
         deadline_s: float | None = None,
     ):
-        """Solve ``A x = rhs``; mirrors :func:`repro.linalg.solve`.
+        """Solve ``A x = rhs`` as :func:`repro.linalg.solve` does.
 
         Residual monitoring and auto-escalation to iterative refinement
-        behave exactly as in the direct entry point; with
-        ``report=True`` returns ``(x, SolveReport)``.
+        are the direct entry point's own
+        (:func:`repro.linalg.monitored_solve`); with ``report=True``
+        returns ``(x, SolveReport)``.
         """
         A = np.asarray(validate_matrix(A, "A"), dtype=float)
         if A.shape[0] != A.shape[1]:
@@ -360,21 +359,12 @@ class FactorizationService:
         params = self._resolve(A.shape, b, tr, tree, kind="lu")
 
         def extract(plan, trace):
-            self._guard_finite(plan, "CALU")
-            piv, degraded, recovered = self._assemble_piv(plan, params)
             # The factorization views the plan's buffer directly — all
             # solves/refinement happen while the plan is held, and only
             # the solution leaves.
-            f = CALUFactorization(
-                lu=plan.A_buf,
-                piv=piv,
-                b=params[0],
-                tr=params[1],
-                tree=params[2],
-                degraded_panels=degraded,
-                recovered_panels=recovered,
+            return monitored_solve(
+                A, plan.result(trace), rhs, auto_refine=auto_refine, rtol=rtol, report=report
             )
-            return self._finish_solve(A, f, rhs, auto_refine, rtol, report)
 
         return self._request("lu", A, params, deadline_s, extract)
 
@@ -395,32 +385,19 @@ class FactorizationService:
         rhs = np.asarray(validate_rhs(rhs, A.shape[0], "rhs"), dtype=float)
         params = self._resolve(A.shape, b, tr, tree, kind="qr")
 
-        def extract(plan, trace):
-            self._guard_finite(plan, "CAQR")
-            f = CAQRFactorization(
-                packed=plan.A_buf,
-                panels=plan.stores,
-                b=params[0],
-                tr=params[1],
-                tree=params[2],
-            )
-            return f.solve_ls(rhs)
-
-        return self._request("qr", A, params, deadline_s, extract)
+        return self._request(
+            "qr", A, params, deadline_s, lambda plan, trace: plan.result(trace).solve_ls(rhs)
+        )
 
     # ------------------------------------------------------------------
     # Request machinery
     # ------------------------------------------------------------------
     def _resolve(self, shape, b, tr, tree, kind: str):
-        from repro.core.autotune import recommend_params
-
-        m, n = shape
-        rec = recommend_params(m, n, cores=self.config.cores, kind=kind)
-        return (
-            int(b if b is not None else rec.b),
-            int(tr if tr is not None else rec.tr),
-            tree if tree is not None else rec.tree,
-        )
+        alg = ALGORITHMS[kind]
+        b, tr, tree = resolve_params(*shape, b, tr, tree, cores=self.config.cores, kind=kind)
+        # Plans are built with the algorithm's default leaf kernel.
+        validate_knobs(alg, tr=tr, leaf_kernel=alg.leaf_kernels[0])
+        return b, tr, tree
 
     def _request(self, op, A, params, deadline_s, extract):
         cfg = self.config
@@ -515,48 +492,6 @@ class FactorizationService:
                 deadline_s=req.deadline_s,
                 stage=stage,
             )
-
-    @staticmethod
-    def _guard_finite(plan: _CompiledPlan, algo: str) -> None:
-        if not np.isfinite(plan.A_buf).all():
-            raise RuntimeFailure(
-                f"{algo} produced non-finite factors (undetected corruption)",
-                failure_kind="health",
-            )
-
-    @staticmethod
-    def _assemble_piv(plan: _CompiledPlan, params):
-        return panel_verdicts(BlockLayout(*plan.A_buf.shape, params[0]), plan.workspaces)
-
-    def _finish_solve(self, A, f, rhs, auto_refine, rtol, report):
-        """Solve + residual monitoring, mirroring :func:`repro.linalg.solve`."""
-        from repro.linalg import SolveReport, _scaled_residual, iterative_refinement
-
-        x = f.solve(rhs)
-        rep = SolveReport(degraded_panels=f.degraded_panels)
-        if auto_refine or report:
-            n = A.shape[0]
-            tol = rtol if rtol is not None else float(np.sqrt(n) * 100 * np.finfo(A.dtype).eps)
-            rep.tol = tol
-            rep.residual = _scaled_residual(A, x, rhs)
-            if auto_refine and rep.residual > tol:
-                scale = float(
-                    np.linalg.norm(A, ord=np.inf) * np.linalg.norm(x) + np.linalg.norm(rhs)
-                )
-                x, hist = iterative_refinement(A, f, rhs, max_iters=5, tol=tol * scale, x0=x)
-                rep.refine_steps += len(hist) - 1
-                rep.history.extend(hist)
-                rep.residual = _scaled_residual(A, x, rhs)
-            rep.converged = bool(rep.residual <= tol)
-            if not rep.converged and auto_refine:
-                warnings.warn(
-                    f"solve: residual {rep.residual:.3g} did not reach tolerance "
-                    f"{rep.tol:.3g} after {rep.refine_steps} refinement steps "
-                    "(ill-conditioned system?)",
-                    NumericalHealthWarning,
-                    stacklevel=4,
-                )
-        return (x, rep) if report else x
 
     # ------------------------------------------------------------------
     # Plan cache
@@ -684,27 +619,14 @@ class FactorizationService:
         else:
             A_buf = np.zeros((m, n))
 
-        def compile_graph(program):
-            graph = program.materialize()
-            if max_ops > 1:
-                from repro.runtime.fuse import fuse_graph
+        program, panels = ALGORITHMS[op].program(layout, tr, tree, A=A_buf, store=store)
+        graph = program.materialize()
+        if max_ops > 1:
+            from repro.runtime.fuse import fuse_graph
 
-                graph = fuse_graph(graph, max_ops=max_ops)
-            return graph
-
-        if op == "lu":
-            program, workspaces = calu_program(layout, tr, tree, A=A_buf, store=store)
-            return _CompiledPlan(
-                key,
-                compile_graph(program),
-                A_buf,
-                workspaces=workspaces,
-                arena=arena,
-                decision=decision,
-            )
-        program, stores = caqr_program(layout, tr, tree, A=A_buf, store=store)
+            graph = fuse_graph(graph, max_ops=max_ops)
         return _CompiledPlan(
-            key, compile_graph(program), A_buf, stores=stores, arena=arena, decision=decision
+            key, ALGORITHMS[op], params, graph, A_buf, panels, arena=arena, decision=decision
         )
 
     # ------------------------------------------------------------------

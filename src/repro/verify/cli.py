@@ -25,17 +25,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baselines.lapack_lu import build_getrf_graph, getrf_program
-from repro.baselines.lapack_qr import build_geqrf_graph, geqrf_program
-from repro.baselines.tiled_lu import build_tiled_lu_graph, tiled_lu_program
-from repro.baselines.tiled_qr import build_tiled_qr_graph, tiled_qr_program
-from repro.core.calu import build_calu_graph, calu_program
-from repro.core.caqr import build_caqr_graph, caqr_program
+from repro.baselines.lapack_lu import getrf_program
+from repro.baselines.lapack_qr import geqrf_program
+from repro.baselines.tiled_lu import tiled_lu_program
+from repro.baselines.tiled_qr import tiled_qr_program
+from repro.core.driver import ALGORITHMS
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
+from repro.runtime.fuse import fuse_program
 from repro.runtime.graph import TaskGraph
+from repro.runtime.program import GraphProgram
 from repro.verify.backends import check_backend_equivalence
-from repro.verify.equivalence import check_stream_equivalence
+from repro.verify.equivalence import check_stream_equivalence, state_arrays
 from repro.verify.findings import Report
 from repro.verify.lint import lint_graph
 from repro.verify.lockcheck import lock_self_test, run_lockcheck
@@ -52,219 +53,107 @@ def _random_matrix(m: int, n: int, seed: int = _MATRIX_SEED) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((m, n))
 
 
-_Builder = Callable[[], "tuple[object, Callable[[], list[np.ndarray]] | None]"]
+_Collect = Callable[[], "list[np.ndarray]"]
+_Builder = Callable[[], "tuple[GraphProgram, _Collect | None]"]
 
 
-def _calu_builder(
-    m: int, n: int, b: int, tr: int, tree: TreeKind, stream: bool = False
-) -> _Builder:
-    def build() -> tuple[object, Callable[[], list[np.ndarray]]]:
+def _numeric(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
+    """Builder of the *kind* algorithm's program over a fresh matrix.
+
+    Its ``collect()`` is :func:`~repro.verify.equivalence.state_arrays`.
+    """
+
+    def build() -> tuple[GraphProgram, _Collect]:
         A = _random_matrix(m, n)
-        layout = BlockLayout(m, n, b)
-        make = calu_program if stream else build_calu_graph
-        built, workspaces = make(layout, tr, tree, A=A, guards=False)
-
-        def collect() -> list[np.ndarray]:
-            out = [A]
-            for ws in workspaces:
-                if ws.piv is not None:
-                    out.append(np.asarray(ws.piv, dtype=np.int64))
-            return out
-
-        return built, collect
+        program, panels = ALGORITHMS[kind].program(
+            BlockLayout(m, n, b), tr, tree, A=A, guards=False
+        )
+        return program, lambda: state_arrays(A, panels)
 
     return build
 
 
-def _caqr_builder(
-    m: int, n: int, b: int, tr: int, tree: TreeKind, stream: bool = False
-) -> _Builder:
-    def build() -> tuple[object, Callable[[], list[np.ndarray]]]:
-        A = _random_matrix(m, n)
-        layout = BlockLayout(m, n, b)
-        make = caqr_program if stream else build_caqr_graph
-        built, stores = make(layout, tr, tree, A=A, guards=False)
-
-        def collect() -> list[np.ndarray]:
-            out = [A]
-            for store in stores:
-                for slot in sorted(store.leaves):
-                    out.append(store.leaves[slot].V)
-                    out.append(store.leaves[slot].T)
-                for mf in store.merges:
-                    if mf is not None:
-                        out.append(mf.Vb)
-                        out.append(mf.T)
-            return out
-
-        return built, collect
-
-    return build
+def _symbolic(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
+    return lambda: (ALGORITHMS[kind].program(BlockLayout(m, n, b), tr, tree)[0], None)
 
 
-def _fused_builder(inner: _Builder, max_ops: int = 8, materialize: bool = False) -> _Builder:
+def _fused(inner: _Builder, max_ops: int) -> _Builder:
     """A builder emitting the fused rewrite of *inner*'s program.
 
     Fused targets put super-task dispatch through the same proofs as
     the pristine graphs: races, lint, footprint sanitizing, schedule
-    fuzzing, fused-stream vs fused-eager equivalence.  *inner* must be
-    a streaming builder: fusion is a per-window rewrite, so the eager
-    twin (``materialize=True``) is the *same* fused program flattened —
-    task-for-task identical, which is exactly what the stream-vs-eager
-    pass demands.
+    fuzzing, fused-stream vs fused-eager equivalence.
     """
 
-    def build():
-        from repro.runtime.fuse import fuse_program
-        from repro.runtime.program import as_program
-
-        built, collect = inner()
-        program = fuse_program(as_program(built), max_ops=max_ops)
-        return (program.materialize() if materialize else program), collect
+    def build() -> tuple[GraphProgram, _Collect | None]:
+        program, collect = inner()
+        return fuse_program(program, max_ops=max_ops), collect
 
     return build
 
 
 class Target:
-    """One graph to verify: a fresh-builder plus dynamic-pass config.
+    """One graph to verify: a fresh program builder plus dynamic-pass config.
 
-    ``stream`` is the same builder returning a
-    :class:`~repro.runtime.program.GraphProgram` instead of an eager
-    graph — when present the stream-vs-eager equivalence pass runs.
-    ``backend`` is a ``(kind, m, n, b, tr, tree)`` tuple — when present
-    (and execution is allowed) the threaded-vs-process backend
-    equivalence pass factors the target's matrix through both executor
-    backends and demands bitwise-identical factors; ``fuse`` forwards a
-    task-fusion granularity to that pass so batched descriptor dispatch
-    is held to the same bar.
+    ``program`` builds ``(GraphProgram, collect)``; :meth:`build` is its
+    eager twin (the same program materialized), and the stream-vs-eager
+    equivalence pass compares the two.  A *numeric* target is given as
+    its ``shape`` — ``(kind, m, n, b, tr, tree)`` — instead: its program
+    is that algorithm's over a fresh matrix (fused to ``fuse`` ops when
+    set), the dynamic passes run, and the threaded-vs-process backend
+    pass factors the same shape through both executor backends (with
+    the same fusion granularity) and demands bitwise-identical factors.
     """
 
     def __init__(
         self,
         name: str,
-        build: _Builder,
+        program: _Builder | None = None,
         *,
-        block: int | None = None,
-        stream: _Builder | None = None,
-        backend: tuple | None = None,
+        shape: tuple | None = None,
         fuse: int | None = None,
     ) -> None:
+        if shape is not None:
+            program = _numeric(*shape) if fuse is None else _fused(_numeric(*shape), fuse)
+        assert program is not None
         self.name = name
-        self.build = build
-        self.block = block  # block size for the sanitizer; None = static only
-        self.stream = stream
-        self.backend = backend
+        self.program = program
+        self.shape = shape
         self.fuse = fuse
+
+    def build(self) -> "tuple[TaskGraph, _Collect | None]":
+        program, collect = self.program()
+        return program.materialize(), collect
 
     @property
     def numeric(self) -> bool:
-        return self.block is not None
+        return self.shape is not None
 
 
 def default_targets() -> list[Target]:
     targets: list[Target] = []
     for tree in (TreeKind.BINARY, TreeKind.FLAT):
         for m, n, b, tr in ((48, 48, 8, 4), (40, 24, 8, 3)):
-            targets.append(
-                Target(
-                    f"calu-{tree.value}-{m}x{n}",
-                    _calu_builder(m, n, b, tr, tree),
-                    block=b,
-                    stream=_calu_builder(m, n, b, tr, tree, stream=True),
-                    backend=("lu", m, n, b, tr, tree),
-                )
-            )
-            targets.append(
-                Target(
-                    f"caqr-{tree.value}-{m}x{n}",
-                    _caqr_builder(m, n, b, tr, tree),
-                    block=b,
-                    stream=_caqr_builder(m, n, b, tr, tree, stream=True),
-                    backend=("qr", m, n, b, tr, tree),
-                )
-            )
+            for kind, alg in ALGORITHMS.items():
+                name = f"{alg.name.lower()}-{tree.value}-{m}x{n}"
+                targets.append(Target(name, shape=(kind, m, n, b, tr, tree)))
     # Fused rewrites: the full pass battery over super-task graphs, plus
     # backend equivalence with batched descriptor dispatch.
     targets.append(
-        Target(
-            "calu-binary-48x48-fused8",
-            _fused_builder(
-                _calu_builder(48, 48, 8, 4, TreeKind.BINARY, stream=True), materialize=True
-            ),
-            block=8,
-            stream=_fused_builder(_calu_builder(48, 48, 8, 4, TreeKind.BINARY, stream=True)),
-            backend=("lu", 48, 48, 8, 4, TreeKind.BINARY),
-            fuse=8,
-        )
+        Target("calu-binary-48x48-fused8", shape=("lu", 48, 48, 8, 4, TreeKind.BINARY), fuse=8)
     )
     targets.append(
-        Target(
-            "caqr-flat-40x24-fused8",
-            _fused_builder(
-                _caqr_builder(40, 24, 8, 3, TreeKind.FLAT, stream=True), materialize=True
-            ),
-            block=8,
-            stream=_fused_builder(_caqr_builder(40, 24, 8, 3, TreeKind.FLAT, stream=True)),
-            backend=("qr", 40, 24, 8, 3, TreeKind.FLAT),
-            fuse=8,
-        )
+        Target("caqr-flat-40x24-fused8", shape=("qr", 40, 24, 8, 3, TreeKind.FLAT), fuse=8)
     )
     # Larger symbolic graphs: static proof scales past what we execute.
     for tree in (TreeKind.BINARY, TreeKind.FLAT):
-        targets.append(
-            Target(
-                f"calu-{tree.value}-sym-256x128",
-                lambda tree=tree: (
-                    build_calu_graph(BlockLayout(256, 128, 16), 4, tree)[0],
-                    None,
-                ),
-                stream=lambda tree=tree: (
-                    calu_program(BlockLayout(256, 128, 16), 4, tree)[0],
-                    None,
-                ),
-            )
-        )
-        targets.append(
-            Target(
-                f"caqr-{tree.value}-sym-256x128",
-                lambda tree=tree: (
-                    build_caqr_graph(BlockLayout(256, 128, 16), 4, tree)[0],
-                    None,
-                ),
-                stream=lambda tree=tree: (
-                    caqr_program(BlockLayout(256, 128, 16), 4, tree)[0],
-                    None,
-                ),
-            )
-        )
-    targets.append(
-        Target(
-            "tiled-lu-sym-64x64",
-            lambda: (build_tiled_lu_graph(64, 64, nb=16), None),
-            stream=lambda: (tiled_lu_program(64, 64, nb=16), None),
-        )
-    )
-    targets.append(
-        Target(
-            "tiled-qr-sym-64x64",
-            lambda: (build_tiled_qr_graph(64, 64, nb=16), None),
-            stream=lambda: (tiled_qr_program(64, 64, nb=16), None),
-        )
-    )
-    targets.append(
-        Target(
-            "getrf-sym-128x128",
-            lambda: (build_getrf_graph(128, 128, b=32), None),
-            stream=lambda: (getrf_program(128, 128, b=32), None),
-        )
-    )
-    targets.append(
-        Target(
-            "geqrf-sym-128x128",
-            lambda: (build_geqrf_graph(128, 128, b=32), None),
-            stream=lambda: (geqrf_program(128, 128, b=32), None),
-        )
-    )
+        for kind, alg in ALGORITHMS.items():
+            name = f"{alg.name.lower()}-{tree.value}-sym-256x128"
+            targets.append(Target(name, _symbolic(kind, 256, 128, 16, 4, tree)))
+    targets.append(Target("tiled-lu-sym-64x64", lambda: (tiled_lu_program(64, 64, nb=16), None)))
+    targets.append(Target("tiled-qr-sym-64x64", lambda: (tiled_qr_program(64, 64, nb=16), None)))
+    targets.append(Target("getrf-sym-128x128", lambda: (getrf_program(128, 128, b=32), None)))
+    targets.append(Target("geqrf-sym-128x128", lambda: (geqrf_program(128, 128, b=32), None)))
     return targets
 
 
@@ -296,40 +185,28 @@ def verify_graph(
 
 
 def _verify_target(target: Target, fuzz_runs: int, static_only: bool, seed: int) -> Report:
-    built = target.build()
-    graph = built[0]
-    if static_only or not target.numeric:
+    graph, collect = target.build()
+    if static_only or target.shape is None:
         report = verify_graph(graph, label=target.name)
     else:
-        # Recover the matrix the closures mutate: collect()'s first array.
-        collect = built[1]
-        A = collect()[0]
+        assert collect is not None  # numeric targets collect their outputs
         report = verify_graph(
             graph,
-            A=A,
-            block=target.block,
+            A=collect()[0],  # the matrix the tasks factor in place
+            block=target.shape[3],
             fuzz_build=target.build,
             fuzz_runs=fuzz_runs,
             seed=seed,
             label=target.name,
         )
-    if target.stream is not None:
-        report.extend(
-            "equivalence",
-            check_stream_equivalence(
-                target.name,
-                target.stream,
-                target.build,
-                execute=not static_only,
-            ),
-        )
-    if target.backend is not None and not static_only:
-        kind, m, n, b, tr, tree = target.backend
+    report.extend(
+        "equivalence",
+        check_stream_equivalence(target.name, target.program, execute=not static_only),
+    )
+    if target.shape is not None and not static_only:
         report.extend(
             "backends",
-            check_backend_equivalence(
-                target.name, kind, m, n, b, tr, tree, seed=seed, fuse=target.fuse
-            ),
+            check_backend_equivalence(target.name, *target.shape, seed=seed, fuse=target.fuse),
         )
     return report
 
@@ -339,8 +216,7 @@ def self_test(seed: int = 0, verbose: bool = False) -> int:
     failures = 0
 
     # 1. Edge-drop mutation: the race detector must name the dropped pair.
-    layout = BlockLayout(48, 48, 8)
-    graph, _ = build_calu_graph(layout, 4, TreeKind.BINARY)
+    graph = _symbolic("lu", 48, 48, 8, 4, TreeKind.BINARY)()[0].materialize()
     baseline = [f for f in check_races(graph) if f.severity == "error"]
     if baseline:
         print("self-test FAIL: pristine CALU graph already has race errors")
@@ -366,8 +242,9 @@ def self_test(seed: int = 0, verbose: bool = False) -> int:
 
     # 2. Misdeclared footprint: the sanitizer must catch a write outside
     # the declared set.
-    A = _random_matrix(48, 48)
-    graph, _ = build_calu_graph(BlockLayout(48, 48, 8), 4, TreeKind.BINARY, A=A, guards=False)
+    program, collect = _numeric("lu", 48, 48, 8, 4, TreeKind.BINARY)()
+    assert collect is not None
+    graph, A = program.materialize(), collect()[0]
     victim = None
     for task in graph.tasks:
         blocks = sorted(

@@ -3,8 +3,8 @@
 The builders in :mod:`repro.core` and :mod:`repro.baselines` emit
 :class:`~repro.runtime.program.GraphProgram` objects whose windows are
 materialized incrementally — during execution, interleaved with task
-completions under the look-ahead window.  The eager interface
-(``build_*_graph``) is the same program materialized in one shot.  This
+completions under the look-ahead window.  The eager graph is the same
+program materialized in one shot (``program.materialize()``).  This
 pass proves the two are indistinguishable:
 
 * **structural** — two independent builds, one grown window-by-window
@@ -29,7 +29,7 @@ from repro.runtime.graph import Task, TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.verify.findings import Finding
 
-__all__ = ["check_stream_equivalence", "compare_graphs", "compare_results"]
+__all__ = ["check_stream_equivalence", "compare_graphs", "compare_results", "state_arrays"]
 
 _RULE = "stream-eager-mismatch"
 
@@ -126,34 +126,48 @@ def compare_graphs(
     return findings
 
 
+def state_arrays(A: np.ndarray, panels: list, detach: Callable = lambda a: a, **_: object) -> list:
+    """What the bitwise passes compare: the factored matrix, then every
+    panel's state arrays (CALU's pivots and flags, CAQR's implicit-Q
+    factors), each passed through *detach*.  Also an
+    :attr:`~repro.core.driver.Algorithm.result` constructor."""
+    return [detach(A), *(detach(a) for p in panels for a in p.to_arrays().values())]
+
+
 def compare_results(
-    streamed: list[np.ndarray],
-    eager: list[np.ndarray],
+    got: list[np.ndarray],
+    want: list[np.ndarray],
     *,
     graph: str,
+    rule: str = _RULE,
+    sides: tuple[str, str] = ("streamed", "eager"),
+    moral: str = "streaming must not change the computed factors",
 ) -> list[Finding]:
-    """Bitwise-compare the numeric outputs of a streamed and an eager run."""
-    findings: list[Finding] = []
-    if len(streamed) != len(eager):
+    """Bitwise-compare the numeric outputs of two runs of one computation:
+    by default a streamed and an eager one; *rule*, *sides* and *moral*
+    word the findings for another pair (the backend pass's executors)."""
+    if len(got) != len(want):
         return [
             Finding(
-                _RULE,
+                rule,
                 "error",
                 graph,
-                f"streamed run produced {len(streamed)} output arrays, eager run "
-                f"{len(eager)}; the collectors disagree",
+                f"the {sides[0]} run produced {len(got)} output arrays, the {sides[1]} run "
+                f"{len(want)}; the collectors disagree",
             )
         ]
-    for idx, (s, e) in enumerate(zip(streamed, eager, strict=True)):
-        if s.shape != e.shape or not np.array_equal(s, e):
+    findings: list[Finding] = []
+    for idx, (g, w) in enumerate(zip(got, want, strict=True)):
+        if g.shape != w.shape or not np.array_equal(g, w):
+            differing = int(np.count_nonzero(g != w)) if g.shape == w.shape else "all"
             findings.append(
                 Finding(
-                    _RULE,
+                    rule,
                     "error",
                     graph,
-                    f"output array {idx} differs bitwise between the streamed run "
-                    f"(shape {s.shape}) and the eager run (shape {e.shape}); "
-                    "streaming must not change the computed factors",
+                    f"output array {idx} differs bitwise ({differing} entries) between the "
+                    f"{sides[0]} run (shape {g.shape}) and the {sides[1]} run (shape {w.shape}); "
+                    f"{moral}",
                 )
             )
     return findings
@@ -161,25 +175,25 @@ def compare_results(
 
 def check_stream_equivalence(
     name: str,
-    build_stream: Callable[[], tuple[GraphProgram, Callable | None]],
-    build_eager: Callable[[], tuple[TaskGraph, Callable | None]],
+    build: Callable[[], tuple[GraphProgram, Callable | None]],
     *,
     execute: bool = True,
     n_workers: int = 2,
 ) -> list[Finding]:
     """Prove one builder's streamed program matches its eager graph.
 
-    *build_stream* returns ``(program, collect)`` and *build_eager*
-    returns ``(graph, collect)`` — independent fresh builds (same seed)
-    whose ``collect`` callables (``None`` for symbolic graphs) gather
-    the numeric outputs to compare.  When both sides are numeric and
-    *execute* is true, the program is run **streamed** through a
+    *build* returns a fresh ``(program, collect)`` per call (same seed);
+    ``collect`` (``None`` for symbolic graphs) gathers the numeric
+    outputs to compare.  One build is the streamed side, a second one,
+    materialized in one shot, its eager twin.  When the graph is numeric
+    and *execute* is true, the program is run **streamed** through a
     threaded engine-backed executor (windows emitted as predecessors
-    complete) against a sequential eager run; otherwise the program is
-    materialized in one shot and only structure is compared.
+    complete) against a sequential eager run; otherwise only structure
+    is compared.
     """
-    program, collect_s = build_stream()
-    eager, collect_e = build_eager()
+    program, collect_s = build()
+    twin, collect_e = build()
+    eager = twin.materialize()
     numeric = execute and collect_s is not None and collect_e is not None
     if numeric:
         from repro.runtime.threaded import ThreadedExecutor

@@ -151,13 +151,13 @@ class TestErrorMetrics:
 class TestScheduleStats:
     def test_stats_from_simulated_run(self):
         from repro.analysis.schedule import schedule_stats
-        from repro.core.calu import build_calu_graph
+        from repro.core.calu import calu_program
         from repro.core.layout import BlockLayout
         from repro.machine.presets import generic
         from repro.runtime.simulated import SimulatedExecutor
 
         mach = generic(4)
-        graph, _ = build_calu_graph(BlockLayout(800, 400, 100), 4)
+        graph = calu_program(BlockLayout(800, 400, 100), 4)[0].materialize()
         trace = SimulatedExecutor(mach).run(graph)
         stats = schedule_stats(trace, graph, mach)
         assert stats.makespan > 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines.lapack_lu import build_getf2_graph, build_getrf_graph, getf2_lu, getrf_lu
-from repro.baselines.lapack_qr import build_geqr2_graph, build_geqrf_graph, geqr2_qr, geqrf_qr
+from repro.baselines.lapack_lu import build_getf2_graph, getrf_program, getf2_lu, getrf_lu
+from repro.baselines.lapack_qr import build_geqr2_graph, geqrf_program, geqr2_qr, geqrf_qr
 from repro.kernels.qr import extract_r
 from repro.runtime.task import TaskKind
 from tests.conftest import assert_lu_ok, make_rng
@@ -58,13 +58,13 @@ class TestGraphs:
         assert len(g) == 1
 
     def test_getrf_graph_valid(self):
-        g = build_getrf_graph(2000, 1000, b=100)
+        g = getrf_program(2000, 1000, b=100).materialize()
         g.validate()
         assert g.count_by_kind()["P"] == 10
 
     def test_getrf_fork_join_barriers(self):
         """With fork-join, panel K+1 depends on every task of iteration K."""
-        g = build_getrf_graph(600, 400, b=100, row_chunks=2, fork_join=True)
+        g = getrf_program(600, 400, b=100, row_chunks=2, fork_join=True).materialize()
         panels = [t.tid for t in g.tasks if t.kind is TaskKind.P]
         for p in panels[1:]:
             K = g.tasks[p].iteration
@@ -72,7 +72,7 @@ class TestGraphs:
             assert set(prev) <= set(g.preds[p])
 
     def test_getrf_no_fork_join_overlaps(self):
-        g = build_getrf_graph(600, 400, b=100, row_chunks=2, fork_join=False)
+        g = getrf_program(600, 400, b=100, row_chunks=2, fork_join=False).materialize()
         panels = [t.tid for t in g.tasks if t.kind is TaskKind.P]
         p1 = panels[1]
         preds = set(g.preds[p1])
@@ -83,12 +83,12 @@ class TestGraphs:
         from repro.analysis.flops import lu_flops
 
         m, n = 3000, 1500
-        g = build_getrf_graph(m, n, b=100)
+        g = getrf_program(m, n, b=100).materialize()
         base = lu_flops(m, n)
         assert 0.9 * base <= g.total_flops() <= 1.2 * base
 
     def test_geqrf_graph_valid_and_updates_full_height(self):
-        g = build_geqrf_graph(2000, 600, b=100)
+        g = geqrf_program(2000, 600, b=100).materialize()
         g.validate()
         s_tasks = [t for t in g.tasks if t.kind is TaskKind.S]
         # QR updates cannot be row-chunked: one task per trailing column.
@@ -99,10 +99,10 @@ class TestGraphs:
         from repro.analysis.flops import qr_flops
 
         m, n = 3000, 900
-        g = build_geqrf_graph(m, n, b=100)
+        g = geqrf_program(m, n, b=100).materialize()
         base = qr_flops(m, n)
         assert 0.9 * base <= g.total_flops() <= 2.5 * base
 
     def test_library_tag_propagates(self):
-        g = build_getrf_graph(500, 300, b=100, library="acml")
+        g = getrf_program(500, 300, b=100, library="acml").materialize()
         assert all(t.cost.library == "acml" for t in g.tasks)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.errors import growth_factor
-from repro.baselines.tiled_lu import build_tiled_lu_graph, tiled_lu
-from repro.baselines.tiled_qr import build_tiled_qr_graph, tiled_qr
+from repro.baselines.tiled_lu import tiled_lu_program, tiled_lu
+from repro.baselines.tiled_qr import tiled_qr_program, tiled_qr
 from repro.runtime.task import TaskKind
 from tests.conftest import make_rng
 
@@ -106,7 +106,7 @@ class TestTiledQR:
 class TestTiledGraphs:
     def test_lu_graph_valid_and_task_count(self):
         Mt, Nt, nb = 6, 4, 100
-        g = build_tiled_lu_graph(Mt * nb, Nt * nb, nb=nb)
+        g = tiled_lu_program(Mt * nb, Nt * nb, nb=nb).materialize()
         g.validate()
         expected = sum(
             1 + (Nt - 1 - k) + (Mt - 1 - k) * (1 + (Nt - 1 - k)) for k in range(Nt)
@@ -115,7 +115,7 @@ class TestTiledGraphs:
 
     def test_qr_graph_valid_and_task_count(self):
         Mt, Nt, nb = 5, 3, 100
-        g = build_tiled_qr_graph(Mt * nb, Nt * nb, nb=nb)
+        g = tiled_qr_program(Mt * nb, Nt * nb, nb=nb).materialize()
         g.validate()
         expected = sum(
             1 + (Nt - 1 - k) + (Mt - 1 - k) * (1 + (Nt - 1 - k)) for k in range(Nt)
@@ -124,7 +124,7 @@ class TestTiledGraphs:
 
     def test_tstrf_chain_is_serial(self):
         """tstrf tasks down one tile column form a dependency chain."""
-        g = build_tiled_lu_graph(600, 200, nb=100)
+        g = tiled_lu_program(600, 200, nb=100).materialize()
         tstrfs = [t.tid for t in g.tasks if t.name.startswith("tstrf") and t.name.endswith(",0]")]
         order = {t: i for i, t in enumerate(g.topological_order())}
         # Transitively ordered: each next tstrf is reachable from the previous.
@@ -136,7 +136,7 @@ class TestTiledGraphs:
         from repro.analysis.flops import lu_flops
 
         m = n = 2000
-        g = build_tiled_lu_graph(m, n, nb=200)
+        g = tiled_lu_program(m, n, nb=200).materialize()
         base = lu_flops(m, n)
         # Incremental pivoting does extra work updating U_kk and in ssssm.
         assert base * 0.9 <= g.total_flops() <= base * 2.6
@@ -145,12 +145,12 @@ class TestTiledGraphs:
         from repro.analysis.flops import qr_flops
 
         m = n = 2000
-        g = build_tiled_qr_graph(m, n, nb=200)
+        g = tiled_qr_program(m, n, nb=200).materialize()
         base = qr_flops(m, n)
         assert base * 0.9 <= g.total_flops() <= base * 2.2
 
     def test_library_tag(self):
-        g = build_tiled_lu_graph(400, 400, nb=200, library="plasma")
+        g = tiled_lu_program(400, 400, nb=200, library="plasma").materialize()
         assert all(t.cost.library == "plasma" for t in g.tasks)
 
 

@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.autotune import recommend_params
 from repro.core.calu import calu
 from repro.core.caqr import caqr
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
 from repro.linalg import lstsq, solve
+from repro.machine.autotune import recommend_params
 from tests.conftest import make_rng
 
 
@@ -91,12 +91,12 @@ class TestCheckFinite:
 
 class TestChromeTracing:
     def test_export_structure(self):
-        from repro.core.calu import build_calu_graph
+        from repro.core.calu import calu_program
         from repro.core.layout import BlockLayout
         from repro.machine.presets import generic
         from repro.runtime.simulated import SimulatedExecutor
 
-        graph, _ = build_calu_graph(BlockLayout(400, 200, 100), 2)
+        graph = calu_program(BlockLayout(400, 200, 100), 2)[0].materialize()
         trace = SimulatedExecutor(generic(4)).run(graph)
         doc = json.loads(trace.to_chrome_tracing())
         events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -109,18 +109,18 @@ class TestChromeTracing:
 
 class TestDotAndSteps:
     def test_to_dot_rejects_huge(self):
-        from repro.core.calu import build_calu_graph
+        from repro.core.calu import calu_program
         from repro.core.layout import BlockLayout
 
-        graph, _ = build_calu_graph(BlockLayout(8000, 8000, 100), 8)
+        graph = calu_program(BlockLayout(8000, 8000, 100), 8)[0].materialize()
         with pytest.raises(ValueError, match="max_tasks"):
             graph.to_dot(max_tasks=100)
 
     def test_step_schedule_respects_deps_and_width(self):
-        from repro.core.calu import build_calu_graph
+        from repro.core.calu import calu_program
         from repro.core.layout import BlockLayout
 
-        graph, _ = build_calu_graph(BlockLayout(600, 600, 100), 2)
+        graph = calu_program(BlockLayout(600, 600, 100), 2)[0].materialize()
         steps = graph.step_schedule(3)
         assert all(len(s) <= 3 for s in steps)
         seen = set()

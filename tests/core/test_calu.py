@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.errors import growth_factor, lu_backward_error
-from repro.core.calu import CALUFactorization, build_calu_graph, calu
+from repro.core.calu import CALUFactorization, calu_program, calu
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.machine.presets import generic
@@ -141,7 +141,7 @@ class TestGraphStructure:
         """Task counts per iteration follow Algorithm 1's structure."""
         layout = BlockLayout(400, 200, 100)  # M=4, N=2
         tr = 2
-        graph, _ = build_calu_graph(layout, tr, TreeKind.BINARY)
+        graph = calu_program(layout, tr, TreeKind.BINARY)[0].materialize()
         counts = graph.count_by_kind()
         # Per iteration: tr leaves + (tr-1) merges + 1 finalize = 2+1+1 = 4 P's
         # (iteration 1 has fewer chunks if fewer block rows remain).
@@ -152,24 +152,24 @@ class TestGraphStructure:
 
     def test_single_panel_has_no_left_swaps(self):
         layout = BlockLayout(300, 100, 100)
-        graph, _ = build_calu_graph(layout, 2)
+        graph = calu_program(layout, 2)[0].materialize()
         assert "X" not in graph.count_by_kind()
 
     def test_graph_is_acyclic(self):
         layout = BlockLayout(500, 300, 100)
-        graph, _ = build_calu_graph(layout, 4)
+        graph = calu_program(layout, 4)[0].materialize()
         graph.validate()
 
     def test_symbolic_graph_has_no_closures(self):
         layout = BlockLayout(500, 300, 100)
-        graph, _ = build_calu_graph(layout, 4)
+        graph = calu_program(layout, 4)[0].materialize()
         assert all(t.fn is None for t in graph.tasks)
 
     def test_symbolic_and_numeric_graphs_identical_structure(self):
         layout = BlockLayout(200, 120, 40)
-        g_sym, _ = build_calu_graph(layout, 3)
+        g_sym = calu_program(layout, 3)[0].materialize()
         A = make_rng(12).standard_normal((200, 120))
-        g_num, _ = build_calu_graph(layout, 3, A=A)
+        g_num = calu_program(layout, 3, A=A)[0].materialize()
         assert len(g_sym) == len(g_num)
         for ts, tn in zip(g_sym.tasks, g_num.tasks):
             assert ts.name == tn.name
@@ -180,7 +180,7 @@ class TestGraphStructure:
         from repro.analysis.flops import lu_flops
 
         layout = BlockLayout(2000, 1000, 100)
-        graph, _ = build_calu_graph(layout, 4)
+        graph = calu_program(layout, 4)[0].materialize()
         base = lu_flops(2000, 1000)
         # CALU does the panel work roughly twice plus tree merges.
         assert base <= graph.total_flops() <= 1.6 * base
@@ -188,7 +188,7 @@ class TestGraphStructure:
     def test_panel_flops_on_critical_path(self):
         """Every panel P task precedes the next iteration's P tasks."""
         layout = BlockLayout(300, 300, 100)
-        graph, _ = build_calu_graph(layout, 2)
+        graph = calu_program(layout, 2)[0].materialize()
         order = {t: i for i, t in enumerate(graph.topological_order())}
         p_by_iter: dict[int, list[int]] = {}
         for t in graph.tasks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.caqr import build_caqr_graph, caqr
+from repro.core.caqr import caqr_program, caqr
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.machine.presets import generic
@@ -115,14 +115,15 @@ def test_default_block_size():
 class TestGraphStructure:
     def test_acyclic_and_symbolic(self):
         layout = BlockLayout(500, 300, 100)
-        graph, stores = build_caqr_graph(layout, 4)
+        program, stores = caqr_program(layout, 4)
+        graph = program.materialize()
         graph.validate()
         assert stores == []
         assert all(t.fn is None for t in graph.tasks)
 
     def test_kind_counts(self):
         layout = BlockLayout(400, 200, 100)  # M=4, N=2, 2 panels
-        graph, _ = build_caqr_graph(layout, 2, TreeKind.BINARY)
+        graph = caqr_program(layout, 2, TreeKind.BINARY)[0].materialize()
         counts = graph.count_by_kind()
         # Iteration 0: 2 leaves + 1 merge = 3 P; iteration 1: >=1 leaf.
         assert counts["P"] >= 4
@@ -132,15 +133,15 @@ class TestGraphStructure:
         from repro.analysis.flops import qr_flops
 
         layout = BlockLayout(2000, 1000, 100)
-        graph, _ = build_caqr_graph(layout, 4)
+        graph = caqr_program(layout, 4)[0].materialize()
         base = qr_flops(2000, 1000)
         assert base <= graph.total_flops() <= 2.5 * base
 
     def test_symbolic_numeric_same_structure(self):
         layout = BlockLayout(200, 120, 40)
-        g_sym, _ = build_caqr_graph(layout, 3)
+        g_sym = caqr_program(layout, 3)[0].materialize()
         A = make_rng(13).standard_normal((200, 120))
-        g_num, _ = build_caqr_graph(layout, 3, A=A)
+        g_num = caqr_program(layout, 3, A=A)[0].materialize()
         assert len(g_sym) == len(g_num)
         assert g_sym.preds == g_num.preds
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.calu import build_calu_graph, calu
+from repro.core.calu import calu_program, calu
 from repro.core.layout import BlockLayout
 from tests.conftest import make_rng
 
@@ -38,28 +38,28 @@ def test_bb_same_factorization_different_grouping():
 
 def test_bb_reduces_task_count():
     lay = BlockLayout(2000, 2000, 100)
-    g1, _ = build_calu_graph(lay, 4)
-    g2, _ = build_calu_graph(lay, 4, update_width=400)
+    g1 = calu_program(lay, 4)[0].materialize()
+    g2 = calu_program(lay, 4, update_width=400)[0].materialize()
     g2.validate()
     assert len(g2) < 0.6 * len(g1)
 
 
 def test_bb_preserves_total_flops():
     lay = BlockLayout(1600, 1600, 100)
-    g1, _ = build_calu_graph(lay, 4)
-    g2, _ = build_calu_graph(lay, 4, update_width=400)
+    g1 = calu_program(lay, 4)[0].materialize()
+    g2 = calu_program(lay, 4, update_width=400)[0].materialize()
     assert g1.total_flops() == pytest.approx(g2.total_flops(), rel=1e-12)
 
 
 def test_bb_invalid_width():
     lay = BlockLayout(400, 400, 100)
     with pytest.raises(ValueError, match="update_width"):
-        build_calu_graph(lay, 2, update_width=50)
+        calu_program(lay, 2, update_width=50)
 
 
 def test_hybrid_library_tags():
     lay = BlockLayout(800, 800, 100)
-    g, _ = build_calu_graph(lay, 4, update_library="mkl")
+    g = calu_program(lay, 4, update_library="mkl")[0].materialize()
     kinds = {}
     for t in g.tasks:
         kinds.setdefault(t.kind.value, set()).add(t.cost.library)
@@ -70,7 +70,7 @@ def test_hybrid_library_tags():
 
 def test_hybrid_graph_structure_unchanged():
     lay = BlockLayout(600, 600, 100)
-    g1, _ = build_calu_graph(lay, 4)
-    g2, _ = build_calu_graph(lay, 4, update_library="mkl")
+    g1 = calu_program(lay, 4)[0].materialize()
+    g2 = calu_program(lay, 4, update_library="mkl")[0].materialize()
     assert len(g1) == len(g2)
     assert g1.preds == g2.preds

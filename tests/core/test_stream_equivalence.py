@@ -15,12 +15,12 @@ Two layers of equivalence, per ISSUE 4's acceptance:
 import numpy as np
 import pytest
 
-from repro.baselines.lapack_lu import build_getrf_graph, getrf_program
-from repro.baselines.lapack_qr import build_geqrf_graph, geqrf_program
-from repro.baselines.tiled_lu import build_tiled_lu_graph, tiled_lu_program
-from repro.baselines.tiled_qr import build_tiled_qr_graph, tiled_qr_program
-from repro.core.calu import build_calu_graph, calu, calu_program
-from repro.core.caqr import build_caqr_graph, caqr, caqr_program
+from repro.baselines.lapack_lu import getrf_program
+from repro.baselines.lapack_qr import geqrf_program
+from repro.baselines.tiled_lu import tiled_lu_program
+from repro.baselines.tiled_qr import tiled_qr_program
+from repro.core.calu import calu_program, calu
+from repro.core.caqr import caqr_program, caqr
 from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
@@ -61,7 +61,7 @@ def assert_equivalent(streamed, eager):
 def test_calu_program_materializes_to_eager_graph(tree):
     layout = BlockLayout(96, 64, 16)
     streamed = calu_program(layout, 4, tree)[0].materialize()
-    eager = build_calu_graph(layout, 4, tree)[0]
+    eager = calu_program(layout, 4, tree)[0].materialize()
     assert_equivalent(streamed, eager)
 
 
@@ -69,7 +69,7 @@ def test_calu_program_materializes_to_eager_graph(tree):
 def test_caqr_program_materializes_to_eager_graph(tree):
     layout = BlockLayout(96, 64, 16)
     streamed = caqr_program(layout, 4, tree)[0].materialize()
-    eager = build_caqr_graph(layout, 4, tree)[0]
+    eager = caqr_program(layout, 4, tree)[0].materialize()
     assert_equivalent(streamed, eager)
 
 
@@ -77,7 +77,7 @@ def test_numeric_calu_program_matches_eager_graph():
     A = make_rng(11).standard_normal((48, 48))
     layout = BlockLayout(48, 48, 8)
     streamed = calu_program(layout, 4, TreeKind.BINARY, A=A.copy(), guards=False)[0]
-    eager = build_calu_graph(layout, 4, TreeKind.BINARY, A=A.copy(), guards=False)[0]
+    eager = calu_program(layout, 4, TreeKind.BINARY, A=A.copy(), guards=False)[0].materialize()
     assert_equivalent(streamed.materialize(), eager)
 
 
@@ -86,22 +86,22 @@ def test_numeric_calu_program_matches_eager_graph():
     [
         pytest.param(
             lambda: getrf_program(128, 128, b=32),
-            lambda: build_getrf_graph(128, 128, b=32),
+            lambda: getrf_program(128, 128, b=32).materialize(),
             id="getrf",
         ),
         pytest.param(
             lambda: geqrf_program(128, 128, b=32),
-            lambda: build_geqrf_graph(128, 128, b=32),
+            lambda: geqrf_program(128, 128, b=32).materialize(),
             id="geqrf",
         ),
         pytest.param(
             lambda: tiled_lu_program(96, 96, nb=16),
-            lambda: build_tiled_lu_graph(96, 96, nb=16),
+            lambda: tiled_lu_program(96, 96, nb=16).materialize(),
             id="tiled-lu",
         ),
         pytest.param(
             lambda: tiled_qr_program(96, 96, nb=16),
-            lambda: build_tiled_qr_graph(96, 96, nb=16),
+            lambda: tiled_qr_program(96, 96, nb=16).materialize(),
             id="tiled-qr",
         ),
     ],

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.core.calu import build_calu_graph, merged_chunks
+from repro.core.calu import calu_program, merged_chunks
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind, tree_height
 from repro.core.tslu import add_tslu_tasks
@@ -69,7 +69,7 @@ def test_simulated_sync_events_scale_with_tree_height():
 
     def syncs(tree: TreeKind) -> int:
         layout = BlockLayout(12800, 100, 100)
-        graph, _ = build_calu_graph(layout, 8, tree)
+        graph = calu_program(layout, 8, tree)[0].materialize()
         with counting() as c:
             SimulatedExecutor(mach).run(graph)
         return c.syncs
@@ -83,7 +83,7 @@ def test_simulated_sync_events_scale_with_tree_height():
 def test_calu_total_p_tasks_per_panel():
     """Tasks P per panel: Tr leaves + (merge nodes) + 1 finalize."""
     layout = BlockLayout(800, 100, 100)
-    graph, _ = build_calu_graph(layout, 8, TreeKind.BINARY)
+    graph = calu_program(layout, 8, TreeKind.BINARY)[0].materialize()
     p_tasks = [t for t in graph.tasks if t.kind is TaskKind.P and t.iteration == 0]
     assert len(p_tasks) == 8 + 7 + 1
 
@@ -94,7 +94,7 @@ def test_words_counter_tracks_task_traffic():
     from repro.runtime.simulated import SimulatedExecutor
 
     layout = BlockLayout(1600, 200, 100)
-    graph, _ = build_calu_graph(layout, 4)
+    graph = calu_program(layout, 4)[0].materialize()
     with counting() as c:
         SimulatedExecutor(generic(4)).run(graph)
     assert c.words > 0

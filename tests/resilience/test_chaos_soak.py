@@ -14,6 +14,7 @@ Long randomized variants are marked ``stress`` and excluded from the
 default run (see ``pytest.ini`` addopts).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ import pytest
 from repro.core.calu import calu
 from repro.core.caqr import caqr
 from repro.machine.presets import generic
-from repro.resilience.checkpoint import Checkpoint, FileStore, MemoryStore
+from repro.resilience.checkpoint import SNAPSHOT_FORMAT, Checkpoint, FileStore, MemoryStore
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.simulated import SimulatedExecutor
@@ -134,6 +135,36 @@ def test_calu_checkpoint_namespace_rebinds_on_different_input():
     clean = calu(A1, b=8, tr=2)
     assert np.array_equal(f.lu, clean.lu)
     assert np.array_equal(f.piv, clean.piv)
+
+
+@pytest.mark.parametrize("factor", [calu, caqr], ids=["calu", "caqr"])
+def test_chain_in_another_snapshot_format_restarts_instead_of_half_reading(factor):
+    """Snapshot payloads store panel state under ``panel{P}_{key}``; a
+    chain whose signature names another layout (or, written before the
+    field existed, none) is cleared and the run starts over."""
+    A0 = make_rng(6).standard_normal((64, 48))
+    clean = factor(A0, b=8, tr=2)
+    store = MemoryStore()
+    factor(A0, b=8, tr=2, checkpoint=Checkpoint(store))
+    assert Checkpoint(store).snapshot_chain()
+    # Relabel the finished chain as the old code's: same computation,
+    # no format field.
+    (line,) = store.read_lines("ckpt/meta")
+    signature = json.loads(line)
+    assert signature.pop("format") == SNAPSHOT_FORMAT
+    store.delete("ckpt/meta")
+    store.append_line("ckpt/meta", json.dumps(signature, sort_keys=True))
+
+    again = factor(A0, b=8, tr=2, checkpoint=Checkpoint(store))
+    assert "resume" not in again.trace.resilience_summary()
+    assert len(again.trace.records) == len(clean.trace.records) + len(
+        [r for r in again.trace.records if r.name.startswith("C[")]
+    )
+    for name in ("lu", "piv") if factor is calu else ("packed", "R"):
+        assert np.array_equal(getattr(again, name), getattr(clean, name))
+    # ... and leaves a current-format chain behind: the next call resumes.
+    third = factor(A0, b=8, tr=2, checkpoint=Checkpoint(store))
+    assert third.trace.resilience_summary().get("resume") == 1
 
 
 # ----------------------------------------------------------------------

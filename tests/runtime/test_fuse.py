@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.calu import build_calu_graph, calu, calu_program
+from repro.core.calu import calu_program, calu
 from repro.core.caqr import caqr
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
@@ -64,7 +64,7 @@ def _member_names(graph: TaskGraph) -> list[str]:
 class TestStructure:
     def _calu_graph(self, tree=TreeKind.BINARY):
         layout = BlockLayout(48, 48, 8)
-        return build_calu_graph(layout, 4, tree)[0]
+        return calu_program(layout, 4, tree)[0].materialize()
 
     def test_max_ops_one_is_identity(self):
         g = self._calu_graph()

@@ -5,7 +5,7 @@ import json
 import numpy as np
 
 from repro.bench.tables import Table
-from repro.core.calu import build_calu_graph
+from repro.core.calu import calu_program
 from repro.core.layout import BlockLayout
 from repro.machine.presets import generic
 from repro.resilience.events import ResilienceEvent
@@ -15,7 +15,7 @@ from repro.runtime.trace import Trace
 
 
 def small_trace():
-    graph, _ = build_calu_graph(BlockLayout(400, 200, 100), 2)
+    graph = calu_program(BlockLayout(400, 200, 100), 2)[0].materialize()
     return SimulatedExecutor(generic(4)).run(graph), graph
 
 

@@ -167,7 +167,8 @@ class TestCachedPlanState:
                     process_pool=pool,
                 )
                 trace = engine.run(plan.graph)
-                return trace, svc._assemble_piv(plan, self.PARAMS)
+                f = plan.result(trace)
+                return trace, (f.piv, f.degraded_panels, f.recovered_panels)
 
             try:
                 faulty = FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)
@@ -186,17 +187,21 @@ class TestCachedPlanState:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degradation_does_not_outlive_its_request(self, backend, monkeypatch):
+        import dataclasses
         import functools
 
-        from repro.service import service as service_module
+        from repro.core.driver import ALGORITHMS
 
         # Recompute disabled: a corrupted tournament degrades to partial
         # pivoting.  A stale flag would silently degrade every later
         # request served by the same cached plan.
-        monkeypatch.setattr(
-            service_module,
-            "calu_program",
-            functools.partial(service_module.calu_program, recompute=False),
+        calu_alg = ALGORITHMS["lu"]
+        monkeypatch.setitem(
+            ALGORITHMS,
+            "lu",
+            dataclasses.replace(
+                calu_alg, program=functools.partial(calu_alg.program, recompute=False)
+            ),
         )
         A = make_rng(22).standard_normal((96, 96))
         ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)

@@ -1,7 +1,7 @@
 """CLI end-to-end: full pass matrix, self-test, and exit codes."""
 
 from repro.verify.cli import default_targets, main, self_test, verify_graph
-from repro.core.calu import build_calu_graph
+from repro.core.calu import calu_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.verify.mutate import drop_edge, pick_droppable_edge
@@ -9,13 +9,13 @@ from repro.verify.mutate import drop_edge, pick_droppable_edge
 
 class TestVerifyGraph:
     def test_static_passes_always_run(self):
-        graph, _ = build_calu_graph(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)
+        graph = calu_program(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)[0].materialize()
         report = verify_graph(graph)
         assert report.passes == ["races", "lint"]
         assert report.ok
 
     def test_mutated_graph_fails_gate(self):
-        graph, _ = build_calu_graph(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)
+        graph = calu_program(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)[0].materialize()
         u, v = pick_droppable_edge(graph, seed=0)
         report = verify_graph(drop_edge(graph, u, v))
         assert not report.ok

@@ -1,7 +1,7 @@
 """DAG linter rules: cycles, costs, dead tasks, priorities, redundancy."""
 
 from repro.analysis.flops import gemm_flops
-from repro.core.calu import build_calu_graph
+from repro.core.calu import calu_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.runtime.graph import TaskGraph
@@ -132,8 +132,8 @@ class TestPriorityInversion:
 class TestBuilderGraphsClean:
     def test_calu_all_lookaheads_gate_clean(self):
         for lookahead in (-1, 0, 1):
-            g, _ = build_calu_graph(
+            g = calu_program(
                 BlockLayout(48, 48, 8), 4, TreeKind.BINARY, lookahead=lookahead
-            )
+            )[0].materialize()
             gating = [f for f in lint_graph(g) if f.severity in ("error", "warning")]
             assert gating == [], [str(f) for f in gating]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.calu import build_calu_graph
-from repro.core.caqr import build_caqr_graph
+from repro.core.calu import calu_program
+from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.verify.mutate import (
@@ -17,7 +17,7 @@ from repro.verify.races import check_races
 
 
 def calu_graph(tree=TreeKind.BINARY):
-    graph, _ = build_calu_graph(BlockLayout(48, 48, 8), 4, tree)
+    graph = calu_program(BlockLayout(48, 48, 8), 4, tree)[0].materialize()
     return graph
 
 
@@ -58,7 +58,7 @@ class TestMutationDetected:
         )
 
     def test_caqr_edge_drop_is_caught(self):
-        graph, _ = build_caqr_graph(BlockLayout(48, 48, 8), 4, TreeKind.BINARY)
+        graph = caqr_program(BlockLayout(48, 48, 8), 4, TreeKind.BINARY)[0].materialize()
         u, v = pick_droppable_edge(graph, seed=0)
         races = [f for f in check_races(drop_edge(graph, u, v)) if f.rule == "race"]
         assert any(set(f.tasks) == {u, v} for f in races)
@@ -80,7 +80,7 @@ class TestMutationDetected:
     def test_every_essential_edge_drop_is_caught(self):
         # Exhaustive on a small graph: no essential conflict edge can be
         # removed without the detector noticing.
-        graph, _ = build_calu_graph(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)
+        graph = calu_program(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)[0].materialize()
         for u, v in essential_conflict_edges(graph):
             races = [f for f in check_races(drop_edge(graph, u, v)) if f.rule == "race"]
             assert any(set(f.tasks) == {u, v} for f in races), f"{u}->{v} missed"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.calu import build_calu_graph
-from repro.core.caqr import build_caqr_graph
+from repro.core.calu import calu_program
+from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.runtime.graph import TaskGraph
@@ -59,19 +59,20 @@ class TestSanitizeFootprints:
         A = rng.standard_normal((24, 24))
         A0 = A.copy()
         layout = BlockLayout(24, 24, 8)
-        graph, wss = build_calu_graph(layout, 3, TreeKind.BINARY, A=A, guards=False)
+        program, wss = calu_program(layout, 3, TreeKind.BINARY, A=A, guards=False)
+        graph = program.materialize()
         assert sanitize_footprints(graph, A, 8) == []
         # The sanitizer executed the graph in topological order; the
         # factorization must be the same as a plain sequential run.
         B = A0.copy()
-        graph2, _ = build_calu_graph(layout, 3, TreeKind.BINARY, A=B, guards=False)
+        graph2 = calu_program(layout, 3, TreeKind.BINARY, A=B, guards=False)[0].materialize()
         graph2.run_sequential()
         np.testing.assert_array_equal(A, B)
 
 
 class TestRandomTopologicalOrder:
     def test_valid_linear_extension(self):
-        graph, _ = build_calu_graph(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)
+        graph = calu_program(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)[0].materialize()
         rng = np.random.default_rng(0)
         order = random_topological_order(graph, rng)
         assert sorted(order) == list(range(len(graph.tasks)))
@@ -80,7 +81,7 @@ class TestRandomTopologicalOrder:
             assert all(pos[p] < pos[v] for p in graph.preds[v])
 
     def test_seeds_vary_order(self):
-        graph, _ = build_calu_graph(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)
+        graph = calu_program(BlockLayout(24, 24, 8), 3, TreeKind.BINARY)[0].materialize()
         a = random_topological_order(graph, np.random.default_rng(1))
         b = random_topological_order(graph, np.random.default_rng(2))
         assert a != b
@@ -91,9 +92,10 @@ class TestFuzzSchedules:
     def test_calu_bitwise_schedule_independent(self, tree):
         def build():
             A = np.random.default_rng(11).standard_normal((24, 24))
-            graph, wss = build_calu_graph(
+            program, wss = calu_program(
                 BlockLayout(24, 24, 8), 3, tree, A=A, guards=False
             )
+            graph = program.materialize()
 
             def collect():
                 out = [A]
@@ -107,9 +109,9 @@ class TestFuzzSchedules:
     def test_caqr_bitwise_schedule_independent(self):
         def build():
             A = np.random.default_rng(13).standard_normal((24, 16))
-            graph, _ = build_caqr_graph(
+            graph = caqr_program(
                 BlockLayout(24, 16, 8), 3, TreeKind.BINARY, A=A, guards=False
-            )
+            )[0].materialize()
             return graph, lambda: [A]
 
         assert fuzz_schedules(build, runs=3, seed=5) == []
