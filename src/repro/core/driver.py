@@ -4,11 +4,14 @@ The paper's Algorithm 1 (CALU) and Algorithm 2 (CAQR) are one task
 skeleton — a panel reduction, then updates under look-ahead — that
 differs only in kernels, and the standalone panels (TSLU, TSQR) are its
 first step alone.  The difference is an :class:`Algorithm` record; the
-steps around its builder are written once, in :func:`factorize`.
-``calu``/``caqr``/``tsqr``/``tslu`` are that call under their public
-keyword signatures; the service's plans, the autotuner's symbolic
-graphs and the verify targets look their algorithm up in the same table
-(:data:`ALGORITHMS`, :func:`algorithm`) and use the same record.
+steps around its builder are written once, in two halves:
+:func:`compile` (stage, build, fuse: a :class:`Plan`) and the plan's
+load / run / result, which :func:`factorize` strings together with
+resume.  ``calu``/``caqr``/``tsqr``/``tslu`` are that call under their
+public keyword signatures; the service caches the same plans and the
+out-of-core drivers compile theirs over a streamed binding; the
+autotuner's symbolic graphs and the verify targets look their algorithm
+up in the same table (:data:`ALGORITHMS`, :func:`algorithm`).
 """
 
 from __future__ import annotations
@@ -30,17 +33,18 @@ from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.fuse import fuse_program
-from repro.runtime.process import staged
+from repro.runtime.process import ProcessExecutor, resolve_executor, staged
 from repro.runtime.program import supports_streaming
 
 __all__ = [
     "ALGORITHMS",
     "Algorithm",
+    "Plan",
     "TSLU",
     "TSQR",
     "algorithm",
+    "compile",
     "factorize",
-    "guard_finite",
     "validate_knobs",
 ]
 
@@ -143,23 +147,129 @@ def validate_knobs(alg: Algorithm, *, tr, leaf_kernel, fuse=None) -> None:
         raise ValueError(f"fuse must be None or an int >= 1, got {fuse!r}")
 
 
-def guard_finite(alg: Algorithm, A: np.ndarray, trace=None) -> None:
-    """Last line of defense: a corruption that landed outside every
-    guarded block (e.g. in an already-finished region) must still
-    surface as a structured failure, never as wrong factors."""
-    if not np.isfinite(A).all():
-        raise RuntimeFailure(
-            f"{alg.name} produced non-finite factors (undetected corruption)",
-            failure_kind="health",
-            trace=trace,
+class Plan:
+    """One compiled factorization: *alg*'s fused program over one staged
+    working buffer ``A`` — the half of the pipeline ``(shape, b, tr,
+    tree)`` alone decide, as tournament pivoting keeps every row swap
+    inside a task's declared footprint.  The other half takes a matrix:
+    :func:`compile` copies the first in, :meth:`load` any later one;
+    :meth:`run` then :meth:`result` follow either, one run at a time."""
+
+    def __init__(self, alg, layout, tr, tree, store, arena, program, state, guards, decision):
+        self.alg, self.layout, self.tr, self.tree = alg, layout, tr, tree
+        self.store, self.A, self._arena = store, store.A, arena  # an arena staged here
+        self.program, self.state = program, state
+        self.guards, self.decision = guards, decision
+
+    def load(self, A: np.ndarray) -> None:
+        """Copy the next matrix in and forget the previous one: the
+        per-panel state lives only in the panels' store buffers (all
+        emitted first), so resetting those is the whole reset on every
+        plane, and re-arms CALU's growth monitor at this magnitude."""
+        self.program.materialize()
+        self.A[...] = A
+        absmax = float(np.abs(A).max())
+        for panel in self.state if isinstance(self.state, list) else [self.state]:
+            panel.reset(absmax)
+
+    def source(self, executor):
+        """Engine-backed executors stream the program, keeping graph
+        construction off the critical path; any other (duck-typed, a
+        bare engine) gets the eager graph, the historical contract."""
+        return self.program if supports_streaming(executor) else self.program.materialize()
+
+    def run(self, executor, journal=None):
+        """Aim an untargeted fault plan at the working buffer, run, and
+        record the autotune decision on the trace."""
+        fault_plan = getattr(executor, "fault_plan", None)
+        if fault_plan is not None and fault_plan.target is None:
+            fault_plan.target = self.A
+        source = self.source(executor)
+        trace = (
+            executor.run(source, journal=journal) if journal is not None else executor.run(source)
+        )
+        if self.decision is not None:
+            trace.events.append(self.decision.event())
+        return trace
+
+    def result(self, trace, detach=lambda array: array):
+        """Guard the factors and assemble ``alg.result``: views of the
+        plan's buffers, valid while it is held and not reloaded, unless
+        *detach* (a binding's ``detach``, ``np.array``) copies them out."""
+        # Last line of defense: a corruption that landed outside every
+        # guarded block (e.g. in an already-finished region) must still
+        # surface as a structured failure, never as wrong factors.
+        if self.guards and not np.isfinite(self.A).all():
+            raise RuntimeFailure(
+                f"{self.alg.name} produced non-finite factors (undetected corruption)",
+                failure_kind="health",
+                trace=trace,
+            )
+        return self.alg.result(
+            self.A, self.state, detach, layout=self.layout, tr=self.tr, tree=self.tree, trace=trace
         )
 
+    def close(self) -> None:
+        """Release the plane: unlink an arena staged here (idempotent)."""
+        if self._arena is not None:
+            self._arena.destroy()
 
-def _resume(checkpoint, signature: dict, A, layout, program, source, panels):
+
+def compile(
+    alg: Algorithm,
+    A,
+    *,
+    b: int | None = None,
+    tr: int,
+    tree: TreeKind,
+    leaf_kernel: str,
+    shared: bool = False,
+    overwrite: bool = False,
+    guards: bool = True,
+    fuse: int | None = None,
+    decision=None,
+    **build,
+) -> Plan:
+    """Validate the knobs, stage, build, fuse — the only place that
+    sequence occurs — into the :class:`Plan` :func:`factorize` runs
+    once, the service caches and the out-of-core drivers run.
+
+    *A* is the matrix (copied to the working buffer: on a shared-memory
+    arena with *shared*, else on the heap, in place when *overwrite*
+    allows), a shape (an empty buffer to :meth:`Plan.load` into), or a
+    binding the caller staged and keeps (the streamed plane); a
+    standalone panel is one block column whatever *b* says.  Fusion is
+    per window, to ``fuse=`` ops or else the autotuner *decision*'s
+    ``max_ops``; *build* is the builder's own (``checkpoint``, ...).
+    """
+    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel, fuse=fuse)
+    store, arena = staged(A, shared, overwrite=overwrite)
+    try:
+        m, n = store.A.shape
+        layout = BlockLayout(m, n, n if alg.panel else b)
+        program, state = alg.program(
+            layout, tr, tree, A=store.A, store=store, leaf_kernel=leaf_kernel, guards=guards, **build
+        )
+        if fuse is None and decision is not None:
+            fuse = decision.max_ops
+        if fuse is not None and fuse > 1:
+            # Per-window rewrite: a resume still addresses windows by
+            # panel iteration, and checkpoint (X) tasks keep their
+            # identity inside the fused program.
+            program = fuse_program(program, max_ops=fuse)
+    except BaseException:
+        if arena is not None:
+            arena.destroy()
+        raise
+    return Plan(alg, layout, tr, tree, store, arena, program, state, guards, decision)
+
+
+def _resume(checkpoint, signature: dict, plan: Plan, source):
     """Bind *checkpoint* to this computation and restore its newest
     boundary; returns the journal the run must log to."""
+    program = plan.program
     usable = checkpoint.prepare(signature)
-    resumed_from, snaps = restore_matrix(A, layout, checkpoint) if usable else (-1, {})
+    resumed_from, snaps = restore_matrix(plan.A, plan.layout, checkpoint) if usable else (-1, {})
     # The journal from a crashed run holds mid-panel completions whose
     # effects are NOT in the restored matrix (it carries the *boundary*
     # state); reseed it with exactly the tasks the snapshot covers.
@@ -174,7 +284,7 @@ def _resume(checkpoint, signature: dict, A, layout, program, source, panels):
         # left swaps) lies past every boundary: snapshots are taken
         # before it, so it always re-runs.
         program.emit_through(resumed_from)
-        checkpoint.restore_panels(snaps, panels)
+        checkpoint.restore_panels(snaps, plan.state)
         covered = program.graph.tasks[: program.windows[resumed_from][1]]
         journal.mark_completed(t.name for t in covered)
     return journal
@@ -201,22 +311,17 @@ def factorize(
     The keywords are those of :func:`repro.core.calu.calu`; *build*
     holds whatever else the algorithm's program builder takes
     (``lookahead``, and CALU's ``update_width``/``abft``/``recompute``).
-    The steps: **validate** the knobs and the matrix; **stage** the
-    matrix where the executor's tasks reach it (``executor="auto"``
-    consults the autotuner with the problem's shape); **build** the
-    program over the binding; **fuse** it (``fuse=``, else the
-    autotuner's ``max_ops``); **resume** from *checkpoint* (matrix and
+    The steps: **validate** the knobs and the matrix; resolve the
+    **executor** (``"auto"`` consults the autotuner with the problem's
+    shape); :func:`compile` the plan on the plane that executor's tasks
+    reach (stage, build, fuse); **resume** from *checkpoint* (matrix and
     panel state restored to the newest boundary, the journal reseeded
-    with what that covers); aim an untargeted **fault plan** at the
-    working matrix; **run**; record the **autotune** decision on the
-    trace; **guard** against non-finite factors; **flush** the
-    checkpoint writer; **detach** the result from the binding.
+    with what that covers); :meth:`Plan.run`; :meth:`Plan.result`,
+    detached from the binding; **flush** the checkpoint writer;
+    **close** the plan, which never outlives the call.
     """
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel, fuse=fuse)
     A = validate_matrix(A, "A", require_finite=check_finite)
-    # check_finite=False means the caller opted into non-finite input
-    # ("garbage in"); the finiteness guards would only fight that.
-    guards = guards and check_finite
     m, n = A.shape
     if alg.panel:
         if m < n:
@@ -224,37 +329,29 @@ def factorize(
         b = n
     elif b is None:
         b = recommend_params(m, n, kind=alg.kind).b
-    layout = BlockLayout(m, n, b)
     hints = {"kind": alg.kind, "m": m, "n": n, "b": b, "tr": tr, "tree": tree}
-    with staged(A, executor, min(tr, 4), overwrite=overwrite, hints=hints) as (
-        executor,
-        store,
-        decision,
-    ):
-        A = store.A
-        if fuse is None and decision is not None:
-            fuse = decision.max_ops
-        program, state = alg.program(
-            layout,
-            tr,
-            tree,
-            A=A,
-            store=store,
-            leaf_kernel=leaf_kernel,
-            guards=guards,
-            checkpoint=checkpoint,
-            **build,
-        )
-        if fuse is not None and fuse > 1:
-            # Per-window rewrite: the resume still addresses windows by
-            # panel iteration, and checkpoint (X) tasks keep their
-            # identity inside the fused program.
-            program = fuse_program(program, max_ops=fuse)
-        # Engine-backed executors consume the streaming program directly,
-        # keeping graph construction off the critical path; a caller-made
-        # (duck-typed) executor gets the materialized eager graph, which
-        # is the historical contract.
-        source = program if supports_streaming(executor) else program.materialize()
+    executor, owned = resolve_executor(
+        "threaded" if executor is None else executor, min(tr, 4), hints=hints
+    )
+    shared = isinstance(executor, ProcessExecutor)
+    plan = compile(
+        alg,
+        A,
+        b=b,
+        tr=tr,
+        tree=tree,
+        leaf_kernel=leaf_kernel,
+        shared=shared,
+        overwrite=overwrite,
+        # check_finite=False means the caller opted into non-finite
+        # input ("garbage in"); the guards would only fight that.
+        guards=guards and check_finite,
+        checkpoint=checkpoint,
+        fuse=fuse,
+        decision=getattr(executor, "autotune_decision", None) if owned else None,
+        **build,
+    )
+    try:
         journal = None
         if checkpoint is not None:
             signature = {
@@ -267,22 +364,17 @@ def factorize(
                 "tree": tree.value,
                 "leaf_kernel": leaf_kernel,
                 **build,
-                "a_digest": zlib.crc32(A.tobytes()),
+                "a_digest": zlib.crc32(plan.A.tobytes()),
             }
-            journal = _resume(checkpoint, signature, A, layout, program, source, state)
-        plan = getattr(executor, "fault_plan", None)
-        if plan is not None and plan.target is None:
-            plan.target = A
-        trace = (
-            executor.run(source, journal=journal) if journal is not None else executor.run(source)
-        )
-        if decision is not None:
-            trace.events.append(decision.event())
-        if guards:
-            guard_finite(alg, A, trace)
+            journal = _resume(checkpoint, signature, plan, plan.source(executor))
+        result = plan.result(plan.run(executor, journal), plan.store.detach)
         if checkpoint is not None:
             # Drain the async snapshot writer so a completed run leaves
             # its full chain on disk (and any write error surfaces here
             # rather than being dropped with the daemon thread).
             checkpoint.flush()
-        return alg.result(A, state, store.detach, layout=layout, tr=tr, tree=tree, trace=trace)
+        return result
+    finally:
+        plan.close()
+        if owned and shared:  # a pool made for this call (spawned at first run)
+            executor.close()

@@ -9,9 +9,9 @@ memory one leaf block at a time.
 
 :func:`tsqr_ooc` and :func:`tslu_ooc` are not second implementations:
 they stage the panel into the store, bind it as a
-:class:`~repro.runtime.tilestore.StreamedBinding` and run the in-memory
-drivers' own :func:`~repro.core.tsqr.tsqr_program` /
-:func:`~repro.core.tslu.tslu_program` over it.  Every task loads the
+:class:`~repro.runtime.tilestore.StreamedBinding` and hand that to the
+in-memory drivers' own :func:`~repro.core.driver.compile` (the ``TSQR``
+/ ``TSLU`` programs, knob validation included).  Every task loads the
 rows it slices and writes back the block it updated, so what is resident
 is one window per running task plus the ``O(tr · b²)`` workspace
 (candidates, ``T`` factors), never the panel.
@@ -67,10 +67,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.driver import TSLU, TSQR, compile, validate_knobs
 from repro.core.layout import BlockLayout, Chunk
 from repro.core.trees import TreeKind
-from repro.core.tslu import tslu_program
-from repro.core.tsqr import TSQRFactorization, tsqr_program
+from repro.core.tsqr import TSQRFactorization
 from repro.kernels.qr import extract_v, geqr3
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.tilestore import StreamedBinding, TileStore, open_store
@@ -221,27 +221,33 @@ class StoreHandle:
 
 @contextmanager
 def _streamed(
-    name, merge_tail, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
+    alg, merge_tail, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
+    check_finite,
 ):
     """Stage *source* into *store* (chunked with or without
-    *merge_tail*, as the driver *name* does in memory) and bind it for
-    the in-memory programs: yields ``(binding, tr, handle)`` — the
-    :class:`StreamedBinding`, the ``tr`` to build the program with and
-    the :class:`StoreHandle` fields of the result.  The binding's
-    window bound is the plan's tallest chunk (or the ``2b`` rows a
-    merge or a finalize holds); a failed run destroys a store it made.
+    *merge_tail*, as *alg*'s in-memory driver does), bind it, compile
+    *alg* over the binding and run that: yields ``(plan, handle)`` — the
+    driver's :class:`~repro.core.driver.Plan`, its knobs validated
+    before a byte is staged, and the shape and :class:`StoreHandle`
+    fields of the result.  The binding's window bound is the plan's
+    tallest chunk (or the ``2b`` rows a merge or a finalize holds); a
+    failed run destroys a store it made.
     """
     src = as_source(source)
     m, n = src.shape
     if m < n:
-        raise ValueError(f"{name} requires a tall panel (m >= n), got {src.shape}")
+        raise ValueError(f"{alg.name.lower()} requires a tall panel (m >= n), got {src.shape}")
     tr = _plan_tr(m, n, tr, memory_budget, n_workers)
+    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     chunks = plan_chunks(m, n, tr=tr, merge_tail=merge_tail)
     tiles, owned = _resolve_store(store, spill_dir)
     try:
         a_spec = _stage_panel(tiles, src, chunks, check_finite)
         binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
-        yield binding, tr, {"tiles": tiles, "a_spec": a_spec, "chunks": chunks, "owns_store": owned}
+        plan = compile(alg, binding, tr=tr, tree=tree, leaf_kernel=leaf_kernel)
+        plan.run(ThreadedExecutor(max(1, n_workers)))
+        handle = {"tiles": tiles, "a_spec": a_spec, "chunks": chunks, "owns_store": owned}
+        yield plan, {"m": m, "n": n, **handle}
     except BaseException:
         if owned:
             tiles.destroy()
@@ -284,17 +290,11 @@ def tsqr_ooc(
     it (or use it as a context manager) once done with ``Q``.
     """
     with _streamed(
-        "tsqr", True, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
-    ) as (binding, tr, handle):
-        m, n = binding.A.shape
-        program, qstore = tsqr_program(
-            binding.A, tr, TreeKind.FLAT, leaf_kernel=leaf_kernel, store=binding
-        )
-        ThreadedExecutor(max(1, n_workers)).run(program)
-        R = np.triu(binding.A[:n, :])
-    return OOCTSQRFactorization(
-        m=m, n=n, store=qstore, R=R, tr=tr, tree=TreeKind.FLAT, **handle
-    )
+        TSQR, True, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers,
+        leaf_kernel, check_finite,
+    ) as (plan, handle):
+        R = np.triu(plan.A[: handle["n"], :])
+        return OOCTSQRFactorization(store=plan.state, R=R, tr=plan.tr, tree=plan.tree, **handle)
 
 
 @dataclass
@@ -341,12 +341,11 @@ def tslu_ooc(
     paths can run.
     """
     with _streamed(
-        "tslu", False, source, tr, memory_budget, store, spill_dir, n_workers, check_finite
-    ) as (binding, tr, handle):
-        m, n = binding.A.shape
-        program, ws = tslu_program(binding.A, tr, tree, leaf_kernel=leaf_kernel, store=binding)
-        ThreadedExecutor(max(1, n_workers)).run(program)
-    return OOCPanelLU(m=m, n=n, piv=np.array(ws.piv), recovered=ws.recomputed, **handle)
+        TSLU, False, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
+        check_finite,
+    ) as (plan, handle):
+        ws = plan.state
+        return OOCPanelLU(piv=np.array(ws.piv), recovered=ws.recomputed, **handle)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ usual :class:`~repro.resilience.recovery.RetryPolicy` machinery.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import multiprocessing
 import os
@@ -572,7 +571,8 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
         from repro.machine.autotune import autotune
 
         decision = autotune(**(hints or {}))
-        instance, owned = resolve_executor(decision.backend, n_workers)
+        # The worker count the decision was priced with, not the caller's.
+        instance, owned = resolve_executor(decision.backend, decision.n_workers)
         instance.autotune_decision = decision
         return instance, owned
     if executor == "threaded":
@@ -591,40 +591,33 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
     )
 
 
-@contextlib.contextmanager
-def staged(A: np.ndarray, executor, n_workers: int, *, overwrite: bool = False, hints=None):
-    """Stage *A* where *executor*'s tasks can reach it, for one driver run.
+def staged(A, shared: bool = False, *, overwrite: bool = False):
+    """Make a factorization's one working buffer and bind it: returns
+    ``(binding, arena)``, the arena (if one was made here) being the
+    caller's to destroy.
 
-    Resolves the ``executor=`` argument (``None`` is the threaded
-    default; ``"auto"`` consults the autotuner with *hints*) and makes
-    the one working copy: for a :class:`ProcessExecutor`, an
-    ``alloc(zero=False)`` + ``copyto`` straight onto a fresh arena
-    (dtype and layout converted on the way) bound as a
-    :class:`ShmBinding`; otherwise a float C-ordered heap array (*A*
-    itself when *overwrite* allows) bound as a :class:`HeapBinding`.
-    Yields ``(executor, store, decision)``, *decision* being the
-    autotuner's choice under ``"auto"``, else None.  Results leave
-    through ``store.detach`` inside the block; on exit the arena is
-    destroyed and an executor created here for it is closed.
+    *A* is the matrix; or its shape, for a plan loaded later (a zeroed
+    float64 buffer); or a binding already staged, returned as it is.
+    With *shared* the buffer lives on a fresh :class:`SharedArena` — one
+    ``alloc(zero=False)`` + ``copyto``, dtype and layout converted on
+    the way — as a :class:`ShmBinding`; otherwise it is a float
+    C-ordered heap array (*A* itself when *overwrite* allows) in a
+    :class:`HeapBinding`.  Results leave through ``binding.detach``.
     """
-    auto = isinstance(executor, str) and executor == "auto"
-    executor, owned = resolve_executor(
-        "threaded" if executor is None else executor, n_workers, hints=hints
-    )
-    dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
-    arena = None
-    try:
-        if isinstance(executor, ProcessExecutor):
-            arena = SharedArena()
-            shared = arena.alloc(A.shape, dtype, zero=False)
-            np.copyto(shared, A)
-            store = ShmBinding(arena, shared)
-        else:
-            heap = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
-            store = HeapBinding(heap)
-        yield executor, store, executor.autotune_decision if auto else None
-    finally:
-        if arena is not None:
-            arena.destroy()
-            if owned:
-                executor.close()
+    if hasattr(A, "a_spec"):
+        return A, None
+    if isinstance(A, tuple):
+        A, shape, dtype = None, A, np.float64
+    else:
+        shape = A.shape
+        dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
+    if shared:
+        arena = SharedArena()
+        buffer = arena.alloc(shape, dtype, zero=A is None)
+        if A is not None:
+            np.copyto(buffer, A)
+        return ShmBinding(arena, buffer), arena
+    if A is None:
+        return HeapBinding(np.zeros(shape, dtype)), None
+    heap = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
+    return HeapBinding(heap), None

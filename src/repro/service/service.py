@@ -3,11 +3,11 @@
 :class:`FactorizationService` is the front-end the ROADMAP's north star
 calls for: a long-lived, thread-safe object accepting concurrent
 ``factor``/``solve``/``lstsq`` requests and multiplexing them onto one
-shared worker-process pool and shared-memory arena.  Compiled
-:class:`~repro.runtime.program.GraphProgram` plans are cached per
-``(op, shape, b, tr, tree, backend)`` so repeat shapes skip graph
-construction entirely — the request loads its matrix into the plan's
-buffer, runs the pre-built graph, and extracts the factors.
+shared worker-process pool and shared-memory arena.  The driver's own
+compiled plans (:func:`repro.core.driver.compile`) are cached per
+``(op, shape, b, tr, tree, backend, max_ops)`` so repeat shapes skip
+graph construction entirely — the request loads its matrix into the
+plan's buffer, runs the pre-built graph, and extracts the factors.
 
 Every request leaves through exactly one of four doors:
 
@@ -36,11 +36,10 @@ from typing import Callable
 import numpy as np
 
 from repro.core.calu import CALUFactorization
-from repro.core.driver import ALGORITHMS, guard_finite, validate_knobs
-from repro.core.layout import BlockLayout
+from repro.core.driver import ALGORITHMS, Plan, compile, validate_knobs
 from repro.core.trees import TreeKind
 from repro.linalg import monitored_solve
-from repro.machine.autotune import resolve_params
+from repro.machine.autotune import autotune, resolve_params
 from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import CentralFrontier, ExecutionEngine
@@ -74,9 +73,9 @@ class ServiceConfig:
         (in-process engine only), or ``"auto"`` (process where ``fork``
         is available, else threaded).
     fuse:
-        Task-fusion granularity applied when compiling plans
-        (:func:`repro.runtime.fuse.fuse_graph`): ``"auto"`` (default)
-        lets the machine-model autotuner pick ``max_ops`` per
+        Task-fusion granularity applied when compiling plans (per
+        window, :func:`repro.runtime.fuse.fuse_program`): ``"auto"``
+        (default) lets the machine-model autotuner pick ``max_ops`` per
         (shape, b, Tr) — with the worker-spawn term dropped, since the
         service's pool is persistent; an ``int`` fixes it; ``None`` or
         ``1`` disables fusion.  The resolved granularity is part of the
@@ -169,63 +168,6 @@ class ServiceConfig:
             raise ValueError("max_plans and plans_per_key must be >= 1")
 
 
-class _CompiledPlan:
-    """One cached, re-runnable factorization graph and its buffer.
-
-    The graph's task descriptors are bound to ``A_buf`` (on a
-    shared-memory arena when built for the process backend, on the heap
-    otherwise); :meth:`load` copies a request's matrix in and resets
-    the per-run panel state so the graph replays cleanly.  A plan
-    serves one request at a time (the cache enforces exclusivity).
-    """
-
-    def __init__(self, key, alg, params, graph, A_buf, panels, *, arena=None, decision=None):
-        self.key = key
-        self.alg = alg  # the driver's Algorithm record
-        self.params = params  # (b, tr, tree)
-        self.graph = graph
-        self.A_buf = A_buf
-        self.panels = panels  # per-panel state: PanelWorkspace (LU) / PanelQRStore (QR)
-        self.arena = arena  # process backend only
-        self.decision = decision  # autotuner DispatchDecision (fuse="auto")
-        self.runs = 0
-
-    def load(self, A: np.ndarray) -> None:
-        """Copy a request's matrix in and forget the previous request.
-
-        The per-panel state lives only in the panels' store buffers, so
-        resetting them is the whole reset on either backend (and
-        re-arms CALU's growth monitor with this matrix's magnitude).
-        """
-        self.A_buf[...] = A
-        absmax = float(np.abs(A).max())
-        for panel in self.panels:
-            panel.reset(absmax)
-        self.runs += 1
-
-    def result(self, trace, detach=lambda array: array):
-        """Guard the run's factors and assemble the algorithm's result.
-
-        By default it views the plan's buffers — valid only while the
-        plan is held; *detach* copies what must outlive the request.
-        """
-        guard_finite(self.alg, self.A_buf, trace)
-        b, tr, tree = self.params
-        return self.alg.result(
-            self.A_buf,
-            self.panels,
-            detach,
-            layout=BlockLayout(*self.A_buf.shape, b),
-            tr=tr,
-            tree=tree,
-            trace=trace,
-        )
-
-    def destroy(self) -> None:
-        if self.arena is not None:
-            self.arena.destroy()
-
-
 class _Request:
     """Reaper-visible in-flight request state."""
 
@@ -294,7 +236,7 @@ class FactorizationService:
             seed=cfg.seed + 1,
             retry_all=True,
         )
-        # Plan cache: key -> list of _CompiledPlan | None ("building"
+        # Plan cache: key -> list of driver Plan | None ("building"
         # placeholder); exclusivity via _busy.  One condition covers
         # checkouts, check-ins and the reaper's deadline kicks.
         self._plan_cond = make_condition("service.plan")
@@ -458,7 +400,7 @@ class FactorizationService:
 
     def _run_once(self, op, A, params, req, use_process, extract):
         cfg = self.config
-        plan, cached = self._checkout_plan(op, A.shape, params, use_process, req)
+        plan, cached = self._checkout_plan(op, A.shape, params, req)
         try:
             plan.load(A)
             fault_plan = (
@@ -476,10 +418,7 @@ class FactorizationService:
                 thread_name=f"repro-svc-{req.rid}",
                 process_pool=self._executor.pool if use_process else None,
             )
-            trace = engine.run(plan.graph)
-            if plan.decision is not None:
-                trace.events.append(plan.decision.event())
-            return extract(plan, trace)
+            return extract(plan, plan.run(engine))
         finally:
             self._checkin_plan(plan, cached)
 
@@ -496,11 +435,6 @@ class FactorizationService:
     # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
-    def _plan_key(self, op, shape, params) -> tuple:
-        b, tr, tree = params
-        max_ops, _ = self._fusion_for(op, shape, params)
-        return (op, shape[0], shape[1], b, tr, tree.value, self.backend, max_ops)
-
     def _fusion_for(self, op, shape, params):
         """Resolve the configured fusion knob to ``(max_ops, decision)``.
 
@@ -512,8 +446,6 @@ class FactorizationService:
         """
         fuse = self.config.fuse
         if fuse == "auto":
-            from repro.machine.autotune import autotune
-
             b, tr, tree = params
             decision = autotune(
                 op, shape[0], shape[1], b=b, tr=tr, tree=tree, persistent_pool=True
@@ -524,7 +456,7 @@ class FactorizationService:
     def _total_plans(self) -> int:
         return sum(len(v) for v in self._plans.values())
 
-    def _checkout_plan(self, op, shape, params, use_process, req):
+    def _checkout_plan(self, op, shape, params, req):
         """Return ``(plan, cached)`` with the plan exclusively held.
 
         Cached plans are reused per key (up to ``plans_per_key``
@@ -533,7 +465,9 @@ class FactorizationService:
         dies with it.  Waits are bounded by the request's deadline.
         """
         cfg = self.config
-        key = self._plan_key(op, shape, params)
+        b, tr, tree = params
+        max_ops, _ = self._fusion_for(op, shape, params)
+        key = (op, *shape, b, tr, tree.value, self.backend, max_ops)
         with self._plan_cond:
             while True:
                 slots = self._plans.setdefault(key, [])
@@ -563,7 +497,7 @@ class FactorizationService:
         # Build outside the lock: graph construction is the expensive
         # part the cache exists to amortize.
         try:
-            plan = self._build_plan(key, op, shape, params)
+            plan = self._compile(op, shape, params)
         except BaseException:
             with self._plan_cond:
                 slots = self._plans.get(key, [])
@@ -592,41 +526,34 @@ class FactorizationService:
             for i, plan in enumerate(slots):
                 if plan is not None and id(plan) not in self._busy:
                     del slots[i]
-                    plan.destroy()
+                    plan.close()
                     return True
         return False
 
-    def _checkin_plan(self, plan: _CompiledPlan, cached: bool) -> None:
+    def _checkin_plan(self, plan: Plan, cached: bool) -> None:
         if not cached:
-            plan.destroy()
+            plan.close()
             return
         with self._plan_cond:
             self._busy.discard(id(plan))
             self._plan_cond.notify_all()
 
-    def _build_plan(self, key, op, shape, params) -> _CompiledPlan:
+    def _compile(self, op, shape, params) -> Plan:
+        """The driver's plan for this key: the default leaf kernel, an
+        empty buffer on the service's plane, the configured fusion."""
         b, tr, tree = params
-        m, n = shape
-        layout = BlockLayout(m, n, b)
+        alg = ALGORITHMS[op]
         max_ops, decision = self._fusion_for(op, shape, params)
-        arena = store = None
-        if self.backend == "process":
-            from repro.runtime.shm import SharedArena, ShmBinding
-
-            arena = SharedArena()
-            A_buf = arena.alloc((m, n))
-            store = ShmBinding(arena, A_buf)
-        else:
-            A_buf = np.zeros((m, n))
-
-        program, panels = ALGORITHMS[op].program(layout, tr, tree, A=A_buf, store=store)
-        graph = program.materialize()
-        if max_ops > 1:
-            from repro.runtime.fuse import fuse_graph
-
-            graph = fuse_graph(graph, max_ops=max_ops)
-        return _CompiledPlan(
-            key, ALGORITHMS[op], params, graph, A_buf, panels, arena=arena, decision=decision
+        return compile(
+            alg,
+            shape,
+            b=b,
+            tr=tr,
+            tree=tree,
+            leaf_kernel=alg.leaf_kernels[0],
+            shared=self.backend == "process",
+            fuse=max_ops,
+            decision=decision,
         )
 
     # ------------------------------------------------------------------
@@ -710,7 +637,7 @@ class FactorizationService:
             self._busy.clear()
             self._plan_cond.notify_all()
         for plan in plans:
-            plan.destroy()
+            plan.close()
 
     def __enter__(self) -> "FactorizationService":
         return self

@@ -29,10 +29,9 @@ from repro.baselines.lapack_lu import getrf_program
 from repro.baselines.lapack_qr import geqrf_program
 from repro.baselines.tiled_lu import tiled_lu_program
 from repro.baselines.tiled_qr import tiled_qr_program
-from repro.core.driver import ALGORITHMS
+from repro.core.driver import ALGORITHMS, compile
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
-from repro.runtime.fuse import fuse_program
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.verify.backends import check_backend_equivalence
@@ -57,39 +56,27 @@ _Collect = Callable[[], "list[np.ndarray]"]
 _Builder = Callable[[], "tuple[GraphProgram, _Collect | None]"]
 
 
-def _numeric(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
-    """Builder of the *kind* algorithm's program over a fresh matrix.
+def _numeric(
+    kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind, fuse: int | None = None
+) -> _Builder:
+    """Builder of the program the driver compiles for the *kind*
+    algorithm over a fresh matrix, fused to *fuse* ops when set: what a
+    driver or the service runs, super-tasks included, is what is proved.
 
     Its ``collect()`` is :func:`~repro.verify.equivalence.state_arrays`.
     """
 
     def build() -> tuple[GraphProgram, _Collect]:
-        A = _random_matrix(m, n)
-        program, panels = ALGORITHMS[kind].program(
-            BlockLayout(m, n, b), tr, tree, A=A, guards=False
-        )
-        return program, lambda: state_arrays(A, panels)
+        alg, A = ALGORITHMS[kind], _random_matrix(m, n)
+        kernel = alg.leaf_kernels[0]
+        plan = compile(alg, A, b=b, tr=tr, tree=tree, leaf_kernel=kernel, guards=False, fuse=fuse)
+        return plan.program, lambda: state_arrays(plan.A, plan.state)
 
     return build
 
 
 def _symbolic(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
     return lambda: (ALGORITHMS[kind].program(BlockLayout(m, n, b), tr, tree)[0], None)
-
-
-def _fused(inner: _Builder, max_ops: int) -> _Builder:
-    """A builder emitting the fused rewrite of *inner*'s program.
-
-    Fused targets put super-task dispatch through the same proofs as
-    the pristine graphs: races, lint, footprint sanitizing, schedule
-    fuzzing, fused-stream vs fused-eager equivalence.
-    """
-
-    def build() -> tuple[GraphProgram, _Collect | None]:
-        program, collect = inner()
-        return fuse_program(program, max_ops=max_ops), collect
-
-    return build
 
 
 class Target:
@@ -114,7 +101,7 @@ class Target:
         fuse: int | None = None,
     ) -> None:
         if shape is not None:
-            program = _numeric(*shape) if fuse is None else _fused(_numeric(*shape), fuse)
+            program = _numeric(*shape, fuse)
         assert program is not None
         self.name = name
         self.program = program

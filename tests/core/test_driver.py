@@ -18,11 +18,14 @@ import pytest
 from repro.core import driver
 from repro.core.calu import calu
 from repro.core.caqr import caqr
+from repro.core.layout import BlockLayout
+from repro.core.outofcore import tslu_ooc, tsqr_ooc
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
 from repro.machine import autotune as at
 from repro.machine.presets import generic
+from repro.runtime.fuse import fuse_program
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.program import GraphProgram
@@ -30,6 +33,7 @@ from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from repro.service import FactorizationService, ServiceConfig
+from repro.verify.equivalence import compare_graphs
 from tests.core.test_staging import _outputs
 
 DRIVERS = {"calu": calu, "caqr": caqr, "tsqr": tsqr, "tslu": tslu}
@@ -62,6 +66,25 @@ def test_unknown_leaf_kernel_names_the_valid_set(name):
     valid = "rgetf2.*getf2" if name in ("calu", "tslu") else "geqr3.*geqr2"
     with pytest.raises(ValueError, match=f"leaf_kernel.*nope.*{valid}"):
         DRIVERS[name](_panel(), leaf_kernel="nope")
+
+
+OUT_OF_CORE = {
+    "tsqr-mmap": lambda A, **kw: tsqr(A, store="mmap", **kw),
+    "tsqr_ooc": lambda A, **kw: tsqr_ooc(A, **{"tr": 4, **kw}),
+    "tslu_ooc": lambda A, **kw: tslu_ooc(A, **{"tr": 4, **kw}),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_CORE)
+def test_out_of_core_entry_points_validate_like_every_other_driver(name, tmp_path):
+    # Used to return factors computed silently with getf2/geqr2, and
+    # tr=0 surfaced as BlockLayout's "Tr must be >= 1".
+    valid = "rgetf2.*getf2" if name == "tslu_ooc" else "geqr3.*geqr2"
+    with pytest.raises(ValueError, match=f"leaf_kernel.*nope.*{valid}"):
+        OUT_OF_CORE[name](_panel(), leaf_kernel="nope", spill_dir=tmp_path)
+    with pytest.raises(ValueError, match="tr must be an int >= 1"):
+        OUT_OF_CORE[name](_panel(), tr=0, spill_dir=tmp_path)
+    assert not list(tmp_path.iterdir()), "rejected before a byte is staged"
 
 
 @pytest.mark.parametrize("fuse", [-3, 0, 2.5, "auto"])
@@ -186,3 +209,95 @@ def test_auto_consults_the_autotuner_with_the_shape_and_fuses_to_it(name, monkey
     if name in ("calu", "caqr"):
         trace = DRIVERS[name](A, b=8, tr=3, executor="auto").trace
         assert [e.kind for e in trace.events].count("autotune") == 1
+
+
+@pytest.mark.parametrize("backend", ["threaded", pytest.param("process", marks=fork_only)])
+def test_auto_runs_the_worker_count_it_priced(backend, monkeypatch):
+    """``resolve_executor("auto")`` priced ``decision.n_workers`` and
+    then built the executor with the caller's ``min(tr, 4)``."""
+    decision = at.DispatchDecision(
+        backend=backend,
+        max_ops=1,
+        n_workers=3 if backend == "threaded" else 2,
+        kind="lu",
+        shape=(72, 24),
+        b=8,
+        tr=8,
+        predicted_s={},
+        roundtrip_s=0.0,
+        reason="test",
+    )
+    monkeypatch.setattr(at, "autotune", lambda **hints: decision)
+    trace = calu(_panel(), b=8, tr=8, executor="auto").trace
+    assert trace.n_cores == decision.n_workers  # used to be min(tr, 4) == 4
+
+
+# ---------------------------------------------------------------------------
+# compile() -> Plan: what factorize runs once is what the service keeps
+# ---------------------------------------------------------------------------
+
+
+def _factors(f) -> list[np.ndarray]:
+    if hasattr(f, "piv"):
+        return [f.lu, f.piv]
+    arrays = [f.packed]
+    for store in f.panels:
+        flat = store.to_arrays()
+        arrays += [flat[k] for k in sorted(flat)]
+    return arrays
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("fuse", [None, 4])
+@pytest.mark.parametrize("backend", ["threaded", pytest.param("process", marks=fork_only)])
+@pytest.mark.parametrize("name", ["calu", "caqr"])
+def test_one_plan_runs_many_matrices(name, backend, fuse, dtype):
+    rng = np.random.default_rng(11)
+    A1, A2 = (rng.standard_normal((72, 40)).astype(dtype) for _ in range(2))
+    alg = driver.ALGORITHMS["lu" if name == "calu" else "qr"]
+    knobs = {"b": 8, "tr": 3, "tree": alg.tree, "leaf_kernel": alg.leaf_kernels[0], "fuse": fuse}
+    executor = EXECUTORS[backend]()
+    plan = driver.compile(alg, A1, shared=backend == "process", **knobs)
+    try:
+        for A in (A1, A2, A1):
+            plan.load(A)
+            got = _factors(plan.result(plan.run(executor)))
+            want = _factors(DRIVERS[name](A, executor=backend, **knobs))
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+    finally:
+        plan.close()
+        if backend == "process":
+            executor.close()
+
+
+@pytest.mark.parametrize("kind,shape", [("lu", (96, 96)), ("qr", (128, 48))])
+def test_a_service_plan_is_the_per_window_fused_program(kind, shape):
+    """The service used to fuse the whole materialized graph in one
+    window: a grouping no ``repro.verify`` fused target proves."""
+    b, tr, max_ops = 16, 3, 4
+    alg = driver.ALGORITHMS[kind]
+    with FactorizationService(ServiceConfig(cores=2, backend="threaded", fuse=max_ops)) as svc:
+        plan = svc._compile(kind, shape, (b, tr, alg.tree))
+    assert isinstance(plan, driver.Plan)
+    program, _ = alg.program(BlockLayout(*shape, b), tr, alg.tree, A=np.zeros(shape))
+    want = fuse_program(program, max_ops=max_ops).materialize()
+    got = plan.program.materialize()
+    assert len(got.tasks) < len(program.graph.tasks)
+    assert compare_graphs(got, want) == []
+
+
+@fork_only
+def test_close_unlinks_the_plans_arena_and_is_idempotent():
+    import os
+
+    alg = driver.ALGORITHMS["lu"]
+    plan = driver.compile(
+        alg, (64, 64), b=16, tr=2, tree=alg.tree, leaf_kernel="rgetf2", shared=True
+    )
+    plan.load(np.random.default_rng(12).standard_normal((64, 64)))
+    segments = [f"/dev/shm/{seg.name}" for seg in plan.store.arena._segments]
+    assert segments and all(os.path.exists(path) for path in segments)
+    plan.close()
+    plan.close()
+    assert not any(os.path.exists(path) for path in segments)

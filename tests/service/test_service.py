@@ -142,7 +142,7 @@ class TestCachedPlanState:
 
     The per-panel state (candidate counts, ``[degraded, recomputed]``
     flags, pivots) lives in store buffers only, and
-    ``_CompiledPlan.load`` resets it there — the same place on both
+    the driver's ``Plan.load`` resets it there — the same place on both
     backends.  Both regressions below fail on the parent commit.
     """
 
@@ -150,12 +150,23 @@ class TestCachedPlanState:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_clean_run_after_corrupted_run_on_one_plan(self, backend):
+        from repro.core.driver import ALGORITHMS, compile
         from repro.runtime.engine import CentralFrontier, ExecutionEngine
 
         A = make_rng(21).standard_normal((96, 96))
         ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
+        b, tr, tree = self.PARAMS
         with FactorizationService(ServiceConfig(cores=2, backend=backend)) as svc:
-            plan = svc._build_plan(None, "lu", A.shape, self.PARAMS)
+            # The plan the service would cache for this key.
+            plan = compile(
+                ALGORITHMS["lu"],
+                A.shape,
+                b=b,
+                tr=tr,
+                tree=tree,
+                leaf_kernel="rgetf2",
+                shared=backend == "process",
+            )
             pool = svc._executor.pool if backend == "process" else None
 
             def run(fault_plan):
@@ -166,7 +177,7 @@ class TestCachedPlanState:
                     fault_plan=fault_plan,
                     process_pool=pool,
                 )
-                trace = engine.run(plan.graph)
+                trace = plan.run(engine)
                 f = plan.result(trace)
                 return trace, (f.piv, f.degraded_panels, f.recovered_panels)
 
@@ -181,9 +192,9 @@ class TestCachedPlanState:
                 assert not {"recompute", "degraded"} & {e.kind for e in trace2.events}
                 assert (degraded2, recovered2) == ((), ())
                 assert np.array_equal(piv2, ref.piv)
-                assert np.array_equal(plan.A_buf, ref.lu)
+                assert np.array_equal(plan.A, ref.lu)
             finally:
-                plan.destroy()
+                plan.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degradation_does_not_outlive_its_request(self, backend, monkeypatch):
