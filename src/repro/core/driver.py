@@ -35,6 +35,7 @@ from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.fuse import fuse_program
 from repro.runtime.process import ProcessExecutor, resolve_executor, staged
 from repro.runtime.program import supports_streaming
+from repro.runtime.simulated import SimulatedExecutor
 
 __all__ = [
     "ALGORITHMS",
@@ -173,9 +174,9 @@ class Plan:
             panel.reset(absmax)
 
     def source(self, executor):
-        """Engine-backed executors stream the program, keeping graph
-        construction off the critical path; any other (duck-typed, a
-        bare engine) gets the eager graph, the historical contract."""
+        """The engine and the simulator stream the program, keeping
+        graph construction off the critical path; any other (duck-typed)
+        executor gets the eager graph, the historical contract."""
         return self.program if supports_streaming(executor) else self.program.materialize()
 
     def run(self, executor, journal=None):
@@ -333,6 +334,11 @@ def factorize(
     executor, owned = resolve_executor(
         "threaded" if executor is None else executor, min(tr, 4), hints=hints
     )
+    if isinstance(executor, SimulatedExecutor) and not executor.execute:
+        raise ValueError(
+            f"{alg.name.lower()} computes factors: a SimulatedExecutor must run its tasks "
+            "(execute=True); without it only a symbolic program can be simulated"
+        )
     shared = isinstance(executor, ProcessExecutor)
     plan = compile(
         alg,

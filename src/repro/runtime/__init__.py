@@ -15,10 +15,16 @@ at a time — and either can be
   the paper's GFLOP/s measurements and execution diagrams at full
   paper-scale dimensions.
 
-All executors are thin front-ends over one
-:class:`~repro.runtime.engine.ExecutionEngine` that owns the task
+There is one real-clock executor,
+:class:`~repro.runtime.engine.ExecutionEngine`, which owns the task
 lifecycle (frontier, journal skip, retry, fault injection, health
-guards, tracing, watchdog).
+guards, tracing, watchdog): ``ThreadedExecutor`` is that class,
+:class:`~repro.runtime.stealing.WorkStealingExecutor` subclasses it
+with a stealing frontier and
+:class:`~repro.runtime.process.ProcessExecutor` with a pool of worker
+processes it owns.  The simulator keeps its own discrete-event loop and
+shares the engine's window bookkeeping, failure and guard + journal
+step.
 """
 
 from repro.runtime.engine import CentralFrontier, ExecutionEngine, StealingFrontier

@@ -1,22 +1,18 @@
-"""The unified execution engine behind every executor front-end.
+"""The execution engine: the one real-clock executor.
 
-Historically :class:`~repro.runtime.threaded.ThreadedExecutor`,
-:class:`~repro.runtime.simulated.SimulatedExecutor` and
-:class:`~repro.runtime.stealing.WorkStealingExecutor` each reimplemented
-the task lifecycle — ready tracking, journal skip + resume events,
-retry, fault injection, health guards, failure wrapping, tracing and the
-watchdog — so every resilience feature landed three times or not at all.
-:class:`ExecutionEngine` owns that lifecycle once, behind two pluggable
-axes:
+:class:`ExecutionEngine` owns the task lifecycle — ready tracking,
+journal skip + resume event, retry, fault injection, health guards,
+failure wrapping, tracing and the watchdog — and *is* the executor:
+:class:`~repro.runtime.threaded.ThreadedExecutor` is this class under
+its public name, :class:`~repro.runtime.stealing.WorkStealingExecutor`
+a subclass that makes a :class:`StealingFrontier` per run instead of a
+:class:`CentralFrontier`, :class:`~repro.runtime.process.ProcessExecutor`
+a subclass that owns the worker pool its runs dispatch to.  Tasks run on
+worker threads, or in a pool's worker processes fed by one dispatcher.
 
-* **clock** — ``"real"`` runs tasks on worker threads, or in the
-  worker processes of a pool fed by one dispatcher loop (wall-clock);
-  ``"virtual"`` replays the graph as a discrete-event simulation priced
-  by a :class:`~repro.machine.model.MachineModel`.
-* **frontier** — how ready tasks are distributed to workers on the real
-  clock: :class:`CentralFrontier` (one shared priority queue, the
-  paper's look-ahead scheduling) or :class:`StealingFrontier`
-  (per-worker deques with deterministic stealing).
+The virtual clock is not here: the discrete-event loop lives in
+:mod:`repro.runtime.simulated` and shares :class:`_Bookkeeping`,
+:func:`failure` and :func:`guard_and_journal` with this module.
 
 The engine consumes :class:`~repro.runtime.program.GraphProgram`
 sources: windows of tasks are *registered* as the program emits them,
@@ -35,7 +31,6 @@ import select
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
@@ -44,14 +39,12 @@ from repro.resilience.events import ResilienceEvent
 from repro.resilience.faults import InjectedFault
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.program import GraphProgram, as_program
-from repro.runtime.scheduler import ReadyQueue
+from repro.runtime.scheduler import POLICIES, ReadyQueue
 from repro.runtime.sync import make_condition, make_lock
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
 
 __all__ = ["ExecutionEngine", "CentralFrontier", "StealingFrontier"]
-
-_EPS = 1e-12
 
 #: Tasks in flight per worker process under the dispatcher (queued in
 #: its pipe or running).  Deep enough that one message carries several
@@ -83,8 +76,9 @@ class CentralFrontier:
         for t in tasks:
             self._queue.push(t)
 
-    def pop(self, core: int) -> Task | None:
-        return self._queue.pop() if self._queue else None
+    def pop(self, core: int) -> tuple[Task | None, bool]:
+        """``(task, stolen)``; a shared queue never steals."""
+        return (self._queue.pop() if self._queue else None), False
 
     def __bool__(self) -> bool:
         return bool(self._queue)
@@ -95,8 +89,9 @@ class StealingFrontier:
 
     Tasks released by a completion go to the completing worker's own
     deque (producer–consumer locality); idle workers scan victims in a
-    seeded deterministic order and steal from the head (FIFO), counting
-    one sync per steal.  Placement is not otherwise accounted.
+    seeded deterministic order and steal from the head (FIFO); a steal
+    is reported to the caller, which counts one sync for it outside the
+    engine lock.  Placement is not otherwise accounted.
     """
 
     counts_placement = False
@@ -119,17 +114,17 @@ class StealingFrontier:
         for t in sorted(tasks, key=lambda t: t.priority):
             self._deques[core].append(t)
 
-    def pop(self, core: int) -> Task | None:
-        """Own deque first (LIFO for locality), then steal (FIFO)."""
+    def pop(self, core: int) -> tuple[Task | None, bool]:
+        """Own deque first (LIFO for locality), then steal (FIFO):
+        ``(task, stolen)``."""
         own = self._deques[core]
         if own:
-            return own.pop()
+            return own.pop(), False
         for off in range(1, self.n_workers):
             victim = (core + self.seed + off) % self.n_workers
             if self._deques[victim]:
-                _counters.add_sync()
-                return self._deques[victim].popleft()
-        return None
+                return self._deques[victim].popleft(), True
+        return None, False
 
     def __bool__(self) -> bool:
         return any(self._deques)
@@ -141,8 +136,26 @@ class _Bookkeeping:
     Registers emitted windows, tracks in-degrees against completed
     tasks, marks journaled tasks done at registration, and expands the
     program so ``lookahead`` windows exist past the lowest incomplete
-    one.  Both engine clocks share this logic.
+    one.  The real clock (this module) and the virtual one
+    (:mod:`repro.runtime.simulated`) share this logic.
     """
+
+    @classmethod
+    def for_run(cls, source, journal=None) -> "_Bookkeeping":
+        """The books of one run of *source* (a :class:`TaskGraph` or a
+        :class:`GraphProgram`): bind *journal* to it, so the tasks it
+        already records are skipped at registration, and resolve the
+        program's look-ahead depth."""
+        done_names = journal.bind(source) if journal is not None else set()
+        program = as_program(source)
+        depth = program.lookahead
+        if depth is None:
+            from repro.core.priorities import lookahead_depth
+
+            depth = lookahead_depth()
+        if depth < 0:
+            depth = program.n_windows  # infinite: emit everything up front
+        return cls(program, done_names, depth)
 
     def __init__(self, program: GraphProgram, done_names: set[str], depth: int) -> None:
         self.program = program
@@ -168,13 +181,23 @@ class _Bookkeeping:
     def finished(self) -> bool:
         return self.remaining == 0 and self.program.exhausted
 
-    def start(self) -> list[Task]:
+    def start(self, events: list) -> list[Task]:
         """Register pre-emitted windows, expand to the initial look-ahead
-        target; returns the ready roots in tid order."""
+        target; returns the ready roots in tid order.  Tasks skipped as
+        journaled are announced by one ``resume`` event on *events*."""
         ready: list[Task] = []
         for w, (s, e) in enumerate(self.program.windows):
             ready.extend(self._register(w, self.graph.tasks[s:e]))
         ready.extend(self.expand())
+        if self.n_skipped:
+            n_skip, n = self.n_skipped, len(self.graph.tasks)
+            events.append(
+                ResilienceEvent(
+                    "resume",
+                    detail=f"resumed from journal: skipping {n_skip}/{n} completed tasks",
+                    value=float(n_skip),
+                )
+            )
         return ready
 
     def _register(self, window: int, tasks: list[Task]) -> list[Task]:
@@ -251,68 +274,106 @@ class _Bookkeeping:
         }
 
 
-@dataclass
-class _Running:
-    task: Task
-    core: int
-    start: float
-    setup_left: float  # seconds of fixed setup remaining
-    work_left: float  # work units remaining (flops or bytes)
-    max_rate: float  # work units / second cap
-    demand: float  # bytes per work unit
-    rate: float = 0.0
-    failure: BaseException | None = None  # injected fault fired at completion
-    corrupt: bool = False  # injected corruption applied at completion
+def failure(kind: str, message: str, task: Task | None = None, cause=None) -> RuntimeFailure:
+    """The one structured failure both clocks raise: *kind* is its
+    ``failure_kind``, *task* the offender (None: the run itself) and
+    *cause* the exception it wraps.  The partial trace is attached where
+    the run ends."""
+    name, tid = ("", -1) if task is None else (task.name, task.tid)
+    exc = RuntimeFailure(message, task=name, tid=tid, failure_kind=kind)
+    exc.__cause__ = cause
+    return exc
+
+
+def guard_and_journal(task: Task, health_checks: bool, journal, record) -> RuntimeFailure | None:
+    """What a task owes between its work succeeding and its successors'
+    release, on either clock: the numerical health guard (it reads only
+    blocks the task owns; verdicts go to *record*), then the write-ahead
+    journal entry — only after the guard passes, so a resumed run never
+    skips a task whose output was found corrupted.  Returns the failure
+    that must end the run (``"health"``, or ``"task_error"`` for a
+    journal that cannot be written), else None."""
+    guard = task.meta.get("health") if (health_checks and task.meta) else None
+    if guard is not None:
+        verdict = guard()
+        if verdict is not None:
+            record(verdict)
+            if verdict.fatal:
+                message = f"health guard failed after task {task.name!r}: {verdict.detail}"
+                return failure("health", message, task)
+    if journal is not None:
+        try:
+            journal.record(task)
+        except Exception as exc:
+            return failure(
+                "task_error", f"journal write failed after task {task.name!r}: {exc}", task
+            )
+    return None
 
 
 class ExecutionEngine:
-    """Owns the task lifecycle for every executor front-end.
+    """Execute task graphs on worker threads, or on a pool of processes.
+
+    One instance may :meth:`run` repeatedly and from several threads at
+    once: everything a run mutates (frontier, books, trace) is made per
+    run.
 
     Parameters
     ----------
     n_workers:
-        Worker threads on the real clock (ignored on the virtual one,
-        where the :class:`MachineModel` supplies the core count).
-    frontier:
-        Real-clock ready-task distribution strategy; a fresh
-        :class:`CentralFrontier` or :class:`StealingFrontier` per run.
-    clock:
-        ``"real"`` (threads) or ``"virtual"`` (discrete-event
-        simulation on *machine*).
-    machine / policy / execute:
-        Virtual-clock configuration (see
-        :class:`~repro.runtime.simulated.SimulatedExecutor`).
-    retry / fault_plan / task_timeout / stall_timeout / health_checks /
-    watchdog_poll_s:
-        The resilience options shared by all front-ends (see
-        :class:`~repro.runtime.threaded.ThreadedExecutor`).
+        Worker threads (the paper's "available cores"), or the worker
+        processes of *process_pool* a run deals to.
+    policy:
+        Ready-queue policy, ``"priority"`` (default, the paper's
+        look-ahead scheduling via task priorities) or ``"fifo"``.
+    retry:
+        Optional :class:`~repro.resilience.recovery.RetryPolicy`:
+        failed tasks are re-run with backoff when that is safe
+        (idempotent tasks, pre-execution injected faults).
+    fault_plan:
+        Optional :class:`~repro.resilience.faults.FaultPlan` injecting
+        deterministic faults (tests and resilience benchmarks).
+    task_timeout:
+        Wall-clock seconds one task may run before the watchdog
+        declares it stalled (None disables); in a worker process's
+        queue, that long per task in flight there (docs/RUNTIME.md,
+        "Timing").
+    stall_timeout:
+        Wall-clock seconds without *any* task completing before the
+        watchdog declares the run stalled (None disables).  Either way
+        a hang becomes a structured failure, never a blocked caller.
     deadline:
         Optional absolute ``time.monotonic()`` timestamp: once passed,
         the watchdog aborts the run with a structured
         ``failure_kind="deadline"`` :class:`RuntimeFailure` even while
-        individual tasks keep making progress.  This is how a service
-        front-end maps a *per-request* deadline onto a run whose total
-        task count exceeds any sensible per-task timeout (real clock
-        only).
-    thread_name:
-        Prefix for worker thread names.
+        individual tasks keep making progress.  This is how the service
+        maps a *per-request* deadline onto a run whose total task count
+        exceeds any sensible per-task timeout.
+    health_checks:
+        Run the ``meta["health"]`` guards the CALU/CAQR builders attach
+        to tasks (NaN/Inf and pivot-growth monitors; default True); a
+        fatal verdict aborts the run instead of letting a corrupted
+        factorization escape.
+    watchdog_poll_s / thread_name:
+        The watchdog's polling period; the worker threads' name prefix.
     process_pool:
         A :class:`~repro.runtime.process._WorkerPool`: tasks carrying a
         ``meta["op"]`` descriptor then run in its worker processes, fed
         by one dispatcher loop instead of ``n_workers`` threads (see
         :meth:`_RealClockRun.dispatcher`); the pool may be shared by
         concurrent engines.
+
+    Every failure — a task's own error included, whether or not any
+    resilience option is set — surfaces as one structured
+    :class:`~repro.resilience.recovery.RuntimeFailure` carrying its
+    ``failure_kind`` and the partial :class:`Trace`.
     """
 
     def __init__(
         self,
-        *,
         n_workers: int = 4,
-        frontier=None,
-        clock: str = "real",
-        machine=None,
         policy: str = "priority",
-        execute: bool = False,
+        *,
         retry=None,
         fault_plan=None,
         task_timeout: float | None = None,
@@ -323,16 +384,19 @@ class ExecutionEngine:
         thread_name: str = "repro-worker",
         process_pool=None,
     ) -> None:
-        if clock not in ("real", "virtual"):
-            raise ValueError(f"unknown clock {clock!r}")
-        if clock == "virtual" and machine is None:
-            raise ValueError("virtual clock requires a machine model")
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if policy not in POLICIES:
+            raise ValueError(f"unknown scheduling policy {policy!r}; expected one of {POLICIES}")
+        for name, seconds in (
+            ("task_timeout", task_timeout),
+            ("stall_timeout", stall_timeout),
+            ("watchdog_poll_s", watchdog_poll_s),
+        ):
+            if seconds is not None and seconds < 0:
+                raise ValueError(f"{name} must be >= 0, got {seconds}")
         self.n_workers = n_workers
-        self.frontier = frontier
-        self.clock = clock
-        self.machine = machine
         self.policy = policy
-        self.execute = execute
         self.retry = retry
         self.fault_plan = fault_plan
         self.task_timeout = task_timeout
@@ -341,212 +405,27 @@ class ExecutionEngine:
         self.health_checks = health_checks
         self.watchdog_poll_s = watchdog_poll_s
         self.thread_name = thread_name
-        self.process_pool = process_pool
+        self._pool = process_pool
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
+    @property
+    def pool(self):
+        """The worker pool runs dispatch to (None: worker threads)."""
+        return self._pool
+
+    def new_frontier(self):
+        """A fresh ready-task frontier; every run makes its own."""
+        return CentralFrontier(self.policy)
+
     def run(self, source, journal=None) -> Trace:
         """Run a :class:`TaskGraph` or :class:`GraphProgram` to completion.
 
-        With *journal*, tasks the journal already records as completed
-        are skipped at registration (one ``resume`` event), and every
-        completed task (post-guards) is journaled before its successors
-        are released.
+        With *journal* (a :class:`~repro.resilience.journal.TaskJournal`),
+        tasks it already records as completed are skipped at
+        registration (one ``resume`` event), and every completed task
+        (post-guards) is journaled before its successors are released —
+        the resume half of the checkpoint/restart path.
         """
-        done_names: set[str] = set()
-        if journal is not None:
-            done_names = journal.bind(source)
-        program = as_program(source)
-        depth = program.lookahead
-        if depth is None:
-            from repro.core.priorities import lookahead_depth
-
-            depth = lookahead_depth()
-        if depth < 0:
-            depth = program.n_windows  # infinite: emit everything up front
-        bookkeeping = _Bookkeeping(program, done_names, depth)
-        if self.clock == "virtual":
-            return self._run_virtual(program, bookkeeping, journal)
-        return self._run_threads(program, bookkeeping, journal)
-
-    @staticmethod
-    def _resume_event(bookkeeping: _Bookkeeping) -> ResilienceEvent:
-        n_skip = bookkeeping.n_skipped
-        n = len(bookkeeping.graph.tasks)
-        return ResilienceEvent(
-            "resume",
-            detail=f"resumed from journal: skipping {n_skip}/{n} completed tasks",
-            value=float(n_skip),
-        )
-
-    # ------------------------------------------------------------------
-    # Real clock: worker threads, or one dispatcher over a process pool
-    # ------------------------------------------------------------------
-    def _run_threads(self, program: GraphProgram, bk: _Bookkeeping, journal) -> Trace:
-        return _RealClockRun(self, program, bk, journal).run()
-
-    # ------------------------------------------------------------------
-    # Virtual clock: discrete-event simulation
-    # ------------------------------------------------------------------
-    def _run_virtual(self, program: GraphProgram, bk: _Bookkeeping, journal) -> Trace:
-        mach = self.machine
-        graph = program.graph
-        ready = ReadyQueue(self.policy)
-        events: list[ResilienceEvent] = []
-        records: list[TaskRecord] = []
-        ran_on: dict[int, int] = {}
-        clock = 0.0
-        sync_lat = mach.sync_latency_us * 1e-6
-        plan = self.fault_plan
-
-        initial = bk.start()
-        if bk.n_skipped:
-            events.append(self._resume_event(bk))
-        for t in initial:
-            ready.push(t)
-
-        free_cores = list(range(mach.cores - 1, -1, -1))  # pop() yields core 0 first
-        running: list[_Running] = []
-
-        def record_event(ev: ResilienceEvent) -> None:
-            events.append(ev)
-
-        def start_tasks() -> None:
-            while ready and free_cores:
-                core = free_cores.pop()
-                task = ready.pop()
-                remote = sum(
-                    1 for p in graph.preds[task.tid] if ran_on.get(p, core) != core
-                )
-                setup = mach.task_overhead_s(task.cost) + (sync_lat if remote else 0.0)
-                if remote:
-                    _counters.add_sync(remote)
-                    _counters.add_words(int(task.cost.words))
-                failure = None
-                corrupt = False
-                if plan is not None:
-                    delay, failure, corrupt = plan.virtual_faults(
-                        task, retry=self.retry, record=record_event
-                    )
-                    setup += delay
-                work, rate, demand = mach.work_and_demand(task.cost)
-                running.append(
-                    _Running(
-                        task=task,
-                        core=core,
-                        start=clock,
-                        setup_left=setup,
-                        work_left=work,
-                        max_rate=rate,
-                        demand=demand,
-                        failure=failure,
-                        corrupt=corrupt,
-                    )
-                )
-
-        def complete(r: _Running) -> None:
-            if r.failure is not None:
-                failure = RuntimeFailure(
-                    f"task {r.task.name!r} failed: {r.failure}",
-                    task=r.task.name,
-                    tid=r.task.tid,
-                    failure_kind="injected",
-                    trace=Trace(list(records), mach.cores, list(events)),
-                )
-                failure.__cause__ = r.failure
-                raise failure
-            ran_on[r.task.tid] = r.core
-            records.append(
-                TaskRecord(r.task.tid, r.task.name, r.task.kind, r.core, r.start, clock)
-            )
-            if self.execute and r.task.fn is not None:
-                try:
-                    r.task.fn()
-                except RuntimeFailure:
-                    raise
-                except Exception as exc:
-                    failure = RuntimeFailure(
-                        f"task {r.task.name!r} failed: {exc}",
-                        task=r.task.name,
-                        tid=r.task.tid,
-                        failure_kind="task_error",
-                        trace=Trace(list(records), mach.cores, list(events)),
-                    )
-                    failure.__cause__ = exc
-                    raise failure from exc
-            if r.corrupt and plan is not None and self.execute:
-                plan.apply_corruption(r.task, record=record_event)
-            guard = (
-                r.task.meta.get("health")
-                if (self.execute and self.health_checks and r.task.meta)
-                else None
-            )
-            if guard is not None:
-                verdict = guard()
-                if verdict is not None:
-                    record_event(verdict)
-                    if verdict.fatal:
-                        raise RuntimeFailure(
-                            f"health guard failed after task {r.task.name!r}: "
-                            f"{verdict.detail}",
-                            task=r.task.name,
-                            tid=r.task.tid,
-                            failure_kind="health",
-                            trace=Trace(list(records), mach.cores, list(events)),
-                        )
-            if journal is not None:
-                journal.record(r.task)
-            for t in bk.complete(r.task.tid):
-                ready.push(t)
-            free_cores.append(r.core)
-
-        while not bk.finished:
-            start_tasks()
-            if not running:
-                raise RuntimeError(
-                    f"simulated deadlock: {bk.registered - bk.remaining}/{bk.registered} "
-                    "tasks done, none running"
-                )
-            # Recompute processor-sharing rates for tasks in the work phase.
-            in_work = [r for r in running if r.setup_left <= _EPS and r.work_left > 0.0]
-            if in_work:
-                rates = mach.share_rates([(r.max_rate, r.demand) for r in in_work])
-                for r, rate in zip(in_work, rates, strict=True):
-                    r.rate = rate
-            # Time to the next event (a phase change or a completion).
-            dt = float("inf")
-            for r in running:
-                if r.setup_left > _EPS:
-                    dt = min(dt, r.setup_left)
-                elif r.work_left > 0.0:
-                    if r.rate > 0.0:
-                        dt = min(dt, r.work_left / r.rate)
-                else:
-                    dt = 0.0
-            if dt == float("inf"):
-                raise RuntimeError("simulated stall: running tasks cannot progress")
-            dt = max(dt, 0.0)
-            clock += dt
-            still: list[_Running] = []
-            for r in running:
-                if r.setup_left > _EPS:
-                    r.setup_left -= dt
-                    if r.setup_left <= _EPS:
-                        r.setup_left = 0.0
-                        if r.work_left <= 0.0:
-                            complete(r)
-                            continue
-                    still.append(r)
-                else:
-                    r.work_left -= r.rate * dt
-                    if r.work_left <= _EPS * max(1.0, r.rate):
-                        complete(r)
-                    else:
-                        still.append(r)
-            running = still
-
-        return Trace(records, mach.cores, events, stats=bk.stats())
+        return _RealClockRun(self, _Bookkeeping.for_run(source, journal), journal).run()
 
 
 class _RealClockRun:
@@ -559,24 +438,23 @@ class _RealClockRun:
     journal, record, release — exists once, here, and both call it.
     """
 
-    def __init__(self, engine: ExecutionEngine, program: GraphProgram, bk: _Bookkeeping, journal):
+    def __init__(self, engine: ExecutionEngine, bk: _Bookkeeping, journal):
         self.engine = engine
         self.retry = engine.retry
         self.plan = engine.fault_plan
-        self.health_checks = engine.health_checks
-        self.graph = program.graph
+        self.pool = engine.pool
+        self.graph = bk.graph
         self.bk = bk
         self.journal = journal
-        self.frontier = (
-            engine.frontier if engine.frontier is not None else CentralFrontier(engine.policy)
-        )
+        self.frontier = engine.new_frontier()
         self.lock = make_lock("engine.state")
         self.work_available = make_condition("engine.state", self.lock)
         self.errors: list[BaseException] = []
         self.records: list[TaskRecord] = []
         self.events: list[ResilienceEvent] = []
         self.ran_on: dict[int, int] = {}
-        self.running: dict[int, tuple] = {}  # tid -> (task, monotonic start, core)
+        # tid -> (task, monotonic claim time, core, task_timeouts allowed)
+        self.running: dict[int, tuple] = {}
         self.progress = [time.monotonic()]  # last completion, for stall detection
         self.stop = threading.Event()  # watchdog fired: abandon stuck workers
         self.threads: list[threading.Thread] = []
@@ -588,11 +466,8 @@ class _RealClockRun:
 
     def run(self) -> Trace:
         engine, bk = self.engine, self.bk
-        initial = bk.start()
-        if bk.n_skipped:
-            self.events.append(engine._resume_event(bk))
-        self.frontier.seed_tasks(initial)
-        if engine.process_pool is None:
+        self.frontier.seed_tasks(bk.start(self.events))
+        if self.pool is None:
             self.threads = [
                 threading.Thread(
                     target=self.worker, args=(c,), name=f"{engine.thread_name}-{c}", daemon=True
@@ -603,21 +478,16 @@ class _RealClockRun:
             self.threads = [
                 threading.Thread(target=self.dispatcher, name=engine.thread_name, daemon=True)
             ]
-        watchdog_active = (
-            engine.task_timeout is not None
-            or engine.stall_timeout is not None
-            or engine.deadline is not None
-        )
         for th in self.threads:
             th.start()
         watchdog_thread = None
-        if watchdog_active:
+        if any(t is not None for t in (engine.task_timeout, engine.stall_timeout, engine.deadline)):
             watchdog_thread = threading.Thread(
                 target=self.watchdog, name="repro-watchdog", daemon=True
             )
             watchdog_thread.start()
         for th in self.threads:
-            if not watchdog_active:
+            if watchdog_thread is None:
                 th.join()
             else:
                 # A stuck worker cannot be killed; once the watchdog
@@ -629,14 +499,13 @@ class _RealClockRun:
             watchdog_thread.join(1.0)
         if not self.errors and not bk.finished:  # a worker thread died of a bug
             self.errors.append(
-                RuntimeFailure(
-                    "a worker thread ended with tasks outstanding", failure_kind="worker_death"
-                )
+                failure("worker_death", "a worker thread ended with tasks outstanding")
             )
         if self.errors:
             exc = self.errors[0]
             if isinstance(exc, RuntimeFailure) and exc.trace is None:
-                exc.trace = self.partial_trace()
+                with self.lock:  # an abandoned worker may still be appending
+                    exc.trace = Trace(list(self.records), engine.n_workers, list(self.events))
             raise exc
         return Trace(self.records, engine.n_workers, self.events, stats={**bk.stats(), **self.stats})
 
@@ -647,17 +516,14 @@ class _RealClockRun:
         with self.lock:
             self.events.append(ev)
 
-    def partial_trace(self) -> Trace:
-        with self.lock:
-            return Trace(list(self.records), self.engine.n_workers, list(self.events))
-
     def _claim(self, core: int):
         """Pop a ready task for *core* (lock held): ``(task, remote)``
-        with its count of predecessors that ran elsewhere, or None."""
-        task = self.frontier.pop(core)
+        with the syncs it owes — one per predecessor that ran elsewhere,
+        one for a steal — or None."""
+        task, stolen = self.frontier.pop(core)
         if task is None:
             return None
-        remote = 0
+        remote = int(stolen)
         if self.frontier.counts_placement:
             # Predecessor placement is read under the lock: ran_on is
             # written by completing workers, so an unlocked read would
@@ -666,15 +532,16 @@ class _RealClockRun:
             for p in self.graph.preds[task.tid]:
                 if ran_on.get(p, core) != core:
                     remote += 1
-        self.running[task.tid] = (task, time.monotonic(), core)
+        self.running[task.tid] = (task, time.monotonic(), core, 1)
         return task, remote
 
-    @staticmethod
-    def _count_remote(task: Task, remote: int) -> None:
-        """Account inter-worker synchronization: one sync per remote
-        predecessor, and the task's input volume."""
+    def _count_remote(self, task: Task, remote: int) -> None:
+        """Account inter-worker synchronization (outside the lock): the
+        syncs :meth:`_claim` found and, where placement is accounted,
+        the task's input volume."""
         _counters.add_sync(remote)
-        _counters.add_words(int(task.cost.words))
+        if self.frontier.counts_placement:
+            _counters.add_words(int(task.cost.words))
 
     def _abort(self, task: Task, exc: BaseException) -> None:
         """Record a run-ending failure of *task* and wake everyone."""
@@ -701,15 +568,12 @@ class _RealClockRun:
             time.sleep(retry.delay(attempt, task.tid))
             return True
         if not isinstance(exc, RuntimeFailure):
-            kind = "injected" if isinstance(exc, InjectedFault) else "task_error"
-            failure = RuntimeFailure(
+            exc = failure(
+                "injected" if isinstance(exc, InjectedFault) else "task_error",
                 f"task {task.name!r} failed after {attempt + 1} attempt(s): {exc}",
-                task=task.name,
-                tid=task.tid,
-                failure_kind=kind,
+                task,
+                exc,
             )
-            failure.__cause__ = exc
-            exc = failure
         self._abort(task, exc)
         return False
 
@@ -738,56 +602,26 @@ class _RealClockRun:
         """Everything owed after *task*'s work succeeded: health guard,
         journal, record, release of its successors.  False when the run
         must end (the failure is recorded)."""
-        # Numerical health guard, outside the lock (it reads only
-        # blocks this task owns).
-        fatal_event = None
-        guard = task.meta.get("health") if (self.health_checks and task.meta) else None
-        if guard is not None:
-            verdict = guard()
-            if verdict is not None:
-                self.record_event(verdict)
-                if verdict.fatal:
-                    fatal_event = verdict
-        # Write-ahead journal entry: only after the guards pass, so a
-        # resumed run never skips a task whose output was found
-        # corrupted.  Outside the lock (may hit disk).
-        if fatal_event is None and self.journal is not None:
-            try:
-                self.journal.record(task)
-            except Exception as exc:
-                self._abort(
-                    task,
-                    RuntimeFailure(
-                        f"journal write failed after task {task.name!r}: {exc}",
-                        task=task.name,
-                        tid=task.tid,
-                        failure_kind="task_error",
-                    ),
-                )
-                return False
+        # Outside the lock: the guard reads only blocks this task
+        # owns, the journal may hit disk.
+        failed = guard_and_journal(task, self.engine.health_checks, self.journal, self.record_event)
         with self.work_available:
             self.running.pop(task.tid, None)
             self.progress[0] = time.monotonic()
-            self.ran_on[task.tid] = core
-            self.records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
-            if fatal_event is not None:
-                self.errors.append(
-                    RuntimeFailure(
-                        f"health guard failed after task {task.name!r}: {fatal_event.detail}",
-                        task=task.name,
-                        tid=task.tid,
-                        failure_kind="health",
-                    )
-                )
+            if failed is None or failed.failure_kind == "health":
+                # (Not journaled is not recorded: a resumed run re-runs it.)
+                self.ran_on[task.tid] = core
+                self.records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
+            if failed is not None:
+                self.errors.append(failed)
                 self.bk.remaining -= 1
-                self.work_available.notify_all()
-                return False
-            # complete() may expand the program: emitting the next
-            # window(s) happens here, under the lock, while the workers
-            # keep executing their current tasks.
-            self.frontier.push_released(self.bk.complete(task.tid), core)
+            else:
+                # complete() may expand the program: emitting the next
+                # window(s) happens here, under the lock, while the
+                # workers keep executing their current tasks.
+                self.frontier.push_released(self.bk.complete(task.tid), core)
             self.work_available.notify_all()
-        return True
+        return failed is None
 
     # ------------------------------------------------------------------
     # Threads: one worker per core
@@ -828,7 +662,7 @@ class _RealClockRun:
         journaled and recorded; only the watchdog's ``stop`` abandons
         them.
         """
-        pool, plan = self.engine.process_pool, self.plan
+        pool, plan = self.pool, self.plan
         bk, frontier, load, redo = self.bk, self.frontier, self.load, self.redo
         out: dict[int, tuple] = {}  # ticket -> (core, [(task, attempt)], sent at)
         poller = select.poll()
@@ -855,12 +689,18 @@ class _RealClockRun:
                             core = load.index(min(load))
                             if redo:
                                 task, attempt = redo.popleft()
-                                self.running[task.tid] = (task, time.monotonic(), core)
                                 dealt.append((core, task, attempt, 0))
                             else:
                                 task, remote = self._claim(core)
                                 dealt.append((core, task, 0, remote))
                             load[core] += 1
+                        # A worker acks a whole message at once and
+                        # serves its messages in order, so a task's ack
+                        # may wait for everything now in flight there:
+                        # it is allowed one task_timeout for each.
+                        now = time.monotonic()
+                        for core, task, _, _ in dealt:
+                            self.running[task.tid] = (task, now, core, load[core])
                     if not dealt and not out:
                         if self.errors:
                             break
@@ -900,6 +740,8 @@ class _RealClockRun:
                         watched[fd] = core
                 for core, task, attempt in inline:
                     load[core] -= 1
+                    with self.lock:  # it starts now, in this thread: one task_timeout
+                        self.running[task.tid] = (task, time.monotonic(), core, 1)
                     span = self._run_inline(task, attempt)
                     if span is not None:
                         self._finish(task, core, *span)
@@ -1003,8 +845,8 @@ class _RealClockRun:
                         value=now - engine.deadline,
                     )
                 if engine.task_timeout is not None:
-                    for task, ts, core in list(running.values()):
-                        if now - ts > engine.task_timeout:
+                    for task, ts, core, allowed in list(running.values()):
+                        if now - ts > engine.task_timeout * allowed:
                             return self._trip(
                                 "timeout",
                                 f"exceeded task_timeout={engine.task_timeout:.3g}s on worker {core}",
@@ -1014,7 +856,7 @@ class _RealClockRun:
                                 value=now - ts,
                             )
                 if engine.stall_timeout is not None and now - self.progress[0] > engine.stall_timeout:
-                    stalled = ", ".join(t.name for t, _, _ in running.values()) or "none"
+                    stalled = ", ".join(t.name for t, *_ in running.values()) or "none"
                     return self._trip(
                         "stall",
                         f"no task completed for {engine.stall_timeout:.3g}s (running: {stalled})",
@@ -1023,19 +865,14 @@ class _RealClockRun:
                     )
                 # A task is in the hands of thread `core`, or of the
                 # one dispatcher thread.
-                dead = [
-                    (task, core)
-                    for task, _, core in running.values()
-                    if not self.threads[min(core, len(self.threads) - 1)].is_alive()
-                ]
-                if dead:
-                    task, core = dead[0]
-                    return self._trip(
-                        "worker_death",
-                        f"worker {core} died with task in flight",
-                        f"worker {core} died while running task {task.name!r}",
-                        task,
-                    )
+                for task, _, core, _ in running.values():
+                    if not self.threads[min(core, len(self.threads) - 1)].is_alive():
+                        return self._trip(
+                            "worker_death",
+                            f"worker {core} died with task in flight",
+                            f"worker {core} died while running task {task.name!r}",
+                            task,
+                        )
                 # Deadlocked queue: tasks remain, nothing runs, nothing
                 # is ready.  Cannot happen for a valid DAG; confirmed
                 # over two polls to dodge races.
@@ -1053,9 +890,10 @@ class _RealClockRun:
     def _trip(self, kind: str, detail: str, message: str, task: Task | None = None, value=None):
         """The watchdog's verdict (lock held): log the fatal event, fail
         the run, let every waiter go."""
-        name, tid = ("", -1) if task is None else (task.name, task.tid)
-        self.events.append(ResilienceEvent(kind, name, tid, detail=detail, value=value, fatal=True))
-        self.errors.append(RuntimeFailure(message, task=name, tid=tid, failure_kind=kind))
+        exc = failure(kind, message, task)
+        self.events.append(
+            ResilienceEvent(kind, exc.task, exc.tid, detail=detail, value=value, fatal=True)
+        )
+        self.errors.append(exc)
         self.stop.set()
         self.work_available.notify_all()
-

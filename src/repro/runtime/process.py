@@ -12,7 +12,7 @@ dominates and the threaded backend cannot scale with physical cores.
   the CALU/CAQR/TSLU/TSQR builders publish when their ``store=`` is
   process-shared; see :mod:`repro.runtime.ops`) — never as pickled
   closures or matrix blocks;
-* scheduling stays in the parent: the executor reuses the unified
+* scheduling stays in the parent: the executor is the
   :class:`~repro.runtime.engine.ExecutionEngine`, whose single
   *dispatcher* deals ready tasks to the least-loaded worker, ships the
   descriptors dealt to one worker as **one message**
@@ -49,14 +49,13 @@ import numpy as np
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
 from repro import counters as _counters
-from repro.resilience.faults import FaultPlan
-from repro.resilience.recovery import RetryPolicy, RuntimeFailure
-from repro.runtime.engine import CentralFrontier, ExecutionEngine
-from repro.runtime.graph import TaskGraph
+from repro.resilience.recovery import RuntimeFailure
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.shm import SharedArena, ShmBinding
+from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.sync import make_lock, note_roundtrip
+from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.tilestore import HeapBinding
-from repro.runtime.trace import Trace
 
 __all__ = ["ProcessExecutor", "resolve_executor", "staged"]
 
@@ -437,22 +436,23 @@ def _op_names(ops: list) -> str:
     return f"op {names[0]!r}" if len(names) == 1 else f"ops {names}"
 
 
-
-class ProcessExecutor:
-    """Execute a task graph on a pool of worker *processes*.
+class ProcessExecutor(ExecutionEngine):
+    """The engine over a pool of worker *processes* it owns.
 
     Drop-in alongside :class:`~repro.runtime.threaded.ThreadedExecutor`
-    (same constructor surface, same ``run(graph, journal=)``, same
+    (same options, same ``run(source, journal=)``, same
     structured-failure semantics) but with kernels dispatched to real
     OS processes over a shared-memory tile plane, so the factorization
     scales with physical cores instead of GIL time slices.
 
     Tasks carrying ``meta["op"]`` descriptors run in workers; tasks
     without one run inline in the parent-side dispatcher.  The pool is
-    persistent across runs; call :meth:`close` (or use the executor as a
-    context manager) when done.
+    made at first use and persists across runs; call :meth:`close` (or
+    use the executor as a context manager) when done.
 
-    Parameters mirror :class:`ThreadedExecutor`, plus:
+    Parameters are the positional ``n_workers``, ``policy`` and keyword
+    *options* of :class:`~repro.runtime.engine.ExecutionEngine` (less
+    ``process_pool``: the pool is this executor's own), plus:
 
     start_method:
         ``multiprocessing`` start method (default: ``"fork"`` where
@@ -464,33 +464,11 @@ class ProcessExecutor:
         :class:`~repro.service.supervisor.RespawnGovernor`.
     """
 
-    def __init__(
-        self,
-        n_workers: int = 4,
-        policy: str = "priority",
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        task_timeout: float | None = None,
-        stall_timeout: float | None = None,
-        health_checks: bool = True,
-        watchdog_poll_s: float = 0.02,
-        start_method: str | None = None,
-        respawn_governor=None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.policy = policy
-        self.retry = retry
-        self.fault_plan = fault_plan
-        self.task_timeout = task_timeout
-        self.stall_timeout = stall_timeout
-        self.health_checks = health_checks
-        self.watchdog_poll_s = watchdog_poll_s
+    def __init__(self, *args, start_method: str | None = None, respawn_governor=None, **options):
+        options.setdefault("thread_name", "repro-dispatch")
+        super().__init__(*args, process_pool=None, **options)
         self.start_method = start_method
         self.respawn_governor = respawn_governor
-        self._pool: _WorkerPool | None = None
 
     @property
     def pool(self) -> _WorkerPool:
@@ -499,29 +477,6 @@ class ProcessExecutor:
                 self.n_workers, self.start_method, respawn_governor=self.respawn_governor
             )
         return self._pool
-
-    def run(self, graph: TaskGraph, journal=None) -> Trace:
-        """Run every task; returns the execution :class:`Trace`.
-
-        Accepts eager :class:`TaskGraph` and streaming
-        :class:`~repro.runtime.program.GraphProgram` sources, with the
-        same journal/retry/fault/health/watchdog semantics as the
-        threaded backend (see :class:`ThreadedExecutor.run`); kernel
-        work for descriptor-carrying tasks happens in worker processes.
-        """
-        engine = ExecutionEngine(
-            n_workers=self.n_workers,
-            frontier=CentralFrontier(self.policy),
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            task_timeout=self.task_timeout,
-            stall_timeout=self.stall_timeout,
-            health_checks=self.health_checks,
-            watchdog_poll_s=self.watchdog_poll_s,
-            thread_name="repro-dispatch",
-            process_pool=self.pool,
-        )
-        return engine.run(graph, journal=journal)
 
     def close(self) -> None:
         """Terminate the worker processes (idempotent)."""
@@ -576,12 +531,8 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
         instance.autotune_decision = decision
         return instance, owned
     if executor == "threaded":
-        from repro.runtime.threaded import ThreadedExecutor
-
         return ThreadedExecutor(n_workers), True
     if executor == "stealing":
-        from repro.runtime.stealing import WorkStealingExecutor
-
         return WorkStealingExecutor(n_workers), True
     if executor == "process":
         return ProcessExecutor(n_workers), True

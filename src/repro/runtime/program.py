@@ -141,19 +141,17 @@ def as_program(source) -> GraphProgram:
 
 
 def supports_streaming(executor) -> bool:
-    """Whether *executor* is one of the engine-backed front-ends.
+    """Whether *executor* consumes programs window by window: the
+    :class:`~repro.runtime.engine.ExecutionEngine` (every real-clock
+    backend is one) or the :class:`~repro.runtime.simulated.SimulatedExecutor`.
 
     The high-level drivers (:func:`repro.core.calu.calu`, ...) stream
-    their graph programs through these executors; any other (duck-typed
+    their graph programs through these; any other (duck-typed
     caller-supplied) executor receives a fully materialized
     :class:`TaskGraph` instead, preserving the historical contract.
     """
-    from repro.runtime.process import ProcessExecutor
+    # Imported here: both modules import this one.
+    from repro.runtime.engine import ExecutionEngine
     from repro.runtime.simulated import SimulatedExecutor
-    from repro.runtime.stealing import WorkStealingExecutor
-    from repro.runtime.threaded import ThreadedExecutor
 
-    return isinstance(
-        executor,
-        (ThreadedExecutor, SimulatedExecutor, WorkStealingExecutor, ProcessExecutor),
-    )
+    return isinstance(executor, (ExecutionEngine, SimulatedExecutor))

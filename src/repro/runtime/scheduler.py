@@ -15,7 +15,9 @@ import heapq
 
 from repro.runtime.task import Task
 
-__all__ = ["ReadyQueue"]
+__all__ = ["POLICIES", "ReadyQueue"]
+
+POLICIES = ("priority", "fifo")
 
 
 class ReadyQueue:
@@ -26,7 +28,7 @@ class ReadyQueue:
     """
 
     def __init__(self, policy: str = "priority") -> None:
-        if policy not in ("priority", "fifo"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown scheduling policy {policy!r}")
         self.policy = policy
         self._heap: list[tuple[float, int, Task]] = []

@@ -17,27 +17,47 @@ recomputed at every event from the set of concurrently running tasks
 (memory-bound tasks share the aggregate bandwidth).  Events are task
 starts and completions; the simulation is fully deterministic.
 
-Since the :class:`~repro.runtime.engine.ExecutionEngine` refactor the
-event loop lives in the engine's virtual clock; this class is a thin
-front-end sharing the lifecycle (journal skip + resume events, fault
-injection, health guards, failure wrapping) with the threaded
-executors, and accepts streaming
-:class:`~repro.runtime.program.GraphProgram` sources — windows are
-expanded in virtual-time order, deterministically.
+The event loop lives here and shares the task lifecycle's common parts
+with the real clock (:mod:`repro.runtime.engine`): the window
+bookkeeping (journal skip + ``resume`` event, look-ahead expansion of
+streaming :class:`~repro.runtime.program.GraphProgram` sources, in
+virtual-time order, deterministically), the structured failure and the
+health-guard + journal step.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.runtime.engine import ExecutionEngine
-from repro.runtime.graph import TaskGraph
+# Module-style import, as in engine.py: counters imports repro.runtime.sync.
+from repro import counters as _counters
+from repro.resilience.recovery import RuntimeFailure
+from repro.runtime.engine import _Bookkeeping, failure, guard_and_journal
+from repro.runtime.scheduler import POLICIES, ReadyQueue
+from repro.runtime.task import Task
+from repro.runtime.trace import TaskRecord, Trace
 
 if TYPE_CHECKING:  # avoid a runtime circular import with repro.machine
     from repro.machine.model import MachineModel
-from repro.runtime.trace import Trace
 
 __all__ = ["SimulatedExecutor"]
+
+_EPS = 1e-12
+
+
+@dataclass
+class _Running:
+    task: Task
+    core: int
+    start: float
+    setup_left: float  # seconds of fixed setup remaining
+    work_left: float  # work units remaining (flops or bytes)
+    max_rate: float  # work units / second cap
+    demand: float  # bytes per work unit
+    rate: float = 0.0
+    failure: BaseException | None = None  # injected fault fired at completion
+    corrupt: bool = False  # injected corruption applied at completion
 
 
 class SimulatedExecutor:
@@ -81,6 +101,8 @@ class SimulatedExecutor:
         retry=None,
         health_checks: bool = True,
     ) -> None:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown scheduling policy {policy!r}; expected one of {POLICIES}")
         self.machine = machine
         self.policy = policy
         self.execute = execute
@@ -88,19 +110,125 @@ class SimulatedExecutor:
         self.retry = retry
         self.health_checks = health_checks
 
-    def run(self, graph: TaskGraph, journal=None) -> Trace:
-        """Simulate (and with ``execute=True`` run) every task.
+    def run(self, source, journal=None) -> Trace:
+        """Simulate (and with ``execute=True`` run) every task of an
+        eager :class:`TaskGraph` or a streaming
+        :class:`~repro.runtime.program.GraphProgram`; *journal* as on
+        the real clock (skip + ``resume`` event, write-ahead entries)."""
+        bk = _Bookkeeping.for_run(source, journal)
+        records: list[TaskRecord] = []
+        events: list = []
+        try:
+            self._run_virtual(bk, journal, records, events)
+        except RuntimeFailure as exc:
+            if exc.trace is None:
+                exc.trace = Trace(list(records), self.machine.cores, list(events))
+            raise
+        return Trace(records, self.machine.cores, events, stats=bk.stats())
 
-        Accepts an eager :class:`TaskGraph` or a streaming
-        :class:`~repro.runtime.program.GraphProgram`.
-        """
-        engine = ExecutionEngine(
-            clock="virtual",
-            machine=self.machine,
-            policy=self.policy,
-            execute=self.execute,
-            fault_plan=self.fault_plan,
-            retry=self.retry,
-            health_checks=self.health_checks,
-        )
-        return engine.run(graph, journal=journal)
+    def _run_virtual(self, bk: _Bookkeeping, journal, records: list, events: list) -> None:
+        mach, plan, execute = self.machine, self.fault_plan, self.execute
+        graph = bk.graph
+        ready = ReadyQueue(self.policy)
+        ran_on: dict[int, int] = {}
+        clock = 0.0
+        sync_lat = mach.sync_latency_us * 1e-6
+        for t in bk.start(events):
+            ready.push(t)
+
+        free_cores = list(range(mach.cores - 1, -1, -1))  # pop() yields core 0 first
+        running: list[_Running] = []
+
+        def start_tasks() -> None:
+            while ready and free_cores:
+                core = free_cores.pop()
+                task = ready.pop()
+                remote = sum(1 for p in graph.preds[task.tid] if ran_on.get(p, core) != core)
+                setup = mach.task_overhead_s(task.cost) + (sync_lat if remote else 0.0)
+                if remote:
+                    _counters.add_sync(remote)
+                    _counters.add_words(int(task.cost.words))
+                fault, corrupt = None, False
+                if plan is not None:
+                    delay, fault, corrupt = plan.virtual_faults(
+                        task, retry=self.retry, record=events.append
+                    )
+                    setup += delay
+                work, rate, demand = mach.work_and_demand(task.cost)
+                running.append(
+                    _Running(
+                        task, core, clock, setup, work, rate, demand, failure=fault, corrupt=corrupt
+                    )
+                )
+
+        def complete(r: _Running) -> None:
+            task = r.task
+            if r.failure is not None:
+                raise failure(
+                    "injected", f"task {task.name!r} failed: {r.failure}", task, r.failure
+                )
+            ran_on[task.tid] = r.core
+            records.append(TaskRecord(task.tid, task.name, task.kind, r.core, r.start, clock))
+            if execute and task.fn is not None:
+                try:
+                    task.fn()
+                except RuntimeFailure:
+                    raise
+                except Exception as exc:
+                    message = f"task {task.name!r} failed: {exc}"
+                    raise failure("task_error", message, task, exc) from exc
+            if r.corrupt and plan is not None and execute:
+                plan.apply_corruption(task, record=events.append)
+            failed = guard_and_journal(
+                task, execute and self.health_checks, journal, events.append
+            )
+            if failed is not None:
+                raise failed
+            for t in bk.complete(task.tid):
+                ready.push(t)
+            free_cores.append(r.core)
+
+        while not bk.finished:
+            start_tasks()
+            if not running:
+                raise RuntimeError(
+                    f"simulated deadlock: {bk.registered - bk.remaining}/{bk.registered} "
+                    "tasks done, none running"
+                )
+            # Recompute processor-sharing rates for tasks in the work phase.
+            in_work = [r for r in running if r.setup_left <= _EPS and r.work_left > 0.0]
+            if in_work:
+                rates = mach.share_rates([(r.max_rate, r.demand) for r in in_work])
+                for r, rate in zip(in_work, rates, strict=True):
+                    r.rate = rate
+            # Time to the next event (a phase change or a completion).
+            dt = float("inf")
+            for r in running:
+                if r.setup_left > _EPS:
+                    dt = min(dt, r.setup_left)
+                elif r.work_left > 0.0:
+                    if r.rate > 0.0:
+                        dt = min(dt, r.work_left / r.rate)
+                else:
+                    dt = 0.0
+            if dt == float("inf"):
+                raise RuntimeError("simulated stall: running tasks cannot progress")
+            dt = max(dt, 0.0)
+            clock += dt
+            still: list[_Running] = []
+            for r in running:
+                if r.setup_left > _EPS:
+                    r.setup_left -= dt
+                    if r.setup_left <= _EPS:
+                        r.setup_left = 0.0
+                        if r.work_left <= 0.0:
+                            complete(r)
+                            continue
+                    still.append(r)
+                else:
+                    r.work_left -= r.rate * dt
+                    if r.work_left <= _EPS * max(1.0, r.rate):
+                        complete(r)
+                    else:
+                        still.append(r)
+            running = still

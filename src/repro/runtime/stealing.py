@@ -13,28 +13,23 @@ paper's look-ahead behaviour, while stealing trades that order for less
 contention.  Numerical results are identical either way — dependencies
 are always respected.
 
-Since the :class:`~repro.runtime.engine.ExecutionEngine` refactor the
-stealing policy lives in
-:class:`~repro.runtime.engine.StealingFrontier` and this class is a
-thin front-end — which buys it full option parity with the other
-executors: ``retry=`` / ``fault_plan=`` / ``health_checks=`` /
-watchdog timeouts, journal skip with the same ``resume`` event, and
-streaming :class:`~repro.runtime.program.GraphProgram` sources.
+The stealing policy lives in
+:class:`~repro.runtime.engine.StealingFrontier`; this class is the
+:class:`~repro.runtime.engine.ExecutionEngine` with that frontier made
+for each run, so every engine option, the journal's ``resume`` event
+and streaming :class:`~repro.runtime.program.GraphProgram` sources
+behave as on the other backends.
 """
 
 from __future__ import annotations
 
-from repro.resilience.faults import FaultPlan
-from repro.resilience.recovery import RetryPolicy
 from repro.runtime.engine import ExecutionEngine, StealingFrontier
-from repro.runtime.graph import TaskGraph
-from repro.runtime.trace import Trace
 
 __all__ = ["WorkStealingExecutor"]
 
 
-class WorkStealingExecutor:
-    """Execute a numeric task graph with per-worker deques and stealing.
+class WorkStealingExecutor(ExecutionEngine):
+    """The engine with per-worker deques and stealing.
 
     Parameters
     ----------
@@ -42,53 +37,16 @@ class WorkStealingExecutor:
         Number of worker threads.
     seed:
         Seed for the (deterministic) victim-selection sequence.
-    retry / fault_plan / task_timeout / stall_timeout / health_checks:
-        The same resilience options as
-        :class:`~repro.runtime.threaded.ThreadedExecutor` — provided by
-        the shared engine.
+    options:
+        The engine's keyword options (see
+        :class:`~repro.runtime.engine.ExecutionEngine`); there is no
+        ready-queue ``policy`` to choose.
     """
 
-    def __init__(
-        self,
-        n_workers: int = 4,
-        seed: int = 0,
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        task_timeout: float | None = None,
-        stall_timeout: float | None = None,
-        health_checks: bool = True,
-        watchdog_poll_s: float = 0.02,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
+    def __init__(self, n_workers: int = 4, seed: int = 0, **options) -> None:
+        options.setdefault("thread_name", "repro-steal")
+        super().__init__(n_workers, "priority", **options)
         self.seed = seed
-        self.retry = retry
-        self.fault_plan = fault_plan
-        self.task_timeout = task_timeout
-        self.stall_timeout = stall_timeout
-        self.health_checks = health_checks
-        self.watchdog_poll_s = watchdog_poll_s
 
-    def run(self, graph: TaskGraph, journal=None) -> Trace:
-        """Run every task; returns the execution :class:`Trace`.
-
-        Accepts an eager :class:`TaskGraph` or a streaming
-        :class:`~repro.runtime.program.GraphProgram`.  Journal, retry,
-        fault-injection and health-guard semantics match
-        :class:`~repro.runtime.threaded.ThreadedExecutor` exactly
-        (shared engine); only the ready-task distribution differs.
-        """
-        engine = ExecutionEngine(
-            n_workers=self.n_workers,
-            frontier=StealingFrontier(self.n_workers, self.seed),
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            task_timeout=self.task_timeout,
-            stall_timeout=self.stall_timeout,
-            health_checks=self.health_checks,
-            watchdog_poll_s=self.watchdog_poll_s,
-            thread_name="repro-steal",
-        )
-        return engine.run(graph, journal=journal)
+    def new_frontier(self) -> StealingFrontier:
+        return StealingFrontier(self.n_workers, self.seed)

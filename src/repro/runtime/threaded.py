@@ -11,129 +11,21 @@ still fully validates the dependency and locking logic (races would
 corrupt the factorization, which the test suite cross-checks against
 the sequential execution and the simulated executor).
 
-Since the :class:`~repro.runtime.engine.ExecutionEngine` refactor this
-class is a thin front-end: it owns only its configuration and delegates
-the task lifecycle (frontier, journal skip + resume events, retry,
-faults, health guards, tracing, watchdog) to the engine, sharing that
-logic with :class:`~repro.runtime.simulated.SimulatedExecutor` and
-:class:`~repro.runtime.stealing.WorkStealingExecutor`.  It accepts both
-eager :class:`~repro.runtime.graph.TaskGraph` inputs and streaming
-:class:`~repro.runtime.program.GraphProgram` sources.
-
-Resilience layer (see :mod:`repro.resilience`):
-
-* ``retry=RetryPolicy(...)`` re-runs failed tasks with backoff when
-  safe (idempotent tasks, pre-execution injected faults);
-* ``task_timeout=`` / ``stall_timeout=`` arm a watchdog thread that
-  detects stalled tasks, dead workers and deadlocked queues and raises
-  a structured :class:`~repro.resilience.recovery.RuntimeFailure`
-  carrying the partial :class:`~repro.runtime.trace.Trace`;
-* ``fault_plan=FaultPlan(...)`` injects deterministic faults for
-  testing and benchmarking;
-* tasks carrying a ``meta["health"]`` guard are checked after they run
-  (NaN/Inf and pivot-growth monitors attached by the CALU/CAQR
-  builders); a fatal guard verdict aborts the run instead of letting a
-  corrupted factorization escape;
-* ``run(graph, journal=TaskJournal(...))`` arms the write-ahead task
-  journal: completed tasks are logged (post-guards), and tasks the
-  journal already holds are skipped — the resume half of the
-  checkpoint/restart path (see :mod:`repro.resilience.checkpoint`).
-
-Every task error is wrapped in a structured
-:class:`~repro.resilience.recovery.RuntimeFailure` (with
-``failure_kind="task_error"`` and the partial trace), whether or not
-any resilience option is configured — callers always get one failure
-type to handle.
+:class:`ThreadedExecutor` *is* the
+:class:`~repro.runtime.engine.ExecutionEngine` — that class under its
+public name, with no pool to dispatch to.  Its options (``retry=``,
+``fault_plan=``, ``task_timeout=`` / ``stall_timeout=`` / ``deadline=``,
+``health_checks=``), ``run(source, journal=None)`` over eager
+:class:`~repro.runtime.graph.TaskGraph` and streaming
+:class:`~repro.runtime.program.GraphProgram` sources, and the
+structured :class:`~repro.resilience.recovery.RuntimeFailure` every
+failure surfaces as are documented there, once, for every backend.
 """
 
 from __future__ import annotations
 
-from repro.resilience.faults import FaultPlan
-from repro.resilience.recovery import RetryPolicy
-from repro.runtime.engine import CentralFrontier, ExecutionEngine
-from repro.runtime.graph import TaskGraph
-from repro.runtime.trace import Trace
+from repro.runtime.engine import ExecutionEngine
 
 __all__ = ["ThreadedExecutor"]
 
-
-class ThreadedExecutor:
-    """Execute a numeric task graph with a pool of worker threads.
-
-    Parameters
-    ----------
-    n_workers:
-        Number of worker threads (the paper's "available cores").
-    policy:
-        Ready-queue policy, ``"priority"`` (default, the paper's
-        look-ahead scheduling via task priorities) or ``"fifo"``.
-    retry:
-        Optional :class:`~repro.resilience.recovery.RetryPolicy` for
-        task-level recovery.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan` injecting
-        deterministic faults (tests and resilience benchmarks).
-    task_timeout:
-        Wall-clock seconds one task may run before the watchdog
-        declares it stalled (None disables).
-    stall_timeout:
-        Wall-clock seconds without *any* task completing before the
-        watchdog declares the run stalled (None disables).
-    health_checks:
-        Run ``meta["health"]`` guards attached to tasks (default True).
-    """
-
-    def __init__(
-        self,
-        n_workers: int = 4,
-        policy: str = "priority",
-        *,
-        retry: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        task_timeout: float | None = None,
-        stall_timeout: float | None = None,
-        health_checks: bool = True,
-        watchdog_poll_s: float = 0.02,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.policy = policy
-        self.retry = retry
-        self.fault_plan = fault_plan
-        self.task_timeout = task_timeout
-        self.stall_timeout = stall_timeout
-        self.health_checks = health_checks
-        self.watchdog_poll_s = watchdog_poll_s
-
-    def run(self, graph: TaskGraph, journal=None) -> Trace:
-        """Run every task; returns the execution :class:`Trace`.
-
-        *graph* may be an eager :class:`TaskGraph` or a streaming
-        :class:`~repro.runtime.program.GraphProgram`; programs are
-        expanded window by window as predecessors complete, keeping
-        graph construction off the critical path.
-
-        Task failures are wrapped in a :class:`RuntimeFailure` carrying
-        the partial trace; the watchdog (when armed) additionally
-        converts hangs into structured timeout/stall/deadlock failures
-        instead of blocking forever.
-
-        With *journal* (a
-        :class:`~repro.resilience.journal.TaskJournal`), tasks the
-        journal already records as completed are skipped up front, and
-        every task that completes (and passes its health guard) is
-        journaled before its successors are released.
-        """
-        engine = ExecutionEngine(
-            n_workers=self.n_workers,
-            frontier=CentralFrontier(self.policy),
-            retry=self.retry,
-            fault_plan=self.fault_plan,
-            task_timeout=self.task_timeout,
-            stall_timeout=self.stall_timeout,
-            health_checks=self.health_checks,
-            watchdog_poll_s=self.watchdog_poll_s,
-            thread_name="repro-worker",
-        )
-        return engine.run(graph, journal=journal)
+ThreadedExecutor = ExecutionEngine

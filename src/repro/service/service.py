@@ -42,7 +42,7 @@ from repro.linalg import monitored_solve
 from repro.machine.autotune import autotune, resolve_params
 from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
-from repro.runtime.engine import CentralFrontier, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.sync import make_condition, make_lock
 from repro.service.admission import AdmissionQueue, AdmissionRejected, DeadlineExceeded
 from repro.service.breaker import CircuitBreaker
@@ -408,7 +408,6 @@ class FactorizationService:
             )
             engine = ExecutionEngine(
                 n_workers=cfg.cores,
-                frontier=CentralFrontier("priority"),
                 retry=self._task_retry,
                 fault_plan=fault_plan,
                 task_timeout=cfg.task_timeout_s,

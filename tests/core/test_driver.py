@@ -105,6 +105,24 @@ def test_service_validates_tr_at_its_entry():
         assert svc.stats()["admission"]["admitted"] == 0
 
 
+@pytest.mark.parametrize("name", DRIVERS)
+def test_a_simulator_that_will_not_execute_is_refused_before_staging(name, monkeypatch):
+    # caqr used to return factors off by 0.85 relative, calu to die of a
+    # TypeError inside alg.result: the tasks were priced, never run.
+    def staged(*args, **kwargs):
+        raise AssertionError("staged a buffer for a run that cannot compute")
+
+    monkeypatch.setattr(driver, "staged", staged)
+    with pytest.raises(ValueError, match="execute=True"):
+        DRIVERS[name](_panel(), tr=2, executor=SimulatedExecutor(generic(2)))
+
+
+def test_symbolic_programs_still_simulate_without_executing():
+    program, _ = driver.ALGORITHMS["lu"].program(BlockLayout(96, 64, 16), 4, TreeKind.BINARY)
+    trace = SimulatedExecutor(generic(4)).run(program)
+    assert len(trace.records) == len(program.graph.tasks) and trace.makespan > 0.0
+
+
 # ---------------------------------------------------------------------------
 # What each kind of executor is handed, and what comes back
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.resilience.journal import TaskJournal
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime import engine as engine_mod
 from repro.runtime import ops, sync
-from repro.runtime.engine import CentralFrontier, ExecutionEngine
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor, _WorkerPool
 from repro.runtime.program import as_program
@@ -384,7 +384,6 @@ class TestSharedPool:
                         for _ in range(n_runs):
                             engine = ExecutionEngine(
                                 n_workers=2,
-                                frontier=CentralFrontier("priority"),
                                 stall_timeout=60.0,
                                 process_pool=pool,
                             )
@@ -487,6 +486,46 @@ class TestCountersAndSpans:
         assert all(0.02 <= r.duration < 0.05 for r in recs)
         assert 0.0 <= recs[0].start and recs[-1].end <= wall
         assert 0.0 <= trace.stats["dispatch_seconds"] < wall - 0.08
+
+
+class TestTaskTimeoutInTheQueue:
+    """``task_timeout`` bounds a task, not its wait behind the others in
+    its worker's pipe (ROADMAP 6b)."""
+
+    def test_queued_tasks_are_not_timed_out_while_they_wait(self, arena):
+        ran = arena.alloc(4)
+        g = _independent("queued", [_tally(arena, ran, i, sleep=0.3) for i in range(4)])
+        with ProcessExecutor(1, task_timeout=0.5) as ex:
+            # All four travel in one message acked ~1.2 s after the
+            # deal; none runs longer than 0.3 s.  Used to fail with
+            # "task 't0' stalled: ran longer than 0.5s on worker 0".
+            trace = ex.run(g)
+        assert trace.stats["messages"] == 1 and list(ran) == [1, 1, 1, 1]
+        assert all(0.3 <= r.duration < 0.5 for r in trace.records)
+        assert not [e for e in trace.events if e.kind == "timeout"]
+
+    def test_a_stuck_task_still_trips_within_the_in_flight_allowance(self, arena):
+        ran = arena.alloc(4)
+        ops = [_tally(arena, ran, 0, sleep=2.0)] + [_tally(arena, ran, i) for i in range(1, 4)]
+        timeout, poll = 0.2, 0.02
+        with ProcessExecutor(1, task_timeout=timeout, watchdog_poll_s=poll) as ex:
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeFailure) as info:
+                ex.run(_independent("stuck", ops))
+            took = time.monotonic() - t0
+        assert info.value.failure_kind == "timeout"
+        # One allowance per task in flight on the worker, plus one poll
+        # (and scheduling slack) — and not before a single timeout.
+        assert timeout < took < engine_mod._MAX_INFLIGHT * timeout + poll + 0.5
+
+    def test_a_task_alone_on_its_worker_gets_one_timeout(self, arena):
+        ran = arena.alloc(1)
+        with ProcessExecutor(1, task_timeout=0.2, watchdog_poll_s=0.02) as ex:
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeFailure, match="t0") as info:
+                ex.run(_independent("alone", [_tally(arena, ran, 0, sleep=2.0)]))
+            assert time.monotonic() - t0 < 0.2 + 0.02 + 0.3
+        assert info.value.failure_kind == "timeout"
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,27 @@
-"""Tests for the threaded and simulated executors."""
+"""Tests for the threaded and simulated executors, and the conformance
+matrix every real-clock executor (the engine and its subclasses) meets."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.driver import ALGORITHMS, compile
+from repro.core.trees import TreeKind
 from repro.counters import counting
 from repro.machine.presets import generic
+from repro.resilience.faults import FaultPlan
+from repro.resilience.journal import TaskJournal
+from repro.resilience.recovery import RetryPolicy, RuntimeFailure
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
+from repro.runtime.process import ProcessExecutor
 from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.simulated import SimulatedExecutor
+from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, Task, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -232,3 +244,143 @@ def test_property_simulated_schedule_always_valid(seed, cores, n_tasks):
     trace.validate_schedule(g)
     assert len(trace.records) == n_tasks
     assert trace.makespan > 0.0
+
+
+# ---------------------------------------------------------------------------
+# One conformance matrix: the engine, under each of its public names
+# ---------------------------------------------------------------------------
+
+ENGINES = [ExecutionEngine, ThreadedExecutor, WorkStealingExecutor, ProcessExecutor]
+
+
+@pytest.fixture(params=ENGINES, ids=["engine", "threaded", "stealing", "process"])
+def make(request):
+    """``make(n_workers, **options)`` builds the parametrized executor;
+    every one made is closed (a ProcessExecutor owns a pool)."""
+    made = []
+
+    def factory(*args, **options):
+        made.append(request.param(*args, **options))
+        return made[-1]
+
+    factory.cls = request.param
+    yield factory
+    for ex in made:
+        getattr(ex, "close", lambda: None)()
+
+
+def chain(n, fn=lambda: None):
+    g = TaskGraph("chain")
+    for i in range(n):
+        g.add(f"t{i}", TaskKind.S, _mk(), fn=fn, deps=[i - 1] if i else [])
+    return g
+
+
+class TestEngineConformance:
+    def test_every_executor_is_the_engine(self):
+        assert ThreadedExecutor is ExecutionEngine
+        assert issubclass(WorkStealingExecutor, ExecutionEngine)
+        assert issubclass(ProcessExecutor, ExecutionEngine)
+
+    @pytest.mark.parametrize(
+        "args, options, named",
+        [
+            ((0,), {}, "n_workers"),
+            ((2,), {"task_timeout": -1}, "task_timeout"),
+            ((2,), {"stall_timeout": -0.5}, "stall_timeout"),
+            ((2,), {"watchdog_poll_s": -0.01}, "watchdog_poll_s"),
+        ],
+    )
+    def test_options_are_validated_at_construction(self, make, args, options, named):
+        with pytest.raises(ValueError, match=named):
+            make(*args, **options)
+
+    def test_unknown_policy_is_rejected_at_construction(self, make):
+        if make.cls is WorkStealingExecutor:
+            with pytest.raises(TypeError, match="policy"):  # it has no queue policy
+                make(2, policy="fifo")
+        else:
+            with pytest.raises(ValueError, match="bogus"):
+                make(2, policy="bogus")
+            with pytest.raises(ValueError, match="bogus"):
+                make(2, "bogus")
+
+    def test_deadline_aborts_with_its_own_kind(self, make):
+        ex = make(2, deadline=time.monotonic() + 0.05, watchdog_poll_s=0.01)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeFailure) as info:
+            ex.run(chain(10, lambda: time.sleep(0.1)))
+        assert info.value.failure_kind == "deadline"
+        assert "tasks done" in str(info.value)
+        assert time.monotonic() - t0 < 0.6  # nowhere near the chain's 1 s
+        assert info.value.trace is not None
+
+    def test_journaled_prefix_yields_one_resume_event(self, make):
+        ran = []
+        journal = TaskJournal()
+        g = chain(6, lambda: ran.append(1))
+        journal.bind(g)
+        journal.mark_completed(["t0", "t1", "t2"])
+        trace = make(2).run(g, journal=journal)
+        assert [e.kind for e in trace.events] == ["resume"]
+        assert trace.events[0].value == 3.0
+        assert sorted(r.name for r in trace.records) == ["t3", "t4", "t5"]
+        assert len(ran) == 3 and trace.stats["skipped"] == 3
+        assert len(journal) == 6
+
+    def test_fault_plan_and_retry_yield_the_same_event_kinds(self, make):
+        ran = []
+        ex = make(
+            1,
+            fault_plan=FaultPlan(3, raise_rate=1.0, max_faults=2),
+            retry=RetryPolicy(max_retries=1, backoff_s=0.0),
+        )
+        trace = ex.run(chain(4, lambda: ran.append(1)))
+        # Transient faults fire on attempt 0 only: each is retried once.
+        assert [e.kind for e in trace.events] == ["fault_raise", "retry"] * 2
+        assert len(ran) == 4 and len(trace.records) == 4
+
+    def test_streamed_and_materialized_programs_give_equal_factors(self, make):
+        ex = make(2)
+        A = np.random.default_rng(17).standard_normal((64, 48))
+        knobs = dict(b=8, tr=2, tree=TreeKind.BINARY, leaf_kernel="rgetf2")
+        knobs["shared"] = isinstance(ex, ProcessExecutor)
+        streamed, eager = compile(ALGORITHMS["lu"], A, **knobs), compile(ALGORITHMS["lu"], A, **knobs)
+        try:
+            trace = streamed.run(ex)
+            assert trace.stats["windows_emitted"] == trace.stats["n_windows"] > 1
+            assert trace.stats["peak_live_tasks"] < trace.stats["n_tasks"]
+            graph = eager.program.materialize()
+            trace_eager = ex.run(graph)
+            assert trace_eager.stats["peak_live_tasks"] == len(graph.tasks)
+            f, g = streamed.result(trace), eager.result(trace_eager)
+            assert np.array_equal(f.lu, g.lu) and np.array_equal(f.piv, g.piv)
+            assert np.allclose(f.reconstruct(), A)
+        finally:
+            streamed.close()
+            eager.close()
+
+    def test_one_instance_runs_concurrently_with_independent_traces(self, make):
+        ex = make(2, stall_timeout=30.0)
+        traces, failures = {}, []
+
+        def client(k):
+            try:
+                g, log, _ = random_graph(k, 30 + 10 * k)
+                traces[k] = (ex.run(g), g, log)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(60)
+        assert not failures, failures
+        for k, (trace, g, log) in traces.items():
+            # Each run has its own frontier and books: a complete,
+            # valid schedule of its own graph and nothing of the other's.
+            assert sorted(log) == list(range(30 + 10 * k))
+            assert sorted(r.tid for r in trace.records) == list(range(30 + 10 * k))
+            trace.validate_schedule(g)
+            assert trace.stats["n_tasks"] == 30 + 10 * k

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.priorities import lookahead_depth
 from repro.machine.presets import generic
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram, as_program, supports_streaming
 from repro.runtime.simulated import SimulatedExecutor
@@ -109,6 +110,7 @@ def test_as_program_coercion():
 
 
 def test_supports_streaming_only_engine_backends():
+    assert supports_streaming(ExecutionEngine(1))
     assert supports_streaming(ThreadedExecutor(1))
     assert supports_streaming(WorkStealingExecutor(1))
     assert supports_streaming(SimulatedExecutor(generic(1)))

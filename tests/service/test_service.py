@@ -151,7 +151,7 @@ class TestCachedPlanState:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_clean_run_after_corrupted_run_on_one_plan(self, backend):
         from repro.core.driver import ALGORITHMS, compile
-        from repro.runtime.engine import CentralFrontier, ExecutionEngine
+        from repro.runtime.engine import ExecutionEngine
 
         A = make_rng(21).standard_normal((96, 96))
         ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
@@ -173,7 +173,6 @@ class TestCachedPlanState:
                 plan.load(A)
                 engine = ExecutionEngine(
                     n_workers=2,
-                    frontier=CentralFrontier("priority"),
                     fault_plan=fault_plan,
                     process_pool=pool,
                 )
