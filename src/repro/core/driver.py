@@ -33,8 +33,9 @@ from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.fuse import fuse_program
-from repro.runtime.process import ProcessExecutor, resolve_executor, staged
+from repro.runtime.process import ProcessExecutor, resolve_executor
 from repro.runtime.program import supports_streaming
+from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
 
 __all__ = [

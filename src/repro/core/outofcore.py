@@ -184,12 +184,6 @@ def _stage_panel(
     return a_spec
 
 
-def _resolve_store(store, spill_dir):
-    """Driver-side ``store=`` resolution (spill_dir only for mmap)."""
-    kwargs = {"spill_dir": spill_dir} if store == "mmap" and spill_dir is not None else {}
-    return open_store(store, **kwargs)
-
-
 @dataclass(kw_only=True)
 class StoreHandle:
     """Handle on a factored panel that lives in a tile store.
@@ -240,7 +234,7 @@ def _streamed(
     tr = _plan_tr(m, n, tr, memory_budget, n_workers)
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     chunks = plan_chunks(m, n, tr=tr, merge_tail=merge_tail)
-    tiles, owned = _resolve_store(store, spill_dir)
+    tiles, owned = open_store(store, spill_dir)
     try:
         a_spec = _stage_panel(tiles, src, chunks, check_finite)
         binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
@@ -423,7 +417,7 @@ def direct_tsqr(
     owned = False
     try:
         if want_q:
-            store_obj, owned = _resolve_store(store, spill_dir)
+            store_obj, owned = open_store(store, spill_dir)
             q_spec = store_obj.reserve((m, n))
         r_stack: list[np.ndarray] = []
         for chunk in chunks:

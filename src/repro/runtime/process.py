@@ -44,20 +44,16 @@ import os
 import select
 import time
 
-import numpy as np
-
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
 from repro import counters as _counters
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.shm import SharedArena, ShmBinding
 from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.sync import make_lock, note_roundtrip
 from repro.runtime.threaded import ThreadedExecutor
-from repro.runtime.tilestore import HeapBinding
 
-__all__ = ["ProcessExecutor", "resolve_executor", "staged"]
+__all__ = ["ProcessExecutor", "resolve_executor"]
 
 _POLL_S = 0.05  # liveness re-check interval while awaiting a reply
 
@@ -540,35 +536,3 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
         f"unknown executor {executor!r}; expected 'threaded', 'stealing', "
         "'process' or 'auto'"
     )
-
-
-def staged(A, shared: bool = False, *, overwrite: bool = False):
-    """Make a factorization's one working buffer and bind it: returns
-    ``(binding, arena)``, the arena (if one was made here) being the
-    caller's to destroy.
-
-    *A* is the matrix; or its shape, for a plan loaded later (a zeroed
-    float64 buffer); or a binding already staged, returned as it is.
-    With *shared* the buffer lives on a fresh :class:`SharedArena` — one
-    ``alloc(zero=False)`` + ``copyto``, dtype and layout converted on
-    the way — as a :class:`ShmBinding`; otherwise it is a float
-    C-ordered heap array (*A* itself when *overwrite* allows) in a
-    :class:`HeapBinding`.  Results leave through ``binding.detach``.
-    """
-    if hasattr(A, "a_spec"):
-        return A, None
-    if isinstance(A, tuple):
-        A, shape, dtype = None, A, np.float64
-    else:
-        shape = A.shape
-        dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
-    if shared:
-        arena = SharedArena()
-        buffer = arena.alloc(shape, dtype, zero=A is None)
-        if A is not None:
-            np.copyto(buffer, A)
-        return ShmBinding(arena, buffer), arena
-    if A is None:
-        return HeapBinding(np.zeros(shape, dtype)), None
-    heap = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
-    return HeapBinding(heap), None

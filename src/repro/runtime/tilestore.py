@@ -1,74 +1,58 @@
-"""Tile stores: pluggable slow-memory planes behind one spec protocol.
+"""The tile plane: where a buffer lives, decided once.
 
-The paper's sequential claim — flat-tree TSLU/TSQR move the optimal
-number of words between *fast* and *slow* memory — only means something
-once the runtime can actually put the matrix in a slow memory bigger
-than RAM.  A :class:`TileStore` is that plane.  Two backends share one
-``(segment, byte_offset, shape, dtype)`` spec protocol:
+A buffer is named by a *spec* that :func:`attach_array` turns into an
+array in any process, and there are three kinds:
 
-* :class:`ArenaTileStore` — the existing
-  :class:`~repro.runtime.shm.SharedArena` (segments are
-  ``multiprocessing.shared_memory`` names), the fast plane the process
-  backend factors on in place;
-* :class:`MmapTileStore` — ``numpy.memmap`` regions of spill files in a
-  scratch directory (segments are absolute file paths), the out-of-core
-  plane TSLU/TSQR stream million-row panels through.
+* the process's own heap (:class:`HeapBinding`) — a buffer that never
+  leaves the address space needs no name, so its spec is the ndarray
+  itself.  That is what lets the threaded, stealing and simulated
+  executors run the very descriptors the process workers run;
+* a :class:`TileStore` region, ``(segment, byte_offset, shape, dtype)``
+  — segments carved up by one 64-byte-aligned bump allocator, made by
+  one of two backends: :class:`~repro.runtime.shm.SharedArena`
+  (``multiprocessing.shared_memory`` names; the plane the process
+  backend factors on in place) or :class:`MmapTileStore` (sparse spill
+  files named by absolute path; the slow memory, bigger than RAM, that
+  the paper's sequential claim needs).  The segment name says which,
+  so ops and worker processes never know where a buffer is;
+* a :class:`StreamedPanel` (:class:`StreamedBinding`) — the matrix
+  stays in a store and ``A[r0:r1, c0:c1]`` is a counted
+  :meth:`TileStore.load` of exactly those rows, ``A[rows, cols] =
+  block`` a counted :meth:`TileStore.store`.  The ops run unchanged
+  over it — that is all "out of core" is.
 
-Because specs stay 4-tuples and the segment name says which kind it is
-(file paths are absolute), :func:`attach_array` resolves either kind —
-so the descriptor-dispatched ops in :mod:`repro.runtime.ops` and their
-worker processes are oblivious to where a buffer actually lives.
-
-The third plane is the process's own heap (:class:`HeapBinding`): a
-buffer that never leaves the address space needs no name, so its spec
-is the ndarray itself and :func:`attach_array` hands it straight back.
-That is what lets the threaded, stealing and simulated executors run
-the very descriptors the process workers run.
-
-The fourth is the *streamed* plane (:class:`StreamedBinding`): the
-matrix stays in a :class:`TileStore` and its spec is a
-:class:`StreamedPanel`, which answers ``A[r0:r1, c0:c1]`` with a
-counted :meth:`TileStore.load` of exactly those rows and takes
-``A[rows, cols] = block`` as a counted :meth:`TileStore.store`.  The
-ops run unchanged over it — that is all "out of core" is.
-
-Explicit transfers, measured traffic
-------------------------------------
 Out-of-core drivers move data with :meth:`TileStore.load` (slow ->
-fast: returns a private in-RAM copy) and :meth:`TileStore.store` (fast
--> slow: writes a block back), never by holding the whole plane mapped.
-Both count bytes — per store in :attr:`TileStore.io` and globally in
-:mod:`repro.counters` (``store_read_bytes``/``store_write_bytes``) — so
-measured traffic can be checked against the closed forms in
-:mod:`repro.analysis.io_model` (``benchmarks/bench_outofcore.py`` gates
-the comparison).  :meth:`TileStore.sub` row-slices a 2-D spec, which is
-how a driver addresses one leaf block of a panel without mapping the
-rest.
+fast: a private in-RAM copy) and :meth:`TileStore.store` (fast -> slow),
+never by holding the plane mapped.  Both count bytes — per store in
+:attr:`TileStore.io` and globally in :mod:`repro.counters`
+(``store_read_bytes``/``store_write_bytes``) — so measured traffic can
+be held against :mod:`repro.analysis.io_model`
+(``benchmarks/bench_outofcore.py`` gates the comparison).
 
-Lifecycle mirrors :class:`SharedArena`: the creating driver owns the
-store and calls :meth:`destroy` (idempotent; also hooked to garbage
-collection and interpreter exit) when the results have been copied —
-or streamed — out.
+The driver that created a store owns it and calls :meth:`~TileStore.
+destroy` (idempotent; also run at garbage collection and interpreter
+exit) once the results have been copied — or streamed — out.  Other
+processes only ever attach; their handles are cached per process and
+dropped once the store behind them is gone.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import tempfile
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import counters as _counters
-from repro.runtime.shm import SharedArena
-from repro.runtime.shm import attach_array as _attach_shm
 
 __all__ = [
     "StoreIO",
     "TileStore",
-    "ArenaTileStore",
     "MmapTileStore",
     "open_store",
     "HeapBinding",
@@ -78,7 +62,7 @@ __all__ = [
     "spec_nbytes",
 ]
 
-_ALIGN = 64  # keep tile offsets cache-line aligned, like the arena
+_ALIGN = 64  # cache-line align every allocation
 
 
 def _aligned(n: int) -> int:
@@ -114,41 +98,115 @@ class StoreIO:
 
 
 class TileStore:
-    """Common surface of the tile-plane backends.
+    """Bump allocator over named segments, with counted transfers.
 
-    Concrete stores implement :meth:`alloc`, :meth:`spec`,
-    :meth:`_read_into` / :meth:`_write_from` and :meth:`destroy`; the
-    base class provides placement, row-windowing and the instrumented
-    load/store transfers.
+    Allocations are 64-byte aligned, C-contiguous and never freed
+    individually — panel workspaces are tiny next to the matrix, and the
+    whole store dies with :meth:`destroy`.  A request larger than
+    ``segment_bytes`` gets a segment of its own.  A backend supplies
+    :meth:`_new_segment` (an object with the ``name``/``size``/``buf``/
+    ``close``/``unlink`` of a ``SharedMemory``) and may narrow
+    :meth:`_view`.
     """
 
     #: Backend tag ("shm" or "mmap").
     kind: str = "abstract"
 
-    def __init__(self) -> None:
+    def __init__(self, segment_bytes: int) -> None:
         self.io = StoreIO()
+        self.segment_bytes = int(segment_bytes)
+        self._segments: list = []
+        self._used: list[int] = []  # bump offset per segment
+        # name -> (mapped base address, size) of each segment alloc() has
+        # handed a view of: the mapping is stable for the segment's
+        # lifetime, so spec() compares addresses instead of rebuilding a
+        # view per segment per call.
+        self._bases: dict[str, tuple[int, int]] = {}
+        self._destroyed = False
+
+    def _new_segment(self, size: int):
+        raise NotImplementedError
 
     # -- allocation ----------------------------------------------------
-    def alloc(self, shape, dtype=np.float64, *, zero: bool = True) -> np.ndarray:
-        raise NotImplementedError
-
-    def spec(self, array: np.ndarray) -> tuple:
-        raise NotImplementedError
+    def _carve(self, shape, dtype) -> tuple:
+        """First fit: ``(segment, byte_offset, shape, dtype)`` of a new region."""
+        if self._destroyed:
+            raise ValueError("tile store already destroyed")
+        if isinstance(shape, int):
+            shape = (shape,)
+        dt = np.dtype(dtype)
+        nbytes = max(1, int(dt.itemsize * int(np.prod(shape, dtype=np.int64))))
+        for i, seg in enumerate(self._segments):
+            if self._used[i] + nbytes <= seg.size:
+                break
+        else:
+            seg = self._new_segment(max(self.segment_bytes, _aligned(nbytes)))
+            # The owner resolves its own specs through this handle too
+            # (parent-only tasks, a service's threaded fallback): never
+            # by re-opening the name under attach_array's tracker patch.
+            _ATTACHED[seg.name] = seg
+            self._segments.append(seg)
+            self._used.append(0)
+            i = len(self._segments) - 1
+        offset = self._used[i]
+        self._used[i] = _aligned(offset + nbytes)
+        return seg, offset, tuple(shape), dt
 
     def reserve(self, shape, dtype=np.float64) -> tuple:
         """Allocate a region and return only its spec (no live view).
 
         This is the out-of-core allocation path: the caller addresses
         the region through :meth:`sub`/:meth:`load`/:meth:`store`
-        windows and never holds the whole region mapped or resident.
+        windows and never holds it mapped or resident.  A fresh region
+        reads as zeros.
         """
-        return self.spec(self.alloc(shape, dtype, zero=False))
+        seg, offset, shape, dt = self._carve(shape, dtype)
+        return (seg.name, offset, shape, dt.str)
+
+    def alloc(self, shape, dtype=np.float64, *, zero: bool = True) -> np.ndarray:
+        """Allocate a C-contiguous array in the store.
+
+        The returned array is zero-filled (the workspace-buffer
+        contract) unless ``zero=False``, the path :meth:`place` and
+        staging use to avoid streaming freshly mapped pages through
+        memory twice — once for the fill and again for the copy that
+        immediately overwrites the same bytes.
+        """
+        seg, offset, shape, dt = self._carve(shape, dtype)
+        arr = np.ndarray(shape, dtype=dt, buffer=seg.buf, offset=offset)
+        if seg.name not in self._bases:
+            self._bases[seg.name] = (arr.__array_interface__["data"][0] - offset, seg.size)
+        if zero:
+            arr.fill(0)
+        return arr
 
     def place(self, array: np.ndarray) -> np.ndarray:
         """Copy *array* into the store; returns a live view of it."""
         out = self.alloc(array.shape, array.dtype, zero=False)
         out[...] = array
         return out
+
+    def spec(self, array: np.ndarray) -> tuple:
+        """Compact cross-process descriptor of a store-allocated array.
+
+        Returns ``(segment_name, byte_offset, shape, dtype_str)``.  The
+        array must be C-contiguous and live inside one of this store's
+        segments (anything :meth:`alloc`/:meth:`place` returned, or a
+        contiguous row window of it).
+        """
+        if not array.flags["C_CONTIGUOUS"]:
+            raise ValueError("spec requires a C-contiguous store array")
+        addr = array.__array_interface__["data"][0]
+        for name, (base, size) in self._bases.items():
+            if base <= addr < base + size:
+                if addr - base + array.nbytes > size:
+                    break
+                return (name, addr - base, tuple(array.shape), array.dtype.str)
+        raise ValueError("array does not live in this tile store")
+
+    @property
+    def allocated_bytes(self) -> int:
+        return sum(self._used)
 
     # -- windowing -----------------------------------------------------
     @staticmethod
@@ -161,21 +219,27 @@ class TileStore:
         return (name, offset + r0 * row_bytes, (r1 - r0, *shape[1:]), dtype)
 
     # -- instrumented transfers ---------------------------------------
+    def _view(self, spec: tuple) -> np.ndarray:
+        """The region *spec* as an array, for one transfer."""
+        return attach_array(spec)
+
     def load(self, spec: tuple, out: np.ndarray | None = None) -> np.ndarray:
         """Copy the region *spec* into fast memory; counts read bytes.
 
-        *out* recycles a caller-provided buffer of the right shape.
+        *out* recycles a caller-provided buffer of the spec's shape and
+        dtype (a narrower one would under-count the read).
         """
-        name, offset, shape, dtype = spec
+        _, _, shape, dtype = spec
         if out is None:
             out = np.empty(shape, dtype=np.dtype(dtype))
-        elif out.shape != tuple(shape):
-            raise ValueError(f"out buffer {out.shape} does not match spec {shape}")
-        self._read_into(spec, out)
-        nbytes = out.nbytes
-        self.io.read_bytes += nbytes
+        elif out.shape != tuple(shape) or out.dtype != np.dtype(dtype):
+            raise ValueError(
+                f"out buffer {out.shape} {out.dtype} does not match spec {shape} {dtype}"
+            )
+        out[...] = self._view(spec)
+        self.io.read_bytes += out.nbytes
         self.io.reads += 1
-        _counters.add_store_read(nbytes)
+        _counters.add_store_read(out.nbytes)
         return out
 
     def store(self, spec: tuple, values: np.ndarray) -> None:
@@ -184,21 +248,36 @@ class TileStore:
         values = np.ascontiguousarray(values, dtype=np.dtype(dtype))
         if values.shape != tuple(shape):
             raise ValueError(f"values {values.shape} do not match spec {shape}")
-        self._write_from(spec, values)
-        nbytes = values.nbytes
-        self.io.write_bytes += nbytes
+        self._view(spec)[...] = values
+        self.io.write_bytes += values.nbytes
         self.io.writes += 1
-        _counters.add_store_write(nbytes)
+        _counters.add_store_write(values.nbytes)
 
-    # -- backend hooks -------------------------------------------------
-    def _read_into(self, spec: tuple, out: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _write_from(self, spec: tuple, values: np.ndarray) -> None:
-        raise NotImplementedError
-
+    # -- teardown ------------------------------------------------------
     def destroy(self) -> None:
-        raise NotImplementedError
+        """Unlink (and best-effort close) every segment (idempotent).
+
+        Unlink comes first so no segment outlives the run.  ``close``
+        can legitimately fail with :class:`BufferError` while NumPy
+        views into a segment are still referenced (workspace buffers of
+        a retained graph); the mapping then stays valid until those
+        views are garbage collected and is released with them — copy any
+        results you keep out first.
+        """
+        if self._destroyed:
+            return
+        self._destroyed = True
+        for seg in self._segments:
+            _ATTACHED.pop(seg.name, None)
+            try:
+                seg.unlink()
+            except OSError:  # already gone
+                pass
+            try:
+                seg.close()
+            except (BufferError, OSError):  # live views keep it mapped
+                pass
+        self._segments, self._used, self._bases = [], [], {}
 
     def __enter__(self) -> "TileStore":
         return self
@@ -206,76 +285,80 @@ class TileStore:
     def __exit__(self, *exc) -> None:
         self.destroy()
 
+    def __del__(self) -> None:  # best-effort backstop; drivers call destroy()
+        try:
+            self.destroy()
+        except Exception:
+            pass
 
-class ArenaTileStore(TileStore):
-    """The shared-memory arena as a tile store.
 
-    Used when a driver wants the store API (placement, windows,
-    measured transfers) over the in-RAM plane — e.g. to run the
-    out-of-core code path at in-memory sizes for parity testing, or to
-    share one allocation surface between resident and spilled runs.
+class _SpillFile:
+    """A spill-file segment: what the plane uses of a ``SharedMemory``
+    (``name``, ``size``, ``buf``, ``close``, ``unlink``) over a file,
+    the name being its absolute path.
+
+    Creating one extends the file with ``truncate`` (sparse: no page is
+    touched, so a million-row reservation costs no RAM and no disk
+    until written).  ``buf`` maps the whole file (shared, so
+    cross-process writes are coherent through the page cache) on first
+    use — a store that only moves windows never has it mapped.
     """
 
-    kind = "shm"
+    def __init__(self, name: str, size: int | None = None) -> None:
+        if size is not None:
+            with open(name, "xb") as fh:
+                fh.truncate(size)
+        self.name, self.size = name, size or os.path.getsize(name)
+        self._buf: memoryview | None = None
 
-    def __init__(self, arena: SharedArena | None = None, segment_bytes: int | None = None):
-        super().__init__()
-        if arena is None:
-            arena = SharedArena(**({"segment_bytes": segment_bytes} if segment_bytes else {}))
-            self._owned = True
-        else:
-            self._owned = False
-        self.arena = arena
+    @property
+    def buf(self) -> memoryview:
+        if self._buf is None:
+            with open(self.name, "r+b") as fh:
+                self._buf = memoryview(mmap.mmap(fh.fileno(), self.size))
+        return self._buf
 
-    def alloc(self, shape, dtype=np.float64, *, zero: bool = True) -> np.ndarray:
-        return self.arena.alloc(shape, dtype, zero=zero)
+    def close(self) -> None:
+        if self._buf is not None:
+            mapped = self._buf.obj
+            self._buf.release()  # BufferError while a view still exports it
+            mapped.close()
+            self._buf = None
 
-    def spec(self, array: np.ndarray) -> tuple:
-        return self.arena.spec(array)
-
-    def _view(self, spec: tuple) -> np.ndarray:
-        """Zero-copy view of *spec*; resolves owned segments directly."""
-        name, offset, shape, dtype = spec
-        for seg in self.arena._segments:
-            if seg.name == name:
-                return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=seg.buf, offset=offset)
-        return _attach_shm(spec)
-
-    def _read_into(self, spec: tuple, out: np.ndarray) -> None:
-        out[...] = self._view(spec)
-
-    def _write_from(self, spec: tuple, values: np.ndarray) -> None:
-        self._view(spec)[...] = values
-
-    def destroy(self) -> None:
-        if self._owned:
-            self.arena.destroy()
+    def unlink(self) -> None:
+        os.unlink(self.name)
 
 
-#: Live mmap stores, destroyed best-effort at interpreter exit (the
-#: shm module's atexit hook plays the same role for arenas).
-_LIVE_MMAP_STORES: "weakref.WeakSet[MmapTileStore]" = weakref.WeakSet()
+def _reap_orphans(parent: str) -> None:
+    """Remove the spill directories under *parent* whose owner is gone.
+
+    The file plane has no resource tracker: a store whose owner was
+    ``kill -9``ed leaves its ``repro-tiles-<pid>-*`` directory behind,
+    so each new store removes those whose pid no longer exists.  A live
+    owner's directory is never touched.
+    """
+    for entry in os.listdir(parent):
+        pid = entry.split("-")[2] if entry.startswith("repro-tiles-") else ""
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(os.path.join(parent, entry), ignore_errors=True)
+        except OSError:  # alive, under another user
+            pass
 
 
 class MmapTileStore(TileStore):
-    """A spill-directory tile store over ``numpy.memmap`` regions.
+    """The spill-directory backend: segments are sparse files in a
+    private scratch directory (under *spill_dir*, default the system
+    temp dir), removed with the store.
 
-    Segments are plain files in a private scratch directory (under
-    *spill_dir*, default the system temp dir), carved up by the same
-    64-byte-aligned bump allocator as the arena.  A spec's segment name
-    is the file's absolute path, so :func:`attach_array` — and hence
-    every descriptor-dispatched op and worker process — resolves mmap
-    specs exactly like shared-memory ones.
-
-    Allocation extends the file with :func:`os.truncate` (sparse: no
-    page is touched, so a million-row reservation costs no RAM and no
-    disk until written).  :meth:`load`/:meth:`store` map only the
-    addressed window and drop the mapping immediately, which keeps both
-    resident set *and address space* bounded by the window size — the
-    property the memory-capped CI run (``resource.setrlimit``) checks.
-
-    ``segment_bytes`` bounds workspace segments; a larger single
-    allocation gets a segment of its own, exactly like the arena.
+    :meth:`load`/:meth:`store` map only the addressed window and drop
+    the mapping immediately, which keeps both resident set *and address
+    space* bounded by the window size — the property the memory-capped
+    CI run (``resource.setrlimit``) checks.  :meth:`alloc` is for
+    workspace-sized buffers: its views hold their segment mapped whole.
     """
 
     kind = "mmap"
@@ -285,160 +368,63 @@ class MmapTileStore(TileStore):
         spill_dir: str | os.PathLike | None = None,
         segment_bytes: int = 64 << 20,
     ) -> None:
-        super().__init__()
-        self.segment_bytes = int(segment_bytes)
-        self.root = tempfile.mkdtemp(prefix="repro-tiles-", dir=spill_dir)
-        self._paths: list[str] = []
-        self._used: list[int] = []
-        self._sizes: list[int] = []
-        self._destroyed = False
-        self._finalizer = weakref.finalize(self, MmapTileStore._cleanup, self.root)
-        _LIVE_MMAP_STORES.add(self)
+        super().__init__(segment_bytes)
+        self.root = tempfile.mkdtemp(prefix=f"repro-tiles-{os.getpid()}-", dir=spill_dir)
+        self._finalizer = weakref.finalize(self, shutil.rmtree, self.root, ignore_errors=True)
+        _reap_orphans(os.path.dirname(self.root))
 
-    # -- allocation ----------------------------------------------------
-    def _new_segment(self, min_bytes: int) -> int:
-        size = max(self.segment_bytes, _aligned(min_bytes))
-        path = os.path.join(self.root, f"seg{len(self._paths)}.bin")
-        with open(path, "wb") as fh:
-            fh.truncate(size)
-        self._paths.append(path)
-        self._used.append(0)
-        self._sizes.append(size)
-        return len(self._paths) - 1
+    def _new_segment(self, size: int) -> _SpillFile:
+        return _SpillFile(os.path.join(self.root, f"seg{len(self._segments)}.bin"), size)
 
-    def _carve(self, shape, dtype) -> tuple:
-        if self._destroyed:
-            raise ValueError("tile store already destroyed")
-        if isinstance(shape, int):
-            shape = (shape,)
-        dt = np.dtype(dtype)
-        nbytes = max(1, int(dt.itemsize * int(np.prod(shape, dtype=np.int64))))
-        seg_idx = None
-        for i, size in enumerate(self._sizes):
-            if self._used[i] + nbytes <= size:
-                seg_idx = i
-                break
-        if seg_idx is None:
-            seg_idx = self._new_segment(nbytes)
-        offset = self._used[seg_idx]
-        self._used[seg_idx] = _aligned(offset + nbytes)
-        return (self._paths[seg_idx], offset, tuple(shape), dt.str)
-
-    def reserve(self, shape, dtype=np.float64) -> tuple:
-        """Allocate a file region; returns its spec without mapping it.
-
-        The region reads as zeros until written (sparse file), matching
-        the arena's zeroed-allocation contract at zero cost.
-        """
-        return self._carve(shape, dtype)
+    @property
+    def _paths(self) -> list[str]:
+        return [seg.name for seg in self._segments]
 
     def alloc(self, shape, dtype=np.float64, *, zero: bool = True) -> np.ndarray:
-        """Allocate and return a *persistent* mapped view.
+        # A fresh file region already reads as zeros and the allocator
+        # never recycles: a fill would only make every page real.
+        return super().alloc(shape, dtype, zero=False)
 
-        For workspace-sized buffers (the ``ShmBinding`` protocol);
-        bulk panel data should use :meth:`reserve` + windowed
-        :meth:`load`/:meth:`store` instead, which never hold a mapping.
-        A fresh file region already reads as zeros, so ``zero`` only
-        matters for recycled segments — the bump allocator never
-        recycles, making both paths equivalent here.
-        """
-        spec = self._carve(shape, dtype)
-        return self._window(spec, mode="r+")
-
-    def spec(self, array: np.ndarray) -> tuple:
-        """Spec of a view returned by :meth:`alloc`/:meth:`place` (or a
-        contiguous leading sub-view of one)."""
-        if not array.flags["C_CONTIGUOUS"]:
-            raise ValueError("spec requires a C-contiguous store array")
-        # Walk to the root mapping: a sliced memmap inherits the parent's
-        # ``offset``/``filename`` attributes unadjusted, so only the root
-        # (whose buffer is the raw mmap) anchors file offsets correctly.
-        base = array
-        while isinstance(base.base, np.ndarray):
-            base = base.base
-        if not isinstance(base, np.memmap) or getattr(base, "filename", None) is None:
-            raise ValueError("array does not live in this tile store")
-        path = str(base.filename)
-        if path not in self._paths:
-            raise ValueError("array does not live in this tile store")
-        base_addr = base.__array_interface__["data"][0]
-        addr = array.__array_interface__["data"][0]
-        offset = int(base.offset) + (addr - base_addr)
-        return (path, offset, tuple(array.shape), array.dtype.str)
-
-    # -- transfers -----------------------------------------------------
-    def _window(self, spec: tuple, mode: str = "r+") -> np.memmap:
+    def _view(self, spec: tuple) -> np.ndarray:
+        """A mapping of just the window, gone with the caller's reference."""
         path, offset, shape, dtype = spec
-        shape = tuple(shape) if shape else (1,)
-        if int(np.prod(shape, dtype=np.int64)) == 0:
-            # numpy.memmap rejects empty maps; synthesize an empty view.
-            return np.empty(shape, dtype=np.dtype(dtype))  # type: ignore[return-value]
-        return np.memmap(path, dtype=np.dtype(dtype), mode=mode, offset=offset, shape=shape)
-
-    def _read_into(self, spec: tuple, out: np.ndarray) -> None:
-        mm = self._window(spec, mode="r")
-        try:
-            out[...] = mm
-        finally:
-            del mm  # drop the mapping with the last reference
-
-    def _write_from(self, spec: tuple, values: np.ndarray) -> None:
-        mm = self._window(spec, mode="r+")
-        try:
-            mm[...] = values
-        finally:
-            del mm
-
-    # -- teardown ------------------------------------------------------
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(self._used)
-
-    @staticmethod
-    def _cleanup(root: str) -> None:
-        shutil.rmtree(root, ignore_errors=True)
+        if 0 in shape:  # numpy.memmap rejects empty maps
+            return np.empty(shape, dtype=np.dtype(dtype))
+        return np.memmap(path, dtype=np.dtype(dtype), mode="r+", offset=offset, shape=tuple(shape))
 
     def destroy(self) -> None:
-        """Remove the spill directory (idempotent)."""
-        if self._destroyed:
-            return
-        self._destroyed = True
+        """Unmap the segments and remove the spill directory (idempotent)."""
+        super().destroy()
         self._finalizer()
 
-    def __del__(self) -> None:
-        try:
-            self.destroy()
-        except Exception:
-            pass
 
-
-def open_store(store, **kwargs) -> tuple[TileStore, bool]:
+def open_store(store, spill_dir=None) -> tuple[TileStore, bool]:
     """Resolve a ``store=`` driver argument to ``(instance, owned)``.
 
-    Accepts ``"shm"``/``"mmap"`` (fresh store, caller owns and destroys
-    it), a :class:`TileStore` (as-is, not owned), or a
-    :class:`SharedArena` (wrapped, not owned).
+    Accepts ``"shm"``/``"mmap"`` (a fresh store the caller owns and
+    destroys; *spill_dir* is where an mmap store spills) or a
+    :class:`TileStore` (as-is, not owned).
     """
     if isinstance(store, TileStore):
         return store, False
-    if isinstance(store, SharedArena):
-        return ArenaTileStore(store), False
     if store == "shm":
-        return ArenaTileStore(), True
+        from repro.runtime.shm import SharedArena  # the backend imports this module
+
+        return SharedArena(), True
     if store == "mmap":
-        return MmapTileStore(**kwargs), True
+        return MmapTileStore(spill_dir), True
     raise ValueError(f"unknown tile store {store!r}; expected 'shm', 'mmap' or a TileStore")
 
 
 class HeapBinding:
     """The default ``store=`` of the builders: matrix and workspace on the heap.
 
-    Same surface as :class:`~repro.runtime.shm.ShmBinding` — the matrix
-    ``A`` with its spec, ``alloc(shape, dtype) -> (view, spec)`` and
-    ``detach`` — but a buffer's spec is the buffer: nothing to register,
-    name or tear down.  ``shared`` is False: a heap spec must not cross
-    a process boundary (it would pickle the data), so builders attach
-    no ``meta["op"]`` and a process executor runs such tasks inline.
+    A binding is the matrix ``A`` with its spec, ``alloc(shape, dtype)
+    -> (view, spec)`` for workspace buffers and ``detach`` for results;
+    here a buffer's spec is the buffer: nothing to register, name or
+    tear down.  ``shared`` is False: a heap spec must not cross a
+    process boundary (it would pickle the data), so builders attach no
+    ``meta["op"]`` and a process executor runs such tasks inline.
     """
 
     shared = False
@@ -465,8 +451,8 @@ class StreamedPanel:
     """A 2-D :class:`TileStore` region addressed like an array: the
     matrix spec of the streamed (out-of-core) plane.
 
-    ``A[rows, cols]`` — *rows* a slice or an integer array — loads
-    exactly those rows into a private in-RAM block (one counted
+    ``A[rows, cols]`` — *rows* a unit-step slice or an integer array —
+    loads exactly those rows into a private in-RAM block (one counted
     :meth:`TileStore.load` per contiguous run) and returns its *cols*;
     ``A[rows, cols] = block`` stores whole rows back the same way.  An
     op that updated such a block in place therefore has to write it
@@ -487,7 +473,9 @@ class StreamedPanel:
     def _runs(self, rows) -> list[tuple[int, int]]:
         """The contiguous ``[r0, r1)`` runs of *rows*, in order."""
         if isinstance(rows, slice):
-            r0, r1, _ = rows.indices(self.shape[0])
+            r0, r1, step = rows.indices(self.shape[0])
+            if step != 1:
+                raise ValueError(f"a streamed panel is sliced in unit row steps, not {step}")
             runs = [(r0, max(r0, r1))]
         else:
             rows = np.asarray(rows)
@@ -549,34 +537,74 @@ class StreamedBinding(HeapBinding):
 # Attach: spec -> view, any plane
 # ---------------------------------------------------------------------------
 
-#: Whole-file maps cached per process, keyed by path; remapped when the
-#: file has grown past a cached mapping.
-_MMAP_ATTACHED: dict[str, np.memmap] = {}
+#: Segments open in this process, by name: a store's own (entered at
+#: creation, removed at destroy) and those a worker attached.
+_ATTACHED: dict[str, shared_memory.SharedMemory | _SpillFile] = {}
+
+
+def _unlinked(seg) -> bool:
+    """Whether *seg*'s owner has removed it (when in doubt, it has not)."""
+    if os.path.isabs(seg.name):
+        return not os.path.exists(seg.name)
+    try:
+        return os.fstat(seg._fd).st_nlink == 0
+    except (AttributeError, OSError):
+        return False
+
+
+def _drop_unlinked() -> None:
+    """Unmap every cached segment whose store has been destroyed.
+
+    The cache would otherwise be grow-only: a persistent worker kept
+    every finished run's arena mapped (tens of MiB of resident set per
+    round of ops).  A segment some view still exports refuses to close
+    (``BufferError``) and simply stays until a later sweep.
+    """
+    for name, seg in list(_ATTACHED.items()):
+        if _unlinked(seg):
+            try:
+                seg.close()
+            except BufferError:
+                continue
+            del _ATTACHED[name]
 
 
 def attach_array(spec) -> np.ndarray:
     """Decode a spec from *any* plane into a zero-copy view.
 
-    A heap spec is the array itself (:class:`HeapBinding`) and a
-    streamed one the :class:`StreamedPanel` itself.  Shared-memory
-    segment names resolve through
-    :func:`repro.runtime.shm.attach_array`; absolute-path names map the
-    spill file (``numpy.memmap``, shared mapping, so cross-process
-    writes are coherent through the page cache).  Whole-file mappings
-    are cached per process like shm handles, and like them dropped — on
-    the first attach of a new file — once their store has been removed.
+    A heap spec is the array itself and a streamed one the
+    :class:`StreamedPanel` itself.  A store spec names its segment — a
+    shared-memory name or an absolute spill-file path — which is opened
+    once per process and cached; the first attach of a new segment — a
+    new run's store — sweeps out the handles of stores destroyed since
+    (:func:`_drop_unlinked`), so no per-task work is added.
+
+    Attaching must not register a shared-memory segment with the
+    resource tracker — the parent (the arena owner) is the only
+    unlinker.  With a forked worker the tracker is shared with the
+    parent, so a second registration (or an unregister) unbalances the
+    parent's bookkeeping; with a spawned worker the child's own tracker
+    would unlink the segment when the worker exits, destroying it under
+    everyone else.  Python 3.13 grew ``track=False`` for exactly this;
+    on 3.11 we suppress the registration call around the attach
+    instead.
     """
     if isinstance(spec, (np.ndarray, StreamedPanel)):
         return spec
     name, offset, shape, dtype = spec
-    if not os.path.isabs(name):
-        return _attach_shm(spec)
-    dt = np.dtype(dtype)
-    nbytes = int(dt.itemsize * int(np.prod(shape, dtype=np.int64)))
-    mm = _MMAP_ATTACHED.get(name)
-    if mm is None or offset + nbytes > mm.nbytes:
-        for path in [p for p in _MMAP_ATTACHED if not os.path.exists(p)]:
-            del _MMAP_ATTACHED[path]  # its store is gone; live views keep the map
-        mm = np.memmap(name, dtype=np.uint8, mode="r+", shape=(os.path.getsize(name),))
-        _MMAP_ATTACHED[name] = mm
-    return np.ndarray(tuple(shape), dtype=dt, buffer=mm, offset=offset)
+    seg = _ATTACHED.get(name)
+    if seg is None:
+        _drop_unlinked()
+        if os.path.isabs(name):
+            seg = _SpillFile(name)
+        else:
+            from multiprocessing import resource_tracker
+
+            orig_register = resource_tracker.register
+            resource_tracker.register = lambda *a, **k: None
+            try:
+                seg = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = orig_register
+        _ATTACHED[name] = seg
+    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf, offset=offset)

@@ -22,8 +22,9 @@ from repro.core.tsqr import tsqr
 from repro.counters import counting
 from repro.kernels.lu import piv_to_perm
 from repro.resilience import FaultPlan
+from repro.runtime.shm import SharedArena
 from repro.runtime.threaded import ThreadedExecutor
-from repro.runtime.tilestore import ArenaTileStore, StreamedBinding
+from repro.runtime.tilestore import StreamedBinding
 
 RNG = np.random.default_rng(7)
 
@@ -181,7 +182,7 @@ def test_corrupted_tournament_is_replayed_out_of_core():
     A = RNG.standard_normal((m, n))
     lu_mem, piv_mem = tslu(A, tr=tr, tree=TreeKind.BINARY)
     plan = FaultPlan(seed=1, corrupt_rate={"P": 0.5, "*": 0.0}, max_faults=2)
-    with ArenaTileStore() as tiles:
+    with SharedArena() as tiles:
         spec = tiles.spec(tiles.place(A))
         binding = StreamedBinding(tiles, spec, max_rows=m // tr)
         program, ws = tslu_program(binding.A, tr, TreeKind.BINARY, store=binding)

@@ -1,7 +1,7 @@
 """Input staging: whatever the caller hands in, on every backend.
 
 The four drivers share one staging step
-(:func:`repro.runtime.process.staged`): the working copy is made once
+(:func:`repro.runtime.shm.staged`): the working copy is made once
 — on the heap, or straight onto the shared-memory arena for the process
 backend — converting dtype and layout on the way.  These tests feed the
 awkward inputs (float32, Fortran order, read-only, non-contiguous)

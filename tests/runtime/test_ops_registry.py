@@ -4,7 +4,7 @@ Every numeric op in :data:`repro.runtime.ops.OPS` is run from the same
 starting state in this process over a
 :class:`~repro.runtime.tilestore.HeapBinding`, in a
 :class:`~repro.runtime.process.ProcessExecutor` worker over a
-:class:`~repro.runtime.shm.ShmBinding`, and — unless it is listed in
+:class:`~repro.runtime.shm.ShmBinding` of each store backend, and — unless it is listed in
 ``RESIDENT_ONLY`` — in this process over a
 :class:`~repro.runtime.tilestore.StreamedBinding`, and must leave the
 matrix and every workspace buffer it touches ``array_equal``.  The case
@@ -17,11 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.calu import calu
+from repro.core.driver import algorithm, compile
+from repro.core.trees import TreeKind
 from repro.core.tslu import PanelWorkspace
 from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.shm import SharedArena, ShmBinding
-from repro.runtime.tilestore import ArenaTileStore, HeapBinding, StreamedBinding
+from repro.runtime.tilestore import HeapBinding, MmapTileStore, StreamedBinding
 
 M, N, BK = 24, 12, 4  # a 24 x 12 matrix, panel columns [0, 4), two 12-row chunks
 
@@ -175,40 +178,53 @@ def executor():
 def test_same_descriptor_same_bits_on_heap_and_in_a_worker(name, executor):
     assert name in CASES, f"op {name!r} has no heap-vs-worker case in {__file__}"
     A0 = np.random.default_rng(7).standard_normal((M, N))
-    arena = SharedArena()
-    try:
-        heap = HeapBinding(A0.copy())
-        shm = ShmBinding(arena, arena.place(A0))
+    heap = HeapBinding(A0.copy())
+    pre, op, heap_bufs = CASES[name](heap)
+    for step in pre:
+        ops.run_op(step)
+    ops.run_op(op)
 
-        pre, op, heap_bufs = CASES[name](heap)
-        for step in pre:
-            ops.run_op(step)
-        ops.run_op(op)
+    with SharedArena() as arena, MmapTileStore() as spill:
+        for tiles in (arena, spill):  # a binding over either store, in the worker
+            shm = ShmBinding(tiles, tiles.place(A0))
+            pre, op, shm_bufs = CASES[name](shm)
+            for step in pre:
+                ops.run_op(step)
+            before = [buf.copy() for buf in (shm.A, *shm_bufs)]
+            executor.pool.run(0, op)
 
-        pre, op, shm_bufs = CASES[name](shm)
-        for step in pre:
-            ops.run_op(step)
-        before = [buf.copy() for buf in (shm.A, *shm_bufs)]
-        executor.pool.run(0, op)  # in the worker, over the arena
-
-        after = (shm.A, *shm_bufs)
-        assert any(not np.array_equal(x, y) for x, y in zip(before, after, strict=True))
-        for got, want in zip(after, (heap.A, *heap_bufs), strict=True):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            after = (shm.A, *shm_bufs)
+            assert any(not np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+            for got, want in zip(after, (heap.A, *heap_bufs), strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
         if name in RESIDENT_ONLY:
             return
         # The streamed plane holds full-width panels: stage columns [0, BK).
-        tiles = ArenaTileStore(arena)
         spec = arena.spec(arena.place(np.ascontiguousarray(A0[:, :BK])))
-        pre, op, streamed_bufs = CASES[name](StreamedBinding(tiles, spec, max_rows=M))
+        pre, op, streamed_bufs = CASES[name](StreamedBinding(arena, spec, max_rows=M))
         for step in pre:
             ops.run_op(step)
         ops.run_op(op)
         want_all = (heap.A[:, :BK], *heap_bufs)
         # np.asarray: a streamed leaf's V unpacks from the stored panel on use.
-        for got, want in zip((tiles.load(spec), *streamed_bufs), want_all, strict=True):
+        for got, want in zip((arena.load(spec), *streamed_bufs), want_all, strict=True):
             got = np.asarray(got)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-    finally:
-        arena.destroy()
+
+
+def test_calu_over_a_spill_file_binding_on_two_workers():
+    """End to end: the process backend factors on whichever store the
+    binding names — here spill files — to the bits of the heap run."""
+    A = np.random.default_rng(11).standard_normal((96, 48))
+    want = calu(A, b=8, tr=2)
+    with MmapTileStore() as spill, ProcessExecutor(2) as ex:
+        binding = ShmBinding(spill, spill.place(A))
+        plan = compile(
+            algorithm("lu"), binding, b=8, tr=2, tree=TreeKind.BINARY, leaf_kernel="rgetf2"
+        )
+        trace = plan.run(ex)
+        got = plan.result(trace, binding.detach)
+        assert ex.pool.liveness() == [True, True]  # spawned lazily: both were sent ops
+    assert np.array_equal(got.lu, want.lu) and np.array_equal(got.piv, want.piv)
+    assert {rec.core for rec in trace.records} == {0, 1}

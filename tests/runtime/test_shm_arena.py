@@ -1,9 +1,11 @@
-"""SharedArena edge cases: allocation, specs, the no-zero place path."""
+"""Allocator edge cases: allocation, specs, the no-zero place path —
+over the arena, then (``TestSpillFileBackend``) over spill files."""
 
 import numpy as np
 import pytest
 
 from repro.runtime.shm import SharedArena, attach_array, spec_nbytes
+from repro.runtime.tilestore import MmapTileStore
 
 
 @pytest.fixture
@@ -101,3 +103,18 @@ def test_owner_resolves_its_specs_through_its_own_mapping(arena):
     assert np.shares_memory(attach_array(arena.spec(x)), x)
     arena.destroy()
     assert name not in shm._ATTACHED
+
+
+class TestSpillFileBackend:
+    """Every test above again over the allocator's other backend.  (A
+    class rather than fixture params, which would rename the arena runs.)"""
+
+    @pytest.fixture
+    def arena(self):
+        with MmapTileStore(segment_bytes=1 << 16) as store:
+            yield store
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestSpillFileBackend, _name, staticmethod(_test))

@@ -1,6 +1,11 @@
 """Tile stores: spec protocol, windowed transfers, byte accounting."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,6 @@ import pytest
 from repro.counters import counting
 from repro.runtime.shm import SharedArena
 from repro.runtime.tilestore import (
-    ArenaTileStore,
     HeapBinding,
     MmapTileStore,
     StreamedBinding,
@@ -78,6 +82,11 @@ def test_load_into_recycled_buffer(store):
     np.testing.assert_array_equal(buf, np.full((6, 2), 3.0))
     with pytest.raises(ValueError, match="does not match"):
         store.load(spec, out=np.empty((5, 2)))
+    # A narrower buffer would halve the bytes booked for the same read.
+    io0 = store.io.snapshot()
+    with counting() as c, pytest.raises(ValueError, match="does not match"):
+        store.load(spec, out=np.empty((6, 2), np.float32))
+    assert store.io.snapshot() == io0 and c.store_read_bytes == 0
 
 
 def test_attach_array_resolves_both_backends(store):
@@ -166,6 +175,8 @@ def test_streamed_spec_loads_and_stores_exactly_the_rows_sliced(store):
         A[0:9, 0:3]
     with pytest.raises(MemoryError):
         A[np.arange(0, 18, 2), 0:3]
+    with pytest.raises(ValueError, match="unit row steps"):
+        A[0:8:2, 0:3]
     with pytest.raises(ValueError, match="whole rows"):
         A[0:2, 0:1] = np.zeros((2, 1))
     # Workspace buffers stay on the heap.
@@ -204,6 +215,61 @@ def test_mmap_destroy_removes_spill_dir():
         s.reserve((2, 2))
 
 
+def _run_child(code: str, spill_dir) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), str(spill_dir)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+#: A process whose store comes and goes under ``sys.argv[1]``.
+_COME_AND_GO = """
+    import sys
+    from repro.runtime.tilestore import MmapTileStore
+    MmapTileStore(spill_dir=sys.argv[1]).destroy()
+    """
+
+
+def test_mmap_spill_dir_of_a_killed_owner_is_reaped_by_the_next_store(tmp_path):
+    # kill -9: no destroy, no finalizer, no atexit — and files have no
+    # resource tracker.  The next store under the same parent cleans up.
+    out = _run_child(
+        """
+        import os, sys
+        import numpy as np
+        from repro.runtime.tilestore import MmapTileStore
+        s = MmapTileStore(spill_dir=sys.argv[1])
+        s.store(s.reserve((64, 64)), np.ones((64, 64)))
+        print(s.root, flush=True)
+        os.kill(os.getpid(), 9)
+        """,
+        tmp_path,
+    )
+    assert out.returncode == -signal.SIGKILL
+    orphan = out.stdout.strip()
+    assert os.path.isfile(os.path.join(orphan, "seg0.bin")), "the kill left nothing to reap"
+    out = _run_child(_COME_AND_GO, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert not os.listdir(tmp_path)
+
+
+def test_mmap_spill_dir_of_a_live_owner_is_left_alone(tmp_path):
+    with MmapTileStore(spill_dir=tmp_path) as mine:
+        spec = mine.reserve((8, 8))
+        mine.store(spec, np.ones((8, 8)))
+        # Another process's store comes and goes under the same parent...
+        out = _run_child(_COME_AND_GO, tmp_path)
+        assert out.returncode == 0, out.stderr
+        # ...and so does a second one of ours.
+        MmapTileStore(spill_dir=tmp_path).destroy()
+        assert os.listdir(tmp_path) == [os.path.basename(mine.root)]
+        np.testing.assert_array_equal(mine.load(spec), np.ones((8, 8)))
+
+
 def test_mmap_sparse_reservation_costs_no_disk():
     with MmapTileStore() as s:
         spec = s.reserve((1 << 16, 8))  # 4 MiB reserved
@@ -218,11 +284,7 @@ def test_mmap_sparse_reservation_costs_no_disk():
 def test_open_store_resolution():
     arena = SharedArena()
     try:
-        wrapped, owned = open_store(arena)
-        assert isinstance(wrapped, ArenaTileStore) and not owned
-        assert wrapped.arena is arena
-        existing, owned2 = open_store(wrapped)
-        assert existing is wrapped and not owned2
+        assert open_store(arena) == (arena, False)
         with pytest.raises(ValueError, match="unknown tile store"):
             open_store("tape")
     finally:
