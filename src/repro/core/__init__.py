@@ -14,8 +14,8 @@ from repro.core.caqr import CAQRFactorization, caqr, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind, reduction_schedule
-from repro.core.tslu import tslu, tslu_program
-from repro.core.tsqr import TSQRFactorization, tsqr, tsqr_program
+from repro.core.tslu import tslu
+from repro.core.tsqr import TSQRFactorization, tsqr
 
 __all__ = [
     "BlockLayout",
@@ -30,7 +30,5 @@ __all__ = [
     "lookahead_depth",
     "reduction_schedule",
     "tslu",
-    "tslu_program",
     "tsqr",
-    "tsqr_program",
 ]

@@ -14,9 +14,10 @@ Block LU factorization ``Π A = L U`` with ca-pivoting.  Each iteration
 * one final **X** task applying the deferred row swaps to the left
   part of ``L`` (Algorithm 1 line 41, ``dlaswap``).
 
-Dependencies are discovered from block read/write sets; static task
-priorities encode the look-ahead-1 schedule (see
-:mod:`repro.core.priorities`).
+The loop over ``K`` is :func:`repro.core.panelloop.panel_program`, which
+CAQR shares; this module supplies its LU steps.  Dependencies are
+discovered from block read/write sets; static task priorities encode
+the look-ahead-1 schedule (see :mod:`repro.core.priorities`).
 """
 
 from __future__ import annotations
@@ -27,59 +28,42 @@ import numpy as np
 import scipy.linalg
 
 from repro.analysis.flops import gemm_flops, trsm_left_flops, trsm_right_flops
-from repro.core.layout import BlockLayout, Chunk
-from repro.core.priorities import lookahead_depth, task_priority
+from repro.core.layout import BlockLayout
+from repro.core.panelloop import Emitter, panel_program
+from repro.core.priorities import task_priority
 from repro.core.trees import TreeKind
 from repro.core.tslu import PanelWorkspace, add_tslu_tasks
 from repro.kernels.blas import laswp
 from repro.kernels.lu import piv_to_perm
 from repro.resilience.abft import gemm_abft_guard, gemm_checksums
 from repro.resilience.health import finite_block_guard
-from repro.runtime.graph import BlockTracker, TaskGraph
-from repro.runtime.ops import calu_s_blocks, op_task
+from repro.runtime.graph import TaskGraph
+from repro.runtime.ops import calu_s_blocks, run_op
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
-from repro.runtime.tilestore import HeapBinding
 from repro.runtime.trace import Trace
 
 __all__ = [
     "CALUFactorization",
     "calu",
     "calu_program",
-    "merged_chunks",
     "panel_verdicts",
 ]
 
 
-def merged_chunks(layout: BlockLayout, K: int, tr: int) -> list[Chunk]:
-    """Panel chunks with a too-short tail merged into its predecessor.
-
-    Guarantees every chunk has at least ``panel_width`` rows (needed by
-    the tree merges, which stack full ``b``-row candidate sets), except
-    when the whole active region is a single short chunk.
-    """
-    chunks = layout.panel_chunks(K, tr)
-    bk = layout.panel_width(K)
-    if len(chunks) > 1 and chunks[-1].rows < bk:
-        last, prev = chunks[-1], chunks[-2]
-        chunks[-2] = Chunk(index=prev.index, r0=prev.r0, r1=last.r1, b0=prev.b0, b1=last.b1)
-        chunks.pop()
-    return chunks
-
-
-def _s_fn_abft(s_fn, payload: dict, cell: list):
-    """Wrap an S task's body so it also posts Huang-Abraham checksums.
+def _s_fn_abft(payload: dict, cell: list):
+    """An S task's body that also posts Huang-Abraham checksums.
 
     The expected row/column sums of ``C - L U`` are computed from the
     pre-update operands and left in *cell* for the task's ABFT health
     guard, which runs after any injected corruption and repairs a
-    single bad element in place.  The update itself is *s_fn*, the
-    task's one ``calu_s`` body.
+    single bad element in place.  The update itself is the one
+    ``calu_s`` body.
     """
 
     def fn() -> None:
         cell[0] = gemm_checksums(*calu_s_blocks(payload))
-        s_fn()
+        run_op(("calu_s", payload))
 
     return fn
 
@@ -129,9 +113,12 @@ def calu_program(
 ) -> tuple[GraphProgram, list[PanelWorkspace]]:
     """Build the CALU task graph as a streaming :class:`GraphProgram`.
 
-    The program has one window per panel iteration ``K`` (TSLU
-    tournament, L, U, S and optional ``C[K]`` checkpoint tasks) plus an
-    epilogue window holding the deferred left-swap task.  Windows are
+    The program (:func:`repro.core.panelloop.panel_program` over the LU
+    steps below) has one window per panel iteration ``K`` (TSLU
+    tournament, L, U, S and optional ``C[K]`` checkpoint tasks) plus,
+    past one panel, an epilogue window holding the deferred left-swap
+    task; over ``BlockLayout(m, n, b=n)`` it is the standalone TSLU
+    panel (P and L in one window).  Windows are
     emitted incrementally as predecessors complete — graph construction
     stays off the critical path and the scheduler's live set is bounded
     by the look-ahead window; ``materialize()`` emits them all up front,
@@ -148,7 +135,9 @@ def calu_program(
     corruption detectors that trigger the partial-pivoting fallback,
     the finalize tasks monitor pivot growth, and every trailing-update
     (S) task carries a finiteness guard over the block it wrote — so a
-    corrupted run can never return silently wrong factors.
+    corrupted run can never return silently wrong factors.  (Over a
+    streamed matrix only the guards on workspace buffers and the pivot
+    block are armed: see :mod:`repro.core.panelloop`.)
 
     ``update_width`` implements the paper's Section V extension: a
     trailing-update block size ``B > b`` — trailing column segments are
@@ -177,201 +166,117 @@ def calu_program(
     tasks are parent-only closures and run inline in the parent.
     """
     numeric = A is not None
-    m, n, b, N = layout.m, layout.n, layout.b, layout.N
+    m, b = layout.m, layout.b
     upd_lib = update_library or library
-    if update_width is not None and update_width < b:
-        raise ValueError(f"update_width B={update_width} must be >= b={b}")
-    if lookahead is None:
-        lookahead = lookahead_depth()
-    guards = guards and numeric
-    absmax = float(np.abs(A).max()) if guards and A.size else None
-    if numeric and store is None:
-        store = HeapBinding(A)
-    workspaces: list[PanelWorkspace] = []
-    n_panels = layout.n_panels
-    n_windows = n_panels + (1 if n_panels > 1 else 0)
+    # The growth monitor's reference magnitude reads the whole matrix —
+    # over a streamed panel a counted load of it, so in core only.
+    absmax = float(np.abs(A).max()) if guards and isinstance(A, np.ndarray) and A.size else None
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        if window >= n_panels:
-            _emit_epilogue(graph)
-            return
-        K = window
-        c0, c1 = K * b, K * b + layout.panel_width(K)
-        bk = c1 - c0
-        k0 = K * b
-        chunks = merged_chunks(layout, K, tr)
-        ws = PanelWorkspace()
-        workspaces.append(ws)
-
+    def panel(em: Emitter, chunks, ws):
+        K = em.K
+        k0, bk = K * b, layout.panel_width(K)
         add_tslu_tasks(
-            graph,
-            tracker,
-            layout,
-            K,
-            chunks,
-            tree,
-            store=store,
-            ws=ws,
-            lookahead=lookahead,
-            library=library,
-            leaf_kernel=leaf_kernel,
-            arity=arity,
-            guards=guards,
-            absmax=absmax,
-            recompute=recompute,
+            em, layout, chunks, tree, ws, library=library, leaf_kernel=leaf_kernel, arity=arity,
+            absmax=absmax, recompute=recompute,
         )
         # What every L/U/S descriptor of this panel shares: the matrix
         # and the pivot block's corner, width and columns.
-        panel = numeric and {"a": store.a_spec, "m": m, "k0": k0, "bk": bk, "c0": c0, "c1": c1}
-
+        shared = numeric and {
+            "a": em.store.a_spec, "m": m, "k0": k0, "bk": bk, "c0": k0, "c1": k0 + bk
+        }
+        # The chunks' rows below the pivot block, ``(slot, r0, r1, their
+        # blocks of column K)``: one L task each, and one S task per
+        # trailing segment.
+        below = [
+            (c.index, r0, c.r1, [(i, K) for i in range(r0 // b, c.b1)])
+            for c in chunks
+            if (r0 := max(c.r0, k0 + bk)) < c.r1
+        ]
         # Task L: blocks of the current column of L (dtrsm).
-        for chunk in chunks:
-            r0 = max(chunk.r0, k0 + bk)
-            if r0 >= chunk.r1:
-                continue
-            rows = chunk.r1 - r0
+        for slot, r0, r1, lblocks in below:
             cost = Cost(
                 "trsm_runn",
-                m=rows,
+                m=r1 - r0,
                 k=bk,
-                flops=trsm_right_flops(rows, bk),
-                words=2.0 * rows * bk + bk * bk,
+                flops=trsm_right_flops(r1 - r0, bk),
+                words=2.0 * (r1 - r0) * bk + bk * bk,
                 library=library,
             )
-            blocks = [(i, K) for i in range(r0 // b, chunk.b1)]
-            l_fn, l_meta = None, {}
-            if numeric:
-                l_fn, l_meta = op_task(store, "calu_l", {**panel, "r0": r0, "r1": chunk.r1})
-            tracker.add_task(
-                graph,
-                f"L[{K}]{chunk.index}",
-                TaskKind.L,
+            em.task(
+                f"L[{K}]{slot}",
+                "L",
                 cost,
-                fn=l_fn,
+                shared and ("calu_l", {**shared, "r0": r0, "r1": r1}),
                 reads=[(K, K)],
-                writes=blocks,
-                priority=task_priority("L", K, lookahead=lookahead, n_cols=N),
-                iteration=K,
-                **l_meta,
+                writes=lblocks,
             )
+        return (shared, below, bk, ws), [("piv", K)]
 
-        # Tasks U and S per trailing column segment.  Usually a segment
-        # is a full block column J > K, but when the panel is narrower
-        # than its block column (last panel of a wide matrix,
-        # min(m, n) % b != 0) the leftover columns of block column K
-        # form a partial leading segment.  With update_width=B > b the
-        # segments are grouped into super-segments of up to B columns
-        # (paper Section V).
-        base_segments: list[tuple[int, int, int]] = []
-        kb_end = min((K + 1) * b, n)
-        if c1 < kb_end:
-            base_segments.append((K, c1, kb_end))
-        base_segments.extend((J, *layout.col_range(J)) for J in range(K + 1, N))
-        if update_width is None:
-            segments = [(J, j0, j1, [J]) for J, j0, j1 in base_segments]
-        else:
-            segments = []
-            for J, j0, j1 in base_segments:
-                if segments and j1 - segments[-1][1] <= update_width:
-                    Jf, g0, _, cols = segments[-1]
-                    segments[-1] = (Jf, g0, j1, cols + [J])
-                else:
-                    segments.append((J, j0, j1, [J]))
-        for J, j0, j1, jcols in segments:
-            nc = j1 - j0
-            swap_words = 2.0 * bk * nc
-            cost_u = Cost(
-                "trsm_llnu",
-                m=bk,
+    def update(em: Emitter, handles, J: int, j0: int, j1: int, jcols: list[int]) -> None:
+        # Tasks U and S of one trailing segment (with update_width, a
+        # super-segment of the block columns *jcols*).
+        shared, below, bk, ws = handles
+        K, nc = em.K, j1 - j0
+        swap_words = 2.0 * bk * nc
+        cost_u = Cost(
+            "trsm_llnu",
+            m=bk,
+            n=nc,
+            k=bk,
+            flops=trsm_left_flops(bk, nc),
+            words=2.0 * bk * nc + bk * bk + swap_words,
+            library=upd_lib,
+        )
+        u_tid = em.task(
+            f"U[{K}]{J}",
+            "U",
+            cost_u,
+            shared and ("calu_u", {**shared, "j0": j0, "j1": j1, "piv": ws.piv_spec}),
+            J=J,
+            # The row swaps consume the panel's pivot sequence, so
+            # ("piv", K) joins the read footprint alongside the
+            # factored diagonal block.
+            reads=[(K, K), ("piv", K)],
+            writes=[blk for Jc in jcols for blk in layout.active_blocks(K, Jc)],
+        )
+        u_row = [(K, Jc) for Jc in jcols]
+        for slot, r0, r1, lblocks in below:
+            cost_s = Cost(
+                "gemm",
+                m=r1 - r0,
                 n=nc,
                 k=bk,
-                flops=trsm_left_flops(bk, nc),
-                words=2.0 * bk * nc + bk * bk + swap_words,
+                flops=gemm_flops(r1 - r0, nc, bk),
+                words=2.0 * (r1 - r0) * nc + (r1 - r0) * bk + bk * nc,
                 library=upd_lib,
             )
-            u_writes = [blk for Jc in jcols for blk in layout.active_blocks(K, Jc)]
-            u_fn, u_meta = None, {}
-            if numeric:
-                u_fn, u_meta = op_task(
-                    store, "calu_u", {**panel, "j0": j0, "j1": j1, "piv": ws.piv_spec}
-                )
-            u_tid = tracker.add_task(
-                graph,
-                f"U[{K}]{J}",
-                TaskKind.U,
-                cost_u,
-                fn=u_fn,
-                # The row swaps consume the panel's pivot sequence, so
-                # ("piv", K) joins the read footprint alongside the
-                # factored diagonal block.
-                reads=[(K, K), ("piv", K)],
-                writes=u_writes,
-                priority=task_priority("U", K, J, lookahead=lookahead, n_cols=N),
-                iteration=K,
-                col=J,
-                **u_meta,
-            )
-            for chunk in chunks:
-                r0 = max(chunk.r0, k0 + bk)
-                if r0 >= chunk.r1:
-                    continue
-                rows = chunk.r1 - r0
-                cost_s = Cost(
-                    "gemm",
-                    m=rows,
-                    n=nc,
-                    k=bk,
-                    flops=gemm_flops(rows, nc, bk),
-                    words=2.0 * rows * nc + rows * bk + bk * nc,
-                    library=upd_lib,
-                )
-                blocks = [(i, Jc) for Jc in jcols for i in range(r0 // b, chunk.b1)]
-                s_name = f"S[{K}]{chunk.index},{J}"
-                s_fn, s_meta = None, {}
-                if numeric:
-                    s_payload = {**panel, "r0": r0, "r1": chunk.r1, "j0": j0, "j1": j1}
-                    s_fn, s_meta = op_task(store, "calu_s", s_payload)
-                if guards and abft:
-                    # The checksum cell lives in the parent process, so
-                    # an ABFT S task is parent-only: no meta["op"].
-                    cell: list = [None]
-                    s_fn = _s_fn_abft(s_fn, s_payload, cell)
-                    s_meta = {
-                        "health": gemm_abft_guard(A, r0, chunk.r1, j0, j1, cell, s_name),
-                        "corrupt": _corrupt_block(A, r0, chunk.r1, j0, j1),
-                    }
-                elif guards:
-                    s_meta["health"] = finite_block_guard(A, r0, chunk.r1, j0, j1, s_name)
-                tracker.add_task(
-                    graph,
-                    s_name,
-                    TaskKind.S,
-                    cost_s,
-                    fn=s_fn,
-                    reads=[(i, K) for i in range(r0 // b, chunk.b1)]
-                    + [(K, Jc) for Jc in jcols],
-                    writes=blocks,
-                    extra_deps=[u_tid],
-                    priority=task_priority("S", K, J, lookahead=lookahead, n_cols=N),
-                    iteration=K,
-                    col=J,
-                    **s_meta,
-                )
-
-        if numeric and checkpoint is not None and checkpoint.should_snapshot(K):
-            checkpoint.add_snapshot_task(
-                graph,
-                tracker,
-                layout,
-                K,
-                A,
-                workspaces,
-                state_reads=[("piv", P) for P in checkpoint.covered_panels(K)],
-                priority=task_priority("X", K, lookahead=lookahead, n_cols=N) + 1.0,
-                library=library,
+            name = f"S[{K}]{slot},{J}"
+            op = shared and ("calu_s", {**shared, "r0": r0, "r1": r1, "j0": j0, "j1": j1})
+            fn, guard, hooks = None, None, {}
+            if em.block_guards and abft:
+                # The checksum cell lives in the parent process, so an
+                # ABFT S task is a parent-only closure: no descriptor.
+                cell: list = [None]
+                fn, op = _s_fn_abft(op[1], cell), None
+                guard = gemm_abft_guard(A, r0, r1, j0, j1, cell, name)
+                hooks = {"corrupt": _corrupt_block(A, r0, r1, j0, j1)}
+            elif em.block_guards:
+                guard = finite_block_guard(A, r0, r1, j0, j1, name)
+            em.task(
+                name,
+                "S",
+                cost_s,
+                op,
+                fn=fn,
+                J=J,
+                reads=lblocks + u_row,
+                writes=[(i, Jc) for Jc in jcols for i, _ in lblocks],
+                deps=[u_tid],
+                guard=guard,
+                **hooks,
             )
 
-    def _emit_epilogue(graph: TaskGraph) -> None:
+    def epilogue(graph: TaskGraph, workspaces: list[PanelWorkspace]) -> None:
         # Deferred left swaps (Algorithm 1 line 41).  Depends on all
         # sinks, i.e. transitively on the entire factorization: window
         # ordering guarantees every panel window is already emitted.
@@ -401,13 +306,11 @@ def calu_program(
             writes=swap_blocks,
         )
 
-    program = GraphProgram(
-        f"calu{layout.m}x{layout.n}b{layout.b}tr{tr}",
-        n_windows,
-        emit,
-        lookahead=lookahead,
+    return panel_program(
+        "calu", layout, tr, PanelWorkspace, panel, update, epilogue, A=A, store=store,
+        lookahead=lookahead, guards=guards, checkpoint=checkpoint, library=library,
+        update_width=update_width,
     )
-    return program, workspaces
 
 
 def panel_verdicts(layout: BlockLayout, workspaces: list[PanelWorkspace]):

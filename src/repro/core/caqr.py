@@ -23,17 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.flops import larfb_flops, tpmqrt_flops
-from repro.core.calu import merged_chunks
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth, task_priority
+from repro.core.panelloop import Emitter, panel_program
 from repro.core.trees import TreeKind
 from repro.core.tsqr import PanelQRStore, add_tsqr_tasks
 from repro.resilience.health import finite_block_guard
-from repro.runtime.graph import BlockTracker, TaskGraph
-from repro.runtime.ops import op_task
 from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
-from repro.runtime.tilestore import HeapBinding
+from repro.runtime.task import Cost
 from repro.runtime.trace import Trace
 
 __all__ = ["CAQRFactorization", "caqr", "caqr_program"]
@@ -55,18 +51,21 @@ def caqr_program(
 ) -> tuple[GraphProgram, list[PanelQRStore]]:
     """Build the CAQR task graph as a streaming :class:`GraphProgram`.
 
-    One window per panel iteration (TSQR tree, leaf/node trailing
+    :func:`repro.core.panelloop.panel_program` over the QR steps below:
+    one window per panel iteration (TSQR tree, leaf/node trailing
     updates, optional ``C[K]`` checkpoint task); symbolic when ``A`` is
-    None.  See :func:`repro.core.calu.calu_program` for the streaming
-    semantics.
+    None; over ``BlockLayout(m, n, b=n)`` the standalone TSQR panel.
+    See :func:`repro.core.calu.calu_program` for the streaming semantics.
 
     Returns ``(program, per-panel implicit-Q stores)``; the store list
     fills as panel windows are emitted.  With *guards* (numeric runs
     only) the panel tasks and trailing updates carry finiteness health
     guards: QR has no partial-pivoting fallback, so a corrupted panel
     surfaces as a fatal structured failure rather than silently wrong
-    factors.  *checkpoint* adds per-boundary ``C[K]`` snapshot tasks
-    exactly as in :func:`repro.core.calu.calu_program`.
+    factors (they read matrix blocks, so a streamed matrix arms none:
+    see :mod:`repro.core.panelloop`).  *checkpoint* adds per-boundary
+    ``C[K]`` snapshot tasks exactly as in
+    :func:`repro.core.calu.calu_program`.
 
     *store* binds *A* and the WY-factor buffers (numeric runs only):
     a :class:`~repro.runtime.tilestore.HeapBinding` of *A* by default;
@@ -76,177 +75,82 @@ def caqr_program(
     dispatch (see :func:`repro.core.calu.calu_program`).
     """
     numeric = A is not None
-    guards = guards and numeric
-    if numeric and store is None:
-        store = HeapBinding(A)
-    if lookahead is None:
-        lookahead = lookahead_depth()
-    N = layout.N
-    stores: list[PanelQRStore] = []
-    # Per-panel symbolic footprint keys of the implicit-Q factors the
-    # TSQR tasks deposit in the PanelQRStore (read back by the trailing
-    # updates and the checkpoint snapshots).  Accumulates across
-    # windows: a later C[K] task reads every covered panel's keys.
-    panel_q_keys: list[list[tuple]] = []
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        K = window
-        bk = layout.panel_width(K)
-        chunks = merged_chunks(layout, K, tr)
-        qstore = PanelQRStore() if numeric else None
-        if numeric:
-            stores.append(qstore)
-
-        handles = add_tsqr_tasks(
-            graph,
-            tracker,
-            layout,
-            K,
-            chunks,
-            tree,
-            store=store,
-            qstore=qstore,
-            lookahead=lookahead,
-            library=library,
-            leaf_kernel=leaf_kernel,
-            arity=arity,
+    def panel(em: Emitter, chunks, qstore):
+        leaves, merges = add_tsqr_tasks(
+            em, layout, chunks, tree, qstore, library=library, leaf_kernel=leaf_kernel, arity=arity
         )
-        panel_q_keys.append(
-            [("qleaf", K, slot) for slot in sorted(handles.leaf_tids)]
-            + [("qmerge", K, step.ordinal) for step in handles.merge_steps]
-        )
-        if guards:
-            # QR panel guards attach post-hoc on the TSQR handles: the
-            # leaf/merge factors must stay finite for the implicit Q to
-            # be usable at all.
-            p0 = K * layout.b
-            for slot, tid in handles.leaf_tids.items():
-                chunk = handles.leaf_chunks[slot]
-                graph.tasks[tid].meta["health"] = finite_block_guard(
-                    A, chunk.r0, chunk.r1, p0, p0 + bk, graph.tasks[tid].name
-                )
-            for step in handles.merge_steps:
-                graph.tasks[step.tid].meta["health"] = finite_block_guard(
-                    A, step.dst.r0, step.dst.r0 + bk, p0, p0 + bk, graph.tasks[step.tid].name
-                )
+        # Footprint keys of the implicit-Q factors the TSQR tasks
+        # deposit in the PanelQRStore (read back by the trailing updates
+        # and the checkpoint snapshots).
+        keys = [("qleaf", em.K, chunk.index) for chunk, _, _ in leaves]
+        keys += [("qmerge", em.K, step.ordinal) for step in merges]
+        return (leaves, merges, layout.panel_width(em.K)), keys
 
-        # Trailing column segments: full block columns J > K plus, for a
-        # panel narrower than its block column (last panel of a wide
-        # matrix), the leftover columns of block column K itself.
-        c1 = K * layout.b + bk
-        kb_end = min((K + 1) * layout.b, layout.n)
-        segments: list[tuple[int, int, int]] = []
-        if c1 < kb_end:
-            segments.append((K, c1, kb_end))
-        segments.extend((J, *layout.col_range(J)) for J in range(K + 1, N))
-        for J, j0, j1 in segments:
-            nc = j1 - j0
-            # Leaf updates: one dlarfb per (chunk, J).
-            for slot, chunk in handles.leaf_chunks.items():
-                cost = Cost(
-                    "larfb",
-                    m=chunk.rows,
-                    n=nc,
-                    k=bk,
-                    flops=larfb_flops(chunk.rows, nc, bk),
-                    words=2.0 * chunk.rows * nc + chunk.rows * bk,
-                    library=library,
-                )
-                s_name = f"S[{K}]leaf{slot},{J}"
-                s_fn, s_meta = None, {}
-                if numeric:
-                    v_spec, t_spec = handles.leaf_bufs[slot]
-                    s_fn, s_meta = op_task(
-                        store,
-                        "caqr_leaf_update",
-                        {
-                            "a": store.a_spec,
-                            "r0": chunk.r0,
-                            "r1": chunk.r1,
-                            "j0": j0,
-                            "j1": j1,
-                            "v": v_spec,
-                            "t": t_spec,
-                        },
-                    )
-                if guards:
-                    s_meta["health"] = finite_block_guard(A, chunk.r0, chunk.r1, j0, j1, s_name)
-                tracker.add_task(
-                    graph,
-                    s_name,
-                    TaskKind.S,
-                    cost,
-                    fn=s_fn,
-                    # The applied reflector comes out of the store, not
-                    # the matrix: ("qleaf", K, slot) carries that edge.
-                    reads=chunk.blocks(K) + [("qleaf", K, slot)],
-                    writes=chunk.blocks(J),
-                    extra_deps=[handles.leaf_tids[slot]],
-                    priority=task_priority("S", K, J, lookahead=lookahead, n_cols=N),
-                    iteration=K,
-                    col=J,
-                    **s_meta,
-                )
-            # Tree-node updates: tpmqrt on the two R slices per merge.
-            for step in handles.merge_steps:
-                npairs = len(step.srcs)
-                cost = Cost(
-                    "tpmqrt",
-                    m=bk,
-                    n=nc,
-                    k=bk,
-                    flops=tpmqrt_flops(bk, nc, bk) * npairs,
-                    words=(4.0 * bk * nc + bk * bk) * npairs,
-                    library=library,
-                )
-                blocks = [(step.dst.b0, J)] + [(s.b0, J) for s in step.srcs]
-                s_name = f"S[{K}]node{step.dst.index}l{step.level},{J}"
-                s_fn, s_meta = None, {}
-                if numeric:
-                    s_fn, s_meta = op_task(
-                        store,
-                        "caqr_merge_update",
-                        {"a": store.a_spec, "j0": j0, "j1": j1, "bk": bk, "pairs": step.pairs},
-                    )
-                if guards:
-                    s_meta["health"] = finite_block_guard(
-                        A, step.dst.r0, step.dst.r0 + bk, j0, j1, s_name
-                    )
-                tracker.add_task(
-                    graph,
-                    s_name,
-                    TaskKind.S,
-                    cost,
-                    fn=s_fn,
-                    reads=blocks + [("qmerge", K, step.ordinal)],
-                    writes=blocks,
-                    extra_deps=[step.tid],
-                    priority=task_priority("S", K, J, lookahead=lookahead, n_cols=N),
-                    iteration=K,
-                    col=J,
-                    **s_meta,
-                )
-
-        if numeric and checkpoint is not None and checkpoint.should_snapshot(K):
-            checkpoint.add_snapshot_task(
-                graph,
-                tracker,
-                layout,
-                K,
-                A,
-                stores,
-                state_reads=[key for P in checkpoint.covered_panels(K) for key in panel_q_keys[P]],
-                priority=task_priority("X", K, lookahead=lookahead, n_cols=N) + 1.0,
+    def update(em: Emitter, handles, J: int, j0: int, j1: int, jcols: list[int]) -> None:
+        leaves, merges, bk = handles
+        K, nc = em.K, j1 - j0
+        shared = numeric and {"a": em.store.a_spec, "j0": j0, "j1": j1}
+        # Leaf updates: one dlarfb per (chunk, J).
+        for chunk, tid, bufs in leaves:
+            cost = Cost(
+                "larfb",
+                m=chunk.rows,
+                n=nc,
+                k=bk,
+                flops=larfb_flops(chunk.rows, nc, bk),
+                words=2.0 * chunk.rows * nc + chunk.rows * bk,
                 library=library,
             )
+            name = f"S[{K}]leaf{chunk.index},{J}"
+            em.task(
+                name,
+                "S",
+                cost,
+                shared
+                and (
+                    "caqr_leaf_update",
+                    {**shared, "r0": chunk.r0, "r1": chunk.r1, "v": bufs[0], "t": bufs[1]},
+                ),
+                J=J,
+                # The applied reflector comes out of the store, not
+                # the matrix: ("qleaf", K, slot) carries that edge.
+                reads=chunk.blocks(K) + [("qleaf", K, chunk.index)],
+                writes=chunk.blocks(J),
+                deps=[tid],
+                guard=em.block_guards and finite_block_guard(A, chunk.r0, chunk.r1, j0, j1, name),
+            )
+        # Tree-node updates: tpmqrt on the two R slices per merge.
+        for step in merges:
+            npairs = len(step.srcs)
+            cost = Cost(
+                "tpmqrt",
+                m=bk,
+                n=nc,
+                k=bk,
+                flops=tpmqrt_flops(bk, nc, bk) * npairs,
+                words=(4.0 * bk * nc + bk * bk) * npairs,
+                library=library,
+            )
+            blocks = [(step.dst.b0, J)] + [(s.b0, J) for s in step.srcs]
+            name = f"S[{K}]node{step.dst.index}l{step.level},{J}"
+            top = step.dst.r0
+            em.task(
+                name,
+                "S",
+                cost,
+                shared and ("caqr_merge_update", {**shared, "bk": bk, "pairs": step.pairs}),
+                J=J,
+                reads=blocks + [("qmerge", K, step.ordinal)],
+                writes=blocks,
+                deps=[step.tid],
+                guard=em.block_guards and finite_block_guard(A, top, top + bk, j0, j1, name),
+            )
 
-    program = GraphProgram(
-        f"caqr{layout.m}x{layout.n}b{layout.b}tr{tr}",
-        layout.n_panels,
-        emit,
-        lookahead=lookahead,
+    return panel_program(
+        "caqr", layout, tr, PanelQRStore, panel, update, A=A, store=store, lookahead=lookahead,
+        guards=guards, checkpoint=checkpoint, library=library,
     )
-    return program, stores
 
 
 @dataclass

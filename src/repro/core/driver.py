@@ -1,9 +1,10 @@
 """One driver: the pipeline every factorization entry point runs.
 
 The paper's Algorithm 1 (CALU) and Algorithm 2 (CAQR) are one task
-skeleton — a panel reduction, then updates under look-ahead — that
-differs only in kernels, and the standalone panels (TSLU, TSQR) are its
-first step alone.  The difference is an :class:`Algorithm` record; the
+skeleton (:mod:`repro.core.panelloop`) — a panel reduction, then updates
+under look-ahead — that differs only in its steps, and the standalone
+panels (TSLU, TSQR) are that skeleton over the one-panel layout
+``b = n``.  The difference is an :class:`Algorithm` record; the
 steps around its builder are written once, in two halves:
 :func:`compile` (stage, build, fuse: a :class:`Plan`) and the plan's
 load / run / result, which :func:`factorize` strings together with
@@ -26,8 +27,7 @@ from repro.core.calu import CALUFactorization, calu_program, panel_verdicts
 from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
-from repro.core.tslu import tslu_program
-from repro.core.tsqr import TSQRFactorization, tsqr_program
+from repro.core.tsqr import TSQRFactorization
 from repro.machine.autotune import recommend_params
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
@@ -58,10 +58,11 @@ class Algorithm:
     ``program(layout, tr, tree, *, A=None, store=None, leaf_kernel=...,
     guards=..., checkpoint=..., **build)`` returns ``(GraphProgram,
     state)`` — symbolic when ``A`` is None.  *state* is the per-panel
-    list (each entry speaks ``to_arrays()``/``restore()``/``reset()``),
-    or a standalone panel's single one.  ``result(A, state, detach, *,
-    layout, tr, tree, trace)`` assembles what the public driver returns,
-    every array that outlives the run passed through *detach*.
+    list (each entry speaks ``to_arrays()``/``restore()``/``reset()``).
+    ``result(A, state, detach, *, layout, tr, tree, trace)`` assembles
+    what the public driver returns, every array that outlives the run
+    passed through *detach*.  A standalone *panel* is the same program
+    over the one-panel layout ``b = n`` under its own name and result.
     """
 
     kind: str  #: what the autotuner and the service call it: "lu" | "qr"
@@ -92,13 +93,13 @@ def _caqr_result(A, panels, detach, *, layout, tr, tree, trace):
     return CAQRFactorization(detach(A), panels, b=layout.b, tr=tr, tree=tree, trace=trace)
 
 
-def _tslu_result(A, ws, detach, **_):
-    return detach(A), np.array(ws.piv)
+def _tslu_result(A, panels, detach, **_):
+    return detach(A), np.array(panels[0].piv)
 
 
-def _tsqr_result(A, qstore, detach, *, layout, tr, tree, trace):
+def _tsqr_result(A, panels, detach, *, layout, tr, tree, trace):
     R = np.triu(A[: layout.n, :])  # np.triu already allocates a fresh array
-    return TSQRFactorization(layout.m, layout.n, qstore.detached(detach), R, tr=tr, tree=tree)
+    return TSQRFactorization(layout.m, layout.n, panels[0].detached(detach), R, tr=tr, tree=tree)
 
 
 #: The full factorizations, by the kind the autotuner and the service key on.
@@ -108,19 +109,8 @@ ALGORITHMS = {
 }
 
 
-def _panel(base: Algorithm, name: str, builder: Callable, result: Callable) -> Algorithm:
-    """A standalone panel: *base*'s kind and kernels, its own builder and
-    result.  The panel drivers expose neither guards nor checkpoints, so
-    those arrive at their defaults and stop here."""
-
-    def program(layout, tr, tree, *, A, store, leaf_kernel, **_):
-        return builder(A, tr, tree, leaf_kernel=leaf_kernel, store=store)
-
-    return replace(base, name=name, panel=True, program=program, result=result)
-
-
-TSLU = _panel(ALGORITHMS["lu"], "TSLU", tslu_program, _tslu_result)
-TSQR = _panel(ALGORITHMS["qr"], "TSQR", tsqr_program, _tsqr_result)
+TSLU = replace(ALGORITHMS["lu"], name="TSLU", panel=True, result=_tslu_result)
+TSQR = replace(ALGORITHMS["qr"], name="TSQR", panel=True, result=_tsqr_result)
 
 
 def algorithm(kind: str) -> Algorithm:
@@ -171,7 +161,7 @@ class Plan:
         self.program.materialize()
         self.A[...] = A
         absmax = float(np.abs(A).max())
-        for panel in self.state if isinstance(self.state, list) else [self.state]:
+        for panel in self.state:
             panel.reset(absmax)
 
     def source(self, executor):

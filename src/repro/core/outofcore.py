@@ -11,10 +11,11 @@ memory one leaf block at a time.
 they stage the panel into the store, bind it as a
 :class:`~repro.runtime.tilestore.StreamedBinding` and hand that to the
 in-memory drivers' own :func:`~repro.core.driver.compile` (the ``TSQR``
-/ ``TSLU`` programs, knob validation included).  Every task loads the
-rows it slices and writes back the block it updated, so what is resident
-is one window per running task plus the ``O(tr · b²)`` workspace
-(candidates, ``T`` factors), never the panel.
+/ ``TSLU`` records — CAQR/CALU over the one-panel layout — knob
+validation included).  Every task loads the rows it slices and writes
+back the block it updated, so what is resident is one window per running
+task plus the ``O(tr · b²)`` workspace (candidates, ``T`` factors),
+never the panel.
 
 :func:`tsqr_ooc`
     Flat-tree TSQR with implicit ``Q``: each leaf block is loaded,
@@ -69,6 +70,7 @@ import numpy as np
 
 from repro.core.driver import TSLU, TSQR, compile, validate_knobs
 from repro.core.layout import BlockLayout, Chunk
+from repro.core.panelloop import merged_chunks
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
 from repro.kernels.qr import extract_v, geqr3
@@ -145,22 +147,16 @@ def plan_chunks(
     tr: int | None = None,
     memory_budget: int | None = None,
     n_workers: int = 1,
-    merge_tail: bool = True,
 ) -> list[Chunk]:
     """Row-chunk a panel so streaming fits a fast-memory budget.
 
     With *tr* the chunking is exactly the in-memory drivers'; with
     *memory_budget* (bytes) *tr* is derived first (:func:`_plan_tr`).
-    The partition itself is the drivers' own: ``merge_tail`` applies
-    the tail-merge policy TSQR shares with CALU
-    (:func:`repro.core.calu.merged_chunks`); TSLU uses the plain
-    :meth:`BlockLayout.panel_chunks`.
+    The partition itself is the panel loop's own
+    (:func:`repro.core.panelloop.merged_chunks`).
     """
-    from repro.core.calu import merged_chunks  # shared chunk policy
-
-    layout = BlockLayout(m, n, b=n)
     tr = _plan_tr(m, n, tr, memory_budget, n_workers)
-    return merged_chunks(layout, 0, tr) if merge_tail else layout.panel_chunks(0, tr)
+    return merged_chunks(BlockLayout(m, n, b=n), 0, tr)
 
 
 def _stage_panel(
@@ -215,12 +211,11 @@ class StoreHandle:
 
 @contextmanager
 def _streamed(
-    alg, merge_tail, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
-    check_finite,
+    alg, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel, check_finite
 ):
-    """Stage *source* into *store* (chunked with or without
-    *merge_tail*, as *alg*'s in-memory driver does), bind it, compile
-    *alg* over the binding and run that: yields ``(plan, handle)`` — the
+    """Stage *source* into *store* (chunked as the in-memory drivers
+    chunk), bind it, compile *alg* over the binding and run that:
+    yields ``(plan, handle)`` — the
     driver's :class:`~repro.core.driver.Plan`, its knobs validated
     before a byte is staged, and the shape and :class:`StoreHandle`
     fields of the result.  The binding's window bound is the plan's
@@ -233,7 +228,7 @@ def _streamed(
         raise ValueError(f"{alg.name.lower()} requires a tall panel (m >= n), got {src.shape}")
     tr = _plan_tr(m, n, tr, memory_budget, n_workers)
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
-    chunks = plan_chunks(m, n, tr=tr, merge_tail=merge_tail)
+    chunks = plan_chunks(m, n, tr=tr)
     tiles, owned = open_store(store, spill_dir)
     try:
         a_spec = _stage_panel(tiles, src, chunks, check_finite)
@@ -284,11 +279,11 @@ def tsqr_ooc(
     it (or use it as a context manager) once done with ``Q``.
     """
     with _streamed(
-        TSQR, True, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers,
-        leaf_kernel, check_finite,
+        TSQR, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
+        check_finite,
     ) as (plan, handle):
         R = np.triu(plan.A[: handle["n"], :])
-        return OOCTSQRFactorization(store=plan.state, R=R, tr=plan.tr, tree=plan.tree, **handle)
+        return OOCTSQRFactorization(store=plan.state[0], R=R, tr=plan.tr, tree=plan.tree, **handle)
 
 
 @dataclass
@@ -335,10 +330,10 @@ def tslu_ooc(
     paths can run.
     """
     with _streamed(
-        TSLU, False, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
+        TSLU, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
         check_finite,
     ) as (plan, handle):
-        ws = plan.state
+        ws = plan.state[0]
         return OOCPanelLU(piv=np.array(ws.piv), recovered=ws.recomputed, **handle)
 
 
@@ -410,9 +405,7 @@ def direct_tsqr(
     m, n = src.shape
     if m < n:
         raise ValueError(f"direct_tsqr requires a tall panel (m >= n), got {src.shape}")
-    chunks = plan_chunks(
-        m, n, tr=tr, memory_budget=memory_budget, n_workers=1, merge_tail=True
-    )
+    chunks = plan_chunks(m, n, tr=tr, memory_budget=memory_budget, n_workers=1)
     store_obj = q_spec = None
     owned = False
     try:

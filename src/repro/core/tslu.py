@@ -6,12 +6,13 @@ candidate pivot rows by Gaussian elimination with partial pivoting
 GEPP sweeps up a reduction tree (task P at inner nodes).  The winning
 ``b`` rows are swapped to the top of the panel and the pivot block is
 factored without further pivoting (the *finalize* step); the remaining
-panel rows become ``L`` via triangular solves (task L, emitted by the
-caller — CALU — or by :func:`tslu` for a standalone panel).
+panel rows become ``L`` via triangular solves (task L, emitted by CALU).
 
-This module provides both the task-graph builder used by CALU and a
-standalone :func:`tslu` driver for factoring a single tall-skinny
-panel, the operation the paper benchmarks against ``MKL_dgetf2``.
+This module provides the tournament as the panel loop's P step for LU
+(:func:`add_tslu_tasks`, see :mod:`repro.core.panelloop`) and the
+standalone :func:`tslu` driver for a single tall-skinny panel — CALU
+over the one-panel layout ``b = n`` — the operation the paper
+benchmarks against ``MKL_dgetf2``.
 
 Resilience: leaf tasks are *idempotent* (they read the matrix and
 overwrite only their own candidate slot), so the runtime may retry
@@ -28,19 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.flops import lu_flops, lu_panel_flops, trsm_right_flops
+from repro.analysis.flops import lu_flops, lu_panel_flops
 from repro.core.layout import BlockLayout, Chunk
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.resilience.events import ResilienceEvent
 from repro.resilience.health import DEFAULT_GROWTH_LIMIT
-from repro.runtime.graph import BlockTracker, TaskGraph
-from repro.runtime.ops import op_task
-from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
-from repro.runtime.tilestore import HeapBinding
+from repro.runtime.task import Cost
 
-__all__ = ["PanelWorkspace", "add_tslu_tasks", "tslu", "tslu_program"]
+__all__ = ["PanelWorkspace", "add_tslu_tasks", "tslu"]
 
 
 @dataclass
@@ -212,57 +209,46 @@ def _panel_guard(
 
 
 def add_tslu_tasks(
-    graph: TaskGraph,
-    tracker: BlockTracker,
+    em: Emitter,
     layout: BlockLayout,
-    K: int,
     chunks: list[Chunk],
-    tree: TreeKind = TreeKind.BINARY,
+    tree: TreeKind,
+    ws: PanelWorkspace | None,
     *,
-    store=None,
-    ws: PanelWorkspace | None = None,
-    lookahead: int = 1,
     library: str = "repro",
     leaf_kernel: str = "rgetf2",
     arity: int = 4,
-    guards: bool = True,
     absmax: float | None = None,
     recompute: bool = True,
-) -> int:
-    """Emit the TSLU tasks for panel *K*; returns the finalize task id.
+) -> None:
+    """Emit the TSLU tasks of the emitter's panel: the loop's P step for LU.
 
-    With ``store=None`` the tasks are symbolic (cost-only).  *chunks*
-    is the row partition for this iteration (from
-    :meth:`BlockLayout.panel_chunks`, possibly tail-merged).
-
-    Numeric tasks are descriptors over *store*, the binding of the
-    matrix they factor in place (a
-    :class:`~repro.runtime.tilestore.HeapBinding`, a
+    *chunks* is the row partition of this iteration.  Numeric tasks are
+    descriptors over ``em.store``, the binding of the matrix they factor
+    in place (a :class:`~repro.runtime.tilestore.HeapBinding`, a
     :class:`~repro.runtime.shm.ShmBinding` or, out of core, a
-    :class:`~repro.runtime.tilestore.StreamedBinding`): *ws* gets its candidate
-    slots, flags and pivot buffer allocated from it, and every task is
-    ``op_task(store, ...)`` — the same body on every backend,
-    dispatchable to a
+    :class:`~repro.runtime.tilestore.StreamedBinding`): *ws* gets its
+    candidate slots, flags and pivot buffer allocated from it — the same
+    body on every backend, dispatchable to a
     :class:`~repro.runtime.process.ProcessExecutor` worker when the
-    binding is process-shared.
+    binding is process-shared.  A symbolic emitter's tasks carry costs
+    only (*ws* is None).
 
-    With *guards* (numeric runs only) the tournament tasks carry
-    ``meta["health"]`` closures that detect corrupted candidate buffers
-    and trigger the partial-pivoting fallback, plus ``meta["corrupt"]``
-    hooks so a :class:`~repro.resilience.faults.FaultPlan` can target
-    the workspace instead of the matrix.  *absmax* (the matrix's
-    pre-factorization magnitude, kept on *ws*) enables the pivot-growth
-    monitor on the finalize task.  *recompute* lets the finalize task
-    repair a corrupted tournament by replaying it from the clean panel
-    data (identical pivots) before degrading to partial pivoting.
+    With ``em.guards`` the tournament tasks carry ``meta["health"]``
+    closures that detect corrupted candidate buffers and trigger the
+    partial-pivoting fallback, plus ``meta["corrupt"]`` hooks so a
+    :class:`~repro.resilience.faults.FaultPlan` can target the workspace
+    instead of the matrix, and the finalize guards its pivot block.
+    *absmax* (the matrix's pre-factorization magnitude, kept on *ws*)
+    enables the pivot-growth monitor on the finalize task.  *recompute*
+    lets the finalize task repair a corrupted tournament by replaying it
+    from the clean panel data (identical pivots) before degrading to
+    partial pivoting.
     """
-    c0, c1 = layout.col_range(K)
-    c1 = min(c1, K * layout.b + layout.panel_width(K))
-    bk = c1 - c0
-    k0 = K * layout.b
-    m = layout.m
+    K, store = em.K, em.store
+    m, k0, bk = layout.m, K * layout.b, layout.panel_width(K)
+    c0, c1 = k0, k0 + bk
     numeric = store is not None
-    prio_p = task_priority("P", K, lookahead=lookahead, n_cols=layout.N)
     slots = [c.index for c in chunks]
     root = slots[0]
     if numeric:
@@ -278,13 +264,12 @@ def add_tslu_tasks(
     def cand(slot: int) -> tuple:
         return ("cand", K, slot)
 
-    def tournament_task(name: str, slot: int, opname: str, payload: dict) -> tuple:
-        """``(fn, meta)`` of a numeric leaf/merge task writing candidate *slot*."""
-        fn, meta = op_task(store, opname, payload)
-        if guards:
-            meta["health"] = _candidate_guard(ws, slot, K, name)
+    def tournament_task(name: str, slot: int, cost: Cost, op, reads: list, **meta) -> None:
+        """A leaf/merge task writing candidate *slot*, guarded there."""
+        if em.guards:
+            meta["guard"] = _candidate_guard(ws, slot, K, name)
             meta["corrupt"] = _corrupt_candidates(ws, slot)
-        return fn, meta
+        em.task(name, "P", cost, op, reads=reads, writes=[cand(slot)], **meta)
 
     for chunk in chunks:
         cost = Cost(
@@ -295,36 +280,21 @@ def add_tslu_tasks(
             words=2.0 * chunk.rows * bk,
             library=library,
         )
-        name = f"P[{K}]leaf{chunk.index}"
-        fn, meta = None, {}
-        if numeric:
-            fn, meta = tournament_task(
-                name,
-                chunk.index,
-                "tslu_leaf",
-                {
-                    "a": store.a_spec,
-                    "r0": chunk.r0,
-                    "r1": chunk.r1,
-                    "c0": c0,
-                    "c1": c1,
-                    "k0": k0,
-                    "leaf_kernel": leaf_kernel,
-                    "slot": ws.slot_specs[chunk.index],
-                },
-            )
-        tracker.add_task(
-            graph,
-            name,
-            TaskKind.P,
-            cost,
-            fn=fn,
-            reads=chunk.blocks(K),
-            writes=[cand(chunk.index)],
-            priority=prio_p,
-            iteration=K,
-            idempotent=numeric,
-            **meta,
+        op = numeric and (
+            "tslu_leaf",
+            {
+                "a": store.a_spec,
+                "r0": chunk.r0,
+                "r1": chunk.r1,
+                "c0": c0,
+                "c1": c1,
+                "k0": k0,
+                "leaf_kernel": leaf_kernel,
+                "slot": ws.slot_specs[chunk.index],
+            },
+        )
+        tournament_task(
+            f"P[{K}]leaf{chunk.index}", chunk.index, cost, op, chunk.blocks(K), idempotent=numeric
         )
 
     merges: list[tuple[int, list[int]]] = []  # (dst, srcs) in level order
@@ -343,37 +313,21 @@ def add_tslu_tasks(
                 words=2.0 * stacked * bk,
                 library=library,
             )
-            name = f"P[{K}]merge{dst}<{','.join(map(str, srcs))}"
-            fn, meta = None, {}
-            if numeric:
-                fn, meta = tournament_task(
-                    name,
-                    dst,
-                    "tslu_merge",
-                    {
-                        "srcs": [ws.slot_specs[s] for s in srcs],
-                        "dst": ws.slot_specs[dst],
-                        "bk": bk,
-                        "leaf_kernel": leaf_kernel,
-                        "flags": ws.flags_spec,
-                    },
-                )
+            op = numeric and (
+                "tslu_merge",
+                {
+                    "srcs": [ws.slot_specs[s] for s in srcs],
+                    "dst": ws.slot_specs[dst],
+                    "bk": bk,
+                    "leaf_kernel": leaf_kernel,
+                    "flags": ws.flags_spec,
+                },
+            )
             # Dependencies are derived from the candidate-slot keys:
             # RAW on each source producer, WAW on the previous writer
-            # of the destination slot — identical to the hand-wired
-            # edge list this used to pass, but now verifiable.
-            tracker.add_task(
-                graph,
-                name,
-                TaskKind.P,
-                cost,
-                fn=fn,
-                reads=[cand(s) for s in srcs],
-                writes=[cand(dst)],
-                priority=prio_p,
-                iteration=K,
-                **meta,
-            )
+            # of the destination slot.
+            name = f"P[{K}]merge{dst}<{','.join(map(str, srcs))}"
+            tournament_task(name, dst, cost, op, [cand(s) for s in srcs])
             cand_rows[dst] = min(stacked, bk)
 
     r = min(bk, m - k0)
@@ -386,116 +340,36 @@ def add_tslu_tasks(
         library=library,
     )
     name = f"F[{K}]"
-    fn, meta = None, {}
-    if numeric:
-        fn, meta = op_task(
-            store,
-            "tslu_finalize",
-            {
-                "a": store.a_spec,
-                "k0": k0,
-                "m": m,
-                "c0": c0,
-                "c1": c1,
-                "root": ws.slot_specs[root],
-                "flags": ws.flags_spec,
-                "piv": ws.piv_spec,
-                "leaves": [(c.index, c.r0, c.r1) for c in chunks],
-                "merges": merges,
-                "leaf_kernel": leaf_kernel,
-                "allow_recompute": bool(recompute),
-            },
-        )
-        if guards:
-            meta["health"] = _panel_guard(store.A, k0, r, c0, c1, ws, K, name)
+    op = numeric and (
+        "tslu_finalize",
+        {
+            "a": store.a_spec,
+            "k0": k0,
+            "m": m,
+            "c0": c0,
+            "c1": c1,
+            "root": ws.slot_specs[root],
+            "flags": ws.flags_spec,
+            "piv": ws.piv_spec,
+            "leaves": [(c.index, c.r0, c.r1) for c in chunks],
+            "merges": merges,
+            "leaf_kernel": leaf_kernel,
+            "allow_recompute": bool(recompute),
+        },
+    )
     # The finalize swaps + factors the whole active panel column (its
     # declared writes), consumes the tournament winner and publishes
     # the pivot sequence the U tasks and the deferred left swaps read.
     panel_blocks = layout.active_blocks(K, K)
-    finalize = tracker.add_task(
-        graph,
+    em.task(
         name,
-        TaskKind.P,
+        "F",
         fin_cost,
-        fn=fn,
+        op,
         reads=[cand(root)] + panel_blocks,
         writes=panel_blocks + [("piv", K)],
-        priority=task_priority("F", K, lookahead=lookahead, n_cols=layout.N),
-        iteration=K,
-        **meta,
+        guard=em.guards and _panel_guard(em.A, k0, r, c0, c1, ws, K, name),
     )
-    return finalize
-
-
-def tslu_program(
-    A: np.ndarray,
-    tr: int = 4,
-    tree: TreeKind = TreeKind.BINARY,
-    *,
-    leaf_kernel: str = "rgetf2",
-    store=None,
-) -> tuple[GraphProgram, PanelWorkspace]:
-    """Streaming program for one standalone TSLU panel.
-
-    Window 0 is the tournament (leaves + reduction tree + finalize),
-    window 1 the ``L`` triangular solves below the pivot block — so the
-    solves are not even created until the tournament is underway.
-    *A* must already be a float C-ordered tall array (``m >= n``) — or
-    the matrix of a streamed binding; it is factored in place.  *store*
-    binds it (default: the heap; see :func:`add_tslu_tasks`).  Returns
-    ``(program, panel workspace)``.
-    """
-    m, n = A.shape
-    layout = BlockLayout(m, n, b=n)
-    chunks = layout.panel_chunks(0, tr)
-    ws = PanelWorkspace()
-    if store is None:
-        store = HeapBinding(A)
-
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        if window == 0:
-            add_tslu_tasks(
-                graph,
-                tracker,
-                layout,
-                0,
-                chunks,
-                tree,
-                store=store,
-                ws=ws,
-                leaf_kernel=leaf_kernel,
-            )
-            return
-        # L tasks: the rows below the pivot block, one trsm per chunk.
-        for chunk in chunks:
-            r0 = max(chunk.r0, n)
-            if r0 >= chunk.r1:
-                continue
-            cost = Cost(
-                "trsm_runn",
-                m=chunk.r1 - r0,
-                k=n,
-                flops=trsm_right_flops(chunk.r1 - r0, n),
-                words=2.0 * (chunk.r1 - r0) * n,
-            )
-            fn, meta = op_task(
-                store,
-                "calu_l",
-                {"a": store.a_spec, "k0": 0, "c0": 0, "c1": n, "r0": r0, "r1": chunk.r1},
-            )
-            tracker.add_task(
-                graph,
-                f"L[0]{chunk.index}",
-                TaskKind.L,
-                cost,
-                fn=fn,
-                reads=[(0, 0)],
-                writes=chunk.blocks(0),
-                priority=task_priority("L", 0),
-                **meta,
-            )
-
-    return GraphProgram(f"tslu{m}x{n}", 2, emit), ws
 
 
 def tslu(

@@ -22,25 +22,20 @@ import numpy as np
 
 from repro.analysis.flops import qr_flops, tpqrt_tt_flops
 from repro.core.layout import BlockLayout, Chunk
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.kernels.qr import larfb_left_t
 from repro.kernels.structured import tpmqrt_left_t
-from repro.runtime.graph import BlockTracker, TaskGraph
-from repro.runtime.ops import op_task
-from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
-from repro.runtime.tilestore import HeapBinding
+from repro.resilience.health import finite_block_guard
+from repro.runtime.task import Cost
 
 __all__ = [
     "LeafFactor",
     "MergeFactor",
     "PanelQRStore",
-    "TSQRTasks",
     "add_tsqr_tasks",
     "TSQRFactorization",
     "tsqr",
-    "tsqr_program",
 ]
 
 
@@ -160,61 +155,44 @@ class MergeStep:
     ordinal: int = 0
 
 
-@dataclass
-class TSQRTasks:
-    """Handles returned by :func:`add_tsqr_tasks` for the CAQR builder."""
-
-    leaf_tids: dict[int, int]
-    leaf_chunks: dict[int, Chunk]
-    merge_steps: list[MergeStep]
-    #: Per leaf slot, the ``(V, T)`` buffer specs (numeric builds only)
-    #: the CAQR leaf-update descriptors reference.
-    leaf_bufs: dict[int, tuple] = field(default_factory=dict)
-
-
 def add_tsqr_tasks(
-    graph: TaskGraph,
-    tracker: BlockTracker,
+    em: Emitter,
     layout: BlockLayout,
-    K: int,
     chunks: list[Chunk],
-    tree: TreeKind = TreeKind.BINARY,
+    tree: TreeKind,
+    qstore: PanelQRStore | None,
     *,
-    store=None,
-    qstore: PanelQRStore | None = None,
-    lookahead: int = 1,
     library: str = "repro_qr",
     leaf_kernel: str = "geqr3",
     arity: int = 4,
-) -> TSQRTasks:
-    """Emit the TSQR panel tasks (leaf QRs + tree merges) for panel *K*.
+) -> tuple[list[tuple], list[MergeStep]]:
+    """Emit the TSQR tasks (leaf QRs + tree merges) of the emitter's
+    panel: the loop's P step for QR.
 
-    Returns the task handles CAQR uses to attach trailing updates.
-    With ``store=None`` the tasks are symbolic.  Numeric tasks are
-    descriptors over *store*, the binding of the matrix they factor in
-    place (a :class:`~repro.runtime.tilestore.HeapBinding`, a
+    Returns what CAQR attaches trailing updates to: the leaves as
+    ``(chunk, task id, (V, T) buffer specs)`` and the merge steps.
+    Numeric tasks are descriptors over ``em.store``, the binding of the
+    matrix they factor in place (a
+    :class:`~repro.runtime.tilestore.HeapBinding`, a
     :class:`~repro.runtime.shm.ShmBinding` or, out of core, a
     :class:`~repro.runtime.tilestore.StreamedBinding`): the WY factors
-    live in buffers allocated from it, *qstore*'s entries are created
-    here as views of those buffers, and the returned handles carry the
-    buffer specs the CAQR trailing updates need.
+    live in buffers allocated from it and *qstore*'s entries are created
+    here as views of those buffers.  A symbolic emitter's tasks carry
+    costs only (*qstore* is None, the buffer specs too).
+
+    With ``em.block_guards`` every task guards the finiteness of the
+    ``R`` block it leaves in the matrix: QR has no fallback, so a
+    corrupted panel is a fatal structured failure.
     """
+    K, store, A = em.K, em.store, em.A
     numeric = store is not None
-    if isinstance(store, PanelQRStore) or (numeric and qstore is None):
-        raise TypeError(
-            "store= is the heap/shm binding of the matrix; the PanelQRStore "
-            "that receives the implicit Q goes in qstore="
-        )
     c0 = K * layout.b
     c1 = c0 + layout.panel_width(K)
     bk = c1 - c0
-    dtype = store.A.dtype if numeric else None
-    prio_p = task_priority("P", K, lookahead=lookahead, n_cols=layout.N)
+    dtype = A.dtype if numeric else None
+    shared = numeric and {"a": store.a_spec, "c0": c0, "c1": c1}  # of every descriptor here
 
-    leaf_tids: dict[int, int] = {}
-    leaf_chunks: dict[int, Chunk] = {}
-    leaf_bufs: dict[int, tuple] = {}
-    by_slot = {c.index: c for c in chunks}
+    leaves: list[tuple] = []
     for chunk in chunks:
         cost = Cost(
             leaf_kernel,
@@ -224,53 +202,37 @@ def add_tsqr_tasks(
             words=2.0 * chunk.rows * bk,
             library=library,
         )
-        fn, meta = None, {}
+        op = bufs = None
         if numeric:
             k = min(chunk.rows, bk)  # reflector count of this leaf
             v_view, v_spec = store.alloc_v(chunk.r0, chunk.r1, c0, c1)
             t_view, t_spec = store.alloc((k, k), dtype)
-            leaf_bufs[chunk.index] = (v_spec, t_spec)
+            bufs = (v_spec, t_spec)
             qstore.leaves[chunk.index] = LeafFactor(
                 slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=v_view, T=t_view
             )
-            fn, meta = op_task(
-                store,
-                "tsqr_leaf",
-                {
-                    "a": store.a_spec,
-                    "r0": chunk.r0,
-                    "r1": chunk.r1,
-                    "c0": c0,
-                    "c1": c1,
-                    "kernel": leaf_kernel,
-                    "v": v_spec,
-                    "t": t_spec,
-                },
-            )
+            rows = {"r0": chunk.r0, "r1": chunk.r1}
+            op = ("tsqr_leaf", {**shared, **rows, "kernel": leaf_kernel, "v": v_spec, "t": t_spec})
         # ("qleaf", K, slot) keys the WY factor this task deposits in
         # the panel's PanelQRStore — read later by the trailing updates
         # that apply the leaf reflector.
-        tid = tracker.add_task(
-            graph,
-            f"P[{K}]leaf{chunk.index}",
-            TaskKind.P,
+        name = f"P[{K}]leaf{chunk.index}"
+        tid = em.task(
+            name,
+            "P",
             cost,
-            fn=fn,
+            op,
             reads=chunk.blocks(K),
             writes=chunk.blocks(K) + [("qleaf", K, chunk.index)],
-            priority=prio_p,
-            iteration=K,
-            **meta,
+            guard=em.block_guards and finite_block_guard(A, chunk.r0, chunk.r1, c0, c1, name),
         )
-        leaf_tids[chunk.index] = tid
-        leaf_chunks[chunk.index] = chunk
+        leaves.append((chunk, tid, bufs))
 
     merge_steps: list[MergeStep] = []
-    slots = [c.index for c in chunks]
-    for lvl, level in enumerate(reduction_schedule(len(slots), tree, arity), start=1):
+    for lvl, level in enumerate(reduction_schedule(len(chunks), tree, arity), start=1):
         for dst_pos, src_pos in level:
-            dst = by_slot[slots[dst_pos]]
-            srcs = [by_slot[slots[p]] for p in src_pos if slots[p] != slots[dst_pos]]
+            dst = chunks[dst_pos]
+            srcs = [chunks[p] for p in src_pos if p != dst_pos]
             cost = Cost(
                 "tpqrt_tt",
                 m=2 * bk,
@@ -282,7 +244,7 @@ def add_tsqr_tasks(
             )
             ordinal = len(merge_steps)
             rblocks = [(dst.b0, K)] + [(s.b0, K) for s in srcs]
-            fn, meta, pairs = None, {}, []
+            op, pairs = None, []
             if numeric:
                 for src in srcs:
                     vb_view, vb_spec = store.alloc((bk, bk), dtype)
@@ -291,39 +253,21 @@ def add_tsqr_tasks(
                     qstore.merges.append(
                         MergeFactor(top0=dst.r0, bot0=src.r0, r=bk, Vb=vb_view, T=t_view)
                     )
-                fn, meta = op_task(
-                    store,
-                    "tsqr_merge",
-                    {"a": store.a_spec, "c0": c0, "c1": c1, "bk": bk, "pairs": pairs},
-                )
-            tid = tracker.add_task(
-                graph,
-                f"P[{K}]merge{dst.index}<{','.join(str(s.index) for s in srcs)}",
-                TaskKind.P,
+                op = ("tsqr_merge", {**shared, "bk": bk, "pairs": pairs})
+            name = f"P[{K}]merge{dst.index}<{','.join(str(s.index) for s in srcs)}"
+            tid = em.task(
+                name,
+                "P",
                 cost,
-                fn=fn,
+                op,
                 reads=rblocks,
                 writes=rblocks + [("qmerge", K, ordinal)],
-                priority=prio_p,
-                iteration=K,
-                **meta,
+                guard=em.block_guards and finite_block_guard(A, dst.r0, dst.r0 + bk, c0, c1, name),
             )
             merge_steps.append(
-                MergeStep(
-                    tid=tid,
-                    level=lvl,
-                    dst=dst,
-                    srcs=srcs,
-                    ordinal=ordinal,
-                    pairs=pairs,
-                )
+                MergeStep(tid=tid, level=lvl, dst=dst, srcs=srcs, ordinal=ordinal, pairs=pairs)
             )
-    return TSQRTasks(
-        leaf_tids=leaf_tids,
-        leaf_chunks=leaf_chunks,
-        merge_steps=merge_steps,
-        leaf_bufs=leaf_bufs,
-    )
+    return leaves, merge_steps
 
 
 @dataclass
@@ -365,47 +309,6 @@ class TSQRFactorization:
 
         y = self.apply_qt(rhs)
         return scipy.linalg.solve_triangular(self.R, y[: self.n])
-
-
-def tsqr_program(
-    A: np.ndarray,
-    tr: int = 4,
-    tree: TreeKind = TreeKind.FLAT,
-    *,
-    leaf_kernel: str = "geqr3",
-    store=None,
-) -> tuple[GraphProgram, PanelQRStore]:
-    """Streaming program for one standalone TSQR panel (one window
-    holding the leaf factorizations and the reduction-tree merges).
-
-    *A* must already be a float C-ordered tall array (``m >= n``) — or
-    the matrix of a streamed binding; it is factored in place.  *store*
-    binds it (default: the heap; see :func:`add_tsqr_tasks`).  Returns
-    ``(program, implicit-Q store)``.
-    """
-    m, n = A.shape
-    layout = BlockLayout(m, n, b=n)
-    from repro.core.calu import merged_chunks  # shared chunk policy
-
-    chunks = merged_chunks(layout, 0, tr)
-    qstore = PanelQRStore()
-    if store is None:
-        store = HeapBinding(A)
-
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        add_tsqr_tasks(
-            graph,
-            tracker,
-            layout,
-            0,
-            chunks,
-            tree,
-            store=store,
-            qstore=qstore,
-            leaf_kernel=leaf_kernel,
-        )
-
-    return GraphProgram(f"tsqr{m}x{n}", 1, emit), qstore
 
 
 def tsqr(

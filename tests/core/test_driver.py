@@ -25,6 +25,7 @@ from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
 from repro.machine import autotune as at
 from repro.machine.presets import generic
+from repro.resilience import FaultPlan, RuntimeFailure
 from repro.runtime.fuse import fuse_program
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
@@ -319,3 +320,68 @@ def test_close_unlinks_the_plans_arena_and_is_idempotent():
     plan.close()
     plan.close()
     assert not any(os.path.exists(path) for path in segments)
+
+
+# ---------------------------------------------------------------------------
+# One panel loop: a standalone panel is the full algorithm over b = n
+# ---------------------------------------------------------------------------
+
+#: (m, n, tr); (100, 30, 4) and (70, 16, 4) end in a chunk shorter than n,
+#: which TSLU alone used to keep as a tournament leaf.
+PANEL_SHAPES = [(2560, 32, 8), (1003, 16, 5), (100, 30, 4), (70, 16, 4), (50, 50, 3)]
+
+
+def test_a_panel_record_is_the_full_algorithm_renamed():
+    assert driver.TSLU.program is driver.ALGORITHMS["lu"].program
+    assert driver.TSQR.program is driver.ALGORITHMS["qr"].program
+    assert driver.TSLU.panel and driver.TSQR.panel
+
+
+@pytest.mark.parametrize("tree", [TreeKind.BINARY, TreeKind.FLAT], ids=lambda t: t.value)
+@pytest.mark.parametrize("m,n,tr", PANEL_SHAPES)
+def test_a_panel_is_bitwise_the_one_panel_factorization(m, n, tr, tree):
+    A = np.random.default_rng(21).standard_normal((m, n))
+    lu, piv = tslu(A, tr=tr, tree=tree)
+    full = calu(A, b=n, tr=tr, tree=tree)
+    assert np.array_equal(lu, full.lu) and np.array_equal(piv, full.piv)
+    panel, full = tsqr(A, tr=tr, tree=tree), caqr(A, b=n, tr=tr, tree=tree)
+    assert np.array_equal(panel.R, full.R)
+    (store,) = full.panels
+    got, want = panel.store.to_arrays(), store.to_arrays()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _hooks(graph) -> set[tuple[str, str]]:
+    return {(t.name, hook) for t in graph.tasks for hook in ("health", "corrupt") if hook in t.meta}
+
+
+def test_the_panel_drivers_follow_the_guard_rule():
+    """``guards and check_finite``, as calu/caqr: tslu used to arm its
+    tournament guards whatever the caller said, tsqr armed none."""
+    for panel_driver in (tslu, tsqr):
+        executor = Sequential()
+        panel_driver(_panel(), tr=3, executor=executor, check_finite=False)
+        assert _hooks(executor.got) == set()
+    executor = Sequential()
+    tslu(_panel(), tr=3, executor=executor)
+    assert {("P[0]leaf0", "health"), ("P[0]leaf0", "corrupt"), ("F[0]", "health")} <= _hooks(
+        executor.got
+    )
+    executor = Sequential()
+    tsqr(_panel(), tr=3, executor=executor)
+    assert _hooks(executor.got) == {
+        (name, "health") for name in ("P[0]leaf0", "P[0]leaf1", "P[0]leaf2", "P[0]merge0<1,2")
+    }
+
+
+def test_a_nan_in_a_tsqr_leaf_is_a_structured_failure():
+    # The leaf's own guard names it; the parent commit only noticed at
+    # the end of the run, in the result's last line of defense.
+    A = np.ascontiguousarray(_panel())
+    plan = FaultPlan(seed=0, corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1, target=A[:8])
+    with pytest.raises(RuntimeFailure) as caught:
+        tsqr(A, tr=3, executor=ThreadedExecutor(1, fault_plan=plan), overwrite=True)
+    assert caught.value.failure_kind == "health" and caught.value.task == "P[0]leaf0"
+    assert [event.kind for event in plan.injected] == ["fault_corrupt"]

@@ -1,0 +1,157 @@
+"""Golden graphs: the builders emit, task for task, the graphs of commit 0110052.
+
+``golden_graphs.json`` holds one CRC32 per case over every task's name,
+kind, dependencies, priority, iteration, idempotence, ``Cost`` fields,
+declared footprint, descriptor (op name + payload coordinates, buffers
+reduced to their shapes) and which resilience hooks it carries, plus the
+program's name and window ranges — recorded at the commit *before*
+Algorithms 1 and 2 were folded into one panel loop (ISSUE 21).  The
+factors are pinned by ``test_golden_digests.py``; this pins what the
+simulator, the autotuner and the verify passes read: the symbolic costs
+behind every ``SimulatedExecutor`` figure, the emission order the
+per-window fusion and the journal's resume ranges depend on, and the
+guards each knob arms.
+
+``python -m tests.core.test_golden_graphs`` re-records the file (only
+ever meaningful when an issue *intends* to change the graphs).
+"""
+
+from __future__ import annotations
+
+import json
+import zlib
+from dataclasses import astuple
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.calu import calu_program
+from repro.core.caqr import caqr_program
+from repro.core.layout import BlockLayout
+from repro.core.trees import TreeKind
+from repro.resilience.checkpoint import Checkpoint
+from tests.core.test_golden_digests import SHAPES, TREES  # (m, n, b, tr) x {binary, flat}
+
+GOLDEN = Path(__file__).with_name("golden_graphs.json")
+PROGRAMS = {"lu": calu_program, "qr": caqr_program}
+
+#: One-panel layouts (b = n): what a standalone TSLU/TSQR panel compiles.
+PANELS = [(2560, 32, 32, 8), (1003, 16, 16, 5), (100, 30, 30, 4), (70, 16, 16, 4), (50, 50, 50, 3)]
+
+#: Builder knobs, each on a ragged and a square shape, binary tree, numeric.
+VARIANTS = {
+    "lu": {
+        "update_width": {"update_width": 40},
+        "abft": {"abft": True},
+        "noguards": {"guards": False},
+        "lookahead0": {"lookahead": 0},
+        "lookahead2": {"lookahead": 2},
+        "getf2": {"leaf_kernel": "getf2"},
+        "mkl_updates": {"update_library": "mkl"},
+        "norecompute": {"recompute": False},
+        "checkpoint": {"checkpoint": 2},
+    },
+    "qr": {
+        "noguards": {"guards": False},
+        "lookahead0": {"lookahead": 0},
+        "geqr2": {"leaf_kernel": "geqr2"},
+        "checkpoint": {"checkpoint": 2},
+    },
+}
+VARIANT_SHAPES = [(256, 256, 16, 2), (100, 70, 16, 4)]
+
+CASES = [
+    (kind, *shape, tree, mode, "plain")
+    for kind in PROGRAMS
+    for shape in SHAPES
+    for tree in TREES
+    for mode in ("numeric", "symbolic")
+]
+CASES += [
+    (kind, *shape, tree, "numeric", "plain")
+    for kind in PROGRAMS
+    for shape in PANELS
+    for tree in TREES
+]
+CASES += [
+    (kind, *shape, TreeKind.BINARY, "numeric", variant)
+    for kind, variants in VARIANTS.items()
+    for variant in variants
+    for shape in VARIANT_SHAPES
+]
+
+
+def case_id(case) -> str:
+    kind, m, n, b, tr, tree, mode, variant = case
+    return f"{kind}-{m}x{n}b{b}tr{tr}-{tree.value}-{mode}-{variant}"
+
+
+def _plain(value):
+    """A payload value as plain data: buffers become their shape and dtype."""
+    if isinstance(value, np.ndarray):
+        return ("buf", value.shape, value.dtype.str)
+    if isinstance(value, dict):
+        return sorted((key, _plain(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _task_record(graph, task) -> tuple:
+    fn = task.fn
+    if isinstance(fn, partial):  # the one numeric form: partial(run_op, (opname, payload))
+        opname, payload = fn.args[0]
+        body = (opname, _plain(payload))
+    else:
+        body = None if fn is None else "closure"
+    meta = task.meta
+    return (
+        task.name,
+        task.kind.value,
+        sorted(graph.preds[task.tid]),
+        task.priority,
+        task.iteration,
+        task.idempotent,
+        astuple(task.cost),
+        sorted(map(repr, task.reads)),
+        sorted(map(repr, task.writes)),
+        body,
+        "op" in meta,
+        "health" in meta,
+        "corrupt" in meta,
+        meta.get("col"),
+    )
+
+
+def digest(case) -> int:
+    kind, m, n, b, tr, tree, mode, variant = case
+    build = dict(VARIANTS[kind].get(variant, {}))
+    if "checkpoint" in build:
+        build["checkpoint"] = Checkpoint(interval=build["checkpoint"], async_writes=False)
+    A = None
+    if mode == "numeric":
+        A = np.random.default_rng(20240613).standard_normal((m, n))
+    program, _ = PROGRAMS[kind](BlockLayout(m, n, b), tr, tree, A=A, **build)
+    graph = program.materialize()
+    record = (
+        program.name,
+        program.n_windows,
+        program.lookahead,
+        program.windows,
+        [_task_record(graph, task) for task in graph.tasks],
+    )
+    return zlib.crc32(repr(record).encode())
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_graph_matches_parent_commit(case):
+    golden = json.loads(GOLDEN.read_text())
+    assert digest(case) == golden[case_id(case)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({case_id(c): digest(c) for c in CASES}, indent=1) + "\n")

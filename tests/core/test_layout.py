@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calu import merged_chunks
+from repro.core.panelloop import merged_chunks
 from repro.core.layout import BlockLayout
 
 

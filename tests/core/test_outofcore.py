@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.io_model import panel_io_ca_flat, panel_io_tsqr_flat, predicted_panel_io
+from repro.core.calu import calu_program
+from repro.core.layout import BlockLayout
 from repro.core.outofcore import (
     MatrixSource,
     as_source,
@@ -17,7 +19,7 @@ from repro.core.outofcore import (
     tsqr_ooc,
 )
 from repro.core.trees import TreeKind
-from repro.core.tslu import tslu, tslu_program
+from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
 from repro.counters import counting
 from repro.kernels.lu import piv_to_perm
@@ -52,9 +54,9 @@ def test_plan_chunks_budget_bounds_block_height():
     assert all(c.rows <= 4 * n for c in chunks)
     assert chunks[-1].r1 == 1000
     # Explicit tr pins the exact in-memory chunking.
-    assert [
-        (c.r0, c.r1) for c in plan_chunks(1000, n, tr=4, merge_tail=False)
-    ] == [(0, 256), (256, 512), (512, 768), (768, 1000)]
+    assert [(c.r0, c.r1) for c in plan_chunks(1000, n, tr=4)] == [
+        (0, 256), (256, 512), (512, 768), (768, 1000)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +187,12 @@ def test_corrupted_tournament_is_replayed_out_of_core():
     with SharedArena() as tiles:
         spec = tiles.spec(tiles.place(A))
         binding = StreamedBinding(tiles, spec, max_rows=m // tr)
-        program, ws = tslu_program(binding.A, tr, TreeKind.BINARY, store=binding)
+        program, panels = calu_program(
+            BlockLayout(m, n, n), tr, TreeKind.BINARY, A=binding.A, store=binding
+        )
         before = tiles.io.read_bytes
         trace = ThreadedExecutor(2, fault_plan=plan).run(program)
+        (ws,) = panels
         assert ws.recomputed and not ws.degraded
         counts = trace.resilience_summary()
         assert counts["fault_corrupt"] >= 1 and counts["recompute"] == 1

@@ -24,8 +24,6 @@ from repro.core.caqr import caqr_program, caqr
 from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
-from repro.core.tslu import tslu_program
-from repro.core.tsqr import tsqr_program
 from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
@@ -111,13 +109,15 @@ def test_baseline_programs_materialize_identically(make_program, make_eager):
 
 
 def test_tslu_tsqr_programs_are_deterministic():
+    # A standalone panel is the full builder over the one-panel layout.
     A = make_rng(7).standard_normal((64, 16))
-    p1, _ = tslu_program(A.copy(), tr=4)
-    p2, _ = tslu_program(A.copy(), tr=4)
-    assert p1.n_windows == 2  # tournament window + L-trsm window
+    panel = BlockLayout(64, 16, 16)
+    p1, _ = calu_program(panel, 4, A=A.copy())
+    p2, _ = calu_program(panel, 4, A=A.copy())
+    assert p1.n_windows == 1  # tournament + L solves, no left-swap epilogue
     assert_equivalent(p1.materialize(), p2.materialize())
-    q1, _ = tsqr_program(A.copy(), tr=4)
-    q2, _ = tsqr_program(A.copy(), tr=4)
+    q1, _ = caqr_program(panel, 4, A=A.copy())
+    q2, _ = caqr_program(panel, 4, A=A.copy())
     assert q1.n_windows == 1
     assert_equivalent(q1.materialize(), q2.materialize())
 

@@ -117,21 +117,6 @@ def test_custom_executor():
     assert np.linalg.norm(A0 - Q @ f.R) / np.linalg.norm(A0) < 1e-13
 
 
-def test_builder_rejects_q_store_as_binding():
-    # store= names the matrix binding; the PanelQRStore goes in qstore=.
-    from repro.core.layout import BlockLayout
-    from repro.core.tsqr import PanelQRStore, add_tsqr_tasks
-    from repro.runtime.graph import BlockTracker, TaskGraph
-    from repro.runtime.tilestore import HeapBinding
-
-    layout = BlockLayout(40, 5, b=5)
-    args = (TaskGraph(), BlockTracker(), layout, 0, layout.panel_chunks(0, 2))
-    with pytest.raises(TypeError, match="qstore="):
-        add_tsqr_tasks(*args, store=PanelQRStore())
-    with pytest.raises(TypeError, match="qstore="):
-        add_tsqr_tasks(*args, store=HeapBinding(np.zeros((40, 5))))
-
-
 def test_orthogonalization_use_case():
     """The paper's motivating application: orthogonalize a block of vectors."""
     V = make_rng(16).standard_normal((500, 6))

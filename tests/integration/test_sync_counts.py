@@ -9,27 +9,20 @@ chain) and dynamically (sync events counted by the simulator).
 
 import math
 
-import numpy as np
-
-from repro.core.calu import calu_program, merged_chunks
+from repro.core.calu import calu_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind, tree_height
-from repro.core.tslu import add_tslu_tasks
-from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.task import TaskKind
 
 
 def panel_depth(m: int, b: int, tr: int, tree: TreeKind) -> int:
     """Length of the longest P-task dependency chain of one panel."""
-    layout = BlockLayout(m, b, b)
-    graph = TaskGraph()
-    tracker = BlockTracker()
-    chunks = merged_chunks(layout, 0, tr)
-    add_tslu_tasks(graph, tracker, layout, 0, chunks, tree)
+    graph = calu_program(BlockLayout(m, b, b), tr, tree)[0].materialize()
     depth = [0] * len(graph.tasks)
     for t in graph.topological_order():
         for s in graph.succs[t]:
-            depth[s] = max(depth[s], depth[t] + 1)
+            if graph.tasks[s].kind is TaskKind.P:
+                depth[s] = max(depth[s], depth[t] + 1)
     return max(depth) + 1
 
 

@@ -483,9 +483,11 @@ class TestCountersAndSpans:
         assert trace.stats["messages"] == 1
         for a, b in zip(recs, recs[1:]):
             assert a.end <= b.start
-        assert all(0.02 <= r.duration < 0.05 for r in recs)
+        # (No upper bound on a span or on dispatch: a shared host can
+        # stretch either; the sleeps are a floor.)
+        assert all(r.duration >= 0.02 for r in recs)
         assert 0.0 <= recs[0].start and recs[-1].end <= wall
-        assert 0.0 <= trace.stats["dispatch_seconds"] < wall - 0.08
+        assert 0.0 <= trace.stats["dispatch_seconds"] <= wall
 
 
 class TestTaskTimeoutInTheQueue:
