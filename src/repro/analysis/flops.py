@@ -2,8 +2,10 @@
 
 Used in three roles:
 
-* builders attach these to task :class:`~repro.runtime.task.Cost`
-  descriptors so the simulated machine can price paper-scale problems;
+* :data:`KERNELS` prices every task: :meth:`Cost.of
+  <repro.runtime.task.Cost.of>` fills a task's flops and words from its
+  kernel name and dimensions, so the simulated machine can price
+  paper-scale problems (and :mod:`repro.verify.lint` re-derives them);
 * the benchmark harness converts simulated makespans into GFLOP/s with
   the *standard* algorithm counts (``2/3 n³`` for LU, ``2mn² - 2n³/3``
   for QR), matching how the paper normalizes its plots — the extra
@@ -18,6 +20,7 @@ precision (a multiply-add pair is two flops).
 from __future__ import annotations
 
 __all__ = [
+    "KERNELS",
     "gemm_flops",
     "trsm_left_flops",
     "trsm_right_flops",
@@ -135,3 +138,64 @@ def tslu_extra_flops(m: int, b: int, tr: int, binary: bool = True) -> float:
 def tsqr_tree_flops(b: int, tr: int) -> float:
     """Flops in the merge levels of a TSQR reduction over ``tr`` leaves."""
     return (tr - 1) * tpqrt_tt_flops(b)
+
+
+def _panel_words(m: int, n: int, k: int) -> float:
+    return 2.0 * m * n  # the panel, read and written once
+
+
+def _apply_words(m: int, n: int, k: int) -> float:
+    return 2.0 * m * n + m * k  # the updated tile both ways plus the reflectors / multipliers
+
+
+def _gemm_words(m: int, n: int, k: int) -> float:
+    return 2.0 * m * n + m * k + k * n
+
+
+def _stacked_words(m: int, n: int, k: int) -> float:
+    return 2.0 * m * n + n * n  # a dense tile under an n x n triangle
+
+
+def _no_flops(m: int, n: int, k: int) -> float:
+    return 0.0
+
+
+def _mn(flops):
+    """A closed form of ``(m, n)`` alone, as a table entry of ``(m, n, k)``."""
+    return lambda m, n, k: flops(m, n)
+
+
+#: The one kernel table: cost-kernel name -> ``(flops, words)``, each a
+#: closed form of the ``Cost`` dimensions ``(m, n, k)`` for one unit
+#: operation.  ``words`` is the default traffic of the kernel's operands;
+#: a site with more (row swaps riding on a ``trsm``) adds to it.
+KERNELS = {
+    # BLAS3 updates.
+    "gemm": (gemm_flops, _gemm_words),
+    "trsm_runn": (lambda m, n, k: trsm_right_flops(m, k), lambda m, n, k: 2.0 * m * k + k * k),
+    "trsm_llnu": (lambda m, n, k: trsm_left_flops(k, n), lambda m, n, k: 2.0 * k * n + k * k),
+    "larfb": (larfb_flops, _apply_words),
+    # Panel and leaf factorizations.
+    "getf2": (_mn(lu_flops), _panel_words),
+    "rgetf2": (_mn(lu_flops), _panel_words),
+    "getrf_panel": (_mn(lu_flops), _panel_words),
+    "getrf_tile": (_mn(lu_flops), _panel_words),
+    "geqr2": (_mn(qr_flops), _panel_words),
+    "geqr3": (_mn(qr_flops), _panel_words),
+    "geqrf_panel": (_mn(qr_flops), _panel_words),
+    "geqrt_tile": (_mn(qr_flops), _panel_words),
+    # Tournament merge and the pivot block's refactorization.
+    "gepp_merge": (lambda m, n, k: lu_panel_flops(m, min(m, n)), _panel_words),
+    "getf2_nopiv": (lambda m, n, k: lu_panel_flops(m, min(m, n)), _panel_words),
+    # Structured tree / tile kernels.
+    "tpqrt_ts": (_mn(tpqrt_ts_flops), _stacked_words),
+    "tpqrt_tt": (lambda m, n, k: tpqrt_tt_flops(n), lambda m, n, k: 3.0 * n * n),
+    "tpmqrt": (tpmqrt_flops, lambda m, n, k: 4.0 * k * n + k * k),
+    "tsmqr_tile": (tpmqrt_flops, _apply_words),
+    "tstrf": (_mn(tstrf_flops), _stacked_words),
+    "gessm": (lambda m, n, k: trsm_left_flops(k, n), _apply_words),
+    "ssssm": (ssssm_flops, _gemm_words),
+    # Pure data movement: priced by words alone.
+    "laswp": (_no_flops, _panel_words),
+    "copy": (_no_flops, _panel_words),
+}

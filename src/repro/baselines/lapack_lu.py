@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.flops import gemm_flops, lu_flops, trsm_left_flops
 from repro.core.layout import BlockLayout
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.kernels.lu import getf2, getrf
-from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
@@ -52,20 +51,9 @@ def getrf_lu(
 def build_getf2_graph(m: int, n: int, library: str = "mkl") -> TaskGraph:
     """A single monolithic BLAS2 LU task — the ``dgetf2`` baseline."""
     graph = TaskGraph(f"getf2{m}x{n}")
-    r = min(m, n)
-    graph.add(
-        "getf2",
-        TaskKind.P,
-        Cost(
-            "getf2",
-            m=m,
-            n=n,
-            flops=lu_flops(m, n),
-            # BLAS2 sweeps the trailing panel once per column.
-            words=float(m) * r,
-            library=library,
-        ),
-    )
+    # BLAS2 sweeps the trailing panel once per column.
+    cost = Cost.of("getf2", m, n, words=float(m) * min(m, n), library=library)
+    graph.add("getf2", TaskKind.P, cost)
     return graph
 
 
@@ -89,85 +77,52 @@ def getrf_program(
     dimensions, so the update scales; only the panel is serial).
     """
     layout = BlockLayout(m, n, b)
-    N = layout.N
     prev_iter_tasks: list[int] = []
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
+    def emit(K: int, graph: TaskGraph, tracker) -> None:
         nonlocal prev_iter_tasks
-        K = window
+        em = Emitter(graph, tracker, None, False, K, lookahead, layout.N)
         k0 = K * b
         bk = layout.panel_width(K)
-        rows_active = m - k0
-        panel_cost = Cost(
-            panel_kernel,
-            m=rows_active,
-            n=bk,
-            flops=lu_flops(rows_active, bk),
-            words=2.0 * rows_active * bk,
-            library=library,
-        )
-        panel_tid = tracker.add_task(
-            graph,
+        panel_tid = em.task(
             f"panel[{K}]",
-            TaskKind.P,
-            panel_cost,
+            "P",
+            Cost.of(panel_kernel, m - k0, bk, library=library),
+            reads=(),
             writes=layout.active_blocks(K, K),
             # Fork-join: classic libraries barrier between iterations —
             # the panel cannot overlap the previous trailing update.
-            extra_deps=prev_iter_tasks if fork_join else (),
-            priority=task_priority("P", K, lookahead=lookahead, n_cols=N),
-            iteration=K,
+            deps=prev_iter_tasks if fork_join else (),
         )
         prev_iter_tasks = [panel_tid]
         chunks = layout.panel_chunks(K, row_chunks)
-        for J in range(K + 1, N):
+        for J in range(K + 1, layout.N):
             j0, j1 = layout.col_range(J)
             nc = j1 - j0
-            u_tid = tracker.add_task(
-                graph,
+            u_tid = em.task(
                 f"U[{K}]{J}",
-                TaskKind.U,
-                Cost(
-                    "trsm_llnu",
-                    m=bk,
-                    n=nc,
-                    k=bk,
-                    flops=trsm_left_flops(bk, nc),
-                    words=2.0 * bk * nc + bk * bk + 2.0 * bk * nc,
-                    library=library,
-                ),
+                "U",
+                # The pivot apply rides on the solve: nc columns, both ways.
+                Cost.of("trsm_llnu", bk, nc, bk, extra_words=2.0 * bk * nc, library=library),
+                J=J,
                 reads=[(K, K)],
                 writes=layout.active_blocks(K, J),
-                priority=task_priority("U", K, J, lookahead=lookahead, n_cols=N),
-                iteration=K,
             )
             prev_iter_tasks.append(u_tid)
             for chunk in chunks:
                 r0 = max(chunk.r0, k0 + bk)
                 if r0 >= chunk.r1:
                     continue
-                rows = chunk.r1 - r0
-                s_tid = tracker.add_task(
-                    graph,
+                lblocks = range(r0 // b, chunk.b1)
+                s_tid = em.task(
                     f"S[{K}]{chunk.index},{J}",
-                    TaskKind.S,
-                    Cost(
-                        "gemm",
-                        m=rows,
-                        n=nc,
-                        k=bk,
-                        flops=gemm_flops(rows, nc, bk),
-                        words=2.0 * rows * nc + rows * bk + bk * nc,
-                        library=library,
-                    ),
-                    reads=[(i, K) for i in range(r0 // b, chunk.b1)] + [(K, J)],
-                    writes=[(i, J) for i in range(r0 // b, chunk.b1)],
-                    extra_deps=[u_tid],
-                    priority=task_priority("S", K, J, lookahead=lookahead, n_cols=N),
-                    iteration=K,
+                    "S",
+                    Cost.of("gemm", chunk.r1 - r0, nc, bk, library=library),
+                    J=J,
+                    reads=[(i, K) for i in lblocks] + [(K, J)],
+                    writes=[(i, J) for i in lblocks],
+                    deps=[u_tid],
                 )
                 prev_iter_tasks.append(s_tid)
 
-    return GraphProgram(
-        f"getrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead
-    )
+    return GraphProgram(f"getrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.flops import larfb_flops, qr_flops
 from repro.core.layout import BlockLayout
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.kernels.qr import geqr2, geqrf
-from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
@@ -50,19 +49,9 @@ def geqrf_qr(
 def build_geqr2_graph(m: int, n: int, library: str = "mkl") -> TaskGraph:
     """A single monolithic BLAS2 QR task — the ``dgeqr2`` baseline."""
     graph = TaskGraph(f"geqr2{m}x{n}")
-    r = min(m, n)
-    graph.add(
-        "geqr2",
-        TaskKind.P,
-        Cost(
-            "geqr2",
-            m=m,
-            n=n,
-            flops=qr_flops(m, n),
-            words=float(m) * r,
-            library=library,
-        ),
-    )
+    # BLAS2 sweeps the trailing panel once per column.
+    cost = Cost.of("geqr2", m, n, words=float(m) * min(m, n), library=library)
+    graph.add("geqr2", TaskKind.P, cost)
     return graph
 
 
@@ -82,57 +71,33 @@ def geqrf_program(
     block column — the update cannot be row-chunked.
     """
     layout = BlockLayout(m, n, b)
-    N = layout.N
     prev_iter_tasks: list[int] = []
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
+    def emit(K: int, graph: TaskGraph, tracker) -> None:
         nonlocal prev_iter_tasks
-        K = window
-        k0 = K * b
+        em = Emitter(graph, tracker, None, False, K, lookahead, layout.N)
+        rows_active = m - K * b
         bk = layout.panel_width(K)
-        rows_active = m - k0
-        panel_tid = tracker.add_task(
-            graph,
+        panel_tid = em.task(
             f"panel[{K}]",
-            TaskKind.P,
-            Cost(
-                panel_kernel,
-                m=rows_active,
-                n=bk,
-                flops=qr_flops(rows_active, bk),
-                words=2.0 * rows_active * bk,
-                library=library,
-            ),
+            "P",
+            Cost.of(panel_kernel, rows_active, bk, library=library),
+            reads=(),
             writes=layout.active_blocks(K, K),
             # Fork-join: the vendor panel barriers on the previous update.
-            extra_deps=prev_iter_tasks if fork_join else (),
-            priority=task_priority("P", K, lookahead=lookahead, n_cols=N),
-            iteration=K,
+            deps=prev_iter_tasks if fork_join else (),
         )
         prev_iter_tasks = [panel_tid]
-        for J in range(K + 1, N):
+        for J in range(K + 1, layout.N):
             j0, j1 = layout.col_range(J)
-            nc = j1 - j0
-            s_tid = tracker.add_task(
-                graph,
+            s_tid = em.task(
                 f"S[{K}]{J}",
-                TaskKind.S,
-                Cost(
-                    "larfb",
-                    m=rows_active,
-                    n=nc,
-                    k=bk,
-                    flops=larfb_flops(rows_active, nc, bk),
-                    words=2.0 * rows_active * nc + rows_active * bk,
-                    library=library,
-                ),
+                "S",
+                Cost.of("larfb", rows_active, j1 - j0, bk, library=library),
+                J=J,
                 reads=[(i, K) for i in range(K, layout.M)],
                 writes=layout.active_blocks(K, J),
-                priority=task_priority("S", K, J, lookahead=lookahead, n_cols=N),
-                iteration=K,
             )
             prev_iter_tasks.append(s_tid)
 
-    return GraphProgram(
-        f"geqrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead
-    )
+    return GraphProgram(f"geqrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead)

@@ -24,15 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from repro.analysis.flops import lu_flops, ssssm_flops, trsm_left_flops, tstrf_flops
 from repro.core.layout import BlockLayout
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.kernels.blas import gemm, laswp, trsm_llnu
 from repro.kernels.lu import getf2
 from repro.kernels.structured import TstrfOps, ssssm_apply, tstrf
-from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
+from repro.runtime.task import Cost
 
 __all__ = ["TiledLU", "tiled_lu", "tiled_lu_program"]
 
@@ -149,92 +148,46 @@ def tiled_lu_program(
     """Symbolic PLASMA tiled LU as a streaming program (one window per
     tile column) for the simulator."""
     lay = BlockLayout(m, n, nb)
-    N = lay.N
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        k = window
+    def emit(k: int, graph: TaskGraph, tracker) -> None:
+        em = Emitter(graph, tracker, None, False, k, lookahead, lay.N)
         rk = lay.row_range(k)[1] - lay.row_range(k)[0]
         ck = lay.col_range(k)[1] - lay.col_range(k)[0]
-        tracker.add_task(
-            graph,
+        widths = [(j, lay.col_range(j)[1] - lay.col_range(j)[0]) for j in range(k + 1, lay.N)]
+        em.task(
             f"getrf[{k}]",
-            TaskKind.P,
-            Cost(
-                "getrf_tile",
-                m=rk,
-                n=ck,
-                flops=lu_flops(rk, ck),
-                words=2.0 * rk * ck,
-                library=library,
-            ),
+            "P",
+            Cost.of("getrf_tile", rk, ck, library=library),
+            reads=(),
             writes=[(k, k)],
-            priority=task_priority("P", k, lookahead=lookahead, n_cols=N),
-            iteration=k,
         )
-        for j in range(k + 1, N):
-            cj = lay.col_range(j)[1] - lay.col_range(j)[0]
-            tracker.add_task(
-                graph,
+        for j, cj in widths:
+            em.task(
                 f"gessm[{k},{j}]",
-                TaskKind.U,
-                Cost(
-                    "gessm",
-                    m=rk,
-                    n=cj,
-                    k=ck,
-                    flops=trsm_left_flops(ck, cj),
-                    words=2.0 * rk * cj + rk * ck,
-                    library=library,
-                ),
+                "U",
+                Cost.of("gessm", rk, cj, ck, library=library),
+                J=j,
                 reads=[(k, k), (k, j)],
                 writes=[(k, j)],
-                priority=task_priority("U", k, j, lookahead=lookahead, n_cols=N),
-                iteration=k,
-                col=j,
             )
         for i in range(k + 1, lay.M):
             ri = lay.row_range(i)[1] - lay.row_range(i)[0]
-            tracker.add_task(
-                graph,
+            # Reads and updates the running U_kk: serial chain down column k.
+            em.task(
                 f"tstrf[{i},{k}]",
-                TaskKind.P,
-                Cost(
-                    "tstrf",
-                    m=ri,
-                    n=ck,
-                    k=ck,
-                    flops=tstrf_flops(ri, ck),
-                    words=2.0 * ri * ck + ck * ck,
-                    library=library,
-                ),
-                # Reads and updates the running U_kk: serial chain down column k.
+                "P",
+                Cost.of("tstrf", ri, ck, ck, library=library),
                 reads=[(k, k), (i, k)],
                 writes=[(k, k), (i, k)],
-                priority=task_priority("P", k, lookahead=lookahead, n_cols=N),
-                iteration=k,
             )
-            for j in range(k + 1, N):
-                cj = lay.col_range(j)[1] - lay.col_range(j)[0]
-                tracker.add_task(
-                    graph,
+            for j, cj in widths:
+                em.task(
                     f"ssssm[{i},{k},{j}]",
-                    TaskKind.S,
-                    Cost(
-                        "ssssm",
-                        m=ri,
-                        n=cj,
-                        k=ck,
-                        flops=ssssm_flops(ri, cj, ck),
-                        words=2.0 * ri * cj + ri * ck + ck * cj,
-                        library=library,
-                    ),
+                    "S",
+                    Cost.of("ssssm", ri, cj, ck, library=library),
+                    J=j,
                     reads=[(i, k), (k, j), (i, j)],
                     writes=[(k, j), (i, j)],
-                    priority=task_priority("S", k, j, lookahead=lookahead, n_cols=N),
-                    iteration=k,
-                    col=j,
                 )
 
-    return GraphProgram(
-        f"tiled_lu{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead
-    )
+    return GraphProgram(f"tiled_lu{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead)

@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from repro.analysis.flops import larfb_flops, qr_flops, tpmqrt_flops, tpqrt_ts_flops
 from repro.core.layout import BlockLayout
-from repro.core.priorities import task_priority
+from repro.core.panelloop import Emitter
 from repro.kernels.qr import extract_v, geqr2, larfb_left_t, larft
 from repro.kernels.structured import tpmqrt_left_t, tpqrt
-from repro.runtime.graph import BlockTracker, TaskGraph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
-from repro.runtime.task import Cost, TaskKind
+from repro.runtime.task import Cost
 
 __all__ = ["TiledQR", "tiled_qr", "tiled_qr_program"]
 
@@ -160,91 +159,47 @@ def tiled_qr_program(
     """Symbolic PLASMA tiled QR as a streaming program (one window per
     tile column) for the simulator."""
     lay = BlockLayout(m, n, nb)
-    N = lay.N
 
-    def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
-        k = window
+    def emit(k: int, graph: TaskGraph, tracker) -> None:
+        em = Emitter(graph, tracker, None, False, k, lookahead, lay.N)
         rk = lay.row_range(k)[1] - lay.row_range(k)[0]
         ck = lay.col_range(k)[1] - lay.col_range(k)[0]
-        tracker.add_task(
-            graph,
+        widths = [(j, lay.col_range(j)[1] - lay.col_range(j)[0]) for j in range(k + 1, lay.N)]
+        em.task(
             f"geqrt[{k}]",
-            TaskKind.P,
-            Cost(
-                "geqrt_tile",
-                m=rk,
-                n=ck,
-                flops=qr_flops(rk, ck),
-                words=2.0 * rk * ck,
-                library=library,
-            ),
+            "P",
+            Cost.of("geqrt_tile", rk, ck, library=library),
+            reads=(),
             writes=[(k, k)],
-            priority=task_priority("P", k, lookahead=lookahead, n_cols=N),
-            iteration=k,
         )
-        for j in range(k + 1, N):
-            cj = lay.col_range(j)[1] - lay.col_range(j)[0]
-            tracker.add_task(
-                graph,
+        # Every unmqr[k,*] before any tsqrt[*,k]: they read tile (k, k),
+        # which the tsqrt chain overwrites (the WAR edge).
+        for j, cj in widths:
+            em.task(
                 f"unmqr[{k},{j}]",
-                TaskKind.S,
-                Cost(
-                    "larfb",
-                    m=rk,
-                    n=cj,
-                    k=ck,
-                    flops=larfb_flops(rk, cj, ck),
-                    words=2.0 * rk * cj + rk * ck,
-                    library=library,
-                ),
+                "S",
+                Cost.of("larfb", rk, cj, ck, library=library),
+                J=j,
                 reads=[(k, k), (k, j)],
                 writes=[(k, j)],
-                priority=task_priority("S", k, j, lookahead=lookahead, n_cols=N),
-                iteration=k,
-                col=j,
             )
         for i in range(k + 1, lay.M):
             ri = lay.row_range(i)[1] - lay.row_range(i)[0]
-            tracker.add_task(
-                graph,
+            em.task(
                 f"tsqrt[{i},{k}]",
-                TaskKind.P,
-                Cost(
-                    "tpqrt_ts",
-                    m=ri,
-                    n=ck,
-                    k=ck,
-                    flops=tpqrt_ts_flops(ri, ck),
-                    words=2.0 * ri * ck + ck * ck,
-                    library=library,
-                ),
+                "P",
+                Cost.of("tpqrt_ts", ri, ck, ck, library=library),
                 reads=[(k, k), (i, k)],
                 writes=[(k, k), (i, k)],
-                priority=task_priority("P", k, lookahead=lookahead, n_cols=N),
-                iteration=k,
             )
-            for j in range(k + 1, N):
-                cj = lay.col_range(j)[1] - lay.col_range(j)[0]
-                tracker.add_task(
-                    graph,
+            for j, cj in widths:
+                em.task(
                     f"tsmqr[{i},{k},{j}]",
-                    TaskKind.S,
-                    Cost(
-                        "tsmqr_tile",
-                        m=ri,
-                        n=cj,
-                        k=ck,
-                        flops=tpmqrt_flops(ri, cj, ck),
-                        words=2.0 * ri * cj + ri * ck,
-                        library=library,
-                    ),
+                    "S",
+                    Cost.of("tsmqr_tile", ri, cj, ck, library=library),
+                    J=j,
                     reads=[(i, k), (k, j), (i, j)],
                     writes=[(k, j), (i, j)],
-                    priority=task_priority("S", k, j, lookahead=lookahead, n_cols=N),
-                    iteration=k,
-                    col=j,
                 )
 
-    return GraphProgram(
-        f"tiled_qr{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead
-    )
+    return GraphProgram(f"tiled_qr{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead)

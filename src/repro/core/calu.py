@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from repro.analysis.flops import gemm_flops, trsm_left_flops, trsm_right_flops
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import Emitter, panel_program
 from repro.core.priorities import task_priority
@@ -194,18 +193,10 @@ def calu_program(
         ]
         # Task L: blocks of the current column of L (dtrsm).
         for slot, r0, r1, lblocks in below:
-            cost = Cost(
-                "trsm_runn",
-                m=r1 - r0,
-                k=bk,
-                flops=trsm_right_flops(r1 - r0, bk),
-                words=2.0 * (r1 - r0) * bk + bk * bk,
-                library=library,
-            )
             em.task(
                 f"L[{K}]{slot}",
                 "L",
-                cost,
+                Cost.of("trsm_runn", r1 - r0, 0, bk, library=library),
                 shared and ("calu_l", {**shared, "r0": r0, "r1": r1}),
                 reads=[(K, K)],
                 writes=lblocks,
@@ -217,20 +208,11 @@ def calu_program(
         # super-segment of the block columns *jcols*).
         shared, below, bk, ws = handles
         K, nc = em.K, j1 - j0
-        swap_words = 2.0 * bk * nc
-        cost_u = Cost(
-            "trsm_llnu",
-            m=bk,
-            n=nc,
-            k=bk,
-            flops=trsm_left_flops(bk, nc),
-            words=2.0 * bk * nc + bk * bk + swap_words,
-            library=upd_lib,
-        )
         u_tid = em.task(
             f"U[{K}]{J}",
             "U",
-            cost_u,
+            # The panel's row swaps ride on the solve: nc columns, both ways.
+            Cost.of("trsm_llnu", bk, nc, bk, extra_words=2.0 * bk * nc, library=upd_lib),
             shared and ("calu_u", {**shared, "j0": j0, "j1": j1, "piv": ws.piv_spec}),
             J=J,
             # The row swaps consume the panel's pivot sequence, so
@@ -241,15 +223,6 @@ def calu_program(
         )
         u_row = [(K, Jc) for Jc in jcols]
         for slot, r0, r1, lblocks in below:
-            cost_s = Cost(
-                "gemm",
-                m=r1 - r0,
-                n=nc,
-                k=bk,
-                flops=gemm_flops(r1 - r0, nc, bk),
-                words=2.0 * (r1 - r0) * nc + (r1 - r0) * bk + bk * nc,
-                library=upd_lib,
-            )
             name = f"S[{K}]{slot},{J}"
             op = shared and ("calu_s", {**shared, "r0": r0, "r1": r1, "j0": j0, "j1": j1})
             fn, guard, hooks = None, None, {}
@@ -265,7 +238,7 @@ def calu_program(
             em.task(
                 name,
                 "S",
-                cost_s,
+                Cost.of("gemm", r1 - r0, nc, bk, library=upd_lib),
                 op,
                 fn=fn,
                 J=J,

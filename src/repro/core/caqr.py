@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.flops import larfb_flops, tpmqrt_flops
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import Emitter, panel_program
 from repro.core.trees import TreeKind
@@ -93,20 +92,11 @@ def caqr_program(
         shared = numeric and {"a": em.store.a_spec, "j0": j0, "j1": j1}
         # Leaf updates: one dlarfb per (chunk, J).
         for chunk, tid, bufs in leaves:
-            cost = Cost(
-                "larfb",
-                m=chunk.rows,
-                n=nc,
-                k=bk,
-                flops=larfb_flops(chunk.rows, nc, bk),
-                words=2.0 * chunk.rows * nc + chunk.rows * bk,
-                library=library,
-            )
             name = f"S[{K}]leaf{chunk.index},{J}"
             em.task(
                 name,
                 "S",
-                cost,
+                Cost.of("larfb", chunk.rows, nc, bk, library=library),
                 shared
                 and (
                     "caqr_leaf_update",
@@ -122,23 +112,13 @@ def caqr_program(
             )
         # Tree-node updates: tpmqrt on the two R slices per merge.
         for step in merges:
-            npairs = len(step.srcs)
-            cost = Cost(
-                "tpmqrt",
-                m=bk,
-                n=nc,
-                k=bk,
-                flops=tpmqrt_flops(bk, nc, bk) * npairs,
-                words=(4.0 * bk * nc + bk * bk) * npairs,
-                library=library,
-            )
             blocks = [(step.dst.b0, J)] + [(s.b0, J) for s in step.srcs]
             name = f"S[{K}]node{step.dst.index}l{step.level},{J}"
             top = step.dst.r0
             em.task(
                 name,
                 "S",
-                cost,
+                Cost.of("tpmqrt", bk, nc, bk, count=len(step.srcs), library=library),
                 shared and ("caqr_merge_update", {**shared, "bk": bk, "pairs": step.pairs}),
                 J=J,
                 reads=blocks + [("qmerge", K, step.ordinal)],

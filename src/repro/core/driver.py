@@ -28,6 +28,7 @@ from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
+from repro.kernels import lu, qr
 from repro.machine.autotune import recommend_params
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
@@ -104,8 +105,12 @@ def _tsqr_result(A, panels, detach, *, layout, tr, tree, trace):
 
 #: The full factorizations, by the kind the autotuner and the service key on.
 ALGORITHMS = {
-    "lu": Algorithm("lu", "CALU", TreeKind.BINARY, ("rgetf2", "getf2"), calu_program, _calu_result),
-    "qr": Algorithm("qr", "CAQR", TreeKind.FLAT, ("geqr3", "geqr2"), caqr_program, _caqr_result),
+    "lu": Algorithm(
+        "lu", "CALU", TreeKind.BINARY, tuple(lu.PANEL_KERNELS), calu_program, _calu_result
+    ),
+    "qr": Algorithm(
+        "qr", "CAQR", TreeKind.FLAT, tuple(qr.PANEL_KERNELS), caqr_program, _caqr_result
+    ),
 }
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.flops import lu_flops, lu_panel_flops
 from repro.core.layout import BlockLayout, Chunk
 from repro.core.panelloop import Emitter
 from repro.core.trees import TreeKind, reduction_schedule
@@ -272,14 +271,9 @@ def add_tslu_tasks(
         em.task(name, "P", cost, op, reads=reads, writes=[cand(slot)], **meta)
 
     for chunk in chunks:
-        cost = Cost(
-            leaf_kernel if chunk.rows >= bk else "getf2",
-            m=chunk.rows,
-            n=bk,
-            flops=lu_flops(chunk.rows, bk),
-            words=2.0 * chunk.rows * bk,
-            library=library,
-        )
+        # A chunk shorter than the panel is wide falls to the unblocked kernel.
+        kernel = leaf_kernel if chunk.rows >= bk else "getf2"
+        cost = Cost.of(kernel, chunk.rows, bk, library=library)
         op = numeric and (
             "tslu_leaf",
             {
@@ -305,14 +299,7 @@ def add_tslu_tasks(
             srcs = [slots[p] for p in src_pos]
             merges.append((dst, srcs))
             stacked = sum(cand_rows[s] for s in srcs)
-            cost = Cost(
-                "gepp_merge",
-                m=stacked,
-                n=bk,
-                flops=lu_panel_flops(stacked, min(stacked, bk)),
-                words=2.0 * stacked * bk,
-                library=library,
-            )
+            cost = Cost.of("gepp_merge", stacked, bk, library=library)
             op = numeric and (
                 "tslu_merge",
                 {
@@ -331,14 +318,8 @@ def add_tslu_tasks(
             cand_rows[dst] = min(stacked, bk)
 
     r = min(bk, m - k0)
-    fin_cost = Cost(
-        "getf2_nopiv",
-        m=r,
-        n=bk,
-        flops=lu_panel_flops(r, r),
-        words=2.0 * bk * bk + 2.0 * bk * bk,  # swaps across the panel + factor traffic
-        library=library,
-    )
+    # Words: the swaps across the panel plus the factor traffic.
+    fin_cost = Cost.of("getf2_nopiv", r, bk, words=2.0 * bk * bk + 2.0 * bk * bk, library=library)
     name = f"F[{K}]"
     op = numeric and (
         "tslu_finalize",

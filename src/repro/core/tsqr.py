@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.analysis.flops import qr_flops, tpqrt_tt_flops
 from repro.core.layout import BlockLayout, Chunk
 from repro.core.panelloop import Emitter
 from repro.core.trees import TreeKind, reduction_schedule
@@ -194,14 +193,6 @@ def add_tsqr_tasks(
 
     leaves: list[tuple] = []
     for chunk in chunks:
-        cost = Cost(
-            leaf_kernel,
-            m=chunk.rows,
-            n=bk,
-            flops=qr_flops(chunk.rows, bk),
-            words=2.0 * chunk.rows * bk,
-            library=library,
-        )
         op = bufs = None
         if numeric:
             k = min(chunk.rows, bk)  # reflector count of this leaf
@@ -220,7 +211,7 @@ def add_tsqr_tasks(
         tid = em.task(
             name,
             "P",
-            cost,
+            Cost.of(leaf_kernel, chunk.rows, bk, library=library),
             op,
             reads=chunk.blocks(K),
             writes=chunk.blocks(K) + [("qleaf", K, chunk.index)],
@@ -233,15 +224,6 @@ def add_tsqr_tasks(
         for dst_pos, src_pos in level:
             dst = chunks[dst_pos]
             srcs = [chunks[p] for p in src_pos if p != dst_pos]
-            cost = Cost(
-                "tpqrt_tt",
-                m=2 * bk,
-                n=bk,
-                k=bk,
-                flops=tpqrt_tt_flops(bk) * len(srcs),
-                words=3.0 * bk * bk * len(srcs),
-                library=library,
-            )
             ordinal = len(merge_steps)
             rblocks = [(dst.b0, K)] + [(s.b0, K) for s in srcs]
             op, pairs = None, []
@@ -258,7 +240,7 @@ def add_tsqr_tasks(
             tid = em.task(
                 name,
                 "P",
-                cost,
+                Cost.of("tpqrt_tt", 2 * bk, bk, bk, count=len(srcs), library=library),
                 op,
                 reads=rblocks,
                 writes=rblocks + [("qmerge", K, ordinal)],

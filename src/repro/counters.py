@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from repro.runtime.sync import make_lock
@@ -92,76 +92,38 @@ class Counters:
         default_factory=lambda: make_lock("counters.counters"), repr=False, compare=False
     )
 
-    def add_flops(self, n: int) -> None:
+    def add(self, name: str, n: int = 1) -> None:
+        """Add *n* to the scalar counter *name* (one of the ``int`` fields)."""
         with self._lock:
-            self.flops += int(n)
-
-    def add_sync(self, n: int = 1) -> None:
-        with self._lock:
-            self.syncs += int(n)
-
-    def add_words(self, n: int) -> None:
-        with self._lock:
-            self.words += int(n)
-
-    def add_comparisons(self, n: int) -> None:
-        with self._lock:
-            self.comparisons += int(n)
-
-    def add_roundtrip(self, n: int = 1) -> None:
-        with self._lock:
-            self.roundtrips += int(n)
-
-    def add_store_read(self, nbytes: int) -> None:
-        with self._lock:
-            self.store_read_bytes += int(nbytes)
-
-    def add_store_write(self, nbytes: int) -> None:
-        with self._lock:
-            self.store_write_bytes += int(nbytes)
-
-    def merge(self, snapshot: dict[str, int]) -> None:
-        """Fold a :meth:`snapshot` dict (e.g. shipped back from a worker
-        process, which adds its ``kernel_calls``) into this accumulator."""
-        with self._lock:
-            self.flops += int(snapshot.get("flops", 0))
-            self.syncs += int(snapshot.get("syncs", 0))
-            self.words += int(snapshot.get("words", 0))
-            self.comparisons += int(snapshot.get("comparisons", 0))
-            self.store_read_bytes += int(snapshot.get("store_read_bytes", 0))
-            self.store_write_bytes += int(snapshot.get("store_write_bytes", 0))
-            # roundtrips are counted on the parent side of the pipe only.
-            for kernel, n in snapshot.get("kernel_calls", {}).items():
-                self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + n
+            setattr(self, name, getattr(self, name) + int(n))
 
     def add_call(self, kernel: str) -> None:
         with self._lock:
             self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + 1
 
+    def merge(self, snapshot: dict[str, int]) -> None:
+        """Fold a :meth:`snapshot` dict (e.g. shipped back from a worker
+        process, which adds its ``kernel_calls``) into this accumulator."""
+        with self._lock:
+            for name in _SCALARS:
+                if name != "roundtrips":  # counted on the parent side of the pipe only
+                    setattr(self, name, getattr(self, name) + int(snapshot.get(name, 0)))
+            for kernel, n in snapshot.get("kernel_calls", {}).items():
+                self.kernel_calls[kernel] = self.kernel_calls.get(kernel, 0) + n
+
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of the scalar counters."""
         with self._lock:
-            return {
-                "flops": self.flops,
-                "syncs": self.syncs,
-                "words": self.words,
-                "comparisons": self.comparisons,
-                "roundtrips": self.roundtrips,
-                "store_read_bytes": self.store_read_bytes,
-                "store_write_bytes": self.store_write_bytes,
-            }
+            return {name: getattr(self, name) for name in _SCALARS}
 
     def reset(self) -> None:
         with self._lock:
-            self.flops = 0
-            self.syncs = 0
-            self.words = 0
-            self.comparisons = 0
-            self.roundtrips = 0
-            self.store_read_bytes = 0
-            self.store_write_bytes = 0
+            for name in _SCALARS:
+                setattr(self, name, 0)
             self.kernel_calls.clear()
 
+
+_SCALARS = tuple(f.name for f in fields(Counters) if f.default == 0)
 
 # A single module-global slot, not thread-local: the threaded executor's
 # workers must all see the counter installed by the coordinating thread.
@@ -189,53 +151,25 @@ def counting(counters: Counters | None = None) -> Iterator[Counters]:
             _active.remove(c)
 
 
-def add_flops(n: int) -> None:
-    """Report *n* flops to the active counter, if any."""
-    c = current_counters()
-    if c is not None:
-        c.add_flops(n)
+def _reporter(name: str):
+    """The module-level ``add_*`` of the scalar counter *name*."""
+
+    def report(n: int = 1) -> None:
+        c = current_counters()
+        if c is not None:
+            c.add(name, n)
+
+    report.__doc__ = f"Report *n* ``{name}`` to the active counter, if any."
+    return report
 
 
-def add_sync(n: int = 1) -> None:
-    """Report *n* synchronization events to the active counter, if any."""
-    c = current_counters()
-    if c is not None:
-        c.add_sync(n)
-
-
-def add_words(n: int) -> None:
-    """Report *n* words of inter-task traffic to the active counter."""
-    c = current_counters()
-    if c is not None:
-        c.add_words(n)
-
-
-def add_comparisons(n: int) -> None:
-    """Report *n* pivot-search comparisons to the active counter."""
-    c = current_counters()
-    if c is not None:
-        c.add_comparisons(n)
-
-
-def add_roundtrip(n: int = 1) -> None:
-    """Report *n* worker pipe round-trips to the active counter."""
-    c = current_counters()
-    if c is not None:
-        c.add_roundtrip(n)
-
-
-def add_store_read(nbytes: int) -> None:
-    """Report *nbytes* read from a tile store (slow -> fast memory)."""
-    c = current_counters()
-    if c is not None:
-        c.add_store_read(nbytes)
-
-
-def add_store_write(nbytes: int) -> None:
-    """Report *nbytes* written to a tile store (fast -> slow memory)."""
-    c = current_counters()
-    if c is not None:
-        c.add_store_write(nbytes)
+add_flops = _reporter("flops")
+add_sync = _reporter("syncs")
+add_words = _reporter("words")
+add_comparisons = _reporter("comparisons")
+add_roundtrip = _reporter("roundtrips")
+add_store_read = _reporter("store_read_bytes")
+add_store_write = _reporter("store_write_bytes")
 
 
 def add_call(kernel: str) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.distmem.comm import CommLog, RowBlocks
 from repro.kernels.blas import trsm_runn
-from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, piv_to_perm, rgetf2
+from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, piv_to_perm, select_pivots
 from repro.resilience.events import ResilienceEvent
 
 __all__ = ["DistPanelLU", "distributed_tslu", "distributed_gepp_panel"]
@@ -137,9 +137,7 @@ def distributed_tslu(
                     value=float(r),
                 )
             )
-        work = block.copy()
-        piv = rgetf2(work) if leaf_kernel == "rgetf2" and work.shape[0] >= b else getf2(work)
-        sel = piv_to_perm(piv, block.shape[0])[: min(block.shape[0], b)]
+        sel = select_pivots(block, leaf_kernel)
         cand_rows[r] = block[sel].copy()
         cand_gidx[r] = dist.bounds(r)[0] + sel
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.distmem.comm import CommLog, RowBlocks
-from repro.kernels.qr import geqr2, geqr3
+from repro.kernels.qr import PANEL_KERNELS, geqr2
 from repro.kernels.structured import tpqrt
 
 __all__ = ["DistTSQR", "distributed_tsqr"]
@@ -50,10 +50,7 @@ def distributed_tsqr(
     R: dict[int, np.ndarray] = {}
     for r in ranks:
         block = local[r].copy()
-        if leaf_kernel == "geqr3" and block.shape[0] >= b:
-            geqr3(block)
-        else:
-            geqr2(block)
+        (PANEL_KERNELS[leaf_kernel] if block.shape[0] >= b else geqr2)(block)
         rb = np.zeros((b, b))
         k = min(block.shape[0], b)
         rb[:k] = np.triu(block[:k, :])

@@ -116,6 +116,10 @@ def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
     return np.concatenate([piv1, piv2 + n1])
 
 
+#: What ``leaf_kernel=`` / ``panel=`` names, the paper's choice first (it needs ``m >= n``).
+PANEL_KERNELS = {"rgetf2": rgetf2, "getf2": getf2}
+
+
 def getrf(A: np.ndarray, b: int = 64, panel: str = "getf2") -> np.ndarray:
     """Blocked right-looking LU with partial pivoting, in place.
 
@@ -134,7 +138,7 @@ def getrf(A: np.ndarray, b: int = 64, panel: str = "getf2") -> np.ndarray:
     m, n = A.shape
     r = min(m, n)
     add_call("getrf")
-    panel_fn = {"getf2": getf2, "rgetf2": rgetf2}[panel]
+    panel_fn = PANEL_KERNELS[panel]
     piv = np.arange(r, dtype=np.int64)
     for k in range(0, r, b):
         bk = min(b, r - k)
@@ -194,12 +198,8 @@ def select_pivots(block: np.ndarray, leaf_kernel: str) -> np.ndarray:
     candidate sets.
     """
     rows, cols = block.shape
-    work = block.copy()
-    if leaf_kernel == "rgetf2" and rows >= cols:
-        piv = rgetf2(work)
-    else:
-        piv = getf2(work)
-    perm = piv_to_perm(piv, rows)
+    kernel = PANEL_KERNELS[leaf_kernel] if rows >= cols else getf2
+    perm = piv_to_perm(kernel(block.copy()), rows)
     return perm[: min(rows, cols)]
 
 

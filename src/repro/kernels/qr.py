@@ -164,6 +164,16 @@ def geqr3(A: np.ndarray, threshold: int = 8) -> np.ndarray:
     return T
 
 
+def _geqr2_t(A: np.ndarray) -> np.ndarray:
+    tau = geqr2(A)
+    return larft(extract_v(A), tau)
+
+
+#: What ``leaf_kernel=`` / ``panel=`` names, the paper's choice first: each
+#: factors its panel in place and returns ``T``.
+PANEL_KERNELS = {"geqr3": geqr3, "geqr2": _geqr2_t}
+
+
 def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:
     """Blocked Householder QR, in place. Returns the per-panel ``T`` factors.
 
@@ -174,17 +184,13 @@ def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:
     m, n = A.shape
     r = min(m, n)
     add_call("geqrf")
+    if panel not in PANEL_KERNELS:
+        raise ValueError(f"unknown panel kernel {panel!r}")
     Ts: list[np.ndarray] = []
     for k in range(0, r, b):
         bk = min(b, r - k)
         panel_view = A[k:, k : k + bk]
-        if panel == "geqr2":
-            tau = geqr2(panel_view)
-            T = larft(extract_v(panel_view), tau)
-        elif panel == "geqr3":
-            T = geqr3(panel_view)
-        else:
-            raise ValueError(f"unknown panel kernel {panel!r}")
+        T = PANEL_KERNELS[panel](panel_view)
         Ts.append(T)
         if k + bk < n:
             larfb_left_t(extract_v(panel_view), T, A[k:, k + bk :])

@@ -135,12 +135,15 @@ def calibrate_host(
         else:
             profiles[kernel] = prof
     profiles["getf2_nopiv"] = profiles["getf2"]
-    # Derived kernels inherit the gemm ceiling.
+    # Derived kernels inherit the gemm ceiling (the presets' ratios); every
+    # name of the kernel table gets a profile, the baselines' panels included.
     g = profiles["gemm"]
     for k, scale in (("trsm_llnu", 0.9), ("trsm_runn", 0.9), ("larfb", 0.95), ("gepp_merge", 0.7),
                      ("tpqrt_ts", 0.8), ("tpqrt_tt", 0.55), ("tpmqrt", 0.85), ("gessm", 0.85),
-                     ("ssssm", 0.85), ("geqrt_tile", 0.7), ("getrf_tile", 0.7), ("tsmqr_tile", 0.9)):
+                     ("ssssm", 0.85), ("geqrt_tile", 0.7), ("getrf_tile", 0.7), ("tsmqr_tile", 0.9),
+                     ("getrf_panel", 0.5), ("geqrf_panel", 0.4), ("tstrf", 0.55)):
         profiles[k] = KernelProfile(eff=g.eff * scale, half_dim=g.half_dim)
+    profiles["laswp"] = profiles["copy"] = KernelProfile(eff=1.0)  # priced by words alone
     n_cores = cores or os.cpu_count() or 1
     return MachineModel(
         name=name,

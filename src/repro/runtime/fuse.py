@@ -60,12 +60,13 @@ import heapq
 
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram, as_program
-from repro.runtime.task import Cost, Task, TaskKind
+from repro.runtime.task import FusedCost, Task, TaskKind
 
-__all__ = ["FUSED_KERNEL", "fuse_graph", "fuse_program", "fusable_task"]
+__all__ = ["FUSED_KERNEL", "fuse_program", "fusable_task"]
 
-#: Kernel name carried by super-task costs.  Unknown to the lint flop
-#: tables on purpose: a fused cost is the member sum, not a closed form.
+#: Kernel name carried by super-task costs.  Not in the kernel table on
+#: purpose: a fused cost is the member sum, not a closed form (lint skips
+#: it; the machine model prices the ``FusedCost``'s members).
 FUSED_KERNEL = "fused"
 
 
@@ -236,7 +237,7 @@ def _append_group(
     tasks = [source.tasks[t] for t in member_tids]
     first = tasks[0]
     largest = max(tasks, key=lambda t: (t.cost.flops, t.cost.words))
-    cost = Cost(
+    cost = FusedCost(
         FUSED_KERNEL,
         m=largest.cost.m,
         n=largest.cost.n,
@@ -244,6 +245,7 @@ def _append_group(
         flops=sum(t.cost.flops for t in tasks),
         words=sum(t.cost.words for t in tasks),
         library=first.cost.library,
+        members=tuple(t.cost for t in tasks),  # what the machine model prices
     )
     meta: dict = {
         "reads": frozenset().union(*(t.reads for t in tasks)),
@@ -319,8 +321,3 @@ def fuse_program(source, *, max_ops: int = 8) -> GraphProgram:
         _fuse_range(source.graph, start, end, graph, mapping, max_ops)
 
     return GraphProgram(source.name, source.n_windows, emit, lookahead=source.lookahead)
-
-
-def fuse_graph(graph: TaskGraph, *, max_ops: int = 8) -> TaskGraph:
-    """Fused rewrite of an eager graph (one window spanning every task)."""
-    return fuse_program(as_program(graph), max_ops=max_ops).materialize()

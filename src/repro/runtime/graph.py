@@ -211,19 +211,17 @@ class BlockTracker:
     * a writer depends on the last writer *and* on every reader since
       (WAR + WAW), so in-place updates serialize correctly.
 
-    The per-task access sets are *kept* after edge derivation:
-    :meth:`footprint` returns the accumulated ``(reads, writes)`` of a
-    task, and :meth:`add_task` mirrors them into ``Task.meta["reads"]``
-    / ``Task.meta["writes"]`` so the :mod:`repro.verify` passes (static
-    race detection, dynamic footprint sanitizing) and the builders
-    share one source of truth about who touches what.
+    The per-task access sets are *kept* after edge derivation, in one
+    place: :meth:`add_task` records them as ``Task.meta["reads"]`` /
+    ``Task.meta["writes"]`` (read back through ``Task.reads`` /
+    ``Task.writes``), so the :mod:`repro.verify` passes (static race
+    detection, dynamic footprint sanitizing) and the builders share one
+    source of truth about who touches what.
     """
 
     def __init__(self) -> None:
         self._last_writer: dict[Hashable, int] = {}
         self._readers: dict[Hashable, list[int]] = {}
-        self._reads: dict[int, set[Hashable]] = {}
-        self._writes: dict[int, set[Hashable]] = {}
 
     def deps_for(
         self,
@@ -255,8 +253,6 @@ class BlockTracker:
     ) -> None:
         """Record that task *tid* performed the given accesses."""
         readers = self._readers
-        self._reads.setdefault(tid, set()).update(reads)
-        self._writes.setdefault(tid, set()).update(writes)
         for blk in reads:
             readers.setdefault(blk, []).append(tid)
         lw = self._last_writer
@@ -264,22 +260,6 @@ class BlockTracker:
             lw[blk] = tid
             if blk in readers:
                 readers[blk] = []
-
-    def footprint(self, tid: int) -> tuple[frozenset, frozenset]:
-        """Accumulated ``(reads, writes)`` block sets of task *tid*.
-
-        Raises ``KeyError`` for a task this tracker never committed.
-        """
-        if tid not in self._reads and tid not in self._writes:
-            raise KeyError(f"task {tid} has no recorded footprint")
-        return (
-            frozenset(self._reads.get(tid, ())),
-            frozenset(self._writes.get(tid, ())),
-        )
-
-    def known_tids(self) -> list[int]:
-        """Task ids with a recorded footprint, ascending."""
-        return sorted(self._reads.keys() | self._writes.keys())
 
     def add_task(
         self,
@@ -298,8 +278,8 @@ class BlockTracker:
     ) -> int:
         """Add a task to *graph* with dependencies derived from accesses.
 
-        The access sets are also mirrored into ``Task.meta["reads"]`` /
-        ``Task.meta["writes"]`` so the :mod:`repro.verify` passes see
+        The access sets become ``Task.meta["reads"]`` /
+        ``Task.meta["writes"]``, so the :mod:`repro.verify` passes see
         exactly the footprint the dependencies were derived from.
         """
         deps = self.deps_for(reads, writes)
@@ -320,8 +300,3 @@ class BlockTracker:
         task.meta["reads"] = frozenset(reads)
         task.meta["writes"] = frozenset(writes)
         return tid
-
-
-def col_blocks(rows: range, col: int) -> list[tuple[int, int]]:
-    """Block coordinates for a contiguous block-row range in one block column."""
-    return [(i, col) for i in rows]

@@ -44,7 +44,8 @@ import numpy as np
 
 from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
 from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
-from repro.kernels.qr import extract_v, geqr2, geqr3, larfb_left_t, larft
+from repro.kernels.qr import PANEL_KERNELS as QR_PANEL_KERNELS
+from repro.kernels.qr import extract_v, larfb_left_t
 from repro.kernels.structured import tpmqrt_left_t, tpqrt
 from repro.runtime.tilestore import attach_array
 
@@ -234,11 +235,7 @@ def _op_tsqr_leaf(p: dict) -> None:
     A = attach_array(p["a"])
     r0, r1, c0, c1 = p["r0"], p["r1"], p["c0"], p["c1"]
     block = A[r0:r1, c0:c1]
-    if p["kernel"] == "geqr3":
-        T = geqr3(block)
-    else:
-        tau = geqr2(block)
-        T = larft(extract_v(block), tau)
+    T = QR_PANEL_KERNELS[p["kernel"]](block)
     if p["v"] is not None:  # None: the binding keeps V packed in the panel
         attach_array(p["v"])[...] = extract_v(block)
     attach_array(p["t"])[...] = T

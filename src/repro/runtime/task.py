@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
-__all__ = ["TaskKind", "Cost", "Task"]
+from repro.analysis.flops import KERNELS
+
+__all__ = ["TaskKind", "Cost", "FusedCost", "Task"]
 
 
 class TaskKind(enum.Enum):
@@ -47,8 +50,13 @@ class Cost:
     Parameters
     ----------
     kernel:
-        Kernel name used to look up a :class:`~repro.machine.model.KernelProfile`
-        (``"gemm"``, ``"getf2"``, ``"rgetf2"``, ``"geqr3"``, ``"tpqrt_ts"``, ...).
+        Kernel name: a key of the one kernel table
+        :data:`repro.analysis.flops.KERNELS` (``"gemm"``, ``"getf2"``,
+        ``"rgetf2"``, ``"geqr3"``, ``"tpqrt_ts"``, ...), which also keys
+        the machine's kernel profiles
+        (:class:`~repro.machine.model.KernelProfile`).
+        Builders price a task with :meth:`of`; the raw constructor is for
+        hand-built graphs.
     m, n, k:
         Kernel dimensions; their meaning follows the kernel's BLAS/LAPACK
         signature (``k`` is the inner/panel dimension for ``gemm``-like
@@ -74,6 +82,42 @@ class Cost:
     flops: float = 0.0
     words: float = 0.0
     library: str = "repro"
+
+    @classmethod
+    @lru_cache(maxsize=4096)  # a panel's tiles repeat a few shapes; a Cost is immutable
+    def of(
+        cls,
+        kernel: str,
+        m: int,
+        n: int,
+        k: int = 0,
+        *,
+        count: int = 1,
+        extra_words: float = 0.0,
+        words: float | None = None,
+        library: str = "repro",
+    ) -> Cost:
+        """The cost of *count* unit operations of *kernel* on ``(m, n, k)``.
+
+        Flops and words come from the kernel table (*count*: a flat-tree
+        merge batches one unit operation per source); *extra_words* adds
+        traffic the kernel's operands do not account for (row swaps
+        riding on a solve) and *words* replaces the table's count
+        outright.
+        """
+        flops, unit_words = KERNELS[kernel]
+        if words is None:
+            words = unit_words(m, n, k) * count + extra_words
+        return cls(kernel, m, n, k, flops(m, n, k) * count, words, library)
+
+
+@dataclass(frozen=True)
+class FusedCost(Cost):
+    """A super-task's cost (:mod:`repro.runtime.fuse`): flops and words
+    are its members' sums, and the machine model prices it as *members*
+    run back to back — each by its own kernel and dimensions."""
+
+    members: tuple[Cost, ...] = ()
 
 
 @dataclass

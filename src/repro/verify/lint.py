@@ -5,9 +5,9 @@ Rules (rule id → severity):
 * ``cycle`` (error) — the graph is not a DAG; the finding carries a
   minimal cycle witness.
 * ``cost-flops`` (error) — a task's flop count contradicts its kernel
-  dimensions (checked against the closed forms in
-  :mod:`repro.analysis.flops`; tree-merge/apply kernels may be integer
-  multiples of the unit formula).
+  dimensions: it is not a whole multiple of the kernel's closed form in
+  the one kernel table (:data:`repro.analysis.flops.KERNELS`, which
+  ``Cost.of`` prices from; a task may batch several unit operations).
 * ``cost-words`` (warning) — negative/non-finite word counts, or a
   flop-bearing task with no memory traffic.
 * ``isolated-task`` (warning) — a task with neither predecessors nor
@@ -25,20 +25,7 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.flops import (
-    gemm_flops,
-    larfb_flops,
-    lu_flops,
-    lu_panel_flops,
-    qr_flops,
-    ssssm_flops,
-    tpmqrt_flops,
-    tpqrt_ts_flops,
-    tpqrt_tt_flops,
-    trsm_left_flops,
-    trsm_right_flops,
-    tstrf_flops,
-)
+from repro.analysis.flops import KERNELS
 from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Task
 from repro.verify.findings import Finding
@@ -46,53 +33,20 @@ from repro.verify.reach import ancestor_masks, find_cycle
 
 __all__ = ["lint_graph", "expected_flops"]
 
-# Unit flop formulas per kernel, as the builders compute them from the
-# Cost dimensions (m, n, k).  None marks zero-flop bookkeeping kernels.
-_UNIT_FLOPS = {
-    "gemm": lambda m, n, k: gemm_flops(m, n, k),
-    "trsm_runn": lambda m, n, k: trsm_right_flops(m, k),
-    "trsm_llnu": lambda m, n, k: trsm_left_flops(k, n),
-    "gessm": lambda m, n, k: trsm_left_flops(k, n),
-    "getf2": lambda m, n, k: lu_flops(m, n),
-    "rgetf2": lambda m, n, k: lu_flops(m, n),
-    "getrf_tile": lambda m, n, k: lu_flops(m, n),
-    "getrf_panel": lambda m, n, k: lu_flops(m, n),
-    "geqrf_panel": lambda m, n, k: qr_flops(m, n),
-    "gepp_merge": lambda m, n, k: lu_panel_flops(m, min(m, n)),
-    "getf2_nopiv": lambda m, n, k: lu_panel_flops(m, min(m, n)),
-    "geqr2": lambda m, n, k: qr_flops(m, n),
-    "geqr3": lambda m, n, k: qr_flops(m, n),
-    "geqrt_tile": lambda m, n, k: qr_flops(m, n),
-    "larfb": lambda m, n, k: larfb_flops(m, n, k),
-    "tpqrt_ts": lambda m, n, k: tpqrt_ts_flops(m, n),
-    "tpqrt_tt": lambda m, n, k: tpqrt_tt_flops(n),
-    "tpmqrt": lambda m, n, k: tpmqrt_flops(m, n, k),
-    "tsmqr_tile": lambda m, n, k: tpmqrt_flops(m, n, k),
-    "tstrf": lambda m, n, k: tstrf_flops(m, n),
-    "ssssm": lambda m, n, k: ssssm_flops(m, n, k),
-    "laswp": None,
-}
-
-# Kernels whose tasks legitimately batch several unit operations (flat
-# trees merge Tr-1 pairs in one task), so flops may be any positive
-# integer multiple of the unit formula.
-_MULTIPLE_OK = {"tpqrt_tt", "tpmqrt", "tsmqr_tile"}
-
 _REL_TOL = 1e-6
 
 
 def expected_flops(task: Task) -> float | None:
     """Unit flop count implied by the task's kernel and dimensions.
 
-    None when the kernel has no closed form registered (unknown
-    kernels are not linted) or is a zero-flop bookkeeping kernel.
+    Read from the one kernel table, :data:`repro.analysis.flops.KERNELS`
+    (0 for its data-movement kernels); None for a kernel it does not
+    list — hand-built graphs may name their own, and those are not linted.
     """
-    formula = _UNIT_FLOPS.get(task.cost.kernel, "missing")
-    if formula == "missing":
+    entry = KERNELS.get(task.cost.kernel)
+    if entry is None:
         return None
-    if formula is None:
-        return 0.0
-    return float(formula(task.cost.m, task.cost.n, task.cost.k))
+    return float(entry[0](task.cost.m, task.cost.n, task.cost.k))
 
 
 def _check_cost(graph: TaskGraph, task: Task) -> list[Finding]:
@@ -139,14 +93,15 @@ def _check_cost(graph: TaskGraph, task: Task) -> list[Finding]:
         ok = c.flops == 0.0
         detail = "expected 0 (bookkeeping kernel)"
     else:
+        # A task may batch several unit operations (``Cost.of(count=)``:
+        # a flat tree merges Tr-1 pairs in one task).
         ratio = c.flops / unit
-        if task.cost.kernel in _MULTIPLE_OK:
-            nearest = max(1.0, round(ratio))
-            ok = abs(ratio - nearest) <= _REL_TOL * nearest
-            detail = f"expected an integer multiple of {unit:g}, got ratio {ratio:g}"
-        else:
-            ok = abs(ratio - 1.0) <= _REL_TOL
-            detail = f"expected {unit:g} from dims (m={c.m}, n={c.n}, k={c.k}), got {c.flops:g}"
+        nearest = max(1.0, round(ratio))
+        ok = abs(ratio - nearest) <= _REL_TOL * nearest
+        detail = (
+            f"expected a whole multiple of {unit:g} from dims "
+            f"(m={c.m}, n={c.n}, k={c.k}), got {c.flops:g}"
+        )
     if not ok:
         out.append(
             Finding(

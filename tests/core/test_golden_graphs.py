@@ -1,4 +1,5 @@
-"""Golden graphs: the builders emit, task for task, the graphs of commit 0110052.
+"""Golden graphs: the builders emit, task for task, the graphs of commit 0110052
+(CALU/CAQR) and 79d34dc (the four baseline programs).
 
 ``golden_graphs.json`` holds one CRC32 per case over every task's name,
 kind, dependencies, priority, iteration, idempotence, ``Cost`` fields,
@@ -11,6 +12,12 @@ simulator, the autotuner and the verify passes read: the symbolic costs
 behind every ``SimulatedExecutor`` figure, the emission order the
 per-window fusion and the journal's resume ranges depend on, and the
 guards each knob arms.
+
+The baseline cases (``getrf``/``geqrf``/tiled LU/tiled QR — the graphs
+behind the ``mkl_*``/``plasma_*`` columns of ``EXPERIMENTS.md``) were
+recorded at the commit before those programs moved onto
+``Emitter.task`` (ISSUE 22); they hash the same per-task fields minus
+``meta["col"]``.
 
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).
@@ -27,6 +34,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.lapack_lu import getrf_program
+from repro.baselines.lapack_qr import geqrf_program
+from repro.baselines.tiled_lu import tiled_lu_program
+from repro.baselines.tiled_qr import tiled_qr_program
 from repro.core.calu import calu_program
 from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
@@ -82,6 +93,18 @@ CASES += [
     for shape in VARIANT_SHAPES
 ]
 
+#: The competitors' symbolic programs: ``name -> (builder, keywords)``.
+BASELINES = {
+    "getrf": (getrf_program, {}),
+    "getrf-nofork": (getrf_program, {"fork_join": False, "lookahead": 1}),
+    "geqrf": (geqrf_program, {}),
+    "tiled_lu": (tiled_lu_program, {}),
+    "tiled_qr": (tiled_qr_program, {}),
+}
+#: ``(m, n, block)``: ragged tall, square, one tile.
+BASELINE_SHAPES = [(1003, 200, 48), (256, 256, 32), (50, 50, 64)]
+BASELINE_CASES = [(name, *shape) for name in BASELINES for shape in BASELINE_SHAPES]
+
 
 def case_id(case) -> str:
     kind, m, n, b, tr, tree, mode, variant = case
@@ -127,6 +150,29 @@ def _task_record(graph, task) -> tuple:
     )
 
 
+def _program_digest(program, keep=slice(None)) -> int:
+    graph = program.materialize()
+    record = (
+        program.name,
+        program.n_windows,
+        program.lookahead,
+        program.windows,
+        [_task_record(graph, task)[keep] for task in graph.tasks],
+    )
+    return zlib.crc32(repr(record).encode())
+
+
+def baseline_id(case) -> str:
+    name, m, n, block = case
+    return f"{name}-{m}x{n}b{block}"
+
+
+def baseline_digest(case) -> int:
+    name, m, n, block = case
+    builder, build = BASELINES[name]
+    return _program_digest(builder(m, n, block, **build), keep=slice(-1))  # all but col
+
+
 def digest(case) -> int:
     kind, m, n, b, tr, tree, mode, variant = case
     build = dict(VARIANTS[kind].get(variant, {}))
@@ -136,15 +182,7 @@ def digest(case) -> int:
     if mode == "numeric":
         A = np.random.default_rng(20240613).standard_normal((m, n))
     program, _ = PROGRAMS[kind](BlockLayout(m, n, b), tr, tree, A=A, **build)
-    graph = program.materialize()
-    record = (
-        program.name,
-        program.n_windows,
-        program.lookahead,
-        program.windows,
-        [_task_record(graph, task) for task in graph.tasks],
-    )
-    return zlib.crc32(repr(record).encode())
+    return _program_digest(program)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -153,5 +191,13 @@ def test_graph_matches_parent_commit(case):
     assert digest(case) == golden[case_id(case)]
 
 
+@pytest.mark.parametrize("case", BASELINE_CASES, ids=baseline_id)
+def test_baseline_graph_matches_parent_commit(case):
+    golden = json.loads(GOLDEN.read_text())
+    assert baseline_digest(case) == golden[baseline_id(case)]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case_id(c): digest(c) for c in CASES}, indent=1) + "\n")
+    digests = {case_id(c): digest(c) for c in CASES}
+    digests.update({baseline_id(c): baseline_digest(c) for c in BASELINE_CASES})
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")

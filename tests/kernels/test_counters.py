@@ -3,6 +3,7 @@
 import threading
 
 import numpy as np
+import pytest
 
 from repro.counters import (
     Counters,
@@ -83,6 +84,34 @@ def test_roundtrip_counter():
     assert c.roundtrips == 0
 
 
+def test_every_scalar_has_a_reporter_and_merges():
+    # One ``Counters.add`` behind every module-level ``add_*``; ``merge``
+    # folds a worker's snapshot in, except the parent-side roundtrips.
+    import repro.counters as counters
+
+    reporters = {
+        "flops": counters.add_flops,
+        "syncs": counters.add_sync,
+        "words": counters.add_words,
+        "comparisons": counters.add_comparisons,
+        "roundtrips": counters.add_roundtrip,
+        "store_read_bytes": counters.add_store_read,
+        "store_write_bytes": counters.add_store_write,
+    }
+    with counting() as c:
+        for i, report in enumerate(reporters.values(), start=1):
+            report(i)
+        counters.add_call("gemm")
+    snap = c.snapshot()
+    assert snap == {name: i for i, name in enumerate(reporters, start=1)}
+    worker = dict(snap, kernel_calls={"gemm": 2, "getf2": 1})
+    c.merge(worker)
+    assert c.snapshot() == {n: v * (1 if n == "roundtrips" else 2) for n, v in snap.items()}
+    assert c.kernel_calls == {"gemm": 3, "getf2": 1}
+    with pytest.raises(AttributeError):
+        c.add("nope", 1)
+
+
 def test_kernel_call_registry():
     with counting() as c:
         gemm(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
@@ -97,7 +126,7 @@ def test_threaded_accumulation_is_consistent():
 
     def work():
         for _ in range(per_thread):
-            c.add_flops(1)
+            c.add("flops", 1)
 
     with counting(c):
         threads = [threading.Thread(target=work) for _ in range(n_threads)]

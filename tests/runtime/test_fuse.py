@@ -28,7 +28,7 @@ from repro.core.tsqr import tsqr
 from repro.resilience.checkpoint import Checkpoint, MemoryStore
 from repro.resilience.recovery import RetryPolicy
 from repro.runtime import ops
-from repro.runtime.fuse import FUSED_KERNEL, fusable_task, fuse_graph, fuse_program
+from repro.runtime.fuse import FUSED_KERNEL, fusable_task, fuse_program
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.program import as_program
@@ -70,12 +70,12 @@ class TestStructure:
         g = self._calu_graph()
         p = as_program(g)
         assert fuse_program(p, max_ops=1) is p
-        assert len(fuse_graph(g, max_ops=1).tasks) == len(g.tasks)
+        assert len(fuse_program(g, max_ops=1).materialize().tasks) == len(g.tasks)
 
     def test_groups_respect_cap_and_preserve_membership(self):
         g = self._calu_graph()
         for cap in (2, 4, 8, 16):
-            fused = fuse_graph(g, max_ops=cap)
+            fused = fuse_program(g, max_ops=cap).materialize()
             assert len(fused.tasks) < len(g.tasks)  # something actually fused
             for t in fused.tasks:
                 members = t.meta.get("fused")
@@ -104,7 +104,7 @@ class TestStructure:
     def test_footprints_are_member_unions(self):
         g = self._calu_graph()
         by_name = {t.name: t for t in g.tasks}
-        fused = fuse_graph(g, max_ops=8)
+        fused = fuse_program(g, max_ops=8).materialize()
         for t in fused.tasks:
             members = t.meta.get("fused")
             if members is None:
@@ -114,10 +114,35 @@ class TestStructure:
             assert t.reads == reads and t.writes == writes
             assert t.cost.flops == sum(by_name[m].cost.flops for m in members)
 
+    @pytest.mark.parametrize(
+        "m, n, b, tr", [(2560, 128, 32, 8), (256, 256, 16, 2)], ids=["lu_tall", "lu_square"]
+    )
+    def test_super_tasks_are_priced_as_their_members(self, m, n, b, tr):
+        # Fusing changes the unit of dispatch, not the simulated work: on
+        # one core, makespan minus per-task overhead is the kernel time.
+        from repro.machine.presets import intel8_mkl
+        from repro.runtime.simulated import SimulatedExecutor
+
+        mach = intel8_mkl(cores=1)
+
+        def kernel_time(graph):
+            overhead = sum(mach.task_overhead_s(t.cost) for t in graph.tasks)
+            return SimulatedExecutor(mach).run(graph).makespan - overhead
+
+        def graph():
+            return calu_program(BlockLayout(m, n, b), tr, TreeKind.BINARY)[0].materialize()
+
+        fused = fuse_program(graph(), max_ops=8).materialize()
+        assert len(fused.tasks) < len(graph().tasks)
+        for t in fused.tasks:
+            if "fused" in t.meta:
+                assert len(t.cost.members) == len(t.meta["fused"])
+        assert kernel_time(fused) == pytest.approx(kernel_time(graph()), rel=0.05)
+
     def test_fused_builder_graphs_stay_race_free(self):
         for tree in (TreeKind.BINARY, TreeKind.FLAT):
             for cap in (2, 8):
-                fused = fuse_graph(self._calu_graph(tree), max_ops=cap)
+                fused = fuse_program(self._calu_graph(tree), max_ops=cap).materialize()
                 assert not _race_errors(fused)
                 fused.topological_order()  # raises on a cycle
 
@@ -184,7 +209,7 @@ def test_fusing_random_graphs_preserves_races_and_results(seed):
     ref_graph.run_sequential()
 
     fused_graph, fused_state = _random_tracker_graph(seed)
-    fused = fuse_graph(fused_graph, max_ops=cap)
+    fused = fuse_program(fused_graph, max_ops=cap).materialize()
     assert not _race_errors(fused)
     fused.run_sequential()
     assert np.array_equal(ref_state, fused_state)
@@ -192,7 +217,7 @@ def test_fusing_random_graphs_preserves_races_and_results(seed):
     # The fused graph must also be schedule-independent: a threaded run
     # with real concurrency lands on the same bytes.
     thr_graph, thr_state = _random_tracker_graph(seed)
-    ThreadedExecutor(3).run(fuse_graph(thr_graph, max_ops=cap))
+    ThreadedExecutor(3).run(fuse_program(thr_graph, max_ops=cap).materialize())
     assert np.array_equal(ref_state, thr_state)
 
 
@@ -311,7 +336,7 @@ def test_worker_death_retries_whole_super_task(_fuse_test_ops):
             writes=frozenset({("o", 0)}),
             op=("test_fuse_mark", {"out": arena.spec(out)}),
         )
-        fused = fuse_graph(g, max_ops=2)
+        fused = fuse_program(g, max_ops=2).materialize()
         assert len(fused.tasks) == 1 and fused.tasks[0].meta["fused"] == ("t0", "t1")
         assert fused.tasks[0].idempotent
         with ProcessExecutor(1, retry=RetryPolicy(max_retries=2, backoff_s=1e-4)) as ex:

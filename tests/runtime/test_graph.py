@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.graph import BlockTracker, TaskGraph, col_blocks
+from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.task import Cost, TaskKind
 
 
@@ -149,10 +149,6 @@ class TestBlockTracker:
         assert g.preds[b] == [a]
 
 
-def test_col_blocks_helper():
-    assert col_blocks(range(2, 5), 7) == [(2, 7), (3, 7), (4, 7)]
-
-
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_property_tracker_serializes_conflicting_writes(data):
@@ -194,26 +190,21 @@ class TestFootprint:
     def test_footprint_accumulates(self):
         t = BlockTracker()
         g = TaskGraph()
-        a = t.add_task(g, "a", TaskKind.S, cost(), reads=[(0, 0)], writes=[(1, 0)])
-        reads, writes = t.footprint(a)
-        assert reads == frozenset({(0, 0)})
-        assert writes == frozenset({(1, 0)})
+        a = t.add_task(g, "a", TaskKind.S, cost(), reads=[(0, 0), (0, 0)], writes=[(1, 0)])
+        b = t.add_task(g, "b", TaskKind.S, cost(), reads=[(1, 0)], writes=[(2, 0)])
+        # The task is the one footprint store; each keeps its own sets.
+        assert (g.tasks[a].reads, g.tasks[a].writes) == (frozenset({(0, 0)}), frozenset({(1, 0)}))
+        assert (g.tasks[b].reads, g.tasks[b].writes) == (frozenset({(1, 0)}), frozenset({(2, 0)}))
 
     def test_footprint_merges_repeat_commits(self):
+        # Two commits of one task id order later tasks after both.
         t = BlockTracker()
         t.commit(0, reads=[(0, 0)])
         t.commit(0, reads=[(0, 1)], writes=[(2, 2)])
-        assert t.footprint(0) == (frozenset({(0, 0), (0, 1)}), frozenset({(2, 2)}))
-
-    def test_unknown_tid_raises(self):
-        with pytest.raises(KeyError):
-            BlockTracker().footprint(99)
-
-    def test_known_tids_sorted(self):
-        t = BlockTracker()
-        t.commit(5, writes=[(0, 0)])
-        t.commit(2, reads=[(0, 0)])
-        assert t.known_tids() == [2, 5]
+        assert t.deps_for(writes=[(0, 0)]) == {0}
+        assert t.deps_for(writes=[(0, 1)]) == {0}
+        assert t.deps_for(reads=[(2, 2)]) == {0}
+        assert t.deps_for(reads=[(0, 0), (0, 1)]) == set()
 
     def test_add_task_mirrors_footprint_into_meta(self):
         t = BlockTracker()

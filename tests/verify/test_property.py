@@ -61,11 +61,10 @@ def test_race_detector_agrees_with_oracle(seq):
 @settings(max_examples=100, deadline=None)
 @given(access_seqs)
 def test_footprint_matches_declaration(seq):
-    graph, tracker = build(seq)
-    assert tracker.known_tids() == list(range(len(seq)))
-    for i, (reads, writes) in enumerate(seq):
-        assert tracker.footprint(i) == (reads, writes)
-        task = graph.tasks[i]
+    graph, _ = build(seq)
+    assert len(graph.tasks) == len(seq)
+    for task, (reads, writes) in zip(graph.tasks, seq, strict=True):
+        assert task.has_footprint
         assert task.reads == reads and task.writes == writes
 
 
