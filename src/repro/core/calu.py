@@ -432,11 +432,11 @@ def calu(
         gracefully.
     checkpoint : optional
         :class:`~repro.resilience.checkpoint.Checkpoint` arming the
-        checkpoint/restart path: panel-boundary snapshots plus a
-        write-ahead task journal.  Call :func:`calu` again with the
-        same *checkpoint* (and the same input ``A``) after a crash and
-        the run resumes from the newest restorable boundary, skipping
-        journaled tasks, with **bitwise-identical** factors.
+        checkpoint/restart path: panel-boundary snapshots.  Call
+        :func:`calu` again with the same *checkpoint* (and the same
+        input ``A``) after a crash and the run resumes from the newest
+        restorable boundary, skipping the tasks it covers, with
+        **bitwise-identical** factors.
     abft : verify every trailing (S) update against Huang-Abraham
         checksums, repairing single-element corruption in place
         (recorded as ``abft_correct`` events) instead of aborting.

@@ -267,11 +267,9 @@ def _resume(checkpoint, signature: dict, plan: Plan, source):
     program = plan.program
     usable = checkpoint.prepare(signature)
     resumed_from, snaps = restore_matrix(plan.A, plan.layout, checkpoint) if usable else (-1, {})
-    # The journal from a crashed run holds mid-panel completions whose
-    # effects are NOT in the restored matrix (it carries the *boundary*
-    # state); reseed it with exactly the tasks the snapshot covers.
+    # The restored matrix carries the *boundary* state, so a fresh
+    # journal is seeded with exactly the tasks the snapshot covers.
     journal = checkpoint.journal()
-    journal.reset()
     journal.bind(source)
     if resumed_from >= 0:
         # Window K holds every task of iteration K, so emitting through

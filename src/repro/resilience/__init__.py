@@ -29,7 +29,7 @@ hardware actually produces:
     (:class:`~repro.resilience.checkpoint.MemoryStore`,
     :class:`~repro.resilience.checkpoint.FileStore`), the
     :class:`~repro.resilience.checkpoint.Checkpoint` snapshot manager
-    and the write-ahead
+    and the in-memory
     :class:`~repro.resilience.journal.TaskJournal` the executors
     consult to skip completed tasks on resume.
 

@@ -42,6 +42,7 @@ import zlib
 import numpy as np
 
 from repro.resilience.events import ResilienceEvent
+from repro.resilience.journal import TaskJournal
 from repro.runtime.sync import make_condition, make_lock
 from repro.runtime.task import Cost, TaskKind
 
@@ -95,8 +96,8 @@ class CheckpointStore:
     """Interface for checkpoint persistence.
 
     Two kinds of data: *array payloads* (snapshots) keyed by
-    hierarchical string keys, and *append-only line logs* (the task
-    journal).  Implementations must make :meth:`save_arrays` atomic —
+    hierarchical string keys, and *append-only line logs* (the
+    signature line).  Implementations must make :meth:`save_arrays` atomic —
     a reader never sees a half-written payload — and must tolerate a
     process dying between any two calls.
     """
@@ -431,11 +432,10 @@ class Checkpoint:
     def _k(self, *parts) -> str:
         return "/".join((self.key, *map(str, parts)))
 
-    def journal(self):
-        """The task journal living in this checkpoint's namespace."""
-        from repro.resilience.journal import TaskJournal
-
-        return TaskJournal(self.store, key=self._k("journal"))
+    def journal(self) -> TaskJournal:
+        """A fresh task journal: only the snapshot chain persists, and
+        the driver seeds the journal from the boundary it restores."""
+        return TaskJournal()
 
     def flush(self) -> None:
         """Wait for in-flight snapshot writes; re-raise any write error."""
@@ -443,7 +443,7 @@ class Checkpoint:
             self._writer.flush()
 
     def clear(self) -> None:
-        """Drop every snapshot and journal entry in this namespace."""
+        """Drop every snapshot in this namespace."""
         self.flush()
         self.store.clear(self.key + "/")
 

@@ -1,121 +1,51 @@
-"""Write-ahead task journal for the executors.
+"""The completed-task set of a run.
 
-A :class:`TaskJournal` records every completed task (name + id) as one
-JSON line in a :class:`~repro.resilience.checkpoint.CheckpointStore`.
-On a restarted run, ``executor.run(graph, journal=journal)`` skips the
-journaled tasks — their effects are already present (recomputed into
-the matrix by the checkpoint restore, or still live in process memory)
-— and resumes scheduling from the surviving frontier.
-
-The journal is deliberately forgiving on load: a truncated or corrupt
-tail (the writer was killed mid-append) silently ends the log at the
-last intact line, and a header that does not match the graph being run
-resets the journal — both cases degrade to "start fresh", never to a
-crash or to skipping work that was not actually done.
+A :class:`TaskJournal` holds the names of the tasks that have completed
+(post-guards).  ``executor.run(graph, journal=journal)`` records into it
+and skips what it already holds — their effects are present, restored
+into the matrix from a checkpoint or still live in process memory — so
+a run that failed resumes from the surviving frontier when it is run
+again with the same journal.  It lives in memory: what survives a crash
+is the checkpoint's snapshot chain, from which the driver reseeds a
+fresh journal with the tasks the restored boundary covers.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.resilience.checkpoint import CheckpointStore, MemoryStore
 from repro.runtime.sync import make_lock
 
 __all__ = ["TaskJournal"]
 
 
 class TaskJournal:
-    """Completed-task log over a pluggable checkpoint store.
+    """Completed-task names, shared by the threads of a run."""
 
-    Parameters
-    ----------
-    store:
-        Persistence backend (default: in-memory).
-    key:
-        The store key of the journal's line log.
-    """
-
-    def __init__(self, store: CheckpointStore | None = None, key: str = "journal") -> None:
-        self.store = store if store is not None else MemoryStore()
-        self.key = key
+    def __init__(self) -> None:
         self._lock = make_lock("resilience.journal")
-        self._header: dict | None = None
+        self._graph: str | None = None
         self._completed: set[str] = set()
-        self._load()
-
-    # ------------------------------------------------------------------
-    # Loading and graph binding
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
-        try:
-            lines = self.store.read_lines(self.key)
-        except Exception:
-            lines = []
-        header: dict | None = None
-        completed: set[str] = set()
-        for line in lines:
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                break  # torn tail from a killed writer: stop here
-            if not isinstance(obj, dict):
-                break
-            if "header" in obj:
-                header = obj["header"]
-            elif "task" in obj:
-                completed.add(obj["task"])
-            else:
-                break
-        self._header = header
-        self._completed = completed
-
-    @staticmethod
-    def _signature(source) -> dict:
-        # Eager graphs carry a task count; streaming GraphPrograms only
-        # know their name up front (the task list grows window by
-        # window), so their signature is name-only.
-        sig = {"graph": source.name}
-        tasks = getattr(source, "tasks", None)
-        if tasks is not None:
-            sig["n_tasks"] = len(tasks)
-        return sig
-
-    @staticmethod
-    def _compatible(header: dict, sig: dict) -> bool:
-        if header.get("graph") != sig.get("graph"):
-            return False
-        if "n_tasks" in header and "n_tasks" in sig and header["n_tasks"] != sig["n_tasks"]:
-            return False
-        return True
 
     def bind(self, source) -> set[str]:
         """Attach the journal to a graph or program; returns the
         completed names.
 
-        A journal written for a different graph (mismatched header) is
-        reset — its entries describe other tasks and must not cause
-        skips.  Entries naming tasks an eager graph does not contain
-        are ignored for the same reason; for a streaming
+        Entries recorded under a different graph name describe other
+        tasks and must not cause skips: they are discarded.  Entries
+        naming tasks an eager graph does not contain are ignored for the
+        same reason; for a streaming
         :class:`~repro.runtime.program.GraphProgram` the full set is
-        returned (the executor matches names at window registration,
-        so foreign entries are simply never hit).
+        returned (the executor matches names at window registration, so
+        foreign entries are simply never hit).
         """
-        sig = self._signature(source)
         with self._lock:
-            if self._header is not None and not self._compatible(self._header, sig):
-                self._reset_locked()
-            if self._header is None:
-                self.store.append_line(self.key, json.dumps({"header": sig}, sort_keys=True))
-                self._header = sig
+            if self._graph not in (None, source.name):
+                self._completed = set()
+            self._graph = source.name
             tasks = getattr(source, "tasks", None)
             if tasks is None:
                 return set(self._completed)
-            names = {t.name for t in tasks}
-            return self._completed & names
+            return self._completed & {t.name for t in tasks}
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
     @property
     def completed(self) -> frozenset:
         with self._lock:
@@ -127,26 +57,19 @@ class TaskJournal:
 
     def record(self, task) -> None:
         """Journal one completed task (called by executors post-guards)."""
-        self.record_name(task.name, getattr(task, "tid", -1))
+        self.record_name(task.name)
 
-    def record_name(self, name: str, tid: int = -1) -> None:
+    def record_name(self, name: str) -> None:
         with self._lock:
-            if name in self._completed:
-                return
-            self.store.append_line(self.key, json.dumps({"task": name, "tid": tid}))
             self._completed.add(name)
 
     def mark_completed(self, names) -> None:
         """Bulk-journal *names* (checkpoint restore seeds the skip set)."""
-        for name in names:
-            self.record_name(name)
-
-    def _reset_locked(self) -> None:
-        self.store.delete(self.key)
-        self._header = None
-        self._completed = set()
+        with self._lock:
+            self._completed.update(names)
 
     def reset(self) -> None:
-        """Discard all entries (and the header)."""
+        """Discard all entries (and the graph binding)."""
         with self._lock:
-            self._reset_locked()
+            self._graph = None
+            self._completed = set()

@@ -211,8 +211,8 @@ class _Bookkeeping:
             self.window_of.append(window)
             if self.done_names and task.name in self.done_names:
                 # Journaled: done before the run starts.  Its ancestors
-                # are journaled too (the journal is write-ahead in
-                # dependency order), so no release bookkeeping is owed.
+                # are journaled too (a task is journaled before its
+                # successors are released), so no release bookkeeping is owed.
                 self.done.append(True)
                 self.indeg.append(0)
                 self.skipped.add(tid)
@@ -288,11 +288,11 @@ def failure(kind: str, message: str, task: Task | None = None, cause=None) -> Ru
 def guard_and_journal(task: Task, health_checks: bool, journal, record) -> RuntimeFailure | None:
     """What a task owes between its work succeeding and its successors'
     release, on either clock: the numerical health guard (it reads only
-    blocks the task owns; verdicts go to *record*), then the write-ahead
-    journal entry — only after the guard passes, so a resumed run never
-    skips a task whose output was found corrupted.  Returns the failure
-    that must end the run (``"health"``, or ``"task_error"`` for a
-    journal that cannot be written), else None."""
+    blocks the task owns; verdicts go to *record*), then the journal
+    entry — only after the guard passes, so a resumed run never skips a
+    task whose output was found corrupted.  Returns the failure that
+    must end the run (``"health"``, or ``"task_error"`` for a journal
+    that cannot be written), else None."""
     guard = task.meta.get("health") if (health_checks and task.meta) else None
     if guard is not None:
         verdict = guard()
@@ -603,7 +603,7 @@ class _RealClockRun:
         journal, record, release of its successors.  False when the run
         must end (the failure is recorded)."""
         # Outside the lock: the guard reads only blocks this task
-        # owns, the journal may hit disk.
+        # owns, the journal has its own lock.
         failed = guard_and_journal(task, self.engine.health_checks, self.journal, self.record_event)
         with self.work_available:
             self.running.pop(task.tid, None)

@@ -9,8 +9,8 @@ arrive at once:
 * :class:`~repro.service.admission.AdmissionQueue` — bounded admission
   with fast-fail load shedding (:class:`AdmissionRejected` carries the
   queue depth and a retry-after hint);
-* per-request deadlines mapped onto the execution engine's watchdog
-  plus a request-level deadline reaper (:class:`DeadlineExceeded`);
+* per-request deadlines bounding the admission wait and mapped onto
+  the execution engine's watchdog (:class:`DeadlineExceeded`);
 * :class:`~repro.service.breaker.CircuitBreaker` — trips on
   worker-death/timeout storms and degrades to the threaded backend
   until probes succeed;

@@ -55,16 +55,16 @@ class AdmissionRejected(RuntimeFailure):
 class DeadlineExceeded(RuntimeFailure):
     """The request's deadline passed before it could complete.
 
-    Raised whether the deadline expired while queued for admission,
-    waiting for a compiled plan, or mid-run (the engine watchdog aborts
-    the run with a ``deadline`` failure the service converts).
+    Raised whether the deadline passed while queued for admission or
+    mid-run (the engine watchdog aborts the run with a ``deadline``
+    failure the service converts).
 
     Attributes
     ----------
     deadline_s:
         The request's deadline budget in seconds.
     stage:
-        Where the deadline hit: ``"queued"``, ``"plan"`` or ``"run"``.
+        Where the deadline hit: ``"queued"``, ``"run"`` or ``"post-run"``.
     """
 
     def __init__(self, message: str, *, deadline_s: float = 0.0, stage: str = "run") -> None:
@@ -117,8 +117,8 @@ class AdmissionQueue:
 
         *deadline* is an absolute ``time.monotonic()`` instant; a queued
         wait never outlives it.  Raises :class:`AdmissionRejected` (shed
-        or shutting down) or :class:`DeadlineExceeded` (expired while
-        queued); returns normally once a slot is held.
+        or shutting down) or :class:`DeadlineExceeded` (deadline passed
+        while queued); returns normally once a slot is held.
         """
         with self._cond:
             if self._closed:
@@ -190,11 +190,6 @@ class AdmissionQueue:
         """Stop admitting; every queued waiter wakes with a rejection."""
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
-
-    def kick(self) -> None:
-        """Wake every waiter to re-check deadlines (the reaper's lever)."""
-        with self._cond:
             self._cond.notify_all()
 
     def wait_idle(self, timeout: float | None = None) -> bool:

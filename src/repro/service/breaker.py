@@ -77,7 +77,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._failures: deque[float] = deque()  # infra-failure timestamps
         self._opened_at = 0.0
-        self._probe_inflight = False
+        self._probing = False
         self._probe_ok = 0
         #: ``(time, from_state, to_state, reason)`` history, for tests
         #: and post-mortems.
@@ -112,10 +112,10 @@ class CircuitBreaker:
                 return "primary"
             if self._state == "open" and now - self._opened_at >= self.open_s:
                 self._transition("half_open", "cool-down elapsed, probing")
-                self._probe_inflight = False
+                self._probing = False
                 self._probe_ok = 0
-            if self._state == "half_open" and not self._probe_inflight:
-                self._probe_inflight = True
+            if self._state == "half_open" and not self._probing:
+                self._probing = True
                 return "probe"
             return "degraded"
 
@@ -132,7 +132,7 @@ class CircuitBreaker:
                 return  # the primary was not exercised; no signal
             infra_failure = (not ok) and kind in TRIP_KINDS
             if mode == "probe":
-                self._probe_inflight = False
+                self._probing = False
                 if self._state != "half_open":
                     return  # stale probe verdict after another transition
                 if infra_failure:

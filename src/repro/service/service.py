@@ -4,7 +4,7 @@
 calls for: a long-lived, thread-safe object accepting concurrent
 ``factor``/``solve``/``lstsq`` requests and multiplexing them onto one
 shared worker-process pool and shared-memory arena.  The driver's own
-compiled plans (:func:`repro.core.driver.compile`) are cached per
+compiled plans (:func:`repro.core.driver.compile`) are pooled per
 ``(op, shape, b, tr, tree, backend, max_ops)`` so repeat shapes skip
 graph construction entirely — the request loads its matrix into the
 plan's buffer, runs the pre-built graph, and extracts the factors.
@@ -16,8 +16,7 @@ Every request leaves through exactly one of four doors:
 * :class:`~repro.service.admission.AdmissionRejected` — shed before
   running (queue full, or the service is shutting down);
 * :class:`~repro.service.admission.DeadlineExceeded` — the per-request
-  deadline passed (while queued, waiting for a plan, or mid-run via the
-  engine watchdog);
+  deadline passed (while queued, or mid-run via the engine watchdog);
 * :class:`~repro.resilience.recovery.RuntimeFailure` — the run failed
   structurally after bounded retries.
 
@@ -28,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +41,7 @@ from repro.machine.autotune import autotune, resolve_params
 from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.sync import make_condition, make_lock
+from repro.runtime.sync import make_lock
 from repro.service.admission import AdmissionQueue, AdmissionRejected, DeadlineExceeded
 from repro.service.breaker import CircuitBreaker
 from repro.service.supervisor import PoolSupervisor, RespawnGovernor
@@ -79,7 +77,7 @@ class ServiceConfig:
         (shape, b, Tr) — with the worker-spawn term dropped, since the
         service's pool is persistent; an ``int`` fixes it; ``None`` or
         ``1`` disables fusion.  The resolved granularity is part of the
-        plan-cache key, and the autotuner's decision is appended to
+        plan-pool key, and the autotuner's decision is appended to
         every request's trace as an ``autotune`` event.
     max_active, max_queue:
         Admission bounds: requests running concurrently, and requests
@@ -102,17 +100,14 @@ class ServiceConfig:
     breaker_threshold, breaker_window_s, breaker_open_s, breaker_probes:
         Circuit-breaker tuning (see
         :class:`~repro.service.breaker.CircuitBreaker`).
-    max_plans, plans_per_key:
-        Plan-cache bounds: total compiled plans cached, and identical
-        plans per key (>1 lets several same-shape requests run
-        concurrently).  Overflow requests build ephemeral plans.
+    max_plans:
+        Idle compiled plans kept for reuse; beyond it the least recently
+        used is closed.  (Plans in use are bounded by ``max_active``.)
     heartbeat_s:
         Pool-supervisor heartbeat period (0 disables supervision).
     max_respawns, respawn_window_s:
         Worker respawn-rate throttle (see
         :class:`~repro.service.supervisor.RespawnGovernor`).
-    reaper_poll_s:
-        Deadline-reaper poll period.
     start_method:
         ``multiprocessing`` start method for the pool (None = default).
     fault_plan_factory:
@@ -139,11 +134,9 @@ class ServiceConfig:
     breaker_open_s: float = 1.0
     breaker_probes: int = 1
     max_plans: int = 8
-    plans_per_key: int = 2
     heartbeat_s: float = 0.2
     max_respawns: int = 8
     respawn_window_s: float = 1.0
-    reaper_poll_s: float = 0.05
     start_method: str | None = None
     fault_plan_factory: "Callable[[], object] | None" = None
 
@@ -164,20 +157,17 @@ class ServiceConfig:
             raise ValueError("max_queue must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.max_plans < 1 or self.plans_per_key < 1:
-            raise ValueError("max_plans and plans_per_key must be >= 1")
+        if self.max_plans < 1:
+            raise ValueError("max_plans must be >= 1")
 
 
-class _Request:
-    """Reaper-visible in-flight request state."""
+class _Request(NamedTuple):
+    """An admitted request: its id, its absolute ``time.monotonic()``
+    deadline (None = unbounded) and the budget that was asked for."""
 
-    __slots__ = ("rid", "deadline", "deadline_s", "expired")
-
-    def __init__(self, rid: int, deadline: float | None, deadline_s: float) -> None:
-        self.rid = rid
-        self.deadline = deadline
-        self.deadline_s = deadline_s
-        self.expired = threading.Event()
+    rid: int
+    deadline: float | None
+    deadline_s: float
 
 
 class FactorizationService:
@@ -236,24 +226,15 @@ class FactorizationService:
             seed=cfg.seed + 1,
             retry_all=True,
         )
-        # Plan cache: key -> list of driver Plan | None ("building"
-        # placeholder); exclusivity via _busy.  One condition covers
-        # checkouts, check-ins and the reaper's deadline kicks.
-        self._plan_cond = make_condition("service.plan")
-        self._plans: dict[tuple, list] = {}
-        self._busy: set[int] = set()  # id(plan) of checked-out plans
-        self.plan_hits = 0
-        self.plan_builds = 0
-        self.plan_ephemeral = 0
-        self._inflight: dict[int, _Request] = {}
-        self._inflight_lock = make_lock("service.inflight")
+        # Plan pool: the idle ``(key, plan)`` pairs, least recently used
+        # first.  A plan in use is held by its request alone, and
+        # admission bounds those, so a checkout never waits.
+        self._plan_lock = make_lock("service.plan")
+        self._idle: list[tuple[tuple, Plan]] = []
+        self._plans_out = 0
+        self._plan_stats = {"hits": 0, "builds": 0, "ephemeral": 0}
         self._rid = itertools.count()
         self._closed = False
-        self._reaper_stop = threading.Event()
-        self._reaper = threading.Thread(
-            target=self._reap_loop, name="repro-svc-reaper", daemon=True
-        )
-        self._reaper.start()
 
     # ------------------------------------------------------------------
     # Public request API
@@ -342,20 +323,15 @@ class FactorizationService:
         return b, tr, tree
 
     def _request(self, op, A, params, deadline_s, extract):
-        cfg = self.config
         t0 = time.monotonic()
         if deadline_s is None:
-            deadline_s = cfg.default_deadline_s
+            deadline_s = self.config.default_deadline_s
         deadline = None if deadline_s is None else t0 + float(deadline_s)
         self._admission.try_acquire(deadline, deadline_s or 0.0)
         req = _Request(next(self._rid), deadline, deadline_s or 0.0)
-        with self._inflight_lock:
-            self._inflight[req.rid] = req
         try:
             return self._attempt_loop(op, A, params, req, extract)
         finally:
-            with self._inflight_lock:
-                self._inflight.pop(req.rid, None)
             self._admission.release(time.monotonic() - t0)
 
     def _attempt_loop(self, op, A, params, req, extract):
@@ -367,10 +343,16 @@ class FactorizationService:
             use_process = self._executor is not None and mode in ("primary", "probe")
             try:
                 result = self._run_once(op, A, params, req, use_process, extract)
-            except RuntimeFailure as exc:
-                kind = exc.failure_kind
+            except BaseException as exc:
+                # Every exit returns the verdict (a half-open probe holds
+                # its slot until then); only a RuntimeFailure's kind says
+                # anything about the pool, anything else (an arena that
+                # cannot be allocated) is the caller's to see as it is.
+                kind = exc.failure_kind if isinstance(exc, RuntimeFailure) else None
                 if mode is not None:
                     self._breaker.record(mode, ok=False, kind=kind)
+                if kind is None:
+                    raise
                 if kind == "deadline" and not isinstance(exc, DeadlineExceeded):
                     raise DeadlineExceeded(
                         f"deadline ({req.deadline_s:.3g}s) passed mid-run: {exc}",
@@ -400,7 +382,7 @@ class FactorizationService:
 
     def _run_once(self, op, A, params, req, use_process, extract):
         cfg = self.config
-        plan, cached = self._checkout_plan(op, A.shape, params, req)
+        key, plan = self._checkout_plan(op, A.shape, params)
         try:
             plan.load(A)
             fault_plan = (
@@ -419,12 +401,10 @@ class FactorizationService:
             )
             return extract(plan, plan.run(engine))
         finally:
-            self._checkin_plan(plan, cached)
+            self._checkin_plan(key, plan)
 
     def _check_deadline(self, req: _Request, stage: str) -> None:
-        if req.deadline is None:
-            return
-        if req.expired.is_set() or time.monotonic() >= req.deadline:
+        if req.deadline is not None and time.monotonic() >= req.deadline:
             raise DeadlineExceeded(
                 f"deadline ({req.deadline_s:.3g}s) passed before the {stage} stage",
                 deadline_s=req.deadline_s,
@@ -432,7 +412,7 @@ class FactorizationService:
             )
 
     # ------------------------------------------------------------------
-    # Plan cache
+    # Plan pool
     # ------------------------------------------------------------------
     def _fusion_for(self, op, shape, params):
         """Resolve the configured fusion knob to ``(max_ops, decision)``.
@@ -452,98 +432,24 @@ class FactorizationService:
             return decision.max_ops, decision
         return (fuse if isinstance(fuse, int) else 1), None
 
-    def _total_plans(self) -> int:
-        return sum(len(v) for v in self._plans.values())
-
-    def _checkout_plan(self, op, shape, params, req):
-        """Return ``(plan, cached)`` with the plan exclusively held.
-
-        Cached plans are reused per key (up to ``plans_per_key``
-        concurrently-usable copies); beyond ``max_plans`` total an idle
-        plan is evicted, else the request gets an *ephemeral* plan that
-        dies with it.  Waits are bounded by the request's deadline.
-        """
-        cfg = self.config
-        b, tr, tree = params
-        max_ops, _ = self._fusion_for(op, shape, params)
-        key = (op, *shape, b, tr, tree.value, self.backend, max_ops)
-        with self._plan_cond:
-            while True:
-                slots = self._plans.setdefault(key, [])
-                for plan in slots:
-                    if plan is not None and id(plan) not in self._busy:
-                        self._busy.add(id(plan))
-                        self.plan_hits += 1
-                        return plan, True
-                if len(slots) < cfg.plans_per_key:
-                    if self._total_plans() >= cfg.max_plans and not self._evict_idle(key):
-                        break  # cache full of busy plans: go ephemeral
-                    slots.append(None)  # placeholder: building
-                    break
-                # Per-key cap reached and all copies busy: wait for one.
-                timeout = 0.1
-                if req.deadline is not None:
-                    remaining = req.deadline - time.monotonic()
-                    if remaining <= 0.0 or req.expired.is_set():
-                        raise DeadlineExceeded(
-                            f"deadline ({req.deadline_s:.3g}s) passed waiting "
-                            "for a compiled plan",
-                            deadline_s=req.deadline_s,
-                            stage="plan",
-                        )
-                    timeout = min(timeout, remaining)
-                self._plan_cond.wait(timeout)
-        # Build outside the lock: graph construction is the expensive
-        # part the cache exists to amortize.
-        try:
-            plan = self._compile(op, shape, params)
-        except BaseException:
-            with self._plan_cond:
-                slots = self._plans.get(key, [])
-                if None in slots:
-                    slots.remove(None)
-                self._plan_cond.notify_all()
-            raise
-        with self._plan_cond:
-            slots = self._plans.get(key, [])
-            if None in slots:
-                slots[slots.index(None)] = plan
-                self._busy.add(id(plan))
-                self.plan_builds += 1
-                return plan, True
-        self.plan_ephemeral += 1
-        return plan, False
-
-    def _evict_idle(self, keep_key) -> bool:
-        """Drop one idle plan from another key; True on success.
-
-        Called under ``_plan_cond``.
-        """
-        for key, slots in self._plans.items():
-            if key == keep_key:
-                continue
-            for i, plan in enumerate(slots):
-                if plan is not None and id(plan) not in self._busy:
-                    del slots[i]
-                    plan.close()
-                    return True
-        return False
-
-    def _checkin_plan(self, plan: Plan, cached: bool) -> None:
-        if not cached:
-            plan.close()
-            return
-        with self._plan_cond:
-            self._busy.discard(id(plan))
-            self._plan_cond.notify_all()
-
-    def _compile(self, op, shape, params) -> Plan:
-        """The driver's plan for this key: the default leaf kernel, an
-        empty buffer on the service's plane, the configured fusion."""
+    def _checkout_plan(self, op, shape, params):
+        """Return ``(key, plan)``, the plan held by this request alone:
+        the most recently used idle plan of the key (a *hit*), else the
+        driver's plan for it — the default leaf kernel, an empty buffer
+        on the service's plane, the configured fusion — compiled outside
+        the lock (a *build*; *ephemeral* when the plans already out fill
+        ``max_plans``, so the pool cannot keep them all once they return)."""
         b, tr, tree = params
         alg = ALGORITHMS[op]
         max_ops, decision = self._fusion_for(op, shape, params)
-        return compile(
+        key = (op, *shape, b, tr, tree.value, self.backend, max_ops)
+        with self._plan_lock:
+            for i in reversed(range(len(self._idle))):
+                if self._idle[i][0] == key:
+                    self._plan_stats["hits"] += 1
+                    self._plans_out += 1
+                    return self._idle.pop(i)
+        plan = compile(
             alg,
             shape,
             b=b,
@@ -554,30 +460,23 @@ class FactorizationService:
             fuse=max_ops,
             decision=decision,
         )
+        with self._plan_lock:
+            over = self._plans_out >= self.config.max_plans
+            self._plan_stats["ephemeral" if over else "builds"] += 1
+            self._plans_out += 1
+        return key, plan
 
-    # ------------------------------------------------------------------
-    # Deadline reaper
-    # ------------------------------------------------------------------
-    def _reap_loop(self) -> None:
-        while not self._reaper_stop.wait(self.config.reaper_poll_s):
-            now = time.monotonic()
-            expired_any = False
-            with self._inflight_lock:
-                for req in self._inflight.values():
-                    if (
-                        req.deadline is not None
-                        and now >= req.deadline
-                        and not req.expired.is_set()
-                    ):
-                        req.expired.set()
-                        expired_any = True
-            if expired_any:
-                # Wake anything blocked on admission or plan checkout so
-                # the expired requests surface DeadlineExceeded promptly
-                # (the engine watchdog handles mid-run expiry itself).
-                self._admission.kick()
-                with self._plan_cond:
-                    self._plan_cond.notify_all()
+    def _checkin_plan(self, key, plan: Plan) -> None:
+        """Return *plan* to the pool — after a failed run too, its next
+        ``load`` resets it — and close what the pool may not keep."""
+        with self._plan_lock:
+            self._plans_out -= 1
+            self._idle.append((key, plan))
+            keep = 0 if self._closed else self.config.max_plans
+            excess = max(len(self._idle) - keep, 0)
+            evicted, self._idle = self._idle[:excess], self._idle[excess:]
+        for _, old in evicted:
+            old.close()
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection
@@ -595,12 +494,7 @@ class FactorizationService:
             "admission": self._admission.snapshot(),
             "breaker": self._breaker.snapshot(),
             "respawn": self._governor.snapshot(),
-            "plans": {
-                "cached": self._total_plans(),
-                "hits": self.plan_hits,
-                "builds": self.plan_builds,
-                "ephemeral": self.plan_ephemeral,
-            },
+            "plans": {"cached": len(self._idle), **self._plan_stats},
         }
         if self._supervisor is not None:
             out["supervisor"] = {
@@ -624,18 +518,13 @@ class FactorizationService:
         self._closed = True
         self._admission.close()
         self._admission.wait_idle(timeout)
-        self._reaper_stop.set()
-        self._reaper.join(timeout=2.0)
         if self._supervisor is not None:
             self._supervisor.stop()
         if self._executor is not None:
             self._executor.close()
-        with self._plan_cond:
-            plans = [p for slots in self._plans.values() for p in slots if p is not None]
-            self._plans.clear()
-            self._busy.clear()
-            self._plan_cond.notify_all()
-        for plan in plans:
+        with self._plan_lock:
+            idle, self._idle = self._idle, []
+        for _, plan in idle:
             plan.close()
 
     def __enter__(self) -> "FactorizationService":

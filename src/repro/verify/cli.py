@@ -34,7 +34,6 @@ from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
-from repro.verify.backends import check_backend_equivalence
 from repro.verify.equivalence import check_stream_equivalence, state_arrays
 from repro.verify.findings import Report
 from repro.verify.lint import lint_graph
@@ -87,9 +86,7 @@ class Target:
     equivalence pass compares the two.  A *numeric* target is given as
     its ``shape`` — ``(kind, m, n, b, tr, tree)`` — instead: its program
     is that algorithm's over a fresh matrix (fused to ``fuse`` ops when
-    set), the dynamic passes run, and the threaded-vs-process backend
-    pass factors the same shape through both executor backends (with
-    the same fusion granularity) and demands bitwise-identical factors.
+    set) and the dynamic passes run.
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class Target:
         self.name = name
         self.program = program
         self.shape = shape
-        self.fuse = fuse
 
     def build(self) -> "tuple[TaskGraph, _Collect | None]":
         program, collect = self.program()
@@ -124,8 +120,7 @@ def default_targets() -> list[Target]:
             for kind, alg in ALGORITHMS.items():
                 name = f"{alg.name.lower()}-{tree.value}-{m}x{n}"
                 targets.append(Target(name, shape=(kind, m, n, b, tr, tree)))
-    # Fused rewrites: the full pass battery over super-task graphs, plus
-    # backend equivalence with batched descriptor dispatch.
+    # Fused rewrites: the full pass battery over super-task graphs.
     targets.append(
         Target("calu-binary-48x48-fused8", shape=("lu", 48, 48, 8, 4, TreeKind.BINARY), fuse=8)
     )
@@ -190,11 +185,6 @@ def _verify_target(target: Target, fuzz_runs: int, static_only: bool, seed: int)
         "equivalence",
         check_stream_equivalence(target.name, target.program, execute=not static_only),
     )
-    if target.shape is not None and not static_only:
-        report.extend(
-            "backends",
-            check_backend_equivalence(target.name, *target.shape, seed=seed, fuse=target.fuse),
-        )
     return report
 
 

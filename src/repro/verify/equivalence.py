@@ -126,33 +126,23 @@ def compare_graphs(
     return findings
 
 
-def state_arrays(A: np.ndarray, panels: list, detach: Callable = lambda a: a, **_: object) -> list:
-    """What the bitwise passes compare: the factored matrix, then every
+def state_arrays(A: np.ndarray, panels: list) -> list:
+    """What the bitwise pass compares: the factored matrix, then every
     panel's state arrays (CALU's pivots and flags, CAQR's implicit-Q
-    factors), each passed through *detach*.  Also an
-    :attr:`~repro.core.driver.Algorithm.result` constructor."""
-    return [detach(A), *(detach(a) for p in panels for a in p.to_arrays().values())]
+    factors)."""
+    return [A, *(a for p in panels for a in p.to_arrays().values())]
 
 
-def compare_results(
-    got: list[np.ndarray],
-    want: list[np.ndarray],
-    *,
-    graph: str,
-    rule: str = _RULE,
-    sides: tuple[str, str] = ("streamed", "eager"),
-    moral: str = "streaming must not change the computed factors",
-) -> list[Finding]:
-    """Bitwise-compare the numeric outputs of two runs of one computation:
-    by default a streamed and an eager one; *rule*, *sides* and *moral*
-    word the findings for another pair (the backend pass's executors)."""
+def compare_results(got: list[np.ndarray], want: list[np.ndarray], *, graph: str) -> list[Finding]:
+    """Bitwise-compare the numeric outputs of a streamed (*got*) and an
+    eager (*want*) run of one computation."""
     if len(got) != len(want):
         return [
             Finding(
-                rule,
+                _RULE,
                 "error",
                 graph,
-                f"the {sides[0]} run produced {len(got)} output arrays, the {sides[1]} run "
+                f"the streamed run produced {len(got)} output arrays, the eager run "
                 f"{len(want)}; the collectors disagree",
             )
         ]
@@ -162,12 +152,12 @@ def compare_results(
             differing = int(np.count_nonzero(g != w)) if g.shape == w.shape else "all"
             findings.append(
                 Finding(
-                    rule,
+                    _RULE,
                     "error",
                     graph,
                     f"output array {idx} differs bitwise ({differing} entries) between the "
-                    f"{sides[0]} run (shape {g.shape}) and the {sides[1]} run (shape {w.shape}); "
-                    f"{moral}",
+                    f"streamed run (shape {g.shape}) and the eager run (shape {w.shape}); "
+                    "streaming must not change the computed factors",
                 )
             )
     return findings

@@ -2,9 +2,9 @@
 
 Covers the serialization framing (CRC-verified payloads), both stores
 (in-memory and the crash-surviving file store), the snapshot chain and
-its corruption fallbacks, the write-ahead task journal (including torn
-tails from a killed writer), pickle round-trips of the structured
-failure types, and journal-aware resume on all three executors.
+its corruption fallbacks, the in-memory task journal, pickle
+round-trips of the structured failure types, and journal-aware resume
+on all three executors.
 """
 
 import json
@@ -419,30 +419,13 @@ def _chain_graph(n=5, log=None, name="chain"):
 
 
 class TestTaskJournal:
-    def test_record_and_reload(self, tmp_path):
-        fs = FileStore(tmp_path / "s")
-        j = TaskJournal(fs, key="jl")
-        j.bind(_chain_graph())
-        j.record_name("t0", 0)
-        j.record_name("t1", 1)
-        assert TaskJournal(fs, key="jl").bind(_chain_graph()) == {"t0", "t1"}
-
-    def test_torn_tail_stops_at_last_intact_line(self):
-        store = MemoryStore()
-        store.append_line("jl", json.dumps({"header": {"graph": "chain", "n_tasks": 5}}))
-        store.append_line("jl", json.dumps({"task": "t0", "tid": 0}))
-        store.append_line("jl", json.dumps({"task": "t1", "tid": 1}))
-        store.append_line("jl", '{"task": "t2", "ti')  # killed mid-append
-        store.append_line("jl", json.dumps({"task": "t3", "tid": 3}))
-        j = TaskJournal(store, key="jl")
-        assert j.bind(_chain_graph()) == {"t0", "t1"}
-
     def test_header_mismatch_resets(self):
-        store = MemoryStore()
-        j = TaskJournal(store, key="jl")
+        j = TaskJournal()
         j.bind(_chain_graph(5))
         j.record_name("t0")
-        assert TaskJournal(store, key="jl").bind(_chain_graph(7, name="other")) == set()
+        assert j.bind(_chain_graph(5)) == {"t0"}
+        assert j.bind(_chain_graph(7, name="other")) == set()
+        assert len(j) == 0
 
     def test_foreign_task_names_ignored(self):
         j = TaskJournal()
@@ -452,11 +435,10 @@ class TestTaskJournal:
         assert j.bind(_chain_graph(5)) == {"t1"}
 
     def test_duplicate_records_collapse(self):
-        store = MemoryStore()
-        j = TaskJournal(store, key="jl")
+        j = TaskJournal()
         j.record_name("t0")
         j.record_name("t0")
-        assert len(store.read_lines("jl")) == 1 and len(j) == 1
+        assert len(j) == 1 and j.completed == frozenset({"t0"})
 
     def test_record_task_object(self):
         j = TaskJournal()
@@ -470,12 +452,16 @@ class TestTaskJournal:
         j.reset()
         assert len(j) == 0 and j.bind(_chain_graph()) == set()
 
-    def test_checkpoint_namespaced_journal(self, tmp_path):
-        c = Checkpoint(FileStore(tmp_path / "s"), key="run1")
-        c.journal().record_name("t0")
-        assert "t0" in c.journal().completed
-        c.clear()
-        assert len(c.journal()) == 0
+    def test_a_checkpointed_run_persists_snapshots_only(self, tmp_path):
+        from repro.core.calu import calu
+
+        store = FileStore(tmp_path / "s")
+        A = np.random.default_rng(5).standard_normal((32, 32))
+        calu(A, b=8, tr=2, checkpoint=Checkpoint(store))
+        keys = store.keys()
+        assert "ckpt/meta" in keys and "ckpt/panel/3" in keys
+        assert not [k for k in keys if "journal" in k]
+
 
 
 # ----------------------------------------------------------------------

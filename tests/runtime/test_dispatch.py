@@ -30,7 +30,7 @@ from repro.core.calu import calu
 from repro.core.caqr import caqr
 from repro.core.trees import TreeKind
 from repro.counters import counting
-from repro.resilience.checkpoint import Checkpoint, MemoryStore
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import InjectedFault
 from repro.resilience.journal import TaskJournal
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
@@ -293,22 +293,30 @@ class TestWorkerDeathInFlight:
 # ----------------------------------------------------------------------
 
 
-class _CrashingStore(MemoryStore):
-    """A store that stops taking lines at its *n*-th ``append_line`` —
-    the process 'died' there — until :meth:`revive` (the restart)."""
+class _CrashingJournal(TaskJournal):
+    """A journal whose *n*-th ``record`` fails — the process 'died'
+    there — until ``fail_on`` is lifted (the restart)."""
 
     def __init__(self, fail_on):
         super().__init__()
-        self.appends, self.fail_on = 0, fail_on
+        self.records, self.fail_on = 0, fail_on
 
-    def append_line(self, key, line):
-        self.appends += 1
-        if self.appends >= self.fail_on:
+    def record(self, task):
+        self.records += 1
+        if self.records >= self.fail_on:
             raise OSError("disk gone")
-        return super().append_line(key, line)
+        super().record(task)
 
-    def revive(self):
-        self.fail_on = float("inf")
+
+class _CrashingCheckpoint(Checkpoint):
+    """A checkpoint whose runs log to a :class:`_CrashingJournal`."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def journal(self):
+        return _CrashingJournal(self.fail_on)
 
 
 class TestJournalResume:
@@ -317,15 +325,15 @@ class TestJournalResume:
         graph = lambda: _independent(
             "resume", [_tally(arena, ran, i) for i in range(3)], idempotent=True
         )
-        store = _CrashingStore(fail_on=3)  # header, t0's entry, then t1's fails
+        journal = _CrashingJournal(fail_on=2)  # t0's entry, then t1's fails
         with ProcessExecutor(1) as ex:
             with pytest.raises(RuntimeFailure, match="journal write failed") as info:
-                ex.run(graph(), journal=TaskJournal(store))
+                ex.run(graph(), journal=journal)
             # All three ran in one message; only the first ack was journaled.
             assert list(ran) == [1, 1, 1]
             assert [r.name for r in info.value.trace.records] == ["t0"]
-            store.revive()
-            trace = ex.run(graph(), journal=TaskJournal(store))
+            journal.fail_on = float("inf")
+            trace = ex.run(graph(), journal=journal)
         assert trace.resilience_summary() == {"resume": 1}
         assert sorted(r.name for r in trace.records) == ["t1", "t2"]
         assert list(ran) == [1, 2, 2]
@@ -334,13 +342,14 @@ class TestJournalResume:
         A = make_rng(71).standard_normal((64, 64))
         clean = calu(A, b=8, tr=2)
         n_records = len(clean.trace.records)
-        store = _CrashingStore(fail_on=n_records // 2)
-        ckpt = Checkpoint(store)
+        ckpt = _CrashingCheckpoint(fail_on=n_records // 2)
         with ProcessExecutor(2) as ex:
-            with pytest.raises(RuntimeFailure):
+            with pytest.raises(RuntimeFailure, match="journal write failed"):
                 calu(A, b=8, tr=2, executor=ex, checkpoint=ckpt)
-            store.revive()
+            assert ckpt.snapshot_chain()  # what the crash left to resume from
+            ckpt.fail_on = float("inf")
             f = calu(A, b=8, tr=2, executor=ex, checkpoint=ckpt)
+        assert f.trace.resilience_summary().get("resume") == 1
         np.testing.assert_array_equal(f.lu, clean.lu)
         np.testing.assert_array_equal(f.piv, clean.piv)
 

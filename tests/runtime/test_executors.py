@@ -328,6 +328,23 @@ class TestEngineConformance:
         assert len(ran) == 3 and trace.stats["skipped"] == 3
         assert len(journal) == 6
 
+    def test_failed_run_resumes_with_the_same_journal(self, make):
+        calls = []
+
+        def fn():
+            calls.append(1)
+            if len(calls) == 4:
+                raise ValueError("boom")
+
+        journal = TaskJournal()
+        with pytest.raises(RuntimeFailure, match="boom"):
+            make(2).run(chain(6, fn), journal=journal)
+        assert journal.completed == {"t0", "t1", "t2"}
+        trace = make(2).run(chain(6, fn), journal=journal)
+        assert [e.kind for e in trace.events] == ["resume"]
+        assert sorted(r.name for r in trace.records) == ["t3", "t4", "t5"]
+        assert len(calls) == 7 and len(journal) == 6
+
     def test_fault_plan_and_retry_yield_the_same_event_kinds(self, make):
         ran = []
         ex = make(

@@ -137,6 +137,61 @@ class TestPlanCache:
 BACKENDS = ["threaded", pytest.param("process", marks=fork_only)]
 
 
+def test_pool_keeps_max_plans_idle_and_evicts_the_least_recently_used():
+    rng = make_rng(31)
+    problems = [make_problem(rng, n=n) for n in (32, 48, 64, 80)]
+    with FactorizationService(ServiceConfig(cores=2, backend="threaded", max_plans=3)) as svc:
+        for A, rhs in problems[:3]:
+            svc.solve(A, rhs)
+        assert svc.stats()["plans"] == {"cached": 3, "hits": 0, "builds": 3, "ephemeral": 0}
+        svc.solve(*problems[0])  # a hit: n=32 is now the most recently used
+        svc.solve(*problems[3])  # a fourth shape pushes out n=48, the oldest
+        assert svc.stats()["plans"] == {"cached": 3, "hits": 1, "builds": 4, "ephemeral": 0}
+        svc.solve(*problems[0])
+        svc.solve(*problems[1])
+        assert svc.stats()["plans"] == {"cached": 3, "hits": 2, "builds": 5, "ephemeral": 0}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_more_clients_than_pooled_plans(backend):
+    """Three requests of one shape at once over a pool that keeps one
+    plan: nobody waits for a plan, the extra ones are built and closed
+    on the way back, and no answer or arena is lost in the shuffle."""
+    from repro.runtime import shm
+
+    A, rhs = make_problem(make_rng(30), n=64)
+    ref = linalg_solve(A, rhs, cores=2, executor="process" if backend == "process" else None)
+    results: list = []
+    errors: list = []
+    before = set(shm._LIVE_ARENAS)
+    cfg = ServiceConfig(cores=2, backend=backend, max_active=3, max_plans=1)
+    with FactorizationService(cfg) as svc:
+
+        def client():
+            try:
+                for _ in range(4):
+                    results.append(svc.solve(A, rhs))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        plans = svc.stats()["plans"]
+        failures = svc.breaker.snapshot()["recent_failures"]
+        arenas = set(shm._LIVE_ARENAS) - before
+        live = sum(not arena._destroyed for arena in arenas)
+    assert not errors and len(results) == 12
+    assert all(np.array_equal(x, ref) for x in results)
+    assert plans["hits"] + plans["builds"] + plans["ephemeral"] == 12
+    assert plans["builds"] >= 1 and plans["cached"] <= 1
+    assert failures == 0
+    assert live == (plans["cached"] if backend == "process" else 0)
+    assert all(arena._destroyed for arena in arenas)
+
+
 class TestCachedPlanState:
     """A cached plan owes each request a clean slate and armed guards.
 
@@ -341,10 +396,15 @@ class TestOverload:
             blocker = threading.Thread(target=lambda: svc.solve(A, rhs))
             blocker.start()
             time.sleep(0.05)  # let the blocker occupy the only slot
+            t0 = time.monotonic()
             with pytest.raises(DeadlineExceeded) as exc:
                 svc.solve(A, rhs, deadline_s=0.1)
+            waited = time.monotonic() - t0
+            # The wait is timed to the deadline itself; nothing polls.
+            assert "repro-svc-reaper" not in {t.name for t in threading.enumerate()}
             blocker.join(timeout=120)
         assert exc.value.stage == "queued"
+        assert 0.1 <= waited < 0.35
 
     def test_strict_deadline_post_run(self):
         rng = make_rng(12)
@@ -410,6 +470,36 @@ class TestBreakerLifecycle:
                 ("open", "half_open"),
                 ("half_open", "closed"),
             ]
+
+
+    def test_probe_that_leaves_by_another_exception_frees_its_slot(self):
+        A, rhs = make_problem(make_rng(19), n=64)
+        ref = linalg_solve(A, rhs, cores=2)
+        calls = {"n": 0}
+
+        def factory():
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise OSError("no space left for the fault plan")
+            return None
+
+        cfg = ServiceConfig(
+            cores=2,
+            backend="process",
+            breaker_threshold=1,
+            breaker_open_s=0.0,
+            fault_plan_factory=factory,
+        )
+        with FactorizationService(cfg) as svc:
+            svc.breaker.record("primary", ok=False, kind="worker_death")
+            assert svc.breaker.state == "open"
+            with pytest.raises(OSError):  # the half-open probe, lost to an OSError
+                svc.solve(A, rhs)
+            assert svc.breaker.state == "half_open"
+            # No verdict on the pool, so the next request probes again.
+            for _ in range(3):
+                assert np.array_equal(svc.solve(A, rhs), ref)
+            assert svc.breaker.state == "closed"
 
 
 class TestDrain:

@@ -335,9 +335,8 @@ class TestRepoAnalysis:
         # The core lock now covers one pipe write or one drain, nothing
         # else: round-trips and tallies are counted outside it.
         assert ("process.core", "counters.counters") not in edges
-        # TaskJournal.bind resets/appends through its store under its lock.
-        assert ("resilience.journal", "checkpoint.memory") in edges
-        assert ("resilience.journal", "checkpoint.file") in edges
+        # The journal is a locked set: it reaches no store under its lock.
+        assert not [e for e in edges if e[0] == "resilience.journal"]
 
     def test_lock_inventory_names_every_layer(self):
         _, analysis = run_lockcheck()
@@ -348,7 +347,6 @@ class TestRepoAnalysis:
             "counters.counters",
             "counters.active",
             "service.plan",
-            "service.inflight",
             "service.admission",
             "service.breaker",
             "service.respawn",
@@ -361,14 +359,27 @@ class TestRepoAnalysis:
     def test_inventory_is_exact(self):
         # Pinned on purpose: a new lock or order edge should be a
         # decision, not a side effect.  The dispatcher added neither;
-        # counting steals outside the engine lock removed one edge.
+        # counting steals outside the engine lock removed one edge, the
+        # in-memory journal two, and the service's reaper one lock.
         _, analysis = run_lockcheck()
-        assert len(analysis.index.locks) == 14
-        assert analysis.edge_names() == {
-            ("process.core", "service.respawn"),
-            ("resilience.journal", "checkpoint.file"),
-            ("resilience.journal", "checkpoint.memory"),
+        assert set(analysis.index.locks) == {
+            "checkpoint.file",
+            "checkpoint.memory",
+            "checkpoint.writer",
+            "counters.active",
+            "counters.counters",
+            "engine.state",
+            "process.core",
+            "resilience.faults",
+            "resilience.journal",
+            "service.admission",
+            "service.breaker",
+            "service.plan",
+            "service.respawn",
         }
+        assert analysis.edge_names() == {("process.core", "service.respawn")}
+        assert analysis.index.locks["service.plan"].kind == "lock"
+        assert not [e for e in analysis.entry_locks if e.startswith("service.py:")]
 
     def test_entry_points_cover_engine_threads(self):
         _, analysis = run_lockcheck()
