@@ -16,7 +16,8 @@ The package provides:
 ``repro.core``
     The paper's contribution: TSLU (tournament pivoting), TSQR,
     multithreaded CALU (Algorithm 1) and CAQR (Algorithm 2), with
-    binary / flat / hybrid reduction trees.
+    binary / flat / hybrid reduction trees.  A repeated shape reuses
+    its compiled plan; :func:`close_plans` hands the kept ones back.
 
 ``repro.runtime``
     Dynamic task graphs with look-ahead scheduling, executed either by
@@ -73,6 +74,7 @@ _EXPORTS = {
     "tslu": "repro.core.tslu",
     "TSQRFactorization": "repro.core.tsqr",
     "tsqr": "repro.core.tsqr",
+    "close_plans": "repro.core.driver",
     "TreeKind": "repro.core.trees",
     "Counters": "repro.counters",
     "counting": "repro.counters",

@@ -330,6 +330,7 @@ def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 
     import time
 
     from repro.core.calu import calu
+    from repro.core.driver import close_plans
     from repro.core.priorities import lookahead_depth
 
     A = np.random.default_rng(7).standard_normal((n, n))
@@ -342,6 +343,7 @@ def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 
         try:
             best, peak = float("inf"), 0
             for _ in range(3):
+                close_plans()  # a reused plan streams nothing: time first runs
                 t0 = time.perf_counter()
                 f = calu(A, b=b, tr=tr)
                 dt = time.perf_counter() - t0

@@ -449,7 +449,12 @@ def calu(
         ``None`` or ``1`` disables fusion except under
         ``executor="auto"``, where the autotuner picks it.
 
-    Returns a :class:`CALUFactorization`.
+    Returns a :class:`CALUFactorization`.  A repeated shape reuses its
+    plan: a later call with the same shape, dtype, plane and knobs loads
+    its matrix into the graph and buffers this one built
+    (:func:`repro.core.driver.factorize`), so the result always owns its
+    memory; *checkpoint* and *overwrite* runs are compiled per call, and
+    :func:`repro.close_plans` hands the kept plans' memory back.
     """
     from repro.core.driver import ALGORITHMS, factorize
 

@@ -228,6 +228,8 @@ def caqr(
     ``executor="auto"`` and *fuse* behave as in :func:`~repro.core.calu.calu`:
     the autotuner picks backend and fusion granularity, and fused
     super-tasks dispatch with one scheduler slot / pipe round-trip each.
+    A repeated shape reuses its plan, as there: the result owns its
+    memory, and :func:`repro.close_plans` hands the kept plans back.
     """
     from repro.core.driver import ALGORITHMS, factorize
 

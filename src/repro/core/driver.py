@@ -9,10 +9,12 @@ steps around its builder are written once, in two halves:
 :func:`compile` (stage, build, fuse: a :class:`Plan`) and the plan's
 load / run / result, which :func:`factorize` strings together with
 resume.  ``calu``/``caqr``/``tsqr``/``tslu`` are that call under their
-public keyword signatures; the service caches the same plans and the
-out-of-core drivers compile theirs over a streamed binding; the
-autotuner's symbolic graphs and the verify targets look their algorithm
-up in the same table (:data:`ALGORITHMS`, :func:`algorithm`).
+public keyword signatures.  A finished plan is kept for the next matrix
+of its shape in a :class:`PlanPool` — one behind :func:`factorize`,
+another instance of the class inside the service; the out-of-core
+drivers compile theirs over a streamed binding; the autotuner's
+symbolic graphs and the verify targets look their algorithm up in the
+same table (:data:`ALGORITHMS`, :func:`algorithm`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from repro.core.calu import CALUFactorization, calu_program, panel_verdicts
 from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
+from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
 from repro.kernels import lu, qr
@@ -38,14 +41,17 @@ from repro.runtime.process import ProcessExecutor, resolve_executor
 from repro.runtime.program import supports_streaming
 from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
+from repro.runtime.sync import make_lock
 
 __all__ = [
     "ALGORITHMS",
     "Algorithm",
     "Plan",
+    "PlanPool",
     "TSLU",
     "TSQR",
     "algorithm",
+    "close_plans",
     "compile",
     "factorize",
     "validate_knobs",
@@ -144,6 +150,11 @@ def validate_knobs(alg: Algorithm, *, tr, leaf_kernel, fuse=None) -> None:
         raise ValueError(f"fuse must be None or an int >= 1, got {fuse!r}")
 
 
+#: A task in a kept graph — the object, its footprint sets, its
+#: descriptor and its edges — measured at 3-4 KiB on the paper's shapes.
+_TASK_BYTES = 4096
+
+
 class Plan:
     """One compiled factorization: *alg*'s fused program over one staged
     working buffer ``A`` — the half of the pipeline ``(shape, b, tr,
@@ -206,6 +217,12 @@ class Plan:
             self.A, self.state, detach, layout=self.layout, tr=self.tr, tree=self.tree, trace=trace
         )
 
+    @property
+    def nbytes(self) -> int:
+        """What keeping this plan costs: its working buffer and workspace,
+        and :data:`_TASK_BYTES` for each task emitted so far."""
+        return self.store.nbytes + _TASK_BYTES * len(self.program)
+
     def close(self) -> None:
         """Release the plane: unlink an arena staged here (idempotent)."""
         if self._arena is not None:
@@ -261,6 +278,89 @@ def compile(
     return Plan(alg, layout, tr, tree, store, arena, program, state, guards, decision)
 
 
+class PlanPool:
+    """The idle plans, kept for the next matrix of their key.
+
+    A plan in use is held by its run alone, so :meth:`checkout` never
+    waits: it pops the most recently used idle plan of *key* (a *hit*)
+    or returns None and the caller compiles (a *build*).
+    :meth:`checkin` brings a plan back — closing it when its run raised
+    (``ok=False``: a worker may still write into its arena) or when it
+    alone exceeds *bound* (an *ephemeral* build) — then closes the least
+    recently used idle plans beyond *bound*, which counts plans unless
+    *size* prices one.  Nothing is compiled or closed under the lock.
+    """
+
+    def __init__(self, bound: int, size: Callable[[Plan], int] = lambda plan: 1) -> None:
+        self.bound, self._size = bound, size
+        self._lock = make_lock("driver.plans")
+        self._idle: list[tuple[tuple, Plan, int]] = []  # least recently used first
+        self._counts = {"hits": 0, "builds": 0, "ephemeral": 0}
+
+    def checkout(self, key: tuple) -> Plan | None:
+        with self._lock:
+            for i in reversed(range(len(self._idle))):
+                if self._idle[i][0] == key:
+                    self._counts["hits"] += 1
+                    return self._idle.pop(i)[1]
+            self._counts["builds"] += 1
+        return None
+
+    def fits(self, plan: Plan) -> bool:
+        """Whether a check-in would keep *plan* (were its run to succeed)."""
+        return self._size(plan) <= self.bound
+
+    def checkin(self, key: tuple, plan: Plan, ok: bool = True) -> None:
+        size = self._size(plan)
+        closing = [plan]
+        with self._lock:
+            if size > self.bound:  # never kept, so it was never a hit
+                self._counts["builds"] -= 1
+                self._counts["ephemeral"] += 1
+            elif ok:
+                self._idle.append((key, plan, size))
+                closing = self._evict()
+        for old in closing:
+            old.close()
+
+    def _evict(self) -> list[Plan]:
+        """Drop (under the lock) the oldest idle plans beyond the bound."""
+        held = sum(size for _, _, size in self._idle)
+        drop = 0
+        while held > self.bound:
+            held -= self._idle[drop][2]
+            drop += 1
+        dropped, self._idle = self._idle[:drop], self._idle[drop:]
+        return [plan for _, plan, _ in dropped]
+
+    def stats(self) -> dict:
+        """``cached`` (the idle plans) and the three checkout counts."""
+        with self._lock:
+            return {"cached": len(self._idle), **self._counts}
+
+    def close(self) -> None:
+        """Close every idle plan; the pool stays usable."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for _, plan, _ in idle:
+            plan.close()
+
+
+#: What :func:`factorize` may keep between calls, in :attr:`Plan.nbytes`:
+#: room for a workload's plans on both planes, and a plan larger than
+#: this streams and is closed exactly as before there was a pool.
+_POOL_BYTES = 64 << 20
+_PLANS = PlanPool(_POOL_BYTES, size=lambda plan: plan.nbytes)
+
+
+def close_plans() -> None:
+    """Close the plans :func:`factorize` kept, handing their memory
+    (heap buffers, shared-memory arenas) back; the next call of a shape
+    compiles again.  For tests and long-lived callers — at interpreter
+    exit the arenas' own atexit hook unlinks them."""
+    _PLANS.close()
+
+
 def _resume(checkpoint, signature: dict, plan: Plan, source):
     """Bind *checkpoint* to this computation and restore its newest
     boundary; returns the journal the run must log to."""
@@ -308,12 +408,18 @@ def factorize(
     (``lookahead``, and CALU's ``update_width``/``abft``/``recompute``).
     The steps: **validate** the knobs and the matrix; resolve the
     **executor** (``"auto"`` consults the autotuner with the problem's
-    shape); :func:`compile` the plan on the plane that executor's tasks
-    reach (stage, build, fuse); **resume** from *checkpoint* (matrix and
+    shape); **check out** the plan a previous call of this key left in
+    the pool and :meth:`Plan.load` the matrix, or :func:`compile` one on
+    the plane that executor's tasks reach (stage, build, fuse; its graph
+    is emitted while it runs); **resume** from *checkpoint* (matrix and
     panel state restored to the newest boundary, the journal reseeded
     with what that covers); :meth:`Plan.run`; :meth:`Plan.result`,
-    detached from the binding; **flush** the checkpoint writer;
-    **close** the plan, which never outlives the call.
+    copied out of the plan's buffers; **flush** the checkpoint writer;
+    **check in** the plan — closed instead when the run raised or it is
+    larger than the pool.  A run bound to more than its matrix bypasses
+    the pool and closes its plan as it returns: ``checkpoint=``,
+    ``overwrite=True`` (the caller's buffer is the working buffer) and
+    an unhashable *build* value.
     """
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel, fuse=fuse)
     A = validate_matrix(A, "A", require_finite=check_finite)
@@ -334,24 +440,46 @@ def factorize(
             "(execute=True); without it only a symbolic program can be simulated"
         )
     shared = isinstance(executor, ProcessExecutor)
-    plan = compile(
-        alg,
-        A,
-        b=b,
-        tr=tr,
-        tree=tree,
-        leaf_kernel=leaf_kernel,
-        shared=shared,
-        overwrite=overwrite,
-        # check_finite=False means the caller opted into non-finite
-        # input ("garbage in"); the guards would only fight that.
-        guards=guards and check_finite,
-        checkpoint=checkpoint,
-        fuse=fuse,
-        decision=getattr(executor, "autotune_decision", None) if owned else None,
-        **build,
-    )
+    # check_finite=False means the caller opted into non-finite input
+    # ("garbage in"); the guards would only fight that.
+    guards = guards and check_finite
+    decision = getattr(executor, "autotune_decision", None) if owned else None
+    if fuse is None and decision is not None:
+        fuse = decision.max_ops  # "auto" owns its decision: the key is what it decided
+    key = None
+    if checkpoint is None and not overwrite:
+        dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.dtype(np.float64)
+        key = (alg, A.shape, dtype, b, tr, tree, leaf_kernel, shared, guards, fuse)
+        # ... and what the builder reads besides its arguments: priorities
+        # are ranked under the process-default look-ahead at emission.
+        key += (lookahead_depth(), *sorted(build.items()))
+        try:
+            hash(key)
+        except TypeError:
+            key = None
+    plan = _PLANS.checkout(key) if key is not None else None
+    hit = plan is not None
+    if not hit:
+        plan = compile(
+            alg,
+            A,
+            b=b,
+            tr=tr,
+            tree=tree,
+            leaf_kernel=leaf_kernel,
+            shared=shared,
+            overwrite=overwrite,
+            guards=guards,
+            checkpoint=checkpoint,
+            fuse=fuse,
+            decision=decision,
+            **build,
+        )
+    ok = False
     try:
+        if hit:
+            plan.decision = decision
+            plan.load(A)
         journal = None
         if checkpoint is not None:
             signature = {
@@ -367,7 +495,11 @@ def factorize(
                 "a_digest": zlib.crc32(plan.A.tobytes()),
             }
             journal = _resume(checkpoint, signature, plan, plan.source(executor))
-        result = plan.result(plan.run(executor, journal), plan.store.detach)
+        trace = plan.run(executor, journal)
+        ok = True
+        # A plan that stays behind keeps its buffers: the result is a copy.
+        kept = key is not None and _PLANS.fits(plan)
+        result = plan.result(trace, np.array if kept else plan.store.detach)
         if checkpoint is not None:
             # Drain the async snapshot writer so a completed run leaves
             # its full chain on disk (and any write error surfaces here
@@ -375,6 +507,9 @@ def factorize(
             checkpoint.flush()
         return result
     finally:
-        plan.close()
+        if key is None:
+            plan.close()
+        else:
+            _PLANS.checkin(key, plan, ok)
         if owned and shared:  # a pool made for this call (spawned at first run)
             executor.close()

@@ -383,7 +383,9 @@ def tslu(
 
     Copy semantics: ``overwrite=True`` factors *A* in place only on the
     threaded path; the process backend stages the panel into a shared-
-    memory arena (one copy in, one copy out) regardless.
+    memory arena (one copy in, one copy out) regardless.  Without
+    ``overwrite`` a repeated (in-memory) shape reuses its plan as in
+    :func:`~repro.core.calu.calu`, and ``lu`` is the caller's own array.
     """
     if store is not None or memory_budget is not None:
         if executor is not None:

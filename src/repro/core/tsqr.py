@@ -329,7 +329,9 @@ def tsqr(
     threaded (shared-address-space) path.  The process backend always
     stages the panel into a shared-memory arena — there ``overwrite``
     merely skips nothing, since the single staging copy doubles as the
-    working copy and results are copied back off the arena.
+    working copy and results are copied back off the arena.  Without
+    ``overwrite`` a repeated (in-memory) shape reuses its plan as in
+    :func:`~repro.core.calu.calu`, and the result owns its memory.
     """
     if store is not None or memory_budget is not None:
         if executor is not None:

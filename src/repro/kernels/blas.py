@@ -158,14 +158,22 @@ def laswp(A: np.ndarray, piv: np.ndarray, forward: bool = True) -> np.ndarray:
     """
     m, n = A.shape
     add_call("laswp")
-    order = range(len(piv)) if forward else range(len(piv) - 1, -1, -1)
-    for i in order:
-        p = int(piv[i])
+    # Compose the interchanges on row indices — ``at[r]`` is the original
+    # row now standing at position ``r`` — then move each touched row
+    # once: one gather and one scatter instead of one pair per swap.
+    at: dict[int, int] = {}
+    swaps = 0
+    targets = np.asarray(piv).astype(np.int64, copy=False).tolist()
+    for i in range(len(targets)) if forward else range(len(targets) - 1, -1, -1):
+        p = targets[i]
         if not 0 <= p < m:
             raise ValueError(
                 f"laswp: corrupted pivot piv[{i}] = {p} out of range for {m} rows"
             )
         if p != i:
-            add_words(2 * n)
-            A[[i, p]] = A[[p, i]]
+            swaps += 1
+            at[i], at[p] = at.get(p, p), at.get(i, i)
+    if swaps:
+        add_words(2 * n * swaps)
+        A[list(at)] = A[list(at.values())]
     return A

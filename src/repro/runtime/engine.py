@@ -162,6 +162,7 @@ class _Bookkeeping:
         self.graph = program.graph
         self.done_names = done_names
         self.depth = depth
+        self._emit_before = program.emit_seconds  # a reused program emitted in earlier runs
         self.done: list[bool] = []
         self.indeg: list[int] = []
         self.skipped: set[int] = set()
@@ -269,7 +270,7 @@ class _Bookkeeping:
             "peak_live_tasks": self.peak_live,
             "windows_emitted": self.program.emitted,
             "n_windows": self.program.n_windows,
-            "emit_seconds": self.program.emit_seconds,
+            "emit_seconds": self.program.emit_seconds - self._emit_before,
             "skipped": self.n_skipped,
         }
 

@@ -93,6 +93,11 @@ class ShmBinding(HeapBinding):
         self.A = A
         self.a_spec = arena.spec(A)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held through this binding: what the store has handed out."""
+        return self.arena.allocated_bytes
+
     def alloc(self, shape, dtype=np.float64) -> tuple[np.ndarray, tuple]:
         """Allocate a zeroed workspace buffer; returns ``(view, spec)``."""
         arr = self.arena.alloc(shape, dtype)

@@ -431,10 +431,15 @@ class HeapBinding:
 
     def __init__(self, A: np.ndarray | None = None) -> None:
         self.A = self.a_spec = A  # None: a workspace-only binding
+        #: Heap bytes held through this binding (what a pooled plan keeps
+        #: between runs): the matrix — a streamed one holds none — and
+        #: every buffer allocated here.
+        self.nbytes = getattr(A, "nbytes", 0)
 
     def alloc(self, shape, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
         """Allocate a zeroed workspace buffer; returns ``(view, spec)``."""
         arr = np.zeros(shape, dtype)
+        self.nbytes += arr.nbytes
         return arr, arr
 
     def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:

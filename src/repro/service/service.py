@@ -4,10 +4,11 @@
 calls for: a long-lived, thread-safe object accepting concurrent
 ``factor``/``solve``/``lstsq`` requests and multiplexing them onto one
 shared worker-process pool and shared-memory arena.  The driver's own
-compiled plans (:func:`repro.core.driver.compile`) are pooled per
-``(op, shape, b, tr, tree, backend, max_ops)`` so repeat shapes skip
-graph construction entirely — the request loads its matrix into the
-plan's buffer, runs the pre-built graph, and extracts the factors.
+compiled plans (:func:`repro.core.driver.compile`) wait in the driver's
+own pool class (:class:`repro.core.driver.PlanPool`) per ``(op, shape,
+b, tr, tree, backend, max_ops)`` so repeat shapes skip graph
+construction entirely — the request loads its matrix into the plan's
+buffer, runs the pre-built graph, and extracts the factors.
 
 Every request leaves through exactly one of four doors:
 
@@ -34,14 +35,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.core.calu import CALUFactorization
-from repro.core.driver import ALGORITHMS, Plan, compile, validate_knobs
+from repro.core.driver import ALGORITHMS, PlanPool, compile, validate_knobs
 from repro.core.trees import TreeKind
 from repro.linalg import monitored_solve
 from repro.machine.autotune import autotune, resolve_params
 from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.sync import make_lock
 from repro.service.admission import AdmissionQueue, AdmissionRejected, DeadlineExceeded
 from repro.service.breaker import CircuitBreaker
 from repro.service.supervisor import PoolSupervisor, RespawnGovernor
@@ -88,9 +88,9 @@ class ServiceConfig:
         Per-task and no-progress watchdog timeouts forwarded to every
         request's engine (None = disabled).
     max_attempts:
-        Total request-level attempts (1 = no retry).  Retries re-load
-        the plan buffer and re-run the whole graph, so they are safe
-        regardless of which tasks completed in the failed attempt.
+        Total request-level attempts (1 = no retry).  A retry loads
+        a fresh plan (the failed attempt's is closed) and re-runs the
+        whole graph, so it is safe whichever tasks had completed.
     retry_backoff_s, retry_jitter, seed:
         Exponential-backoff base, jitter fraction and seed for the
         request-level retry schedule (and, with ``task_retries``, the
@@ -226,13 +226,8 @@ class FactorizationService:
             seed=cfg.seed + 1,
             retry_all=True,
         )
-        # Plan pool: the idle ``(key, plan)`` pairs, least recently used
-        # first.  A plan in use is held by its request alone, and
-        # admission bounds those, so a checkout never waits.
-        self._plan_lock = make_lock("service.plan")
-        self._idle: list[tuple[tuple, Plan]] = []
-        self._plans_out = 0
-        self._plan_stats = {"hits": 0, "builds": 0, "ephemeral": 0}
+        # Admission bounds the plans in use; the pool holds the idle ones.
+        self._plans = PlanPool(cfg.max_plans)
         self._rid = itertools.count()
         self._closed = False
 
@@ -382,7 +377,8 @@ class FactorizationService:
 
     def _run_once(self, op, A, params, req, use_process, extract):
         cfg = self.config
-        key, plan = self._checkout_plan(op, A.shape, params)
+        key, plan = self._plan_for(op, A.shape, params)
+        ok = False
         try:
             plan.load(A)
             fault_plan = (
@@ -399,9 +395,13 @@ class FactorizationService:
                 thread_name=f"repro-svc-{req.rid}",
                 process_pool=self._executor.pool if use_process else None,
             )
-            return extract(plan, plan.run(engine))
+            trace = plan.run(engine)
+            ok = True
+            return extract(plan, trace)
         finally:
-            self._checkin_plan(key, plan)
+            # A run that raised may have left ops executing on a worker:
+            # its plan is closed, never loaded for the next request.
+            self._plans.checkin(key, plan, ok)
 
     def _check_deadline(self, req: _Request, stage: str) -> None:
         if req.deadline is not None and time.monotonic() >= req.deadline:
@@ -414,69 +414,27 @@ class FactorizationService:
     # ------------------------------------------------------------------
     # Plan pool
     # ------------------------------------------------------------------
-    def _fusion_for(self, op, shape, params):
-        """Resolve the configured fusion knob to ``(max_ops, decision)``.
-
-        ``decision`` is the autotuner's :class:`DispatchDecision` under
-        ``fuse="auto"`` (memoized per shape inside the autotuner), else
-        ``None``.  Only the granularity is taken from the decision — the
-        service's backend is fixed at construction because the worker
-        pool is shared and persistent.
-        """
-        fuse = self.config.fuse
-        if fuse == "auto":
-            b, tr, tree = params
-            decision = autotune(
-                op, shape[0], shape[1], b=b, tr=tr, tree=tree, persistent_pool=True
-            )
-            return decision.max_ops, decision
-        return (fuse if isinstance(fuse, int) else 1), None
-
-    def _checkout_plan(self, op, shape, params):
-        """Return ``(key, plan)``, the plan held by this request alone:
-        the most recently used idle plan of the key (a *hit*), else the
-        driver's plan for it — the default leaf kernel, an empty buffer
-        on the service's plane, the configured fusion — compiled outside
-        the lock (a *build*; *ephemeral* when the plans already out fill
-        ``max_plans``, so the pool cannot keep them all once they return)."""
+    def _plan_for(self, op, shape, params):
+        """``(key, plan)``, the plan held by this request alone: the pool's
+        idle plan of the key, else the driver's plan for it — the
+        default leaf kernel, an empty buffer on the service's plane —
+        compiled here.  Of the autotuner's decision under ``fuse="auto"``
+        (memoized per shape there) only the granularity is taken: the
+        backend is fixed at construction, the worker pool being shared."""
         b, tr, tree = params
-        alg = ALGORITHMS[op]
-        max_ops, decision = self._fusion_for(op, shape, params)
+        max_ops, decision = self.config.fuse or 1, None
+        if max_ops == "auto":
+            decision = autotune(op, *shape, b=b, tr=tr, tree=tree, persistent_pool=True)
+            max_ops = decision.max_ops
         key = (op, *shape, b, tr, tree.value, self.backend, max_ops)
-        with self._plan_lock:
-            for i in reversed(range(len(self._idle))):
-                if self._idle[i][0] == key:
-                    self._plan_stats["hits"] += 1
-                    self._plans_out += 1
-                    return self._idle.pop(i)
-        plan = compile(
-            alg,
-            shape,
-            b=b,
-            tr=tr,
-            tree=tree,
-            leaf_kernel=alg.leaf_kernels[0],
-            shared=self.backend == "process",
-            fuse=max_ops,
-            decision=decision,
-        )
-        with self._plan_lock:
-            over = self._plans_out >= self.config.max_plans
-            self._plan_stats["ephemeral" if over else "builds"] += 1
-            self._plans_out += 1
+        plan = self._plans.checkout(key)
+        if plan is None:
+            alg, shared = ALGORITHMS[op], self.backend == "process"
+            plan = compile(
+                alg, shape, b=b, tr=tr, tree=tree, leaf_kernel=alg.leaf_kernels[0],
+                shared=shared, fuse=max_ops, decision=decision,
+            )
         return key, plan
-
-    def _checkin_plan(self, key, plan: Plan) -> None:
-        """Return *plan* to the pool — after a failed run too, its next
-        ``load`` resets it — and close what the pool may not keep."""
-        with self._plan_lock:
-            self._plans_out -= 1
-            self._idle.append((key, plan))
-            keep = 0 if self._closed else self.config.max_plans
-            excess = max(len(self._idle) - keep, 0)
-            evicted, self._idle = self._idle[:excess], self._idle[excess:]
-        for _, old in evicted:
-            old.close()
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection
@@ -494,7 +452,7 @@ class FactorizationService:
             "admission": self._admission.snapshot(),
             "breaker": self._breaker.snapshot(),
             "respawn": self._governor.snapshot(),
-            "plans": {"cached": len(self._idle), **self._plan_stats},
+            "plans": self._plans.stats(),
         }
         if self._supervisor is not None:
             out["supervisor"] = {
@@ -522,10 +480,8 @@ class FactorizationService:
             self._supervisor.stop()
         if self._executor is not None:
             self._executor.close()
-        with self._plan_lock:
-            idle, self._idle = self._idle, []
-        for _, plan in idle:
-            plan.close()
+        self._plans.bound = 0  # a straggler's plan is closed as it comes back
+        self._plans.close()
 
     def __enter__(self) -> "FactorizationService":
         return self

@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import close_plans
 from repro.kernels.lu import piv_to_perm
 
 faulthandler.enable()
@@ -34,6 +35,15 @@ def _per_test_timeout():
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def _no_plan_outlives_its_test():
+    """The drivers keep a finished plan for the next call of its shape;
+    a test must neither find one an earlier test left (it would skip the
+    staging and emission it means to observe) nor leave arenas behind."""
+    yield
+    close_plans()
 
 
 @pytest.fixture

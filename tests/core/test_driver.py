@@ -297,8 +297,8 @@ def test_a_service_plan_is_the_per_window_fused_program(kind, shape):
     b, tr, max_ops = 16, 3, 4
     alg = driver.ALGORITHMS[kind]
     with FactorizationService(ServiceConfig(cores=2, backend="threaded", fuse=max_ops)) as svc:
-        key, plan = svc._checkout_plan(kind, shape, (b, tr, alg.tree))
-        svc._checkin_plan(key, plan)
+        key, plan = svc._plan_for(kind, shape, (b, tr, alg.tree))
+        svc._plans.checkin(key, plan)
     assert isinstance(plan, driver.Plan)
     program, _ = alg.program(BlockLayout(*shape, b), tr, alg.tree, A=np.zeros(shape))
     want = fuse_program(program, max_ops=max_ops).materialize()

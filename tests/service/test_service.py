@@ -419,6 +419,43 @@ class TestOverload:
 
 
 @fork_only
+def test_a_plan_whose_run_was_aborted_is_closed_not_reloaded(tmp_path, monkeypatch):
+    """After a watchdog abort an abandoned op may still be executing on a
+    worker and writing into the plan's arena: that plan must not be the
+    buffer the next request loads its matrix into."""
+    from repro.runtime import ops, shm
+
+    slow = tmp_path / "slow"
+    leaf = ops.OPS["tslu_leaf"]
+
+    def sleepy_leaf(payload):  # inherited by the workers at fork
+        if slow.exists():
+            slow.unlink(missing_ok=True)  # once (per racing worker), then the real op
+            time.sleep(0.5)
+        leaf(payload)
+
+    monkeypatch.setitem(ops.OPS, "tslu_leaf", sleepy_leaf)
+    A, rhs = make_problem(make_rng(33), n=64)
+    ref = linalg_solve(A, rhs, cores=2, executor="process")
+    before = set(shm._LIVE_ARENAS)
+    slow.touch()
+    cfg = ServiceConfig(
+        cores=2, backend="process", task_timeout_s=0.1, task_retries=0, max_attempts=1
+    )
+    with FactorizationService(cfg) as svc:
+        with pytest.raises(RuntimeFailure) as exc:
+            svc.solve(A, rhs)
+        assert exc.value.failure_kind in ("timeout", "worker_death")
+        aborted = set(shm._LIVE_ARENAS) - before
+        assert aborted and all(arena._destroyed for arena in aborted)
+        assert svc.stats()["plans"] == {"cached": 0, "hits": 0, "builds": 1, "ephemeral": 0}
+        time.sleep(0.7)  # the abandoned ops finish, writing into the closed arena
+        x = svc.solve(A, rhs)
+        assert svc.stats()["plans"] == {"cached": 1, "hits": 0, "builds": 2, "ephemeral": 0}
+    assert np.array_equal(x, ref)
+
+
+@fork_only
 class TestBreakerLifecycle:
     def test_trip_degrade_recover(self):
         rng = make_rng(13)

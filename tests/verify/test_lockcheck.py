@@ -346,7 +346,7 @@ class TestRepoAnalysis:
             "process.core",
             "counters.counters",
             "counters.active",
-            "service.plan",
+            "driver.plans",
             "service.admission",
             "service.breaker",
             "service.respawn",
@@ -360,7 +360,8 @@ class TestRepoAnalysis:
         # Pinned on purpose: a new lock or order edge should be a
         # decision, not a side effect.  The dispatcher added neither;
         # counting steals outside the engine lock removed one edge, the
-        # in-memory journal two, and the service's reaper one lock.
+        # in-memory journal two, and the service's reaper one lock; the
+        # plan pool's lock moved to the driver with the pool.
         _, analysis = run_lockcheck()
         assert set(analysis.index.locks) == {
             "checkpoint.file",
@@ -374,11 +375,11 @@ class TestRepoAnalysis:
             "resilience.journal",
             "service.admission",
             "service.breaker",
-            "service.plan",
+            "driver.plans",
             "service.respawn",
         }
         assert analysis.edge_names() == {("process.core", "service.respawn")}
-        assert analysis.index.locks["service.plan"].kind == "lock"
+        assert analysis.index.locks["driver.plans"].kind == "lock"
         assert not [e for e in analysis.entry_locks if e.startswith("service.py:")]
 
     def test_entry_points_cover_engine_threads(self):
