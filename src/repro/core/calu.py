@@ -397,7 +397,6 @@ def calu(
     checkpoint=None,
     abft: bool = False,
     tournament_recompute: bool = True,
-    fuse: int | None = None,
 ) -> CALUFactorization:
     """Factor ``A`` with multithreaded CALU (Algorithm 1).
 
@@ -411,9 +410,8 @@ def calu(
         :class:`~repro.runtime.threaded.ThreadedExecutor` with
         ``min(tr, 4)`` workers.  The string ``"auto"`` asks the
         machine-model autotuner (:mod:`repro.machine.autotune`) to pick
-        the backend *and* the fusion granularity for this (shape, b,
-        Tr); the decision is recorded as an ``autotune`` event on the
-        returned trace.
+        the backend for this (shape, b, Tr); the decision is recorded
+        as an ``autotune`` event on the returned trace.
     lookahead : scheduling look-ahead depth (paper: 1); ``None`` uses
         the process default
         (:func:`repro.core.priorities.lookahead_depth`).  Also bounds
@@ -443,11 +441,6 @@ def calu(
     tournament_recompute : allow a corrupted TSLU tournament to be
         replayed from clean panel data (identical pivots; recorded in
         ``recovered_panels``) before degrading to partial pivoting.
-    fuse : fuse up to this many tasks into one super-task before
-        execution (:func:`repro.runtime.fuse.fuse_program`) — one
-        scheduler dispatch / worker pipe round-trip per super-task.
-        ``None`` or ``1`` disables fusion except under
-        ``executor="auto"``, where the autotuner picks it.
 
     Returns a :class:`CALUFactorization`.  A repeated shape reuses its
     plan: a later call with the same shape, dtype, plane and knobs loads
@@ -471,7 +464,6 @@ def calu(
         check_finite=check_finite,
         guards=guards,
         checkpoint=checkpoint,
-        fuse=fuse,
         update_width=update_width,
         abft=abft,
         recompute=tournament_recompute,

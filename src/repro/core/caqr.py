@@ -216,7 +216,6 @@ def caqr(
     check_finite: bool = True,
     guards: bool = True,
     checkpoint=None,
-    fuse: int | None = None,
 ) -> CAQRFactorization:
     """Factor ``A`` with multithreaded CAQR (Algorithm 2).
 
@@ -225,9 +224,8 @@ def caqr(
     *checkpoint* arms the checkpoint/restart path: snapshots also carry
     the implicit-Q tree factors, so a resumed run returns a fully
     usable factorization with **bitwise-identical** ``R`` and ``Q``.
-    ``executor="auto"`` and *fuse* behave as in :func:`~repro.core.calu.calu`:
-    the autotuner picks backend and fusion granularity, and fused
-    super-tasks dispatch with one scheduler slot / pipe round-trip each.
+    ``executor="auto"`` behaves as in :func:`~repro.core.calu.calu`:
+    the autotuner picks the backend.
     A repeated shape reuses its plan, as there: the result owns its
     memory, and :func:`repro.close_plans` hands the kept plans back.
     """
@@ -246,5 +244,4 @@ def caqr(
         check_finite=check_finite,
         guards=guards,
         checkpoint=checkpoint,
-        fuse=fuse,
     )

@@ -6,7 +6,7 @@ under look-ahead — that differs only in its steps, and the standalone
 panels (TSLU, TSQR) are that skeleton over the one-panel layout
 ``b = n``.  The difference is an :class:`Algorithm` record; the
 steps around its builder are written once, in two halves:
-:func:`compile` (stage, build, fuse: a :class:`Plan`) and the plan's
+:func:`compile` (stage, build: a :class:`Plan`) and the plan's
 load / run / result, which :func:`factorize` strings together with
 resume.  ``calu``/``caqr``/``tsqr``/``tslu`` are that call under their
 public keyword signatures.  A finished plan is kept for the next matrix
@@ -36,7 +36,6 @@ from repro.machine.autotune import recommend_params
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.fuse import fuse_program
 from repro.runtime.process import ProcessExecutor, resolve_executor
 from repro.runtime.program import supports_streaming
 from repro.runtime.shm import staged
@@ -134,11 +133,10 @@ def algorithm(kind: str) -> Algorithm:
         ) from None
 
 
-def validate_knobs(alg: Algorithm, *, tr, leaf_kernel, fuse=None) -> None:
+def validate_knobs(alg: Algorithm, *, tr, leaf_kernel) -> None:
     """Reject the knob values that would otherwise fail late or silently:
-    ``tr < 1`` surfaced as a complaint about worker counts, an unknown
-    *leaf_kernel* fell through to the unblocked kernel, and a
-    nonsensical *fuse* meant "no fusion"."""
+    ``tr < 1`` surfaced as a complaint about worker counts, and an
+    unknown *leaf_kernel* fell through to the unblocked kernel."""
     if not isinstance(tr, (int, np.integer)) or tr < 1:
         raise ValueError(f"tr must be an int >= 1, got {tr!r}")
     if leaf_kernel not in alg.leaf_kernels:
@@ -146,8 +144,6 @@ def validate_knobs(alg: Algorithm, *, tr, leaf_kernel, fuse=None) -> None:
             f"unknown leaf_kernel {leaf_kernel!r} for {alg.name}; "
             f"expected one of {alg.leaf_kernels}"
         )
-    if not (fuse is None or (isinstance(fuse, int) and fuse >= 1)):
-        raise ValueError(f"fuse must be None or an int >= 1, got {fuse!r}")
 
 
 #: A task in a kept graph — the object, its footprint sets, its
@@ -156,18 +152,19 @@ _TASK_BYTES = 4096
 
 
 class Plan:
-    """One compiled factorization: *alg*'s fused program over one staged
+    """One compiled factorization: *alg*'s program over one staged
     working buffer ``A`` — the half of the pipeline ``(shape, b, tr,
     tree)`` alone decide, as tournament pivoting keeps every row swap
     inside a task's declared footprint.  The other half takes a matrix:
     :func:`compile` copies the first in, :meth:`load` any later one;
     :meth:`run` then :meth:`result` follow either, one run at a time."""
 
-    def __init__(self, alg, layout, tr, tree, store, arena, program, state, guards, decision):
+    def __init__(self, alg, layout, tr, tree, store, arena, program, state, guards):
         self.alg, self.layout, self.tr, self.tree = alg, layout, tr, tree
         self.store, self.A, self._arena = store, store.A, arena  # an arena staged here
         self.program, self.state = program, state
-        self.guards, self.decision = guards, decision
+        self.guards = guards
+        self.decision = None  # the autotuner's, set by the run that asked for one
 
     def load(self, A: np.ndarray) -> None:
         """Copy the next matrix in and forget the previous one: the
@@ -240,11 +237,9 @@ def compile(
     shared: bool = False,
     overwrite: bool = False,
     guards: bool = True,
-    fuse: int | None = None,
-    decision=None,
     **build,
 ) -> Plan:
-    """Validate the knobs, stage, build, fuse — the only place that
+    """Validate the knobs, stage, build — the only place that
     sequence occurs — into the :class:`Plan` :func:`factorize` runs
     once, the service caches and the out-of-core drivers run.
 
@@ -252,11 +247,11 @@ def compile(
     arena with *shared*, else on the heap, in place when *overwrite*
     allows), a shape (an empty buffer to :meth:`Plan.load` into), or a
     binding the caller staged and keeps (the streamed plane); a
-    standalone panel is one block column whatever *b* says.  Fusion is
-    per window, to ``fuse=`` ops or else the autotuner *decision*'s
-    ``max_ops``; *build* is the builder's own (``checkpoint``, ...).
+    standalone panel is one block column whatever *b* says.  The
+    program is the builder's, task for task; *build* is the builder's
+    own (``checkpoint``, ...).
     """
-    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel, fuse=fuse)
+    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     store, arena = staged(A, shared, overwrite=overwrite)
     try:
         m, n = store.A.shape
@@ -264,18 +259,11 @@ def compile(
         program, state = alg.program(
             layout, tr, tree, A=store.A, store=store, leaf_kernel=leaf_kernel, guards=guards, **build
         )
-        if fuse is None and decision is not None:
-            fuse = decision.max_ops
-        if fuse is not None and fuse > 1:
-            # Per-window rewrite: a resume still addresses windows by
-            # panel iteration, and checkpoint (X) tasks keep their
-            # identity inside the fused program.
-            program = fuse_program(program, max_ops=fuse)
     except BaseException:
         if arena is not None:
             arena.destroy()
         raise
-    return Plan(alg, layout, tr, tree, store, arena, program, state, guards, decision)
+    return Plan(alg, layout, tr, tree, store, arena, program, state, guards)
 
 
 class PlanPool:
@@ -398,7 +386,6 @@ def factorize(
     check_finite: bool = True,
     guards: bool = True,
     checkpoint=None,
-    fuse: int | None = None,
     **build,
 ):
     """Run *alg* on *A*; returns ``alg.result(...)``.
@@ -410,7 +397,7 @@ def factorize(
     **executor** (``"auto"`` consults the autotuner with the problem's
     shape); **check out** the plan a previous call of this key left in
     the pool and :meth:`Plan.load` the matrix, or :func:`compile` one on
-    the plane that executor's tasks reach (stage, build, fuse; its graph
+    the plane that executor's tasks reach (stage, build; its graph
     is emitted while it runs); **resume** from *checkpoint* (matrix and
     panel state restored to the newest boundary, the journal reseeded
     with what that covers); :meth:`Plan.run`; :meth:`Plan.result`,
@@ -421,7 +408,7 @@ def factorize(
     ``overwrite=True`` (the caller's buffer is the working buffer) and
     an unhashable *build* value.
     """
-    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel, fuse=fuse)
+    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     A = validate_matrix(A, "A", require_finite=check_finite)
     m, n = A.shape
     if alg.panel:
@@ -444,12 +431,10 @@ def factorize(
     # ("garbage in"); the guards would only fight that.
     guards = guards and check_finite
     decision = getattr(executor, "autotune_decision", None) if owned else None
-    if fuse is None and decision is not None:
-        fuse = decision.max_ops  # "auto" owns its decision: the key is what it decided
     key = None
     if checkpoint is None and not overwrite:
         dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.dtype(np.float64)
-        key = (alg, A.shape, dtype, b, tr, tree, leaf_kernel, shared, guards, fuse)
+        key = (alg, A.shape, dtype, b, tr, tree, leaf_kernel, shared, guards)
         # ... and what the builder reads besides its arguments: priorities
         # are ranked under the process-default look-ahead at emission.
         key += (lookahead_depth(), *sorted(build.items()))
@@ -471,14 +456,12 @@ def factorize(
             overwrite=overwrite,
             guards=guards,
             checkpoint=checkpoint,
-            fuse=fuse,
-            decision=decision,
             **build,
         )
+    plan.decision = decision
     ok = False
     try:
         if hit:
-            plan.decision = decision
             plan.load(A)
         journal = None
         if checkpoint is not None:

@@ -11,9 +11,8 @@ hook, the windows and the :class:`~repro.runtime.program.GraphProgram`;
 :class:`Emitter` is the one form a task takes.  An algorithm supplies
 its steps and its per-panel state.
 
-Emission order is behaviour — per-window fusion groups, the journal's
-resume ranges and the service's super-tasks depend on it: the panel
-step's tasks (P, then CALU's L), then per segment that segment's
+Emission order is behaviour — task ids and the journal's resume ranges
+depend on it: the panel step's tasks (P, then CALU's L), then per segment that segment's
 updates, then ``C[K]``.
 
 Guards follow the binding, not a flag: a guard that reads matrix blocks

@@ -301,7 +301,6 @@ def tsqr(
     leaf_kernel: str = "geqr3",
     overwrite: bool = False,
     check_finite: bool = True,
-    fuse: int | None = None,
     store=None,
     memory_budget: int | None = None,
     spill_dir=None,
@@ -311,9 +310,8 @@ def tsqr(
     The paper's standalone TSQR (Figure 8): up to 5.3x faster than
     ``MKL_dgeqrf`` on ``10^5 x 200``.  Default tree is the height-1
     (flat) tree the paper found best on shared memory.
-    ``executor="auto"`` and *fuse* behave as in
-    :func:`~repro.core.calu.calu` (a standalone panel autotunes as a
-    one-panel QR).
+    ``executor="auto"`` behaves as in :func:`~repro.core.calu.calu` (a
+    standalone panel autotunes as a one-panel QR).
 
     With *store* (``"mmap"``, ``"shm"`` or a
     :class:`~repro.runtime.tilestore.TileStore`) or *memory_budget*
@@ -362,5 +360,4 @@ def tsqr(
         leaf_kernel=leaf_kernel,
         overwrite=overwrite,
         check_finite=check_finite,
-        fuse=fuse,
     )

@@ -65,10 +65,9 @@ class Counters:
     comparisons:
         Pivot-search comparisons (partial pivoting / tournament).
     roundtrips:
-        Worker pipe round-trips (one per descriptor batch shipped by
-        the process backend's :class:`~repro.runtime.process._WorkerPool`).
-        Task fusion batches many op descriptors per round-trip, so this
-        is the dispatch-overhead number the fusion benchmarks gate on.
+        Worker pipe round-trips (one per message the process backend's
+        :class:`~repro.runtime.process._WorkerPool` ships: a dispatcher
+        pass's descriptors for one worker), the dispatch-overhead count.
     store_read_bytes / store_write_bytes:
         Bytes explicitly transferred between fast memory and a
         :class:`~repro.runtime.tilestore.TileStore` (slow memory): every

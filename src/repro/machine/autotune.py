@@ -1,21 +1,15 @@
-"""Machine-model dispatch autotuning: backend + fusion granularity.
+"""Machine-model dispatch autotuning: the backend.
 
 The calibrated :class:`~repro.machine.model.MachineModel` prices every
 task's kernel time and per-task overhead, and the process backend's
-dispatch cost is one pipe round-trip per descriptor batch — measurable
+dispatch cost is at most one pipe round-trip per task — measurable
 (:func:`calibrate_pipe` times ``noop`` descriptors through a live
-worker pipe).  This module closes the loop the paper frames as sizing
-the unit of work to the hardware: given ``(kind, shape, b, Tr)`` it
-predicts the threaded and process makespans over the *symbolic* task
-graph (no arithmetic executed) and picks
-
-* the **backend** — process pays spawn plus one round-trip per
-  super-task but scales with physical cores; threaded pays only
-  scheduler overhead but serializes kernel dispatch on the GIL;
-* the **fusion granularity** ``max_ops`` — how many ops
-  :func:`repro.runtime.fuse.fuse_program` may batch into one
-  super-task, chosen so a batch's kernel work dominates its dispatch
-  cost without flattening intra-panel parallelism.
+worker pipe).  Given ``(kind, shape, b, Tr)`` this module predicts the
+threaded and process makespans over the *symbolic* task graph (no
+arithmetic executed) and picks the **backend**: process pays spawn plus
+one round-trip per task but scales with physical cores; threaded pays
+only scheduler overhead but serializes kernel dispatch on the GIL.  The
+unit of work is the paper's task, sized by ``b`` and ``Tr``.
 
 Exposed as ``executor="auto"`` on the drivers (``calu``/``caqr``/
 ``tsqr``/``tslu``), through :func:`repro.runtime.process.resolve_executor`,
@@ -32,7 +26,6 @@ whatever a caller left unset from it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -59,13 +52,6 @@ __all__ = [
 #: steer the decision toward the threaded backend.
 _FALLBACK_ROUNDTRIP_S = 2e-4
 _FALLBACK_SPAWN_S = 5e-2
-
-#: Hard cap on the fusion granularity the tuner will request.
-_MAX_OPS_CAP = 16
-
-#: A super-task's kernel work should dominate its round-trip by this
-#: factor before we stop growing the batch.
-_BATCH_WORK_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,6 @@ class DispatchDecision:
     """One autotuning verdict, with the inputs needed to audit it."""
 
     backend: str  # "threaded" | "process"
-    max_ops: int  # fusion granularity (1 = no fusion)
     n_workers: int
     kind: str
     shape: Optional[tuple]
@@ -151,13 +136,17 @@ class DispatchDecision:
     roundtrip_s: float
     reason: str
 
+    @property
+    def max_ops(self) -> int:
+        return 1  # read by benchmarks/e2e/layers.py's machine.autotune.max_ops row
+
     def event(self) -> ResilienceEvent:
         """The trace record benchmarks and tests audit."""
         shape = f"{self.shape[0]}x{self.shape[1]}" if self.shape else "?"
         return ResilienceEvent(
             "autotune",
             detail=(
-                f"backend={self.backend} max_ops={self.max_ops} "
+                f"backend={self.backend} "
                 f"kind={self.kind} shape={shape} b={self.b} tr={self.tr} "
                 f"roundtrip={self.roundtrip_s * 1e6:.1f}us "
                 + " ".join(f"{k}={v:.3g}s" for k, v in sorted(self.predicted_s.items()))
@@ -168,7 +157,6 @@ class DispatchDecision:
     def to_dict(self) -> dict:
         return {
             "backend": self.backend,
-            "max_ops": self.max_ops,
             "n_workers": self.n_workers,
             "kind": self.kind,
             "shape": list(self.shape) if self.shape else None,
@@ -196,7 +184,7 @@ def calibrate_pipe(samples: int = 64, *, refresh: bool = False) -> PipeCalibrati
 
     Spins up one real worker process and streams ``noop`` descriptors
     through its pipe — the exact path
-    :meth:`~repro.runtime.process._WorkerPool.run` takes per super-task.
+    :meth:`~repro.runtime.process._WorkerPool.run` takes per task.
     Falls back to conservative constants when processes cannot start.
     """
     global _pipe_cal
@@ -241,14 +229,6 @@ def _symbolic_graph(kind: str, m: int, n: int, b: int, tr: int, tree):
     return algorithm(kind).program(BlockLayout(m, n, b), tr, tree)[0].materialize()
 
 
-def _pick_max_ops(mean_task_s: float, dispatch_s: float) -> int:
-    """Smallest power-of-two batch whose work dominates its dispatch."""
-    g = 1
-    while g < _MAX_OPS_CAP and mean_task_s * g < _BATCH_WORK_FACTOR * dispatch_s:
-        g *= 2
-    return g
-
-
 def autotune(
     kind: str = "lu",
     m: int | None = None,
@@ -262,11 +242,11 @@ def autotune(
     pipe: PipeCalibration | None = None,
     persistent_pool: bool = False,
 ) -> DispatchDecision:
-    """Pick backend and fusion granularity for one problem instance.
+    """Pick the backend for one problem instance.
 
-    With no shape the decision degrades to a safe default (threaded,
-    modest fusion).  *model* defaults to the ``generic`` preset sized to
-    this host's cores — pass a :func:`~repro.machine.calibrate.calibrate_host`
+    With no shape the decision degrades to a safe default (threaded).
+    *model* defaults to the ``generic`` preset sized to this host's
+    cores — pass a :func:`~repro.machine.calibrate.calibrate_host`
     result for measured kernel rates.  *persistent_pool* drops the
     worker-spawn term (a service reusing one pool amortizes it away).
     Decisions are memoized per (kind, shape, b, tr, tree, pool mode)
@@ -294,7 +274,6 @@ def autotune(
     if m is None or n is None:
         decision = DispatchDecision(
             backend="threaded",
-            max_ops=4,
             n_workers=min(cores, 4),
             kind=kind,
             shape=None,
@@ -302,7 +281,7 @@ def autotune(
             tr=tr,
             predicted_s={},
             roundtrip_s=pipe.roundtrip_s,
-            reason="no shape hints; defaulting to threaded with light fusion",
+            reason="no shape hints; defaulting to threaded",
         )
         if cacheable:
             _decisions[key] = decision
@@ -319,32 +298,27 @@ def autotune(
     n_tasks = len(times)
     mean_task_s = work / max(1, n_tasks)
 
-    max_ops = _pick_max_ops(mean_task_s, pipe.roundtrip_s)
-    n_batches = math.ceil(n_tasks / max_ops)
     spawn_s = 0.0 if persistent_pool else pipe.spawn_s * cores
     threads = max(1, min(cores, tr, 4))
     predicted = {
         "threaded": max(span, work / threads),
-        "process": max(span, work / cores) + n_batches * pipe.roundtrip_s + spawn_s,
+        # At most one pipe round-trip per task: the dispatcher's
+        # per-worker message is the only batching.
+        "process": max(span, work / cores) + n_tasks * pipe.roundtrip_s + spawn_s,
     }
     backend = min(predicted, key=predicted.__getitem__)
     if backend == "threaded":
-        # Fusion still trims scheduler bookkeeping on tiny tasks, but
-        # round-trips are off the table — keep batches shallow so the
-        # frontier stays wide.
-        max_ops = min(max_ops, 4)
         reason = (
             f"threaded wins: {n_tasks} tasks, mean {mean_task_s * 1e6:.0f}us/task; "
-            f"process would pay {n_batches} round-trips + {spawn_s:.3g}s spawn"
+            f"process would pay {n_tasks} round-trips + {spawn_s:.3g}s spawn"
         )
     else:
         reason = (
             f"process wins: work {work:.3g}s over {cores} cores beats "
-            f"{threads}-thread dispatch; {n_batches} batches of <= {max_ops} ops"
+            f"{threads}-thread dispatch and {n_tasks} round-trips"
         )
     decision = DispatchDecision(
         backend=backend,
-        max_ops=max_ops,
         n_workers=cores if backend == "process" else threads,
         kind=kind,
         shape=(m, n),

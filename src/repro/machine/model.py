@@ -178,15 +178,8 @@ class MachineModel:
 
         Returns ``(work, max_rate, bytes_per_work_unit)``: for compute
         tasks work is flops; for pure-memory tasks work is bytes moved
-        at a rate capped by the per-core bandwidth; for a fused
-        super-task work is its members' seconds back to back (rate 1),
-        drawing their average bandwidth.
+        at a rate capped by the per-core bandwidth.
         """
-        members = getattr(cost, "members", ())
-        if members:
-            parts = [self.work_and_demand(c) for c in members]
-            secs = sum(w / r for w, r, _ in parts if w > 0)
-            return secs, 1.0, (sum(w * b for w, _, b in parts) / secs if secs > 0 else 0.0)
         if cost.flops > 0:
             rate = self.compute_rate(cost)
             bpf = self.bytes_per_flop(cost)

@@ -45,7 +45,7 @@ __all__ = ["ResilienceEvent", "EVENT_KINDS"]
 #: ``timeout`` / ``stall`` / ``deadlock`` / ``worker_death``
 #:     Watchdog findings; always fatal.
 #: ``autotune``
-#:     The dispatch autotuner recorded its backend/fusion decision
+#:     The dispatch autotuner recorded its backend decision
 #:     (informational; see :mod:`repro.machine.autotune`).
 EVENT_KINDS = (
     "fault_stall",

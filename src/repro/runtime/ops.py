@@ -275,31 +275,13 @@ def _op_caqr_merge_update(p: dict) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Batched dispatch
-# ---------------------------------------------------------------------------
-
-
-def _op_fused(p: dict) -> None:
-    """Run a super-task's member descriptors back-to-back.
-
-    The whole list crosses the pipe in one write (see
-    :mod:`repro.runtime.fuse`); the worker executes the members in
-    fusion order over the shared arena with no intermediate round-trip,
-    acking once at the end.  Member order is the members' original task
-    order, which every intra-group dependency respects.
-    """
-    for op in p["ops"]:
-        run_op(op)
-
-
 def _op_noop(p: dict) -> None:
     """Do nothing: the round-trip calibration probe.
 
     :func:`repro.machine.autotune.measure_roundtrip` times a stream of
     these through a live worker pipe to price one descriptor dispatch —
     the latency term the autotuner weighs against kernel work when
-    picking backend and fusion granularity.
+    picking the backend.
     """
 
 
@@ -314,7 +296,6 @@ OPS = {
     "tsqr_merge": _op_tsqr_merge,
     "caqr_leaf_update": _op_caqr_leaf_update,
     "caqr_merge_update": _op_caqr_merge_update,
-    "fused": _op_fused,
     "noop": _op_noop,
 }
 

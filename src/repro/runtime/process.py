@@ -263,8 +263,8 @@ class _WorkerPool:
         """Send *ops* to worker *core* as one message; returns its ticket.
 
         One pipe write per message — a dispatcher pass ships everything
-        it dealt to this worker here, and a fused super-task is one
-        descriptor of the list.  *wake* (optional, must not block) is
+        it dealt to this worker here, one descriptor per task.  *wake*
+        (optional, must not block) is
         called when the reply has been filed by **another** caller's
         drain, so an owner waiting on file descriptors learns of it.
         Raises ``worker_death`` when the worker is down and throttled,
@@ -512,7 +512,7 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
     *hints* (``kind``/``m``/``n``/``b``/``tr``) sharpen the decision,
     and the chosen :class:`~repro.machine.autotune.DispatchDecision` is
     attached to the returned instance as ``autotune_decision`` so
-    callers can audit (and fuse to) the choice.
+    callers can audit the choice.
     """
     if not isinstance(executor, str):
         return executor, False

@@ -20,7 +20,7 @@ from typing import Callable
 
 from repro.analysis.flops import KERNELS
 
-__all__ = ["TaskKind", "Cost", "FusedCost", "Task"]
+__all__ = ["TaskKind", "Cost", "Task"]
 
 
 class TaskKind(enum.Enum):
@@ -109,15 +109,6 @@ class Cost:
         if words is None:
             words = unit_words(m, n, k) * count + extra_words
         return cls(kernel, m, n, k, flops(m, n, k) * count, words, library)
-
-
-@dataclass(frozen=True)
-class FusedCost(Cost):
-    """A super-task's cost (:mod:`repro.runtime.fuse`): flops and words
-    are its members' sums, and the machine model prices it as *members*
-    run back to back — each by its own kernel and dimensions."""
-
-    members: tuple[Cost, ...] = ()
 
 
 @dataclass

@@ -6,7 +6,7 @@ calls for: a long-lived, thread-safe object accepting concurrent
 shared worker-process pool and shared-memory arena.  The driver's own
 compiled plans (:func:`repro.core.driver.compile`) wait in the driver's
 own pool class (:class:`repro.core.driver.PlanPool`) per ``(op, shape,
-b, tr, tree, backend, max_ops)`` so repeat shapes skip graph
+b, tr, tree, backend)`` so repeat shapes skip graph
 construction entirely — the request loads its matrix into the plan's
 buffer, runs the pre-built graph, and extracts the factors.
 
@@ -38,7 +38,7 @@ from repro.core.calu import CALUFactorization
 from repro.core.driver import ALGORITHMS, PlanPool, compile, validate_knobs
 from repro.core.trees import TreeKind
 from repro.linalg import monitored_solve
-from repro.machine.autotune import autotune, resolve_params
+from repro.machine.autotune import resolve_params
 from repro.resilience.health import validate_matrix, validate_rhs
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
@@ -70,15 +70,6 @@ class ServiceConfig:
         ``"process"`` (worker pool + shared arena), ``"threaded"``
         (in-process engine only), or ``"auto"`` (process where ``fork``
         is available, else threaded).
-    fuse:
-        Task-fusion granularity applied when compiling plans (per
-        window, :func:`repro.runtime.fuse.fuse_program`): ``"auto"``
-        (default) lets the machine-model autotuner pick ``max_ops`` per
-        (shape, b, Tr) — with the worker-spawn term dropped, since the
-        service's pool is persistent; an ``int`` fixes it; ``None`` or
-        ``1`` disables fusion.  The resolved granularity is part of the
-        plan-pool key, and the autotuner's decision is appended to
-        every request's trace as an ``autotune`` event.
     max_active, max_queue:
         Admission bounds: requests running concurrently, and requests
         queued behind them before load shedding kicks in.
@@ -118,7 +109,6 @@ class ServiceConfig:
 
     cores: int = 4
     backend: str = "auto"
-    fuse: "int | str | None" = "auto"
     max_active: int = 2
     max_queue: int = 8
     default_deadline_s: float | None = None
@@ -143,12 +133,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("auto", "process", "threaded"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not (
-            self.fuse is None
-            or self.fuse == "auto"
-            or (isinstance(self.fuse, int) and self.fuse >= 1)
-        ):
-            raise ValueError(f"fuse must be 'auto', None or an int >= 1, got {self.fuse!r}")
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
         if self.max_active < 1:
@@ -418,21 +402,14 @@ class FactorizationService:
         """``(key, plan)``, the plan held by this request alone: the pool's
         idle plan of the key, else the driver's plan for it — the
         default leaf kernel, an empty buffer on the service's plane —
-        compiled here.  Of the autotuner's decision under ``fuse="auto"``
-        (memoized per shape there) only the granularity is taken: the
-        backend is fixed at construction, the worker pool being shared."""
+        compiled here, its graph the builder's task for task."""
         b, tr, tree = params
-        max_ops, decision = self.config.fuse or 1, None
-        if max_ops == "auto":
-            decision = autotune(op, *shape, b=b, tr=tr, tree=tree, persistent_pool=True)
-            max_ops = decision.max_ops
-        key = (op, *shape, b, tr, tree.value, self.backend, max_ops)
+        key = (op, *shape, b, tr, tree.value, self.backend)
         plan = self._plans.checkout(key)
         if plan is None:
             alg, shared = ALGORITHMS[op], self.backend == "process"
             plan = compile(
-                alg, shape, b=b, tr=tr, tree=tree, leaf_kernel=alg.leaf_kernels[0],
-                shared=shared, fuse=max_ops, decision=decision,
+                alg, shape, b=b, tr=tr, tree=tree, leaf_kernel=alg.leaf_kernels[0], shared=shared
             )
         return key, plan
 
@@ -448,7 +425,6 @@ class FactorizationService:
         """One snapshot of every subsystem's counters."""
         out = {
             "backend": self.backend,
-            "fuse": self.config.fuse,
             "admission": self._admission.snapshot(),
             "breaker": self._breaker.snapshot(),
             "respawn": self._governor.snapshot(),

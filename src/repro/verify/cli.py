@@ -55,12 +55,10 @@ _Collect = Callable[[], "list[np.ndarray]"]
 _Builder = Callable[[], "tuple[GraphProgram, _Collect | None]"]
 
 
-def _numeric(
-    kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind, fuse: int | None = None
-) -> _Builder:
+def _numeric(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
     """Builder of the program the driver compiles for the *kind*
-    algorithm over a fresh matrix, fused to *fuse* ops when set: what a
-    driver or the service runs, super-tasks included, is what is proved.
+    algorithm over a fresh matrix: what a driver or the service runs is
+    what is proved.
 
     Its ``collect()`` is :func:`~repro.verify.equivalence.state_arrays`.
     """
@@ -68,7 +66,7 @@ def _numeric(
     def build() -> tuple[GraphProgram, _Collect]:
         alg, A = ALGORITHMS[kind], _random_matrix(m, n)
         kernel = alg.leaf_kernels[0]
-        plan = compile(alg, A, b=b, tr=tr, tree=tree, leaf_kernel=kernel, guards=False, fuse=fuse)
+        plan = compile(alg, A, b=b, tr=tr, tree=tree, leaf_kernel=kernel, guards=False)
         return plan.program, lambda: state_arrays(plan.A, plan.state)
 
     return build
@@ -85,8 +83,7 @@ class Target:
     eager twin (the same program materialized), and the stream-vs-eager
     equivalence pass compares the two.  A *numeric* target is given as
     its ``shape`` — ``(kind, m, n, b, tr, tree)`` — instead: its program
-    is that algorithm's over a fresh matrix (fused to ``fuse`` ops when
-    set) and the dynamic passes run.
+    is that algorithm's over a fresh matrix and the dynamic passes run.
     """
 
     def __init__(
@@ -95,10 +92,9 @@ class Target:
         program: _Builder | None = None,
         *,
         shape: tuple | None = None,
-        fuse: int | None = None,
     ) -> None:
         if shape is not None:
-            program = _numeric(*shape, fuse)
+            program = _numeric(*shape)
         assert program is not None
         self.name = name
         self.program = program
@@ -120,13 +116,6 @@ def default_targets() -> list[Target]:
             for kind, alg in ALGORITHMS.items():
                 name = f"{alg.name.lower()}-{tree.value}-{m}x{n}"
                 targets.append(Target(name, shape=(kind, m, n, b, tr, tree)))
-    # Fused rewrites: the full pass battery over super-task graphs.
-    targets.append(
-        Target("calu-binary-48x48-fused8", shape=("lu", 48, 48, 8, 4, TreeKind.BINARY), fuse=8)
-    )
-    targets.append(
-        Target("caqr-flat-40x24-fused8", shape=("qr", 40, 24, 8, 3, TreeKind.FLAT), fuse=8)
-    )
     # Larger symbolic graphs: static proof scales past what we execute.
     for tree in (TreeKind.BINARY, TreeKind.FLAT):
         for kind, alg in ALGORITHMS.items():

@@ -26,7 +26,6 @@ from repro.core.tsqr import tsqr
 from repro.machine import autotune as at
 from repro.machine.presets import generic
 from repro.resilience import FaultPlan, RuntimeFailure
-from repro.runtime.fuse import fuse_program
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.program import GraphProgram
@@ -86,14 +85,6 @@ def test_out_of_core_entry_points_validate_like_every_other_driver(name, tmp_pat
     with pytest.raises(ValueError, match="tr must be an int >= 1"):
         OUT_OF_CORE[name](_panel(), tr=0, spill_dir=tmp_path)
     assert not list(tmp_path.iterdir()), "rejected before a byte is staged"
-
-
-@pytest.mark.parametrize("fuse", [-3, 0, 2.5, "auto"])
-@pytest.mark.parametrize("name", ["calu", "caqr", "tsqr"])
-def test_nonsense_fuse_is_rejected(name, fuse):
-    # fuse=-3 used to mean "no fusion", silently.
-    with pytest.raises(ValueError, match="fuse"):
-        DRIVERS[name](_panel(), fuse=fuse)
 
 
 def test_service_validates_tr_at_its_entry():
@@ -180,16 +171,16 @@ def test_engine_backed_executors_stream_and_duck_typed_get_the_graph(name, backe
 
 
 @pytest.mark.parametrize("name", DRIVERS)
-def test_auto_consults_the_autotuner_with_the_shape_and_fuses_to_it(name, monkeypatch):
+def test_auto_consults_the_autotuner_and_runs_the_builders_graph(name, monkeypatch):
     """``tslu`` used to pass no hints (the tuner answered "no shape
-    hints") and then threw the decision away."""
-    asked, fused = [], []
+    hints") and then threw the decision away; the graph that runs is
+    the builder's, unchanged."""
+    asked, ran = [], []
 
     def fake_autotune(**hints):
         asked.append(hints)
         return at.DispatchDecision(
             backend="threaded",
-            max_ops=4,
             n_workers=2,
             kind=hints["kind"],
             shape=(hints["m"], hints["n"]),
@@ -200,31 +191,26 @@ def test_auto_consults_the_autotuner_with_the_shape_and_fuses_to_it(name, monkey
             reason="test",
         )
 
-    def spy_fuse(program, *, max_ops):
-        fused.append(max_ops)
-        return real_fuse(program, max_ops=max_ops)
+    def spy_run(plan, executor, journal=None):
+        trace = real_run(plan, executor, journal)
+        ran.append(trace.stats["n_tasks"])
+        return trace
 
-    real_fuse = driver.fuse_program
+    real_run = driver.Plan.run
     monkeypatch.setattr(at, "autotune", fake_autotune)
-    monkeypatch.setattr(driver, "fuse_program", spy_fuse)
     A = _panel()
     m, n = A.shape
     want = _outputs(name, A.copy(), "threaded")
+    monkeypatch.setattr(driver.Plan, "run", spy_run)
     got = _outputs(name, A, "auto")
-    tree = TreeKind.BINARY if name in ("calu", "tslu") else TreeKind.FLAT
-    assert asked == [
-        {
-            "kind": "lu" if name in ("calu", "tslu") else "qr",
-            "m": m,
-            "n": n,
-            "b": 8 if name in ("calu", "caqr") else n,
-            "tr": 3,
-            "tree": tree,
-        }
-    ]
-    assert fused == [4]
+    kind = "lu" if name in ("calu", "tslu") else "qr"
+    tree = driver.ALGORITHMS[kind].tree
+    b = 8 if name in ("calu", "caqr") else n
+    assert asked == [{"kind": kind, "m": m, "n": n, "b": b, "tr": 3, "tree": tree}]
+    program, _ = driver.ALGORITHMS[kind].program(BlockLayout(m, n, b), 3, tree, A=np.zeros((m, n)))
+    assert ran == [len(program.materialize().tasks)]
     for g, w in zip(got, want, strict=True):
-        assert np.array_equal(g, w), "fusion must not move a bit"
+        assert np.array_equal(g, w)
     if name in ("calu", "caqr"):
         trace = DRIVERS[name](A, b=8, tr=3, executor="auto").trace
         assert [e.kind for e in trace.events].count("autotune") == 1
@@ -236,7 +222,6 @@ def test_auto_runs_the_worker_count_it_priced(backend, monkeypatch):
     then built the executor with the caller's ``min(tr, 4)``."""
     decision = at.DispatchDecision(
         backend=backend,
-        max_ops=1,
         n_workers=3 if backend == "threaded" else 2,
         kind="lu",
         shape=(72, 24),
@@ -267,14 +252,13 @@ def _factors(f) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("fuse", [None, 4])
 @pytest.mark.parametrize("backend", ["threaded", pytest.param("process", marks=fork_only)])
 @pytest.mark.parametrize("name", ["calu", "caqr"])
-def test_one_plan_runs_many_matrices(name, backend, fuse, dtype):
+def test_one_plan_runs_many_matrices(name, backend, dtype):
     rng = np.random.default_rng(11)
     A1, A2 = (rng.standard_normal((72, 40)).astype(dtype) for _ in range(2))
     alg = driver.ALGORITHMS["lu" if name == "calu" else "qr"]
-    knobs = {"b": 8, "tr": 3, "tree": alg.tree, "leaf_kernel": alg.leaf_kernels[0], "fuse": fuse}
+    knobs = {"b": 8, "tr": 3, "tree": alg.tree, "leaf_kernel": alg.leaf_kernels[0]}
     executor = EXECUTORS[backend]()
     plan = driver.compile(alg, A1, shared=backend == "process", **knobs)
     try:
@@ -291,19 +275,22 @@ def test_one_plan_runs_many_matrices(name, backend, fuse, dtype):
 
 
 @pytest.mark.parametrize("kind,shape", [("lu", (96, 96)), ("qr", (128, 48))])
-def test_a_service_plan_is_the_per_window_fused_program(kind, shape):
-    """The service used to fuse the whole materialized graph in one
-    window: a grouping no ``repro.verify`` fused target proves."""
-    b, tr, max_ops = 16, 3, 4
+def test_a_service_plan_is_the_compiled_program_task_for_task(kind, shape):
+    """The service used to rewrite its plans' graphs (fusing tasks into
+    super-tasks); what it runs is what ``compile`` builds and
+    ``repro.verify`` proves: the same names, kinds and edges."""
+    b, tr = 16, 3
     alg = driver.ALGORITHMS[kind]
-    with FactorizationService(ServiceConfig(cores=2, backend="threaded", fuse=max_ops)) as svc:
+    with FactorizationService(ServiceConfig(cores=2, backend="threaded")) as svc:
         key, plan = svc._plan_for(kind, shape, (b, tr, alg.tree))
         svc._plans.checkin(key, plan)
     assert isinstance(plan, driver.Plan)
-    program, _ = alg.program(BlockLayout(*shape, b), tr, alg.tree, A=np.zeros(shape))
-    want = fuse_program(program, max_ops=max_ops).materialize()
-    got = plan.program.materialize()
-    assert len(got.tasks) < len(program.graph.tasks)
+    want_plan = driver.compile(alg, shape, b=b, tr=tr, tree=alg.tree, leaf_kernel=alg.leaf_kernels[0])
+    try:
+        want, got = want_plan.program.materialize(), plan.program.materialize()
+    finally:
+        want_plan.close()
+    assert [(t.name, t.kind) for t in got.tasks] == [(t.name, t.kind) for t in want.tasks]
     assert compare_graphs(got, want) == []
 
 

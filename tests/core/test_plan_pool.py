@@ -101,7 +101,6 @@ OTHER_KEYS = {
     "tree": {"tree": TreeKind.FLAT},
     "leaf_kernel": {"leaf_kernel": "getf2"},
     "guards": {"guards": False},
-    "fuse": {"fuse": 4},
     "lookahead": {"lookahead": 0},
     "abft": {"abft": True},
 }

@@ -4,7 +4,7 @@ The autotuner is advisory — it may pick either backend depending on the
 host — so these tests pin the *contract*, not the choice: decisions are
 well-formed, memoized, auditable as trace events, injectable with a
 synthetic :class:`PipeCalibration` for determinism, and reachable
-through ``resolve_executor("auto")`` and the service config.
+through ``resolve_executor("auto")``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class TestDecisionInvariants:
     def test_well_formed(self):
         d = _decide()
         assert d.backend in ("threaded", "process")
-        assert d.max_ops in (1, 2, 4, 8, 16)
+        assert d.max_ops == 1  # nothing coarsens the builder's tasks
         assert d.n_workers >= 1
         assert set(d.predicted_s) == {"threaded", "process"}
         assert all(v > 0 for v in d.predicted_s.values())
@@ -58,21 +58,22 @@ class TestDecisionInvariants:
         d = _decide()
         assert d.backend == min(d.predicted_s, key=d.predicted_s.__getitem__)
 
-    def test_threaded_choice_keeps_frontier_wide(self):
-        # A brutal round-trip price forces the threaded backend, which
-        # caps fusion at 4 to preserve intra-panel parallelism.
+    def test_a_brutal_roundtrip_price_forces_threaded(self):
         d = _decide(pipe=PipeCalibration(roundtrip_s=1.0, spawn_s=10.0, measured=False))
         assert d.backend == "threaded"
-        assert d.max_ops <= 4
 
-    def test_cheap_dispatch_prefers_shallow_batches(self):
-        # Free dispatch: nothing to amortize, so fusion stays minimal.
-        free = PipeCalibration(roundtrip_s=0.0, spawn_s=0.0, measured=False)
-        assert _decide(pipe=free).max_ops == 1
+    def test_process_pays_one_roundtrip_per_task(self):
+        # The dispatcher sends at most one message per task: nothing in
+        # the graph batches them, so the price scales with the task count.
+        free = _decide(pipe=PipeCalibration(roundtrip_s=0.0, spawn_s=0.0, measured=False))
+        priced = _decide(pipe=PipeCalibration(roundtrip_s=1e-3, spawn_s=0.0, measured=False))
+        graph = at._symbolic_graph("lu", 384, 32, 32, 4, TreeKind.BINARY)
+        extra = priced.predicted_s["process"] - free.predicted_s["process"]
+        assert extra == pytest.approx(len(graph.tasks) * 1e-3)
 
-    def test_no_shape_defaults_to_threaded_light_fusion(self):
+    def test_no_shape_defaults_to_threaded(self):
         d = autotune("qr", pipe=FAKE_PIPE, model=generic(4), cores=4)
-        assert d.backend == "threaded" and d.max_ops == 4
+        assert d.backend == "threaded"
         assert d.shape is None and d.predicted_s == {}
 
     def test_unknown_kind_raises(self):
@@ -114,7 +115,7 @@ class TestAuditTrail:
     def test_event_carries_the_decision(self):
         e = _decide().event()
         assert e.kind == "autotune"
-        for fragment in ("backend=", "max_ops=", "shape=384x32", "roundtrip="):
+        for fragment in ("backend=", "shape=384x32", "roundtrip="):
             assert fragment in e.detail
 
     def test_to_dict_round_trips_through_json(self):
@@ -123,7 +124,6 @@ class TestAuditTrail:
         d = _decide()
         blob = json.loads(json.dumps(d.to_dict()))
         assert blob["backend"] == d.backend
-        assert blob["max_ops"] == d.max_ops
         assert tuple(blob["shape"]) == d.shape
 
 
@@ -156,14 +156,3 @@ class TestWiring:
         finally:
             if isinstance(ex, ProcessExecutor):
                 ex.close()
-
-    def test_service_config_validates_fuse(self):
-        from repro.service.service import ServiceConfig
-
-        ServiceConfig(fuse="auto")
-        ServiceConfig(fuse=None)
-        ServiceConfig(fuse=8)
-        with pytest.raises(ValueError):
-            ServiceConfig(fuse=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(fuse="always")

@@ -170,18 +170,17 @@ class TestMidMessageFailure:
         assert [r.name for r in info.value.trace.records] == ["t0"]
         assert list(ran) == [1, 0, 0]  # the message stopped at the failure
 
-    @pytest.mark.parametrize("fuse", [None, 4])
-    def test_calu_factors_bitwise_under_worker_side_faults(self, arena, fuse):
+    def test_calu_factors_bitwise_under_worker_side_faults(self, arena):
         A = make_rng(70).standard_normal((96, 96))
-        ref = calu(A, b=12, tr=2, executor=ThreadedExecutor(2), fuse=fuse)
+        ref = calu(A, b=12, tr=2, executor=ThreadedExecutor(2))
         # Every third trailing update fails once inside the worker.  U and S
-        # tasks (fused: U-led super-tasks) are not idempotent: a second run
-        # would swap the rows back and subtract the product twice.
+        # tasks are not idempotent: a second run would swap the rows back
+        # and subtract the product twice.
         seen = iter(range(10**6))
         pick = lambda t: t.kind in (TaskKind.U, TaskKind.S) and next(seen) % 3 == 1
         retry = RetryPolicy(max_retries=2, backoff_s=1e-4)
         with _Sabotage(2, arena, pick, retry=retry) as sab:
-            f = calu(A, b=12, tr=2, executor=sab, fuse=fuse)
+            f = calu(A, b=12, tr=2, executor=sab)
         assert len(sab.ran) > 5
         assert np.all(sab.ran == 2)  # failed once, ran once
         assert f.trace.resilience_summary().get("retry") == len(sab.ran)

@@ -162,7 +162,7 @@ def case_caqr_merge_update(store):
 
 
 CASES = {name[len("case_") :]: fn for name, fn in globals().items() if name.startswith("case_")}
-NUMERIC_OPS = sorted(set(ops.OPS) - {"fused", "noop"})
+NUMERIC_OPS = sorted(set(ops.OPS) - {"noop"})
 #: Trailing-matrix ops: no out-of-core driver emits them (yet), and they
 #: update blocks in place without a write-back.
 RESIDENT_ONLY = {"calu_u", "calu_s", "caqr_leaf_update", "caqr_merge_update"}
