@@ -33,8 +33,7 @@ The package provides:
     Fault injection (:class:`~repro.resilience.faults.FaultPlan`),
     task retry policies, structured runtime failures, numerical
     health guards, panel-granularity checkpoint/restart
-    (:class:`~repro.resilience.checkpoint.Checkpoint` +
-    :class:`~repro.resilience.journal.TaskJournal`) and ABFT
+    (:class:`~repro.resilience.checkpoint.Checkpoint`) and ABFT
     checksums for the trailing update — the runtime's recovery layer.
 
 ``repro.service``
@@ -42,7 +41,7 @@ The package provides:
     (:class:`~repro.service.service.FactorizationService`): concurrent
     ``factor``/``solve``/``lstsq`` requests multiplexed onto one shared
     worker pool with plan caching, bounded admission, per-request
-    deadlines, circuit breaking and pool supervision.
+    deadlines, circuit breaking and on-demand worker respawn.
 
 ``repro.baselines``
     The comparison algorithms the paper benchmarks against: BLAS2
@@ -97,7 +96,6 @@ _EXPORTS = {
     "Checkpoint": "repro.resilience.checkpoint",
     "FileStore": "repro.resilience.checkpoint",
     "MemoryStore": "repro.resilience.checkpoint",
-    "TaskJournal": "repro.resilience.journal",
     "NumericalHealthWarning": "repro.resilience.health",
     "FactorizationService": "repro.service",
     "ServiceConfig": "repro.service",

@@ -36,7 +36,7 @@ from repro.machine.autotune import recommend_params
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.process import ProcessExecutor, resolve_executor
+from repro.runtime.process import resolve_executor
 from repro.runtime.program import supports_streaming
 from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
@@ -349,28 +349,24 @@ def close_plans() -> None:
     _PLANS.close()
 
 
-def _resume(checkpoint, signature: dict, plan: Plan, source):
+def _resume(checkpoint, signature: dict, plan: Plan) -> set[str]:
     """Bind *checkpoint* to this computation and restore its newest
-    boundary; returns the journal the run must log to."""
+    boundary; returns the names of the tasks the run skips."""
     program = plan.program
     usable = checkpoint.prepare(signature)
     resumed_from, snaps = restore_matrix(plan.A, plan.layout, checkpoint) if usable else (-1, {})
-    # The restored matrix carries the *boundary* state, so a fresh
-    # journal is seeded with exactly the tasks the snapshot covers.
-    journal = checkpoint.journal()
-    journal.bind(source)
-    if resumed_from >= 0:
-        # Window K holds every task of iteration K, so emitting through
-        # the resumed boundary makes the journaled prefix enumerable
-        # (no-op on the eager path) and creates the covered panels'
-        # state for the snapshots to refill.  An epilogue window (CALU's
-        # left swaps) lies past every boundary: snapshots are taken
-        # before it, so it always re-runs.
-        program.emit_through(resumed_from)
-        checkpoint.restore_panels(snaps, plan.state)
-        covered = program.graph.tasks[: program.windows[resumed_from][1]]
-        journal.mark_completed(t.name for t in covered)
-    return journal
+    if resumed_from < 0:
+        return set()
+    # The restored matrix carries the *boundary* state: exactly the
+    # tasks the snapshot covers are done.  Window K holds every task of
+    # iteration K, so emitting through the resumed boundary makes them
+    # enumerable (no-op on the eager path) and creates the covered
+    # panels' state for the snapshots to refill.  An epilogue window
+    # (CALU's left swaps) lies past every boundary: snapshots are taken
+    # before it, so it always re-runs.
+    program.emit_through(resumed_from)
+    checkpoint.restore_panels(snaps, plan.state)
+    return {t.name for t in program.graph.tasks[: program.windows[resumed_from][1]]}
 
 
 def factorize(
@@ -399,8 +395,8 @@ def factorize(
     the pool and :meth:`Plan.load` the matrix, or :func:`compile` one on
     the plane that executor's tasks reach (stage, build; its graph
     is emitted while it runs); **resume** from *checkpoint* (matrix and
-    panel state restored to the newest boundary, the journal reseeded
-    with what that covers); :meth:`Plan.run`; :meth:`Plan.result`,
+    panel state restored to the newest boundary, the tasks that covers
+    skipped); :meth:`Plan.run`; :meth:`Plan.result`,
     copied out of the plan's buffers; **flush** the checkpoint writer;
     **check in** the plan — closed instead when the run raised or it is
     larger than the pool.  A run bound to more than its matrix bypasses
@@ -426,7 +422,9 @@ def factorize(
             f"{alg.name.lower()} computes factors: a SimulatedExecutor must run its tasks "
             "(execute=True); without it only a symbolic program can be simulated"
         )
-    shared = isinstance(executor, ProcessExecutor)
+    # Tasks reach shared memory wherever the executor dispatches to a
+    # worker pool: a ProcessExecutor, or an engine over a caller's pool.
+    shared = getattr(executor, "pool", None) is not None
     # check_finite=False means the caller opted into non-finite input
     # ("garbage in"); the guards would only fight that.
     guards = guards and check_finite
@@ -477,16 +475,16 @@ def factorize(
                 **build,
                 "a_digest": zlib.crc32(plan.A.tobytes()),
             }
-            journal = _resume(checkpoint, signature, plan, plan.source(executor))
+            journal = _resume(checkpoint, signature, plan)
         trace = plan.run(executor, journal)
         ok = True
         # A plan that stays behind keeps its buffers: the result is a copy.
         kept = key is not None and _PLANS.fits(plan)
         result = plan.result(trace, np.array if kept else plan.store.detach)
         if checkpoint is not None:
-            # Drain the async snapshot writer so a completed run leaves
-            # its full chain on disk (and any write error surfaces here
-            # rather than being dropped with the daemon thread).
+            # Join the last snapshot write so a completed run leaves its
+            # full chain on disk (and any write error surfaces here
+            # rather than being dropped with the writer thread).
             checkpoint.flush()
         return result
     finally:

@@ -11,7 +11,7 @@ hook, the windows and the :class:`~repro.runtime.program.GraphProgram`;
 :class:`Emitter` is the one form a task takes.  An algorithm supplies
 its steps and its per-panel state.
 
-Emission order is behaviour — task ids and the journal's resume ranges
+Emission order is behaviour — task ids and a resume's skipped ranges
 depend on it: the panel step's tasks (P, then CALU's L), then per segment that segment's
 updates, then ``C[K]``.
 

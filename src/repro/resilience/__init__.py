@@ -24,14 +24,13 @@ hardware actually produces:
     The :class:`~repro.resilience.events.ResilienceEvent` record type
     every mechanism reports through.
 
-``repro.resilience.checkpoint`` / ``repro.resilience.journal``
+``repro.resilience.checkpoint``
     Panel-granularity checkpoint/restart: pluggable snapshot stores
     (:class:`~repro.resilience.checkpoint.MemoryStore`,
-    :class:`~repro.resilience.checkpoint.FileStore`), the
-    :class:`~repro.resilience.checkpoint.Checkpoint` snapshot manager
-    and the in-memory
-    :class:`~repro.resilience.journal.TaskJournal` the executors
-    consult to skip completed tasks on resume.
+    :class:`~repro.resilience.checkpoint.FileStore`) and the
+    :class:`~repro.resilience.checkpoint.Checkpoint` snapshot manager;
+    a resume hands the executor the names of the tasks the restored
+    boundary covers, to skip.
 
 ``repro.resilience.abft``
     Huang-Abraham checksums for the trailing update: single-element
@@ -57,7 +56,6 @@ from repro.resilience.health import (
     validate_matrix,
     validate_rhs,
 )
-from repro.resilience.journal import TaskJournal
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "ResilienceEvent",
     "RetryPolicy",
     "RuntimeFailure",
-    "TaskJournal",
     "finite_block_guard",
     "gemm_abft_guard",
     "gemm_checksums",

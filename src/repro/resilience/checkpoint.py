@@ -27,6 +27,8 @@ one.
 Stores are pluggable: :class:`MemoryStore` for tests and overhead-free
 in-process restarts, :class:`FileStore` (atomic-rename writes,
 digest-verified payloads) for real runs that must survive ``kill -9``.
+A store holds array payloads only: the signature binding a namespace to
+one computation is one more payload, at ``<key>/meta``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ import zlib
 import numpy as np
 
 from repro.resilience.events import ResilienceEvent
-from repro.resilience.journal import TaskJournal
-from repro.runtime.sync import make_condition, make_lock
+from repro.runtime.sync import make_lock
 from repro.runtime.task import Cost, TaskKind
 
 __all__ = [
@@ -95,9 +96,8 @@ def unpack_arrays(data: bytes) -> dict | None:
 class CheckpointStore:
     """Interface for checkpoint persistence.
 
-    Two kinds of data: *array payloads* (snapshots) keyed by
-    hierarchical string keys, and *append-only line logs* (the
-    signature line).  Implementations must make :meth:`save_arrays` atomic —
+    Array payloads (snapshots, the signature) keyed by hierarchical
+    string keys.  Implementations must make :meth:`save_arrays` atomic —
     a reader never sees a half-written payload — and must tolerate a
     process dying between any two calls.
     """
@@ -114,14 +114,8 @@ class CheckpointStore:
     def keys(self) -> list[str]:
         raise NotImplementedError
 
-    def append_line(self, key: str, line: str) -> None:
-        raise NotImplementedError
-
-    def read_lines(self, key: str) -> list[str]:
-        raise NotImplementedError
-
     def clear(self, prefix: str = "") -> None:
-        """Delete every key (array and line) starting with *prefix*."""
+        """Delete every key starting with *prefix*."""
         for k in list(self.keys()):
             if k.startswith(prefix):
                 self.delete(k)
@@ -137,7 +131,6 @@ class MemoryStore(CheckpointStore):
 
     def __init__(self) -> None:
         self._arrays: dict[str, dict] = {}
-        self._lines: dict[str, list[str]] = {}
         self._lock = make_lock("checkpoint.memory")
 
     def save_arrays(self, key: str, arrays: dict) -> None:
@@ -155,19 +148,10 @@ class MemoryStore(CheckpointStore):
     def delete(self, key: str) -> None:
         with self._lock:
             self._arrays.pop(key, None)
-            self._lines.pop(key, None)
 
     def keys(self) -> list[str]:
         with self._lock:
-            return sorted(set(self._arrays) | set(self._lines))
-
-    def append_line(self, key: str, line: str) -> None:
-        with self._lock:
-            self._lines.setdefault(key, []).append(line)
-
-    def read_lines(self, key: str) -> list[str]:
-        with self._lock:
-            return list(self._lines.get(key, []))
+            return sorted(self._arrays)
 
 
 class FileStore(CheckpointStore):
@@ -176,9 +160,9 @@ class FileStore(CheckpointStore):
     Array payloads are written to a temp file and published with
     ``os.replace`` (atomic rename), so a snapshot either exists
     completely or not at all; the CRC32 frame additionally catches any
-    torn or bit-rotted payload on read.  Line logs are appended with a
-    flush per line — the page cache preserves them across a ``kill -9``
-    of the writer (pass ``fsync=True`` to also survive power loss).
+    torn or bit-rotted payload on read.  The page cache preserves a
+    published payload across a ``kill -9`` of the writer (pass
+    ``fsync=True`` to also survive power loss).
     """
 
     def __init__(self, root: str | os.PathLike, fsync: bool = False) -> None:
@@ -203,9 +187,9 @@ class FileStore(CheckpointStore):
         """fsync the store directory itself.
 
         ``os.replace`` makes the *file contents* appear atomically, but
-        the directory entry (the rename, or a newly created log file)
-        only becomes power-loss durable once the directory inode is
-        synced too — fsyncing the file alone is not enough on POSIX.
+        the directory entry (the rename) only becomes power-loss durable
+        once the directory inode is synced too — fsyncing the file alone
+        is not enough on POSIX.
         """
         fd = os.open(self.root, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
         try:
@@ -242,141 +226,27 @@ class FileStore(CheckpointStore):
         return unpack_arrays(data)
 
     def delete(self, key: str) -> None:
-        for ext in (".npc", ".jsonl"):
-            try:
-                os.unlink(self._path(key, ext))
-            except OSError:
-                pass
+        try:
+            os.unlink(self._path(key, ".npc"))
+        except OSError:
+            pass
 
     def keys(self) -> list[str]:
-        out = set()
         try:
             names = os.listdir(self.root)
         except OSError:
             return []
-        for name in names:
-            for ext in (".npc", ".jsonl"):
-                if name.endswith(ext):
-                    out.add(self._dec(name[: -len(ext)]))
-        return sorted(out)
-
-    def append_line(self, key: str, line: str) -> None:
-        with self._lock:
-            path = self._path(key, ".jsonl")
-            created = not os.path.exists(path)
-            with open(path, "a", encoding="utf-8") as f:
-                f.write(line + "\n")
-                f.flush()
-                if self.fsync:
-                    os.fsync(f.fileno())
-            if self.fsync and created:
-                # A brand-new log file's directory entry needs the same
-                # directory sync the snapshot rename gets.
-                self._sync_dir()
-
-    def read_lines(self, key: str) -> list[str]:
-        try:
-            with open(self._path(key, ".jsonl"), "r", encoding="utf-8") as f:
-                return f.read().splitlines()
-        except OSError:
-            return []
+        return sorted(self._dec(name[: -len(".npc")]) for name in names if name.endswith(".npc"))
 
 
 def _digest(arr: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(arr).tobytes())
 
 
-class _SnapshotWriter:
-    """Double-buffered background writer for snapshot payloads.
-
-    Serialization + fsync of a boundary snapshot measured ~20% of total
-    runtime on checkpointed runs (``BENCH_checkpoint.json``); none of it
-    needs to happen on the worker that hit the boundary.  ``submit``
-    copies nothing itself (the caller hands over already-copied arrays)
-    and returns as soon as the job is parked in the single pending slot:
-    one job may be *in flight* on the writer thread while one more waits
-    *pending* — a third submission blocks, bounding memory at two
-    snapshots, and a newer pending job never overtakes an older one
-    (jobs drain strictly FIFO, preserving the ``prev``-pointer chain
-    order on disk).
-
-    Durability is unchanged: jobs run the same atomic-rename/fsync store
-    writes, just on this thread.  A crash can only lose the *tail* of
-    the chain — a resume then restores from one boundary earlier, and
-    re-running the covered panels reproduces bitwise-identical factors.
-    Write errors are captured and re-raised to the caller on the next
-    :meth:`submit` or :meth:`flush`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = make_lock("checkpoint.writer")
-        self._cond = make_condition("checkpoint.writer", self._lock)
-        self._pending = None  # the single buffered job
-        self._busy = False  # a job is executing on the writer thread
-        self._error: BaseException | None = None
-        self._closed = False
-        self._thread: threading.Thread | None = None
-
-    def _loop(self) -> None:
-        while True:
-            with self._lock:
-                while self._pending is None and not self._closed:
-                    self._cond.wait(0.1)
-                if self._pending is None:
-                    return
-                job = self._pending
-                self._pending = None
-                self._busy = True
-                self._cond.notify_all()
-            try:
-                job()
-            except BaseException as exc:  # surfaced on next submit/flush
-                with self._lock:
-                    self._error = exc
-            finally:
-                with self._lock:
-                    self._busy = False
-                    self._cond.notify_all()
-
-    def _raise_pending_error(self) -> None:
-        if self._error is not None:
-            exc, self._error = self._error, None
-            raise exc
-
-    def submit(self, job) -> None:
-        with self._lock:
-            self._raise_pending_error()
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._loop, name="repro-ckpt-writer", daemon=True
-                )
-                self._thread.start()
-            while self._pending is not None:  # backpressure: slot taken
-                self._cond.wait(0.1)
-            self._pending = job
-            self._cond.notify_all()
-
-    def flush(self) -> None:
-        """Block until every submitted job has hit the store; re-raise errors."""
-        if threading.current_thread() is self._thread:
-            # Called from a job (e.g. the prune step listing keys):
-            # FIFO draining already guarantees it sees every prior
-            # write, and waiting on ourselves would deadlock.
-            return
-        with self._lock:
-            while self._pending is not None or self._busy:
-                self._cond.wait(0.1)
-            self._raise_pending_error()
-
-    def close(self) -> None:
-        self.flush()
-        with self._lock:
-            self._closed = True
-            self._cond.notify_all()
-            thread = self._thread
-            self._thread = None
-        if thread is not None:
-            thread.join()
+#: Trailing snapshots retained, newest first: the newest, and one
+#: predecessor for the restore ladder to fall back to when the newest
+#: trailing payload is corrupt.
+_KEEP_TRAILING = 2
 
 
 class Checkpoint:
@@ -391,21 +261,18 @@ class Checkpoint:
     interval:
         Snapshot every ``interval``-th panel boundary (1 = every
         boundary).  Coarser intervals cost less but resume further back.
-    keep_trailing:
-        Trailing snapshots retained (newest-first); older ones are
-        deleted as the factorization advances.  Keeping 2 lets the
-        restore ladder fall back one boundary if the newest trailing
-        payload is corrupt.
-    async_writes:
-        Serialize and persist snapshots on a background writer thread
-        (double-buffered: one write in flight, one buffered, further
-        saves block) instead of on the task that reached the boundary.
-        :meth:`save_snapshot` then only pays for copying the live views
-        out of the matrix; every read path (and :meth:`flush`) drains
-        the writer first, so readers always observe their own writes.
-        Durability is per-write unchanged; a crash can lose only the
-        newest in-flight snapshot, costing a resume one extra boundary
-        of recomputation — never bitwise fidelity.
+
+    A snapshot is serialized and persisted on a thread of its own, not
+    on the task that reached the boundary: :meth:`save_snapshot` only
+    pays for copying the live views out of the matrix, after joining the
+    previous boundary's write — so at most one write is in flight, the
+    chain lands in order, and reaching boundary ``K`` makes boundary
+    ``K-1`` durable.  Every read path (and :meth:`flush`) joins the
+    write first, so readers observe their own writes.  A crash can lose
+    only the newest snapshot, costing a resume one extra boundary of
+    recomputation — never bitwise fidelity.  The two newest trailing
+    snapshots are kept (the restore ladder's fallback); older ones are
+    deleted as the factorization advances.
     """
 
     def __init__(
@@ -413,18 +280,14 @@ class Checkpoint:
         store: CheckpointStore | None = None,
         key: str = "ckpt",
         interval: int = 1,
-        keep_trailing: int = 2,
-        async_writes: bool = True,
     ) -> None:
         if interval < 1:
             raise ValueError(f"interval must be >= 1, got {interval}")
-        if keep_trailing < 1:
-            raise ValueError(f"keep_trailing must be >= 1, got {keep_trailing}")
         self.store = store if store is not None else MemoryStore()
         self.key = key
         self.interval = interval
-        self.keep_trailing = keep_trailing
-        self._writer = _SnapshotWriter() if async_writes else None
+        self._writing: threading.Thread | None = None  # the write in flight
+        self._write_error: BaseException | None = None  # its failure, not yet raised
 
     # ------------------------------------------------------------------
     # Keys and metadata
@@ -432,15 +295,16 @@ class Checkpoint:
     def _k(self, *parts) -> str:
         return "/".join((self.key, *map(str, parts)))
 
-    def journal(self) -> TaskJournal:
-        """A fresh task journal: only the snapshot chain persists, and
-        the driver seeds the journal from the boundary it restores."""
-        return TaskJournal()
-
     def flush(self) -> None:
-        """Wait for in-flight snapshot writes; re-raise any write error."""
-        if self._writer is not None:
-            self._writer.flush()
+        """Wait for the snapshot write in flight; re-raise its error."""
+        writing = self._writing
+        if writing is None or writing is threading.current_thread():
+            return  # nothing in flight, or the write itself listing keys to prune
+        writing.join()
+        self._writing = None
+        if self._write_error is not None:
+            exc, self._write_error = self._write_error, None
+            raise exc
 
     def clear(self) -> None:
         """Drop every snapshot in this namespace."""
@@ -454,20 +318,17 @@ class Checkpoint:
         blocking, an input digest).  A stored signature that does not
         match means the namespace holds snapshots of a *different*
         computation: everything is cleared and the run starts fresh.
-        Returns True when existing snapshots remain usable.
+        Returns True when existing snapshots remain usable.  A namespace
+        with no readable signature (none yet, a corrupt one, or one kept
+        where an earlier layout of the store kept it) is cleared too.
         """
         self.flush()
-        lines = self.store.read_lines(self._k("meta"))
-        stored = None
-        if lines:
-            try:
-                stored = json.loads(lines[0])
-            except ValueError:
-                stored = None
-        if stored == signature:
+        text = json.dumps(signature, sort_keys=True)
+        stored = self.store.load_arrays(self._k("meta"))
+        if stored is not None and str(stored.get("signature")) == text:
             return True
         self.clear()
-        self.store.append_line(self._k("meta"), json.dumps(signature, sort_keys=True))
+        self.store.save_arrays(self._k("meta"), {"signature": np.array(text)})
         return False
 
     # ------------------------------------------------------------------
@@ -591,37 +452,38 @@ class Checkpoint:
     ) -> None:
         """Persist the boundary-*K* snapshot (delta + latest trailing).
 
-        With ``async_writes`` the live views handed in (``cols``,
-        ``urows``, ``trailing`` alias the factorization's matrix, which
-        keeps mutating past the boundary) are copied *now*, and the
-        serialization + store writes happen on the background writer.
-        The previous boundary's write is drained first, so reaching
-        boundary ``K`` makes boundary ``K-1`` durable: a crash loses at
-        most the newest snapshot, and the write of boundary ``K``
-        overlaps the compute of panel ``K+1``.
+        The live views handed in (``cols``, ``urows``, ``trailing``
+        alias the factorization's matrix, which keeps mutating past the
+        boundary) are copied *now*; the serialization + store writes
+        happen on a writer thread once the previous boundary's write is
+        joined, so the write of boundary ``K`` overlaps the compute of
+        panel ``K+1``.  Its error is raised by the next save or
+        :meth:`flush`.
         """
-        arrays = {
-            "cols": cols,
-            "urows": urows,
-            "prev": np.int64(self.prev_boundary(K)),
-        }
+        self.flush()
+        arrays = {"cols": cols, "urows": urows, "prev": np.int64(self.prev_boundary(K))}
         if extra:
             arrays.update(extra)
-        if self._writer is None:
-            self._persist_snapshot(K, arrays, trailing)
-            return
-        self._writer.flush()
         arrays = {k: np.array(v, copy=True) for k, v in arrays.items()}
         trailing = np.array(trailing, copy=True)
-        self._writer.submit(lambda: self._persist_snapshot(K, arrays, trailing))
+        self._writing = threading.Thread(
+            target=self._persist_snapshot,
+            args=(K, arrays, trailing),
+            name="repro-ckpt-writer",
+            daemon=True,
+        )
+        self._writing.start()
 
     def _persist_snapshot(self, K: int, arrays: dict, trailing: np.ndarray) -> None:
-        self.store.save_arrays(self._k("panel", K), arrays)
-        self.store.save_arrays(
-            self._k("trailing", K),
-            {"trailing": trailing, "digest": np.uint32(_digest(trailing))},
-        )
-        self._prune_trailing(K)
+        try:
+            self.store.save_arrays(self._k("panel", K), arrays)
+            self.store.save_arrays(
+                self._k("trailing", K),
+                {"trailing": trailing, "digest": np.uint32(_digest(trailing))},
+            )
+            self._prune_trailing(K)
+        except BaseException as exc:  # raised by the next save or flush
+            self._write_error = exc
 
     def _trailing_ks(self) -> list[int]:
         self.flush()
@@ -637,7 +499,7 @@ class Checkpoint:
 
     def _prune_trailing(self, K: int) -> None:
         ks = [k for k in self._trailing_ks() if k <= K]
-        for old in ks[: -self.keep_trailing]:
+        for old in ks[:-_KEEP_TRAILING]:
             self.store.delete(self._k("trailing", old))
 
     def load_snapshot(self, K: int) -> dict | None:

@@ -37,7 +37,7 @@ __all__ = ["ResilienceEvent", "EVENT_KINDS"]
 #:     (e.g. a TSLU tournament replayed from the untouched panel).
 #: ``checkpoint`` / ``resume``
 #:     A panel snapshot was written / a run restarted from one,
-#:     skipping journaled tasks.
+#:     skipping the tasks it covers.
 #: ``rank_loss``
 #:     A distributed participant died; survivors recomputed its share.
 #: ``health``

@@ -17,14 +17,13 @@ at a time — and either can be
 
 There is one real-clock executor,
 :class:`~repro.runtime.engine.ExecutionEngine`, which owns the task
-lifecycle (frontier, journal skip, retry, fault injection, health
+lifecycle (frontier, resume skip, retry, fault injection, health
 guards, tracing, watchdog): ``ThreadedExecutor`` is that class,
 :class:`~repro.runtime.stealing.WorkStealingExecutor` subclasses it
 with a stealing frontier and
 :class:`~repro.runtime.process.ProcessExecutor` with a pool of worker
 processes it owns.  The simulator keeps its own discrete-event loop and
-shares the engine's window bookkeeping, failure and guard + journal
-step.
+shares the engine's window bookkeeping, failure and health guard.
 """
 
 from repro.runtime.engine import CentralFrontier, ExecutionEngine, StealingFrontier

@@ -1,7 +1,7 @@
 """The execution engine: the one real-clock executor.
 
 :class:`ExecutionEngine` owns the task lifecycle — ready tracking,
-journal skip + resume event, retry, fault injection, health guards,
+skip of completed tasks + resume event, retry, fault injection, health guards,
 failure wrapping, tracing and the watchdog — and *is* the executor:
 :class:`~repro.runtime.threaded.ThreadedExecutor` is this class under
 its public name, :class:`~repro.runtime.stealing.WorkStealingExecutor`
@@ -12,7 +12,7 @@ worker threads, or in a pool's worker processes fed by one dispatcher.
 
 The virtual clock is not here: the discrete-event loop lives in
 :mod:`repro.runtime.simulated` and shares :class:`_Bookkeeping`,
-:func:`failure` and :func:`guard_and_journal` with this module.
+:func:`failure` and :func:`health_guard` with this module.
 
 The engine consumes :class:`~repro.runtime.program.GraphProgram`
 sources: windows of tasks are *registered* as the program emits them,
@@ -134,7 +134,7 @@ class _Bookkeeping:
     """Frontier accounting over a growing graph (callers synchronize).
 
     Registers emitted windows, tracks in-degrees against completed
-    tasks, marks journaled tasks done at registration, and expands the
+    tasks, marks the tasks a resume skips done at registration, and expands the
     program so ``lookahead`` windows exist past the lowest incomplete
     one.  The real clock (this module) and the virtual one
     (:mod:`repro.runtime.simulated`) share this logic.
@@ -143,10 +143,9 @@ class _Bookkeeping:
     @classmethod
     def for_run(cls, source, journal=None) -> "_Bookkeeping":
         """The books of one run of *source* (a :class:`TaskGraph` or a
-        :class:`GraphProgram`): bind *journal* to it, so the tasks it
-        already records are skipped at registration, and resolve the
-        program's look-ahead depth."""
-        done_names = journal.bind(source) if journal is not None else set()
+        :class:`GraphProgram`): the tasks *journal* names are skipped at
+        registration; resolve the program's look-ahead depth."""
+        done_names = frozenset(journal) if journal is not None else frozenset()
         program = as_program(source)
         depth = program.lookahead
         if depth is None:
@@ -157,7 +156,7 @@ class _Bookkeeping:
             depth = program.n_windows  # infinite: emit everything up front
         return cls(program, done_names, depth)
 
-    def __init__(self, program: GraphProgram, done_names: set[str], depth: int) -> None:
+    def __init__(self, program: GraphProgram, done_names: frozenset[str], depth: int) -> None:
         self.program = program
         self.graph = program.graph
         self.done_names = done_names
@@ -185,7 +184,7 @@ class _Bookkeeping:
     def start(self, events: list) -> list[Task]:
         """Register pre-emitted windows, expand to the initial look-ahead
         target; returns the ready roots in tid order.  Tasks skipped as
-        journaled are announced by one ``resume`` event on *events*."""
+        completed are announced by one ``resume`` event on *events*."""
         ready: list[Task] = []
         for w, (s, e) in enumerate(self.program.windows):
             ready.extend(self._register(w, self.graph.tasks[s:e]))
@@ -211,9 +210,9 @@ class _Bookkeeping:
             self.window_total[window] += 1
             self.window_of.append(window)
             if self.done_names and task.name in self.done_names:
-                # Journaled: done before the run starts.  Its ancestors
-                # are journaled too (a task is journaled before its
-                # successors are released), so no release bookkeeping is owed.
+                # Completed before the run starts.  Its ancestors are
+                # named too (a resume skips a boundary's whole prefix),
+                # so no release bookkeeping is owed.
                 self.done.append(True)
                 self.indeg.append(0)
                 self.skipped.add(tid)
@@ -286,14 +285,11 @@ def failure(kind: str, message: str, task: Task | None = None, cause=None) -> Ru
     return exc
 
 
-def guard_and_journal(task: Task, health_checks: bool, journal, record) -> RuntimeFailure | None:
+def health_guard(task: Task, health_checks: bool, record) -> RuntimeFailure | None:
     """What a task owes between its work succeeding and its successors'
     release, on either clock: the numerical health guard (it reads only
-    blocks the task owns; verdicts go to *record*), then the journal
-    entry — only after the guard passes, so a resumed run never skips a
-    task whose output was found corrupted.  Returns the failure that
-    must end the run (``"health"``, or ``"task_error"`` for a journal
-    that cannot be written), else None."""
+    blocks the task owns; verdicts go to *record*).  Returns the
+    ``"health"`` failure that must end the run, else None."""
     guard = task.meta.get("health") if (health_checks and task.meta) else None
     if guard is not None:
         verdict = guard()
@@ -302,13 +298,6 @@ def guard_and_journal(task: Task, health_checks: bool, journal, record) -> Runti
             if verdict.fatal:
                 message = f"health guard failed after task {task.name!r}: {verdict.detail}"
                 return failure("health", message, task)
-    if journal is not None:
-        try:
-            journal.record(task)
-        except Exception as exc:
-            return failure(
-                "task_error", f"journal write failed after task {task.name!r}: {exc}", task
-            )
     return None
 
 
@@ -420,13 +409,12 @@ class ExecutionEngine:
     def run(self, source, journal=None) -> Trace:
         """Run a :class:`TaskGraph` or :class:`GraphProgram` to completion.
 
-        With *journal* (a :class:`~repro.resilience.journal.TaskJournal`),
-        tasks it already records as completed are skipped at
-        registration (one ``resume`` event), and every completed task
-        (post-guards) is journaled before its successors are released —
-        the resume half of the checkpoint/restart path.
+        *journal* (read, never written) names tasks already completed —
+        a checkpoint's restored prefix: they are skipped at registration
+        (one ``resume`` event), the resume half of the checkpoint/restart
+        path.
         """
-        return _RealClockRun(self, _Bookkeeping.for_run(source, journal), journal).run()
+        return _RealClockRun(self, _Bookkeeping.for_run(source, journal)).run()
 
 
 class _RealClockRun:
@@ -436,17 +424,16 @@ class _RealClockRun:
     backend's single :meth:`dispatcher` are two ways of getting a
     task's work done; everything around the work — claiming a ready
     task, fault injection, retry, failure wrapping, health guards,
-    journal, record, release — exists once, here, and both call it.
+    record, release — exists once, here, and both call it.
     """
 
-    def __init__(self, engine: ExecutionEngine, bk: _Bookkeeping, journal):
+    def __init__(self, engine: ExecutionEngine, bk: _Bookkeeping):
         self.engine = engine
         self.retry = engine.retry
         self.plan = engine.fault_plan
         self.pool = engine.pool
         self.graph = bk.graph
         self.bk = bk
-        self.journal = journal
         self.frontier = engine.new_frontier()
         self.lock = make_lock("engine.state")
         self.work_available = make_condition("engine.state", self.lock)
@@ -601,18 +588,15 @@ class _RealClockRun:
 
     def _finish(self, task: Task, core: int, start: float, end: float) -> bool:
         """Everything owed after *task*'s work succeeded: health guard,
-        journal, record, release of its successors.  False when the run
-        must end (the failure is recorded)."""
-        # Outside the lock: the guard reads only blocks this task
-        # owns, the journal has its own lock.
-        failed = guard_and_journal(task, self.engine.health_checks, self.journal, self.record_event)
+        record, release of its successors.  False when the run must end
+        (the failure is recorded)."""
+        # Outside the lock: the guard reads only blocks this task owns.
+        failed = health_guard(task, self.engine.health_checks, self.record_event)
         with self.work_available:
             self.running.pop(task.tid, None)
             self.progress[0] = time.monotonic()
-            if failed is None or failed.failure_kind == "health":
-                # (Not journaled is not recorded: a resumed run re-runs it.)
-                self.ran_on[task.tid] = core
-                self.records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
+            self.ran_on[task.tid] = core
+            self.records.append(TaskRecord(task.tid, task.name, task.kind, core, start, end))
             if failed is not None:
                 self.errors.append(failed)
                 self.bk.remaining -= 1
@@ -660,7 +644,7 @@ class _RealClockRun:
         and takes each reply apart into per-task acks (:meth:`_absorb`).
         Once the run is failing nothing new is dealt but messages
         already out are still collected — their tasks ran, so they are
-        journaled and recorded; only the watchdog's ``stop`` abandons
+        recorded; only the watchdog's ``stop`` abandons
         them.
         """
         pool, plan = self.pool, self.plan

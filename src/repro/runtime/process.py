@@ -21,7 +21,7 @@ dominates and the threaded backend cannot scale with physical cores.
   (:meth:`_WorkerPool.collect`).  Each ack then goes through the same
   post-task lifecycle as a threaded task — fault injection, health
   guards (reading the very store buffers the worker wrote: pivots,
-  degradation flags, Q factors), journal, record, release — so journal,
+  degradation flags, Q factors), record, release — so resume skips,
   retry, streaming ``GraphProgram`` windows and the watchdog behave
   identically across the threaded and process backends.
 
@@ -353,7 +353,7 @@ class _WorkerPool:
         return None if conn is None else conn.fileno()
 
     # ------------------------------------------------------------------
-    # Supervision surface (heartbeats)
+    # Liveness and on-demand healing
     # ------------------------------------------------------------------
     def worker_alive(self, core: int) -> bool | None:
         """Liveness of worker *core*: ``None`` = never spawned (lazy)."""
@@ -365,12 +365,13 @@ class _WorkerPool:
         return [self.worker_alive(c) for c in range(self.n_workers)]
 
     def ensure_alive(self, core: int) -> bool:
-        """Respawn a *spawned-but-dead* worker off the request path.
+        """Respawn a *spawned-but-dead* worker.
 
-        Called by the supervisor's heartbeat so a worker killed while
-        idle is back before the next task targets it, and by whoever
-        waited a poll period on worker *core* in vain.  Messages the
-        dead worker had in flight fail with ``worker_death``.  Respects
+        Called by whoever waited a poll period on worker *core* in vain
+        (the dispatcher, a blocking :meth:`collect`); a worker killed
+        while idle is respawned by the next message's :meth:`_admit`.
+        Messages the dead worker had in flight fail with
+        ``worker_death``.  Respects
         the respawn governor; returns True when a respawn happened.
         Never spawns a worker that was not yet started (lazy spawn
         stays lazy), and never waits for the core lock.

@@ -19,10 +19,10 @@ starts and completions; the simulation is fully deterministic.
 
 The event loop lives here and shares the task lifecycle's common parts
 with the real clock (:mod:`repro.runtime.engine`): the window
-bookkeeping (journal skip + ``resume`` event, look-ahead expansion of
-streaming :class:`~repro.runtime.program.GraphProgram` sources, in
-virtual-time order, deterministically), the structured failure and the
-health-guard + journal step.
+bookkeeping (skip of completed tasks + ``resume`` event, look-ahead
+expansion of streaming :class:`~repro.runtime.program.GraphProgram`
+sources, in virtual-time order, deterministically), the structured
+failure and the health guard.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 # Module-style import, as in engine.py: counters imports repro.runtime.sync.
 from repro import counters as _counters
 from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.engine import _Bookkeeping, failure, guard_and_journal
+from repro.runtime.engine import _Bookkeeping, failure, health_guard
 from repro.runtime.scheduler import POLICIES, ReadyQueue
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
@@ -114,19 +114,19 @@ class SimulatedExecutor:
         """Simulate (and with ``execute=True`` run) every task of an
         eager :class:`TaskGraph` or a streaming
         :class:`~repro.runtime.program.GraphProgram`; *journal* as on
-        the real clock (skip + ``resume`` event, write-ahead entries)."""
+        the real clock (the completed tasks to skip, one ``resume`` event)."""
         bk = _Bookkeeping.for_run(source, journal)
         records: list[TaskRecord] = []
         events: list = []
         try:
-            self._run_virtual(bk, journal, records, events)
+            self._run_virtual(bk, records, events)
         except RuntimeFailure as exc:
             if exc.trace is None:
                 exc.trace = Trace(list(records), self.machine.cores, list(events))
             raise
         return Trace(records, self.machine.cores, events, stats=bk.stats())
 
-    def _run_virtual(self, bk: _Bookkeeping, journal, records: list, events: list) -> None:
+    def _run_virtual(self, bk: _Bookkeeping, records: list, events: list) -> None:
         mach, plan, execute = self.machine, self.fault_plan, self.execute
         graph = bk.graph
         ready = ReadyQueue(self.policy)
@@ -179,9 +179,7 @@ class SimulatedExecutor:
                     raise failure("task_error", message, task, exc) from exc
             if r.corrupt and plan is not None and execute:
                 plan.apply_corruption(task, record=events.append)
-            failed = guard_and_journal(
-                task, execute and self.health_checks, journal, events.append
-            )
+            failed = health_guard(task, execute and self.health_checks, events.append)
             if failed is not None:
                 raise failed
             for t in bk.complete(task.tid):

@@ -16,7 +16,7 @@ are always respected.
 The stealing policy lives in
 :class:`~repro.runtime.engine.StealingFrontier`; this class is the
 :class:`~repro.runtime.engine.ExecutionEngine` with that frontier made
-for each run, so every engine option, the journal's ``resume`` event
+for each run, so every engine option, the ``resume`` event
 and streaming :class:`~repro.runtime.program.GraphProgram` sources
 behave as on the other backends.
 """

@@ -133,7 +133,7 @@ class Trace:
         start_of = {r.tid: r.start for r in self.records}
         for t in range(len(graph.tasks)):
             for p in graph.preds[t]:
-                # Tasks skipped on a journal resume have no record; the
+                # Tasks a resume skipped have no record; the
                 # ordering constraint only applies when both ran.
                 if t not in start_of or p not in end_of:
                     continue

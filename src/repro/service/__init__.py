@@ -14,9 +14,8 @@ arrive at once:
 * :class:`~repro.service.breaker.CircuitBreaker` — trips on
   worker-death/timeout storms and degrades to the threaded backend
   until probes succeed;
-* :class:`~repro.service.supervisor.PoolSupervisor` /
-  :class:`~repro.service.supervisor.RespawnGovernor` — heartbeats and
-  respawn-rate throttling for the worker-process pool;
+* :class:`~repro.service.supervisor.RespawnGovernor` — respawn-rate
+  throttling for the worker-process pool, which heals on demand;
 * :class:`~repro.service.service.FactorizationService` — the façade
   multiplexing requests onto one shared worker pool + shared-memory
   arena, with compiled graph programs cached per shape.
@@ -27,7 +26,7 @@ See ``docs/SERVICE.md`` for the architecture and failure taxonomy.
 from repro.service.admission import AdmissionQueue, AdmissionRejected, DeadlineExceeded
 from repro.service.breaker import CircuitBreaker
 from repro.service.service import FactorizationService, ServiceConfig
-from repro.service.supervisor import PoolSupervisor, RespawnGovernor
+from repro.service.supervisor import RespawnGovernor
 
 __all__ = [
     "AdmissionQueue",
@@ -35,7 +34,6 @@ __all__ = [
     "CircuitBreaker",
     "DeadlineExceeded",
     "FactorizationService",
-    "PoolSupervisor",
     "RespawnGovernor",
     "ServiceConfig",
 ]

@@ -44,7 +44,7 @@ from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
 from repro.service.admission import AdmissionQueue, AdmissionRejected, DeadlineExceeded
 from repro.service.breaker import CircuitBreaker
-from repro.service.supervisor import PoolSupervisor, RespawnGovernor
+from repro.service.supervisor import RespawnGovernor
 
 __all__ = ["FactorizationService", "ServiceConfig"]
 
@@ -94,8 +94,6 @@ class ServiceConfig:
     max_plans:
         Idle compiled plans kept for reuse; beyond it the least recently
         used is closed.  (Plans in use are bounded by ``max_active``.)
-    heartbeat_s:
-        Pool-supervisor heartbeat period (0 disables supervision).
     max_respawns, respawn_window_s:
         Worker respawn-rate throttle (see
         :class:`~repro.service.supervisor.RespawnGovernor`).
@@ -124,7 +122,6 @@ class ServiceConfig:
     breaker_open_s: float = 1.0
     breaker_probes: int = 1
     max_plans: int = 8
-    heartbeat_s: float = 0.2
     max_respawns: int = 8
     respawn_window_s: float = 1.0
     start_method: str | None = None
@@ -182,7 +179,6 @@ class FactorizationService:
         )
         self._governor = RespawnGovernor(cfg.max_respawns, cfg.respawn_window_s)
         self._executor = None
-        self._supervisor = None
         if backend == "process":
             from repro.runtime.process import ProcessExecutor
 
@@ -191,11 +187,6 @@ class FactorizationService:
                 start_method=cfg.start_method,
                 respawn_governor=self._governor,
             )
-            if cfg.heartbeat_s > 0.0:
-                self._supervisor = PoolSupervisor(
-                    self._executor.pool, heartbeat_s=cfg.heartbeat_s
-                )
-                self._supervisor.start()
         # Task-level retries (inside one engine run) and request-level
         # retries (whole-graph re-run) share the backoff machinery.
         self._task_retry = RetryPolicy(
@@ -430,11 +421,6 @@ class FactorizationService:
             "respawn": self._governor.snapshot(),
             "plans": self._plans.stats(),
         }
-        if self._supervisor is not None:
-            out["supervisor"] = {
-                "heartbeats": self._supervisor.heartbeats,
-                "healed": self._supervisor.healed,
-            }
         if self._executor is not None and self._executor._pool is not None:
             pool = self._executor._pool
             out["pool"] = {
@@ -446,14 +432,12 @@ class FactorizationService:
 
     def close(self, timeout: float = 30.0) -> None:
         """Graceful drain (idempotent): finish in-flight, reject queued,
-        stop supervision, terminate workers, unlink arena segments."""
+        terminate workers, unlink arena segments."""
         if self._closed:
             return
         self._closed = True
         self._admission.close()
         self._admission.wait_idle(timeout)
-        if self._supervisor is not None:
-            self._supervisor.stop()
         if self._executor is not None:
             self._executor.close()
         self._plans.bound = 0  # a straggler's plan is closed as it comes back

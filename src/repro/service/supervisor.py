@@ -1,34 +1,28 @@
-"""Worker-pool supervision: respawn throttling and heartbeats.
+"""Worker-pool supervision: respawn throttling.
 
-Two cooperating guards around the process backend's worker pool:
-
-* :class:`RespawnGovernor` — a sliding-window rate limit the pool
-  consults before respawning a dead worker.  A crash-looping workload
-  (e.g. a kernel that segfaults on every dispatch) would otherwise
-  convert the pool into a fork bomb: every task kills a worker, every
-  death spawns a replacement, and the machine spends its cycles in
-  ``fork``/``exec`` instead of factorizations.  With the governor, the
-  pool takes at most ``max_respawns`` respawns per ``window_s``; beyond
-  that workers stay down and requests fail fast with a structured
-  ``worker_death`` (noting the throttle), which also feeds the circuit
-  breaker exactly the storm signal it is designed to catch.
-
-* :class:`PoolSupervisor` — a heartbeat thread that periodically scans
-  the pool's liveness and respawns workers that died *while idle* (a
-  worker killed between requests would otherwise only be discovered by
-  the next request that lands on it, which then pays the spawn latency
-  on its critical path).  Respawns go through the same governor.
+The pool heals on demand — a dead worker is found and respawned by the
+request that next writes to it or waits on it in vain
+(``_WorkerPool._admit`` / ``ensure_alive``) — and
+:class:`RespawnGovernor` is the sliding-window rate limit it consults
+before each respawn.  A crash-looping workload (e.g. a kernel that
+segfaults on every dispatch) would otherwise convert the pool into a
+fork bomb: every task kills a worker, every death spawns a replacement,
+and the machine spends its cycles in ``fork``/``exec`` instead of
+factorizations.  With the governor, the pool takes at most
+``max_respawns`` respawns per ``window_s``; beyond that workers stay
+down and requests fail fast with a structured ``worker_death`` (noting
+the throttle), which also feeds the circuit breaker exactly the storm
+signal it is designed to catch.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 
 from repro.runtime.sync import make_lock
 
-__all__ = ["PoolSupervisor", "RespawnGovernor"]
+__all__ = ["RespawnGovernor"]
 
 
 class RespawnGovernor:
@@ -78,63 +72,3 @@ class RespawnGovernor:
                 "granted": self.granted,
                 "denied": self.denied,
             }
-
-
-class PoolSupervisor:
-    """Heartbeat thread healing idle-dead workers off the request path.
-
-    *pool* is a :class:`~repro.runtime.process._WorkerPool` (anything
-    with ``liveness()`` and ``ensure_alive(core)``).  The supervisor
-    never spawns a worker that was not yet started — lazy spawn stays
-    lazy — and never touches a core that is mid-request (the pool's
-    per-core lock is only taken opportunistically).
-    """
-
-    def __init__(self, pool, heartbeat_s: float = 0.2) -> None:
-        if heartbeat_s <= 0.0:
-            raise ValueError("heartbeat_s must be > 0")
-        self.pool = pool
-        self.heartbeat_s = float(heartbeat_s)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.heartbeats = 0
-        self.healed = 0
-        self.last_liveness: list = []
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-supervisor", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.heartbeat_s):
-            self.beat()
-
-    def beat(self) -> None:
-        """One heartbeat: scan liveness, heal spawned-but-dead workers.
-
-        Public so tests (and a drain path) can drive it synchronously.
-        """
-        try:
-            liveness = self.pool.liveness()
-        except Exception:
-            return  # pool closed mid-scan
-        self.last_liveness = liveness
-        self.heartbeats += 1
-        for core, alive in enumerate(liveness):
-            if alive is False:  # None = never spawned: leave it lazy
-                try:
-                    if self.pool.ensure_alive(core):
-                        self.healed += 1
-                except Exception:
-                    pass  # closed or racing a request; next beat retries
-
-    def stop(self, timeout: float = 2.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None

@@ -3,7 +3,7 @@ lock-witness sanitizer for the runtime and service layers.
 
 The pass answers, for the executor stack itself (ExecutionEngine worker
 loops, the process pool's per-core locks, the service layer's admission
-/ breaker / supervisor machinery), the same question the race detector
+/ breaker / respawn-governor machinery), the same question the race detector
 answers for task graphs: *is the synchronization provably consistent?*
 
 * :func:`analyze` / :func:`analyze_sources` — static AST pass:

@@ -177,7 +177,7 @@ def digest(case) -> int:
     kind, m, n, b, tr, tree, mode, variant = case
     build = dict(VARIANTS[kind].get(variant, {}))
     if "checkpoint" in build:
-        build["checkpoint"] = Checkpoint(interval=build["checkpoint"], async_writes=False)
+        build["checkpoint"] = Checkpoint(interval=build["checkpoint"])
     A = None
     if mode == "numeric":
         A = np.random.default_rng(20240613).standard_normal((m, n))

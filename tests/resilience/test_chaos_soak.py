@@ -149,11 +149,9 @@ def test_chain_in_another_snapshot_format_restarts_instead_of_half_reading(facto
     assert Checkpoint(store).snapshot_chain()
     # Relabel the finished chain as the old code's: same computation,
     # no format field.
-    (line,) = store.read_lines("ckpt/meta")
-    signature = json.loads(line)
+    signature = json.loads(str(store.load_arrays("ckpt/meta")["signature"]))
     assert signature.pop("format") == SNAPSHOT_FORMAT
-    store.delete("ckpt/meta")
-    store.append_line("ckpt/meta", json.dumps(signature, sort_keys=True))
+    store.save_arrays("ckpt/meta", {"signature": np.array(json.dumps(signature, sort_keys=True))})
 
     again = factor(A0, b=8, tr=2, checkpoint=Checkpoint(store))
     assert "resume" not in again.trace.resilience_summary()
@@ -164,6 +162,27 @@ def test_chain_in_another_snapshot_format_restarts_instead_of_half_reading(facto
         assert np.array_equal(getattr(again, name), getattr(clean, name))
     # ... and leaves a current-format chain behind: the next call resumes.
     third = factor(A0, b=8, tr=2, checkpoint=Checkpoint(store))
+    assert third.trace.resilience_summary().get("resume") == 1
+
+
+def test_line_log_signature_of_an_earlier_store_reads_as_unsigned(tmp_path):
+    """A store written before the signature became a payload kept it as
+    a line log, ``ckpt@meta.jsonl``: that reads as no signature, so the
+    chain beside it is cleared and the run starts over."""
+    A0 = make_rng(8).standard_normal((64, 64))
+    clean = calu(A0, b=8, tr=2)
+    root = tmp_path / "store"
+    calu(A0, b=8, tr=2, checkpoint=Checkpoint(FileStore(root)))
+    signature = str(FileStore(root).load_arrays("ckpt/meta")["signature"])
+    os.unlink(root / "ckpt@meta.npc")
+    (root / "ckpt@meta.jsonl").write_text(signature + "\n")
+    assert Checkpoint(FileStore(root)).snapshot_chain()  # a complete chain, unsigned
+
+    again = calu(A0, b=8, tr=2, checkpoint=Checkpoint(FileStore(root)))
+    assert "resume" not in again.trace.resilience_summary()
+    assert np.array_equal(again.lu, clean.lu)
+    assert np.array_equal(again.piv, clean.piv)
+    third = calu(A0, b=8, tr=2, checkpoint=Checkpoint(FileStore(root)))
     assert third.trace.resilience_summary().get("resume") == 1
 
 

@@ -1,10 +1,10 @@
-"""Tests for the checkpoint/journal subsystem.
+"""Tests for the checkpoint subsystem.
 
 Covers the serialization framing (CRC-verified payloads), both stores
 (in-memory and the crash-surviving file store), the snapshot chain and
-its corruption fallbacks, the in-memory task journal, pickle
-round-trips of the structured failure types, and journal-aware resume
-on all three executors.
+its corruption fallbacks, the snapshot writer, pickle round-trips of
+the structured failure types, and resume — a run given the names of
+completed tasks as ``journal=`` skips them — on all three executors.
 """
 
 import json
@@ -12,7 +12,6 @@ import os
 import pickle
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -28,12 +27,11 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.events import ResilienceEvent
 from repro.resilience.faults import InjectedFault
-from repro.resilience.journal import TaskJournal
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.stealing import WorkStealingExecutor
-from repro.runtime.task import Cost, Task, TaskKind
+from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
 
@@ -101,18 +99,11 @@ class TestStores:
     def test_keys_and_delete(self, store):
         store.save_arrays("a/1", {"x": np.ones(1)})
         store.save_arrays("a/2", {"x": np.ones(1)})
-        store.append_line("a/log", "hello")
-        assert store.keys() == ["a/1", "a/2", "a/log"]
+        assert store.keys() == ["a/1", "a/2"]
         store.delete("a/1")
         assert "a/1" not in store.keys()
         store.clear("a/")
         assert store.keys() == []
-
-    def test_line_log(self, store):
-        assert store.read_lines("log") == []
-        store.append_line("log", "one")
-        store.append_line("log", "two")
-        assert store.read_lines("log") == ["one", "two"]
 
 
 class TestFileStore:
@@ -164,22 +155,10 @@ class TestFileStore:
         assert "dir" in synced
         assert synced.index("file") < synced.index("dir")  # file first
 
-    def test_append_line_fsyncs_directory_on_creation_only(
-        self, tmp_path, monkeypatch
-    ):
-        fs = FileStore(tmp_path / "s", fsync=True)
-        synced = self._record_fsyncs(monkeypatch)
-        fs.append_line("log", "first")  # creates the file: dir entry is new
-        assert synced.count("dir") == 1
-        fs.append_line("log", "second")  # existing file: no dir sync needed
-        assert synced.count("dir") == 1
-        assert synced.count("file") == 2
-
     def test_no_fsync_flag_means_no_fsync(self, tmp_path, monkeypatch):
         fs = FileStore(tmp_path / "s", fsync=False)
         synced = self._record_fsyncs(monkeypatch)
         fs.save_arrays("k", {"x": np.ones(3)})
-        fs.append_line("log", "line")
         assert synced == []
 
 
@@ -214,8 +193,6 @@ class TestCheckpoint:
     def test_validation(self):
         with pytest.raises(ValueError):
             Checkpoint(interval=0)
-        with pytest.raises(ValueError):
-            Checkpoint(keep_trailing=0)
 
     def test_should_snapshot_interval(self):
         c = Checkpoint(interval=2)
@@ -252,7 +229,7 @@ class TestCheckpoint:
     def test_trailing_pruned_to_keep(self):
         layout = _Layout(16, 16, 4)
         F = np.arange(256.0).reshape(16, 16)
-        c = Checkpoint(keep_trailing=2)
+        c = Checkpoint()  # keeps the newest two trailing snapshots
         _fill_boundaries(c, F, layout, [0, 1, 2, 3])
         assert c._trailing_ks() == [2, 3]
         # Delta payloads all survive: the chain still reaches back to 0.
@@ -262,9 +239,9 @@ class TestCheckpoint:
         layout = _Layout(16, 16, 4)
         F = np.arange(256.0).reshape(16, 16)
         fs = FileStore(tmp_path / "s")
-        c = Checkpoint(fs, keep_trailing=2)
+        c = Checkpoint(fs)
         _fill_boundaries(c, F, layout, [0, 1, 2])
-        c.flush()  # corrupt the file at rest, not racing the async writer
+        c.flush()  # corrupt the file at rest, not racing the writer
         path = fs._path("ckpt/trailing/2", ".npc")
         with open(path, "wb") as f:
             f.write(b"garbage")
@@ -326,12 +303,6 @@ class TestAsyncSnapshotWriter:
         assert store.writer_threads
         assert set(store.writer_threads) == {"repro-ckpt-writer"}
 
-    def test_sync_mode_writes_inline(self):
-        store = _ThreadSpyStore()
-        c = Checkpoint(store, async_writes=False)
-        _one_snapshot(c)
-        assert set(store.writer_threads) == {threading.current_thread().name}
-
     def test_reads_flush_implicitly(self):
         # No explicit flush anywhere: every read-side API drains the
         # writer first, so a snapshot is visible the moment save returns.
@@ -346,7 +317,7 @@ class TestAsyncSnapshotWriter:
 
     def test_snapshot_copies_live_views_at_the_boundary(self):
         # The factorization keeps mutating its matrix after the boundary;
-        # the async path must have copied the views synchronously.
+        # the save must have copied the views before it returned.
         store = MemoryStore()
         c = Checkpoint(store)
         live = np.ones((2, 2))
@@ -373,9 +344,7 @@ class TestAsyncSnapshotWriter:
         c = Checkpoint(store)
         store.fail = True
         _one_snapshot(c)
-        deadline = time.monotonic() + 5.0
-        while c._writer._error is None and time.monotonic() < deadline:
-            time.sleep(0.005)
+        c._writing.join(5.0)  # the failed write has ended, nothing raised yet
         store.fail = False
         with pytest.raises(OSError, match="disk full"):
             _one_snapshot(c, K=1)
@@ -402,9 +371,19 @@ class TestAsyncSnapshotWriter:
         K, _ = restore_matrix(A, layout, c)
         assert K == 2 and np.array_equal(A, F)
 
+    def test_checkpointed_runs_leave_no_writer_thread(self):
+        # One thread per write, joined by the next save or the run's
+        # flush: nothing stays behind to poll once a run returns.
+        from repro.core.calu import calu
+
+        A = np.random.default_rng(8).standard_normal((32, 32))
+        for _ in range(20):
+            calu(A, b=8, tr=2, checkpoint=Checkpoint())
+        assert not [t for t in threading.enumerate() if t.name == "repro-ckpt-writer"]
+
 
 # ----------------------------------------------------------------------
-# Task journal
+# Task journal: the names of completed tasks a run is given
 # ----------------------------------------------------------------------
 def _chain_graph(n=5, log=None, name="chain"):
     g = TaskGraph(name)
@@ -419,38 +398,14 @@ def _chain_graph(n=5, log=None, name="chain"):
 
 
 class TestTaskJournal:
-    def test_header_mismatch_resets(self):
-        j = TaskJournal()
-        j.bind(_chain_graph(5))
-        j.record_name("t0")
-        assert j.bind(_chain_graph(5)) == {"t0"}
-        assert j.bind(_chain_graph(7, name="other")) == set()
-        assert len(j) == 0
+    """``journal=`` is read, never written: the names it holds are
+    skipped; only the checkpoint's snapshot chain is persisted."""
 
     def test_foreign_task_names_ignored(self):
-        j = TaskJournal()
-        j.bind(_chain_graph(5))
-        j.record_name("t1")
-        j.record_name("not-in-graph")
-        assert j.bind(_chain_graph(5)) == {"t1"}
-
-    def test_duplicate_records_collapse(self):
-        j = TaskJournal()
-        j.record_name("t0")
-        j.record_name("t0")
-        assert len(j) == 1 and j.completed == frozenset({"t0"})
-
-    def test_record_task_object(self):
-        j = TaskJournal()
-        j.record(Task(tid=3, name="t3", kind=TaskKind.S, cost=_mk()))
-        assert "t3" in j.completed
-
-    def test_reset(self):
-        j = TaskJournal()
-        j.bind(_chain_graph())
-        j.record_name("t0")
-        j.reset()
-        assert len(j) == 0 and j.bind(_chain_graph()) == set()
+        log: list[int] = []
+        trace = ThreadedExecutor(1).run(_chain_graph(5, log), journal={"t0", "not-in-graph"})
+        assert log == [1, 2, 3, 4]
+        assert trace.stats["skipped"] == 1
 
     def test_a_checkpointed_run_persists_snapshots_only(self, tmp_path):
         from repro.core.calu import calu
@@ -500,34 +455,21 @@ def _executors():
 @pytest.mark.parametrize("name,make", _executors(), ids=[n for n, _ in _executors()])
 class TestExecutorResume:
     def test_full_journal_skips_everything(self, name, make):
-        journal = TaskJournal()
         log: list[int] = []
-        make().run(_chain_graph(5, log), journal=journal)
-        assert log == [0, 1, 2, 3, 4]
-        assert len(journal) == 5
-
-        log2: list[int] = []
-        trace = make().run(_chain_graph(5, log2), journal=journal)
-        assert log2 == []
+        trace = make().run(_chain_graph(5, log), journal={f"t{i}" for i in range(5)})
+        assert log == []
         assert trace.records == []
         assert trace.resilience_summary().get("resume") == 1
         trace.validate_schedule(_chain_graph(5))
 
     def test_partial_journal_runs_only_frontier(self, name, make):
-        journal = TaskJournal()
-        journal.bind(_chain_graph(5))
-        journal.mark_completed(["t0", "t1", "t2"])
+        journal = {"t0", "t1", "t2"}
         log: list[int] = []
         trace = make().run(_chain_graph(5, log), journal=journal)
         assert log == [3, 4]
         assert sorted(r.name for r in trace.records) == ["t3", "t4"]
-        assert journal.completed == frozenset({"t0", "t1", "t2", "t3", "t4"})
+        assert journal == {"t0", "t1", "t2"}  # read, never written
         trace.validate_schedule(_chain_graph(5))
-
-    def test_journal_records_as_tasks_complete(self, name, make):
-        journal = TaskJournal()
-        make().run(_chain_graph(4), journal=journal)
-        assert journal.completed == frozenset({"t0", "t1", "t2", "t3"})
 
     def test_diamond_skip_releases_successors(self, name, make):
         def diamond(log):
@@ -538,9 +480,6 @@ class TestExecutorResume:
             g.add("s", TaskKind.S, _mk(), fn=lambda: log.append("s"), deps=[l, u])
             return g
 
-        journal = TaskJournal()
-        journal.bind(diamond([]))
-        journal.mark_completed(["a", "l"])
         log: list[str] = []
-        make().run(diamond(log), journal=journal)
+        make().run(diamond(log), journal={"a", "l"})
         assert log == ["u", "s"]

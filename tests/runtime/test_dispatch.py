@@ -10,7 +10,7 @@ engine promises per *task* must survive that batching:
 * ``kill -9`` of a worker fails every task it had in flight with a
   structured ``worker_death``, the pool respawns (or the governor
   throttles) and no stale ack reaches the next run;
-* a crash between two acks of one reply resumes from the journal;
+* a checkpointed run that dies with messages out resumes bitwise;
 * engines sharing a pool each get their own acks (ticket demux);
 * counters agree with the threaded run when counting is on, and the
   worker installs none when it is off;
@@ -31,8 +31,7 @@ from repro.core.caqr import caqr
 from repro.core.trees import TreeKind
 from repro.counters import counting
 from repro.resilience.checkpoint import Checkpoint
-from repro.resilience.faults import InjectedFault
-from repro.resilience.journal import TaskJournal
+from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime import engine as engine_mod
 from repro.runtime import ops, sync
@@ -288,65 +287,26 @@ class TestWorkerDeathInFlight:
 
 
 # ----------------------------------------------------------------------
-# (c) journal resume from a crash between two acks of one reply
+# (c) checkpoint resume after a crash with messages out
 # ----------------------------------------------------------------------
 
 
-class _CrashingJournal(TaskJournal):
-    """A journal whose *n*-th ``record`` fails — the process 'died'
-    there — until ``fail_on`` is lifted (the restart)."""
-
-    def __init__(self, fail_on):
-        super().__init__()
-        self.records, self.fail_on = 0, fail_on
-
-    def record(self, task):
-        self.records += 1
-        if self.records >= self.fail_on:
-            raise OSError("disk gone")
-        super().record(task)
-
-
-class _CrashingCheckpoint(Checkpoint):
-    """A checkpoint whose runs log to a :class:`_CrashingJournal`."""
-
-    def __init__(self, fail_on):
-        super().__init__()
-        self.fail_on = fail_on
-
-    def journal(self):
-        return _CrashingJournal(self.fail_on)
-
-
 class TestJournalResume:
-    def test_crash_between_two_acks_resumes_after_the_first(self, arena):
-        ran = arena.alloc(3)
-        graph = lambda: _independent(
-            "resume", [_tally(arena, ran, i) for i in range(3)], idempotent=True
-        )
-        journal = _CrashingJournal(fail_on=2)  # t0's entry, then t1's fails
-        with ProcessExecutor(1) as ex:
-            with pytest.raises(RuntimeFailure, match="journal write failed") as info:
-                ex.run(graph(), journal=journal)
-            # All three ran in one message; only the first ack was journaled.
-            assert list(ran) == [1, 1, 1]
-            assert [r.name for r in info.value.trace.records] == ["t0"]
-            journal.fail_on = float("inf")
-            trace = ex.run(graph(), journal=journal)
-        assert trace.resilience_summary() == {"resume": 1}
-        assert sorted(r.name for r in trace.records) == ["t1", "t2"]
-        assert list(ran) == [1, 2, 2]
-
     def test_calu_checkpoint_resume_bitwise_after_mid_reply_crash(self):
         A = make_rng(71).standard_normal((64, 64))
-        clean = calu(A, b=8, tr=2)
-        n_records = len(clean.trace.records)
-        ckpt = _CrashingCheckpoint(fail_on=n_records // 2)
-        with ProcessExecutor(2) as ex:
-            with pytest.raises(RuntimeFailure, match="journal write failed"):
+        clean = calu(A, b=8, tr=2, checkpoint=Checkpoint())  # the crash run's task ids
+        # One S task of iteration 3 draws a fault and nothing retries it:
+        # the run dies past three boundaries, with other tasks in flight.
+        crash = FaultPlan(23, raise_rate={"S": 0.05})
+        drawn = [r.name for r in clean.trace.records if crash.decide(r).get("raise")]
+        assert drawn == ["S[3]1,4"]
+        ckpt = Checkpoint()
+        with ProcessExecutor(2, fault_plan=crash) as ex:
+            with pytest.raises(RuntimeFailure, match="S\\[3\\]1,4") as info:
                 calu(A, b=8, tr=2, executor=ex, checkpoint=ckpt)
+            assert info.value.failure_kind == "injected"
             assert ckpt.snapshot_chain()  # what the crash left to resume from
-            ckpt.fail_on = float("inf")
+            ex.fault_plan = None  # the restart
             f = calu(A, b=8, tr=2, executor=ex, checkpoint=ckpt)
         assert f.trace.resilience_summary().get("resume") == 1
         np.testing.assert_array_equal(f.lu, clean.lu)
@@ -359,6 +319,17 @@ class TestJournalResume:
 
 
 class TestSharedPool:
+    def test_calu_on_an_engine_over_a_pool_runs_in_its_workers(self):
+        # The engine form the service builds: the plan must be staged on
+        # the shared plane, or every task runs inline in the dispatcher.
+        A = make_rng(73).standard_normal((256, 64))
+        with ProcessExecutor(2) as ex:
+            ref = calu(A, b=16, tr=2, executor=ex)
+            f = calu(A, b=16, tr=2, executor=ExecutionEngine(2, process_pool=ex.pool))
+        assert f.trace.stats["messages"] > 0
+        np.testing.assert_array_equal(f.lu, ref.lu)
+        np.testing.assert_array_equal(f.piv, ref.piv)
+
     def test_six_threads_on_one_pool_under_the_lock_sanitizer(self, arena):
         n_threads, n_runs, n_tasks = 6, 3, 12
         out = arena.alloc((n_threads, n_tasks))

@@ -14,7 +14,6 @@ from repro.core.trees import TreeKind
 from repro.counters import counting
 from repro.machine.presets import generic
 from repro.resilience.faults import FaultPlan
-from repro.resilience.journal import TaskJournal
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
@@ -317,33 +316,12 @@ class TestEngineConformance:
 
     def test_journaled_prefix_yields_one_resume_event(self, make):
         ran = []
-        journal = TaskJournal()
         g = chain(6, lambda: ran.append(1))
-        journal.bind(g)
-        journal.mark_completed(["t0", "t1", "t2"])
-        trace = make(2).run(g, journal=journal)
+        trace = make(2).run(g, journal={"t0", "t1", "t2"})
         assert [e.kind for e in trace.events] == ["resume"]
         assert trace.events[0].value == 3.0
         assert sorted(r.name for r in trace.records) == ["t3", "t4", "t5"]
         assert len(ran) == 3 and trace.stats["skipped"] == 3
-        assert len(journal) == 6
-
-    def test_failed_run_resumes_with_the_same_journal(self, make):
-        calls = []
-
-        def fn():
-            calls.append(1)
-            if len(calls) == 4:
-                raise ValueError("boom")
-
-        journal = TaskJournal()
-        with pytest.raises(RuntimeFailure, match="boom"):
-            make(2).run(chain(6, fn), journal=journal)
-        assert journal.completed == {"t0", "t1", "t2"}
-        trace = make(2).run(chain(6, fn), journal=journal)
-        assert [e.kind for e in trace.events] == ["resume"]
-        assert sorted(r.name for r in trace.records) == ["t3", "t4", "t5"]
-        assert len(calls) == 7 and len(journal) == 6
 
     def test_fault_plan_and_retry_yield_the_same_event_kinds(self, make):
         ran = []

@@ -79,8 +79,8 @@ def _exercise_respawn_path(svc, problems):
     worker is *discovered* while its per-core lock is held, yet that is
     the one runtime nesting (``process.core -> service.respawn``) the
     static lock-order graph predicts for this backend — so exercise it
-    synchronously: spawn, kill, and heal one worker via the supervisor's
-    own path, which takes the core lock and then consults the governor.
+    synchronously: spawn, kill, and heal one worker via the pool's
+    on-demand path, which takes the core lock and then consults the governor.
     """
     A, rhs, _ = problems[0]
     svc.solve(A, rhs)  # make sure at least one worker is spawned
@@ -92,8 +92,8 @@ def _exercise_respawn_path(svc, problems):
     while pool._procs[core].is_alive() and time.monotonic() < deadline:
         time.sleep(0.01)
     # The heal may be throttled while the kill storm's respawn window
-    # drains, and the supervisor's own heartbeat may beat us to it —
-    # either path performs the same core-lock -> governor nesting.
+    # drains, and a request's own admission may beat us to it — either
+    # path performs the same core-lock -> governor nesting.
     healed = False
     while not healed and time.monotonic() < deadline:
         healed = bool(pool.ensure_alive(core) or pool.worker_alive(core))
@@ -165,7 +165,7 @@ class TestChaosProcess:
 
             def killer():
                 # Periodically SIGKILL a live worker out from under the
-                # pool; supervision + request retries must absorb it.
+                # pool; on-demand respawn + request retries must absorb it.
                 rnd = random.Random(0)
                 while not stop.wait(kill_interval):
                     pool = svc._executor.pool
@@ -205,7 +205,7 @@ class TestChaosProcess:
             n_clients=6, n_requests=8, kill_interval=0.1, duration_cap=600
         )
         # A long soak under a kill storm must actually exercise the
-        # supervision machinery, not merely survive a quiet run.
+        # respawn machinery, not merely survive a quiet run.
         assert stats["pool"]["deaths"] >= 1 or all(
             s == "ok" for s, _ in outcomes
         )

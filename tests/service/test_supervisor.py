@@ -1,13 +1,15 @@
-"""Pool supervision tests: respawn throttling and heartbeat healing."""
+"""Pool supervision tests: respawn throttling and on-demand healing."""
 
 import multiprocessing
 import os
-import time
+import threading
 
+import numpy as np
 import pytest
 
 from repro.resilience.recovery import RuntimeFailure
-from repro.service.supervisor import PoolSupervisor, RespawnGovernor
+from repro.service import FactorizationService, ServiceConfig
+from repro.service.supervisor import RespawnGovernor
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -128,31 +130,18 @@ class TestPoolIntegration:
         finally:
             pool.close()
 
-    def test_supervisor_heals_in_background(self):
-        pool = self._pool()
-        sup = PoolSupervisor(pool, heartbeat_s=0.05)
-        try:
-            pool._ensure(1)
-            os.kill(pool._procs[1].pid, 9)
-            pool._procs[1].join(timeout=5)
-            sup.start()
-            deadline = time.monotonic() + 5
-            # The supervisor counts a heal after the pool publishes the
-            # worker alive: poll the later of the two.
-            while sup.healed < 1 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert sup.healed >= 1 and sup.heartbeats >= 1
-            assert pool.worker_alive(1) is True
-        finally:
-            sup.stop()
-            pool.close()
-
-    def test_supervisor_beat_is_safe_on_closed_pool(self):
-        pool = self._pool()
-        sup = PoolSupervisor(pool, heartbeat_s=0.05)
-        pool.close()
-        sup.beat()  # must not raise
-
-    def test_supervisor_validation(self):
-        with pytest.raises(ValueError):
-            PoolSupervisor(object(), heartbeat_s=0.0)
+    def test_a_process_service_heals_on_demand_without_a_thread(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((48, 48)) + 48 * np.eye(48)
+        rhs = rng.standard_normal(48)
+        with FactorizationService(ServiceConfig(cores=2, backend="process")) as svc:
+            assert not [t for t in threading.enumerate() if t.name == "repro-supervisor"]
+            x = svc.solve(A, rhs)
+            pool = svc._executor.pool
+            assert pool.worker_alive(0) is True
+            os.kill(pool._procs[0].pid, 9)  # killed while idle
+            pool._procs[0].join(timeout=5)
+            # The next request's first message to the dead worker respawns it.
+            np.testing.assert_array_equal(svc.solve(A, rhs), x)
+            assert pool.deaths == 1 and pool.respawns == 1
+            assert pool.worker_alive(0) is True
