@@ -67,7 +67,7 @@ def getrf_program(
     panel_kernel: str = "getrf_panel",
     fork_join: bool = True,
 ) -> GraphProgram:
-    """Fork-join blocked LU as a streaming program (``dgetrf`` baseline).
+    """Fork-join blocked LU as a graph program (``dgetrf`` baseline).
 
     One window per iteration: one sequential panel task (default kernel
     ``getrf_panel``: an internally blocked vendor panel, better than
@@ -125,4 +125,4 @@ def getrf_program(
                 )
                 prev_iter_tasks.append(s_tid)
 
-    return GraphProgram(f"getrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead)
+    return GraphProgram(f"getrf{m}x{n}b{b}", layout.n_panels, emit)

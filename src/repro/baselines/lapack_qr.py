@@ -64,7 +64,7 @@ def geqrf_program(
     panel_kernel: str = "geqrf_panel",
     fork_join: bool = True,
 ) -> GraphProgram:
-    """Fork-join blocked QR as a streaming program (``dgeqrf`` baseline).
+    """Fork-join blocked QR as a graph program (``dgeqrf`` baseline).
 
     One window per iteration: one sequential panel task (``geqr2`` +
     ``larft`` class), then one full-height ``larfb`` task per trailing
@@ -100,4 +100,4 @@ def geqrf_program(
             )
             prev_iter_tasks.append(s_tid)
 
-    return GraphProgram(f"geqrf{m}x{n}b{b}", layout.n_panels, emit, lookahead=lookahead)
+    return GraphProgram(f"geqrf{m}x{n}b{b}", layout.n_panels, emit)

@@ -145,7 +145,7 @@ def tiled_lu_program(
     library: str = "plasma",
     lookahead: int = 1,
 ) -> GraphProgram:
-    """Symbolic PLASMA tiled LU as a streaming program (one window per
+    """Symbolic PLASMA tiled LU as a graph program (one window per
     tile column) for the simulator."""
     lay = BlockLayout(m, n, nb)
 
@@ -190,4 +190,4 @@ def tiled_lu_program(
                     writes=[(k, j), (i, j)],
                 )
 
-    return GraphProgram(f"tiled_lu{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead)
+    return GraphProgram(f"tiled_lu{m}x{n}nb{nb}", lay.n_panels, emit)

@@ -156,7 +156,7 @@ def tiled_qr_program(
     library: str = "plasma",
     lookahead: int = 1,
 ) -> GraphProgram:
-    """Symbolic PLASMA tiled QR as a streaming program (one window per
+    """Symbolic PLASMA tiled QR as a graph program (one window per
     tile column) for the simulator."""
     lay = BlockLayout(m, n, nb)
 
@@ -202,4 +202,4 @@ def tiled_qr_program(
                     writes=[(k, j), (i, j)],
                 )
 
-    return GraphProgram(f"tiled_qr{m}x{n}nb{nb}", lay.n_panels, emit, lookahead=lookahead)
+    return GraphProgram(f"tiled_qr{m}x{n}nb{nb}", lay.n_panels, emit)

@@ -316,53 +316,42 @@ def lookahead_ablation(machine: MachineModel | None = None, sizes=(2000, 5000)) 
 
 
 def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 1, 2)) -> Table:
-    """Streaming look-ahead depth ``d``: numeric runtime vs working set.
+    """Look-ahead depth ``d``: numeric runtime.
 
     Unlike :func:`lookahead_ablation` (static priorities on the
     simulated machine), this sweeps the *process default*
     (:func:`repro.core.priorities.lookahead_depth`) through real
-    threaded CALU runs.  The same knob widens the priority boost window
-    and bounds how many panel windows the streaming
-    :class:`~repro.runtime.program.GraphProgram` keeps emitted ahead of
-    the lowest incomplete one, so larger ``d`` trades scheduler working
-    set (peak live tasks) for pipelining slack.
+    threaded CALU runs: the knob widens the priority boost window, a
+    priority rule only, so the factors stay bitwise identical.
     """
     import time
 
     from repro.core.calu import calu
-    from repro.core.driver import close_plans
     from repro.core.priorities import lookahead_depth
 
     A = np.random.default_rng(7).standard_normal((n, n))
     flops = lu_flops(n, n)
-    cols = ["seconds", "GFLOP/s", "peak live tasks"]
+    cols = ["seconds", "GFLOP/s"]
     values = np.zeros((len(depths), len(cols)))
     calu(A, b=b, tr=tr)  # warm caches and the thread machinery
     for i, d in enumerate(depths):
         prev = lookahead_depth(d)
         try:
-            best, peak = float("inf"), 0
+            best = float("inf")
             for _ in range(3):
-                close_plans()  # a reused plan streams nothing: time first runs
                 t0 = time.perf_counter()
-                f = calu(A, b=b, tr=tr)
-                dt = time.perf_counter() - t0
-                if dt < best:
-                    best, peak = dt, f.trace.stats["peak_live_tasks"]
+                calu(A, b=b, tr=tr)
+                best = min(best, time.perf_counter() - t0)
         finally:
             lookahead_depth(prev)
-        values[i] = (best, flops / best / 1e9, float(peak))
+        values[i] = (best, flops / best / 1e9)
     return Table(
-        title=f"CALU streaming look-ahead depth, m=n={n}, b={b}, Tr={tr} (numeric, threaded)",
+        title=f"CALU look-ahead depth, m=n={n}, b={b}, Tr={tr} (numeric, threaded)",
         row_header="depth",
         row_labels=[f"d={d}" for d in depths],
         col_labels=cols,
         values=values,
-        notes=[
-            "d bounds both the priority boost window and the emitted-ahead",
-            "panel windows of the streaming program: peak live tasks grows",
-            "with d while the factors stay bitwise identical.",
-        ],
+        notes=["d widens the priority boost window; the factors stay bitwise identical."],
     )
 
 

@@ -110,18 +110,16 @@ def calu_program(
     recompute: bool = True,
     store=None,
 ) -> tuple[GraphProgram, list[PanelWorkspace]]:
-    """Build the CALU task graph as a streaming :class:`GraphProgram`.
+    """Build the CALU task graph as a :class:`GraphProgram`.
 
     The program (:func:`repro.core.panelloop.panel_program` over the LU
     steps below) has one window per panel iteration ``K`` (TSLU
     tournament, L, U, S and optional ``C[K]`` checkpoint tasks) plus,
     past one panel, an epilogue window holding the deferred left-swap
     task; over ``BlockLayout(m, n, b=n)`` it is the standalone TSLU
-    panel (P and L in one window).  Windows are
-    emitted incrementally as predecessors complete — graph construction
-    stays off the critical path and the scheduler's live set is bounded
-    by the look-ahead window; ``materialize()`` emits them all up front,
-    the same tasks and edges (what the verify/DOT/analysis tooling reads).
+    panel (P and L in one window).  ``materialize()`` emits the windows
+    in order into one graph (:func:`repro.core.driver.compile` does so
+    once per plan; the verify/DOT/analysis tooling reads the same).
 
     With ``A`` given (an ``m x n`` array factored in place), tasks are
     numeric — every P/L/U/S step a descriptor run by
@@ -414,9 +412,8 @@ def calu(
         as an ``autotune`` event on the returned trace.
     lookahead : scheduling look-ahead depth (paper: 1); ``None`` uses
         the process default
-        (:func:`repro.core.priorities.lookahead_depth`).  Also bounds
-        how many panel windows the streaming program keeps emitted
-        ahead of the lowest incomplete one.
+        (:func:`repro.core.priorities.lookahead_depth`).  A priority
+        rule: it ranks the updates of panels ``K+1..K+lookahead``.
     leaf_kernel : sequential kernel at tournament leaves
         (``"rgetf2"``, the paper's choice, or ``"getf2"``).
     overwrite : allow factoring ``A`` in place (threaded path only;

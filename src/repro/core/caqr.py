@@ -48,13 +48,12 @@ def caqr_program(
     checkpoint=None,
     store=None,
 ) -> tuple[GraphProgram, list[PanelQRStore]]:
-    """Build the CAQR task graph as a streaming :class:`GraphProgram`.
+    """Build the CAQR task graph as a :class:`GraphProgram`.
 
     :func:`repro.core.panelloop.panel_program` over the QR steps below:
     one window per panel iteration (TSQR tree, leaf/node trailing
     updates, optional ``C[K]`` checkpoint task); symbolic when ``A`` is
     None; over ``BlockLayout(m, n, b=n)`` the standalone TSQR panel.
-    See :func:`repro.core.calu.calu_program` for the streaming semantics.
 
     Returns ``(program, per-panel implicit-Q stores)``; the store list
     fills as panel windows are emitted.  With *guards* (numeric runs

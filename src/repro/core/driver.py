@@ -6,7 +6,7 @@ under look-ahead — that differs only in its steps, and the standalone
 panels (TSLU, TSQR) are that skeleton over the one-panel layout
 ``b = n``.  The difference is an :class:`Algorithm` record; the
 steps around its builder are written once, in two halves:
-:func:`compile` (stage, build: a :class:`Plan`) and the plan's
+:func:`compile` (stage, build, emit: a :class:`Plan`) and the plan's
 load / run / result, which :func:`factorize` strings together with
 resume.  ``calu``/``caqr``/``tsqr``/``tslu`` are that call under their
 public keyword signatures.  A finished plan is kept for the next matrix
@@ -37,7 +37,6 @@ from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.process import resolve_executor
-from repro.runtime.program import supports_streaming
 from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.sync import make_lock
@@ -165,34 +164,38 @@ class Plan:
         self.program, self.state = program, state
         self.guards = guards
         self.decision = None  # the autotuner's, set by the run that asked for one
+        self._emit_s = program.emit_seconds  # compile's emission, reported by the first run
 
     def load(self, A: np.ndarray) -> None:
         """Copy the next matrix in and forget the previous one: the
         per-panel state lives only in the panels' store buffers (all
-        emitted first), so resetting those is the whole reset on every
-        plane, and re-arms CALU's growth monitor at this magnitude."""
-        self.program.materialize()
+        made by compile's emission), so resetting those is the whole
+        reset on every plane, and re-arms CALU's growth monitor at this
+        magnitude."""
         self.A[...] = A
         absmax = float(np.abs(A).max())
         for panel in self.state:
             panel.reset(absmax)
 
-    def source(self, executor):
-        """The engine and the simulator stream the program, keeping
-        graph construction off the critical path; any other (duck-typed)
-        executor gets the eager graph, the historical contract."""
-        return self.program if supports_streaming(executor) else self.program.materialize()
-
     def run(self, executor, journal=None):
-        """Aim an untargeted fault plan at the working buffer, run, and
-        record the autotune decision on the trace."""
+        """Run the graph on *executor*, an untargeted fault plan aimed
+        at the working buffer for this run only; record on the trace the
+        emission the run paid (``emit_seconds``: compile's on a plan's
+        first run, 0.0 on a reuse) and the autotune decision."""
         fault_plan = getattr(executor, "fault_plan", None)
-        if fault_plan is not None and fault_plan.target is None:
+        aimed = fault_plan is not None and fault_plan.target is None
+        if aimed:
             fault_plan.target = self.A
-        source = self.source(executor)
-        trace = (
-            executor.run(source, journal=journal) if journal is not None else executor.run(source)
-        )
+        graph = self.program.graph
+        try:
+            trace = executor.run(graph) if journal is None else executor.run(graph, journal=journal)
+        finally:
+            if aimed:
+                fault_plan.target = None
+        emit_s, self._emit_s = self._emit_s, 0.0
+        if trace is None:  # a caller's duck-typed executor may return none
+            return trace
+        trace.stats["emit_seconds"] = emit_s
         if self.decision is not None:
             trace.events.append(self.decision.event())
         return trace
@@ -239,7 +242,7 @@ def compile(
     guards: bool = True,
     **build,
 ) -> Plan:
-    """Validate the knobs, stage, build — the only place that
+    """Validate the knobs, stage, build, emit — the only place that
     sequence occurs — into the :class:`Plan` :func:`factorize` runs
     once, the service caches and the out-of-core drivers run.
 
@@ -248,8 +251,8 @@ def compile(
     allows), a shape (an empty buffer to :meth:`Plan.load` into), or a
     binding the caller staged and keeps (the streamed plane); a
     standalone panel is one block column whatever *b* says.  The
-    program is the builder's, task for task; *build* is the builder's
-    own (``checkpoint``, ...).
+    program is the builder's, task for task, emitted whole here, so no
+    run emits; *build* is the builder's own (``checkpoint``, ...).
     """
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     store, arena = staged(A, shared, overwrite=overwrite)
@@ -259,6 +262,7 @@ def compile(
         program, state = alg.program(
             layout, tr, tree, A=store.A, store=store, leaf_kernel=leaf_kernel, guards=guards, **build
         )
+        program.materialize()
     except BaseException:
         if arena is not None:
             arena.destroy()
@@ -336,7 +340,7 @@ class PlanPool:
 
 #: What :func:`factorize` may keep between calls, in :attr:`Plan.nbytes`:
 #: room for a workload's plans on both planes, and a plan larger than
-#: this streams and is closed exactly as before there was a pool.
+#: this runs and is closed exactly as before there was a pool.
 _POOL_BYTES = 64 << 20
 _PLANS = PlanPool(_POOL_BYTES, size=lambda plan: plan.nbytes)
 
@@ -359,12 +363,9 @@ def _resume(checkpoint, signature: dict, plan: Plan) -> set[str]:
         return set()
     # The restored matrix carries the *boundary* state: exactly the
     # tasks the snapshot covers are done.  Window K holds every task of
-    # iteration K, so emitting through the resumed boundary makes them
-    # enumerable (no-op on the eager path) and creates the covered
-    # panels' state for the snapshots to refill.  An epilogue window
-    # (CALU's left swaps) lies past every boundary: snapshots are taken
-    # before it, so it always re-runs.
-    program.emit_through(resumed_from)
+    # iteration K, so they are the windows through the resumed
+    # boundary.  An epilogue window (CALU's left swaps) lies past every
+    # boundary: snapshots are taken before it, so it always re-runs.
     checkpoint.restore_panels(snaps, plan.state)
     return {t.name for t in program.graph.tasks[: program.windows[resumed_from][1]]}
 
@@ -393,8 +394,8 @@ def factorize(
     **executor** (``"auto"`` consults the autotuner with the problem's
     shape); **check out** the plan a previous call of this key left in
     the pool and :meth:`Plan.load` the matrix, or :func:`compile` one on
-    the plane that executor's tasks reach (stage, build; its graph
-    is emitted while it runs); **resume** from *checkpoint* (matrix and
+    the plane that executor's tasks reach (stage, build, emit the whole
+    graph); **resume** from *checkpoint* (matrix and
     panel state restored to the newest boundary, the tasks that covers
     skipped); :meth:`Plan.run`; :meth:`Plan.result`,
     copied out of the plan's buffers; **flush** the checkpoint writer;

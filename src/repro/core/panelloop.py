@@ -164,10 +164,10 @@ def panel_program(
     library: str,
     update_width: int | None = None,
 ) -> tuple[GraphProgram, list]:
-    """The streaming program of one factorization: a window per panel
-    iteration plus, when the algorithm has an *epilogue* and more than
-    one panel, a window for it.  Returns ``(program, per-panel states)``;
-    the list fills as numeric panel windows are emitted.
+    """The program of one factorization: a window per panel iteration
+    plus, when the algorithm has an *epilogue* and more than one panel,
+    a window for it.  Returns ``(program, per-panel states)``; the list
+    fills as numeric panel windows are emitted.
 
     The algorithm's steps:
 
@@ -184,7 +184,8 @@ def panel_program(
 
     With *A* (factored in place, bound by *store*: the heap by default)
     tasks are numeric, without it symbolic; *guards* is honoured on
-    numeric graphs only.  ``lookahead=None`` reads the process default.
+    numeric graphs only.  *lookahead* ranks priorities; ``None`` reads
+    the process default.
     """
     if update_width is not None and update_width < layout.b:
         raise ValueError(f"update_width B={update_width} must be >= b={layout.b}")
@@ -221,7 +222,4 @@ def panel_program(
             )
 
     n_windows = n_panels + (1 if epilogue is not None and n_panels > 1 else 0)
-    program = GraphProgram(
-        f"{name}{layout.m}x{layout.n}b{layout.b}tr{tr}", n_windows, emit, lookahead=lookahead
-    )
-    return program, states
+    return GraphProgram(f"{name}{layout.m}x{layout.n}b{layout.b}tr{tr}", n_windows, emit), states

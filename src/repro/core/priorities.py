@@ -21,9 +21,8 @@ from __future__ import annotations
 
 __all__ = ["task_priority", "lookahead_depth"]
 
-# Process-wide default look-ahead depth: both the priority boost window
-# and the streaming window the ExecutionEngine keeps emitted ahead of
-# the lowest incomplete panel.  The paper's setting is 1.
+# Process-wide default look-ahead depth: the priority boost window.
+# The paper's setting is 1.
 _DEFAULT_LOOKAHEAD = 1
 
 
@@ -32,12 +31,9 @@ def lookahead_depth(d: int | None = None) -> int:
 
     The value is used by every graph builder whose ``lookahead``
     argument is left as ``None``: it widens the priority boost window
-    of :func:`task_priority` and bounds how many panel windows a
-    streaming :class:`~repro.runtime.program.GraphProgram` keeps
-    emitted past the lowest incomplete one.  ``0`` disables look-ahead,
-    ``-1`` means infinite (rank fully left-first; emit the whole graph
-    up front).  Setting returns the *previous* value so callers can
-    restore it::
+    of :func:`task_priority`.  ``0`` disables look-ahead, ``-1`` means
+    infinite (rank fully left-first).  Setting returns the *previous*
+    value so callers can restore it::
 
         prev = lookahead_depth(2)
         try:

@@ -96,10 +96,8 @@ def solve(
     :class:`~repro.resilience.checkpoint.Checkpoint`) is forwarded to
     :func:`~repro.core.calu.calu`, arming panel-granularity
     checkpoint/restart for the factorization.  *executor* and
-    *lookahead* are likewise forwarded: engine-backed executors
-    (threaded, work-stealing, simulated) stream the factorization's
-    graph program window-by-window, and *lookahead* bounds the
-    streamed window (``None`` = the process default,
+    *lookahead* are likewise forwarded; *lookahead* ranks the task
+    priorities (``None`` = the process default,
     :func:`repro.core.priorities.lookahead_depth`).  Pass
     ``executor="process"`` (or a
     :class:`~repro.runtime.process.ProcessExecutor`) to run the
@@ -216,8 +214,7 @@ def lstsq(
 
     Unset parameters are filled from the paper's tuning heuristics.
     *executor*/*lookahead* are forwarded to :func:`~repro.core.caqr.caqr`
-    (engine-backed executors stream the graph program; *lookahead*
-    bounds the streamed window).  ``executor="process"`` runs the
+    (*lookahead* ranks the task priorities).  ``executor="process"`` runs the
     panel/update kernels in a worker-process pool over shared memory.
     With *service* the request goes through the overload-safe
     :class:`~repro.service.service.FactorizationService` (cannot be

@@ -432,7 +432,7 @@ class Checkpoint:
         ``panels[P].restore`` — in place, because the buffers behind the
         state are what the tasks' descriptors (and the returned
         factorization) address.  *panels* must already hold every
-        covered panel: the program is emitted through the boundary.
+        covered panel: a compiled plan's program is emitted whole.
         """
         for K, snap in snaps.items():
             for P in self.covered_panels(K):

@@ -3,10 +3,10 @@
 The paper's algorithms are expressed as *task graphs*: each matrix
 operation (a TSLU tree node, a ``dtrsm`` on a block of L, a ``dgemm``
 trailing update, ...) is a task; edges are data dependencies discovered
-from the blocks each task reads and writes.  Graphs come in two forms —
-an eager :class:`~repro.runtime.graph.TaskGraph` or a streaming
-:class:`~repro.runtime.program.GraphProgram` emitting one panel window
-at a time — and either can be
+from the blocks each task reads and writes.  A builder is a
+:class:`~repro.runtime.program.GraphProgram` (one window of tasks per
+panel), emitted once into a :class:`~repro.runtime.graph.TaskGraph`,
+which can be
 
 * executed by real threads (:class:`~repro.runtime.threaded.ThreadedExecutor`)
   for numerical results and concurrency validation, or
@@ -23,7 +23,7 @@ guards, tracing, watchdog): ``ThreadedExecutor`` is that class,
 with a stealing frontier and
 :class:`~repro.runtime.process.ProcessExecutor` with a pool of worker
 processes it owns.  The simulator keeps its own discrete-event loop and
-shares the engine's window bookkeeping, failure and health guard.
+shares the engine's ready bookkeeping, failure and health guard.
 """
 
 from repro.runtime.engine import CentralFrontier, ExecutionEngine, StealingFrontier

@@ -14,14 +14,10 @@ The virtual clock is not here: the discrete-event loop lives in
 :mod:`repro.runtime.simulated` and shares :class:`_Bookkeeping`,
 :func:`failure` and :func:`health_guard` with this module.
 
-The engine consumes :class:`~repro.runtime.program.GraphProgram`
-sources: windows of tasks are *registered* as the program emits them,
-and the program is expanded on the fly so that while the lowest
-incomplete window is ``W``, windows through ``W + lookahead`` exist.
-Graph construction therefore stays off the critical path and the
-scheduler's live set is bounded by the look-ahead window, not the total
-DAG — eager :class:`~repro.runtime.graph.TaskGraph` inputs are wrapped
-as single-window programs and behave exactly as before.
+A run is over a complete :class:`~repro.runtime.graph.TaskGraph`: a
+plan's graph is emitted once, when it is compiled, and a
+:class:`~repro.runtime.program.GraphProgram` handed to :meth:`run` is
+materialized on entry — nothing emits while tasks run.
 """
 
 from __future__ import annotations
@@ -38,7 +34,8 @@ from repro import counters as _counters
 from repro.resilience.events import ResilienceEvent
 from repro.resilience.faults import InjectedFault
 from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.program import GraphProgram, as_program
+from repro.runtime.graph import TaskGraph
+from repro.runtime.program import GraphProgram
 from repro.runtime.scheduler import POLICIES, ReadyQueue
 from repro.runtime.sync import make_condition, make_lock
 from repro.runtime.task import Task
@@ -131,106 +128,60 @@ class StealingFrontier:
 
 
 class _Bookkeeping:
-    """Frontier accounting over a growing graph (callers synchronize).
+    """Ready accounting over one run's graph (callers synchronize).
 
-    Registers emitted windows, tracks in-degrees against completed
-    tasks, marks the tasks a resume skips done at registration, and expands the
-    program so ``lookahead`` windows exist past the lowest incomplete
-    one.  The real clock (this module) and the virtual one
-    (:mod:`repro.runtime.simulated`) share this logic.
+    Tracks in-degrees against completed tasks and marks the tasks a
+    resume skips done at the start.  The real clock (this module) and
+    the virtual one (:mod:`repro.runtime.simulated`) share this logic.
     """
 
-    @classmethod
-    def for_run(cls, source, journal=None) -> "_Bookkeeping":
-        """The books of one run of *source* (a :class:`TaskGraph` or a
-        :class:`GraphProgram`): the tasks *journal* names are skipped at
-        registration; resolve the program's look-ahead depth."""
-        done_names = frozenset(journal) if journal is not None else frozenset()
-        program = as_program(source)
-        depth = program.lookahead
-        if depth is None:
-            from repro.core.priorities import lookahead_depth
-
-            depth = lookahead_depth()
-        if depth < 0:
-            depth = program.n_windows  # infinite: emit everything up front
-        return cls(program, done_names, depth)
-
-    def __init__(self, program: GraphProgram, done_names: frozenset[str], depth: int) -> None:
-        self.program = program
-        self.graph = program.graph
-        self.done_names = done_names
-        self.depth = depth
-        self._emit_before = program.emit_seconds  # a reused program emitted in earlier runs
+    def __init__(self, source: TaskGraph | GraphProgram, journal=None) -> None:
+        """The books of one run of *source*; the tasks *journal* names
+        are skipped."""
+        self.graph = source.materialize() if isinstance(source, GraphProgram) else source
+        self.done_names = frozenset(journal) if journal is not None else frozenset()
         self.done: list[bool] = []
         self.indeg: list[int] = []
-        self.skipped: set[int] = set()
-        self.remaining = 0  # registered, not skipped, not completed
+        self.remaining = 0  # not skipped, not completed
         self.n_skipped = 0
-        self.peak_live = 0
-        self.window_total: list[int] = []
-        self.window_done: list[int] = []
-        self.window_of: list[int] = []
-        self._lowest = 0  # lowest window with incomplete tasks
-
-    @property
-    def registered(self) -> int:
-        return len(self.done)
 
     @property
     def finished(self) -> bool:
-        return self.remaining == 0 and self.program.exhausted
+        return self.remaining == 0
 
     def start(self, events: list) -> list[Task]:
-        """Register pre-emitted windows, expand to the initial look-ahead
-        target; returns the ready roots in tid order.  Tasks skipped as
-        completed are announced by one ``resume`` event on *events*."""
+        """Register every task; returns the ready roots in tid order.
+        Tasks skipped as completed are announced by one ``resume`` event
+        on *events*."""
         ready: list[Task] = []
-        for w, (s, e) in enumerate(self.program.windows):
-            ready.extend(self._register(w, self.graph.tasks[s:e]))
-        ready.extend(self.expand())
-        if self.n_skipped:
-            n_skip, n = self.n_skipped, len(self.graph.tasks)
-            events.append(
-                ResilienceEvent(
-                    "resume",
-                    detail=f"resumed from journal: skipping {n_skip}/{n} completed tasks",
-                    value=float(n_skip),
-                )
-            )
-        return ready
-
-    def _register(self, window: int, tasks: list[Task]) -> list[Task]:
-        while len(self.window_total) <= window:
-            self.window_total.append(0)
-            self.window_done.append(0)
-        ready: list[Task] = []
-        for task in tasks:
-            tid = task.tid
-            self.window_total[window] += 1
-            self.window_of.append(window)
-            if self.done_names and task.name in self.done_names:
+        for task in self.graph.tasks:
+            if task.name in self.done_names:
                 # Completed before the run starts.  Its ancestors are
                 # named too (a resume skips a boundary's whole prefix),
                 # so no release bookkeeping is owed.
                 self.done.append(True)
                 self.indeg.append(0)
-                self.skipped.add(tid)
                 self.n_skipped += 1
-                self.window_done[window] += 1
                 continue
-            nd = sum(1 for p in self.graph.preds[tid] if not self.done[p])
+            nd = sum(1 for p in self.graph.preds[task.tid] if not self.done[p])
             self.done.append(False)
             self.indeg.append(nd)
-            self.remaining += 1
             if nd == 0:
                 ready.append(task)
-        self.peak_live = max(self.peak_live, self.remaining)
+        n = len(self.graph.tasks)
+        self.remaining = n - self.n_skipped
+        if self.n_skipped:
+            events.append(
+                ResilienceEvent(
+                    "resume",
+                    detail=f"resumed from journal: skipping {self.n_skipped}/{n} completed tasks",
+                    value=float(self.n_skipped),
+                )
+            )
         return ready
 
     def complete(self, tid: int) -> list[Task]:
-        """Mark *tid* done; returns newly ready tasks (released
-        successors, then roots of any windows emitted by expansion)."""
+        """Mark *tid* done; returns the successors it made ready."""
         self.done[tid] = True
         released: list[Task] = []
         for s in self.graph.succs[tid]:
@@ -240,38 +191,12 @@ class _Bookkeeping:
             if self.indeg[s] == 0:
                 released.append(self.graph.tasks[s])
         self.remaining -= 1
-        w = self.window_of[tid]
-        self.window_done[w] += 1
-        if self.window_done[w] == self.window_total[w]:
-            released.extend(self.expand())
         return released
 
-    def expand(self) -> list[Task]:
-        """Emit windows until ``lowest_incomplete + depth`` exist."""
-        ready: list[Task] = []
-        program = self.program
-        while not program.exhausted:
-            while (
-                self._lowest < len(self.window_total)
-                and self.window_done[self._lowest] == self.window_total[self._lowest]
-            ):
-                self._lowest += 1
-            target = min(program.n_windows, self._lowest + self.depth + 1)
-            if program.emitted >= target:
-                break
-            window = program.emitted
-            ready.extend(self._register(window, program.emit_next()))
-        return ready
-
     def stats(self) -> dict:
-        return {
-            "n_tasks": len(self.graph.tasks),
-            "peak_live_tasks": self.peak_live,
-            "windows_emitted": self.program.emitted,
-            "n_windows": self.program.n_windows,
-            "emit_seconds": self.program.emit_seconds - self._emit_before,
-            "skipped": self.n_skipped,
-        }
+        n = len(self.graph.tasks)
+        # Every task not skipped is live from the start: nothing emits mid-run.
+        return {"n_tasks": n, "peak_live_tasks": n - self.n_skipped, "skipped": self.n_skipped}
 
 
 def failure(kind: str, message: str, task: Task | None = None, cause=None) -> RuntimeFailure:
@@ -407,14 +332,15 @@ class ExecutionEngine:
         return CentralFrontier(self.policy)
 
     def run(self, source, journal=None) -> Trace:
-        """Run a :class:`TaskGraph` or :class:`GraphProgram` to completion.
+        """Run a :class:`TaskGraph` (a :class:`GraphProgram` is
+        materialized first) to completion.
 
         *journal* (read, never written) names tasks already completed —
-        a checkpoint's restored prefix: they are skipped at registration
+        a checkpoint's restored prefix: they are skipped at the start
         (one ``resume`` event), the resume half of the checkpoint/restart
         path.
         """
-        return _RealClockRun(self, _Bookkeeping.for_run(source, journal)).run()
+        return _RealClockRun(self, _Bookkeeping(source, journal)).run()
 
 
 class _RealClockRun:
@@ -601,9 +527,6 @@ class _RealClockRun:
                 self.errors.append(failed)
                 self.bk.remaining -= 1
             else:
-                # complete() may expand the program: emitting the next
-                # window(s) happens here, under the lock, while the
-                # workers keep executing their current tasks.
                 self.frontier.push_released(self.bk.complete(task.tid), core)
             self.work_available.notify_all()
         return failed is None
@@ -816,7 +739,7 @@ class _RealClockRun:
             with self.work_available:
                 if bk.remaining <= 0 or self.errors:
                     return
-                n = bk.registered
+                n = len(bk.graph.tasks)
                 done = f"{n - bk.remaining}/{n}"
                 now = time.monotonic()
                 if engine.deadline is not None and now >= engine.deadline:

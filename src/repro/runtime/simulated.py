@@ -18,11 +18,9 @@ recomputed at every event from the set of concurrently running tasks
 starts and completions; the simulation is fully deterministic.
 
 The event loop lives here and shares the task lifecycle's common parts
-with the real clock (:mod:`repro.runtime.engine`): the window
-bookkeeping (skip of completed tasks + ``resume`` event, look-ahead
-expansion of streaming :class:`~repro.runtime.program.GraphProgram`
-sources, in virtual-time order, deterministically), the structured
-failure and the health guard.
+with the real clock (:mod:`repro.runtime.engine`): the ready
+bookkeeping (skip of completed tasks + ``resume`` event), the
+structured failure and the health guard.
 """
 
 from __future__ import annotations
@@ -111,11 +109,11 @@ class SimulatedExecutor:
         self.health_checks = health_checks
 
     def run(self, source, journal=None) -> Trace:
-        """Simulate (and with ``execute=True`` run) every task of an
-        eager :class:`TaskGraph` or a streaming
-        :class:`~repro.runtime.program.GraphProgram`; *journal* as on
-        the real clock (the completed tasks to skip, one ``resume`` event)."""
-        bk = _Bookkeeping.for_run(source, journal)
+        """Simulate (and with ``execute=True`` run) every task of a
+        :class:`TaskGraph` (a :class:`~repro.runtime.program.GraphProgram`
+        is materialized first); *journal* as on the real clock (the
+        completed tasks to skip, one ``resume`` event)."""
+        bk = _Bookkeeping(source, journal)
         records: list[TaskRecord] = []
         events: list = []
         try:
@@ -189,10 +187,8 @@ class SimulatedExecutor:
         while not bk.finished:
             start_tasks()
             if not running:
-                raise RuntimeError(
-                    f"simulated deadlock: {bk.registered - bk.remaining}/{bk.registered} "
-                    "tasks done, none running"
-                )
+                n = len(graph.tasks)
+                raise RuntimeError(f"simulated deadlock: {n - bk.remaining}/{n} done, none running")
             # Recompute processor-sharing rates for tasks in the work phase.
             in_work = [r for r in running if r.setup_left <= _EPS and r.work_left > 0.0]
             if in_work:

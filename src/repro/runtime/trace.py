@@ -46,9 +46,9 @@ class Trace:
     entries.  Fault-free runs have an empty log.
 
     ``stats`` carries scheduler-side counters from the
-    :class:`~repro.runtime.engine.ExecutionEngine` (peak live tasks,
-    windows emitted, seconds spent emitting) — empty for traces built
-    by hand or deserialized from old JSON.
+    :class:`~repro.runtime.engine.ExecutionEngine` (tasks, peak live
+    tasks, skipped) and, on a plan's run, the seconds its emission took
+    — empty for traces built by hand or deserialized from old JSON.
     """
 
     def __init__(

@@ -13,18 +13,13 @@ that property per graph instead of assuming it:
   random-schedule fuzzer for numeric graphs;
 * :mod:`repro.verify.mutate` — edge-drop mutation used by the CLI
   self-test to prove the detector detects;
-* :mod:`repro.verify.equivalence` — stream-vs-eager equivalence
-  (streamed :class:`~repro.runtime.program.GraphProgram` builds must
-  match the eager graphs structurally and bitwise in their factors).
+* :mod:`repro.verify.equivalence` — two builds of one graph must agree
+  task-for-task (:func:`compare_graphs`).
 
 Run everything with ``python -m repro.verify``.
 """
 
-from repro.verify.equivalence import (
-    check_stream_equivalence,
-    compare_graphs,
-    compare_results,
-)
+from repro.verify.equivalence import compare_graphs
 from repro.verify.findings import Finding, Report
 from repro.verify.lint import lint_graph
 from repro.verify.mutate import (
@@ -40,9 +35,7 @@ from repro.verify.sanitize import fuzz_schedules, random_topological_order, sani
 __all__ = [
     "Finding",
     "Report",
-    "check_stream_equivalence",
     "compare_graphs",
-    "compare_results",
     "lint_graph",
     "check_races",
     "block_accesses",

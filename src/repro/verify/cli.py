@@ -4,12 +4,8 @@ Default target matrix: CALU and CAQR graphs across binary and flat
 reduction trees at two sizes each (numeric — static race proof, DAG
 lint, dynamic footprint sanitizer, schedule fuzzer), two larger
 symbolic CALU/CAQR graphs, and the four baseline graphs (static
-passes only).  Every target also runs the stream-vs-eager equivalence
-pass: the builder's :class:`~repro.runtime.program.GraphProgram` is
-grown window-by-window (through a real streamed execution for numeric
-graphs) and must match the eager build task-for-task — and bitwise in
-its computed factors.  Exits nonzero when any graph has gating
-findings (``error`` or ``warning``; ``info`` notes never gate).
+passes only).  Exits nonzero when any graph has gating findings
+(``error`` or ``warning``; ``info`` notes never gate).
 
 ``--self-test`` instead verifies the verifier: it drops a random
 essential dependency edge from a CALU graph and asserts the race
@@ -33,8 +29,7 @@ from repro.core.driver import ALGORITHMS, compile
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.runtime.graph import TaskGraph
-from repro.runtime.program import GraphProgram
-from repro.verify.equivalence import check_stream_equivalence, state_arrays
+from repro.verify.equivalence import state_arrays
 from repro.verify.findings import Report
 from repro.verify.lint import lint_graph
 from repro.verify.lockcheck import lock_self_test, run_lockcheck
@@ -52,57 +47,43 @@ def _random_matrix(m: int, n: int, seed: int = _MATRIX_SEED) -> np.ndarray:
 
 
 _Collect = Callable[[], "list[np.ndarray]"]
-_Builder = Callable[[], "tuple[GraphProgram, _Collect | None]"]
+_Builder = Callable[[], "tuple[TaskGraph, _Collect | None]"]
 
 
 def _numeric(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
-    """Builder of the program the driver compiles for the *kind*
+    """Builder of the graph the driver compiles for the *kind*
     algorithm over a fresh matrix: what a driver or the service runs is
     what is proved.
 
     Its ``collect()`` is :func:`~repro.verify.equivalence.state_arrays`.
     """
 
-    def build() -> tuple[GraphProgram, _Collect]:
+    def build() -> tuple[TaskGraph, _Collect]:
         alg, A = ALGORITHMS[kind], _random_matrix(m, n)
         kernel = alg.leaf_kernels[0]
         plan = compile(alg, A, b=b, tr=tr, tree=tree, leaf_kernel=kernel, guards=False)
-        return plan.program, lambda: state_arrays(plan.A, plan.state)
+        return plan.program.graph, lambda: state_arrays(plan.A, plan.state)
 
     return build
 
 
 def _symbolic(kind: str, m: int, n: int, b: int, tr: int, tree: TreeKind) -> _Builder:
-    return lambda: (ALGORITHMS[kind].program(BlockLayout(m, n, b), tr, tree)[0], None)
+    return lambda: (ALGORITHMS[kind].program(BlockLayout(m, n, b), tr, tree)[0].materialize(), None)
 
 
 class Target:
-    """One graph to verify: a fresh program builder plus dynamic-pass config.
+    """One graph to verify: a fresh graph builder plus dynamic-pass config.
 
-    ``program`` builds ``(GraphProgram, collect)``; :meth:`build` is its
-    eager twin (the same program materialized), and the stream-vs-eager
-    equivalence pass compares the two.  A *numeric* target is given as
-    its ``shape`` — ``(kind, m, n, b, tr, tree)`` — instead: its program
-    is that algorithm's over a fresh matrix and the dynamic passes run.
+    ``build`` returns ``(TaskGraph, collect)``.  A *numeric* target is
+    given as its ``shape`` — ``(kind, m, n, b, tr, tree)`` — instead:
+    its graph is that algorithm's compiled over a fresh matrix and the
+    dynamic passes run.
     """
 
-    def __init__(
-        self,
-        name: str,
-        program: _Builder | None = None,
-        *,
-        shape: tuple | None = None,
-    ) -> None:
-        if shape is not None:
-            program = _numeric(*shape)
-        assert program is not None
-        self.name = name
-        self.program = program
-        self.shape = shape
-
-    def build(self) -> "tuple[TaskGraph, _Collect | None]":
-        program, collect = self.program()
-        return program.materialize(), collect
+    def __init__(self, name: str, build: _Builder | None = None, *, shape: tuple | None = None):
+        build = _numeric(*shape) if shape is not None else build
+        assert build is not None
+        self.name, self.build, self.shape = name, build, shape
 
     @property
     def numeric(self) -> bool:
@@ -121,10 +102,13 @@ def default_targets() -> list[Target]:
         for kind, alg in ALGORITHMS.items():
             name = f"{alg.name.lower()}-{tree.value}-sym-256x128"
             targets.append(Target(name, _symbolic(kind, 256, 128, 16, 4, tree)))
-    targets.append(Target("tiled-lu-sym-64x64", lambda: (tiled_lu_program(64, 64, nb=16), None)))
-    targets.append(Target("tiled-qr-sym-64x64", lambda: (tiled_qr_program(64, 64, nb=16), None)))
-    targets.append(Target("getrf-sym-128x128", lambda: (getrf_program(128, 128, b=32), None)))
-    targets.append(Target("geqrf-sym-128x128", lambda: (geqrf_program(128, 128, b=32), None)))
+    for name, program in (
+        ("tiled-lu-sym-64x64", lambda: tiled_lu_program(64, 64, nb=16)),
+        ("tiled-qr-sym-64x64", lambda: tiled_qr_program(64, 64, nb=16)),
+        ("getrf-sym-128x128", lambda: getrf_program(128, 128, b=32)),
+        ("geqrf-sym-128x128", lambda: geqrf_program(128, 128, b=32)),
+    ):
+        targets.append(Target(name, lambda program=program: (program().materialize(), None)))
     return targets
 
 
@@ -157,24 +141,17 @@ def verify_graph(
 
 def _verify_target(target: Target, fuzz_runs: int, static_only: bool, seed: int) -> Report:
     graph, collect = target.build()
-    if static_only or target.shape is None:
-        report = verify_graph(graph, label=target.name)
-    else:
-        assert collect is not None  # numeric targets collect their outputs
-        report = verify_graph(
-            graph,
-            A=collect()[0],  # the matrix the tasks factor in place
-            block=target.shape[3],
-            fuzz_build=target.build,
-            fuzz_runs=fuzz_runs,
-            seed=seed,
-            label=target.name,
-        )
-    report.extend(
-        "equivalence",
-        check_stream_equivalence(target.name, target.program, execute=not static_only),
+    if static_only or collect is None:
+        return verify_graph(graph, label=target.name)
+    return verify_graph(
+        graph,
+        A=collect()[0],  # the matrix the tasks factor in place
+        block=target.shape[3],
+        fuzz_build=target.build,
+        fuzz_runs=fuzz_runs,
+        seed=seed,
+        label=target.name,
     )
-    return report
 
 
 def self_test(seed: int = 0, verbose: bool = False) -> int:
@@ -182,7 +159,7 @@ def self_test(seed: int = 0, verbose: bool = False) -> int:
     failures = 0
 
     # 1. Edge-drop mutation: the race detector must name the dropped pair.
-    graph = _symbolic("lu", 48, 48, 8, 4, TreeKind.BINARY)()[0].materialize()
+    graph = _symbolic("lu", 48, 48, 8, 4, TreeKind.BINARY)()[0]
     baseline = [f for f in check_races(graph) if f.severity == "error"]
     if baseline:
         print("self-test FAIL: pristine CALU graph already has race errors")
@@ -208,9 +185,8 @@ def self_test(seed: int = 0, verbose: bool = False) -> int:
 
     # 2. Misdeclared footprint: the sanitizer must catch a write outside
     # the declared set.
-    program, collect = _numeric("lu", 48, 48, 8, 4, TreeKind.BINARY)()
-    assert collect is not None
-    graph, A = program.materialize(), collect()[0]
+    graph, collect = _numeric("lu", 48, 48, 8, 4, TreeKind.BINARY)()
+    A = collect()[0]
     victim = None
     for task in graph.tasks:
         blocks = sorted(

@@ -2,9 +2,9 @@
 
 ``calu``/``caqr``/``tsqr``/``tslu`` are one pipeline parameterised by
 an algorithm record, so what used to be true of the driver that got the
-fix is true of all four: the knobs are validated at the entry, engine-
-backed executors stream the program while a caller-made one gets the
-materialized graph, ``executor="auto"`` is asked about the real shape
+fix is true of all four: the knobs are validated at the entry, every
+executor (engine-backed or caller-made) gets the plan's materialized
+graph, ``executor="auto"`` is asked about the real shape
 and obeyed, and the input is never touched without ``overwrite``.
 """
 
@@ -28,7 +28,6 @@ from repro.machine.presets import generic
 from repro.resilience import FaultPlan, RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
-from repro.runtime.program import GraphProgram
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
@@ -159,7 +158,7 @@ def test_engine_backed_executors_stream_and_duck_typed_get_the_graph(name, backe
     finally:
         if backend == "process":
             executor.close()
-    assert isinstance(executor.got, TaskGraph if backend == "duck" else GraphProgram)
+    assert isinstance(executor.got, TaskGraph)  # the plan's graph, emitted by compile
     assert np.array_equal(A, kept), "overwrite=False must leave the input alone"
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)

@@ -25,6 +25,7 @@ ever meaningful when an issue *intends* to change the graphs).
 
 from __future__ import annotations
 
+import inspect
 import json
 import zlib
 from dataclasses import astuple
@@ -41,6 +42,7 @@ from repro.baselines.tiled_qr import tiled_qr_program
 from repro.core.calu import calu_program
 from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
+from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
 from repro.resilience.checkpoint import Checkpoint
 from tests.core.test_golden_digests import SHAPES, TREES  # (m, n, b, tr) x {binary, flat}
@@ -150,12 +152,14 @@ def _task_record(graph, task) -> tuple:
     )
 
 
-def _program_digest(program, keep=slice(None)) -> int:
+def _program_digest(program, lookahead: int, keep=slice(None)) -> int:
+    """*lookahead* is the depth the builder ranked priorities under,
+    hashed where the program carried it when the file was recorded."""
     graph = program.materialize()
     record = (
         program.name,
         program.n_windows,
-        program.lookahead,
+        lookahead,
         program.windows,
         [_task_record(graph, task)[keep] for task in graph.tasks],
     )
@@ -170,7 +174,8 @@ def baseline_id(case) -> str:
 def baseline_digest(case) -> int:
     name, m, n, block = case
     builder, build = BASELINES[name]
-    return _program_digest(builder(m, n, block, **build), keep=slice(-1))  # all but col
+    lookahead = build.get("lookahead", inspect.signature(builder).parameters["lookahead"].default)
+    return _program_digest(builder(m, n, block, **build), lookahead, keep=slice(-1))  # all but col
 
 
 def digest(case) -> int:
@@ -182,7 +187,7 @@ def digest(case) -> int:
     if mode == "numeric":
         A = np.random.default_rng(20240613).standard_normal((m, n))
     program, _ = PROGRAMS[kind](BlockLayout(m, n, b), tr, tree, A=A, **build)
-    return _program_digest(program)
+    return _program_digest(program, build.get("lookahead", lookahead_depth()))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

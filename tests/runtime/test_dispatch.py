@@ -38,7 +38,6 @@ from repro.runtime import ops, sync
 from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor, _WorkerPool
-from repro.runtime.program import as_program
 from repro.runtime.shm import SharedArena, attach_array
 from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
@@ -121,8 +120,7 @@ class _Sabotage(ProcessExecutor):
         super().__init__(n_workers, **kw)
         self.arena, self.pick, self.ran = arena, pick, None
 
-    def run(self, source, journal=None):
-        graph = as_program(source).materialize()
+    def run(self, graph, journal=None):
         victims = [t for t in graph.tasks if t.meta.get("op") and self.pick(t)]
         self.ran = self.arena.alloc(len(victims))
         for slot, t in enumerate(victims):

@@ -1,26 +1,29 @@
-"""Unit tests for streaming graph programs and their engine consumption.
+"""Unit tests for graph programs and their engine consumption.
 
 Covers the :class:`~repro.runtime.program.GraphProgram` contract
-(ordered window emission, tid ranges, idempotent ``emit_through``,
-materialization, eager-graph wrapping) and the streaming behavior the
-engine layers on top: bounded live-task working set under a finite
-look-ahead and run statistics in the trace.
+(ordered window emission, tid ranges, idempotent materialization) and
+what the executors do with a program: run it whole, materialized on
+entry, every task live from the start.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.calu import calu, calu_program, panel_verdicts
+from repro.core.layout import BlockLayout
 from repro.core.priorities import lookahead_depth
 from repro.machine.presets import generic
-from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
-from repro.runtime.program import GraphProgram, as_program, supports_streaming
+from repro.runtime.process import ProcessExecutor
+from repro.runtime.program import GraphProgram
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
+from tests.conftest import make_rng
 
 
-def chain_program(n: int = 6, lookahead: int | None = 0):
+def chain_program(n: int = 6):
     """One task per window, all serialized through a single block."""
     order: list[int] = []
 
@@ -39,87 +42,41 @@ def chain_program(n: int = 6, lookahead: int | None = 0):
             iteration=w,
         )
 
-    return GraphProgram("chain", n, emit, lookahead=lookahead), order
+    return GraphProgram("chain", n, emit), order
 
 
-def test_emit_next_records_ordered_windows():
+def test_materialize_records_ordered_windows():
     program, _ = chain_program(3)
-    assert program.emitted == 0 and not program.exhausted
-    first = program.emit_next()
-    assert [t.name for t in first] == ["t0"]
-    assert program.windows == [(0, 1)]
-    program.emit_next()
-    program.emit_next()
+    assert len(program) == 0 and program.windows == []
+    graph = program.materialize()
+    assert [t.name for t in graph.tasks] == ["t0", "t1", "t2"]
     assert program.windows == [(0, 1), (1, 2), (2, 3)]
-    assert program.exhausted
-    assert program.emit_seconds > 0.0
-    # Incremental emission discovered the chain edges.
-    assert program.graph.preds == [[], [0], [1]]
+    assert len(program) == 3 and program.emit_seconds > 0.0
+    # Window-by-window emission discovered the chain edges.
+    assert graph.preds == [[], [0], [1]]
 
 
-def test_emit_next_after_exhaustion_raises():
-    program, _ = chain_program(1)
-    program.emit_next()
-    with pytest.raises(ValueError, match="all 1 windows emitted"):
-        program.emit_next()
-
-
-def test_emit_through_is_idempotent_and_clamps():
+def test_materialize_is_idempotent():
     program, _ = chain_program(4)
-    program.emit_through(1)
-    assert program.emitted == 2
-    program.emit_through(1)
-    assert program.emitted == 2
-    program.emit_through(99)  # clamps at n_windows
-    assert program.exhausted and len(program.graph.tasks) == 4
+    graph = program.materialize()
+    emit_seconds = program.emit_seconds
+    assert program.materialize() is graph
+    assert len(graph.tasks) == 4 and len(program.windows) == program.n_windows
+    assert program.emit_seconds == emit_seconds  # nothing left to emit
 
 
 def test_materialize_matches_incremental_emission():
     eager, _ = chain_program(5)
     graph = eager.materialize()
-    stepped, _ = chain_program(5)
-    while not stepped.exhausted:
-        stepped.emit_next()
-    assert [t.name for t in graph.tasks] == [t.name for t in stepped.graph.tasks]
-    assert graph.preds == stepped.graph.preds
+    twin, _ = chain_program(5)
+    assert [t.name for t in graph.tasks] == [t.name for t in twin.materialize().tasks]
+    assert graph.preds == twin.graph.preds
     assert len(graph.tasks) == 5
 
 
 def test_negative_window_count_rejected():
     with pytest.raises(ValueError, match="n_windows"):
         GraphProgram("bad", -1, lambda w, g, t: None)
-
-
-def test_from_graph_wraps_eager_graph():
-    g = TaskGraph("pre")
-    g.add("only", TaskKind.P, Cost("getf2"))
-    program = GraphProgram.from_graph(g)
-    assert program.graph is g
-    assert program.exhausted and program.windows == [(0, 1)]
-    assert program.lookahead == -1
-    assert program.name == "pre"
-
-
-def test_as_program_coercion():
-    g = TaskGraph("g")
-    program = as_program(g)
-    assert isinstance(program, GraphProgram) and program.graph is g
-    assert as_program(program) is program
-    with pytest.raises(TypeError, match="expected a TaskGraph or GraphProgram"):
-        as_program(42)
-
-
-def test_supports_streaming_only_engine_backends():
-    assert supports_streaming(ExecutionEngine(1))
-    assert supports_streaming(ThreadedExecutor(1))
-    assert supports_streaming(WorkStealingExecutor(1))
-    assert supports_streaming(SimulatedExecutor(generic(1)))
-
-    class DuckTyped:
-        def run(self, graph):  # pragma: no cover - never called
-            return None
-
-    assert not supports_streaming(DuckTyped())
 
 
 def test_lookahead_depth_get_set_restore():
@@ -146,39 +103,50 @@ def test_lookahead_depth_get_set_restore():
         pytest.param(lambda: WorkStealingExecutor(2), id="stealing"),
     ],
 )
-def test_streamed_chain_runs_in_order_with_bounded_window(make_executor):
-    program, order = chain_program(8, lookahead=0)
+def test_unmaterialized_program_runs_in_order(make_executor):
+    program, order = chain_program(8)
     trace = make_executor().run(program)
     assert order == list(range(8))
+    assert len(program.windows) == program.n_windows == 8  # materialized on entry
     stats = trace.stats
-    assert stats["n_tasks"] == 8
-    assert stats["windows_emitted"] == stats["n_windows"] == 8
-    # With lookahead 0 the engine keeps at most windows W and W+1 live:
-    # the chain never has more than 2 unfinished tasks in the graph.
-    assert stats["peak_live_tasks"] <= 2
-    assert stats["emit_seconds"] > 0.0
+    assert stats["n_tasks"] == stats["peak_live_tasks"] == 8
+    assert "emit_seconds" not in stats  # a run emits nothing; a plan reports its compile's
 
 
-def test_streamed_chain_virtual_clock():
-    program, _ = chain_program(5, lookahead=1)
+def test_unmaterialized_program_on_the_virtual_clock():
+    program, _ = chain_program(5)
     trace = SimulatedExecutor(generic(2)).run(program)
     assert len(trace.records) == 5
-    assert trace.stats["windows_emitted"] == 5
-    assert trace.stats["peak_live_tasks"] <= 3
+    assert trace.stats["peak_live_tasks"] == 5
 
 
-def test_eager_graph_through_engine_reports_single_window():
+def test_eager_graph_through_engine_reports_its_tasks():
     g = TaskGraph("eager")
     g.add("a", TaskKind.P, Cost("getf2"))
     g.add("b", TaskKind.S, Cost("gemm"), deps=[0])
     trace = ThreadedExecutor(1).run(g)
-    assert trace.stats["n_windows"] == 1
-    assert trace.stats["n_tasks"] == 2
+    assert trace.stats == {"n_tasks": 2, "peak_live_tasks": 2, "skipped": 0}
 
 
-def test_infinite_lookahead_emits_everything_up_front():
-    program, order = chain_program(6, lookahead=-1)
-    trace = ThreadedExecutor(2).run(program)
-    assert order == list(range(6))
-    # All windows were emitted before anything completed.
-    assert trace.stats["peak_live_tasks"] == 6
+@pytest.mark.parametrize(
+    "make_executor",
+    [
+        pytest.param(lambda: ThreadedExecutor(2), id="threaded"),
+        pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
+        pytest.param(lambda: ProcessExecutor(2), id="process"),
+    ],
+)
+def test_unmaterialized_calu_program_gives_the_drivers_factors(make_executor):
+    A = make_rng(21).standard_normal((64, 48))
+    want = calu(A, b=8, tr=2)
+    LU, layout = A.copy(), BlockLayout(64, 48, 8)
+    program, panels = calu_program(layout, 2, A=LU)
+    executor = make_executor()
+    try:
+        trace = executor.run(program)
+    finally:
+        if isinstance(executor, ProcessExecutor):
+            executor.close()
+    assert trace.stats["peak_live_tasks"] == trace.stats["n_tasks"] == len(program)
+    np.testing.assert_array_equal(LU, want.lu)
+    np.testing.assert_array_equal(panel_verdicts(layout, panels)[0], want.piv)
