@@ -5,6 +5,10 @@ Options:
 ``--save DIR``
     Also write each experiment's formatted output to ``DIR/<name>.txt``
     (tables additionally as ``<name>.csv``).
+``--report FILE``
+    Check the paper's claims (:data:`repro.bench.report.CLAIMS`) against
+    the results and write the Markdown report to ``FILE``; the exit
+    status is 1 when any checked claim fails.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import sys
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS, run_all
+from repro.bench.report import check_claims, generate_report
 from repro.bench.tables import Table
 
 
@@ -55,10 +60,12 @@ def main(argv: list[str] | None = None) -> int:
                 (out / f"{name}.csv").write_text(result.to_csv())
         print(f"\nresults written to {out}/")
     if args.report:
-        from repro.bench.report import generate_report
-
         Path(args.report).write_text(generate_report(results) + "\n")
         print(f"report written to {args.report}")
+        failed = [claim for claim, ok, _ in check_claims(results) if not ok]
+        for claim in failed:
+            print(f"FAIL {claim.experiment}: {claim.text}", file=sys.stderr)
+        return 1 if failed else 0
     return 0
 
 

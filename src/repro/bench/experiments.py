@@ -17,7 +17,7 @@ overhead_ablation stability scaling``, or the Section V extensions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -319,15 +319,13 @@ def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 
     """Look-ahead depth ``d``: numeric runtime.
 
     Unlike :func:`lookahead_ablation` (static priorities on the
-    simulated machine), this sweeps the *process default*
-    (:func:`repro.core.priorities.lookahead_depth`) through real
+    simulated machine), this sweeps ``calu(lookahead=d)`` through real
     threaded CALU runs: the knob widens the priority boost window, a
     priority rule only, so the factors stay bitwise identical.
     """
     import time
 
     from repro.core.calu import calu
-    from repro.core.priorities import lookahead_depth
 
     A = np.random.default_rng(7).standard_normal((n, n))
     flops = lu_flops(n, n)
@@ -335,15 +333,11 @@ def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 
     values = np.zeros((len(depths), len(cols)))
     calu(A, b=b, tr=tr)  # warm caches and the thread machinery
     for i, d in enumerate(depths):
-        prev = lookahead_depth(d)
-        try:
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                calu(A, b=b, tr=tr)
-                best = min(best, time.perf_counter() - t0)
-        finally:
-            lookahead_depth(prev)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            calu(A, b=b, tr=tr, lookahead=d)
+            best = min(best, time.perf_counter() - t0)
         values[i] = (best, flops / best / 1e9)
     return Table(
         title=f"CALU look-ahead depth, m=n={n}, b={b}, Tr={tr} (numeric, threaded)",
@@ -460,17 +454,21 @@ def bb_extension(machine: MachineModel | None = None, sizes=(2000, 5000), b: int
     """The paper's Section V extension: trailing-update block size B > b.
 
     Larger B reduces the task count (cheaper scheduling, bigger BLAS3
-    updates) at the cost of look-ahead granularity.
+    updates) at the cost of look-ahead granularity.  The last row reruns
+    the first size at 160 us per task, where scheduling is costly enough
+    for coarser updates to pay off.
     """
     mach = machine or intel8_mkl()
     widths = (b, 2 * b, 4 * b, 8 * b)
     cols = [(f"B={w}", "calu", {"tr": 4, "b": b, "update_width": w}) for w in widths]
     rows = [(str(n), n, n) for n in sizes]
+    costly = replace(mach, task_overhead_us=160.0)
     values = _grid(simulate_lu, rows, cols, mach)
+    values = np.vstack([values, _grid(simulate_lu, rows[:1], cols, costly)])
     return Table(
         title=f"CALU with trailing-update width B (b={b}, {mach.name} model)",
         row_header="m=n",
-        row_labels=[r[0] for r in rows],
+        row_labels=[r[0] for r in rows] + [f"{sizes[0]}@160us"],
         col_labels=[c[0] for c in cols],
         values=values,
         notes=[

@@ -12,7 +12,6 @@
 from repro.core.calu import CALUFactorization, calu, calu_program
 from repro.core.caqr import CAQRFactorization, caqr, caqr_program
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind, reduction_schedule
 from repro.core.tslu import tslu
 from repro.core.tsqr import TSQRFactorization, tsqr
@@ -27,7 +26,6 @@ __all__ = [
     "calu_program",
     "caqr",
     "caqr_program",
-    "lookahead_depth",
     "reduction_schedule",
     "tslu",
     "tsqr",

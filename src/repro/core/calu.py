@@ -410,10 +410,8 @@ def calu(
         machine-model autotuner (:mod:`repro.machine.autotune`) to pick
         the backend for this (shape, b, Tr); the decision is recorded
         as an ``autotune`` event on the returned trace.
-    lookahead : scheduling look-ahead depth (paper: 1); ``None`` uses
-        the process default
-        (:func:`repro.core.priorities.lookahead_depth`).  A priority
-        rule: it ranks the updates of panels ``K+1..K+lookahead``.
+    lookahead : scheduling look-ahead depth; ``None`` is the paper's 1.
+        A priority rule: it ranks the updates of panels ``K+1..K+lookahead``.
     leaf_kernel : sequential kernel at tournament leaves
         (``"rgetf2"``, the paper's choice, or ``"getf2"``).
     overwrite : allow factoring ``A`` in place (threaded path only;

@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.calu import CALUFactorization, calu_program, panel_verdicts
 from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
 from repro.kernels import lu, qr
@@ -434,9 +433,7 @@ def factorize(
     if checkpoint is None and not overwrite:
         dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.dtype(np.float64)
         key = (alg, A.shape, dtype, b, tr, tree, leaf_kernel, shared, guards)
-        # ... and what the builder reads besides its arguments: priorities
-        # are ranked under the process-default look-ahead at emission.
-        key += (lookahead_depth(), *sorted(build.items()))
+        key += tuple(sorted(build.items()))
         try:
             hash(key)
         except TypeError:

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.layout import BlockLayout, Chunk
-from repro.core.priorities import lookahead_depth, task_priority
+from repro.core.priorities import task_priority
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.ops import op_task
 from repro.runtime.program import GraphProgram
@@ -184,14 +184,14 @@ def panel_program(
 
     With *A* (factored in place, bound by *store*: the heap by default)
     tasks are numeric, without it symbolic; *guards* is honoured on
-    numeric graphs only.  *lookahead* ranks priorities; ``None`` reads
-    the process default.
+    numeric graphs only.  *lookahead* ranks priorities; ``None`` is the
+    paper's 1.
     """
     if update_width is not None and update_width < layout.b:
         raise ValueError(f"update_width B={update_width} must be >= b={layout.b}")
     numeric = A is not None
     if lookahead is None:
-        lookahead = lookahead_depth()
+        lookahead = 1
     if numeric and store is None:
         store = HeapBinding(A)
     guards = guards and numeric

@@ -19,38 +19,7 @@ iteration it unblocks — and ranking task classes within an era.
 
 from __future__ import annotations
 
-__all__ = ["task_priority", "lookahead_depth"]
-
-# Process-wide default look-ahead depth: the priority boost window.
-# The paper's setting is 1.
-_DEFAULT_LOOKAHEAD = 1
-
-
-def lookahead_depth(d: int | None = None) -> int:
-    """Read (no argument) or set the default look-ahead depth.
-
-    The value is used by every graph builder whose ``lookahead``
-    argument is left as ``None``: it widens the priority boost window
-    of :func:`task_priority`.  ``0`` disables look-ahead, ``-1`` means
-    infinite (rank fully left-first).  Setting returns the *previous*
-    value so callers can restore it::
-
-        prev = lookahead_depth(2)
-        try:
-            ...
-        finally:
-            lookahead_depth(prev)
-    """
-    global _DEFAULT_LOOKAHEAD
-    if d is None:
-        return _DEFAULT_LOOKAHEAD
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise TypeError(f"lookahead depth must be an int, got {type(d).__name__}")
-    if d < -1:
-        raise ValueError(f"lookahead depth must be >= -1, got {d}")
-    prev = _DEFAULT_LOOKAHEAD
-    _DEFAULT_LOOKAHEAD = d
-    return prev
+__all__ = ["task_priority"]
 
 # Rank of task classes within an era; panel work on the critical path
 # always comes first.  Boosted U/S tasks (the look-ahead window) use

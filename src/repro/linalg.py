@@ -97,8 +97,7 @@ def solve(
     :func:`~repro.core.calu.calu`, arming panel-granularity
     checkpoint/restart for the factorization.  *executor* and
     *lookahead* are likewise forwarded; *lookahead* ranks the task
-    priorities (``None`` = the process default,
-    :func:`repro.core.priorities.lookahead_depth`).  Pass
+    priorities (``None`` = the paper's 1).  Pass
     ``executor="process"`` (or a
     :class:`~repro.runtime.process.ProcessExecutor`) to run the
     kernels in a worker-process pool over a shared-memory arena —

@@ -68,3 +68,21 @@ def test_cli_report(tmp_path):
     text = out.read_text()
     assert "Reproduction report" in text
     assert "stability" in text
+
+
+def test_every_claim_names_an_experiment():
+    from repro.bench.experiments import EXPERIMENTS
+
+    assert {c.experiment for c in CLAIMS} <= set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_cli_report_exit_status(tmp_path, monkeypatch, holds):
+    from repro.bench import report
+    from repro.bench.__main__ import main
+
+    claim = report.Claim("fig1_fig2", "forced", lambda r: (holds, "forced"))
+    monkeypatch.setattr(report, "CLAIMS", [claim])
+    out = tmp_path / "report.md"
+    assert main(["fig1_fig2", "--report", str(out)]) == (0 if holds else 1)
+    assert ("1/1" if holds else "0/1") + " claims hold" in out.read_text()

@@ -42,7 +42,6 @@ from repro.baselines.tiled_qr import tiled_qr_program
 from repro.core.calu import calu_program
 from repro.core.caqr import caqr_program
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
 from repro.resilience.checkpoint import Checkpoint
 from tests.core.test_golden_digests import SHAPES, TREES  # (m, n, b, tr) x {binary, flat}
@@ -187,7 +186,7 @@ def digest(case) -> int:
     if mode == "numeric":
         A = np.random.default_rng(20240613).standard_normal((m, n))
     program, _ = PROGRAMS[kind](BlockLayout(m, n, b), tr, tree, A=A, **build)
-    return _program_digest(program, build.get("lookahead", lookahead_depth()))
+    return _program_digest(program, build.get("lookahead", 1))
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

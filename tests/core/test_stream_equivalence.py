@@ -22,7 +22,6 @@ from repro.baselines.tiled_qr import tiled_qr_program
 from repro.core.calu import calu_program, calu
 from repro.core.caqr import caqr_program, caqr
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth
 from repro.core.trees import TreeKind
 from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
@@ -181,11 +180,7 @@ def test_lookahead_depth_does_not_change_factors(depth):
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_default_lookahead_depth_drives_streaming(depth):
     A = make_rng(46).standard_normal((60, 40))
-    prev = lookahead_depth(depth)
-    try:
-        f = calu(A, b=10, tr=3)
-    finally:
-        lookahead_depth(prev)
+    f = calu(A, b=10, tr=3, lookahead=depth)
     ref = calu(A, b=10, tr=3, executor=EagerSequential())
     np.testing.assert_array_equal(f.piv, ref.piv)
     np.testing.assert_array_equal(f.lu, ref.lu)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.calu import calu, calu_program, panel_verdicts
 from repro.core.layout import BlockLayout
-from repro.core.priorities import lookahead_depth
 from repro.machine.presets import generic
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
@@ -77,23 +76,6 @@ def test_materialize_matches_incremental_emission():
 def test_negative_window_count_rejected():
     with pytest.raises(ValueError, match="n_windows"):
         GraphProgram("bad", -1, lambda w, g, t: None)
-
-
-def test_lookahead_depth_get_set_restore():
-    prev = lookahead_depth(2)
-    try:
-        assert lookahead_depth() == 2
-        assert lookahead_depth(0) == 2
-        assert lookahead_depth() == 0
-    finally:
-        lookahead_depth(prev)
-    assert lookahead_depth() == prev
-    with pytest.raises(ValueError, match=">= -1"):
-        lookahead_depth(-2)
-    with pytest.raises(TypeError):
-        lookahead_depth(1.5)
-    with pytest.raises(TypeError):
-        lookahead_depth(True)
 
 
 @pytest.mark.parametrize(
