@@ -5,14 +5,18 @@ Block QR factorization ``A = Q R`` whose panel factorization is TSQR
 once, and the reduction tree that produced ``R`` also drives the
 trailing-matrix update:
 
-* task **P** — leaf QR of one row chunk of the panel (LAPACK ``?geqrt``
-  by default, the paper's recursive ``dgeqr3`` with
-  ``leaf_kernel="geqr3"``) and the ``[R_i; R_j]`` tree merges
-  (structured ``tpqrt``);
+* task **P** — leaf QR of one row chunk of the panel and the
+  ``[R_i; R_j]`` tree merges (structured ``tpqrt``);
 * task **S** (leaf) — apply a leaf's block reflector to one trailing
   block column (``dlarfb``);
 * task **S** (node) — apply a merge's ``[I; V_b]`` reflector to the two
   ``b``-row slices of a trailing block column (``tpmqrt``).
+
+``leaf_kernel`` names the P and node-S kernel set: by default
+``"geqrt"``, LAPACK's ``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` (the
+vendor's kernels, as the paper's tasks call MKL/ACML); ``"geqr3"`` the
+paper's recursive ``dgeqr3`` leaf with the NumPy ``tpqrt`` /
+``tpmqrt``.
 
 ``Q`` stays implicit (per-panel :class:`~repro.core.tsqr.PanelQRStore`),
 so ``apply_q``/``apply_qt``/``solve_ls`` replay the trees.
@@ -120,7 +124,11 @@ def caqr_program(
                 name,
                 "S",
                 Cost.of("tpmqrt", bk, nc, bk, count=len(step.srcs), library=library),
-                shared and ("caqr_merge_update", {**shared, "bk": bk, "pairs": step.pairs}),
+                shared
+                and (
+                    "caqr_merge_update",
+                    {**shared, "bk": bk, "kernel": leaf_kernel, "pairs": step.pairs},
+                ),
                 J=J,
                 reads=blocks + [("qmerge", K, step.ordinal)],
                 writes=blocks,

@@ -1,12 +1,15 @@
 """TSQR — tall-skinny QR via a reduction tree.
 
 The panel is split into ``Tr`` row chunks; each chunk is QR-factored
-independently (task P at the leaves: by default LAPACK ``?geqrt``, the
-vendor's sequential QR the paper's tasks call; ``leaf_kernel="geqr3"``
-is the recursive kernel the paper prefers); the resulting ``R``
-factors are merged pairwise (binary tree), all at once (flat tree, the
-paper's best performer in Section IV) or in groups (hybrid), each merge
-being a structured ``[R_i; R_j]`` QR
+independently (task P at the leaves); the resulting ``R`` factors are
+merged pairwise (binary tree), all at once (flat tree, the paper's best
+performer in Section IV) or in groups (hybrid), each merge being a
+structured ``[R_i; R_j]`` QR.  ``leaf_kernel`` names the kernel set
+(:data:`repro.kernels.qr.TREE_KERNELS`): by default ``"geqrt"``, the
+vendor's kernels the paper's tasks call — LAPACK ``?geqrt`` at the
+leaves and ``?tpqrt`` at the merges
+(:func:`repro.kernels.structured.lapack_tpqrt`); ``"geqr3"`` is the
+recursive leaf the paper prefers with the NumPy merge
 (:func:`repro.kernels.structured.tpqrt`).
 
 ``Q`` is kept implicit — the list of leaf WY factors and merge
@@ -239,7 +242,7 @@ def add_tsqr_tasks(
                     qstore.merges.append(
                         MergeFactor(top0=dst.r0, bot0=src.r0, r=bk, Vb=vb_view, T=t_view)
                     )
-                op = ("tsqr_merge", {**shared, "bk": bk, "pairs": pairs})
+                op = ("tsqr_merge", {**shared, "bk": bk, "kernel": leaf_kernel, "pairs": pairs})
             name = f"P[{K}]merge{dst.index}<{','.join(str(s.index) for s in srcs)}"
             tid = em.task(
                 name,

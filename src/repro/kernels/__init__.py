@@ -3,17 +3,21 @@
 This subpackage plays the role MKL/ACML/LAPACK play in the paper: it is
 the sequential kernel layer every algorithm (communication-avoiding or
 baseline) is built from.  Everything is implemented from scratch on top
-of NumPy array primitives except ``geqrt``, a thin wrapper of LAPACK's
-``?geqrt`` (the default TSQR/CAQR leaf, as the paper's tasks call the
-vendor's QR); each kernel reports its flop count to
-:mod:`repro.counters`.
+of NumPy array primitives except the vendor QR kernel set — ``geqrt``,
+``lapack_tpqrt`` and ``lapack_tpmqrt``, thin wrappers of LAPACK's
+``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` that the default
+``leaf_kernel="geqrt"`` runs at the TSQR/CAQR leaves, tree merges and
+node updates, as the paper's tasks call the vendor's kernels
+(``kernels.qr.TREE_KERNELS`` maps each leaf kernel to its tree
+kernels); each kernel reports its flop count to :mod:`repro.counters`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
 listings is direct: ``getf2`` (BLAS2 LU), ``rgetf2`` (recursive LU, the
 paper's panel kernel), ``geqr2`` (BLAS2 QR), ``geqr3`` (recursive QR,
 the paper's panel kernel), ``geqrt`` (LAPACK's QR of one tile),
 ``larfg/larft/larfb`` (compact-WY Householder), ``tpqrt/tpmqrt``
-(structured triangular-pentagonal QR, the TSQR tree kernel) and
+(structured triangular-pentagonal QR, the TSQR tree kernel, on NumPy
+and as ``lapack_tpqrt/lapack_tpmqrt``) and
 ``tstrf/ssssm`` (PLASMA's incremental-pivoting LU kernels).
 """
 
@@ -32,7 +36,15 @@ from repro.kernels.qr import (
     larfg,
     larft,
 )
-from repro.kernels.structured import TstrfOps, ssssm_apply, tpmqrt_left_t, tpqrt, tstrf
+from repro.kernels.structured import (
+    TstrfOps,
+    lapack_tpmqrt,
+    lapack_tpqrt,
+    ssssm_apply,
+    tpmqrt_left_t,
+    tpqrt,
+    tstrf,
+)
 
 __all__ = [
     "TstrfOps",
@@ -49,6 +61,8 @@ __all__ = [
     "getf2",
     "getf2_nopiv",
     "getrf",
+    "lapack_tpmqrt",
+    "lapack_tpqrt",
     "larfb_left_t",
     "larfg",
     "larft",

@@ -29,12 +29,14 @@ Householder vectors ``V`` below it (unit diagonal implicit).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from repro.analysis.flops import qr_flops
 from repro.counters import add_call, add_flops
+from repro.kernels.structured import lapack_tpmqrt, lapack_tpqrt, tpmqrt_left_t, tpqrt
 
 __all__ = [
     "larfg",
@@ -199,6 +201,18 @@ def _geqr2_t(A: np.ndarray) -> np.ndarray:
 #: QR, as the paper's tasks call the vendor's), then the paper's
 #: recursive kernel: each factors its panel in place and returns ``T``.
 PANEL_KERNELS = {"geqrt": geqrt, "geqr3": geqr3, "geqr2": _geqr2_t}
+
+_tpqrt_tt = partial(tpqrt, bottom_triangular=True)
+
+#: The TSQR tree kernels of each leaf kernel's set, ``(merge, node
+#: update)``: ``merge(R_top, R_bot)`` returns ``T``, ``update(V_b, T,
+#: C_top, C_bot)`` applies ``Q^T``.  LAPACK's leaf runs LAPACK's tree;
+#: the paper's NumPy leaves keep the NumPy ``tpqrt`` / ``tpmqrt``.
+TREE_KERNELS = {
+    "geqrt": (lapack_tpqrt, lapack_tpmqrt),
+    "geqr3": (_tpqrt_tt, tpmqrt_left_t),
+    "geqr2": (_tpqrt_tt, tpmqrt_left_t),
+}
 
 
 def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:

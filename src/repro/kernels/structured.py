@@ -8,7 +8,10 @@ Triangular-pentagonal QR (``tpqrt`` / ``tpmqrt_left_t``)
     of the Householder vectors (``V = [I; V_b]``).  With a dense bottom
     block this is PLASMA's ``DTSQRT``; with a triangular bottom block
     (``bottom_triangular=True``) it is the ``[R_i; R_j]`` merge kernel
-    of the TSQR reduction tree (PLASMA's ``DTTQRT``).
+    of the TSQR reduction tree (PLASMA's ``DTTQRT``).  The same merge
+    and its update on LAPACK's ``?tpqrt`` / ``?tpmqrt``
+    (``lapack_tpqrt`` / ``lapack_tpmqrt``) are the vendor's tree
+    kernels, the ones the default ``geqrt`` kernel set runs.
 
 Incremental-pivoting LU (``tstrf`` / ``ssssm_apply``)
     LU of a ``b x b`` upper-triangular tile stacked on an ``m x b``
@@ -25,10 +28,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
+from repro.analysis.flops import tpmqrt_flops, tpqrt_tt_flops
 from repro.counters import add_call, add_comparisons, add_flops
 
-__all__ = ["tpqrt", "tpmqrt_left_t", "tstrf", "ssssm_apply", "TstrfOps"]
+__all__ = [
+    "tpqrt",
+    "tpmqrt_left_t",
+    "lapack_tpqrt",
+    "lapack_tpmqrt",
+    "tstrf",
+    "ssssm_apply",
+    "TstrfOps",
+]
 
 
 def tpqrt(R: np.ndarray, B: np.ndarray, bottom_triangular: bool = False) -> np.ndarray:
@@ -114,6 +127,57 @@ def tpmqrt_left_t(
     W = (T.T @ W) if transpose else (T @ W)
     Ctop -= W
     Cbot -= Vb @ W
+
+
+def lapack_tpqrt(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """LAPACK ``?tpqrt`` of ``[R; B]``, both ``b x b`` upper triangular
+    (the TSQR merge: ``l = nb = b``), in place.  Returns ``T``.
+
+    The factors of ``tpqrt(R, B, bottom_triangular=True)`` to rounding:
+    ``R``'s upper triangle becomes the merged ``R``, ``B``'s holds
+    ``V_b``, and ``Q = I - [I; V_b] T [I; V_b]^T``.  Only the upper
+    triangles are written back — the strictly lower storage of both
+    blocks is not part of the merge and may hold a leaf's ``V``.  The
+    routine is picked by dtype (``stpqrt`` for float32 blocks) and the
+    call releases the GIL.  Counted as one call of ``tpqrt_tt_flops(b)``.
+    """
+    b = R.shape[0]
+    if R.shape != (b, b) or B.shape != (b, b):
+        raise ValueError(f"lapack_tpqrt shape mismatch: R{R.shape}, B{B.shape}")
+    add_call("lapack_tpqrt")
+    add_flops(tpqrt_tt_flops(b))
+    (fn,) = get_lapack_funcs(("tpqrt",), (R, B))
+    r, vb, T, info = fn(b, b, R, B)
+    if info != 0:
+        raise ValueError(f"{fn.typecode}tpqrt: illegal argument {-info}")
+    upper = ~np.tri(b, k=-1, dtype=bool)
+    np.copyto(R, r, where=upper)
+    np.copyto(B, vb, where=upper)
+    return T
+
+
+def lapack_tpmqrt(Vb: np.ndarray, T: np.ndarray, Ctop: np.ndarray, Cbot: np.ndarray) -> None:
+    """Apply ``Q^T`` of a TSQR merge to ``[Ctop; Cbot]`` in place: LAPACK
+    ``?tpmqrt`` (``side="L"``, ``trans="T"``, ``l = b``) over the
+    ``b x b`` upper-triangular ``V_b`` of :func:`lapack_tpqrt` or of
+    :func:`tpqrt` — the same ``Q^T`` as :func:`tpmqrt_left_t` to
+    rounding.  Counted as one call of ``tpmqrt_flops(b, n, b)``.
+    """
+    b = Vb.shape[0]
+    n = Ctop.shape[1]
+    if Vb.shape != (b, b) or T.shape != (b, b) or Ctop.shape != (b, n) or Cbot.shape != (b, n):
+        raise ValueError(
+            f"lapack_tpmqrt shape mismatch: Vb{Vb.shape}, T{T.shape}, "
+            f"Ctop{Ctop.shape}, Cbot{Cbot.shape}"
+        )
+    add_call("lapack_tpmqrt")
+    add_flops(tpmqrt_flops(b, n, b))
+    (fn,) = get_lapack_funcs(("tpmqrt",), (Vb, T, Ctop, Cbot))
+    top, bot, info = fn(b, Vb, T, Ctop, Cbot, side="L", trans="T")
+    if info != 0:
+        raise ValueError(f"{fn.typecode}tpmqrt: illegal argument {-info}")
+    Ctop[...] = top
+    Cbot[...] = bot
 
 
 @dataclass

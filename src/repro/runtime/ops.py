@@ -45,8 +45,7 @@ import numpy as np
 from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
 from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
 from repro.kernels.qr import PANEL_KERNELS as QR_PANEL_KERNELS
-from repro.kernels.qr import extract_v, larfb_left_t
-from repro.kernels.structured import tpmqrt_left_t, tpqrt
+from repro.kernels.qr import TREE_KERNELS, extract_v, larfb_left_t
 from repro.runtime.tilestore import attach_array
 
 __all__ = ["run_op", "op_task", "OPS", "calu_s_blocks"]
@@ -245,11 +244,12 @@ def _op_tsqr_leaf(p: dict) -> None:
 def _op_tsqr_merge(p: dict) -> None:
     A = attach_array(p["a"])
     c0, c1, bk = p["c0"], p["c1"], p["bk"]
+    merge = TREE_KERNELS[p["kernel"]][0]
     d0 = p["pairs"][0][0]  # every pair of one merge task folds into the same R
     Rtop = A[d0 : d0 + bk, c0:c1]
     for _, s0, vb_spec, t_spec in p["pairs"]:
         Bsrc = A[s0 : s0 + bk, c0:c1]
-        T = tpqrt(Rtop, Bsrc, bottom_triangular=True)
+        T = merge(Rtop, Bsrc)
         attach_array(vb_spec)[...] = np.triu(Bsrc)
         attach_array(t_spec)[...] = T
         _write_back(A, s0, s0 + bk, c0, c1, Bsrc)
@@ -266,8 +266,9 @@ def _op_caqr_leaf_update(p: dict) -> None:
 def _op_caqr_merge_update(p: dict) -> None:
     A = attach_array(p["a"])
     j0, j1, bk = p["j0"], p["j1"], p["bk"]
+    update = TREE_KERNELS[p["kernel"]][1]
     for top0, bot0, vb_spec, t_spec in p["pairs"]:
-        tpmqrt_left_t(
+        update(
             attach_array(vb_spec),
             attach_array(t_spec),
             A[top0 : top0 + bk, j0:j1],

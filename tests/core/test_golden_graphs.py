@@ -19,9 +19,11 @@ recorded at the commit before those programs moved onto
 ``Emitter.task`` (ISSUE 22); they hash the same per-task fields minus
 ``meta["col"]``.
 
-The QR cases pass ``leaf_kernel="geqr3"``, the kernel they were
-recorded with; the default leaf (LAPACK ``geqrt``) differs from it only
+The QR cases pass ``leaf_kernel="geqr3"``, the kernel set they were
+recorded with; the default set (LAPACK ``geqrt``) differs from it only
 in that name (``test_default_qr_leaf_renames_only_the_leaf_kernel``).
+The numeric QR entries were re-recorded when the ``tsqr_merge`` and
+``caqr_merge_update`` payloads gained the set's ``"kernel"`` key.
 
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).
@@ -205,10 +207,12 @@ def test_graph_matches_parent_commit(case):
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: t.value)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "{}x{}b{}tr{}".format(*s))
 def test_default_qr_leaf_renames_only_the_leaf_kernel(shape, tree):
-    """The default leaf (LAPACK ``geqrt``) emits the recorded ``geqr3``
-    program task for task — names, edges, priorities, footprints, flops —
-    except for the kernel each leaf's ``Cost`` and ``tsqr_leaf`` payload
-    name."""
+    """The default kernel set (LAPACK ``geqrt``) emits the recorded
+    ``geqr3`` program task for task — names, edges, priorities,
+    footprints, flops — except for the kernel name in each leaf's
+    ``Cost`` and in the ``tsqr_leaf``, ``tsqr_merge`` and
+    ``caqr_merge_update`` payloads (the tree tasks keep their ``Cost``
+    names ``tpqrt_tt`` / ``tpmqrt``)."""
     m, n, b, tr = shape
     A = np.random.default_rng(20240613).standard_normal((m, n))
     records = []
@@ -218,11 +222,15 @@ def test_default_qr_leaf_renames_only_the_leaf_kernel(shape, tree):
     default, pinned = records
     assert len(default) == len(pinned)
     renamed = [got[0] for got, want in zip(default, pinned) if got != want]
-    assert renamed == [rec[0] for rec in pinned if re.fullmatch(r"P\[\d+\]leaf\d+", rec[0])]
+    set_ops = {"tsqr_leaf", "tsqr_merge", "caqr_merge_update"}
+    assert renamed == [rec[0] for rec in pinned if rec[9] and rec[9][0] in set_ops]
+    assert any(re.fullmatch(r"P\[\d+\]merge.*", name) for name in renamed) == (tr > 1)
     for got, want in zip(default, pinned):
         assert repr(got).replace("'geqrt'", "'geqr3'") == repr(want)
         if got != want:
-            assert got[6][0] == "geqrt" and dict(got[9][1])["kernel"] == "geqrt"
+            assert dict(got[9][1])["kernel"] == "geqrt"
+            leaf = got[9][0] == "tsqr_leaf"
+            assert (got[6][0] == "geqrt") == leaf and got[6][1:] == want[6][1:]
 
 
 @pytest.mark.parametrize("case", BASELINE_CASES, ids=baseline_id)

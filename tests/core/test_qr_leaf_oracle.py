@@ -1,12 +1,16 @@
-"""The QR leaf kernels against LAPACK, and the default one across backends.
+"""The QR kernel sets against LAPACK, and the default one across backends.
 
-CAQR's TSQR leaves run LAPACK ``?geqrt`` by default and the paper's
-recursive ``geqr3`` on request.  Both must meet the backward-stability
+CAQR's TSQR tree runs LAPACK by default — ``?geqrt`` leaves, ``?tpqrt``
+merges, ``?tpmqrt`` node updates (``leaf_kernel="geqrt"``) — and the
+paper's NumPy kernels (recursive ``geqr3`` leaves, ``tpqrt`` /
+``tpmqrt``) on request.  Both sets must meet the backward-stability
 bounds of Householder QR on the same input lattice — tall, ragged,
 wide, more row chunks asked for than there are row blocks,
-rank-deficient, float32, Fortran-order — with ``scipy.linalg.qr`` as
-the oracle for ``R``; and the default's factors must be bitwise the
-same on every executor (``test_golden_digests.py`` pins ``geqr3``'s).
+rank-deficient, float32, Fortran-order — on every tree, in memory and
+out of core, with ``scipy.linalg.qr`` as the oracle for ``R``; the
+default's factors must be bitwise the same on every executor
+(``test_golden_digests.py`` pins ``geqr3``'s), and each merge pair and
+node-update pair must be one vendor call.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.runtime.threaded import ThreadedExecutor
 from tests.core.test_golden_digests import SHAPES, TREES, _crc
 
 KERNELS = ["geqrt", "geqr3"]
+ALL_TREES = [*TREES, TreeKind.HYBRID]
 
 #: Slack on the ``m * eps`` bounds (the constants of Higham's Householder
 #: QR analysis, plus TSQR's tree levels).
@@ -55,27 +60,51 @@ INPUTS = {
 }
 
 
-@pytest.mark.parametrize("tree", TREES, ids=lambda t: t.value)
+def _assert_householder_bounds(A0, Q, R):
+    """``‖A − QR‖/‖A‖``, ``‖QᵀQ − I‖`` and ``|R|`` (against
+    ``scipy.linalg.qr``) within ``C · m · ε`` of *A0*'s precision."""
+    m = A0.shape[0]
+    bound = C * m * np.finfo(A0.dtype).eps
+    k = Q.shape[1]
+    A64 = A0.astype(np.float64)
+    norm = np.linalg.norm(A64, 2)
+    assert np.linalg.norm(Q.T @ Q - np.eye(k), 2) <= bound
+    assert np.linalg.norm(A64 - Q @ R, 2) / norm <= bound
+    R_ref = scipy.linalg.qr(A64, mode="r")[0][:k]
+    assert np.abs(np.abs(R) - np.abs(R_ref)).max() <= bound * norm
+
+
+@pytest.mark.parametrize("tree", ALL_TREES, ids=lambda t: t.value)
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", INPUTS)
 def test_leaf_kernel_meets_the_householder_bounds(name, kernel, tree):
     A, b, tr = INPUTS[name]
     A0 = A.copy()
-    m, n = A.shape
-    bound = C * m * np.finfo(A.dtype).eps
     f = caqr(A, b=b, tr=tr, tree=tree, leaf_kernel=kernel)
     np.testing.assert_array_equal(A, A0)  # the input is not factored in place
     assert f.packed.dtype == A.dtype
+    _assert_householder_bounds(A0, f.q_explicit(), f.R)
 
-    Q = f.q_explicit()
-    k = Q.shape[1]
-    A64 = A0.astype(np.float64)
-    norm = np.linalg.norm(A64, 2)
-    assert np.linalg.norm(Q.T @ Q - np.eye(k), 2) <= bound
-    assert np.linalg.norm(A64 - Q @ f.R, 2) / norm <= bound
 
-    R_ref = scipy.linalg.qr(A64, mode="r")[0][:k]
-    assert np.abs(np.abs(f.R) - np.abs(R_ref)).max() <= bound * norm
+#: name -> (A, memory_budget in bytes): tall panels streamed through a
+#: budget that forces several leaves, hence merges.
+OOC_INPUTS = {
+    "tall-4000x32": (_gaussian(4000, 32), 200_000),
+    "qr_tall-2560x128": (INPUTS["qr_tall-2560x128"][0], 700_000),
+    "float32-1200x24": (_gaussian(1200, 24, np.float32), 40_000),
+}
+
+
+@pytest.mark.parametrize("name", OOC_INPUTS)
+def test_default_kernels_meet_the_householder_bounds_out_of_core(name):
+    """Streamed, a merge's blocks are loaded copies whose strictly lower
+    storage is the only copy of the leaves' ``V``: a merge that wrote
+    more than its upper triangles back would leave ``R`` right and
+    ``Q`` wrong."""
+    A, budget = OOC_INPUTS[name]
+    with tsqr(A, memory_budget=budget) as f:
+        assert len(f.store.merges) >= 2
+        _assert_householder_bounds(A, f.q_explicit(), f.R)
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +144,19 @@ def test_tsqr_calls_geqrt_once_per_leaf():
     assert len(f.store.leaves) == 4
     assert c.kernel_calls.get("geqrt") == 4
     assert "geqr3" not in c.kernel_calls
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_qr_tall_runs_one_vendor_call_per_merge_and_node_update_pair(backend, executors):
+    A, b, tr = INPUTS["qr_tall-2560x128"]
+    executor = executors["process"] if backend == "process" else None
+    with counting() as c:
+        f = caqr(A, b=b, tr=tr, tree=TreeKind.FLAT, executor=executor)
+    # Four panels of tr leaves: tr - 1 merge pairs each, and panel K's
+    # pairs update its 3 - K trailing block columns.
+    pairs = tr - 1
+    assert sum(len(store.merges) for store in f.panels) == 4 * pairs
+    assert c.kernel_calls.get("geqrt") == 4 * tr
+    assert c.kernel_calls.get("lapack_tpqrt") == 4 * pairs
+    assert c.kernel_calls.get("lapack_tpmqrt") == (3 + 2 + 1) * pairs
+    assert not {"geqr3", "tpqrt_tt", "tpmqrt"} & c.kernel_calls.keys()

@@ -1,11 +1,22 @@
-"""Tests for the structured tree/tile kernels (tpqrt, tpmqrt, tstrf, ssssm)."""
+"""Tests for the structured tree/tile kernels (tpqrt, tpmqrt, their
+LAPACK ``?tpqrt`` / ``?tpmqrt`` wrappers, tstrf, ssssm)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.structured import ssssm_apply, tpmqrt_left_t, tpqrt, tstrf
+from repro.analysis.flops import tpmqrt_flops, tpqrt_tt_flops
+from repro.counters import counting
+from repro.kernels.qr import PANEL_KERNELS, TREE_KERNELS
+from repro.kernels.structured import (
+    lapack_tpmqrt,
+    lapack_tpqrt,
+    ssssm_apply,
+    tpmqrt_left_t,
+    tpqrt,
+    tstrf,
+)
 from tests.conftest import make_rng
 
 
@@ -111,6 +122,98 @@ class TestTpqrtTriangular:
         G0 = R1.T @ R1 + R2.T @ R2
         G1 = np.triu(Ra).T @ np.triu(Ra)
         np.testing.assert_allclose(G0, G1, rtol=1e-11, atol=1e-12)
+
+
+def _r_pair(b: int, seed: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    rng = make_rng(seed)
+    return (np.triu(rng.standard_normal((b, b))).astype(dtype) for _ in range(2))
+
+
+class TestLapackTreeKernels:
+    """The vendor merge and node update against the NumPy ones."""
+
+    @pytest.mark.parametrize("b", [32, 16, 7, 1])
+    def test_merge_matches_numpy(self, b):
+        R1, R2 = _r_pair(b, 100 + b)
+        Rn, Bn = R1.copy(), R2.copy()
+        Tn = tpqrt(Rn, Bn, bottom_triangular=True)
+        Rl, Bl = R1.copy(), R2.copy()
+        Tl = lapack_tpqrt(Rl, Bl)
+        scale = max(np.abs(R1).max(), np.abs(R2).max())
+        np.testing.assert_allclose(np.triu(Rl), np.triu(Rn), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(np.triu(Bl), np.triu(Bn), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Tl, Tn, rtol=0, atol=1e-12)
+        Q = explicit_q(np.triu(Bl), Tl)
+        Rnew = np.vstack([np.triu(Rl), np.zeros((b, b))])
+        np.testing.assert_allclose(Q @ Rnew, np.vstack([R1, R2]), rtol=0, atol=1e-12 * scale)
+
+    def test_float32_stays_float32(self):
+        R, B = _r_pair(16, 5, np.float32)
+        Rn, Bn = R.copy(), B.copy()
+        Tn = tpqrt(Rn, Bn, bottom_triangular=True)
+        T = lapack_tpqrt(R, B)
+        assert R.dtype == B.dtype == T.dtype == np.float32
+        np.testing.assert_allclose(T, Tn, rtol=0, atol=1e-4)
+        rng = make_rng(6)
+        Ct, Cb = (rng.standard_normal((16, 5)).astype(np.float32) for _ in range(2))
+        lapack_tpmqrt(np.triu(B), T, Ct, Cb)
+        assert Ct.dtype == Cb.dtype == np.float32
+
+    def test_strictly_lower_storage_comes_back_bit_for_bit(self):
+        """Below both diagonals the tree's in-place views hold the
+        leaves' ``V`` (the only copy, on a streamed panel): the merge
+        must neither read nor write there."""
+        b = 9
+        R1, R2 = _r_pair(b, 7)
+        Rc, Bc = R1.copy(), R2.copy()
+        Tc = lapack_tpqrt(Rc, Bc)
+        lower = np.tri(b, k=-1, dtype=bool)
+        sentinels = np.full((b, b), np.nan)
+        sentinels.view(np.uint64)[...] += np.arange(b * b, dtype=np.uint64).reshape(b, b)
+        R, B = np.where(lower, sentinels, R1), np.where(lower, -sentinels, R2)
+        R_in, B_in = R.copy(), B.copy()
+        T = lapack_tpqrt(R, B)
+        for got, was in ((R, R_in), (B, B_in)):
+            assert np.array_equal(got.view(np.uint64)[lower], was.view(np.uint64)[lower])
+        np.testing.assert_array_equal(T, Tc)
+        np.testing.assert_array_equal(np.triu(R), np.triu(Rc))
+        np.testing.assert_array_equal(np.triu(B), np.triu(Bc))
+
+    @pytest.mark.parametrize("kernel", sorted(TREE_KERNELS))
+    def test_update_applies_the_same_qt_as_numpy(self, kernel):
+        b, n = 12, 7
+        R1, R2 = _r_pair(b, 11)
+        merge, _ = TREE_KERNELS[kernel]
+        Vb = R2.copy()
+        T = merge(R1.copy(), Vb)
+        Vb = np.triu(Vb)
+        rng = make_rng(12)
+        Ct0, Cb0 = rng.standard_normal((b, n)), rng.standard_normal((b, n))
+        Ctn, Cbn = Ct0.copy(), Cb0.copy()
+        tpmqrt_left_t(Vb, T, Ctn, Cbn)
+        Ctl, Cbl = Ct0.copy(), Cb0.copy()
+        lapack_tpmqrt(Vb, T, Ctl, Cbl)
+        np.testing.assert_allclose(Ctl, Ctn, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Cbl, Cbn, rtol=0, atol=1e-12)
+
+    def test_one_call_of_the_closed_form_flops(self):
+        b, n = 8, 5
+        R, B = _r_pair(b, 3)
+        with counting() as c:
+            T = lapack_tpqrt(R, B)
+            lapack_tpmqrt(np.triu(B), T, np.ones((b, n)), np.ones((b, n)))
+        assert c.kernel_calls == {"lapack_tpqrt": 1, "lapack_tpmqrt": 1}
+        assert c.flops == int(tpqrt_tt_flops(b)) + int(tpmqrt_flops(b, n, b))
+
+    def test_every_leaf_kernel_names_a_tree_kernel_set(self):
+        assert TREE_KERNELS.keys() == PANEL_KERNELS.keys()
+        assert TREE_KERNELS["geqrt"] == (lapack_tpqrt, lapack_tpmqrt)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            lapack_tpqrt(np.zeros((3, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            lapack_tpmqrt(np.eye(3), np.eye(3), np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 class TestTstrf:

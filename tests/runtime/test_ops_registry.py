@@ -27,6 +27,7 @@ from repro.runtime.shm import SharedArena, ShmBinding
 from repro.runtime.tilestore import HeapBinding, MmapTileStore, StreamedBinding
 
 M, N, BK = 24, 12, 4  # a 24 x 12 matrix, panel columns [0, 4), two 12-row chunks
+QR_KERNEL = "geqrt"  # the default QR kernel set: LAPACK leaf, merge and node update
 
 
 def _workspace(store) -> PanelWorkspace:
@@ -124,14 +125,20 @@ def case_calu_s(store):
 def _qr_leaf(store, r0, r1):
     v, v_spec = store.alloc_v(r0, r1, 0, BK)
     t, t_spec = store.alloc((BK, BK), store.A.dtype)
-    payload = {"a": store.a_spec, "r0": r0, "r1": r1, "c0": 0, "c1": BK, "kernel": "geqr3", "v": v_spec, "t": t_spec}
+    payload = {
+        "a": store.a_spec, "r0": r0, "r1": r1, "c0": 0, "c1": BK, "kernel": QR_KERNEL,
+        "v": v_spec, "t": t_spec,
+    }
     return ("tsqr_leaf", payload), (v, t), (v_spec, t_spec)
 
 
 def _qr_merge(store):
     vb, vb_spec = store.alloc((BK, BK), store.A.dtype)
     t, t_spec = store.alloc((BK, BK), store.A.dtype)
-    payload = {"a": store.a_spec, "c0": 0, "c1": BK, "bk": BK, "pairs": [(0, 12, vb_spec, t_spec)]}
+    payload = {
+        "a": store.a_spec, "c0": 0, "c1": BK, "bk": BK, "kernel": QR_KERNEL,
+        "pairs": [(0, 12, vb_spec, t_spec)],
+    }
     return ("tsqr_merge", payload), (vb, t), (vb_spec, t_spec)
 
 
@@ -157,7 +164,10 @@ def case_caqr_merge_update(store):
     top, _, _ = _qr_leaf(store, 0, 12)
     bot, _, _ = _qr_leaf(store, 12, 24)
     merge, bufs, (vb_spec, t_spec) = _qr_merge(store)
-    payload = {"a": store.a_spec, "j0": 4, "j1": 12, "bk": BK, "pairs": [(0, 12, vb_spec, t_spec)]}
+    payload = {
+        "a": store.a_spec, "j0": 4, "j1": 12, "bk": BK, "kernel": QR_KERNEL,
+        "pairs": [(0, 12, vb_spec, t_spec)],
+    }
     return [top, bot, merge], ("caqr_merge_update", payload), list(bufs)
 
 
