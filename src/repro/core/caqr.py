@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import Emitter, panel_program
 from repro.core.trees import TreeKind
-from repro.core.tsqr import PanelQRStore, add_tsqr_tasks
+from repro.core.tsqr import PanelQRStore, add_tsqr_tasks, replayed
 from repro.resilience.health import finite_block_guard
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost
@@ -95,8 +95,9 @@ def caqr_program(
         leaves, merges, bk = handles
         K, nc = em.K, j1 - j0
         shared = numeric and {"a": em.store.a_spec, "j0": j0, "j1": j1}
+        vcols = {"c0": K * layout.b, "c1": K * layout.b + bk}  # the panel: where each V is packed
         # Leaf updates: one dlarfb per (chunk, J).
-        for chunk, tid, bufs in leaves:
+        for chunk, tid, t_spec in leaves:
             name = f"S[{K}]leaf{chunk.index},{J}"
             em.task(
                 name,
@@ -105,11 +106,11 @@ def caqr_program(
                 shared
                 and (
                     "caqr_leaf_update",
-                    {**shared, "r0": chunk.r0, "r1": chunk.r1, "v": bufs[0], "t": bufs[1]},
+                    {**shared, **vcols, "r0": chunk.r0, "r1": chunk.r1, "t": t_spec},
                 ),
                 J=J,
-                # The applied reflector comes out of the store, not
-                # the matrix: ("qleaf", K, slot) carries that edge.
+                # V is read from the panel block, T out of the store:
+                # ("qleaf", K, slot) carries that edge.
                 reads=chunk.blocks(K) + [("qleaf", K, chunk.index)],
                 writes=chunk.blocks(J),
                 deps=[tid],
@@ -173,28 +174,15 @@ class CAQRFactorization:
 
     def apply_qt(self, C: np.ndarray) -> np.ndarray:
         """Return ``Q^T C`` for ``C`` of shape ``(m,)`` or ``(m, p)``."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        for store in self.panels:
-            store.apply_qt(W)
-        return W[:, 0] if squeeze else W
+        return replayed(C, self.m, [store.apply_qt for store in self.panels])
 
     def apply_q(self, C: np.ndarray) -> np.ndarray:
         """Return ``Q C`` for ``C`` of shape ``(m,)`` or ``(m, p)``."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        for store in reversed(self.panels):
-            store.apply_q(W)
-        return W[:, 0] if squeeze else W
+        return replayed(C, self.m, [store.apply_q for store in reversed(self.panels)])
 
     def q_explicit(self) -> np.ndarray:
         """The thin ``Q`` (``m x min(m, n)``)."""
-        r = min(self.packed.shape)
-        E = np.zeros((self.m, r))
-        np.fill_diagonal(E, 1.0)
-        return self.apply_q(E)
+        return self.apply_q(np.eye(self.m, min(self.packed.shape)))
 
     def reconstruct(self) -> np.ndarray:
         """Recompute ``A = Q R`` (for verification)."""

@@ -36,7 +36,7 @@ from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.process import resolve_executor
-from repro.runtime.shm import staged
+from repro.runtime.shm import staged, working_dtype
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.sync import make_lock
 
@@ -93,8 +93,9 @@ def _calu_result(A, panels, detach, *, layout, tr, tree, trace):
 
 
 def _caqr_result(A, panels, detach, *, layout, tr, tree, trace):
-    panels = [qs.detached(detach) for qs in panels]
-    return CAQRFactorization(detach(A), panels, b=layout.b, tr=tr, tree=tree, trace=trace)
+    packed = detach(A)
+    panels = [qs.detached(detach, packed) for qs in panels]
+    return CAQRFactorization(packed, panels, b=layout.b, tr=tr, tree=tree, trace=trace)
 
 
 def _tslu_result(A, panels, detach, **_):
@@ -103,7 +104,8 @@ def _tslu_result(A, panels, detach, **_):
 
 def _tsqr_result(A, panels, detach, *, layout, tr, tree, trace):
     R = np.triu(A[: layout.n, :])  # np.triu already allocates a fresh array
-    return TSQRFactorization(layout.m, layout.n, panels[0].detached(detach), R, tr=tr, tree=tree)
+    store = panels[0].detached(detach, detach(A))  # the leaves' V stays packed in A
+    return TSQRFactorization(layout.m, layout.n, store, R, tr=tr, tree=tree)
 
 
 #: The full factorizations, by the kind the autotuner and the service key on.
@@ -433,8 +435,7 @@ def factorize(
     decision = getattr(executor, "autotune_decision", None) if owned else None
     key = None
     if checkpoint is None and not overwrite:
-        dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.dtype(np.float64)
-        key = (alg, A.shape, dtype, b, tr, tree, leaf_kernel, shared, guards)
+        key = (alg, A.shape, working_dtype(A), b, tr, tree, leaf_kernel, shared, guards)
         key += tuple(sorted(build.items()))
         try:
             hash(key)

@@ -74,6 +74,7 @@ from repro.core.panelloop import merged_chunks
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
 from repro.kernels.qr import extract_v, geqr3
+from repro.runtime.shm import working_dtype
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.tilestore import StreamedBinding, TileStore, open_store
 
@@ -121,21 +122,21 @@ def as_source(source) -> MatrixSource:
         shape, fill = source
         m, n = (int(s) for s in shape)
         return MatrixSource(shape=(m, n), fill=fill)
-    A = np.asarray(source, dtype=np.float64)
+    A = np.asarray(source)
     if A.ndim != 2:
         raise ValueError(f"panel source must be 2-D, got shape {A.shape}")
     return MatrixSource(shape=A.shape, fill=lambda r0, r1: A[r0:r1])
 
 
-def _plan_tr(m: int, n: int, tr: int | None, memory_budget: int | None, n_workers: int) -> int:
+def _plan_tr(m: int, n: int, tr, memory_budget, n_workers: int, itemsize: int = 8) -> int:
     """The ``tr`` to hand the in-memory program: the caller's, or the
     one whose chunk height keeps the resident set — one loaded block
     per worker, the resident root/top block and one staging buffer —
-    under *memory_budget* bytes."""
+    of *itemsize*-byte entries under *memory_budget* bytes."""
     if tr is not None:
         return tr
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else int(memory_budget)
-    block_row_bytes = n * n * np.dtype(np.float64).itemsize
+    block_row_bytes = n * n * itemsize
     per = max(1, budget // ((n_workers + 2) * block_row_bytes))  # block-rows per chunk
     return max(1, math.ceil(BlockLayout(m, n, b=n).M / per))
 
@@ -160,13 +161,13 @@ def plan_chunks(
 
 
 def _stage_panel(
-    store: TileStore, src: MatrixSource, chunks: list[Chunk], check_finite: bool
+    store: TileStore, src: MatrixSource, chunks: list[Chunk], check_finite: bool, dtype
 ) -> tuple:
-    """Reserve a store region for the panel and stream the source in."""
+    """Reserve a *dtype* store region for the panel and stream the source in."""
     m, n = src.shape
-    a_spec = store.reserve((m, n))
+    a_spec = store.reserve((m, n), dtype)
     for chunk in chunks:
-        block = np.ascontiguousarray(src.fill(chunk.r0, chunk.r1), dtype=np.float64)
+        block = np.ascontiguousarray(src.fill(chunk.r0, chunk.r1), dtype=dtype)
         if block.shape != (chunk.rows, n):
             raise ValueError(
                 f"source fill({chunk.r0}, {chunk.r1}) returned {block.shape}, "
@@ -226,12 +227,13 @@ def _streamed(
     m, n = src.shape
     if m < n:
         raise ValueError(f"{alg.name.lower()} requires a tall panel (m >= n), got {src.shape}")
-    tr = _plan_tr(m, n, tr, memory_budget, n_workers)
+    dtype = working_dtype(source)  # as the in-memory drivers stage it
+    tr = _plan_tr(m, n, tr, memory_budget, n_workers, dtype.itemsize)
     validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
     chunks = plan_chunks(m, n, tr=tr)
     tiles, owned = open_store(store, spill_dir)
     try:
-        a_spec = _stage_panel(tiles, src, chunks, check_finite)
+        a_spec = _stage_panel(tiles, src, chunks, check_finite, dtype)
         binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
         plan = compile(alg, binding, tr=tr, tree=tree, leaf_kernel=leaf_kernel)
         plan.run(ThreadedExecutor(max(1, n_workers)))
@@ -406,17 +408,18 @@ def direct_tsqr(
     if m < n:
         raise ValueError(f"direct_tsqr requires a tall panel (m >= n), got {src.shape}")
     chunks = plan_chunks(m, n, tr=tr, memory_budget=memory_budget, n_workers=1)
+    dtype = working_dtype(source)
     store_obj = q_spec = None
     owned = False
     try:
         if want_q:
             store_obj, owned = open_store(store, spill_dir)
-            q_spec = store_obj.reserve((m, n))
+            q_spec = store_obj.reserve((m, n), dtype)
         r_stack: list[np.ndarray] = []
         for chunk in chunks:
             # Copy: the block is factored in place, and an ndarray
             # source's fill returns a view of the caller's matrix.
-            W = np.array(src.fill(chunk.r0, chunk.r1), dtype=np.float64, order="C")
+            W = np.array(src.fill(chunk.r0, chunk.r1), dtype=dtype, order="C")
             if check_finite and not np.isfinite(W).all():
                 raise ValueError(
                     f"panel rows [{chunk.r0}, {chunk.r1}) contain non-finite entries"

@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass
 class LeafFactor:
-    """WY factor of one leaf QR: rows ``[r0, r1)``, ``Q = I - V T V^T``."""
+    """WY factor of one leaf QR: rows ``[r0, r1)``, ``Q = I - V T V^T``;
+    ``V`` unpacks (``np.asarray``) from the leaf's rows of the matrix."""
 
     slot: int
     r0: int
@@ -70,11 +71,11 @@ class PanelQRStore:
     """Implicit-Q storage for one panel: leaves plus ordered merges.
 
     A builder fills it when the panel's window is emitted: the entries'
-    ``V``/``T``/``Vb`` arrays are views of buffers allocated from the
+    ``T``/``Vb`` arrays are views of buffers allocated from the
     builder's ``store=`` binding, which the panel's tasks then write —
-    on every backend, so there is no second copy to publish.  (Over a
-    streamed binding a leaf's ``V`` is not a buffer but an array-like
-    that unpacks the reflectors from the stored panel on use.)
+    on every backend, so there is no second copy to publish.  A leaf's
+    ``V`` has no buffer on any plane: it stays packed below ``R`` in
+    the leaf's factored rows of the matrix, its only copy.
     """
 
     leaves: dict[int, LeafFactor] = field(default_factory=dict)
@@ -82,10 +83,11 @@ class PanelQRStore:
     #: QR arms no pivot-growth monitor (cf. ``PanelWorkspace.absmax``).
     absmax = None
 
-    def detached(self, detach) -> "PanelQRStore":
-        """This store with every factor passed through *detach* (a
-        binding's copy-out), for results that outlive the binding."""
-        leaves = {s: replace(f, V=detach(f.V), T=detach(f.T)) for s, f in self.leaves.items()}
+    def detached(self, detach, A) -> "PanelQRStore":
+        """This store for a result that outlives the binding: the leaves
+        read ``V`` from *A*, the result's copy of the matrix, and every
+        other factor passes through *detach* (a binding's copy-out)."""
+        leaves = {s: replace(f, V=f.V.over(A), T=detach(f.T)) for s, f in self.leaves.items()}
         merges = [replace(f, Vb=detach(f.Vb), T=detach(f.T)) for f in self.merges]
         return PanelQRStore(leaves, merges)
 
@@ -96,9 +98,8 @@ class PanelQRStore:
     def restore(self, arrays: dict) -> None:
         """Refill the factor buffers from a :meth:`to_arrays` payload
         (checkpoint resume), in place: the buffers are what the tasks'
-        descriptors address."""
+        descriptors address (the leaves' ``V``: with the matrix)."""
         for slot, leaf in self.leaves.items():
-            np.copyto(leaf.V, arrays[f"leaf{slot}_V"])
             np.copyto(leaf.T, arrays[f"leaf{slot}_T"])
         for i, mf in enumerate(self.merges):
             np.copyto(mf.Vb, arrays[f"merge{i}_Vb"])
@@ -131,11 +132,11 @@ class PanelQRStore:
     # Checkpoint serialization
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict:
-        """Flatten the store to named arrays (checkpoint payloads)."""
+        """Flatten the store to named arrays (checkpoint payloads; a
+        leaf's ``V`` is in the matrix snapshot)."""
         out: dict = {"n_merges": np.int64(len(self.merges))}
         for slot, leaf in self.leaves.items():
             out[f"leaf{slot}_idx"] = np.array([leaf.slot, leaf.r0, leaf.r1], dtype=np.int64)
-            out[f"leaf{slot}_V"] = leaf.V
             out[f"leaf{slot}_T"] = leaf.T
         for i, mf in enumerate(self.merges):
             out[f"merge{i}_idx"] = np.array([mf.top0, mf.bot0, mf.r], dtype=np.int64)
@@ -176,15 +177,16 @@ def add_tsqr_tasks(
     panel: the loop's P step for QR.
 
     Returns what CAQR attaches trailing updates to: the leaves as
-    ``(chunk, task id, (V, T) buffer specs)`` and the merge steps.
-    Numeric tasks are descriptors over ``em.store``, the binding of the
-    matrix they factor in place (a
+    ``(chunk, task id, T buffer spec)`` and the merge steps.  Numeric
+    tasks are descriptors over ``em.store``, the binding of the matrix
+    they factor in place (a
     :class:`~repro.runtime.tilestore.HeapBinding`, a
     :class:`~repro.runtime.shm.ShmBinding` or, out of core, a
-    :class:`~repro.runtime.tilestore.StreamedBinding`): the WY factors
-    live in buffers allocated from it and *qstore*'s entries are created
-    here as views of those buffers.  A symbolic emitter's tasks carry
-    costs only (*qstore* is None, the buffer specs too).
+    :class:`~repro.runtime.tilestore.StreamedBinding`): the ``T``/``Vb``
+    factors live in buffers allocated from it (a leaf's ``V`` in the
+    matrix) and *qstore*'s entries are created here as views of those.
+    A symbolic emitter's tasks carry costs only (*qstore* is None, the
+    buffer specs too).
 
     With ``em.block_guards`` every task guards the finiteness of the
     ``R`` block it leaves in the matrix: QR has no fallback, so a
@@ -200,17 +202,16 @@ def add_tsqr_tasks(
 
     leaves: list[tuple] = []
     for chunk in chunks:
-        op = bufs = None
+        op = t_spec = None
         if numeric:
             k = min(chunk.rows, bk)  # reflector count of this leaf
-            v_view, v_spec = store.alloc_v(chunk.r0, chunk.r1, c0, c1)
+            v_view, _ = store.alloc_v(chunk.r0, chunk.r1, c0, c1)  # no buffer: V stays in A
             t_view, t_spec = store.alloc((k, k), dtype)
-            bufs = (v_spec, t_spec)
             qstore.leaves[chunk.index] = LeafFactor(
                 slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=v_view, T=t_view
             )
             rows = {"r0": chunk.r0, "r1": chunk.r1}
-            op = ("tsqr_leaf", {**shared, **rows, "kernel": leaf_kernel, "v": v_spec, "t": t_spec})
+            op = ("tsqr_leaf", {**shared, **rows, "kernel": leaf_kernel, "t": t_spec})
         # ("qleaf", K, slot) keys the WY factor this task deposits in
         # the panel's PanelQRStore — read later by the trailing updates
         # that apply the leaf reflector.
@@ -224,7 +225,7 @@ def add_tsqr_tasks(
             writes=chunk.blocks(K) + [("qleaf", K, chunk.index)],
             guard=em.block_guards and finite_block_guard(A, chunk.r0, chunk.r1, c0, c1, name),
         )
-        leaves.append((chunk, tid, bufs))
+        leaves.append((chunk, tid, t_spec))
 
     merge_steps: list[MergeStep] = []
     for lvl, level in enumerate(reduction_schedule(len(chunks), tree, arity), start=1):
@@ -259,6 +260,15 @@ def add_tsqr_tasks(
     return leaves, merge_steps
 
 
+def replayed(C, m: int, steps) -> np.ndarray:
+    """A float copy of *C* (``(m,)`` or ``(m, p)``) with each of *steps*
+    (``PanelQRStore.apply_q``/``apply_qt``) applied in place, in order."""
+    W = np.array(C, dtype=float, copy=True).reshape(m, -1)
+    for step in steps:
+        step(W)
+    return W[:, 0] if np.ndim(C) == 1 else W
+
+
 @dataclass
 class TSQRFactorization:
     """Result of :func:`tsqr`: ``A = Q R`` with implicit ``Q``."""
@@ -272,25 +282,15 @@ class TSQRFactorization:
 
     def apply_qt(self, C: np.ndarray) -> np.ndarray:
         """Return ``Q^T C`` (``C`` is ``(m, p)`` or ``(m,)``)."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        self.store.apply_qt(W)
-        return W[:, 0] if squeeze else W
+        return replayed(C, self.m, [self.store.apply_qt])
 
     def apply_q(self, C: np.ndarray) -> np.ndarray:
         """Return ``Q C`` (``C`` is ``(m, p)`` or ``(m,)``)."""
-        C = np.array(C, dtype=float, copy=True)
-        squeeze = C.ndim == 1
-        W = C.reshape(self.m, -1)
-        self.store.apply_q(W)
-        return W[:, 0] if squeeze else W
+        return replayed(C, self.m, [self.store.apply_q])
 
     def q_explicit(self) -> np.ndarray:
         """The thin ``Q`` (``m x n``), formed by applying ``Q`` to ``[I; 0]``."""
-        E = np.zeros((self.m, self.n))
-        np.fill_diagonal(E, 1.0)
-        return self.apply_q(E)
+        return self.apply_q(np.eye(self.m, self.n))
 
     def solve_ls(self, rhs: np.ndarray) -> np.ndarray:
         """Least-squares solution of ``min ||A x - rhs||`` via ``Q R``."""

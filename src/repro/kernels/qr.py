@@ -239,9 +239,12 @@ def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:
 
 
 def extract_v(panel: np.ndarray) -> np.ndarray:
-    """Copy the unit-lower-trapezoidal ``V`` out of a factored panel."""
+    """Copy the unit-lower-trapezoidal ``V`` out of a factored panel:
+    one block copy, then only its ``k x k`` head is masked."""
     m, n = panel.shape
-    V = np.tril(panel[:, : min(m, n)], -1)
+    k = min(m, n)
+    V = panel[:, :k].copy()
+    np.copyto(V[:k], 0.0, where=~np.tri(k, dtype=bool, k=-1))
     np.fill_diagonal(V, 1.0)
     return V
 

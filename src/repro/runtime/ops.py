@@ -28,8 +28,9 @@ conventions:
   first ``count[0]`` rows are valid;
 * a pivot buffer stores ``[length, swap_0, swap_1, ...]``;
 * a panel's ``flags`` buffer is ``[degraded, recomputed]``;
-* leaf ``V``/``T`` and merge ``Vb``/``T`` buffers hold the implicit-Q
-  factors the ``PanelQRStore`` entries are views of.
+* leaf ``T`` and merge ``Vb``/``T`` buffers hold the implicit-Q
+  factors the ``PanelQRStore`` entries are views of (a leaf's ``V``
+  has none: it stays packed below ``R`` in the panel).
 
 Payloads carry coordinates and specs only — no :mod:`repro.core`
 object — so this module imports the kernels at module scope and stays
@@ -234,10 +235,7 @@ def _op_tsqr_leaf(p: dict) -> None:
     A = attach_array(p["a"])
     r0, r1, c0, c1 = p["r0"], p["r1"], p["c0"], p["c1"]
     block = A[r0:r1, c0:c1]
-    T = QR_PANEL_KERNELS[p["kernel"]](block)
-    if p["v"] is not None:  # None: the binding keeps V packed in the panel
-        attach_array(p["v"])[...] = extract_v(block)
-    attach_array(p["t"])[...] = T
+    attach_array(p["t"])[...] = QR_PANEL_KERNELS[p["kernel"]](block)
     _write_back(A, r0, r1, c0, c1, block)
 
 
@@ -258,9 +256,9 @@ def _op_tsqr_merge(p: dict) -> None:
 
 def _op_caqr_leaf_update(p: dict) -> None:
     A = attach_array(p["a"])
-    larfb_left_t(
-        attach_array(p["v"]), attach_array(p["t"]), A[p["r0"] : p["r1"], p["j0"] : p["j1"]]
-    )
+    r0, r1 = p["r0"], p["r1"]
+    V = extract_v(A[r0:r1, p["c0"] : p["c1"]])  # the leaf's reflectors, packed in the panel
+    larfb_left_t(V, attach_array(p["t"]), A[r0:r1, p["j0"] : p["j1"]])
 
 
 def _op_caqr_merge_update(p: dict) -> None:

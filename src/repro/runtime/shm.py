@@ -33,7 +33,7 @@ from repro.runtime.tilestore import (
     spec_nbytes,
 )
 
-__all__ = ["SharedArena", "ShmBinding", "attach_array", "spec_nbytes", "staged"]
+__all__ = ["SharedArena", "ShmBinding", "attach_array", "spec_nbytes", "staged", "working_dtype"]
 
 #: Every live arena, so interpreter exit can best-effort destroy them.
 #: Weak references: a collected arena already ran ``__del__``'s destroy.
@@ -109,6 +109,13 @@ class ShmBinding(HeapBinding):
         return np.array(array)
 
 
+def working_dtype(A) -> np.dtype:
+    """The dtype *A* is factored in: a float32 or float64 array keeps
+    its own, anything else (a shape, an integer matrix) is float64."""
+    dtype = np.dtype(getattr(A, "dtype", None))
+    return dtype if dtype in (np.float32, np.float64) else np.dtype(np.float64)
+
+
 def staged(A, shared: bool = False, *, overwrite: bool = False):
     """Make a factorization's one working buffer and bind it: returns
     ``(binding, arena)``, the arena (if one was made here) being the
@@ -124,11 +131,8 @@ def staged(A, shared: bool = False, *, overwrite: bool = False):
     """
     if hasattr(A, "a_spec"):
         return A, None
-    if isinstance(A, tuple):
-        A, shape, dtype = None, A, np.float64
-    else:
-        shape = A.shape
-        dtype = A.dtype if A.dtype in (np.float32, np.float64) else np.float64
+    A, shape = (None, A) if isinstance(A, tuple) else (A, A.shape)
+    dtype = working_dtype(A)
     if shared:
         arena = SharedArena()
         buffer = arena.alloc(shape, dtype, zero=A is None)

@@ -442,9 +442,10 @@ class HeapBinding:
         self.nbytes += arr.nbytes
         return arr, arr
 
-    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buffer for the unit-lower ``V`` of a leaf QR of ``A[r0:r1, c0:c1]``."""
-        return self.alloc((r1 - r0, min(r1 - r0, c1 - c0)), self.A.dtype)
+    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple["_PackedV", None]:
+        """The unit-lower ``V`` of a leaf QR of ``A[r0:r1, c0:c1]``: no
+        buffer (spec ``None``), the reflectors stay in the factored rows."""
+        return _PackedV(self.A, r0, r1, c0, c1), None
 
     @staticmethod
     def detach(array: np.ndarray) -> np.ndarray:
@@ -510,16 +511,22 @@ class StreamedPanel:
 
 
 class _PackedV:
-    """A leaf's ``V`` left packed in its factored rows of a streamed
-    panel: ``np.asarray`` loads the window and unpacks it on use."""
+    """A leaf's ``V``, packed below ``R`` in its factored rows of *A* as
+    ``?geqrt`` leaves it (the merges write only upper triangles), on
+    every plane: ``np.asarray`` unpacks it, loading a streamed window."""
 
-    def __init__(self, A: StreamedPanel, r0: int, r1: int, c0: int, c1: int) -> None:
-        self.A, self.window = A, (slice(r0, r1), slice(c0, c1))
+    def __init__(self, A, r0: int, r1: int, c0: int, c1: int) -> None:
+        self.A, self.bounds = A, (r0, r1, c0, c1)
+
+    def over(self, A) -> "_PackedV":
+        """The same leaf in *A*, a copy of the matrix this one reads."""
+        return _PackedV(A, *self.bounds)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         from repro.kernels.qr import extract_v  # kernels -> counters -> runtime: cyclic at import
 
-        return extract_v(self.A[self.window])
+        r0, r1, c0, c1 = self.bounds
+        return extract_v(self.A[r0:r1, c0:c1])
 
 
 class StreamedBinding(HeapBinding):
@@ -531,11 +538,6 @@ class StreamedBinding(HeapBinding):
 
     def __init__(self, store: TileStore, spec: tuple, max_rows: int) -> None:
         super().__init__(StreamedPanel(store, spec, max_rows))
-
-    def alloc_v(self, r0: int, r1: int, c0: int, c1: int) -> tuple[_PackedV, None]:
-        """No buffer: the reflectors stay in the panel (spec ``None``
-        tells the leaf op to skip its copy)."""
-        return _PackedV(self.A, r0, r1, c0, c1), None
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import re
+
 from repro.core.caqr import caqr_program, caqr
+from repro.core.driver import ALGORITHMS, compile
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.machine.presets import generic
+from repro.resilience.checkpoint import Checkpoint, MemoryStore
+from repro.resilience.recovery import RuntimeFailure
+from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import make_rng
@@ -158,3 +164,79 @@ def test_property_caqr_random_shapes(seed):
     f = caqr(A0, b=b, tr=tr)
     err = np.linalg.norm(A0 - f.reconstruct()) / np.linalg.norm(A0)
     assert err < 1e-10, (m, n, b, tr, err)
+
+
+class TestReflectorsStoredOnce:
+    """A leaf's ``V`` lives only in its factored rows of the panel: no
+    plan buffer, result array or checkpoint payload holds a second copy."""
+
+    M, N, B, TR = 2560, 128, 32, 8  # qr_tall
+
+    def _buffers(self, plan):
+        """Every workspace array the plan's panels address."""
+        for store in plan.state:
+            for leaf in store.leaves.values():
+                assert not isinstance(leaf.V, np.ndarray)  # a packed view, no buffer
+                yield leaf.T
+            for mf in store.merges:
+                yield from (mf.Vb, mf.T)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["heap", "shm"])
+    def test_a_plan_holds_only_the_t_and_vb_buffers(self, shared):
+        A = make_rng(14).standard_normal((self.M, self.N))
+        plan = compile(
+            ALGORITHMS["qr"], A, b=self.B, tr=self.TR, tree=TreeKind.FLAT,
+            leaf_kernel="geqrt", shared=shared,
+        )
+        try:
+            bufs = list(self._buffers(plan))
+            assert max(buf.shape[0] for buf in bufs) == self.B  # no buffer has m rows
+            held = plan.store.nbytes - A.nbytes
+            if shared:  # the arena aligns every buffer to 64 bytes
+                assert held <= sum(buf.nbytes + 64 for buf in bufs)
+            else:
+                assert held == sum(buf.nbytes for buf in bufs)
+        finally:
+            plan.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_a_result_references_exactly_one_m_by_n_array(self, backend):
+        A = make_rng(15).standard_normal((self.M, self.N))
+        if backend == "process":
+            with ProcessExecutor(2) as ex:
+                f = caqr(A, b=self.B, tr=self.TR, executor=ex)
+        else:
+            f = caqr(A, b=self.B, tr=self.TR)
+        others = [f.packed]
+        for store in f.panels:
+            for leaf in store.leaves.values():
+                assert leaf.V.A is f.packed
+                others.append(leaf.T)
+            others += [a for mf in store.merges for a in (mf.Vb, mf.T)]
+        assert [a.shape for a in others if a.shape[0] == self.M] == [A.shape]
+        C = make_rng(16).standard_normal((self.M, 2))
+        np.testing.assert_allclose(f.apply_q(f.apply_qt(C)), C, atol=1e-11)
+
+    def test_a_tsqr_result_reads_every_leaf_from_one_copy(self):
+        from repro.core.tsqr import tsqr
+
+        f = tsqr(make_rng(17).standard_normal((400, 16)), tr=4)
+        assert len({id(leaf.V.A) for leaf in f.store.leaves.values()}) == 1
+
+    def test_a_checkpoint_payload_has_no_leaf_v_and_resume_is_bitwise(self):
+        from tests.resilience.test_chaos_soak import CrashAfter
+
+        A = make_rng(18).standard_normal((80, 48))
+        clean = caqr(A, b=8, tr=2)
+        ckpt = Checkpoint(MemoryStore())
+        with pytest.raises(RuntimeFailure):
+            caqr(A, b=8, tr=2, executor=CrashAfter(ThreadedExecutor(2), 60), checkpoint=ckpt)
+        chain = ckpt.snapshot_chain()
+        assert chain
+        keys = {key for K in chain for key in ckpt.load_snapshot(K)}
+        assert any(re.fullmatch(r"panel\d+_leaf\d+_T", key) for key in keys)
+        assert not any(re.search(r"leaf\d+_V", key) for key in keys)
+        f = caqr(A, b=8, tr=2, checkpoint=ckpt)
+        assert f.trace.resilience_summary().get("resume") == 1
+        assert np.array_equal(f.packed, clean.packed)
+        assert np.array_equal(f.q_explicit(), clean.q_explicit())

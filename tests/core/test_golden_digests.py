@@ -67,6 +67,9 @@ def digest(case, executor) -> int:
     arrays = [f.packed]
     for store in f.panels:
         flat = store.to_arrays()
+        # A leaf's V is packed in the matrix, no longer in the payload:
+        # hash its unpacked bits under the key it was recorded with.
+        flat |= {f"leaf{s}_V": np.asarray(leaf.V) for s, leaf in store.leaves.items()}
         arrays += [flat[key] for key in sorted(flat)]
     return _crc(arrays)
 

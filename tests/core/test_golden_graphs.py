@@ -23,7 +23,10 @@ The QR cases pass ``leaf_kernel="geqr3"``, the kernel set they were
 recorded with; the default set (LAPACK ``geqrt``) differs from it only
 in that name (``test_default_qr_leaf_renames_only_the_leaf_kernel``).
 The numeric QR entries were re-recorded when the ``tsqr_merge`` and
-``caqr_merge_update`` payloads gained the set's ``"kernel"`` key.
+``caqr_merge_update`` payloads gained the set's ``"kernel"`` key, and
+again when a leaf's ``V`` stopped having a buffer: ``tsqr_leaf`` lost
+its ``"v"`` spec and ``caqr_leaf_update`` traded it for the panel's
+``"c0"``/``"c1"`` (the costs, footprints and edges did not move).
 
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).

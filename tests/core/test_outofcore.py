@@ -135,6 +135,23 @@ def test_driver_store_param_routes_out_of_core():
     np.testing.assert_array_equal(piv_mem, piv_ooc)
 
 
+def test_float32_stays_float32_out_of_core():
+    """A float32 panel is staged, streamed and factored in float32, as
+    the in-memory drivers factor it (float64 runs keep the parity tests
+    above bit for bit)."""
+    A = RNG.standard_normal((4000, 32)).astype(np.float32)
+    f_mem = tsqr(A, tr=4)
+    bound = 10 * A.shape[0] * np.finfo(np.float32).eps * np.linalg.norm(A, 2)
+    with tsqr(A, tr=4, memory_budget=200_000) as f:
+        assert f.R.dtype == f.panel().dtype == np.float32
+        assert np.abs(np.abs(f.R) - np.abs(f_mem.R)).max() <= bound
+    with tsqr_ooc(A, tr=4) as f:  # the in-memory chunking: the in-memory bits
+        np.testing.assert_array_equal(f.R, f_mem.R)
+    with direct_tsqr(A, memory_budget=200_000, want_q=True) as d:
+        assert d.R.dtype == d.q_explicit().dtype == np.float32
+        assert np.abs(np.abs(d.R) - np.abs(f_mem.R)).max() <= bound
+
+
 def test_driver_store_param_rejects_conflicts():
     A = RNG.standard_normal((40, 4))
     with pytest.raises(ValueError, match="executor"):

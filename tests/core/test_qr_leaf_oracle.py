@@ -10,7 +10,11 @@ rank-deficient, float32, Fortran-order — on every tree, in memory and
 out of core, with ``scipy.linalg.qr`` as the oracle for ``R``; the
 default's factors must be bitwise the same on every executor
 (``test_golden_digests.py`` pins ``geqr3``'s), and each merge pair and
-node-update pair must be one vendor call.
+node-update pair must be one vendor call.  The leaf updates (``larfb``
+over the ``V`` each leaf leaves packed in the panel) are checked by the
+``Q`` they build: ``QᵀA`` must be ``[R; 0]`` and ``Q`` must undo ``Qᵀ``
+on every kernel set, tree, plane and precision, and each of two
+mutations of the packed-``V`` contract must break that check.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import pytest
 import scipy.linalg
 
 from repro.core.caqr import caqr
+from repro.core.driver import ALGORITHMS, compile
+from repro.runtime import ops
+from repro.runtime.tilestore import attach_array
 from repro.core.trees import TreeKind
 from repro.core.tsqr import tsqr
 from repro.counters import counting
@@ -160,3 +167,89 @@ def test_qr_tall_runs_one_vendor_call_per_merge_and_node_update_pair(backend, ex
     assert c.kernel_calls.get("lapack_tpqrt") == 4 * pairs
     assert c.kernel_calls.get("lapack_tpmqrt") == (3 + 2 + 1) * pairs
     assert not {"geqr3", "tpqrt_tt", "tpmqrt"} & c.kernel_calls.keys()
+
+
+# ---------------------------------------------------------------------------
+# The leaf update: Q built from the V packed in the panel
+# ---------------------------------------------------------------------------
+
+#: name -> (A, b, tr): a tall, a ragged and a wide CAQR (several panels,
+#: so leaf updates run), each in float64 and float32.
+LEAF_UPDATE_INPUTS = {
+    f"{name}-{np.dtype(dtype).name}": (INPUTS[name][0].astype(dtype), *INPUTS[name][1:])
+    for name in ("qr_tall-2560x128", "ragged-100x70", "wide-48x80")
+    for dtype in (np.float64, np.float32)
+}
+
+
+def _q_residuals(A, f) -> tuple[float, float]:
+    """``‖QᵀA − [R; 0]‖/‖A‖`` and ``‖Q(QᵀC) − C‖/‖C‖`` for a random ``C``."""
+    A64 = A.astype(np.float64)
+    W = f.apply_qt(A64)
+    W[: f.R.shape[0]] -= f.R
+    C = np.random.default_rng(3).standard_normal((A.shape[0], 3))
+    return (
+        np.linalg.norm(W) / np.linalg.norm(A64),
+        np.linalg.norm(f.apply_q(f.apply_qt(C)) - C) / np.linalg.norm(C),
+    )
+
+
+def _bound(A) -> float:
+    return C * A.shape[0] * np.finfo(A.dtype).eps
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("tree", ALL_TREES, ids=lambda t: t.value)
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", LEAF_UPDATE_INPUTS)
+def test_leaf_updates_build_the_q_of_r(name, kernel, tree, backend, executors):
+    A, b, tr = LEAF_UPDATE_INPUTS[name]
+    executor = executors["process"] if backend == "process" else None
+    f = caqr(A, b=b, tr=tr, tree=tree, leaf_kernel=kernel, executor=executor)
+    assert f.packed.dtype == A.dtype
+    assert max(_q_residuals(A, f)) <= _bound(A)
+
+
+def _leaf_update_from_a_neighbouring_panel(p):
+    """Mutation: ``V`` read from the neighbouring panel's columns."""
+    w = p["c1"] - p["c0"]
+    shift = -w if p["c0"] >= w else w
+    ORIGINAL_OPS["caqr_leaf_update"]({**p, "c0": p["c0"] + shift, "c1": p["c1"] + shift})
+
+
+def _merge_writing_triu_whole(p):
+    """Mutation: a merge that writes ``triu(B)`` over the whole bottom
+    block, zeroing the strictly lower storage — the leaf's ``V``."""
+    ORIGINAL_OPS["tsqr_merge"](p)
+    A, bk = attach_array(p["a"]), p["bk"]
+    for _, s0, _, _ in p["pairs"]:
+        B = A[s0 : s0 + bk, p["c0"] : p["c1"]]
+        B[...] = np.triu(B)
+
+
+ORIGINAL_OPS = dict(ops.OPS)
+MUTATIONS = {
+    "caqr_leaf_update": _leaf_update_from_a_neighbouring_panel,
+    "tsqr_merge": _merge_writing_triu_whole,
+}
+
+
+@pytest.mark.parametrize("plane", ["heap", "shm"])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("op", MUTATIONS)
+def test_each_mutation_of_the_packed_v_fails_the_check(op, kernel, plane, monkeypatch):
+    """The check has teeth: with either mutation run in this process
+    over a heap or a shared-memory binding, the residuals leave the
+    bound (every plane keeps ``V`` only in the panel, so the merge's
+    one breaks ``Q`` on all of them; out of core, see above)."""
+    A, b, tr = LEAF_UPDATE_INPUTS["qr_tall-2560x128-float64"]
+    monkeypatch.setitem(ops.OPS, op, MUTATIONS[op])
+    plan = compile(
+        ALGORITHMS["qr"], A, b=b, tr=tr, tree=TreeKind.FLAT, leaf_kernel=kernel,
+        shared=plane == "shm",
+    )
+    try:
+        f = plan.result(plan.run(ThreadedExecutor(1)), plan.store.detach)
+    finally:
+        plan.close()
+    assert max(_q_residuals(A, f)) > _bound(A)

@@ -94,6 +94,34 @@ class TestGeqr2:
         np.testing.assert_array_equal(A, 0.0)
 
 
+def _extract_v_reference(panel: np.ndarray) -> np.ndarray:
+    """``np.tril`` over the whole block: what :func:`extract_v` computed
+    before it copied once and masked only the ``k x k`` head."""
+    V = np.tril(panel[:, : min(panel.shape)], -1)
+    np.fill_diagonal(V, 1.0)
+    return V
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (8, 8), (5, 9), (1, 3), (7, 1), (0, 4)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_extract_v_is_bitwise_the_tril_reference(shape, dtype, order):
+    """Same bits as the reference for every input, non-finite and
+    signed zeros included, in every position of the block."""
+    rng = make_rng(sum(shape))
+    big = rng.standard_normal((2 * shape[0] + 1, 2 * shape[1] + 1)).astype(dtype)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype)
+    big.flat[rng.integers(0, big.size, big.size // 3)] = rng.choice(specials, big.size // 3)
+    panel = {
+        "C": np.ascontiguousarray(big[: shape[0], : shape[1]]),
+        "F": np.asfortranarray(big[: shape[0], : shape[1]]),
+        "strided": big[: 2 * shape[0] : 2, 1 : 2 * shape[1] + 1 : 2],
+    }[order]
+    got, want = extract_v(panel), _extract_v_reference(panel)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestLarfbAndT:
     def test_larfb_equals_explicit_q(self, rng):
         m, k, n = 15, 5, 7

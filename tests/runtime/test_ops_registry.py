@@ -123,13 +123,13 @@ def case_calu_s(store):
 
 
 def _qr_leaf(store, r0, r1):
-    v, v_spec = store.alloc_v(r0, r1, 0, BK)
+    # No V buffer: the reflectors stay packed in the factored rows.
     t, t_spec = store.alloc((BK, BK), store.A.dtype)
     payload = {
         "a": store.a_spec, "r0": r0, "r1": r1, "c0": 0, "c1": BK, "kernel": QR_KERNEL,
-        "v": v_spec, "t": t_spec,
+        "t": t_spec,
     }
-    return ("tsqr_leaf", payload), (v, t), (v_spec, t_spec)
+    return ("tsqr_leaf", payload), t, t_spec
 
 
 def _qr_merge(store):
@@ -143,8 +143,8 @@ def _qr_merge(store):
 
 
 def case_tsqr_leaf(store):
-    op, bufs, _ = _qr_leaf(store, 0, 12)
-    return [], op, list(bufs)
+    op, t, _ = _qr_leaf(store, 0, 12)
+    return [], op, [t]
 
 
 def case_tsqr_merge(store):
@@ -155,9 +155,11 @@ def case_tsqr_merge(store):
 
 
 def case_caqr_leaf_update(store):
-    leaf, bufs, (v_spec, t_spec) = _qr_leaf(store, 0, 12)
-    payload = {"a": store.a_spec, "r0": 0, "r1": 12, "j0": 4, "j1": 12, "v": v_spec, "t": t_spec}
-    return [leaf], ("caqr_leaf_update", payload), list(bufs)
+    leaf, t, t_spec = _qr_leaf(store, 0, 12)
+    payload = {
+        "a": store.a_spec, "r0": 0, "r1": 12, "c0": 0, "c1": BK, "j0": 4, "j1": 12, "t": t_spec,
+    }
+    return [leaf], ("caqr_leaf_update", payload), [t]
 
 
 def case_caqr_merge_update(store):
@@ -217,9 +219,7 @@ def test_same_descriptor_same_bits_on_heap_and_in_a_worker(name, executor):
             ops.run_op(step)
         ops.run_op(op)
         want_all = (heap.A[:, :BK], *heap_bufs)
-        # np.asarray: a streamed leaf's V unpacks from the stored panel on use.
         for got, want in zip((arena.load(spec), *streamed_bufs), want_all, strict=True):
-            got = np.asarray(got)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
