@@ -14,7 +14,10 @@ that property per graph instead of assuming it:
 * :mod:`repro.verify.mutate` — edge-drop mutation used by the CLI
   self-test to prove the detector detects;
 * :mod:`repro.verify.equivalence` — two builds of one graph must agree
-  task-for-task (:func:`compare_graphs`).
+  task-for-task (:func:`compare_graphs`);
+* :mod:`repro.verify.lockcov` — the executor stack's lock coverage
+  (LK005: an attribute written both under and outside its class's
+  lock); lock *order* is ranked in :mod:`repro.runtime.sync` instead.
 
 Run everything with ``python -m repro.verify``.
 """

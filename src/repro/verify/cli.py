@@ -12,6 +12,10 @@ essential dependency edge from a CALU graph and asserts the race
 detector reports exactly that task pair, then misdeclares a numeric
 task's write footprint and asserts the sanitizer flags it.  Exits
 nonzero when either injected defect goes *undetected*.
+
+Both modes also cover the executor stack's own locks: the sweep runs
+the LK005 lock-coverage pass (:mod:`repro.verify.lockcov`) over the
+package, and ``--self-test`` runs its mutation self-test.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.runtime.graph import TaskGraph
 from repro.verify.equivalence import state_arrays
 from repro.verify.findings import Report
 from repro.verify.lint import lint_graph
-from repro.verify.lockcheck import lock_self_test, run_lockcheck
+from repro.verify.lockcov import check_package, lock_self_test
 from repro.verify.mutate import drop_edge, pick_droppable_edge
 from repro.verify.races import check_races
 from repro.verify.sanitize import fuzz_schedules, sanitize_footprints
@@ -247,11 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="verify the verifier via edge-drop, footprint and lock mutations",
     )
-    parser.add_argument(
-        "--locks",
-        action="store_true",
-        help="run only the lockcheck static pass over the runtime/service code",
-    )
     parser.add_argument("--seed", type=int, default=0, help="seed for fuzzing/mutation")
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="print info notes, not just gating findings"
@@ -263,9 +262,6 @@ def main(argv: list[str] | None = None) -> int:
         rc_locks = lock_self_test(verbose=args.verbose)
         return 1 if rc_graph or rc_locks else 0
 
-    if args.locks:
-        return _run_lockcheck_pass(args.verbose)
-
     failed = 0
     for target in default_targets():
         report = _verify_target(target, args.fuzz, args.static_only, args.seed)
@@ -275,25 +271,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {finding}")
         if not report.ok:
             failed += 1
-    # The default sweep also lock-checks the executor stack itself.
-    failed += _run_lockcheck_pass(args.verbose)
+    # The default sweep also checks the executor stack's lock coverage.
+    locks = check_package()
+    print(locks.summary())
+    for finding in locks.findings:
+        print(f"  {finding}")
+    failed += not locks.ok
     if failed:
         print(f"FAILED: {failed} target(s) with gating findings")
         return 1
-    print("all graphs race-free and lint-clean; executor lock discipline ok")
+    print("all graphs race-free and lint-clean; executor lock coverage ok")
     return 0
-
-
-def _run_lockcheck_pass(verbose: bool) -> int:
-    """Print the lockcheck report; returns 1 when it gates, else 0."""
-    report, analysis = run_lockcheck()
-    print(report.summary())
-    for finding in report.findings if verbose else report.gating:
-        print(f"  {finding}")
-    if verbose:
-        print("  lock-order graph:")
-        for (a, b), ws in sorted(analysis.edges.items()):
-            print(f"    {a} -> {b}  ({ws[0].describe()})")
-        for entry, locks in sorted(analysis.entry_locks.items()):
-            print(f"  entry {entry}: {', '.join(locks) or '(no locks)'}")
-    return 0 if report.ok else 1

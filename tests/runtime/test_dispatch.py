@@ -384,7 +384,7 @@ class TestSharedPool:
         expect = np.outer(np.arange(1, n_threads + 1), np.ones(n_tasks)) * n_runs
         np.testing.assert_array_equal(out, expect)
         # No lock is held across a round-trip any more: nothing is allowed.
-        assert_lock_sanity(witness, min_coverage=0.0)
+        assert_lock_sanity(witness)
         assert "process.core" in witness.acquired and not witness.roundtrip_held
 
     def test_a_foreign_reply_is_filed_and_its_owner_woken(self, arena):

@@ -1,40 +1,52 @@
-"""The named-primitive factories and the dynamic lock witness."""
+"""The named, ranked primitive factories and the dynamic lock witness."""
 
 import threading
 import time
 
+import pytest
+
 from repro.runtime import sync
 from repro.runtime.sync import (
+    LockOrderError,
     LockWitness,
     TrackedCondition,
     TrackedLock,
     make_condition,
     make_lock,
-    make_rlock,
     note_roundtrip,
     witnessing,
 )
 
 
+@pytest.fixture(autouse=True)
+def _ranked_test_names(monkeypatch):
+    """Rank this module's lock names after every real one: t.a < t.b."""
+    names = ("t.plain", "t.in", "t.cin", "t.after", "t.state", "t.cond", "t.a", "t.b")
+    for i, name in enumerate(names):
+        monkeypatch.setitem(sync.RANKS, name, len(sync.LOCK_ORDER) + i)
+
+
+@pytest.fixture
+def disarmed(monkeypatch):
+    """The production default: no witness (the test suite runs armed)."""
+    monkeypatch.setattr(sync, "_witness", None)
+
+
 class TestFactoriesPlain:
     """Outside sanitize mode the factories must be zero-overhead stdlib."""
 
-    def test_make_lock_is_stdlib(self):
+    def test_make_lock_is_stdlib(self, disarmed):
         lock = make_lock("t.plain")
         assert isinstance(lock, type(threading.Lock()))
 
-    def test_make_rlock_is_stdlib(self):
-        lock = make_rlock("t.plain")
-        assert isinstance(lock, type(threading.RLock()))
-
-    def test_make_condition_is_stdlib(self):
+    def test_make_condition_is_stdlib(self, disarmed):
         cond = make_condition("t.plain")
         assert type(cond) is threading.Condition
 
-    def test_note_roundtrip_is_noop(self):
+    def test_note_roundtrip_is_noop(self, disarmed):
         note_roundtrip()  # must not raise with no witness active
 
-    def test_no_witness_active_by_default(self):
+    def test_no_witness_active_by_default(self, disarmed):
         assert sync.active_witness() is None
 
 
@@ -42,18 +54,23 @@ class TestWitnessingContext:
     def test_primitives_created_inside_are_tracked(self):
         with witnessing() as w:
             lock = make_lock("t.in")
-            rlock = make_rlock("t.rin")
             cond = make_condition("t.cin")
         assert isinstance(lock, TrackedLock)
-        assert isinstance(rlock, TrackedLock)
         assert isinstance(cond, TrackedCondition)
         assert lock.witness is w
 
-    def test_context_exit_restores_plain_mode(self):
+    def test_context_exit_restores_plain_mode(self, disarmed):
         with witnessing():
             pass
         assert sync.active_witness() is None
         assert isinstance(make_lock("t.after"), type(threading.Lock()))
+
+    def test_nested_context_restores_the_outer_witness(self):
+        with witnessing() as outer:
+            with witnessing() as inner:
+                assert sync.active_witness() is inner
+            assert sync.active_witness() is outer
+            assert make_lock("t.after").witness is outer
 
     def test_condition_aliases_tracked_lock_name(self):
         with witnessing() as w:
@@ -62,6 +79,52 @@ class TestWitnessingContext:
         with cond:
             pass
         assert w.acquired == {"t.state": 1}
+
+
+class TestRankOrder:
+    def test_violation_in_another_thread_is_recorded(self):
+        with witnessing() as w:
+            a = make_lock("t.a")
+            b = make_lock("t.b")
+        errors = []
+
+        def inverted():
+            with b:
+                try:
+                    a.acquire()
+                except LockOrderError as exc:
+                    errors.append(exc)
+
+        t = threading.Thread(target=inverted)
+        t.start()
+        t.join(5)
+        assert not t.is_alive()
+        assert len(errors) == 1 and w.violations == [str(errors[0])]
+
+    def test_held_locks_span_witnesses(self):
+        # A lock of one witness held while taking another witness's lock
+        # is still ordered: the held stack belongs to the thread.
+        with witnessing():
+            b = make_lock("t.b")
+        with witnessing() as w:
+            a = make_lock("t.a")
+        with b:
+            with pytest.raises(LockOrderError):
+                a.acquire()
+        assert len(w.violations) == 1
+
+    def test_condition_wait_reacquires_in_rank(self):
+        with witnessing() as w:
+            cond = make_condition("t.cond")
+            b = make_lock("t.b")
+        with cond:
+            with b:
+                # Waiting on t.cond while holding t.b re-takes t.cond
+                # under t.b: the condition still gets its lock back.
+                with pytest.raises(LockOrderError):
+                    cond.wait(0.01)
+                assert cond._is_owned()
+        assert len(w.violations) == 1
 
 
 class TestWitnessRecording:
@@ -95,15 +158,6 @@ class TestWitnessRecording:
         with b:
             pass
         assert w.edge_names() == set()
-
-    def test_rlock_reentry_is_not_an_edge(self):
-        with witnessing() as w:
-            a = make_rlock("t.a")
-        with a:
-            with a:
-                pass
-        assert w.edge_names() == set()
-        assert w.acquired["t.a"] == 2
 
     def test_held_stack_is_per_thread(self):
         with witnessing() as w:

@@ -77,9 +77,8 @@ def _exercise_respawn_path(svc, problems):
 
     The random kill storm may never land a kill exactly where a dead
     worker is *discovered* while its per-core lock is held, yet that is
-    the one runtime nesting (``process.core -> service.respawn``) the
-    static lock-order graph predicts for this backend — so exercise it
-    synchronously: spawn, kill, and heal one worker via the pool's
+    the one runtime nesting (``process.core -> service.respawn``, in
+    rank order) this backend has — so exercise it synchronously: spawn, kill, and heal one worker via the pool's
     on-demand path, which takes the core lock and then consults the governor.
     """
     A, rhs, _ = problems[0]
@@ -192,8 +191,9 @@ class TestChaosProcess:
         _assert_contract(outcomes, hung, expected_total=n_clients * n_requests)
         # The per-core pipe lock covers one write or one drain, never the
         # wait for a worker: any lock spanning IPC, or any acquisition
-        # order the static graph does not predict, is a real finding.
+        # out of rank order, is a real finding.
         assert_lock_sanity(witness)
+        assert ("process.core", "service.respawn") in witness.edges
         return outcomes, stats
 
     def test_worker_kill_soak(self):
