@@ -306,7 +306,6 @@ def add_tslu_tasks(
                     "srcs": [ws.slot_specs[s] for s in srcs],
                     "dst": ws.slot_specs[dst],
                     "bk": bk,
-                    "leaf_kernel": leaf_kernel,
                     "flags": ws.flags_spec,
                 },
             )

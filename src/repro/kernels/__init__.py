@@ -3,18 +3,22 @@
 This subpackage plays the role MKL/ACML/LAPACK play in the paper: it is
 the sequential kernel layer every algorithm (communication-avoiding or
 baseline) is built from.  Everything is implemented from scratch on top
-of NumPy array primitives except the vendor QR kernel set — ``geqrt``,
+of NumPy array primitives except two vendor kernel sets, as the paper's
+tasks call the vendor's kernels.  The QR set — ``geqrt``,
 ``lapack_tpqrt`` and ``lapack_tpmqrt``, thin wrappers of LAPACK's
-``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` that the default
-``leaf_kernel="geqrt"`` runs at the TSQR/CAQR leaves, tree merges and
-node updates, as the paper's tasks call the vendor's kernels
+``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` — runs at the TSQR/CAQR leaves,
+tree merges and node updates under the default ``leaf_kernel="geqrt"``
 (``kernels.qr.TREE_KERNELS`` maps each leaf kernel to its tree
-kernels); each kernel reports its flop count to :mod:`repro.counters`.
+kernels).  ``lapack_getrf``, a thin wrapper of LAPACK's ``?getrf``,
+runs every TSLU tournament merge whatever the leaf kernel
+(``kernels.lu.MERGE_KERNEL``).  Each kernel reports its flop count to
+:mod:`repro.counters`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
 listings is direct: ``getf2`` (BLAS2 LU), ``rgetf2`` (recursive LU, the
-paper's panel kernel), ``geqr2`` (BLAS2 QR), ``geqr3`` (recursive QR,
-the paper's panel kernel), ``geqrt`` (LAPACK's QR of one tile),
+paper's panel kernel), ``lapack_getrf`` (LAPACK's LU, the tournament
+merge), ``geqr2`` (BLAS2 QR), ``geqr3`` (recursive QR, the paper's
+panel kernel), ``geqrt`` (LAPACK's QR of one tile),
 ``larfg/larft/larfb`` (compact-WY Householder), ``tpqrt/tpmqrt``
 (structured triangular-pentagonal QR, the TSQR tree kernel, on NumPy
 and as ``lapack_tpqrt/lapack_tpmqrt``) and
@@ -22,7 +26,7 @@ and as ``lapack_tpqrt/lapack_tpmqrt``) and
 """
 
 from repro.kernels.blas import gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
-from repro.kernels.lu import getf2, getf2_nopiv, getrf, rgetf2
+from repro.kernels.lu import getf2, getf2_nopiv, getrf, lapack_getrf, rgetf2
 from repro.kernels.qr import (
     apply_wy_q,
     apply_wy_qt,
@@ -61,6 +65,7 @@ __all__ = [
     "getf2",
     "getf2_nopiv",
     "getrf",
+    "lapack_getrf",
     "lapack_tpmqrt",
     "lapack_tpqrt",
     "larfb_left_t",

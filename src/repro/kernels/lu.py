@@ -1,6 +1,6 @@
 """Sequential LU factorization kernels.
 
-Three variants, mirroring the routines the paper names:
+Four variants, mirroring the routines the paper names:
 
 ``getf2``
     Unblocked BLAS2 Gaussian elimination with partial pivoting — the
@@ -13,6 +13,10 @@ Three variants, mirroring the routines the paper names:
 ``getrf``
     Blocked right-looking LU — the structure of the vendor ``dgetrf``
     the paper compares against.
+``lapack_getrf``
+    The vendor's ``?getrf`` itself, a thin wrapper — the selection
+    kernel of every TSLU tournament merge (GEPP on the stacked
+    candidates, whichever kernel runs it).
 
 All variants factor in place: on return ``A`` holds ``L`` strictly
 below the diagonal (unit diagonal implicit) and ``U`` on and above it.
@@ -23,7 +27,9 @@ They return the pivot vector in LAPACK ``ipiv`` convention
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
+from repro.analysis.flops import lu_flops
 from repro.counters import add_call, add_comparisons, add_flops
 from repro.kernels.blas import gemm, ger, laswp, trsm_llnu
 
@@ -32,6 +38,7 @@ __all__ = [
     "getf2_nopiv",
     "rgetf2",
     "getrf",
+    "lapack_getrf",
     "piv_to_perm",
     "perm_from_piv_rows",
     "select_pivots",
@@ -154,17 +161,43 @@ def getrf(A: np.ndarray, b: int = 64, panel: str = "getf2") -> np.ndarray:
     return piv
 
 
+def lapack_getrf(A: np.ndarray) -> np.ndarray:
+    """LAPACK ``?getrf`` of the block, in place.  Returns the 0-based ``piv``.
+
+    GEPP, so the pivots are those of :func:`getf2` / :func:`rgetf2` (up
+    to ties broken by rounding) — the vendor's sequential LU, as the
+    paper's tasks call MKL/ACML.  Any shape: a ``m < n`` block yields
+    ``m`` pivots.  The routine is picked by dtype (``sgetrf`` for a
+    float32 block) and the call releases the GIL.  An exactly singular
+    column is left in place, as :func:`getf2` does (LAPACK's ``info >
+    0`` is not an error).  Counted as one call of ``lu_flops(m, n)``.
+    """
+    m, n = A.shape
+    add_call("lapack_getrf")
+    add_flops(lu_flops(m, n))
+    (fn,) = get_lapack_funcs(("getrf",), (A,))
+    lu, piv, info = fn(A)
+    if info < 0:
+        raise ValueError(f"{fn.typecode}getrf: illegal argument {-info}")
+    A[...] = lu
+    return piv.astype(np.int64, copy=False)
+
+
 def piv_to_perm(piv: np.ndarray, m: int) -> np.ndarray:
     """Convert a LAPACK-style swap sequence into a permutation vector.
 
     Returns ``perm`` such that ``A[perm]`` equals the matrix obtained by
     applying the swaps ``(i, piv[i])`` in increasing ``i`` to ``A``.
+    The swaps compose on Python ints over the rows they touch, and the
+    result is written once.
     """
-    perm = np.arange(m, dtype=np.int64)
-    for i in range(len(piv)):
-        p = int(piv[i])
+    moved: dict[int, int] = {}  # slot -> original row now there, where not the identity
+    for i, p in enumerate(np.asarray(piv).tolist()):
         if p != i:
-            perm[[i, p]] = perm[[p, i]]
+            moved[i], moved[p] = moved.get(p, p), moved.get(i, i)
+    perm = np.arange(m, dtype=np.int64)
+    if moved:
+        perm[list(moved)] = list(moved.values())
     return perm
 
 
@@ -174,32 +207,45 @@ def perm_from_piv_rows(rows: np.ndarray, m: int) -> np.ndarray:
     Given the ``b`` tournament-selected pivot rows (global indices into
     an ``m``-row panel), produce a LAPACK-style swap sequence ``piv`` of
     length ``b`` such that applying swaps ``(i, piv[i])`` in order moves
-    row ``rows[i]`` into position ``i``.
+    row ``rows[i]`` into position ``i``.  Only the rows a swap touched
+    are tracked, on Python ints.
     """
-    pos = np.arange(m, dtype=np.int64)  # pos[r] = current location of original row r
-    loc = np.arange(m, dtype=np.int64)  # loc[i] = original row currently at slot i
-    piv = np.empty(len(rows), dtype=np.int64)
-    for i, r in enumerate(rows):
-        p = int(pos[r])
-        piv[i] = p
+    pos: dict[int, int] = {}  # original row -> current slot, where moved
+    loc: dict[int, int] = {}  # slot -> original row now there, where moved
+    piv = []
+    for i, r in enumerate(np.asarray(rows).tolist()):
+        if not 0 <= r < m:
+            raise IndexError(f"pivot row {r} outside a {m}-row panel")
+        p = pos.get(r, r)
+        piv.append(p)
         if p != i:
-            ri, rp = loc[i], loc[p]
-            loc[i], loc[p] = rp, ri
-            pos[ri], pos[rp] = p, i
-    return piv
+            ri = loc.get(i, i)
+            loc[i], loc[p] = r, ri
+            pos[ri], pos[r] = p, i
+    return np.array(piv, dtype=np.int64)
 
 
-def select_pivots(block: np.ndarray, leaf_kernel: str) -> np.ndarray:
+#: The kernel every tournament merge selects with, whatever the leaves run.
+MERGE_KERNEL = "lapack_getrf"
+
+_SELECTORS = {**PANEL_KERNELS, MERGE_KERNEL: lapack_getrf}
+
+
+def select_pivots(block: np.ndarray, kernel: str) -> np.ndarray:
     """GEPP a *copy* of *block*; return the selected pivot positions in order.
 
-    The tournament-pivoting selection step (TSLU leaves and merges).
-    The input is never modified — callers forward the original rows up
-    the reduction tree, so the factored values must not leak into the
+    The tournament-pivoting selection step: a leaf passes its
+    ``leaf_kernel`` (a :data:`PANEL_KERNELS` name; a block shorter than
+    it is wide falls to ``getf2``), a merge :data:`MERGE_KERNEL`.  The
+    input is never modified — callers forward the original rows up the
+    reduction tree, so the factored values must not leak into the
     candidate sets.
     """
     rows, cols = block.shape
-    kernel = PANEL_KERNELS[leaf_kernel] if rows >= cols else getf2
-    perm = piv_to_perm(kernel(block.copy()), rows)
+    fn = _SELECTORS[kernel]
+    if rows < cols and kernel in PANEL_KERNELS:
+        fn = getf2
+    perm = piv_to_perm(fn(block.copy()), rows)
     return perm[: min(rows, cols)]
 
 

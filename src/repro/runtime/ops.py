@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
-from repro.kernels.lu import getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
+from repro.kernels.lu import MERGE_KERNEL, getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
 from repro.kernels.qr import PANEL_KERNELS as QR_PANEL_KERNELS
 from repro.kernels.qr import TREE_KERNELS, extract_v, larfb_left_t
 from repro.runtime.tilestore import attach_array
@@ -66,10 +66,11 @@ def _write_back(A, r0: int, r1: int, c0: int, c1: int, block: np.ndarray) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _elect(rows: np.ndarray, gidx: np.ndarray, leaf_kernel: str) -> tuple[np.ndarray, np.ndarray]:
+def _elect(rows: np.ndarray, gidx: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
     """One tournament round: the winning candidate rows (copies of the
-    originals, never the factored values) and their panel-local indices."""
-    sel = select_pivots(rows, leaf_kernel)
+    originals, never the factored values) and their panel-local indices.
+    A leaf selects with its leaf kernel, a merge with ``MERGE_KERNEL``."""
+    sel = select_pivots(rows, kernel)
     return rows[sel], gidx[sel]
 
 
@@ -104,7 +105,7 @@ def _op_tslu_merge(p: dict) -> None:
         n = min(len(rows), p["bk"])
         _fill_slot(p["dst"], rows[:n], gidx[:n])
         return
-    _fill_slot(p["dst"], *_elect(rows, gidx, p["leaf_kernel"]))
+    _fill_slot(p["dst"], *_elect(rows, gidx, MERGE_KERNEL))
 
 
 def _recompute_tournament(
@@ -123,8 +124,10 @@ def _recompute_tournament(
     replayed from the untouched panel data.  *leaves* is the panel's
     ``(slot, r0, r1)`` row partition and *merges* its ``(dst, srcs)``
     reduction schedule in level order — the replay makes the exact
-    selections of the task graph, so the returned root candidate
-    indices, and hence the pivots, are identical to a fault-free run.
+    selections of the task graph, with its kernels (*leaf_kernel* at
+    the leaves, ``MERGE_KERNEL`` at the merges), so the returned root
+    candidate indices, and hence the pivots, are identical to a
+    fault-free run.
     Returns None when the panel itself is unusable (non-finite
     entries), which sends the finalize task down the next rung of the
     ladder.
@@ -139,7 +142,7 @@ def _recompute_tournament(
         cand[dst] = _elect(
             np.vstack([cand[s][0] for s in srcs]),
             np.concatenate([cand[s][1] for s in srcs]),
-            leaf_kernel,
+            MERGE_KERNEL,
         )
     return cand[leaves[0][0]][1]
 

@@ -27,6 +27,12 @@ The numeric QR entries were re-recorded when the ``tsqr_merge`` and
 again when a leaf's ``V`` stopped having a buffer: ``tsqr_leaf`` lost
 its ``"v"`` spec and ``caqr_leaf_update`` traded it for the panel's
 ``"c0"``/``"c1"`` (the costs, footprints and edges did not move).
+The numeric LU entries (every ``lu-*-numeric-*`` key, 36 of them) were
+re-recorded when every tournament merge moved onto LAPACK ``?getrf``
+(``kernels.lu.MERGE_KERNEL``) and the ``tslu_merge`` payload dropped the
+``"leaf_kernel"`` key it no longer read: putting the key back
+reproduced each old CRC, and the merges keep their ``gepp_merge``
+``Cost``, so no cost, footprint, edge or priority moved.
 
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).

@@ -6,11 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.flops import lu_flops
 from repro.counters import counting
 from repro.kernels.lu import (
     getf2,
     getf2_nopiv,
     getrf,
+    lapack_getrf,
     perm_from_piv_rows,
     piv_to_perm,
     rgetf2,
@@ -170,3 +172,87 @@ def test_perm_from_piv_rows_swaps_are_legal(data):
     rows = np.array(data.draw(st.permutations(range(m)))[:r])
     piv = perm_from_piv_rows(rows, m)
     assert all(piv[i] >= i for i in range(r))
+
+
+# ----------------------------------------------------------------------
+# LAPACK ?getrf, the tournament merges' kernel
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("m,n", [(1, 1), (64, 32), (48, 48), (17, 40), (3, 8)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lapack_getrf_is_gepp_in_the_block_precision(m, n, dtype):
+    A0 = make_rng(m * 100 + n).standard_normal((m, n)).astype(dtype)
+    A = A0.copy()
+    with counting() as c:
+        piv = lapack_getrf(A)
+    assert A.dtype == dtype and piv.dtype == np.int64 and len(piv) == min(m, n)
+    assert c.kernel_calls == {"lapack_getrf": 1}
+    assert c.flops == int(lu_flops(m, n))
+    ref = A0.astype(np.float64)
+    np.testing.assert_array_equal(piv, getf2(ref.copy()))
+    assert_lu_ok(ref, A.astype(np.float64), piv, tol=100 * np.finfo(dtype).eps)
+
+
+def test_lapack_getrf_leaves_a_singular_column_in_place():
+    A = np.zeros((4, 4))
+    A[:, 1] = [1.0, 2.0, 3.0, 4.0]
+    np.testing.assert_array_equal(lapack_getrf(A.copy()), getf2(A.copy()))
+
+
+# ----------------------------------------------------------------------
+# The swap bookkeeping against the per-swap loops it replaced
+# ----------------------------------------------------------------------
+def _piv_to_perm_reference(piv, m):
+    perm = np.arange(m, dtype=np.int64)
+    for i in range(len(piv)):
+        p = int(piv[i])
+        if p != i:
+            perm[[i, p]] = perm[[p, i]]
+    return perm
+
+
+def _perm_from_piv_rows_reference(rows, m):
+    pos = np.arange(m, dtype=np.int64)
+    loc = np.arange(m, dtype=np.int64)
+    piv = np.empty(len(rows), dtype=np.int64)
+    for i, r in enumerate(rows):
+        p = int(pos[r])
+        piv[i] = p
+        if p != i:
+            ri, rp = loc[i], loc[p]
+            loc[i], loc[p] = rp, ri
+            pos[ri], pos[rp] = p, i
+    return piv
+
+
+def _swap_cases(n_cases, seed):
+    """``(rng, m, r, kind)`` draws: ``m = 1`` and ``r = 0`` included."""
+    rng = np.random.default_rng(seed)
+    for case in range(n_cases):
+        m = 1 if case % 50 == 0 else int(rng.integers(1, 80))
+        yield rng, m, int(rng.integers(0, m + 1)), case % 4
+
+
+def test_piv_to_perm_matches_the_per_swap_loop():
+    for rng, m, r, kind in _swap_cases(3000, 11):
+        if kind == 0:  # no swaps
+            piv = np.arange(r)
+        elif kind == 1:  # repeated targets
+            piv = np.full(r, rng.integers(0, m))
+        elif kind == 2:  # LAPACK form: piv[i] >= i
+            piv = np.array([rng.integers(i, m) for i in range(r)], dtype=np.int64)
+        else:  # any target
+            piv = rng.integers(0, m, size=r)
+        np.testing.assert_array_equal(piv_to_perm(piv, m), _piv_to_perm_reference(piv, m))
+
+
+def test_perm_from_piv_rows_matches_the_per_swap_loop():
+    for rng, m, r, kind in _swap_cases(3000, 12):
+        if kind == 0:  # no swaps
+            rows = np.arange(r)
+        elif kind == 1:  # repeated targets
+            rows = rng.integers(0, m, size=r)
+        else:  # a tournament's selection: distinct rows
+            rows = rng.permutation(m)[:r]
+        got = perm_from_piv_rows(rows, m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _perm_from_piv_rows_reference(rows, m))

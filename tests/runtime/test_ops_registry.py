@@ -56,7 +56,6 @@ def _merge(ws):
         "srcs": [ws.slot_specs[0], ws.slot_specs[1]],
         "dst": ws.slot_specs[0],
         "bk": BK,
-        "leaf_kernel": "rgetf2",
         "flags": ws.flags_spec,
     }
     return ("tslu_merge", payload)
