@@ -5,7 +5,7 @@ Used in three roles:
 * :data:`KERNELS` prices every task: :meth:`Cost.of
   <repro.runtime.task.Cost.of>` fills a task's flops and words from its
   kernel name and dimensions, so the simulated machine can price
-  paper-scale problems (and :mod:`repro.verify.lint` re-derives them);
+  paper-scale problems (a name outside the table is a ``KeyError``);
 * the benchmark harness converts simulated makespans into GFLOP/s with
   the *standard* algorithm counts (``2/3 n³`` for LU, ``2mn² - 2n³/3``
   for QR), matching how the paper normalizes its plots — the extra

@@ -258,8 +258,8 @@ def add_tslu_tasks(
     # block grid, so the tournament's dataflow through them is tracked
     # with symbolic per-panel keys — ("cand", K, slot) for a slot of
     # PanelWorkspace.slots, ("piv", K) for ws.piv.  The tracker then
-    # derives the tree edges (and the verify passes can prove them
-    # sufficient) instead of the builder hand-wiring deps.
+    # derives the tree edges, ordered by construction, instead of the
+    # builder hand-wiring deps.
     def cand(slot: int) -> tuple:
         return ("cand", K, slot)
 

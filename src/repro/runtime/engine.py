@@ -36,7 +36,7 @@ from repro.resilience.faults import InjectedFault
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
-from repro.runtime.scheduler import POLICIES, ReadyQueue
+from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.sync import make_condition, make_lock
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
@@ -62,8 +62,8 @@ class CentralFrontier:
 
     counts_placement = True
 
-    def __init__(self, policy: str = "priority") -> None:
-        self._queue = ReadyQueue(policy)
+    def __init__(self) -> None:
+        self._queue = ReadyQueue()
 
     def seed_tasks(self, tasks: list[Task]) -> None:
         for t in tasks:
@@ -210,12 +210,12 @@ def failure(kind: str, message: str, task: Task | None = None, cause=None) -> Ru
     return exc
 
 
-def health_guard(task: Task, health_checks: bool, record) -> RuntimeFailure | None:
+def health_guard(task: Task, record) -> RuntimeFailure | None:
     """What a task owes between its work succeeding and its successors'
     release, on either clock: the numerical health guard (it reads only
     blocks the task owns; verdicts go to *record*).  Returns the
     ``"health"`` failure that must end the run, else None."""
-    guard = task.meta.get("health") if (health_checks and task.meta) else None
+    guard = task.meta.get("health") if task.meta else None
     if guard is not None:
         verdict = guard()
         if verdict is not None:
@@ -238,9 +238,6 @@ class ExecutionEngine:
     n_workers:
         Worker threads (the paper's "available cores"), or the worker
         processes of *process_pool* a run deals to.
-    policy:
-        Ready-queue policy, ``"priority"`` (default, the paper's
-        look-ahead scheduling via task priorities) or ``"fifo"``.
     retry:
         Optional :class:`~repro.resilience.recovery.RetryPolicy`:
         failed tasks are re-run with backoff when that is safe
@@ -264,11 +261,6 @@ class ExecutionEngine:
         individual tasks keep making progress.  This is how the service
         maps a *per-request* deadline onto a run whose total task count
         exceeds any sensible per-task timeout.
-    health_checks:
-        Run the ``meta["health"]`` guards the CALU/CAQR builders attach
-        to tasks (NaN/Inf and pivot-growth monitors; default True); a
-        fatal verdict aborts the run instead of letting a corrupted
-        factorization escape.
     watchdog_poll_s / thread_name:
         The watchdog's polling period; the worker threads' name prefix.
     process_pool:
@@ -277,6 +269,11 @@ class ExecutionEngine:
         by one dispatcher loop instead of ``n_workers`` threads (see
         :meth:`_RealClockRun.dispatcher`); the pool may be shared by
         concurrent engines.
+
+    After each task the ``meta["health"]`` guard a builder attached, if
+    any, runs (the drivers' ``guards=`` decides whether they attach
+    one); a fatal verdict aborts the run instead of letting a corrupted
+    factorization escape.
 
     Every failure — a task's own error included, whether or not any
     resilience option is set — surfaces as one structured
@@ -287,22 +284,18 @@ class ExecutionEngine:
     def __init__(
         self,
         n_workers: int = 4,
-        policy: str = "priority",
         *,
         retry=None,
         fault_plan=None,
         task_timeout: float | None = None,
         stall_timeout: float | None = None,
         deadline: float | None = None,
-        health_checks: bool = True,
         watchdog_poll_s: float = 0.02,
         thread_name: str = "repro-worker",
         process_pool=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown scheduling policy {policy!r}; expected one of {POLICIES}")
         for name, seconds in (
             ("task_timeout", task_timeout),
             ("stall_timeout", stall_timeout),
@@ -311,13 +304,11 @@ class ExecutionEngine:
             if seconds is not None and seconds < 0:
                 raise ValueError(f"{name} must be >= 0, got {seconds}")
         self.n_workers = n_workers
-        self.policy = policy
         self.retry = retry
         self.fault_plan = fault_plan
         self.task_timeout = task_timeout
         self.stall_timeout = stall_timeout
         self.deadline = deadline
-        self.health_checks = health_checks
         self.watchdog_poll_s = watchdog_poll_s
         self.thread_name = thread_name
         self._pool = process_pool
@@ -329,7 +320,7 @@ class ExecutionEngine:
 
     def new_frontier(self):
         """A fresh ready-task frontier; every run makes its own."""
-        return CentralFrontier(self.policy)
+        return CentralFrontier()
 
     def run(self, source, journal=None) -> Trace:
         """Run a :class:`TaskGraph` (a :class:`GraphProgram` is
@@ -517,7 +508,7 @@ class _RealClockRun:
         record, release of its successors.  False when the run must end
         (the failure is recorded)."""
         # Outside the lock: the guard reads only blocks this task owns.
-        failed = health_guard(task, self.engine.health_checks, self.record_event)
+        failed = health_guard(task, self.record_event)
         with self.work_available:
             self.running.pop(task.tid, None)
             self.progress[0] = time.monotonic()

@@ -214,9 +214,12 @@ class BlockTracker:
     The per-task access sets are *kept* after edge derivation, in one
     place: :meth:`add_task` records them as ``Task.meta["reads"]`` /
     ``Task.meta["writes"]`` (read back through ``Task.reads`` /
-    ``Task.writes``), so the :mod:`repro.verify` passes (static race
-    detection, dynamic footprint sanitizing) and the builders share one
-    source of truth about who touches what.
+    ``Task.writes``), so the edges and the footprint the dynamic
+    sanitizer (:mod:`repro.verify.sanitize`) checks an op against are
+    one source of truth about who touches what.  Every conflicting
+    pair is therefore ordered by construction;
+    ``tests/runtime/test_graph.py`` pins each rule against a
+    brute-force oracle.
     """
 
     def __init__(self) -> None:
@@ -279,8 +282,8 @@ class BlockTracker:
         """Add a task to *graph* with dependencies derived from accesses.
 
         The access sets become ``Task.meta["reads"]`` /
-        ``Task.meta["writes"]``, so the :mod:`repro.verify` passes see
-        exactly the footprint the dependencies were derived from.
+        ``Task.meta["writes"]``, so the footprint sanitizer sees exactly
+        the footprint the dependencies were derived from.
         """
         deps = self.deps_for(reads, writes)
         deps.update(extra_deps)

@@ -447,7 +447,7 @@ class ProcessExecutor(ExecutionEngine):
     made at first use and persists across runs; call :meth:`close` (or
     use the executor as a context manager) when done.
 
-    Parameters are the positional ``n_workers``, ``policy`` and keyword
+    Parameters are the positional ``n_workers`` and the keyword
     *options* of :class:`~repro.runtime.engine.ExecutionEngine` (less
     ``process_pool``: the pool is this executor's own), plus:
 

@@ -1,12 +1,11 @@
-"""Ready-task selection policies.
+"""Ready-task selection.
 
-Both executors keep a single ready queue; the policy decides which
-ready task a free core takes next.  The paper uses dynamic scheduling
-with a *look-ahead of 1* — the builders encode that rule in the static
+Both executors keep a single ready queue that decides which ready task
+a free core takes next.  The paper uses dynamic scheduling with a
+*look-ahead of 1* — the builders encode that rule in the static
 ``priority`` field of each task (panel tasks and the updates of block
 column ``K+1`` outrank the rest), so the queue itself only needs to be
-a stable max-priority heap.  A FIFO policy is kept for the scheduling
-ablation benchmarks.
+a stable max-priority heap.
 """
 
 from __future__ import annotations
@@ -15,28 +14,19 @@ import heapq
 
 from repro.runtime.task import Task
 
-__all__ = ["POLICIES", "ReadyQueue"]
-
-POLICIES = ("priority", "fifo")
+__all__ = ["ReadyQueue"]
 
 
 class ReadyQueue:
-    """Stable priority queue of ready tasks.
+    """Stable priority queue of ready tasks: pops the highest-priority
+    task, insertion order breaking ties."""
 
-    ``policy="priority"`` pops the highest-priority task (insertion
-    order breaks ties); ``policy="fifo"`` ignores priorities entirely.
-    """
-
-    def __init__(self, policy: str = "priority") -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown scheduling policy {policy!r}")
-        self.policy = policy
+    def __init__(self) -> None:
         self._heap: list[tuple[float, int, Task]] = []
         self._seq = 0
 
     def push(self, task: Task) -> None:
-        key = -task.priority if self.policy == "priority" else 0.0
-        heapq.heappush(self._heap, (key, self._seq, task))
+        heapq.heappush(self._heap, (-task.priority, self._seq, task))
         self._seq += 1
 
     def pop(self) -> Task:

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from repro import counters as _counters
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.engine import _Bookkeeping, failure, health_guard
-from repro.runtime.scheduler import POLICIES, ReadyQueue
+from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
 
@@ -65,8 +65,6 @@ class SimulatedExecutor:
     ----------
     machine:
         The multicore model that prices every task.
-    policy:
-        Ready-queue policy (``"priority"`` / ``"fifo"``).
     execute:
         If True, numeric closures are also executed (at completion, in
         simulated-time order, which respects dependencies) — used by
@@ -84,29 +82,23 @@ class SimulatedExecutor:
         recoverable injected faults then cost backoff time in the
         virtual schedule (recorded as ``retry`` events) instead of
         failing the run — mirroring the threaded executor.
-    health_checks:
-        Run ``meta["health"]`` guards after executed tasks (only
-        meaningful with ``execute=True``).
+
+    With ``execute=True`` the ``meta["health"]`` guards run after their
+    tasks, as on the real clock.
     """
 
     def __init__(
         self,
         machine: MachineModel,
-        policy: str = "priority",
         execute: bool = False,
         *,
         fault_plan=None,
         retry=None,
-        health_checks: bool = True,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown scheduling policy {policy!r}; expected one of {POLICIES}")
         self.machine = machine
-        self.policy = policy
         self.execute = execute
         self.fault_plan = fault_plan
         self.retry = retry
-        self.health_checks = health_checks
 
     def run(self, source, journal=None) -> Trace:
         """Simulate (and with ``execute=True`` run) every task of a
@@ -127,7 +119,7 @@ class SimulatedExecutor:
     def _run_virtual(self, bk: _Bookkeeping, records: list, events: list) -> None:
         mach, plan, execute = self.machine, self.fault_plan, self.execute
         graph = bk.graph
-        ready = ReadyQueue(self.policy)
+        ready = ReadyQueue()
         ran_on: dict[int, int] = {}
         clock = 0.0
         sync_lat = mach.sync_latency_us * 1e-6
@@ -177,7 +169,7 @@ class SimulatedExecutor:
                     raise failure("task_error", message, task, exc) from exc
             if r.corrupt and plan is not None and execute:
                 plan.apply_corruption(task, record=events.append)
-            failed = health_guard(task, execute and self.health_checks, events.append)
+            failed = health_guard(task, events.append) if execute else None
             if failed is not None:
                 raise failed
             for t in bk.complete(task.tid):

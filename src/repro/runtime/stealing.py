@@ -39,13 +39,12 @@ class WorkStealingExecutor(ExecutionEngine):
         Seed for the (deterministic) victim-selection sequence.
     options:
         The engine's keyword options (see
-        :class:`~repro.runtime.engine.ExecutionEngine`); there is no
-        ready-queue ``policy`` to choose.
+        :class:`~repro.runtime.engine.ExecutionEngine`).
     """
 
     def __init__(self, n_workers: int = 4, seed: int = 0, **options) -> None:
         options.setdefault("thread_name", "repro-steal")
-        super().__init__(n_workers, "priority", **options)
+        super().__init__(n_workers, **options)
         self.seed = seed
 
     def new_frontier(self) -> StealingFrontier:

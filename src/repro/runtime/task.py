@@ -141,12 +141,13 @@ class Task:
     ``meta["reads"]`` / ``meta["writes"]`` are the task's *declared
     footprint*: frozensets of block keys recorded by
     :class:`~repro.runtime.graph.BlockTracker` (or set directly by a
-    builder for tasks with hand-wired dependencies).  They are the
-    input of the :mod:`repro.verify` passes — the static race detector
-    proves every conflicting pair ordered, and the dynamic sanitizer
-    cross-checks declared footprints against the array regions a
-    closure actually mutates.  ``meta["col"]`` marks the target block
-    column of U/S update tasks (used by the look-ahead lint rule).
+    builder for tasks with hand-wired dependencies).  The tracker
+    derives every edge from them, and the dynamic sanitizer
+    (:mod:`repro.verify.sanitize`) cross-checks them against the array
+    regions a closure actually mutates.  ``meta["col"]`` marks the
+    target block column of U/S update tasks (the look-ahead window
+    ``tests/core/test_priorities.py`` checks; the golden graphs hash
+    it).
     """
 
     tid: int

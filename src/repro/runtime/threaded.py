@@ -14,8 +14,8 @@ the sequential execution and the simulated executor).
 :class:`ThreadedExecutor` *is* the
 :class:`~repro.runtime.engine.ExecutionEngine` — that class under its
 public name, with no pool to dispatch to.  Its options (``retry=``,
-``fault_plan=``, ``task_timeout=`` / ``stall_timeout=`` / ``deadline=``,
-``health_checks=``), ``run(source, journal=None)`` over eager
+``fault_plan=``, ``task_timeout=`` / ``stall_timeout=`` /
+``deadline=``), ``run(source, journal=None)`` over eager
 :class:`~repro.runtime.graph.TaskGraph` and streaming
 :class:`~repro.runtime.program.GraphProgram` sources, and the
 structured :class:`~repro.resilience.recovery.RuntimeFailure` every

@@ -366,7 +366,6 @@ class FactorizationService:
                 task_timeout=cfg.task_timeout_s,
                 stall_timeout=cfg.stall_timeout_s,
                 deadline=req.deadline,
-                health_checks=True,
                 thread_name=f"repro-svc-{req.rid}",
                 process_pool=self._executor.pool if use_process else None,
             )

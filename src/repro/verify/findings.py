@@ -1,24 +1,18 @@
 """Finding and report types shared by all verification passes.
 
-A :class:`Finding` is one defect (or note) a pass produced about a
-task graph; a :class:`Report` aggregates the findings of every pass
-that ran over one graph.  Severities:
+A :class:`Finding` is one defect a pass produced; a :class:`Report`
+aggregates the findings of every pass that ran over one graph (or, for
+LK005, over the package).  Severities:
 
 ``error``
-    The graph is wrong: an unordered conflicting access (race), a
-    cycle, a closure writing outside its declared footprint, a
-    schedule-dependent result, or cost metadata that contradicts the
-    kernel dimensions.
+    The graph is wrong: a closure writing outside its declared
+    footprint, a schedule-dependent result, or two builds of one
+    computation that disagree.
 ``warning``
-    Almost certainly a builder bug even if execution may survive it:
-    isolated tasks, numeric closures with no declared footprint,
-    look-ahead priority inversions, missing word counts.
-``info``
-    Harmless observations, e.g. transitively redundant edges (the
-    block tracker's conservative WAW edges produce these by design).
+    Almost certainly a bug even if execution may survive it: an
+    attribute written both under and outside its class's lock (LK005).
 
-``error`` and ``warning`` findings gate (CLI exits nonzero); ``info``
-notes never do.
+Every finding gates (the CLI exits nonzero).
 """
 
 from __future__ import annotations
@@ -27,17 +21,16 @@ from dataclasses import dataclass, field
 
 __all__ = ["Finding", "Report", "SEVERITIES"]
 
-SEVERITIES = ("error", "warning", "info")
+SEVERITIES = ("error", "warning")
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One defect or note about a task graph.
+    """One defect found by a verification pass.
 
-    ``tasks`` are the task ids involved (counterexample pair for a
-    race, cycle members for a cycle, the single offender otherwise);
-    ``block`` is the conflicting block key when one exists.  ``message``
-    is a human-actionable description including the suggested fix.
+    ``tasks`` are the task ids involved (the offender, when there is
+    one); ``block`` is the offending block key when one exists.
+    ``message`` is a human-actionable description including the fix.
     """
 
     rule: str
@@ -70,34 +63,12 @@ class Report:
             self.passes.append(pass_name)
         self.findings.extend(findings)
 
-    def by_severity(self, severity: str) -> list[Finding]:
-        return [f for f in self.findings if f.severity == severity]
-
-    @property
-    def errors(self) -> list[Finding]:
-        return self.by_severity("error")
-
-    @property
-    def warnings(self) -> list[Finding]:
-        return self.by_severity("warning")
-
-    @property
-    def notes(self) -> list[Finding]:
-        return self.by_severity("info")
-
-    @property
-    def gating(self) -> list[Finding]:
-        """Findings that fail the gate (errors + warnings)."""
-        return [f for f in self.findings if f.severity in ("error", "warning")]
-
     @property
     def ok(self) -> bool:
-        return not self.gating
+        return not self.findings
 
     def summary(self) -> str:
-        e, w, i = len(self.errors), len(self.warnings), len(self.notes)
+        e = sum(f.severity == "error" for f in self.findings)
+        w = len(self.findings) - e
         status = "ok" if self.ok else "FAIL"
-        return (
-            f"{self.graph}: {status} ({', '.join(self.passes)}; "
-            f"{e} errors, {w} warnings, {i} notes)"
-        )
+        return f"{self.graph}: {status} ({', '.join(self.passes)}; {e} errors, {w} warnings)"

@@ -1,21 +1,23 @@
 """Dynamic verification: footprint sanitizer and schedule fuzzer.
 
-The static passes trust the declared footprints.  This module closes
-the loop on numeric graphs:
+The block tracker derives every dependency from the footprints the
+builders declare, so a graph is race-free by construction exactly when
+those declarations are honest.  This module checks that on numeric
+graphs:
 
 * :func:`sanitize_footprints` executes a graph sequentially and
   shadow-compares the matrix before/after every task: any element a
   closure mutated outside its declared write blocks is a ``footprint``
-  error (the declaration the race detector relied on was a lie).
+  error (the declaration the tracker derived edges from was a lie).
 * :func:`fuzz_schedules` re-executes freshly built graphs under N
-  seeded random topological orders and asserts the results are
-  *bitwise* identical to the program-order run — the determinism the
-  happens-before proof promises.
+  seeded random topological orders and asserts the results (the matrix
+  and every output the build's ``collect()`` names) are *bitwise*
+  identical to the program-order run.
 
-Both passes only see the shared matrix: workspace-only writes
+The sanitizer only sees the shared matrix: workspace-only writes
 (``("cand", K, s)`` candidate buffers, pivot sequences, Q factors)
-leave no matrix trace and are vacuously consistent here; the race
-detector covers their ordering statically.
+leave no matrix trace there.  Their ordering is the tracker's, pinned
+by its own tests; the fuzzer compares their final values.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import numpy as np
 from repro.runtime.graph import TaskGraph
 from repro.verify.findings import Finding
 
-__all__ = ["sanitize_footprints", "fuzz_schedules", "random_topological_order"]
+__all__ = ["sanitize_footprints", "fuzz_schedules", "random_topological_order", "is_matrix_block"]
 
 
-def _is_matrix_block(key: object) -> bool:
+def is_matrix_block(key: object) -> bool:
     """True for ``(i, j)`` block-index keys (workspace keys are tagged tuples)."""
     return (
         isinstance(key, tuple)
@@ -65,7 +67,7 @@ def sanitize_footprints(graph: TaskGraph, A: np.ndarray, b: int) -> list[Finding
         before = A.copy()
         task.fn()
         touched = _changed_blocks(before, A, b)
-        declared = {k for k in task.writes if _is_matrix_block(k)}
+        declared = {k for k in task.writes if is_matrix_block(k)}
         rogue = sorted(touched - declared)
         if rogue:
             shown = ", ".join(repr(x) for x in rogue[:4])
@@ -78,9 +80,9 @@ def sanitize_footprints(graph: TaskGraph, A: np.ndarray, b: int) -> list[Finding
                     message=(
                         f"task #{tid} {task.name!r} mutated block(s) {shown}{more} "
                         f"outside its declared write set "
-                        f"{sorted(declared, key=repr)!r} — the static race proof "
-                        "is unsound for this graph; fix the builder's "
-                        "reads/writes declaration"
+                        f"{sorted(declared, key=repr)!r} — the tracker derived this "
+                        "graph's edges from a false footprint; fix the "
+                        "builder's reads/writes declaration"
                     ),
                     tasks=(tid,),
                     block=rogue[0],
@@ -131,7 +133,7 @@ def fuzz_schedules(
     the ``runs`` subsequent builds runs under a different seeded
     random linear extension and must reproduce the reference bit for
     bit.  Any divergence is a ``schedule-dependence`` error — evidence
-    of a race the static detector's inputs hid, or of a
+    of a conflict a declared footprint hid from the tracker, or of a
     non-associative reduction leaking schedule order into the result.
     """
     graph, collect = build()

@@ -47,27 +47,15 @@ class TestUpdateWidthPlumbing:
 
 
 class TestSimulatedPolicies:
-    def test_priority_vs_fifo_both_complete(self):
-        from repro.runtime.simulated import SimulatedExecutor
-
-        mach = generic(4)
-        g = lu_graph("calu", 1600, 800, tr=4)
-        t_prio = SimulatedExecutor(mach, policy="priority").run(g)
-        g2 = lu_graph("calu", 1600, 800, tr=4)
-        t_fifo = SimulatedExecutor(mach, policy="fifo").run(g2)
-        t_prio.validate_schedule(g)
-        t_fifo.validate_schedule(g2)
-        assert len(t_prio.records) == len(t_fifo.records)
-
     def test_lookahead_priority_not_slower_on_tall(self):
         from repro.runtime.simulated import SimulatedExecutor
 
         mach = generic(4)
         g_p = lu_graph("calu", 40000, 400, tr=4)
-        g_f = lu_graph("calu", 40000, 400, tr=4)
-        mk_p = SimulatedExecutor(mach, policy="priority").run(g_p).makespan
-        mk_f = SimulatedExecutor(mach, policy="fifo").run(g_f).makespan
-        assert mk_p <= mk_f * 1.2
+        g_0 = lu_graph("calu", 40000, 400, tr=4, lookahead=0)
+        mk_p = SimulatedExecutor(mach).run(g_p).makespan
+        mk_0 = SimulatedExecutor(mach).run(g_0).makespan
+        assert mk_p <= mk_0 * 1.2
 
 
 class TestMachineEdgeCases:

@@ -276,8 +276,8 @@ def test_one_plan_runs_many_matrices(name, backend, dtype):
 @pytest.mark.parametrize("kind,shape", [("lu", (96, 96)), ("qr", (128, 48))])
 def test_a_service_plan_is_the_compiled_program_task_for_task(kind, shape):
     """The service used to rewrite its plans' graphs (fusing tasks into
-    super-tasks); what it runs is what ``compile`` builds and
-    ``repro.verify`` proves: the same names, kinds and edges."""
+    super-tasks); what it runs is what ``compile`` builds and the golden
+    graphs pin: the same names, kinds and edges."""
     b, tr = 16, 3
     alg = driver.ALGORITHMS[kind]
     with FactorizationService(ServiceConfig(cores=2, backend="threaded")) as svc:

@@ -1,8 +1,7 @@
 """One kernel table: every cost-kernel name has a formula and a price.
 
-``repro.analysis.flops.KERNELS`` is what ``Cost.of`` prices tasks from,
-what ``repro.verify.lint`` re-derives them from, and what keys the
-machine models' kernel profiles.  A name missing from a model is priced
+``repro.analysis.flops.KERNELS`` is what ``Cost.of`` prices tasks from
+and what keys the machine models' kernel profiles.  A name missing from a model is priced
 at the silent ``_DEFAULT_PROFILE``, so the presets, the host calibration
 and the builders are all held to the table here.
 """

@@ -188,18 +188,6 @@ class TestHealthGuards:
         tr = ThreadedExecutor(1, retry=RetryPolicy()).run(g)
         assert tr.resilience_summary() == {"health": 1}
 
-    def test_health_checks_can_be_disabled(self):
-        g = TaskGraph("h")
-        g.add(
-            "t0",
-            TaskKind.S,
-            Cost("gemm"),
-            fn=lambda: None,
-            health=lambda: ResilienceEvent("health", fatal=True),
-        )
-        tr = ThreadedExecutor(1, retry=RetryPolicy(), health_checks=False).run(g)
-        assert not tr.events
-
 
 class TestTraceEvents:
     def test_summary_mentions_events(self):

@@ -52,26 +52,16 @@ def random_graph(seed: int, n_tasks: int) -> tuple[TaskGraph, list, list]:
 
 class TestReadyQueue:
     def test_priority_order(self):
-        q = ReadyQueue("priority")
+        q = ReadyQueue()
         for i, p in enumerate([1.0, 5.0, 3.0]):
             q.push(Task(tid=i, name=str(i), kind=TaskKind.S, cost=_mk(), priority=p))
         assert [q.pop().tid for _ in range(3)] == [1, 2, 0]
 
-    def test_fifo_ignores_priority(self):
-        q = ReadyQueue("fifo")
-        for i, p in enumerate([1.0, 5.0, 3.0]):
-            q.push(Task(tid=i, name=str(i), kind=TaskKind.S, cost=_mk(), priority=p))
-        assert [q.pop().tid for _ in range(3)] == [0, 1, 2]
-
     def test_stable_ties(self):
-        q = ReadyQueue("priority")
+        q = ReadyQueue()
         for i in range(5):
             q.push(Task(tid=i, name=str(i), kind=TaskKind.S, cost=_mk(), priority=2.0))
         assert [q.pop().tid for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            ReadyQueue("bogus")
 
     def test_len_and_bool(self):
         q = ReadyQueue()
@@ -188,15 +178,6 @@ class TestSimulatedExecutor:
         order = [r.name for r in sorted(trace.records, key=lambda r: r.start)]
         assert order == ["high", "low"]
 
-    def test_fifo_policy(self):
-        mach = generic(1)
-        g = TaskGraph()
-        g.add("low", TaskKind.S, _mk(), priority=0.0)
-        g.add("high", TaskKind.P, _mk(), priority=10.0)
-        trace = SimulatedExecutor(mach, policy="fifo").run(g)
-        order = [r.name for r in sorted(trace.records, key=lambda r: r.start)]
-        assert order == ["low", "high"]
-
     def test_zero_cost_tasks_complete(self):
         g = TaskGraph()
         g.add("empty", TaskKind.X, Cost("copy"))
@@ -262,7 +243,6 @@ def make(request):
         made.append(request.param(*args, **options))
         return made[-1]
 
-    factory.cls = request.param
     yield factory
     for ex in made:
         getattr(ex, "close", lambda: None)()
@@ -295,14 +275,10 @@ class TestEngineConformance:
             make(*args, **options)
 
     def test_unknown_policy_is_rejected_at_construction(self, make):
-        if make.cls is WorkStealingExecutor:
-            with pytest.raises(TypeError, match="policy"):  # it has no queue policy
-                make(2, policy="fifo")
-        else:
-            with pytest.raises(ValueError, match="bogus"):
-                make(2, policy="bogus")
-            with pytest.raises(ValueError, match="bogus"):
-                make(2, "bogus")
+        # The one ready queue is the priority heap: no executor takes a
+        # queue policy.
+        with pytest.raises(TypeError, match="policy"):
+            make(2, policy="fifo")
 
     def test_deadline_aborts_with_its_own_kind(self, make):
         ex = make(2, deadline=time.monotonic() + 0.05, watchdog_poll_s=0.01)

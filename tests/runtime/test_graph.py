@@ -149,41 +149,91 @@ class TestBlockTracker:
         assert g.preds[b] == [a]
 
 
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_property_tracker_serializes_conflicting_writes(data):
-    """For any access sequence, two writers of one block are ordered."""
-    n_tasks = data.draw(st.integers(2, 20))
+BLOCKS = [(i, j) for i in range(3) for j in range(3)]
+access_seqs = st.lists(
+    st.tuples(*[st.frozensets(st.sampled_from(BLOCKS), max_size=4)] * 2), min_size=1, max_size=24
+)
+
+
+def tracked(seq):
+    """The tracker's graph over *seq*, one ``(reads, writes)`` per task."""
+    g = TaskGraph("prop")
     t = BlockTracker()
-    g = TaskGraph()
-    accesses = []
-    for i in range(n_tasks):
-        reads = data.draw(st.lists(st.integers(0, 3), max_size=2))
-        writes = data.draw(st.lists(st.integers(0, 3), max_size=2))
-        accesses.append((set(reads), set(writes)))
-        t.add_task(
-            g,
-            f"t{i}",
-            TaskKind.S,
-            cost(),
-            reads=[(b, 0) for b in reads],
-            writes=[(b, 0) for b in writes],
-        )
+    for i, (reads, writes) in enumerate(seq):
+        t.add_task(g, f"t{i}", TaskKind.X, Cost("laswp"), reads=sorted(reads), writes=sorted(writes))
+    return g
+
+
+def conflicts(a, b):
+    (ra, wa), (rb, wb) = a, b
+    return bool((wa & wb) or (wa & rb) or (ra & wb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(access_seqs)
+def test_tracker_orders_every_conflicting_pair(seq):
+    """For any access sequence, every conflicting pair (RAW, WAR, WAW)
+    is ordered in program order — against an O(n^2) oracle that
+    enumerates all pairs directly."""
+    g = tracked(seq)
     g.validate()
-    # Transitive closure via topological longest-path over reachability.
-    order = g.topological_order()
-    reach = [set() for _ in range(n_tasks)]
-    for u in reversed(order):
+    reach = [set() for _ in seq]  # reach[u]: every task with a path from u
+    for u in reversed(g.topological_order()):
         for v in g.succs[u]:
-            reach[u].add(v)
-            reach[u] |= reach[v]
-    for i in range(n_tasks):
-        for j in range(i + 1, n_tasks):
-            ri, wi = accesses[i]
-            rj, wj = accesses[j]
-            conflict = (wi & wj) or (wi & rj) or (ri & wj)
-            if conflict:
-                assert j in reach[i], f"conflicting tasks {i},{j} not ordered"
+            reach[u] |= {v} | reach[v]
+    for j in range(len(seq)):
+        for i in range(j):
+            if conflicts(seq[i], seq[j]):
+                assert j in reach[i], f"conflicting pair {i} -> {j} unordered"
+
+
+@settings(max_examples=200, deadline=None)
+@given(access_seqs, st.randoms(use_true_random=False))
+def test_property_tracker_serializes_conflicting_writes(seq, rnd):
+    """Any schedule the graph allows replays program order: run in a
+    random topological order, every read sees the writer it sees in
+    program order, and every block ends with the same last writer."""
+    g = tracked(seq)
+
+    def replay(order):
+        last, seen = {}, []
+        for i in order:
+            reads, writes = seq[i]
+            seen.append((i, {b: last.get(b) for b in reads}))
+            last.update(dict.fromkeys(writes, i))
+        return sorted(seen), last
+
+    indeg = [len(g.preds[i]) for i in range(len(seq))]
+    ready, order = [i for i, d in enumerate(indeg) if d == 0], []
+    while ready:
+        u = ready.pop(rnd.randrange(len(ready)))
+        order.append(u)
+        for v in g.succs[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    assert replay(order) == replay(range(len(seq)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(access_seqs)
+def test_footprint_matches_declaration(seq):
+    g = tracked(seq)
+    assert len(g.tasks) == len(seq)
+    for task, (reads, writes) in zip(g.tasks, seq, strict=True):
+        assert task.has_footprint
+        assert task.reads == reads and task.writes == writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(access_seqs)
+def test_no_spurious_order_between_disjoint_writers(seq):
+    # Soundness in the other direction: two tasks with no conflict and
+    # no transitive intermediary must not gain a *direct* edge.
+    g = tracked(seq)
+    for j in range(len(seq)):
+        for i in g.preds[j]:
+            assert conflicts(seq[i], seq[j]), f"edge {i} -> {j} without a conflict"
 
 
 class TestFootprint:

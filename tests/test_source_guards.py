@@ -1,0 +1,142 @@
+"""Source-shape guards: one task form, one driver, one executor, one plane.
+
+Each test greps the package source for a shape an earlier
+simplification removed — an ``op_sync`` mirror, a shm fork in
+``core/``, a lazy import in ``ops.py``, a second out-of-core driver,
+the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
+second compiled form, an engine built per run, a clock switch, a
+second allocator or ``attach_array`` — so it cannot come back
+unnoticed.  The patterns are regular expressions over single lines,
+as ``grep -E`` reads them.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def grep(pattern: str, *paths: str, unless: str | None = None) -> list[str]:
+    """``path:line: text`` of every line matching *pattern* under
+    *paths* (files or directories, relative to the package), less the
+    lines that also match *unless*."""
+    hits = []
+    for rel in paths:
+        root = SRC / rel
+        for f in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            for n, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1):
+                if re.search(pattern, line) and not (unless and re.search(unless, line)):
+                    hits.append(f"{f.relative_to(SRC).as_posix()}:{n}: {line.strip()}")
+    return hits
+
+
+# One task form: every kernel step is one op of runtime/ops.py.
+
+
+def test_no_op_sync_mirror():
+    assert grep(r"op_sync", ".") == []
+
+
+def test_no_shm_fork_in_core():
+    assert grep(r"shm is not None", "core") == []
+
+
+def test_no_lazy_imports_in_ops():
+    assert grep(r"^\s+(from|import) ", "runtime/ops.py") == []
+
+
+# Out of core is a plane: outofcore.py emits no task and calls no
+# kernel beyond the two direct_tsqr uses.
+
+
+def test_outofcore_emits_no_task():
+    assert grep(r"add_task|GraphProgram\(|reduction_schedule", "core/outofcore.py") == []
+
+
+def test_outofcore_calls_no_kernel_beyond_direct_tsqr():
+    hits = grep(
+        r"(from|import) repro\.kernels",
+        "core/outofcore.py",
+        unless=r"from repro.kernels.qr import extract_v, geqr3$",
+    )
+    assert hits == []
+
+
+# One driver: the eager build_*_graph wrappers and the second autotune
+# module stay deleted, the pipeline's steps occur in core/driver.py
+# only, and the service keeps no mirror of them.
+
+
+def test_no_eager_graph_wrappers():
+    assert grep(r"def build_(calu|caqr|getrf|geqrf|tiled_lu|tiled_qr)_graph", ".") == []
+
+
+def test_no_second_autotune_module():
+    assert not (SRC / "core" / "autotune.py").exists(), "core/autotune.py is back"
+
+
+def test_pipeline_steps_only_in_the_driver():
+    hits = grep(r"checkpoint\.prepare\(|restore_matrix\(", "core")
+    assert [h for h in hits if not h.startswith("core/driver.py:")] == []
+
+
+def test_service_mirrors_no_pipeline_step():
+    assert grep(r"_finish_solve|_guard_finite|_assemble_piv", "service") == []
+
+
+# One compiled form: stage -> build is core/driver.py's compile() only.
+# The service caches its Plans and makes one engine per request; out of
+# core compiles over its binding.  One pool: the idle plans wait in
+# core/driver.py's PlanPool; the service keeps no list of them and no
+# checkout protocol.
+
+
+def test_service_stages_and_builds_nothing():
+    pattern = (
+        r"SharedArena\(|ShmBinding\(|HeapBinding\(|\.program\(|guard_finite\(|"
+        r"decision\.event\(|\b_idle\b|_plans_out|_checkout_plan|_checkin_plan"
+    )
+    assert grep(pattern, "service") == []
+
+
+def test_service_makes_one_engine():
+    hits = grep(r"ExecutionEngine\(", "service")
+    assert len(hits) <= 1, hits
+
+
+# One executor: the public executors are the engine (or subclass it)
+# and the simulator owns its clock -- nobody builds an engine per run,
+# and no clock switch comes back.
+
+
+def test_no_engine_built_per_run():
+    files = [f"runtime/{m}.py" for m in ("threaded", "stealing", "process", "simulated")]
+    assert grep(r"ExecutionEngine\(", *files) == []
+
+
+def test_no_clock_switch():
+    assert grep(r"clock=", "runtime") == []
+
+
+# One plane: SharedArena is a TileStore (no forwarding class), the
+# allocator's helpers, attach_array and the leaf-V view (alloc_v: every
+# plane keeps V packed in the panel) exist once, and process.py makes no
+# store and no binding (staged does).
+
+
+def test_no_forwarding_tile_store():
+    assert grep(r"ArenaTileStore", ".") == []
+
+
+@pytest.mark.parametrize("fn", ["attach_array", "spec_nbytes", "_aligned", "alloc_v"])
+def test_plane_helper_defined_once(fn):
+    hits = grep(rf"def {fn}\(", "runtime")
+    assert len(hits) == 1, hits
+
+
+def test_process_backend_makes_no_store_or_binding():
+    assert grep(r"SharedArena\(|ShmBinding\(|HeapBinding\(", "runtime/process.py") == []
