@@ -4,12 +4,15 @@ CALU/CAQR were designed for distributed memory (paper Section II).
 This example factors one tall-skinny panel with P=8 simulated ranks
 three ways and prints the exact communication each needs — the
 `O(log2 P)` vs `O(b log2 P)` separation that motivates everything else.
+The factors are the shared-memory drivers' (`tslu`/`tsqr` with `tr=P`,
+`getf2` for the classic panel); the ranks are their row chunks.
 
 Run:  python examples/distributed_panels.py
 """
 
 import numpy as np
 
+from repro.analysis.communication import panel_messages_ca, panel_messages_classic
 from repro.core.trees import TreeKind
 from repro.distmem import AlphaBeta, distributed_gepp_panel, distributed_tslu, distributed_tsqr
 
@@ -43,8 +46,12 @@ def main() -> None:
     U = np.triu(res.lu[:b])
     err = np.linalg.norm(A[piv_to_perm(res.piv, m)] - L @ U) / np.linalg.norm(A)
     print(f"\nTSLU backward error: {err:.2e}")
-    print("closed-form check: classic needs b x more rounds than binary TSLU:",
-          f"{b} x {int(np.log2(P))} = {b * int(np.log2(P))} vs {int(np.log2(P))} merge rounds")
+    print(
+        "closed-form check: panel syncs, classic",
+        panel_messages_classic(b, P),
+        "vs binary-tree TSLU/TSQR",
+        panel_messages_ca(P, TreeKind.BINARY),
+    )
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
-"""Simulated distributed-memory substrate.
+"""Simulated distributed-memory substrate: count the messages.
 
 CALU and CAQR were introduced for distributed memory (the paper's
 Section II); the multicore adaptation inherits their reduction trees.
-This subpackage implements the *original* distributed setting as an
-explicit simulation: ``P`` ranks each own a block of rows, and every
-exchange goes through a counting channel, so message counts, word
-volumes and alpha-beta communication times are exact — no MPI needed.
+This subpackage prices the core drivers' own runs in that setting (no
+factor is computed here): a panel's ``tr=P`` chunks are ``P`` ranks,
+and every exchange the run's schedule implies goes through a counting
+channel, so message counts, word volumes and alpha-beta communication
+times are exact — no MPI needed (:mod:`repro.distmem.ledger`).
 
 It exists to validate the communication-optimality claims end to end:
 
@@ -15,21 +16,21 @@ It exists to validate the communication-optimality claims end to end:
   *column* — ``b`` times more;
 * with a flat tree the root ingests ``P - 1`` messages in one round
   (optimal in volume sequentially, latency-bound in parallel).
-
-Numerics are identical to the shared-memory implementations — the
-tournament selects the same pivot rows, TSQR computes the same ``R``.
 """
 
-from repro.distmem.calu_dist import DistCALU, distributed_calu
-from repro.distmem.comm import AlphaBeta, CommLog, RowBlocks
-from repro.distmem.tslu_dist import distributed_gepp_panel, distributed_tslu
-from repro.distmem.tsqr_dist import distributed_tsqr
+from repro.distmem.comm import AlphaBeta, CommLog
+from repro.distmem.ledger import (
+    DistCALU,
+    distributed_calu,
+    distributed_gepp_panel,
+    distributed_tslu,
+    distributed_tsqr,
+)
 
 __all__ = [
     "AlphaBeta",
     "CommLog",
     "DistCALU",
-    "RowBlocks",
     "distributed_calu",
     "distributed_gepp_panel",
     "distributed_tslu",

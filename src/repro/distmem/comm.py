@@ -1,8 +1,8 @@
-"""Counting communication channel and row-block distribution.
+"""Counting communication channel.
 
-The simulation is SPMD-by-coordination: the algorithm code moves NumPy
-arrays between per-rank storage through :class:`CommLog`, which records
-every message.  Communication *time* is evaluated afterwards under an
+:mod:`repro.distmem.ledger` sends the size of every message a
+distributed run would exchange through :class:`CommLog`, which records
+it.  Communication *time* is evaluated afterwards under an
 alpha-beta model with per-round latency: messages in the same round
 (tree level) overlap, so a round costs
 ``alpha + beta * max_words_into_one_rank``.
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.resilience.events import ResilienceEvent
 
-__all__ = ["AlphaBeta", "CommLog", "RowBlocks"]
+__all__ = ["AlphaBeta", "CommLog"]
 
 
 @dataclass(frozen=True)
@@ -140,39 +140,3 @@ class CommLog:
         for per_dst in rounds.values():
             total += model.alpha + model.beta * max(per_dst.values())
         return total
-
-
-@dataclass(frozen=True)
-class RowBlocks:
-    """Block-row distribution of ``m`` rows over ``P`` ranks.
-
-    Rank ``r`` owns the contiguous rows ``range(*bounds(r))``; the
-    partition matches :meth:`repro.core.layout.BlockLayout.panel_chunks`
-    so the distributed tournament selects the same pivots as the
-    shared-memory one.
-    """
-
-    m: int
-    P: int
-
-    def __post_init__(self) -> None:
-        if self.P < 1 or self.m < 1:
-            raise ValueError(f"invalid distribution m={self.m}, P={self.P}")
-
-    def bounds(self, rank: int) -> tuple[int, int]:
-        per = -(-self.m // self.P)
-        r0 = min(self.m, rank * per)
-        r1 = min(self.m, (rank + 1) * per)
-        return r0, r1
-
-    def owner(self, row: int) -> int:
-        per = -(-self.m // self.P)
-        return min(self.P - 1, row // per)
-
-    @property
-    def active_ranks(self) -> list[int]:
-        return [r for r in range(self.P) if self.bounds(r)[0] < self.bounds(r)[1]]
-
-    def scatter(self, A: np.ndarray) -> dict[int, np.ndarray]:
-        """Initial data distribution (not counted as communication)."""
-        return {r: A[slice(*self.bounds(r))].copy() for r in self.active_ranks}

@@ -39,7 +39,7 @@ __all__ = ["ResilienceEvent", "EVENT_KINDS"]
 #:     A panel snapshot was written / a run restarted from one,
 #:     skipping the tasks it covers.
 #: ``rank_loss``
-#:     A distributed participant died; survivors recomputed its share.
+#:     A distributed participant died; a survivor took over its share.
 #: ``health``
 #:     A numerical health guard fired (NaN/Inf block, pivot growth).
 #: ``timeout`` / ``stall`` / ``deadlock`` / ``worker_death``

@@ -1,4 +1,4 @@
-"""Tests for the simulated distributed-memory TSLU/TSQR substrate."""
+"""Tests for the distributed-memory message ledger over TSLU/TSQR."""
 
 import math
 
@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.communication import panel_messages_ca
 from repro.core.trees import TreeKind
-from repro.distmem.comm import AlphaBeta, CommLog, RowBlocks
-from repro.distmem.tslu_dist import distributed_gepp_panel, distributed_tslu
-from repro.distmem.tsqr_dist import distributed_tsqr
+from repro.core.tslu import tslu
+from repro.core.tsqr import tsqr
+from repro.distmem import (
+    AlphaBeta,
+    CommLog,
+    distributed_calu,
+    distributed_gepp_panel,
+    distributed_tslu,
+    distributed_tsqr,
+)
+from repro.distmem.ledger import STORAGE_RANK
 from tests.conftest import assert_lu_ok, make_rng
 
 
@@ -43,30 +52,6 @@ class TestCommLog:
         assert t == pytest.approx(1.0 + 2.0 + 1.0 + 0.5)
 
 
-class TestRowBlocks:
-    def test_bounds_cover(self):
-        d = RowBlocks(103, 4)
-        rows = [d.bounds(r) for r in range(4)]
-        assert rows[0][0] == 0 and rows[-1][1] == 103
-        for (a0, a1), (b0, b1) in zip(rows, rows[1:]):
-            assert a1 == b0
-
-    def test_owner_consistent(self):
-        d = RowBlocks(50, 3)
-        for row in range(50):
-            o = d.owner(row)
-            r0, r1 = d.bounds(o)
-            assert r0 <= row < r1
-
-    def test_more_ranks_than_rows(self):
-        d = RowBlocks(3, 8)
-        assert len(d.active_ranks) <= 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            RowBlocks(0, 2)
-
-
 class TestDistributedTSLU:
     @pytest.mark.parametrize("P,tree", [(1, TreeKind.BINARY), (4, TreeKind.BINARY), (7, TreeKind.FLAT), (8, TreeKind.HYBRID)])
     def test_factorization_correct(self, P, tree):
@@ -89,20 +74,63 @@ class TestDistributedTSLU:
         # Flat: all candidates converge on the root in one round.
         assert res_flat.comm.n_rounds < res_bin.comm.n_rounds
 
-    def test_same_pivots_as_shared_memory(self):
-        """With matching chunk boundaries the tournament is identical."""
-        from repro.core.tslu import tslu
-
-        P, q, b = 4, 5, 8
-        m = P * q * b  # rank blocks == shared-memory chunks
-        A = make_rng(2).standard_normal((m, b))
-        res = distributed_tslu(A, P=P, tree=TreeKind.BINARY)
-        _, piv_shared = tslu(A, tr=P, tree=TreeKind.BINARY)
-        np.testing.assert_array_equal(res.piv, piv_shared)
-
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             distributed_tslu(np.zeros((4, 8)), P=2)
+
+
+class TestDeadRanks:
+    """A lost rank reroutes the ledger; the numbers never depend on it."""
+
+    A = make_rng(13).standard_normal((256, 8))
+
+    def test_factors_equal_fault_free_run(self):
+        clean = distributed_tslu(self.A, P=4)
+        res = distributed_tslu(self.A, P=4, dead_ranks=(3, 1, 1))
+        np.testing.assert_array_equal(res.piv, clean.piv)
+        np.testing.assert_array_equal(res.lu, clean.lu)
+        assert res.recovered_ranks == (1, 3)
+        assert res.P == 4
+
+    def test_buddy_fetches_each_lost_block_once(self):
+        res = distributed_tslu(self.A, P=4, dead_ranks=(1, 3))
+        fetches = [m for m in res.comm.messages if m.src == STORAGE_RANK]
+        # The buddy is the next surviving rank, cyclically; a block is 64 x 8.
+        assert [(m.dst, m.words) for m in fetches] == [(2, 64 * 8), (0, 64 * 8)]
+        losses = [e for e in res.comm.events if e.kind == "rank_loss"]
+        assert [(e.task, e.value) for e in losses] == [("rank1", 1.0), ("rank3", 3.0)]
+        # Nothing is routed to or from a dead rank.
+        assert not {m.src for m in res.comm.messages} & {1, 3}
+        assert not {m.dst for m in res.comm.messages} & {1, 3}
+
+    def test_rejects_unknown_rank_and_all_dead(self):
+        with pytest.raises(ValueError, match="not among active ranks"):
+            distributed_tslu(self.A, P=4, dead_ranks=(4,))
+        with pytest.raises(ValueError, match="all ranks dead"):
+            distributed_tslu(self.A, P=4, dead_ranks=(0, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "entry,bad",
+    [
+        pytest.param(distributed_tslu, {"leaf_kernel": "nope"}, id="tslu-leaf_kernel"),
+        pytest.param(distributed_tslu, {"A": np.full((16, 4), np.nan)}, id="tslu-nan"),
+        pytest.param(distributed_tslu, {"A": np.ones(16)}, id="tslu-1d"),
+        pytest.param(distributed_tsqr, {"leaf_kernel": "nope"}, id="tsqr-leaf_kernel"),
+        pytest.param(distributed_tsqr, {"A": np.full((16, 4), np.inf)}, id="tsqr-inf"),
+        pytest.param(distributed_tsqr, {"P": 0}, id="tsqr-P"),
+        pytest.param(distributed_calu, {"b": 0}, id="calu-b"),
+        pytest.param(distributed_calu, {"A": np.full((16, 16), np.nan)}, id="calu-nan"),
+        pytest.param(distributed_gepp_panel, {"A": np.full((16, 4), np.nan)}, id="gepp-nan"),
+        pytest.param(distributed_gepp_panel, {"A": np.ones((16, 4), complex)}, id="gepp-complex"),
+    ],
+)
+def test_bad_input_is_a_value_error(entry, bad):
+    """Each entry point refuses bad knobs and non-finite or non-real
+    panels with a ValueError, never a KeyError or a silent result."""
+    kwargs = {"A": make_rng(14).standard_normal((16, 4)), "P": 2, **bad}
+    with pytest.raises(ValueError):
+        entry(**kwargs)
 
 
 class TestDistributedGEPP:
@@ -167,15 +195,14 @@ class TestDistributedTSQR:
         G1 = A.T @ A
         G2 = res.R.T @ res.R
         assert np.linalg.norm(G1 - G2) / np.linalg.norm(G1) < 1e-12
+        # The shared-memory driver's R, bit for bit (300 rows split unevenly).
+        np.testing.assert_array_equal(res.R, tsqr(A, tr=P, tree=tree).R)
 
     def test_r_matches_shared_memory_abs(self):
-        from repro.core.tsqr import tsqr
-
-        P, q, b = 4, 4, 8
-        m = P * q * b
-        A = make_rng(11).standard_normal((m, b))
-        res = distributed_tsqr(A, P=P, tree=TreeKind.BINARY)
-        f = tsqr(A, tr=P, tree=TreeKind.BINARY)
+        """Across trees ``R`` is unique up to row signs."""
+        A = make_rng(11).standard_normal((200, 8))
+        res = distributed_tsqr(A, P=4, tree=TreeKind.BINARY)
+        f = tsqr(A, tr=3, tree=TreeKind.FLAT, leaf_kernel="geqr3")
         np.testing.assert_allclose(np.abs(res.R), np.abs(f.R), rtol=1e-9, atol=1e-11)
 
     def test_triangular_payloads_only(self):
@@ -190,12 +217,32 @@ class TestDistributedTSQR:
             distributed_tsqr(np.zeros((4, 8)), P=2)
 
 
-@given(st.integers(1, 10), st.integers(0, 100))
+@given(st.integers(1, 10), st.integers(0, 100), st.sampled_from(list(TreeKind)))
 @settings(max_examples=20, deadline=None)
-def test_property_distributed_tslu_valid(P, seed):
+def test_property_distributed_tslu_valid(P, seed, tree):
     rng = make_rng(seed)
     b = int(rng.integers(1, 10))
-    m = b * int(rng.integers(1, 20))
+    m = b * int(rng.integers(1, 20)) + int(rng.integers(0, b))
     A = rng.standard_normal((m, b))
-    res = distributed_tslu(A, P=P)
+    res = distributed_tslu(A, P=P, tree=tree)
     assert_lu_ok(A, res.lu, res.piv, tol=1e-9)
+    # One rank partition: the shared-memory tournament's pivots on every shape.
+    np.testing.assert_array_equal(res.piv, tslu(A, tr=P, tree=tree)[1])
+
+
+@pytest.mark.parametrize("tree", list(TreeKind), ids=str)
+def test_merge_traffic_is_the_closed_form(tree):
+    """A panel's merges take ``panel_messages_ca(P, tree)`` rounds and,
+    any tree shape, ``P - 1`` messages (one per merged source)."""
+    b = 4
+    for P in range(1, 17):
+        A = make_rng(P).uniform(-1.0, 1.0, (2 * P * b, b))
+        A[:b] += 100.0 * np.eye(b)  # every pivot row lives on rank 0
+        qr = distributed_tsqr(A, P=P, tree=tree)
+        assert qr.P == P
+        assert (qr.comm.n_rounds, qr.comm.n_messages) == (panel_messages_ca(P, tree), P - 1)
+        lu = distributed_tslu(A, P=P, tree=tree)
+        np.testing.assert_array_equal(lu.piv, np.arange(b))  # so no swap crosses ranks
+        # Less the broadcast of U_kk and the pivots: binomial, P - 1 messages.
+        rounds = lu.comm.n_rounds - math.ceil(math.log2(P))
+        assert (rounds, lu.comm.n_messages - (P - 1)) == (panel_messages_ca(P, tree), P - 1)

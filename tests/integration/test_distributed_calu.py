@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.calu import calu
 from repro.core.trees import TreeKind
 from repro.distmem import AlphaBeta, distributed_calu
 from tests.conftest import assert_lu_ok, make_rng
@@ -68,13 +69,15 @@ def test_alpha_beta_time_positive():
     assert res.comm.time(AlphaBeta()) > 0.0
 
 
-@given(st.integers(1, 8), st.integers(0, 50))
+@given(st.integers(1, 8), st.integers(0, 50), st.sampled_from(list(TreeKind)))
 @settings(max_examples=12, deadline=None)
-def test_property_distributed_calu(P, seed):
+def test_property_distributed_calu(P, seed, tree):
     rng = make_rng(seed)
     b = int(rng.integers(4, 24))
     m = int(rng.integers(b, 120))
     n = int(rng.integers(b, 120))
     A0 = rng.standard_normal((m, n))
-    res = distributed_calu(A0, P=P, b=b)
+    res = distributed_calu(A0, P=P, b=b, tree=tree)
     assert_lu_ok(A0, res.lu, res.piv, tol=1e-9)
+    # The ranks are the shared-memory driver's chunks: its pivots, every shape.
+    np.testing.assert_array_equal(res.piv, calu(A0, b=b, tr=P, tree=tree).piv)

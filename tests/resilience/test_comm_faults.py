@@ -73,10 +73,10 @@ class TestLossyChannel:
 
 class TestDistributedTSLUWithFaults:
     def test_distributed_tournament_survives_lossy_channel(self):
-        # The distmem TSLU is SPMD-by-coordination over CommLog; with a
+        # The distmem TSLU prices its run through CommLog; with a
         # lossy channel its pivots must be unchanged (reliable
         # transport), just more expensive.
-        from repro.distmem.tslu_dist import distributed_tslu
+        from repro.distmem import distributed_tslu
 
         rng = np.random.default_rng(0)
         A = rng.standard_normal((64, 8))
@@ -90,7 +90,7 @@ class TestDistributedTSLUWithFaults:
         assert lossy_log.n_retransmits > 0
 
     def test_hopeless_channel_fails_structured(self):
-        from repro.distmem.tslu_dist import distributed_tslu
+        from repro.distmem import distributed_tslu
 
         A = np.random.default_rng(1).standard_normal((32, 4))
         log = CommLog(fault_plan=FaultPlan(0, msg_drop_rate=1.0), max_retransmits=2)
