@@ -270,6 +270,11 @@ def add_tslu_tasks(
             meta["corrupt"] = _corrupt_candidates(ws, slot)
         em.task(name, "P", cost, op, reads=reads, writes=[cand(slot)], **meta)
 
+    levels = reduction_schedule(len(slots), tree, arity)
+    n_merges = sum(len(level) for level in levels)
+    # The panel's last election — its root merge, or its only leaf —
+    # keeps its winners' factors in the root slot (payload "last"), and
+    # the finalize installs them.
     for chunk in chunks:
         # A chunk shorter than the panel is wide falls to the unblocked kernel.
         kernel = leaf_kernel if chunk.rows >= bk else "getf2"
@@ -285,6 +290,7 @@ def add_tslu_tasks(
                 "k0": k0,
                 "leaf_kernel": leaf_kernel,
                 "slot": ws.slot_specs[chunk.index],
+                "last": n_merges == 0,
             },
         )
         tournament_task(
@@ -293,7 +299,7 @@ def add_tslu_tasks(
 
     merges: list[tuple[int, list[int]]] = []  # (dst, srcs) in level order
     cand_rows = {c.index: min(c.rows, bk) for c in chunks}
-    for level in reduction_schedule(len(slots), tree, arity):
+    for level in levels:
         for dst_pos, src_pos in level:
             dst = slots[dst_pos]
             srcs = [slots[p] for p in src_pos]
@@ -307,6 +313,7 @@ def add_tslu_tasks(
                     "dst": ws.slot_specs[dst],
                     "bk": bk,
                     "flags": ws.flags_spec,
+                    "last": len(merges) == n_merges,
                 },
             )
             # Dependencies are derived from the candidate-slot keys:

@@ -11,7 +11,9 @@ tree merges and node updates under the default ``leaf_kernel="geqrt"``
 (``kernels.qr.TREE_KERNELS`` maps each leaf kernel to its tree
 kernels).  ``lapack_getrf``, a thin wrapper of LAPACK's ``?getrf``,
 runs every TSLU tournament merge whatever the leaf kernel
-(``kernels.lu.MERGE_KERNEL``).  Each kernel reports its flop count to
+(``kernels.lu.MERGE_KERNEL``), and the panel's last merge hands its
+factors to the finalize; ``blas_trsm``, a thin wrapper of BLAS
+``?trsm``, runs CALU's L and U tasks.  Each kernel reports its flop count to
 :mod:`repro.counters`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
@@ -25,7 +27,7 @@ and as ``lapack_tpqrt/lapack_tpmqrt``) and
 ``tstrf/ssssm`` (PLASMA's incremental-pivoting LU kernels).
 """
 
-from repro.kernels.blas import gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
+from repro.kernels.blas import blas_trsm, gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
 from repro.kernels.lu import getf2, getf2_nopiv, getrf, lapack_getrf, rgetf2
 from repro.kernels.qr import (
     apply_wy_q,
@@ -54,6 +56,7 @@ __all__ = [
     "TstrfOps",
     "apply_wy_q",
     "apply_wy_qt",
+    "blas_trsm",
     "extract_r",
     "extract_v",
     "gemm",

@@ -3,7 +3,10 @@
 The heavy lifting is delegated to NumPy's vectorized operations (the
 HPC-Python idiom: never loop over matrix elements in Python when a
 single array expression does the job), but the *algorithms* built on
-top of these primitives are entirely our own.
+top of these primitives are entirely our own.  One exception,
+:func:`blas_trsm`, is a thin wrapper of the vendor's ``?trsm``: the
+kernel of CALU's L and U tasks, as the paper's Algorithm 1 calls
+``dtrsm``.
 
 Flop conventions (LAPACK working-note style, real double precision):
 
@@ -18,10 +21,11 @@ Flop conventions (LAPACK working-note style, real double precision):
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from repro.counters import add_call, add_flops, add_words
 
-__all__ = ["gemm", "trsm_llnu", "trsm_runn", "ger", "laswp", "scal_axpy_col"]
+__all__ = ["gemm", "trsm_llnu", "trsm_runn", "blas_trsm", "ger", "laswp", "scal_axpy_col"]
 
 
 def gemm(C: np.ndarray, A: np.ndarray, B: np.ndarray, alpha: float = -1.0, beta: float = 1.0) -> np.ndarray:
@@ -98,6 +102,28 @@ def trsm_runn(U: np.ndarray, B: np.ndarray) -> np.ndarray:
         if j:
             B[:, j] -= B[:, :j] @ U[:j, j]
         B[:, j] /= U[j, j]
+    return B
+
+
+def blas_trsm(T: np.ndarray, B: np.ndarray, *, left: bool, lower: bool, unit: bool) -> np.ndarray:
+    """Solve ``T X = B`` (*left*) or ``X T = B`` in place in ``B`` with BLAS ``?trsm``.
+
+    The vendor's triangular solve, picked by dtype (``strsm`` for
+    float32 blocks) as :func:`repro.kernels.lu.lapack_getrf` is: with
+    ``left=False, lower=False, unit=False`` it is :func:`trsm_runn`
+    (task L), with ``left=True, lower=True, unit=True``
+    :func:`trsm_llnu` (task U).  Only the triangle *lower* names is
+    read (its diagonal only when not *unit*), so ``T`` may be a packed
+    LU block.  Counted as one ``blas_trsm`` call of the flops its NumPy
+    twin counts.
+    """
+    k = T.shape[0]
+    if T.shape != (k, k) or B.shape[0 if left else 1] != k:
+        raise ValueError(f"blas_trsm shape mismatch: T{T.shape}, B{B.shape}")
+    add_call("blas_trsm")
+    add_flops(B.shape[1 if left else 0] * k * (k - unit))
+    (fn,) = get_blas_funcs(("trsm",), (T, B))
+    B[...] = fn(1.0, T, B, side=int(not left), lower=int(lower), diag=int(unit))
     return B
 
 

@@ -231,22 +231,27 @@ MERGE_KERNEL = "lapack_getrf"
 _SELECTORS = {**PANEL_KERNELS, MERGE_KERNEL: lapack_getrf}
 
 
-def select_pivots(block: np.ndarray, kernel: str) -> np.ndarray:
-    """GEPP a *copy* of *block*; return the selected pivot positions in order.
+def select_pivots(block: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
+    """GEPP a *copy* of *block*; return the selected positions and their factors.
 
     The tournament-pivoting selection step: a leaf passes its
     ``leaf_kernel`` (a :data:`PANEL_KERNELS` name; a block shorter than
-    it is wide falls to ``getf2``), a merge :data:`MERGE_KERNEL`.  The
-    input is never modified — callers forward the original rows up the
-    reduction tree, so the factored values must not leak into the
-    candidate sets.
+    it is wide falls to ``getf2``), a merge :data:`MERGE_KERNEL`.
+    Returns ``(sel, lu)``: the ``r = min(rows, cols)`` pivot positions
+    in order, and the top ``r`` rows of the factored copy — the packed
+    no-pivoting LU of ``block[sel]`` (``L`` strictly below the diagonal,
+    ``U`` on and above it), which the panel's last election hands to the
+    finalize.  The input is never modified — callers forward the
+    original rows up the reduction tree, so the factored values must not
+    leak into the candidate sets.
     """
     rows, cols = block.shape
     fn = _SELECTORS[kernel]
     if rows < cols and kernel in PANEL_KERNELS:
         fn = getf2
-    perm = piv_to_perm(fn(block.copy()), rows)
-    return perm[: min(rows, cols)]
+    work = block.copy()
+    r = min(rows, cols)
+    return piv_to_perm(fn(work), rows)[:r], work[:r]
 
 
 def _unit_lower(B: np.ndarray) -> np.ndarray:

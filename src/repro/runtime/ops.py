@@ -25,7 +25,9 @@ Workspace state lives in store buffers on every backend, with small
 conventions:
 
 * a candidate slot is a ``(rows, gidx, count)`` buffer triple; only the
-  first ``count[0]`` rows are valid;
+  first ``count[0]`` rows are valid.  The panel's last election (its
+  payload's ``last``) writes its winners' factors there, the packed LU
+  the finalize installs, instead of their original rows;
 * a pivot buffer stores ``[length, swap_0, swap_1, ...]``;
 * a panel's ``flags`` buffer is ``[degraded, recomputed]``;
 * leaf ``T`` and merge ``Vb``/``T`` buffers hold the implicit-Q
@@ -43,8 +45,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.kernels.blas import gemm, laswp, trsm_llnu, trsm_runn
-from repro.kernels.lu import MERGE_KERNEL, getf2, getf2_nopiv, perm_from_piv_rows, select_pivots
+from repro.kernels.blas import blas_trsm, gemm, laswp
+from repro.kernels.lu import MERGE_KERNEL, getf2, perm_from_piv_rows, select_pivots
 from repro.kernels.qr import PANEL_KERNELS as QR_PANEL_KERNELS
 from repro.kernels.qr import TREE_KERNELS, extract_v, larfb_left_t
 from repro.runtime.tilestore import attach_array
@@ -66,12 +68,17 @@ def _write_back(A, r0: int, r1: int, c0: int, c1: int, block: np.ndarray) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _elect(rows: np.ndarray, gidx: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
-    """One tournament round: the winning candidate rows (copies of the
-    originals, never the factored values) and their panel-local indices.
-    A leaf selects with its leaf kernel, a merge with ``MERGE_KERNEL``."""
-    sel = select_pivots(rows, kernel)
-    return rows[sel], gidx[sel]
+def _elect(
+    rows: np.ndarray, gidx: np.ndarray, kernel: str, last: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One tournament round: the winning candidate rows and their
+    panel-local indices.  A leaf selects with its leaf kernel, a merge
+    with ``MERGE_KERNEL``.  The rows are copies of the originals — the
+    next round selects among them — except at the panel's *last*
+    election, which returns the winners' packed LU from its factored
+    work copy: the pivot block the finalize installs."""
+    sel, lu = select_pivots(rows, kernel)
+    return (lu if last else rows[sel]), gidx[sel]
 
 
 def _fill_slot(slot: tuple, rows: np.ndarray, gidx: np.ndarray) -> None:
@@ -90,7 +97,9 @@ def _op_tslu_leaf(p: dict) -> None:
     A = attach_array(p["a"])
     r0, r1, k0 = p["r0"], p["r1"], p["k0"]
     block = A[r0:r1, p["c0"] : p["c1"]]
-    _fill_slot(p["slot"], *_elect(block, np.arange(r0 - k0, r1 - k0), p["leaf_kernel"]))
+    _fill_slot(
+        p["slot"], *_elect(block, np.arange(r0 - k0, r1 - k0), p["leaf_kernel"], p["last"])
+    )
 
 
 def _op_tslu_merge(p: dict) -> None:
@@ -105,7 +114,7 @@ def _op_tslu_merge(p: dict) -> None:
         n = min(len(rows), p["bk"])
         _fill_slot(p["dst"], rows[:n], gidx[:n])
         return
-    _fill_slot(p["dst"], *_elect(rows, gidx, MERGE_KERNEL))
+    _fill_slot(p["dst"], *_elect(rows, gidx, MERGE_KERNEL, p["last"]))
 
 
 def _recompute_tournament(
@@ -116,7 +125,7 @@ def _recompute_tournament(
     leaves: list[tuple[int, int, int]],
     merges: list[tuple[int, list[int]]],
     leaf_kernel: str,
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Replay a panel's whole tournament serially from the matrix.
 
     The tournament tasks only *read* the panel (candidates are copies),
@@ -124,10 +133,10 @@ def _recompute_tournament(
     replayed from the untouched panel data.  *leaves* is the panel's
     ``(slot, r0, r1)`` row partition and *merges* its ``(dst, srcs)``
     reduction schedule in level order — the replay makes the exact
-    selections of the task graph, with its kernels (*leaf_kernel* at
+    elections of the task graph, with its kernels (*leaf_kernel* at
     the leaves, ``MERGE_KERNEL`` at the merges), so the returned root
-    candidate indices, and hence the pivots, are identical to a
-    fault-free run.
+    slot — the last election's factored winners and their indices — is
+    bitwise that of a fault-free run.
     Returns None when the panel itself is unusable (non-finite
     entries), which sends the finalize task down the next rung of the
     ladder.
@@ -137,61 +146,69 @@ def _recompute_tournament(
         block = A[r0:r1, c0:c1]
         if not np.isfinite(block).all():
             return None
-        cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), leaf_kernel)
-    for dst, srcs in merges:
+        cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), leaf_kernel, not merges)
+    for i, (dst, srcs) in enumerate(merges):
         cand[dst] = _elect(
             np.vstack([cand[s][0] for s in srcs]),
             np.concatenate([cand[s][1] for s in srcs]),
             MERGE_KERNEL,
+            i == len(merges) - 1,
         )
-    return cand[leaves[0][0]][1]
+    return cand[leaves[0][0]]
 
 
 def _op_tslu_finalize(p: dict) -> None:
     A = attach_array(p["a"])
     k0, m, c0, c1 = p["k0"], p["m"], p["c0"], p["c1"]
-    cand, gidx = _read_slot(p["root"])
+    r = min(c1 - c0, m - k0)
+    lu, gidx = _read_slot(p["root"])
     flags = attach_array(p["flags"])
-    degraded = bool(flags[0]) or len(gidx) == 0 or not np.isfinite(cand).all()
+    degraded = bool(flags[0]) or len(gidx) == 0 or not np.isfinite(lu).all()
     if degraded and p["allow_recompute"]:
         # Recovery ladder, rung 1: the tournament tasks never wrote the
         # matrix, so replay the whole reduction from the clean panel.
-        # Success restores fault-free pivots bit for bit.
+        # Success restores fault-free pivots and factors bit for bit.
         replayed = _recompute_tournament(
             A, k0, c0, c1, p["leaves"], p["merges"], p["leaf_kernel"]
         )
         if replayed is not None:
-            gidx = replayed
+            lu, gidx = replayed
             degraded = False
             flags[0] = 0
             flags[1] = 1
     if degraded:
         # Rung 2 — graceful degradation: the tournament's candidates
         # are unusable, so select pivots by classic GEPP partial
-        # pivoting on a *copy* of the panel (selection only — the
-        # actual panel is then swapped and factored exactly as in the
-        # tournament path, leaving the sub-pivot rows for the L tasks).
+        # pivoting on a *copy* of the panel, whose top rows are then
+        # the pivot block's factors (the actual panel is swapped as in
+        # the tournament path, leaving the sub-pivot rows for the L
+        # tasks).
         flags[0] = 1
         try:
-            piv = getf2(A[k0:m, c0:c1].copy())
+            work = A[k0:m, c0:c1].copy()
         except MemoryError as exc:  # e.g. a streamed panel: taller than fast memory
             raise RuntimeError(
                 f"tournament corrupted; no memory for the panel-copy fallback: {exc}"
             ) from exc
+        piv, lu = getf2(work), work[:r]
     else:
         piv = perm_from_piv_rows(gidx, m - k0)
+    # The no-pivoting LU of the winners exists only without a zero pivot.
+    zero = np.flatnonzero(np.diagonal(lu) == 0)
+    if zero.size:
+        raise ZeroDivisionError(f"zero pivot at {zero[0]} in no-pivoting LU")
     piv_buf = attach_array(p["piv"])
     piv_buf[0] = len(piv)
     piv_buf[1 : 1 + len(piv)] = piv
     # The swaps touch only the top r rows and their partners: gather
-    # those (at most 2r) rows, swap and factor the compact block, and
-    # scatter it back — the swap sequence and values of a whole-panel
-    # laswp, without asking any plane for the whole panel.
-    r = min(c1 - c0, m - k0)
+    # those (at most 2r) rows, swap the compact block, install the
+    # pivot block's factors on top and scatter it back — the swap
+    # sequence of a whole-panel laswp, without asking any plane for
+    # the whole panel.
     touched = np.union1d(np.arange(r), piv)  # sorted: row i < r sits at position i
     block = A[k0 + touched, c0:c1]
     laswp(block, np.searchsorted(touched, piv))
-    getf2_nopiv(block[:r])
+    block[:r] = lu
     A[k0 + touched, c0:c1] = block
 
 
@@ -204,7 +221,7 @@ def _op_calu_l(p: dict) -> None:
     A = attach_array(p["a"])
     k0, c0, c1, r0, r1 = p["k0"], p["c0"], p["c1"], p["r0"], p["r1"]
     block = A[r0:r1, c0:c1]
-    trsm_runn(A[k0 : k0 + (c1 - c0), c0:c1], block)
+    blas_trsm(A[k0 : k0 + (c1 - c0), c0:c1], block, left=False, lower=False, unit=False)
     _write_back(A, r0, r1, c0, c1, block)
 
 
@@ -215,7 +232,9 @@ def _op_calu_u(p: dict) -> None:
     m, k0, bk = p["m"], p["k0"], p["bk"]
     j0, j1 = p["j0"], p["j1"]
     laswp(A[k0:m, j0:j1], piv)
-    trsm_llnu(A[k0 : k0 + bk, p["c0"] : p["c1"]], A[k0 : k0 + bk, j0:j1])
+    blas_trsm(
+        A[k0 : k0 + bk, p["c0"] : p["c1"]], A[k0 : k0 + bk, j0:j1], left=True, lower=True, unit=True
+    )
 
 
 def calu_s_blocks(p: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

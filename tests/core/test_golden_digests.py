@@ -1,12 +1,19 @@
-"""Golden digests: the factors are bit-for-bit those of commit b673aad.
+"""Golden digests: the factors are pinned bit for bit on every executor.
 
-``golden_digests.json`` holds CRC32s recorded at the commit *before* the
-builders were moved onto the single descriptor form (ISSUE 13): CALU's
-packed ``lu`` + ``piv`` and CAQR's ``packed`` + every ``PanelQRStore``
-array, for the ``benchmarks/e2e/workloads.py`` shapes and two ragged
-ones (``m < n``, ``min(m, n) % b != 0``), binary and flat trees.
-Every executor must reproduce them: a refactor of the task form, the
-store bindings or the ops may move no bit.  The QR cases pin the leaf
+``golden_digests.json`` holds CRC32s of CALU's packed ``lu`` + ``piv``
+and CAQR's ``packed`` + every ``PanelQRStore`` array, for the
+``benchmarks/e2e/workloads.py`` shapes and two ragged ones (``m < n``,
+``min(m, n) % b != 0``), binary and flat trees.  Every executor must
+reproduce them: a refactor of the task form, the store bindings or the
+ops may move no bit.  The QR entries are those recorded at commit
+b673aad, before the builders were moved onto the single descriptor
+form.  The 10 LU entries were re-recorded when CALU's critical path
+moved onto vendor kernels: the finalize installs the factors the
+panel's last tournament election already computed (LAPACK ``?getrf``
+at a root merge) instead of refactoring the winners with
+``getf2_nopiv``, and the L/U tasks solve with BLAS ``?trsm`` — the
+pivots did not move, the factor bits did
+(``tests/core/test_lu_tournament_oracle.py`` is their acceptance).  The QR cases pin the leaf
 kernel they were recorded with, ``geqr3`` (the default is LAPACK's
 ``geqrt``; ``tests/core/test_qr_leaf_oracle.py`` checks that one
 against LAPACK and across the backends).  The keys (and so the test

@@ -32,7 +32,12 @@ re-recorded when every tournament merge moved onto LAPACK ``?getrf``
 (``kernels.lu.MERGE_KERNEL``) and the ``tslu_merge`` payload dropped the
 ``"leaf_kernel"`` key it no longer read: putting the key back
 reproduced each old CRC, and the merges keep their ``gepp_merge``
-``Cost``, so no cost, footprint, edge or priority moved.
+``Cost``, so no cost, footprint, edge or priority moved.  They (38
+keys by then) were re-recorded again when the ``tslu_leaf`` and
+``tslu_merge`` payloads gained the ``"last"`` key that marks the
+panel's last election, whose winners' factors the finalize installs:
+hashing the payloads without that key reproduced each old CRC, and the
+finalize keeps its ``getf2_nopiv`` ``Cost``.
 
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).

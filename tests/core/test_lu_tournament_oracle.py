@@ -14,6 +14,18 @@ must be one ``?getrf`` call and the leaves must still be counted under
 their leaf kernel.  The pivot check has teeth: a merge that forwards
 its *factored* rows up the tree, instead of the original ones (the bug
 class ``docs/ALGORITHMS.md`` warns about), fails it.
+
+The rest of the critical path runs on vendor kernels too: the panel's
+last election (its root merge, or its only leaf) keeps its winners'
+factors in the root slot and the finalize installs them — no
+``getf2_nopiv`` — and every L and U task is one BLAS ``?trsm``
+(``kernels.blas.blas_trsm``, ``strsm`` on float32).  The finalized pivot
+block must be bitwise the root slot, in both precisions, on the serial
+and process backends.  Two mutants — a finalize that installs the
+winners' original rows, and an L solve that takes ``U`` for
+unit-diagonal — must each fail the backward-error bound, and an exactly
+singular panel must fail at its finalize with the no-pivoting LU's
+``ZeroDivisionError``.
 """
 
 from __future__ import annotations
@@ -26,11 +38,15 @@ import scipy.linalg
 
 from repro.analysis.errors import growth_factor
 from repro.core.calu import calu, calu_program
+from repro.core.driver import algorithm, compile
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import merged_chunks
 from repro.core.trees import TreeKind, reduction_schedule
+from repro.core.tslu import tslu
 from repro.counters import counting
+from repro.kernels.blas import blas_trsm
 from repro.kernels.lu import PANEL_KERNELS, getf2, getf2_nopiv, lapack_getrf
+from repro.resilience.recovery import RuntimeFailure
 from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
@@ -203,3 +219,97 @@ def test_forwarding_factored_rows_fails_the_pivot_check(monkeypatch, executors):
     pick other pivots."""
     monkeypatch.setitem(ops.OPS, "tslu_merge", _merge_forwarding_factored_rows)
     assert _pivot_mismatches("lu_tall-2560x128", "rgetf2", TreeKind.BINARY, executors["serial"]) > 0
+
+
+def _backward_error(A, f) -> float:
+    """``‖A[perm] − LU‖_F / ‖A‖_F``, in double precision."""
+    A64 = A.astype(np.float64)
+    L, U = f.L.astype(np.float64), f.U.astype(np.float64)
+    return float(np.linalg.norm(A64[f.perm] - L @ U) / np.linalg.norm(A64))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: t.value)
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", SHAPES)
+def test_finalize_installs_the_last_elections_factors(name, kernel, tree, backend, dtype, executors):
+    """Each panel's pivot block is bitwise its root slot, which the last
+    election filled; no ``getf2_nopiv`` runs, each L and U task is one
+    ``?trsm``, and the factors meet the bound in the matrix's precision."""
+    m, n, b, tr = SHAPES[name]
+    A = _matrix(name, dtype)
+    executor = executors[backend]
+    plan = compile(
+        algorithm("lu"), A, b=b, tr=tr, tree=tree, leaf_kernel=kernel,
+        shared=getattr(executor, "pool", None) is not None,
+    )
+    try:
+        with counting() as c:
+            plan.run(executor)
+        layout = plan.layout
+        for K, ws in enumerate(plan.state):
+            k0, bk = K * b, layout.panel_width(K)
+            rows, _, count = ws.slots[merged_chunks(layout, K, tr)[0].index]
+            r = int(count[0])
+            assert r == min(bk, m - k0) and rows.dtype == dtype
+            assert np.array_equal(plan.A[k0 : k0 + r, k0 : k0 + bk], rows[:r]), K
+        solves = sum(t.kind.value in "LU" for t in plan.program.graph.tasks)
+        assert "getf2_nopiv" not in c.kernel_calls
+        assert c.kernel_calls.get("blas_trsm", 0) == solves
+        f = plan.result(None, np.array)
+    finally:
+        plan.close()
+    assert f.lu.dtype == dtype
+    assert _backward_error(A, f) <= C * m * np.finfo(dtype).eps
+
+
+def _elect_forwarding_original_rows(real):
+    """Mutation: the last election keeps its winners' original rows, so
+    the finalize installs ``A``'s rows where their factors belong."""
+    return lambda rows, gidx, kernel, last: real(rows, gidx, kernel, False)
+
+
+def _l_solve_with_unit_u(p):
+    """Mutation: task L takes the pivot block's ``U`` for unit-diagonal."""
+    A = ops.attach_array(p["a"])
+    k0, c0, c1, r0, r1 = p["k0"], p["c0"], p["c1"], p["r0"], p["r1"]
+    blas_trsm(A[k0 : k0 + (c1 - c0), c0:c1], A[r0:r1, c0:c1], left=False, lower=False, unit=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a wrong U may overflow the updates
+@pytest.mark.parametrize("mutant", ["original_rows", "unit_u"])
+def test_critical_path_mutants_fail_the_backward_error_bound(mutant, monkeypatch, executors):
+    """In this process (the serial backend), on the ``svc_solve`` shape."""
+    name = "svc_solve-320x320"
+    m, n, b, tr = SHAPES[name]
+    A = _matrix(name)
+    if mutant == "original_rows":
+        monkeypatch.setattr(ops, "_elect", _elect_forwarding_original_rows(ops._elect))
+    else:
+        monkeypatch.setitem(ops.OPS, "calu_l", _l_solve_with_unit_u)
+    f = calu(A, b=b, tr=tr, executor=executors["serial"], check_finite=False)
+    assert not _backward_error(A, f) <= C * m * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("driver", ["calu", "tslu"])
+def test_singular_panel_fails_at_its_finalize(driver, backend, executors):
+    """An exactly zero column leaves a zero on the root election's
+    ``U`` diagonal: the finalize refuses it as the no-pivoting LU would,
+    a ``task_error`` at ``F[0]`` — not a later health or corruption
+    verdict on whatever the solves made of it."""
+    rng = np.random.default_rng(7)
+    if driver == "calu":
+        A = rng.standard_normal((96, 96))
+        A[:, 5] = 0.0
+        run = lambda: calu(A, b=32, tr=4, executor=executors[backend])  # noqa: E731
+    else:
+        A = rng.standard_normal((96, 32))
+        A[:, 5] = 0.0
+        run = lambda: tslu(A, tr=4, executor=executors[backend])  # noqa: E731
+    with pytest.raises(RuntimeFailure) as ei:
+        run()
+    assert ei.value.failure_kind == "task_error"
+    assert ei.value.task == "F[0]"
+    assert "zero pivot at 5 in no-pivoting LU" in str(ei.value)

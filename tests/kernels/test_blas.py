@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.counters import counting
-from repro.kernels.blas import gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
+from repro.kernels.blas import blas_trsm, gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
 
 
 class TestGemm:
@@ -112,6 +112,47 @@ class TestTrsm:
         with counting() as c:
             trsm_runn(np.eye(k), np.ones((m, k)))
         assert c.flops == m * k * k
+
+
+#: ``blas_trsm``'s two forms, with the NumPy twin each replaces in CALU's tasks.
+TWINS = {
+    "runn": (trsm_runn, dict(left=False, lower=False, unit=False)),
+    "llnu": (trsm_llnu, dict(left=True, lower=True, unit=True)),
+}
+
+
+class TestBlasTrsm:
+    """``?trsm`` against its NumPy twin: the same solve in the block's
+    precision, reading the same triangle of a packed LU block, counted
+    as one ``blas_trsm`` call of the twin's flops."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("form", TWINS)
+    def test_matches_the_numpy_twin_on_packed_blocks(self, rng, form, dtype):
+        twin, flags = TWINS[form]
+        k = 12
+        # A packed, well-conditioned LU block inside a larger row-major
+        # matrix, and a strided right-hand side beside it, as the ops slice them.
+        W = rng.standard_normal((40, 40)).astype(dtype)
+        W[:k, :k] += 8 * np.eye(k, dtype=dtype)
+        T = W[:k, :k]
+        B = W[:k, k : k + 9] if flags["left"] else W[k : k + 20, :k]
+        X_ref = B.copy()
+        twin(T, X_ref)
+        with counting() as c:
+            blas_trsm(T, B, **flags)
+        with counting() as c_ref:
+            twin(T, B.copy())
+        assert B.dtype == dtype
+        np.testing.assert_allclose(B, X_ref, rtol=0, atol=50 * np.finfo(dtype).eps * np.abs(X_ref).max())
+        assert c.kernel_calls == {"blas_trsm": 1}
+        assert c.flops == c_ref.flops
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            blas_trsm(np.eye(3), np.zeros((4, 2)), left=True, lower=True, unit=True)
+        with pytest.raises(ValueError):
+            blas_trsm(np.eye(3), np.zeros((4, 2)), left=False, lower=False, unit=False)
 
 
 class TestGer:

@@ -12,10 +12,24 @@ import pytest
 
 from repro.core.calu import calu
 from repro.core.caqr import caqr
+from repro.core.tslu import tslu
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
+from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import assert_lu_ok, make_rng
+
+
+class _CorruptOneTask(FaultPlan):
+    """Corrupt the output of the task named *name*, once: through its
+    ``meta["corrupt"]`` hook, i.e. the candidate slot it wrote."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(0, max_faults=1)
+        self.name = name
+
+    def decide(self, task, attempt: int = 0) -> dict:
+        return {"corrupt": True} if task.name == self.name and attempt == 0 else {}
 
 
 class TestCALUDegradation:
@@ -38,6 +52,43 @@ class TestCALUDegradation:
         clean = calu(A0, b=8, tr=4)
         assert np.array_equal(f.lu, clean.lu)
         assert np.array_equal(f.piv, clean.piv)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize(
+        "driver, election",
+        [("calu", "P[0]merge0<0,2"), ("tslu", "P[0]leaf0")],
+        ids=["root_merge", "only_leaf"],
+    )
+    def test_corrupted_root_slot_replayed_bitwise(self, driver, election, backend):
+        # The panel's last election (calu's root merge over 4 chunks;
+        # a one-chunk tslu's only leaf) leaves its winners' factors in
+        # the root slot for the finalize to install.  Poisoning that
+        # slot sends the finalize to rung 1: the replayed last election
+        # must restore those factors, hence lu and piv, bit for bit.
+        A0 = make_rng(6).standard_normal((48, 48) if driver == "calu" else (48, 8))
+        run = {
+            "calu": lambda ex: calu(A0, b=8, tr=4, executor=ex),
+            "tslu": lambda ex: tslu(A0, tr=1, executor=ex),
+        }[driver]
+        plan = _CorruptOneTask(election)
+        if backend == "serial":
+            ex = ThreadedExecutor(1, fault_plan=plan)
+        else:
+            ex = ProcessExecutor(2, fault_plan=plan)
+        try:
+            f = run(ex)
+        finally:
+            if backend == "process":
+                ex.close()
+        lu, piv = (f.lu, f.piv) if driver == "calu" else f
+        clean = run(ThreadedExecutor(1))
+        clean_lu, clean_piv = (clean.lu, clean.piv) if driver == "calu" else clean
+        assert [ev.task for ev in plan.injected] == [election]
+        assert np.array_equal(lu, clean_lu)
+        assert np.array_equal(piv, clean_piv)
+        if driver == "calu":
+            assert f.recovered_panels == (0,)
+            assert f.degraded_panels == ()
 
     def test_corrupted_tournament_falls_back_to_partial_pivoting(self):
         A0 = make_rng(0).standard_normal((48, 48))

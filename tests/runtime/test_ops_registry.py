@@ -47,6 +47,7 @@ def _leaf(store, ws, slot):
         "k0": 0,
         "leaf_kernel": "rgetf2",
         "slot": ws.slot_specs[slot],
+        "last": False,  # the panel's last election is the merge
     }
     return ("tslu_leaf", payload)
 
@@ -57,6 +58,7 @@ def _merge(ws):
         "dst": ws.slot_specs[0],
         "bk": BK,
         "flags": ws.flags_spec,
+        "last": True,  # it keeps its winners' factors for the finalize
     }
     return ("tslu_merge", payload)
 
