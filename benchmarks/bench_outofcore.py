@@ -11,9 +11,6 @@ and checks the measured store traffic against the closed forms in
   is already there) must land within 5 % of ``panel_io_tsqr_flat``
   resp. the two-phase ``panel_io_ca_flat``.  Asserted unconditionally
   — it is a property of the streaming schedule, not of the host.
-* **direct TSQR**: the R-only pass touches no store at all (the
-  read-once floor); with ``want_q`` the measured traffic is compared
-  against ``panel_io_direct_tsqr(want_q=True)``.
 * **bitwise parity**: on a size the in-memory drivers can also run,
   the out-of-core results agree bit for bit.
 * **numerics at full scale**: the panel never exists in memory, so
@@ -34,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.io_model import predicted_panel_io
-from repro.core.outofcore import direct_tsqr, tslu_ooc, tsqr_ooc
+from repro.core.outofcore import tslu_ooc, tsqr_ooc
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
@@ -82,18 +79,15 @@ def _maxrss_bytes() -> int:
     return kb << 10  # Linux reports KiB
 
 
-def _traffic_row(name, kind, wall_s, ctr, n_chunks, staged_bytes, extra_words=0):
+def _traffic_row(name, kind, wall_s, ctr, n_chunks, staged_bytes):
     """Pair measured store traffic with its io_model closed form.
 
     The comparison is on factor-phase traffic: *staged_bytes* (the
     write that first puts the panel in the store) is subtracted, since
     every closed form prices a panel already in slow memory.
-    ``extra_words`` accounts for source reads that bypass the store
-    (the generator hands blocks straight to the staging/leaf kernels),
-    so direct TSQR's read-once floor is represented honestly.
     """
     store_bytes = ctr.store_read_bytes + ctr.store_write_bytes
-    measured_words = (store_bytes - staged_bytes) // 8 + extra_words
+    measured_words = (store_bytes - staged_bytes) // 8
     predicted = predicted_panel_io(kind, M, N, BUDGET // 8)
     ratio = measured_words / predicted
     assert 0.95 <= ratio <= 1.05, (
@@ -109,7 +103,6 @@ def _traffic_row(name, kind, wall_s, ctr, n_chunks, staged_bytes, extra_words=0)
         "store_write_bytes": ctr.store_write_bytes,
         "staging_write_bytes": staged_bytes,
         "factor_write_bytes": ctr.store_write_bytes - staged_bytes,
-        "source_read_words": extra_words,
         "measured_words": measured_words,
         "predicted_words": predicted,
         "measured_over_predicted": ratio,
@@ -154,40 +147,6 @@ def _run_tslu():
     return row
 
 
-def _run_direct(G):
-    # R-only: the read-once floor — no store traffic at all.
-    with counting() as c:
-        t0 = time.perf_counter()
-        d = direct_tsqr(SOURCE, memory_budget=BUDGET)
-        wall = time.perf_counter() - t0
-    assert c.store_read_bytes == 0 and c.store_write_bytes == 0, (
-        "direct_tsqr (R-only) must not touch the store"
-    )
-    assert np.allclose(d.R.T @ d.R, G, rtol=1e-6, atol=1e-6 * np.abs(G).max()), (
-        "direct_tsqr: R fails the Gram identity"
-    )
-    r_only = _traffic_row("direct_tsqr", "direct_tsqr", wall, c, 0, 0, extra_words=M * N)
-
-    # want_q: per-block Q1 written, re-read and rewritten by stage two.
-    with counting() as c:
-        t0 = time.perf_counter()
-        dq = direct_tsqr(SOURCE, memory_budget=BUDGET, want_q=True)
-        wall = time.perf_counter() - t0
-    try:
-        r0 = (M // 3 // GEN_STEP) * GEN_STEP
-        qw = dq.q_rows(r0, r0 + N)
-        assert np.allclose(qw @ dq.R, _fill(r0, r0 + N)), (
-            "direct_tsqr(want_q): Q R != A on sampled window"
-        )
-        with_q = _traffic_row(
-            "direct_tsqr_q", "direct_tsqr_q", wall, c, 0, 0, extra_words=M * N
-        )
-        # q_rows probe traffic is part of the measurement; it is N*N words.
-    finally:
-        dq.destroy()
-    return r_only, with_q
-
-
 def _parity_rows():
     """Bitwise parity with the in-memory drivers on an overlapping size."""
     m0, n0, tr0 = 6000, N, 8
@@ -209,7 +168,7 @@ def test_outofcore_report(save_result):
     assert PANEL_BYTES >= 10 * BUDGET, "panel must be >= 10x the memory budget"
     parity = _parity_rows()
     G = _gram()
-    rows = [_run_tsqr(G), _run_tslu(), *_run_direct(G)]
+    rows = [_run_tsqr(G), _run_tslu()]
 
     doc = {
         "bench": "outofcore",

@@ -86,7 +86,6 @@ _EXPORTS = {
     "SimulatedExecutor": "repro.runtime.simulated",
     "ProcessExecutor": "repro.runtime.process",
     "ThreadedExecutor": "repro.runtime.threaded",
-    "WorkStealingExecutor": "repro.runtime.stealing",
     "calibrate_host": "repro.machine.calibrate",
     "FaultPlan": "repro.resilience.faults",
     "InjectedFault": "repro.resilience.faults",

@@ -28,7 +28,6 @@ __all__ = [
     "panel_io_classic",
     "panel_io_ca_flat",
     "panel_io_tsqr_flat",
-    "panel_io_direct_tsqr",
     "predicted_panel_io",
     "lu_io_lower_bound",
     "blocked_lu_io",
@@ -90,28 +89,11 @@ def panel_io_tsqr_flat(m: int, b: int, fast_words: int) -> float:
     return 2.0 * m * b + 2.0 * _flat_leaves(m, b, fast_words) * b * b
 
 
-def panel_io_direct_tsqr(m: int, b: int, fast_words: int, want_q: bool = False) -> float:
-    """Slow-memory words for a single-pass Direct TSQR panel.
-
-    The R-only regime reads the panel exactly once — each leaf block is
-    QR-factored as it arrives and only its ``b x b`` ``R`` factor is
-    kept, so nothing is ever written back; this is the read-once floor
-    for any algorithm that must look at every entry.  With *want_q* the
-    per-block explicit ``Q_1`` factors are written out (``m b`` words)
-    and re-read + rewritten by the second-stage multiply (``2 m b``).
-    """
-    if m * b <= fast_words:
-        return 2.0 * m * b
-    read_once = float(m) * b
-    return read_once + (3.0 * m * b if want_q else 0.0)
-
-
 def predicted_panel_io(kind: str, m: int, b: int, fast_words: int) -> float:
     """Dispatch a panel-traffic prediction by strategy name.
 
     ``kind`` is ``"classic"``, ``"ca_flat"`` (streaming flat-tree
-    TSLU), ``"tsqr_flat"`` (streaming flat-tree TSQR),
-    ``"direct_tsqr"`` or ``"direct_tsqr_q"``.  This is the
+    TSLU) or ``"tsqr_flat"`` (streaming flat-tree TSQR).  This is the
     lookup the out-of-core benchmark uses to pair each measured
     byte count with its closed form.
     """
@@ -119,8 +101,6 @@ def predicted_panel_io(kind: str, m: int, b: int, fast_words: int) -> float:
         "classic": lambda: panel_io_classic(m, b, fast_words),
         "ca_flat": lambda: panel_io_ca_flat(m, b, fast_words),
         "tsqr_flat": lambda: panel_io_tsqr_flat(m, b, fast_words),
-        "direct_tsqr": lambda: panel_io_direct_tsqr(m, b, fast_words),
-        "direct_tsqr_q": lambda: panel_io_direct_tsqr(m, b, fast_words, want_q=True),
     }
     try:
         return table[kind]()

@@ -12,7 +12,8 @@ they stage the panel into the store, bind it as a
 :class:`~repro.runtime.tilestore.StreamedBinding` and hand that to the
 in-memory drivers' own :func:`~repro.core.driver.compile` (the ``TSQR``
 / ``TSLU`` records — CAQR/CALU over the one-panel layout — knob
-validation included).  Every task loads the rows it slices and writes
+validation included); this module only stages, binds and compiles,
+and calls no kernel itself.  Every task loads the rows it slices and writes
 back the block it updated, so what is resident is one window per running
 task plus the ``O(tr · b²)`` workspace (candidates, ``T`` factors),
 never the panel.
@@ -29,19 +30,11 @@ never the panel.
     Tournament-pivoting TSLU.  The leaves stream the blocks read-only
     to elect candidate rows (candidates are tiny and stay in RAM through
     the reduction); the finalize gathers the at most ``2b`` rows its
-    swaps touch, factors the pivot block and scatters them back; a final
-    streaming pass applies the ``L`` triangular solves.
+    swaps touch, installs the pivot block the last election already
+    factored and scatters them back; a final streaming pass applies
+    the ``L`` triangular solves.
     Traffic: ``≈ 3·m·b`` words — the two-phase
     :func:`repro.analysis.io_model.panel_io_ca_flat` prediction.
-
-:func:`direct_tsqr`
-    The single-pass "Direct TSQR" variant (Benson, Gleich & Demmel):
-    per-block QR, one small second-stage QR of the stacked ``R``
-    factors, optional explicit ``Q`` reconstruction.  With ``want_q=
-    False`` the panel is consumed *once* from its source and nothing is
-    written back — the read-once regime for when only ``R`` (or a
-    least-squares solve) is needed.  The one genuinely different
-    algorithm here, and the only code in this module that calls kernels.
 
 Sources are an in-RAM array or a ``(shape, fill)`` generator pair
 (``fill(r0, r1)`` returns rows ``[r0, r1)``), so panels larger than RAM
@@ -73,7 +66,6 @@ from repro.core.layout import BlockLayout, Chunk
 from repro.core.panelloop import merged_chunks
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
-from repro.kernels.qr import extract_v, geqr3
 from repro.runtime.shm import working_dtype
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.tilestore import StreamedBinding, TileStore, open_store
@@ -84,10 +76,8 @@ __all__ = [
     "plan_chunks",
     "tsqr_ooc",
     "tslu_ooc",
-    "direct_tsqr",
     "OOCTSQRFactorization",
     "OOCPanelLU",
-    "DirectTSQRFactorization",
     "DEFAULT_MEMORY_BUDGET",
 ]
 
@@ -337,125 +327,3 @@ def tslu_ooc(
     ) as (plan, handle):
         ws = plan.state[0]
         return OOCPanelLU(piv=np.array(ws.piv), recovered=ws.recomputed, **handle)
-
-
-# ---------------------------------------------------------------------------
-# Direct TSQR (single pass, read-once)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DirectTSQRFactorization:
-    """Result of :func:`direct_tsqr`.
-
-    ``R`` is always resident.  With ``want_q`` the explicit thin ``Q``
-    lives in the store (``q_rows`` streams row windows; ``q_explicit``
-    materializes it for tests); without it no store region is ever
-    written — the single read of the source is the only traffic.
-    """
-
-    m: int
-    n: int
-    R: np.ndarray
-    chunks: list[Chunk]
-    store: TileStore | None = None
-    q_spec: tuple | None = None
-    owns_store: bool = True
-
-    def q_rows(self, r0: int, r1: int) -> np.ndarray:
-        if self.q_spec is None:
-            raise ValueError("direct_tsqr ran without want_q; no explicit Q stored")
-        return self.store.load(TileStore.sub(self.q_spec, r0, r1))
-
-    def q_explicit(self) -> np.ndarray:
-        return self.q_rows(0, self.m)
-
-    def destroy(self) -> None:
-        if self.store is not None and self.owns_store:
-            self.store.destroy()
-
-    def __enter__(self) -> "DirectTSQRFactorization":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.destroy()
-
-
-def direct_tsqr(
-    source,
-    *,
-    tr: int | None = None,
-    memory_budget: int | None = None,
-    want_q: bool = False,
-    store="mmap",
-    spill_dir=None,
-    check_finite: bool = True,
-) -> DirectTSQRFactorization:
-    """Single-pass Direct TSQR of a tall-skinny panel.
-
-    Pass 1 consumes the source one block at a time: each block is
-    QR-factored and only its small ``R`` factor kept (plus, with
-    *want_q*, the block's explicit ``Q_1`` written to the store).  A
-    second-stage QR of the stacked ``R`` factors yields the final
-    ``R``; with *want_q* one more streamed pass multiplies each
-    ``Q_1`` block by its ``Q_2`` tile.  Without *want_q* nothing is
-    ever staged — the panel is read exactly once, the optimal traffic
-    for the R-only (e.g. least-squares/Gram-avoiding) regime, at the
-    price of ``Q`` applies.
-    """
-    src = as_source(source)
-    m, n = src.shape
-    if m < n:
-        raise ValueError(f"direct_tsqr requires a tall panel (m >= n), got {src.shape}")
-    chunks = plan_chunks(m, n, tr=tr, memory_budget=memory_budget, n_workers=1)
-    dtype = working_dtype(source)
-    store_obj = q_spec = None
-    owned = False
-    try:
-        if want_q:
-            store_obj, owned = open_store(store, spill_dir)
-            q_spec = store_obj.reserve((m, n), dtype)
-        r_stack: list[np.ndarray] = []
-        for chunk in chunks:
-            # Copy: the block is factored in place, and an ndarray
-            # source's fill returns a view of the caller's matrix.
-            W = np.array(src.fill(chunk.r0, chunk.r1), dtype=dtype, order="C")
-            if check_finite and not np.isfinite(W).all():
-                raise ValueError(
-                    f"panel rows [{chunk.r0}, {chunk.r1}) contain non-finite entries"
-                )
-            T1 = geqr3(W)
-            r_stack.append(np.triu(W[:n]))
-            if want_q:
-                V = extract_v(W)
-                E = np.zeros((chunk.rows, n))
-                np.fill_diagonal(E, 1.0)
-                Wk = T1 @ (V.T @ E)
-                E -= V @ Wk
-                store_obj.store(TileStore.sub(q_spec, chunk.r0, chunk.r1), E)
-        S = np.vstack(r_stack)
-        T2 = geqr3(S)
-        R = np.triu(S[:n]).copy()
-        if want_q:
-            V2 = extract_v(S)
-            E2 = np.zeros((S.shape[0], n))
-            np.fill_diagonal(E2, 1.0)
-            Wk = T2 @ (V2.T @ E2)
-            E2 -= V2 @ Wk  # Q2: one n x n tile per block, stacked
-            for i, chunk in enumerate(chunks):
-                spec = TileStore.sub(q_spec, chunk.r0, chunk.r1)
-                Q1 = store_obj.load(spec)
-                store_obj.store(spec, Q1 @ E2[i * n : (i + 1) * n])
-    except BaseException:
-        if owned:
-            store_obj.destroy()
-        raise
-    return DirectTSQRFactorization(
-        m=m,
-        n=n,
-        R=R,
-        chunks=chunks,
-        store=store_obj,
-        q_spec=q_spec,
-        owns_store=owned,
-    )

@@ -17,41 +17,36 @@ which can be
 
 There is one real-clock executor,
 :class:`~repro.runtime.engine.ExecutionEngine`, which owns the task
-lifecycle (frontier, resume skip, retry, fault injection, health
-guards, tracing, watchdog): ``ThreadedExecutor`` is that class,
-:class:`~repro.runtime.stealing.WorkStealingExecutor` subclasses it
-with a stealing frontier and
-:class:`~repro.runtime.process.ProcessExecutor` with a pool of worker
-processes it owns.  The simulator keeps its own discrete-event loop and
-shares the engine's ready bookkeeping, failure and health guard.
+lifecycle (one shared ready queue, resume skip, retry, fault injection,
+health guards, tracing, watchdog): ``ThreadedExecutor`` is that class
+and :class:`~repro.runtime.process.ProcessExecutor` subclasses it with
+a pool of worker processes it owns.  The simulator keeps its own
+discrete-event loop over the same :class:`ReadyQueue` and shares the
+engine's ready bookkeeping, failure and health guard.
 """
 
-from repro.runtime.engine import CentralFrontier, ExecutionEngine, StealingFrontier
+from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import BlockTracker, TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.program import GraphProgram
 from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, Task, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.trace import TaskRecord, Trace
 
 __all__ = [
     "BlockTracker",
-    "CentralFrontier",
     "Cost",
     "ExecutionEngine",
     "GraphProgram",
     "ProcessExecutor",
     "ReadyQueue",
     "SimulatedExecutor",
-    "StealingFrontier",
     "Task",
     "TaskGraph",
     "TaskKind",
     "TaskRecord",
     "ThreadedExecutor",
     "Trace",
-    "WorkStealingExecutor",
 ]

@@ -4,11 +4,12 @@
 skip of completed tasks + resume event, retry, fault injection, health guards,
 failure wrapping, tracing and the watchdog — and *is* the executor:
 :class:`~repro.runtime.threaded.ThreadedExecutor` is this class under
-its public name, :class:`~repro.runtime.stealing.WorkStealingExecutor`
-a subclass that makes a :class:`StealingFrontier` per run instead of a
-:class:`CentralFrontier`, :class:`~repro.runtime.process.ProcessExecutor`
-a subclass that owns the worker pool its runs dispatch to.  Tasks run on
-worker threads, or in a pool's worker processes fed by one dispatcher.
+its public name, :class:`~repro.runtime.process.ProcessExecutor` a
+subclass that owns the worker pool its runs dispatch to.  Every run
+keeps one :class:`~repro.runtime.scheduler.ReadyQueue` — the paper's
+dynamic scheduler, whose look-ahead lives in the task priorities — that
+all cores pop.  Tasks run on worker threads, or in a pool's worker
+processes fed by one dispatcher.
 
 The virtual clock is not here: the discrete-event loop lives in
 :mod:`repro.runtime.simulated` and shares :class:`_Bookkeeping`,
@@ -41,7 +42,7 @@ from repro.runtime.sync import make_condition, make_lock
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
 
-__all__ = ["ExecutionEngine", "CentralFrontier", "StealingFrontier"]
+__all__ = ["ExecutionEngine"]
 
 #: Tasks in flight per worker process under the dispatcher (queued in
 #: its pipe or running).  Deep enough that one message carries several
@@ -50,81 +51,6 @@ __all__ = ["ExecutionEngine", "CentralFrontier", "StealingFrontier"]
 #: 2/4/8 (docs/RUNTIME.md).  Not a tuning knob.
 _MAX_INFLIGHT = 4
 _POLL_S = 0.05  # dispatcher's wait for replies before it re-checks liveness and abort
-
-
-class CentralFrontier:
-    """One shared ready queue for all workers (the paper's scheduler).
-
-    Placement of each task's predecessors is accounted (a sync and the
-    task's input volume per remote predecessor), matching the
-    historical :class:`ThreadedExecutor` communication counters.
-    """
-
-    counts_placement = True
-
-    def __init__(self) -> None:
-        self._queue = ReadyQueue()
-
-    def seed_tasks(self, tasks: list[Task]) -> None:
-        for t in tasks:
-            self._queue.push(t)
-
-    def push_released(self, tasks: list[Task], core: int) -> None:
-        for t in tasks:
-            self._queue.push(t)
-
-    def pop(self, core: int) -> tuple[Task | None, bool]:
-        """``(task, stolen)``; a shared queue never steals."""
-        return (self._queue.pop() if self._queue else None), False
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-
-class StealingFrontier:
-    """Per-worker deques with deterministic work stealing.
-
-    Tasks released by a completion go to the completing worker's own
-    deque (producer–consumer locality); idle workers scan victims in a
-    seeded deterministic order and steal from the head (FIFO); a steal
-    is reported to the caller, which counts one sync for it outside the
-    engine lock.  Placement is not otherwise accounted.
-    """
-
-    counts_placement = False
-
-    def __init__(self, n_workers: int, seed: int = 0) -> None:
-        self.n_workers = n_workers
-        self.seed = seed
-        self._deques: list[deque[Task]] = [deque() for _ in range(n_workers)]
-
-    def seed_tasks(self, tasks: list[Task]) -> None:
-        # Distribute round-robin, highest priority first so every
-        # worker starts near the critical path.
-        roots = sorted(tasks, key=lambda t: -t.priority)
-        for i, t in enumerate(roots):
-            self._deques[i % self.n_workers].append(t)
-
-    def push_released(self, tasks: list[Task], core: int) -> None:
-        # Locality: released tasks go to my deque, highest priority
-        # last so my LIFO pop sees it first.
-        for t in sorted(tasks, key=lambda t: t.priority):
-            self._deques[core].append(t)
-
-    def pop(self, core: int) -> tuple[Task | None, bool]:
-        """Own deque first (LIFO for locality), then steal (FIFO):
-        ``(task, stolen)``."""
-        own = self._deques[core]
-        if own:
-            return own.pop(), False
-        for off in range(1, self.n_workers):
-            victim = (core + self.seed + off) % self.n_workers
-            if self._deques[victim]:
-                return self._deques[victim].popleft(), True
-        return None, False
-
-    def __bool__(self) -> bool:
-        return any(self._deques)
 
 
 class _Bookkeeping:
@@ -230,7 +156,7 @@ class ExecutionEngine:
     """Execute task graphs on worker threads, or on a pool of processes.
 
     One instance may :meth:`run` repeatedly and from several threads at
-    once: everything a run mutates (frontier, books, trace) is made per
+    once: everything a run mutates (ready queue, books, trace) is made per
     run.
 
     Parameters
@@ -318,10 +244,6 @@ class ExecutionEngine:
         """The worker pool runs dispatch to (None: worker threads)."""
         return self._pool
 
-    def new_frontier(self):
-        """A fresh ready-task frontier; every run makes its own."""
-        return CentralFrontier()
-
     def run(self, source, journal=None) -> Trace:
         """Run a :class:`TaskGraph` (a :class:`GraphProgram` is
         materialized first) to completion.
@@ -351,7 +273,7 @@ class _RealClockRun:
         self.pool = engine.pool
         self.graph = bk.graph
         self.bk = bk
-        self.frontier = engine.new_frontier()
+        self.ready = ReadyQueue()  # the paper's one ready queue, shared by every core
         self.lock = make_lock("engine.state")
         self.work_available = make_condition("engine.state", self.lock)
         self.errors: list[BaseException] = []
@@ -365,13 +287,14 @@ class _RealClockRun:
         self.threads: list[threading.Thread] = []
         # The dispatcher's books (process backend only).
         self.load = [0] * engine.n_workers  # tasks in flight per worker
-        self.redo: deque = deque()  # (task, attempt) to send again, ahead of the frontier
+        self.redo: deque = deque()  # (task, attempt) to send again, ahead of the queue
         self.stats: dict = {}
         self.t0 = time.perf_counter()
 
     def run(self) -> Trace:
         engine, bk = self.engine, self.bk
-        self.frontier.seed_tasks(bk.start(self.events))
+        for task in bk.start(self.events):
+            self.ready.push(task)
         if self.pool is None:
             self.threads = [
                 threading.Thread(
@@ -422,31 +345,25 @@ class _RealClockRun:
             self.events.append(ev)
 
     def _claim(self, core: int):
-        """Pop a ready task for *core* (lock held): ``(task, remote)``
-        with the syncs it owes — one per predecessor that ran elsewhere,
-        one for a steal — or None."""
-        task, stolen = self.frontier.pop(core)
-        if task is None:
-            return None
-        remote = int(stolen)
-        if self.frontier.counts_placement:
-            # Predecessor placement is read under the lock: ran_on is
-            # written by completing workers, so an unlocked read would
-            # race (and miscount syncs).
-            ran_on = self.ran_on
-            for p in self.graph.preds[task.tid]:
-                if ran_on.get(p, core) != core:
-                    remote += 1
+        """Pop the highest-priority ready task for *core* (lock held,
+        queue non-empty): ``(task, remote)`` with the syncs it owes, one
+        per predecessor that ran on another core."""
+        task = self.ready.pop()
+        # Predecessor placement is read under the lock: ran_on is
+        # written by completing workers, so an unlocked read would race
+        # (and miscount syncs).
+        ran_on, remote = self.ran_on, 0
+        for p in self.graph.preds[task.tid]:
+            if ran_on.get(p, core) != core:
+                remote += 1
         self.running[task.tid] = (task, time.monotonic(), core, 1)
         return task, remote
 
     def _count_remote(self, task: Task, remote: int) -> None:
         """Account inter-worker synchronization (outside the lock): the
-        syncs :meth:`_claim` found and, where placement is accounted,
-        the task's input volume."""
+        syncs :meth:`_claim` found and the task's input volume."""
         _counters.add_sync(remote)
-        if self.frontier.counts_placement:
-            _counters.add_words(int(task.cost.words))
+        _counters.add_words(int(task.cost.words))
 
     def _abort(self, task: Task, exc: BaseException) -> None:
         """Record a run-ending failure of *task* and wake everyone."""
@@ -518,7 +435,8 @@ class _RealClockRun:
                 self.errors.append(failed)
                 self.bk.remaining -= 1
             else:
-                self.frontier.push_released(self.bk.complete(task.tid), core)
+                for released in self.bk.complete(task.tid):
+                    self.ready.push(released)
             self.work_available.notify_all()
         return failed is None
 
@@ -526,19 +444,18 @@ class _RealClockRun:
     # Threads: one worker per core
     # ------------------------------------------------------------------
     def worker(self, core: int) -> None:
-        bk, frontier, errors = self.bk, self.frontier, self.errors
+        bk, ready, errors = self.bk, self.ready, self.errors
         while True:
             with self.work_available:
-                while not frontier and not bk.finished and not errors:
+                while not ready and not bk.finished and not errors:
                     # Timed wait + re-check: a missed notify (however
                     # unlikely) then costs one poll period, never a
                     # hung worker that only the watchdog could reap.
                     self.work_available.wait(0.1)
-                claimed = None if (bk.finished or errors) else self._claim(core)
-                if claimed is None:  # done, failing, or (unreachable) an empty pop
+                if bk.finished or errors:
                     self.work_available.notify_all()
                     return
-            task, remote = claimed
+                task, remote = self._claim(core)
             if remote:
                 self._count_remote(task, remote)
             span = self._run_inline(task)
@@ -562,7 +479,7 @@ class _RealClockRun:
         them.
         """
         pool, plan = self.pool, self.plan
-        bk, frontier, load, redo = self.bk, self.frontier, self.load, self.redo
+        bk, queue, load, redo = self.bk, self.ready, self.load, self.redo
         out: dict[int, tuple] = {}  # ticket -> (core, [(task, attempt)], sent at)
         poller = select.poll()
         watched: dict[int, int] = {}  # fd -> core, pipes with a message of ours out
@@ -584,7 +501,7 @@ class _RealClockRun:
                     if not self.errors:
                         if bk.finished:
                             break
-                        while (redo or frontier) and min(load) < _MAX_INFLIGHT:
+                        while (redo or queue) and min(load) < _MAX_INFLIGHT:
                             core = load.index(min(load))
                             if redo:
                                 task, attempt = redo.popleft()
@@ -775,7 +692,7 @@ class _RealClockRun:
                 # Deadlocked queue: tasks remain, nothing runs, nothing
                 # is ready.  Cannot happen for a valid DAG; confirmed
                 # over two polls to dodge races.
-                if bk.remaining > 0 and not running and not self.frontier:
+                if bk.remaining > 0 and not running and not self.ready:
                     deadlock_polls += 1
                     if deadlock_polls >= 2:
                         return self._trip(

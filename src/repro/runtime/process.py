@@ -49,7 +49,6 @@ import time
 from repro import counters as _counters
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.sync import make_lock, note_roundtrip
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -501,10 +500,9 @@ def default_process_workers() -> int:
 def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | None = None):
     """Resolve an ``executor=`` argument to ``(instance, owned)``.
 
-    Accepts the strings ``"threaded"``, ``"stealing"``, ``"process"``
-    and ``"auto"`` (returning a fresh instance the caller owns and
-    should close) or any executor object (returned as-is,
-    ``owned=False``).  Drivers use this so ``calu(A,
+    Accepts the strings ``"threaded"``, ``"process"`` and ``"auto"``
+    (returning a fresh instance the caller owns and should close) or
+    any executor object (returned as-is, ``owned=False``).  Drivers use this so ``calu(A,
     executor="process")`` works without the caller managing pool
     lifetime.
 
@@ -529,11 +527,8 @@ def resolve_executor(executor, n_workers: int | None = None, *, hints: dict | No
         return instance, owned
     if executor == "threaded":
         return ThreadedExecutor(n_workers), True
-    if executor == "stealing":
-        return WorkStealingExecutor(n_workers), True
     if executor == "process":
         return ProcessExecutor(n_workers), True
     raise ValueError(
-        f"unknown executor {executor!r}; expected 'threaded', 'stealing', "
-        "'process' or 'auto'"
+        f"unknown executor {executor!r}; expected 'threaded', 'process' or 'auto'"
     )

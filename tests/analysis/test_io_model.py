@@ -10,6 +10,8 @@ from repro.analysis.io_model import (
     panel_io_ca_flat,
     panel_io_classic,
     panel_io_reduction_factor,
+    panel_io_tsqr_flat,
+    predicted_panel_io,
 )
 
 
@@ -37,6 +39,18 @@ class TestPanelTraffic:
         b = 128
         f = panel_io_reduction_factor(1_000_000, b, fast_words=50_000)
         assert b / 10 < f < b
+
+    def test_predicted_panel_io_names_each_closed_form(self):
+        m, b, w = 2000, 8, 64 * 8 * 8
+        for kind, form in (
+            ("classic", panel_io_classic),
+            ("ca_flat", panel_io_ca_flat),
+            ("tsqr_flat", panel_io_tsqr_flat),
+        ):
+            assert predicted_panel_io(kind, m, b, w) == form(m, b, w)
+        for kind in ("tape", "direct_tsqr"):
+            with pytest.raises(ValueError, match="unknown"):
+                predicted_panel_io(kind, m, b, w)
 
     def test_reduction_grows_with_b(self):
         f64 = panel_io_reduction_factor(500_000, 64, 50_000)

@@ -29,7 +29,6 @@ from repro.resilience import FaultPlan, RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from repro.service import FactorizationService, ServiceConfig
 from repro.verify.equivalence import compare_graphs
@@ -129,7 +128,6 @@ class Sequential:
 
 EXECUTORS = {
     "threaded": lambda: ThreadedExecutor(2),
-    "stealing": lambda: WorkStealingExecutor(2),
     "simulated": lambda: SimulatedExecutor(generic(2), execute=True),
     "process": lambda: ProcessExecutor(2),
     "duck": Sequential,

@@ -40,7 +40,6 @@ from repro.core.trees import TreeKind
 from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -85,7 +84,6 @@ def digest(case, executor) -> int:
 def executors():
     made = {
         "threaded": ThreadedExecutor(2),
-        "stealing": WorkStealingExecutor(2),
         "simulated": SimulatedExecutor(generic(2), execute=True),
         "process": ProcessExecutor(2),
     }
@@ -93,7 +91,7 @@ def executors():
     made["process"].close()
 
 
-@pytest.mark.parametrize("backend", ["threaded", "stealing", "simulated", "process"])
+@pytest.mark.parametrize("backend", ["threaded", "simulated", "process"])
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_factors_match_parent_commit(case, backend, executors):
     golden = json.loads(GOLDEN.read_text())

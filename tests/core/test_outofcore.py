@@ -7,13 +7,12 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis.io_model import panel_io_ca_flat, panel_io_tsqr_flat, predicted_panel_io
+from repro.analysis.io_model import panel_io_ca_flat, panel_io_tsqr_flat
 from repro.core.calu import calu_program
 from repro.core.layout import BlockLayout
 from repro.core.outofcore import (
     MatrixSource,
     as_source,
-    direct_tsqr,
     plan_chunks,
     tslu_ooc,
     tsqr_ooc,
@@ -147,9 +146,6 @@ def test_float32_stays_float32_out_of_core():
         assert np.abs(np.abs(f.R) - np.abs(f_mem.R)).max() <= bound
     with tsqr_ooc(A, tr=4) as f:  # the in-memory chunking: the in-memory bits
         np.testing.assert_array_equal(f.R, f_mem.R)
-    with direct_tsqr(A, memory_budget=200_000, want_q=True) as d:
-        assert d.R.dtype == d.q_explicit().dtype == np.float32
-        assert np.abs(np.abs(d.R) - np.abs(f_mem.R)).max() <= bound
 
 
 def test_driver_store_param_rejects_conflicts():
@@ -218,50 +214,6 @@ def test_corrupted_tournament_is_replayed_out_of_core():
         assert 3 * A.nbytes - n * n * 8 <= tiles.io.read_bytes - before < 3.2 * A.nbytes
         np.testing.assert_array_equal(lu_mem, tiles.load(spec))
         np.testing.assert_array_equal(piv_mem, ws.piv)
-
-
-# ---------------------------------------------------------------------------
-# Direct TSQR
-# ---------------------------------------------------------------------------
-
-
-def test_direct_tsqr_r_only_reads_once():
-    m, n = 1500, 10
-    A = RNG.standard_normal((m, n))
-    with counting() as c:
-        d = direct_tsqr(A, tr=6)
-    assert d.store is None and d.q_spec is None
-    assert c.store_read_bytes == 0 and c.store_write_bytes == 0
-    assert np.allclose(np.abs(d.R), np.abs(np.linalg.qr(A)[1]))
-    with pytest.raises(ValueError, match="without want_q"):
-        d.q_explicit()
-
-
-def test_direct_tsqr_explicit_q():
-    m, n = 1200, 9
-    A = RNG.standard_normal((m, n))
-    with direct_tsqr(A, tr=5, want_q=True) as d:
-        Q = d.q_explicit()
-        assert np.allclose(Q @ d.R, A)
-        assert np.allclose(Q.T @ Q, np.eye(n))
-        np.testing.assert_array_equal(d.q_rows(200, 300), Q[200:300])
-    assert np.array_equal(A, A)  # input untouched
-
-
-def test_direct_tsqr_io_matches_model():
-    m, n = 2000, 8
-    fast = 64 * n * 8  # force streaming in the model
-    assert predicted_panel_io("direct_tsqr", m, n, fast) == m * n
-    assert predicted_panel_io("direct_tsqr_q", m, n, fast) == 4 * m * n
-    with pytest.raises(ValueError, match="unknown"):
-        predicted_panel_io("tape", m, n, fast)
-    A = RNG.standard_normal((m, n))
-    with counting() as c:
-        with direct_tsqr(A, tr=8, want_q=True) as d:
-            d.q_rows(0, 1)
-    # want_q traffic: write Q1 (mn) + read Q1 (mn) + write Q (mn).
-    measured = (c.store_read_bytes + c.store_write_bytes) // 8 - n  # minus q_rows probe
-    assert measured == 3 * m * n
 
 
 # ---------------------------------------------------------------------------

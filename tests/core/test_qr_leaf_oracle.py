@@ -33,7 +33,6 @@ from repro.counters import counting
 from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.core.test_golden_digests import SHAPES, TREES, _crc
 
@@ -118,7 +117,6 @@ def test_default_kernels_meet_the_householder_bounds_out_of_core(name):
 def executors():
     made = {
         "threaded": ThreadedExecutor(2),
-        "stealing": WorkStealingExecutor(2),
         "simulated": SimulatedExecutor(generic(2), execute=True),
         "process": ProcessExecutor(2),
     }

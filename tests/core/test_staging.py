@@ -25,7 +25,6 @@ from repro.runtime.shm import SharedArena
 
 BACKENDS = [
     "threaded",
-    "stealing",
     pytest.param(
         "process",
         marks=pytest.mark.skipif(

@@ -5,7 +5,7 @@ runs them to the factors of a sequential run.
   task-for-task (names, kinds, costs, priorities, footprints) and
   edge-for-edge, and the windows partition the graph;
 * **behavioral** — factorizations driven through the engine executors
-  (threaded, work-stealing, simulated-execute, and the shared-memory
+  (threaded, simulated-execute, and the shared-memory
   process backend) reproduce a duck-typed sequential run of the same
   graph **bitwise**: same pivots, same packed factors, for CALU and
   CAQR across binary and flat reduction trees and all look-ahead
@@ -26,7 +26,6 @@ from repro.core.trees import TreeKind
 from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.trace import Trace
 from repro.verify.equivalence import compare_graphs
@@ -141,7 +140,6 @@ def test_windows_partition_the_graph():
 
 EXECUTORS = [
     pytest.param(lambda: ThreadedExecutor(3), id="threaded"),
-    pytest.param(lambda: WorkStealingExecutor(3, seed=5), id="stealing"),
     pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
     pytest.param(lambda: ProcessExecutor(3), id="process"),
 ]

@@ -30,7 +30,6 @@ from repro.resilience.faults import InjectedFault
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -448,7 +447,6 @@ def _executors():
     return [
         ("threaded", lambda: ThreadedExecutor(2)),
         ("simulated", lambda: SimulatedExecutor(generic(2), execute=True)),
-        ("stealing", lambda: WorkStealingExecutor(2)),
     ]
 
 

@@ -24,7 +24,6 @@ from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -34,7 +33,6 @@ from repro.runtime.threaded import ThreadedExecutor
 # proxy-thread path: descriptors absent -> tasks run inline in-parent.)
 POOL_EXECUTORS = [
     pytest.param(ThreadedExecutor, id="threaded"),
-    pytest.param(WorkStealingExecutor, id="stealing"),
     pytest.param(ProcessExecutor, id="process"),
 ]
 

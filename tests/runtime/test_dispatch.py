@@ -39,7 +39,6 @@ from repro.runtime.engine import ExecutionEngine
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor, _WorkerPool
 from repro.runtime.shm import SharedArena, attach_array
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 from repro.service.supervisor import RespawnGovernor
@@ -513,10 +512,7 @@ class TestTaskTimeoutInTheQueue:
 
 
 class TestThreadPathUnchanged:
-    @pytest.mark.parametrize(
-        "make", [lambda: ThreadedExecutor(3), lambda: WorkStealingExecutor(3)],
-        ids=["threaded", "stealing"],
-    )
+    @pytest.mark.parametrize("make", [lambda: ThreadedExecutor(3)], ids=["threaded"])
     def test_no_pipes_no_polls_no_dispatch_account(self, make, monkeypatch):
         def forbidden(*a, **k):
             raise AssertionError("the thread path must not touch pipes or polls")

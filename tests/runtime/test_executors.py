@@ -20,7 +20,6 @@ from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, Task, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -230,10 +229,10 @@ def test_property_simulated_schedule_always_valid(seed, cores, n_tasks):
 # One conformance matrix: the engine, under each of its public names
 # ---------------------------------------------------------------------------
 
-ENGINES = [ExecutionEngine, ThreadedExecutor, WorkStealingExecutor, ProcessExecutor]
+ENGINES = [ExecutionEngine, ThreadedExecutor, ProcessExecutor]
 
 
-@pytest.fixture(params=ENGINES, ids=["engine", "threaded", "stealing", "process"])
+@pytest.fixture(params=ENGINES, ids=["engine", "threaded", "process"])
 def make(request):
     """``make(n_workers, **options)`` builds the parametrized executor;
     every one made is closed (a ProcessExecutor owns a pool)."""
@@ -258,7 +257,6 @@ def chain(n, fn=lambda: None):
 class TestEngineConformance:
     def test_every_executor_is_the_engine(self):
         assert ThreadedExecutor is ExecutionEngine
-        assert issubclass(WorkStealingExecutor, ExecutionEngine)
         assert issubclass(ProcessExecutor, ExecutionEngine)
 
     @pytest.mark.parametrize(
@@ -349,9 +347,46 @@ class TestEngineConformance:
             th.join(60)
         assert not failures, failures
         for k, (trace, g, log) in traces.items():
-            # Each run has its own frontier and books: a complete,
+            # Each run has its own ready queue and books: a complete,
             # valid schedule of its own graph and nothing of the other's.
             assert sorted(log) == list(range(30 + 10 * k))
             assert sorted(r.tid for r in trace.records) == list(range(30 + 10 * k))
             trace.validate_schedule(g)
             assert trace.stats["n_tasks"] == 30 + 10 * k
+
+
+# ---------------------------------------------------------------------------
+# Placement accounting: one sync per cross-core edge, on every backend
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: ThreadedExecutor(2), id="threaded"),
+        pytest.param(lambda: ProcessExecutor(2), id="process"),
+        pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_syncs_and_words_count_exactly_the_cross_core_edges(make, seed):
+    """``counting()`` sees one sync per (pred, task) edge whose two ends
+    ran on different cores, and the input words of every task with at
+    least one such edge — read back from the trace, so the count is
+    exact whatever the schedule was."""
+    _, _, deps = random_graph(seed, 80)
+    g = TaskGraph(f"placement{seed}")
+    for i, d in enumerate(deps):
+        g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3, words=7 * i + 1),
+              fn=lambda: time.sleep(5e-4), deps=d)
+    ex = make()
+    try:
+        with counting() as c:
+            trace = ex.run(g)
+    finally:
+        getattr(ex, "close", lambda: None)()
+    core = {r.tid: r.core for r in trace.records}
+    remote = [sum(core[p] != core[t] for p in d) for t, d in enumerate(deps)]
+    assert sum(remote) > 0  # both cores ran tasks: the check is not vacuous
+    assert c.syncs == sum(remote)
+    assert c.words == sum(g.tasks[t].cost.words for t, n in enumerate(remote) if n)

@@ -340,8 +340,10 @@ class TestResolveExecutor:
         assert ex is obj and not owned
 
     def test_unknown_string_raises(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("gpu")
+        for name in ("gpu", "stealing"):
+            with pytest.raises(ValueError, match="unknown executor") as info:
+                resolve_executor(name)
+            assert str(info.value).endswith("expected 'threaded', 'process' or 'auto'")
 
 
 # ----------------------------------------------------------------------

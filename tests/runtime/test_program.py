@@ -16,7 +16,6 @@ from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.program import GraphProgram
 from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.stealing import WorkStealingExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import make_rng
@@ -82,7 +81,6 @@ def test_negative_window_count_rejected():
     "make_executor",
     [
         pytest.param(lambda: ThreadedExecutor(2), id="threaded"),
-        pytest.param(lambda: WorkStealingExecutor(2), id="stealing"),
     ],
 )
 def test_unmaterialized_program_runs_in_order(make_executor):

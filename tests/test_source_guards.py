@@ -5,9 +5,9 @@ simplification removed — an ``op_sync`` mirror, a shm fork in
 ``core/``, a lazy import in ``ops.py``, a second out-of-core driver,
 the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
-second allocator or ``attach_array`` — so it cannot come back
-unnoticed.  The patterns are regular expressions over single lines,
-as ``grep -E`` reads them.
+second scheduler, a second allocator or ``attach_array`` — so it
+cannot come back unnoticed.  The patterns are regular expressions over
+single lines, as ``grep -E`` reads them.
 """
 
 import pathlib
@@ -20,16 +20,15 @@ import repro
 SRC = pathlib.Path(repro.__file__).parent
 
 
-def grep(pattern: str, *paths: str, unless: str | None = None) -> list[str]:
+def grep(pattern: str, *paths: str) -> list[str]:
     """``path:line: text`` of every line matching *pattern* under
-    *paths* (files or directories, relative to the package), less the
-    lines that also match *unless*."""
+    *paths* (files or directories, relative to the package)."""
     hits = []
     for rel in paths:
         root = SRC / rel
         for f in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
             for n, line in enumerate(f.read_text(encoding="utf-8").splitlines(), 1):
-                if re.search(pattern, line) and not (unless and re.search(unless, line)):
+                if re.search(pattern, line):
                     hits.append(f"{f.relative_to(SRC).as_posix()}:{n}: {line.strip()}")
     return hits
 
@@ -50,20 +49,15 @@ def test_no_lazy_imports_in_ops():
 
 
 # Out of core is a plane: outofcore.py emits no task and calls no
-# kernel beyond the two direct_tsqr uses.
+# kernel -- it stages, binds and compiles.
 
 
 def test_outofcore_emits_no_task():
     assert grep(r"add_task|GraphProgram\(|reduction_schedule", "core/outofcore.py") == []
 
 
-def test_outofcore_calls_no_kernel_beyond_direct_tsqr():
-    hits = grep(
-        r"(from|import) repro\.kernels",
-        "core/outofcore.py",
-        unless=r"from repro.kernels.qr import extract_v, geqr3$",
-    )
-    assert hits == []
+def test_outofcore_calls_no_kernel():
+    assert grep(r"(from|import) repro\.kernels", "core/outofcore.py") == []
 
 
 # One driver: the eager build_*_graph wrappers and the second autotune
@@ -110,12 +104,21 @@ def test_service_makes_one_engine():
 
 # One executor: the public executors are the engine (or subclass it)
 # and the simulator owns its clock -- nobody builds an engine per run,
-# and no clock switch comes back.
+# no clock switch comes back, and every run pops the one ready queue
+# (no work-stealing frontier, no hand-rolled Direct TSQR loop).
 
 
 def test_no_engine_built_per_run():
-    files = [f"runtime/{m}.py" for m in ("threaded", "stealing", "process", "simulated")]
+    files = [f"runtime/{m}.py" for m in ("threaded", "process", "simulated")]
     assert grep(r"ExecutionEngine\(", *files) == []
+
+
+def test_no_second_scheduler_or_direct_tsqr():
+    pattern = (
+        r"WorkStealingExecutor|StealingFrontier|CentralFrontier|new_frontier|"
+        r"counts_placement|direct_tsqr"
+    )
+    assert grep(pattern, ".") == []
 
 
 def test_no_clock_switch():
