@@ -19,7 +19,9 @@ and checks the measured store traffic against the closed forms in
 
 ``OUTOFCORE_SMOKE=1`` shrinks the panel to 100,000 x 32 with a 2 MiB
 budget (same 12x+ out-of-core ratio) for CI.  Results land in
-``results/BENCH_outofcore.json`` and ``tables/bench_outofcore.txt``.
+``results/BENCH_outofcore.json`` (the tracked full-size run; a smoke
+run writes the git-ignored ``results/smoke/BENCH_outofcore.json``
+instead) and ``tables/bench_outofcore.txt``.
 """
 
 import json
@@ -43,6 +45,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = os.environ.get("OUTOFCORE_SMOKE", "") not in ("", "0")
 if SMOKE:
     M, N, BUDGET = 100_000, 32, 2 << 20
+    RESULTS_DIR = RESULTS_DIR / "smoke"  # git-ignored: never the tracked full-size file
 else:
     M, N, BUDGET = 1_000_000, 64, 40 << 20
 N_WORKERS = 2
@@ -186,7 +189,7 @@ def test_outofcore_report(save_result):
         "parity": parity,
         "cases": rows,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / "BENCH_outofcore.json").write_text(json.dumps(doc, indent=2) + "\n")
 
     lines = [

@@ -40,11 +40,12 @@ def getf2_lu(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.nda
 
 
 def getrf_lu(
-    A: np.ndarray, b: int = 64, panel: str = "getf2", overwrite: bool = False
+    A: np.ndarray, b: int = 64, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked right-looking LU (vendor ``dgetrf``). Returns ``(lu, piv)``."""
+    """Blocked right-looking LU over ``getf2`` panels (vendor ``dgetrf``).
+    Returns ``(lu, piv)``."""
     A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
-    piv = getrf(A, b=b, panel=panel)
+    piv = getrf(A, b=b)
     return A, piv
 
 

@@ -38,11 +38,12 @@ def geqr2_qr(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.nda
 
 
 def geqrf_qr(
-    A: np.ndarray, b: int = 64, panel: str = "geqr2", overwrite: bool = False
+    A: np.ndarray, b: int = 64, overwrite: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Blocked Householder QR (vendor ``dgeqrf``). Returns ``(packed, Ts)``."""
+    """Blocked Householder QR over ``geqr2`` panels (vendor ``dgeqrf``).
+    Returns ``(packed, Ts)``."""
     A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
-    Ts = geqrf(A, b=b, panel=panel)
+    Ts = geqrf(A, b=b)
     return A, Ts
 
 

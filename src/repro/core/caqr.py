@@ -12,11 +12,10 @@ trailing-matrix update:
 * task **S** (node) — apply a merge's ``[I; V_b]`` reflector to the two
   ``b``-row slices of a trailing block column (``tpmqrt``).
 
-``leaf_kernel`` names the P and node-S kernel set: by default
-``"geqrt"``, LAPACK's ``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` (the
-vendor's kernels, as the paper's tasks call MKL/ACML); ``"geqr3"`` the
-paper's recursive ``dgeqr3`` leaf with the NumPy ``tpqrt`` /
-``tpmqrt``.
+The P and node-S tasks run the vendor's kernels, as the paper's tasks
+call MKL/ACML: LAPACK ``?geqrt`` at the leaves, ``?tpqrt`` at the
+merges and ``?tpmqrt`` at the node updates.  Their ``Cost`` names the
+leaf ``geqrt`` and the tree kernels ``tpqrt_tt`` / ``tpmqrt``.
 
 ``Q`` stays implicit (per-panel :class:`~repro.core.tsqr.PanelQRStore`),
 so ``apply_q``/``apply_qt``/``solve_ls`` replay the trees.
@@ -48,7 +47,6 @@ def caqr_program(
     A: np.ndarray | None = None,
     lookahead: int | None = None,
     library: str = "repro_qr",
-    leaf_kernel: str = "geqrt",
     arity: int = 4,
     guards: bool = True,
     checkpoint=None,
@@ -82,7 +80,7 @@ def caqr_program(
 
     def panel(em: Emitter, chunks, qstore):
         leaves, merges = add_tsqr_tasks(
-            em, layout, chunks, tree, qstore, library=library, leaf_kernel=leaf_kernel, arity=arity
+            em, layout, chunks, tree, qstore, library=library, arity=arity
         )
         # Footprint keys of the implicit-Q factors the TSQR tasks
         # deposit in the PanelQRStore (read back by the trailing updates
@@ -128,7 +126,7 @@ def caqr_program(
                 shared
                 and (
                     "caqr_merge_update",
-                    {**shared, "bk": bk, "kernel": leaf_kernel, "pairs": step.pairs},
+                    {**shared, "bk": bk, "pairs": step.pairs},
                 ),
                 J=J,
                 reads=blocks + [("qmerge", K, step.ordinal)],
@@ -208,7 +206,6 @@ def caqr(
     tree: TreeKind = TreeKind.FLAT,
     executor=None,
     lookahead: int | None = None,
-    leaf_kernel: str = "geqrt",
     overwrite: bool = False,
     check_finite: bool = True,
     guards: bool = True,
@@ -236,7 +233,6 @@ def caqr(
         tree=tree,
         executor=executor,
         lookahead=lookahead,
-        leaf_kernel=leaf_kernel,
         overwrite=overwrite,
         check_finite=check_finite,
         guards=guards,

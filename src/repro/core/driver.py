@@ -30,7 +30,6 @@ from repro.core.caqr import CAQRFactorization, caqr_program
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
 from repro.core.tsqr import TSQRFactorization
-from repro.kernels import lu, qr
 from repro.machine.autotune import recommend_params
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, restore_matrix
 from repro.resilience.health import validate_matrix
@@ -59,8 +58,8 @@ __all__ = [
 class Algorithm:
     """What tells one factorization from another.
 
-    ``program(layout, tr, tree, *, A=None, store=None, leaf_kernel=...,
-    guards=..., checkpoint=..., **build)`` returns ``(GraphProgram,
+    ``program(layout, tr, tree, *, A=None, store=None, guards=...,
+    checkpoint=..., **build)`` returns ``(GraphProgram,
     state)`` — symbolic when ``A`` is None.  *state* is the per-panel
     list (each entry speaks ``to_arrays()``/``restore()``/``reset()``).
     ``result(A, state, detach, *, layout, tr, tree, trace)`` assembles
@@ -72,7 +71,6 @@ class Algorithm:
     kind: str  #: what the autotuner and the service call it: "lu" | "qr"
     name: str  #: in messages and (lower-cased) checkpoint signatures
     tree: TreeKind  #: the paper's default reduction tree
-    leaf_kernels: tuple[str, ...]  #: valid ``leaf_kernel=`` values, default first
     program: Callable
     result: Callable
     panel: bool = False  #: one standalone tall-skinny panel: ``m >= n``, ``b = n``
@@ -110,12 +108,8 @@ def _tsqr_result(A, panels, detach, *, layout, tr, tree, trace):
 
 #: The full factorizations, by the kind the autotuner and the service key on.
 ALGORITHMS = {
-    "lu": Algorithm(
-        "lu", "CALU", TreeKind.BINARY, tuple(lu.PANEL_KERNELS), calu_program, _calu_result
-    ),
-    "qr": Algorithm(
-        "qr", "CAQR", TreeKind.FLAT, tuple(qr.PANEL_KERNELS), caqr_program, _caqr_result
-    ),
+    "lu": Algorithm("lu", "CALU", TreeKind.BINARY, calu_program, _calu_result),
+    "qr": Algorithm("qr", "CAQR", TreeKind.FLAT, caqr_program, _caqr_result),
 }
 
 
@@ -133,17 +127,11 @@ def algorithm(kind: str) -> Algorithm:
         ) from None
 
 
-def validate_knobs(alg: Algorithm, *, tr, leaf_kernel) -> None:
-    """Reject the knob values that would otherwise fail late or silently:
-    ``tr < 1`` surfaced as a complaint about worker counts, and an
-    unknown *leaf_kernel* fell through to the unblocked kernel."""
+def validate_knobs(*, tr) -> None:
+    """Reject the knob values that would otherwise fail late: ``tr < 1``
+    surfaced as a complaint about worker counts."""
     if not isinstance(tr, (int, np.integer)) or tr < 1:
         raise ValueError(f"tr must be an int >= 1, got {tr!r}")
-    if leaf_kernel not in alg.leaf_kernels:
-        raise ValueError(
-            f"unknown leaf_kernel {leaf_kernel!r} for {alg.name}; "
-            f"expected one of {alg.leaf_kernels}"
-        )
 
 
 #: A task in a kept graph — the object, its footprint sets, its
@@ -239,7 +227,6 @@ def compile(
     b: int | None = None,
     tr: int,
     tree: TreeKind,
-    leaf_kernel: str,
     shared: bool = False,
     overwrite: bool = False,
     guards: bool = True,
@@ -257,13 +244,13 @@ def compile(
     program is the builder's, task for task, emitted whole here, so no
     run emits; *build* is the builder's own (``checkpoint``, ...).
     """
-    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
+    validate_knobs(tr=tr)
     store, arena = staged(A, shared, overwrite=overwrite)
     try:
         m, n = store.A.shape
         layout = BlockLayout(m, n, n if alg.panel else b)
         program, state = alg.program(
-            layout, tr, tree, A=store.A, store=store, leaf_kernel=leaf_kernel, guards=guards, **build
+            layout, tr, tree, A=store.A, store=store, guards=guards, **build
         )
         program.materialize()
     except BaseException:
@@ -381,7 +368,6 @@ def factorize(
     tr: int,
     tree: TreeKind,
     executor=None,
-    leaf_kernel: str,
     overwrite: bool = False,
     check_finite: bool = True,
     guards: bool = True,
@@ -408,7 +394,7 @@ def factorize(
     ``overwrite=True`` (the caller's buffer is the working buffer) and
     an unhashable *build* value.
     """
-    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
+    validate_knobs(tr=tr)
     A = validate_matrix(A, "A", require_finite=check_finite)
     m, n = A.shape
     if alg.panel:
@@ -435,7 +421,7 @@ def factorize(
     decision = getattr(executor, "autotune_decision", None) if owned else None
     key = None
     if checkpoint is None and not overwrite:
-        key = (alg, A.shape, working_dtype(A), b, tr, tree, leaf_kernel, shared, guards)
+        key = (alg, A.shape, working_dtype(A), b, tr, tree, shared, guards)
         key += tuple(sorted(build.items()))
         try:
             hash(key)
@@ -450,7 +436,6 @@ def factorize(
             b=b,
             tr=tr,
             tree=tree,
-            leaf_kernel=leaf_kernel,
             shared=shared,
             overwrite=overwrite,
             guards=guards,
@@ -472,7 +457,6 @@ def factorize(
                 "b": int(b),
                 "tr": int(tr),
                 "tree": tree.value,
-                "leaf_kernel": leaf_kernel,
                 **build,
                 "a_digest": zlib.crc32(plan.A.tobytes()),
             }

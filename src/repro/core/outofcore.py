@@ -202,7 +202,7 @@ class StoreHandle:
 
 @contextmanager
 def _streamed(
-    alg, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel, check_finite
+    alg, source, tree, tr, memory_budget, store, spill_dir, n_workers, check_finite
 ):
     """Stage *source* into *store* (chunked as the in-memory drivers
     chunk), bind it, compile *alg* over the binding and run that:
@@ -219,13 +219,13 @@ def _streamed(
         raise ValueError(f"{alg.name.lower()} requires a tall panel (m >= n), got {src.shape}")
     dtype = working_dtype(source)  # as the in-memory drivers stage it
     tr = _plan_tr(m, n, tr, memory_budget, n_workers, dtype.itemsize)
-    validate_knobs(alg, tr=tr, leaf_kernel=leaf_kernel)
+    validate_knobs(tr=tr)
     chunks = plan_chunks(m, n, tr=tr)
     tiles, owned = open_store(store, spill_dir)
     try:
         a_spec = _stage_panel(tiles, src, chunks, check_finite, dtype)
         binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
-        plan = compile(alg, binding, tr=tr, tree=tree, leaf_kernel=leaf_kernel)
+        plan = compile(alg, binding, tr=tr, tree=tree)
         plan.run(ThreadedExecutor(max(1, n_workers)))
         handle = {"tiles": tiles, "a_spec": a_spec, "chunks": chunks, "owns_store": owned}
         yield plan, {"m": m, "n": n, **handle}
@@ -257,7 +257,6 @@ def tsqr_ooc(
     store="mmap",
     spill_dir=None,
     n_workers: int = 2,
-    leaf_kernel: str = "geqrt",
     check_finite: bool = True,
 ) -> OOCTSQRFactorization:
     """QR-factor a tall-skinny panel streamed through a tile store.
@@ -271,8 +270,7 @@ def tsqr_ooc(
     it (or use it as a context manager) once done with ``Q``.
     """
     with _streamed(
-        TSQR, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
-        check_finite,
+        TSQR, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers, check_finite
     ) as (plan, handle):
         R = np.triu(plan.A[: handle["n"], :])
         return OOCTSQRFactorization(store=plan.state[0], R=R, tr=plan.tr, tree=plan.tree, **handle)
@@ -309,7 +307,6 @@ def tslu_ooc(
     spill_dir=None,
     n_workers: int = 2,
     tree: TreeKind = TreeKind.FLAT,
-    leaf_kernel: str = "rgetf2",
     check_finite: bool = True,
 ) -> OOCPanelLU:
     """LU-factor a tall-skinny panel streamed through a tile store.
@@ -322,8 +319,7 @@ def tslu_ooc(
     paths can run.
     """
     with _streamed(
-        TSLU, source, tree, tr, memory_budget, store, spill_dir, n_workers, leaf_kernel,
-        check_finite,
+        TSLU, source, tree, tr, memory_budget, store, spill_dir, n_workers, check_finite
     ) as (plan, handle):
         ws = plan.state[0]
         return OOCPanelLU(piv=np.array(ws.piv), recovered=ws.recomputed, **handle)

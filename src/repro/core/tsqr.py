@@ -4,13 +4,10 @@ The panel is split into ``Tr`` row chunks; each chunk is QR-factored
 independently (task P at the leaves); the resulting ``R`` factors are
 merged pairwise (binary tree), all at once (flat tree, the paper's best
 performer in Section IV) or in groups (hybrid), each merge being a
-structured ``[R_i; R_j]`` QR.  ``leaf_kernel`` names the kernel set
-(:data:`repro.kernels.qr.TREE_KERNELS`): by default ``"geqrt"``, the
-vendor's kernels the paper's tasks call — LAPACK ``?geqrt`` at the
-leaves and ``?tpqrt`` at the merges
-(:func:`repro.kernels.structured.lapack_tpqrt`); ``"geqr3"`` is the
-recursive leaf the paper prefers with the NumPy merge
-(:func:`repro.kernels.structured.tpqrt`).
+structured ``[R_i; R_j]`` QR.  Each task runs the vendor's kernel, as
+the paper's tasks call MKL/ACML: LAPACK ``?geqrt`` at the leaves
+(:func:`repro.kernels.qr.geqrt`) and ``?tpqrt`` at the merges
+(:func:`repro.kernels.structured.lapack_tpqrt`).
 
 ``Q`` is kept implicit — the list of leaf WY factors and merge
 reflectors — exactly like LAPACK keeps Householder vectors.  This is
@@ -170,7 +167,6 @@ def add_tsqr_tasks(
     qstore: PanelQRStore | None,
     *,
     library: str = "repro_qr",
-    leaf_kernel: str = "geqrt",
     arity: int = 4,
 ) -> tuple[list[tuple], list[MergeStep]]:
     """Emit the TSQR tasks (leaf QRs + tree merges) of the emitter's
@@ -211,7 +207,7 @@ def add_tsqr_tasks(
                 slot=chunk.index, r0=chunk.r0, r1=chunk.r1, V=v_view, T=t_view
             )
             rows = {"r0": chunk.r0, "r1": chunk.r1}
-            op = ("tsqr_leaf", {**shared, **rows, "kernel": leaf_kernel, "t": t_spec})
+            op = ("tsqr_leaf", {**shared, **rows, "t": t_spec})
         # ("qleaf", K, slot) keys the WY factor this task deposits in
         # the panel's PanelQRStore — read later by the trailing updates
         # that apply the leaf reflector.
@@ -219,7 +215,7 @@ def add_tsqr_tasks(
         tid = em.task(
             name,
             "P",
-            Cost.of(leaf_kernel, chunk.rows, bk, library=library),
+            Cost.of("geqrt", chunk.rows, bk, library=library),
             op,
             reads=chunk.blocks(K),
             writes=chunk.blocks(K) + [("qleaf", K, chunk.index)],
@@ -243,7 +239,7 @@ def add_tsqr_tasks(
                     qstore.merges.append(
                         MergeFactor(top0=dst.r0, bot0=src.r0, r=bk, Vb=vb_view, T=t_view)
                     )
-                op = ("tsqr_merge", {**shared, "bk": bk, "kernel": leaf_kernel, "pairs": pairs})
+                op = ("tsqr_merge", {**shared, "bk": bk, "pairs": pairs})
             name = f"P[{K}]merge{dst.index}<{','.join(str(s.index) for s in srcs)}"
             tid = em.task(
                 name,
@@ -305,7 +301,6 @@ def tsqr(
     tr: int = 4,
     tree: TreeKind = TreeKind.FLAT,
     executor=None,
-    leaf_kernel: str = "geqrt",
     overwrite: bool = False,
     check_finite: bool = True,
     store=None,
@@ -353,7 +348,6 @@ def tsqr(
             memory_budget=memory_budget,
             store="mmap" if store is None else store,
             spill_dir=spill_dir,
-            leaf_kernel=leaf_kernel,
             check_finite=check_finite,
         )
     from repro.core.driver import TSQR, factorize
@@ -364,7 +358,6 @@ def tsqr(
         tr=tr,
         tree=tree,
         executor=executor,
-        leaf_kernel=leaf_kernel,
         overwrite=overwrite,
         check_finite=check_finite,
     )

@@ -158,13 +158,12 @@ def distributed_tslu(
     A: np.ndarray,
     P: int = 4,
     tree: TreeKind = TreeKind.BINARY,
-    leaf_kernel: str = "rgetf2",
     comm: CommLog | None = None,
     dead_ranks: tuple = (),
 ) -> DistCALU:
     """Tournament-pivoting LU of an ``m x b`` panel over ``P`` ranks.
 
-    The factors are ``tslu(A, tr=P, tree=tree, leaf_kernel=...)``'s.
+    The factors are ``tslu(A, tr=P, tree=tree)``'s.
     Leaves need no communication; each tree level is one round; the
     root broadcasts ``U_kk`` and the pivot list; rows that cross ranks
     are swapped pairwise in one round.
@@ -181,7 +180,7 @@ def distributed_tslu(
     ``rank_loss`` events on ``comm.events`` and reported in
     ``recovered_ranks``.
     """
-    lu, piv = tslu(A, tr=P, tree=tree, leaf_kernel=leaf_kernel)
+    lu, piv = tslu(A, tr=P, tree=tree)
     m, b = lu.shape
     chunks = merged_chunks(BlockLayout(m, b, b), 0, P)
     log = comm if comm is not None else CommLog()
@@ -197,13 +196,12 @@ def distributed_tsqr(
     A: np.ndarray,
     P: int = 4,
     tree: TreeKind = TreeKind.BINARY,
-    leaf_kernel: str = "geqrt",
 ) -> DistTSQR:
     """QR of an ``m x b`` panel over ``P`` ranks; ``R`` is
-    ``tsqr(A, tr=P, tree=tree, leaf_kernel=...)``'s.  Leaves need no
+    ``tsqr(A, tr=P, tree=tree)``'s.  Leaves need no
     communication; each tree level is one round moving only the
     ``b(b+1)/2`` triangular entries of each source's ``R``."""
-    R = tsqr(A, tr=P, tree=tree, leaf_kernel=leaf_kernel).R
+    R = tsqr(A, tr=P, tree=tree).R
     m, b = np.shape(A)
     chunks = merged_chunks(BlockLayout(m, b, b), 0, P)
     log = CommLog()

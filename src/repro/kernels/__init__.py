@@ -4,17 +4,17 @@ This subpackage plays the role MKL/ACML/LAPACK play in the paper: it is
 the sequential kernel layer every algorithm (communication-avoiding or
 baseline) is built from.  Everything is implemented from scratch on top
 of NumPy array primitives except two vendor kernel sets, as the paper's
-tasks call the vendor's kernels.  The QR set — ``geqrt``,
-``lapack_tpqrt`` and ``lapack_tpmqrt``, thin wrappers of LAPACK's
-``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` — runs at the TSQR/CAQR leaves,
-tree merges and node updates under the default ``leaf_kernel="geqrt"``
-(``kernels.qr.TREE_KERNELS`` maps each leaf kernel to its tree
-kernels).  ``lapack_getrf``, a thin wrapper of LAPACK's ``?getrf``,
-runs every TSLU tournament merge whatever the leaf kernel
-(``kernels.lu.MERGE_KERNEL``), and the panel's last merge hands its
+tasks call the vendor's kernels.  Each task slot runs one fixed kernel;
+nothing selects among them.  The QR set — ``geqrt``, ``lapack_tpqrt``
+and ``lapack_tpmqrt``, thin wrappers of LAPACK's ``?geqrt`` /
+``?tpqrt`` / ``?tpmqrt`` — runs at the TSQR/CAQR leaves, tree merges
+and node updates.  The TSLU leaves run the paper's ``rgetf2``
+(``getf2`` on a chunk shorter than it is wide); ``lapack_getrf``, a
+thin wrapper of LAPACK's ``?getrf``, runs every tournament merge
+(``kernels.lu.select_pivots``), and the panel's last election hands its
 factors to the finalize; ``blas_trsm``, a thin wrapper of BLAS
-``?trsm``, runs CALU's L and U tasks.  Each kernel reports its flop count to
-:mod:`repro.counters`.
+``?trsm``, runs CALU's L and U tasks.  Each kernel reports its flop
+count to :mod:`repro.counters`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
 listings is direct: ``getf2`` (BLAS2 LU), ``rgetf2`` (recursive LU, the

@@ -18,6 +18,11 @@ Four variants, mirroring the routines the paper names:
     kernel of every TSLU tournament merge (GEPP on the stacked
     candidates, whichever kernel runs it).
 
+Each TSLU task slot runs one of them (:func:`select_pivots`): a
+tournament leaf ``rgetf2`` (``getf2`` on a chunk shorter than it is
+wide), a merge ``lapack_getrf``.  The blocked ``getrf`` factors its
+panels with ``getf2``, as the paper's ``MKL_dgetrf`` baseline does.
+
 All variants factor in place: on return ``A`` holds ``L`` strictly
 below the diagonal (unit diagonal implicit) and ``U`` on and above it.
 They return the pivot vector in LAPACK ``ipiv`` convention
@@ -123,33 +128,21 @@ def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
     return np.concatenate([piv1, piv2 + n1])
 
 
-#: What ``leaf_kernel=`` / ``panel=`` names, the paper's choice first (it needs ``m >= n``).
-PANEL_KERNELS = {"rgetf2": rgetf2, "getf2": getf2}
-
-
-def getrf(A: np.ndarray, b: int = 64, panel: str = "getf2") -> np.ndarray:
+def getrf(A: np.ndarray, b: int = 64) -> np.ndarray:
     """Blocked right-looking LU with partial pivoting, in place.
 
     The reference structure of vendor ``dgetrf``: factor a ``b``-wide
-    panel with the BLAS2 (or recursive) kernel, apply the pivots across
-    the full width, solve for the block row of ``U`` and update the
-    trailing matrix with ``gemm``.
-
-    Parameters
-    ----------
-    A : (m, n) array.
-    b : panel width.
-    panel : ``"getf2"`` or ``"rgetf2"`` — which sequential kernel
-        factors each panel.
+    panel with the BLAS2 ``getf2``, apply the pivots across the full
+    width, solve for the block row of ``U`` and update the trailing
+    matrix with ``gemm``.
     """
     m, n = A.shape
     r = min(m, n)
     add_call("getrf")
-    panel_fn = PANEL_KERNELS[panel]
     piv = np.arange(r, dtype=np.int64)
     for k in range(0, r, b):
         bk = min(b, r - k)
-        pk = panel_fn(A[k:, k : k + bk])
+        pk = getf2(A[k:, k : k + bk])
         piv[k : k + bk] = pk + k
         # Apply the panel's pivots to the left and right of the panel.
         laswp(A[k:, :k], pk)
@@ -225,20 +218,19 @@ def perm_from_piv_rows(rows: np.ndarray, m: int) -> np.ndarray:
     return np.array(piv, dtype=np.int64)
 
 
-#: The kernel every tournament merge selects with, whatever the leaves run.
-MERGE_KERNEL = "lapack_getrf"
+#: The kernel every tournament leaf selects with (the paper's recursive
+#: LU; a block shorter than it is wide falls to ``getf2``).
+LEAF = rgetf2
 
-_SELECTORS = {**PANEL_KERNELS, MERGE_KERNEL: lapack_getrf}
 
-
-def select_pivots(block: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarray]:
+def select_pivots(block: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
     """GEPP a *copy* of *block*; return the selected positions and their factors.
 
-    The tournament-pivoting selection step: a leaf passes its
-    ``leaf_kernel`` (a :data:`PANEL_KERNELS` name; a block shorter than
-    it is wide falls to ``getf2``), a merge :data:`MERGE_KERNEL`.
-    Returns ``(sel, lu)``: the ``r = min(rows, cols)`` pivot positions
-    in order, and the top ``r`` rows of the factored copy — the packed
+    The tournament-pivoting selection step: a leaf selects with
+    :data:`LEAF` (``getf2`` when the block is shorter than it is wide),
+    a *merge* with LAPACK ``?getrf`` (:func:`lapack_getrf`).  Returns
+    ``(sel, lu)``: the ``r = min(rows, cols)`` pivot positions in
+    order, and the top ``r`` rows of the factored copy — the packed
     no-pivoting LU of ``block[sel]`` (``L`` strictly below the diagonal,
     ``U`` on and above it), which the panel's last election hands to the
     finalize.  The input is never modified — callers forward the
@@ -246,9 +238,10 @@ def select_pivots(block: np.ndarray, kernel: str) -> tuple[np.ndarray, np.ndarra
     leak into the candidate sets.
     """
     rows, cols = block.shape
-    fn = _SELECTORS[kernel]
-    if rows < cols and kernel in PANEL_KERNELS:
-        fn = getf2
+    if merge:
+        fn = lapack_getrf
+    else:
+        fn = LEAF if rows >= cols else getf2
     work = block.copy()
     r = min(rows, cols)
     return piv_to_perm(fn(work), rows)[:r], work[:r]

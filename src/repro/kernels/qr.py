@@ -18,9 +18,16 @@ Algorithm 2 is direct:
 ``geqrt``
     The vendor's sequential QR: LAPACK ``?geqrt`` on the block as one
     tile, the same factors and ``T`` as ``geqr3`` to rounding — the
-    default TSQR/CAQR leaf, as the paper's tasks call MKL/ACML.
+    TSQR/CAQR leaf, as the paper's tasks call MKL/ACML.
 ``geqrf``
-    Blocked QR — the structure of vendor ``dgeqrf``.
+    Blocked QR over ``geqr2`` panels — the structure of vendor ``dgeqrf``.
+
+The TSQR/CAQR task slots run LAPACK throughout: ``geqrt`` at the
+leaves, :func:`~repro.kernels.structured.lapack_tpqrt` at the tree
+merges and :func:`~repro.kernels.structured.lapack_tpmqrt` at the node
+updates.  ``geqr3`` and the NumPy ``tpqrt`` / ``tpmqrt`` stay as the
+paper's kernels, for calibration, the tiled baselines and the replay of
+an implicit ``Q``.
 
 Factored matrices store ``R`` on and above the diagonal and the
 Householder vectors ``V`` below it (unit diagonal implicit).
@@ -29,14 +36,12 @@ Householder vectors ``V`` below it (unit diagonal implicit).
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from repro.analysis.flops import qr_flops
 from repro.counters import add_call, add_flops
-from repro.kernels.structured import lapack_tpmqrt, lapack_tpqrt, tpmqrt_left_t, tpqrt
 
 __all__ = [
     "larfg",
@@ -192,49 +197,26 @@ def geqrt(A: np.ndarray) -> np.ndarray:
     return T
 
 
-def _geqr2_t(A: np.ndarray) -> np.ndarray:
-    tau = geqr2(A)
-    return larft(extract_v(A), tau)
-
-
-#: What ``leaf_kernel=`` / ``panel=`` names, the default first (LAPACK's
-#: QR, as the paper's tasks call the vendor's), then the paper's
-#: recursive kernel: each factors its panel in place and returns ``T``.
-PANEL_KERNELS = {"geqrt": geqrt, "geqr3": geqr3, "geqr2": _geqr2_t}
-
-_tpqrt_tt = partial(tpqrt, bottom_triangular=True)
-
-#: The TSQR tree kernels of each leaf kernel's set, ``(merge, node
-#: update)``: ``merge(R_top, R_bot)`` returns ``T``, ``update(V_b, T,
-#: C_top, C_bot)`` applies ``Q^T``.  LAPACK's leaf runs LAPACK's tree;
-#: the paper's NumPy leaves keep the NumPy ``tpqrt`` / ``tpmqrt``.
-TREE_KERNELS = {
-    "geqrt": (lapack_tpqrt, lapack_tpmqrt),
-    "geqr3": (_tpqrt_tt, tpmqrt_left_t),
-    "geqr2": (_tpqrt_tt, tpmqrt_left_t),
-}
-
-
-def geqrf(A: np.ndarray, b: int = 64, panel: str = "geqr2") -> list[np.ndarray]:
+def geqrf(A: np.ndarray, b: int = 64) -> list[np.ndarray]:
     """Blocked Householder QR, in place. Returns the per-panel ``T`` factors.
 
     The reference structure of vendor ``dgeqrf``: factor a ``b``-wide
-    panel, accumulate ``T``, apply the block reflector to the trailing
-    columns with BLAS3 ``larfb``.
+    panel with the BLAS2 ``geqr2``, accumulate ``T``, apply the block
+    reflector to the trailing columns with BLAS3 ``larfb``.
     """
     m, n = A.shape
     r = min(m, n)
     add_call("geqrf")
-    if panel not in PANEL_KERNELS:
-        raise ValueError(f"unknown panel kernel {panel!r}")
     Ts: list[np.ndarray] = []
     for k in range(0, r, b):
         bk = min(b, r - k)
         panel_view = A[k:, k : k + bk]
-        T = PANEL_KERNELS[panel](panel_view)
+        tau = geqr2(panel_view)
+        V = extract_v(panel_view)
+        T = larft(V, tau)
         Ts.append(T)
         if k + bk < n:
-            larfb_left_t(extract_v(panel_view), T, A[k:, k + bk :])
+            larfb_left_t(V, T, A[k:, k + bk :])
     return Ts
 
 

@@ -333,9 +333,15 @@ class _RealClockRun:
             exc = self.errors[0]
             if isinstance(exc, RuntimeFailure) and exc.trace is None:
                 with self.lock:  # an abandoned worker may still be appending
-                    exc.trace = Trace(list(self.records), engine.n_workers, list(self.events))
+                    exc.trace = Trace(list(self.records), self._lanes(), list(self.events))
             raise exc
-        return Trace(self.records, engine.n_workers, self.events, stats={**bk.stats(), **self.stats})
+        return Trace(self.records, self._lanes(), self.events, stats={**bk.stats(), **self.stats})
+
+    def _lanes(self) -> int:
+        """The trace's cores: one per worker, plus the dispatcher's own
+        lane (index ``n_workers``) when it ran a descriptor-less task."""
+        n = self.engine.n_workers
+        return n + any(rec.core == n for rec in self.records)
 
     # ------------------------------------------------------------------
     # The lifecycle both execution paths share
@@ -344,11 +350,10 @@ class _RealClockRun:
         with self.lock:
             self.events.append(ev)
 
-    def _claim(self, core: int):
-        """Pop the highest-priority ready task for *core* (lock held,
-        queue non-empty): ``(task, remote)`` with the syncs it owes, one
-        per predecessor that ran on another core."""
-        task = self.ready.pop()
+    def _claim(self, core: int, task: Task):
+        """Claim *task*, just popped from the ready queue (lock held), for
+        *core*: ``(task, remote)`` with the syncs it owes, one per
+        predecessor that ran on another core."""
         # Predecessor placement is read under the lock: ran_on is
         # written by completing workers, so an unlocked read would race
         # (and miscount syncs).
@@ -455,7 +460,7 @@ class _RealClockRun:
                 if bk.finished or errors:
                     self.work_available.notify_all()
                     return
-                task, remote = self._claim(core)
+                task, remote = self._claim(core, ready.pop())
             if remote:
                 self._count_remote(task, remote)
             span = self._run_inline(task)
@@ -470,9 +475,11 @@ class _RealClockRun:
 
         Each pass deals ready tasks to the least-loaded worker (at most
         :data:`_MAX_INFLIGHT` in flight each), sends what one worker
-        was dealt as one message, runs descriptor-less tasks inline,
-        then sleeps in one ``poll`` over the pipes with messages out
-        and takes each reply apart into per-task acks (:meth:`_absorb`).
+        was dealt as one message, runs descriptor-less tasks inline —
+        on the dispatcher's own lane, core ``n_workers``, which is where
+        the trace and the sync count place them — then sleeps in one
+        ``poll`` over the pipes with messages out and takes each reply
+        apart into per-task acks (:meth:`_absorb`).
         Once the run is failing nothing new is dealt but messages
         already out are still collected — their tasks ran, so they are
         recorded; only the watchdog's ``stop`` abandons
@@ -480,6 +487,7 @@ class _RealClockRun:
         """
         pool, plan = self.pool, self.plan
         bk, queue, load, redo = self.bk, self.ready, self.load, self.redo
+        lane = len(load)  # this thread's core: where descriptor-less tasks run
         out: dict[int, tuple] = {}  # ticket -> (core, [(task, attempt)], sent at)
         poller = select.poll()
         watched: dict[int, int] = {}  # fd -> core, pipes with a message of ours out
@@ -507,16 +515,21 @@ class _RealClockRun:
                                 task, attempt = redo.popleft()
                                 dealt.append((core, task, attempt, 0))
                             else:
-                                task, remote = self._claim(core)
+                                task = queue.pop()
+                                if not (task.meta and task.meta.get("op")):
+                                    core = lane
+                                task, remote = self._claim(core, task)
                                 dealt.append((core, task, 0, remote))
-                            load[core] += 1
+                            if core != lane:
+                                load[core] += 1
                         # A worker acks a whole message at once and
                         # serves its messages in order, so a task's ack
                         # may wait for everything now in flight there:
                         # it is allowed one task_timeout for each.
                         now = time.monotonic()
                         for core, task, _, _ in dealt:
-                            self.running[task.tid] = (task, now, core, load[core])
+                            allowed = 1 if core == lane else load[core]
+                            self.running[task.tid] = (task, now, core, allowed)
                     if not dealt and not out:
                         if self.errors:
                             break
@@ -529,8 +542,8 @@ class _RealClockRun:
                 for core, task, attempt, remote in dealt:
                     if remote:
                         self._count_remote(task, remote)
-                    if not (task.meta and task.meta.get("op")):
-                        inline.append((core, task, attempt))
+                    if core == lane:
+                        inline.append((task, attempt))
                         continue
                     try:
                         if plan is not None:
@@ -554,13 +567,12 @@ class _RealClockRun:
                     if fd is not None and watched.get(fd) != core:
                         poller.register(fd, select.POLLIN)
                         watched[fd] = core
-                for core, task, attempt in inline:
-                    load[core] -= 1
+                for task, attempt in inline:
                     with self.lock:  # it starts now, in this thread: one task_timeout
-                        self.running[task.tid] = (task, time.monotonic(), core, 1)
+                        self.running[task.tid] = (task, time.monotonic(), lane, 1)
                     span = self._run_inline(task, attempt)
                     if span is not None:
-                        self._finish(task, core, *span)
+                        self._finish(task, lane, *span)
                 if not out:
                     continue
                 # Wait for a reply -- unless this pass left something to

@@ -286,10 +286,8 @@ class FactorizationService:
     # Request machinery
     # ------------------------------------------------------------------
     def _resolve(self, shape, b, tr, tree, kind: str):
-        alg = ALGORITHMS[kind]
         b, tr, tree = resolve_params(*shape, b, tr, tree, cores=self.config.cores, kind=kind)
-        # Plans are built with the algorithm's default leaf kernel.
-        validate_knobs(alg, tr=tr, leaf_kernel=alg.leaf_kernels[0])
+        validate_knobs(tr=tr)
         return b, tr, tree
 
     def _request(self, op, A, params, deadline_s, extract):
@@ -390,17 +388,15 @@ class FactorizationService:
     # ------------------------------------------------------------------
     def _plan_for(self, op, shape, params):
         """``(key, plan)``, the plan held by this request alone: the pool's
-        idle plan of the key, else the driver's plan for it — the
-        default leaf kernel, an empty buffer on the service's plane —
+        idle plan of the key, else the driver's plan for it — an empty
+        buffer on the service's plane —
         compiled here, its graph the builder's task for task."""
         b, tr, tree = params
         key = (op, *shape, b, tr, tree.value, self.backend)
         plan = self._plans.checkout(key)
         if plan is None:
-            alg, shared = ALGORITHMS[op], self.backend == "process"
-            plan = compile(
-                alg, shape, b=b, tr=tr, tree=tree, leaf_kernel=alg.leaf_kernels[0], shared=shared
-            )
+            shared = self.backend == "process"
+            plan = compile(ALGORITHMS[op], shape, b=b, tr=tr, tree=tree, shared=shared)
         return key, plan
 
     # ------------------------------------------------------------------

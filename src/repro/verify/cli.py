@@ -53,10 +53,7 @@ class Target:
         matrix first)."""
         alg = ALGORITHMS[self.kind]
         A = np.random.default_rng(_MATRIX_SEED).standard_normal((self.m, self.n))
-        plan = compile(
-            alg, A, b=self.b, tr=self.tr, tree=self.tree,
-            leaf_kernel=alg.leaf_kernels[0], guards=False,
-        )
+        plan = compile(alg, A, b=self.b, tr=self.tr, tree=self.tree, guards=False)
         return plan.program.graph, lambda: state_arrays(plan.A, plan.state)
 
 

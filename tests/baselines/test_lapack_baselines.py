@@ -17,10 +17,9 @@ class TestNumericDrivers:
         lu, piv = getf2_lu(A0)
         assert_lu_ok(A0, lu, piv)
 
-    @pytest.mark.parametrize("panel", ["getf2", "rgetf2"])
-    def test_getrf_lu(self, panel):
+    def test_getrf_lu(self):
         A0 = make_rng(3).standard_normal((80, 50))
-        lu, piv = getrf_lu(A0, b=16, panel=panel)
+        lu, piv = getrf_lu(A0, b=16)
         assert_lu_ok(A0, lu, piv)
 
     def test_geqr2_qr(self):

@@ -185,8 +185,7 @@ class TestReflectorsStoredOnce:
     def test_a_plan_holds_only_the_t_and_vb_buffers(self, shared):
         A = make_rng(14).standard_normal((self.M, self.N))
         plan = compile(
-            ALGORITHMS["qr"], A, b=self.B, tr=self.TR, tree=TreeKind.FLAT,
-            leaf_kernel="geqrt", shared=shared,
+            ALGORITHMS["qr"], A, b=self.B, tr=self.TR, tree=TreeKind.FLAT, shared=shared
         )
         try:
             bufs = list(self._buffers(plan))

@@ -5,21 +5,29 @@ and CAQR's ``packed`` + every ``PanelQRStore`` array, for the
 ``benchmarks/e2e/workloads.py`` shapes and two ragged ones (``m < n``,
 ``min(m, n) % b != 0``), binary and flat trees.  Every executor must
 reproduce them: a refactor of the task form, the store bindings or the
-ops may move no bit.  The QR entries are those recorded at commit
-b673aad, before the builders were moved onto the single descriptor
-form.  The 10 LU entries were re-recorded when CALU's critical path
-moved onto vendor kernels: the finalize installs the factors the
-panel's last tournament election already computed (LAPACK ``?getrf``
-at a root merge) instead of refactoring the winners with
-``getf2_nopiv``, and the L/U tasks solve with BLAS ``?trsm`` — the
-pivots did not move, the factor bits did
-(``tests/core/test_lu_tournament_oracle.py`` is their acceptance).  The QR cases pin the leaf
-kernel they were recorded with, ``geqr3`` (the default is LAPACK's
-``geqrt``; ``tests/core/test_qr_leaf_oracle.py`` checks that one
-against LAPACK and across the backends).  The keys (and so the test
-ids) keep the ``-fuseNone`` suffix they were recorded under, when the
-drivers still had a task-fusion knob: an unchanged id is an unchanged
-check.
+ops may move no bit.
+
+The 10 QR entries pin the factors ``caqr`` returns, with LAPACK
+``?geqrt`` / ``?tpqrt`` / ``?tpmqrt`` in every task slot.  They were
+first recorded at commit b673aad with the paper's NumPy kernel set
+(``geqr3`` leaves, NumPy ``tpqrt`` / ``tpmqrt``), and re-recorded from
+the default path when the drivers lost their kernel-selection knob and
+that set left the task path: the default path's digests were the same
+on the threaded, simulated and process backends before the change, and
+are after it.  ``tests/core/test_qr_leaf_oracle.py`` checks these
+factors against ``scipy.linalg.qr``.
+
+The 10 LU entries were re-recorded when CALU's critical path moved
+onto vendor kernels: the finalize installs the factors the panel's last
+tournament election already computed (LAPACK ``?getrf`` at a root
+merge) instead of refactoring the winners with ``getf2_nopiv``, and the
+L/U tasks solve with BLAS ``?trsm`` — the pivots did not move, the
+factor bits did (``tests/core/test_lu_tournament_oracle.py`` is their
+acceptance).
+
+The keys (and so the test ids) keep the ``-fuseNone`` suffix they were
+recorded under, when the drivers still had a task-fusion knob: an
+unchanged id is an unchanged check.
 
 ``python tests/core/test_golden_digests.py`` re-records the file (only
 ever meaningful when an issue *intends* to change the arithmetic).
@@ -69,7 +77,7 @@ def digest(case, executor) -> int:
     if kind == "lu":
         f = calu(A, b=b, tr=tr, tree=tree, executor=executor)
         return _crc([f.lu, f.piv])
-    f = caqr(A, b=b, tr=tr, tree=tree, executor=executor, leaf_kernel="geqr3")
+    f = caqr(A, b=b, tr=tr, tree=tree, executor=executor)
     arrays = [f.packed]
     for store in f.panels:
         flat = store.to_arrays()

@@ -97,12 +97,11 @@ def test_a_repeated_shape_emits_once_and_every_result_owns_its_memory(name, back
         assert np.array_equal(y, kept)
 
 
-BASE = {"b": 8, "tr": 3, "tree": TreeKind.BINARY, "leaf_kernel": "rgetf2"}
+BASE = {"b": 8, "tr": 3, "tree": TreeKind.BINARY}
 OTHER_KEYS = {
     "b": {"b": 16},
     "tr": {"tr": 2},
     "tree": {"tree": TreeKind.FLAT},
-    "leaf_kernel": {"leaf_kernel": "getf2"},
     "guards": {"guards": False},
     "lookahead": {"lookahead": 0},
     "abft": {"abft": True},
@@ -137,9 +136,7 @@ def test_a_panel_driver_never_takes_the_full_algorithms_plan():
     # tslu(A) is bitwise calu(A, b=n), but it returns another object.
     A = _matrix(shape=(72, 24))
     lu = calu(A, b=24, tr=3, tree=TreeKind.BINARY)
-    panel, piv = driver.factorize(
-        driver.TSLU, A, tr=3, tree=TreeKind.BINARY, leaf_kernel="rgetf2"
-    )
+    panel, piv = driver.factorize(driver.TSLU, A, tr=3, tree=TreeKind.BINARY)
     assert _counts()["hits"] == 0
     assert np.array_equal(panel, lu.lu) and np.array_equal(piv, lu.piv)
 
@@ -172,7 +169,7 @@ def test_an_unhashable_build_value_bypasses_the_pool():
 
     alg = dataclasses.replace(driver.ALGORITHMS["lu"], program=program)
     A = _matrix()
-    knobs = {"b": 8, "tr": 3, "tree": TreeKind.BINARY, "leaf_kernel": "rgetf2"}
+    knobs = {"b": 8, "tr": 3, "tree": TreeKind.BINARY}
     driver.factorize(alg, A, tag=["unhashable"], **knobs)
     assert _counts() == {"cached": 0, "hits": 0, "builds": 0, "ephemeral": 0}
     driver.factorize(alg, A, tag="hashable", **knobs)

@@ -94,12 +94,6 @@ def test_custom_executor():
     assert_lu_ok(A0, lu, piv)
 
 
-def test_getf2_leaf_kernel():
-    A0 = make_rng(8).standard_normal((100, 10))
-    lu, piv = tslu(A0, tr=4, leaf_kernel="getf2")
-    assert_lu_ok(A0, lu, piv)
-
-
 def test_duplicated_rows_matrix():
     """Rank-deficient-ish panels with repeated rows still factor (GEPP-like)."""
     rng = make_rng(9)

@@ -103,13 +103,6 @@ def test_trees_give_same_r_up_to_signs():
     np.testing.assert_allclose(rs[0], rs[2], rtol=1e-9, atol=1e-11)
 
 
-def test_geqr2_leaf_kernel():
-    A0 = make_rng(14).standard_normal((80, 8))
-    f = tsqr(A0, tr=4, leaf_kernel="geqr2")
-    Q = f.q_explicit()
-    assert np.linalg.norm(A0 - Q @ f.R) / np.linalg.norm(A0) < 1e-13
-
-
 def test_custom_executor():
     A0 = make_rng(15).standard_normal((70, 7))
     f = tsqr(A0, tr=3, executor=ThreadedExecutor(2))

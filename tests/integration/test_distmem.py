@@ -113,10 +113,8 @@ class TestDeadRanks:
 @pytest.mark.parametrize(
     "entry,bad",
     [
-        pytest.param(distributed_tslu, {"leaf_kernel": "nope"}, id="tslu-leaf_kernel"),
         pytest.param(distributed_tslu, {"A": np.full((16, 4), np.nan)}, id="tslu-nan"),
         pytest.param(distributed_tslu, {"A": np.ones(16)}, id="tslu-1d"),
-        pytest.param(distributed_tsqr, {"leaf_kernel": "nope"}, id="tsqr-leaf_kernel"),
         pytest.param(distributed_tsqr, {"A": np.full((16, 4), np.inf)}, id="tsqr-inf"),
         pytest.param(distributed_tsqr, {"P": 0}, id="tsqr-P"),
         pytest.param(distributed_calu, {"b": 0}, id="calu-b"),
@@ -202,7 +200,7 @@ class TestDistributedTSQR:
         """Across trees ``R`` is unique up to row signs."""
         A = make_rng(11).standard_normal((200, 8))
         res = distributed_tsqr(A, P=4, tree=TreeKind.BINARY)
-        f = tsqr(A, tr=3, tree=TreeKind.FLAT, leaf_kernel="geqr3")
+        f = tsqr(A, tr=3, tree=TreeKind.FLAT)
         np.testing.assert_allclose(np.abs(res.R), np.abs(f.R), rtol=1e-9, atol=1e-11)
 
     def test_triangular_payloads_only(self):

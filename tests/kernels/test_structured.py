@@ -1,6 +1,8 @@
 """Tests for the structured tree/tile kernels (tpqrt, tpmqrt, their
 LAPACK ``?tpqrt`` / ``?tpmqrt`` wrappers, tstrf, ssssm)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.flops import tpmqrt_flops, tpqrt_tt_flops
 from repro.counters import counting
-from repro.kernels.qr import PANEL_KERNELS, TREE_KERNELS
 from repro.kernels.structured import (
     lapack_tpmqrt,
     lapack_tpqrt,
@@ -179,11 +180,14 @@ class TestLapackTreeKernels:
         np.testing.assert_array_equal(np.triu(R), np.triu(Rc))
         np.testing.assert_array_equal(np.triu(B), np.triu(Bc))
 
-    @pytest.mark.parametrize("kernel", sorted(TREE_KERNELS))
-    def test_update_applies_the_same_qt_as_numpy(self, kernel):
+    @pytest.mark.parametrize(
+        "merge",
+        [lapack_tpqrt, partial(tpqrt, bottom_triangular=True)],
+        ids=["lapack_tpqrt", "tpqrt"],
+    )
+    def test_update_applies_the_same_qt_as_numpy(self, merge):
         b, n = 12, 7
         R1, R2 = _r_pair(b, 11)
-        merge, _ = TREE_KERNELS[kernel]
         Vb = R2.copy()
         T = merge(R1.copy(), Vb)
         Vb = np.triu(Vb)
@@ -204,10 +208,6 @@ class TestLapackTreeKernels:
             lapack_tpmqrt(np.triu(B), T, np.ones((b, n)), np.ones((b, n)))
         assert c.kernel_calls == {"lapack_tpqrt": 1, "lapack_tpmqrt": 1}
         assert c.flops == int(tpqrt_tt_flops(b)) + int(tpmqrt_flops(b, n, b))
-
-    def test_every_leaf_kernel_names_a_tree_kernel_set(self):
-        assert TREE_KERNELS.keys() == PANEL_KERNELS.keys()
-        assert TREE_KERNELS["geqrt"] == (lapack_tpqrt, lapack_tpmqrt)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -47,9 +47,7 @@ def _core(program, b_of=lambda n: 16, **build):
 SHAPES = [(200, 70), (96, 96)]  # ragged tall, square
 PROGRAMS = {
     "calu": _core(calu_program),
-    "calu-getf2": _core(calu_program, leaf_kernel="getf2"),
     "caqr": _core(caqr_program),
-    "caqr-geqr2": _core(caqr_program, leaf_kernel="geqr2"),
     "tslu": _core(calu_program, b_of=lambda n: n),
     "tsqr": _core(caqr_program, b_of=lambda n: n),
     "getrf": lambda: (getrf_program(m, n, 16).materialize() for m, n in SHAPES),

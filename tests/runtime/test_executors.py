@@ -312,7 +312,7 @@ class TestEngineConformance:
     def test_streamed_and_materialized_programs_give_equal_factors(self, make):
         ex = make(2)
         A = np.random.default_rng(17).standard_normal((64, 48))
-        knobs = dict(b=8, tr=2, tree=TreeKind.BINARY, leaf_kernel="rgetf2")
+        knobs = dict(b=8, tr=2, tree=TreeKind.BINARY)
         knobs["shared"] = isinstance(ex, ProcessExecutor)
         streamed, eager = compile(ALGORITHMS["lu"], A, **knobs), compile(ALGORITHMS["lu"], A, **knobs)
         try:
@@ -373,12 +373,14 @@ def test_syncs_and_words_count_exactly_the_cross_core_edges(make, seed):
     """``counting()`` sees one sync per (pred, task) edge whose two ends
     ran on different cores, and the input words of every task with at
     least one such edge — read back from the trace, so the count is
-    exact whatever the schedule was."""
+    exact whatever the schedule was.  Each task carries a ``noop``
+    descriptor, so the process backend deals it to a worker process
+    (threads run the closure, which sleeps so both get tasks)."""
     _, _, deps = random_graph(seed, 80)
     g = TaskGraph(f"placement{seed}")
     for i, d in enumerate(deps):
         g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3, words=7 * i + 1),
-              fn=lambda: time.sleep(5e-4), deps=d)
+              fn=lambda: time.sleep(5e-4), deps=d, op=("noop", {}))
     ex = make()
     try:
         with counting() as c:
@@ -390,3 +392,18 @@ def test_syncs_and_words_count_exactly_the_cross_core_edges(make, seed):
     assert sum(remote) > 0  # both cores ran tasks: the check is not vacuous
     assert c.syncs == sum(remote)
     assert c.words == sum(g.tasks[t].cost.words for t, n in enumerate(remote) if n)
+
+
+def test_a_closure_only_graph_runs_on_the_process_dispatchers_lane():
+    """Tasks without a descriptor run in the dispatcher thread, and the
+    trace says so: every record on its lane (core ``n_workers``), no
+    sync between them, the lane counted as the trace's one extra core."""
+    _, _, deps = random_graph(3, 40)
+    g = TaskGraph("closures")
+    for i, d in enumerate(deps):
+        g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3, words=5), fn=lambda: None, deps=d)
+    with ProcessExecutor(2) as ex, counting() as c:
+        trace = ex.run(g)
+    assert {r.core for r in trace.records} == {2}
+    assert len(trace.records) == len(deps) and trace.n_cores == 3
+    assert c.syncs == 0 and c.words == 0

@@ -219,7 +219,6 @@ class TestCachedPlanState:
                 b=b,
                 tr=tr,
                 tree=tree,
-                leaf_kernel="rgetf2",
                 shared=backend == "process",
             )
             pool = svc._executor.pool if backend == "process" else None

@@ -5,17 +5,22 @@ simplification removed — an ``op_sync`` mirror, a shm fork in
 ``core/``, a lazy import in ``ops.py``, a second out-of-core driver,
 the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
-second scheduler, a second allocator or ``attach_array`` — so it
-cannot come back unnoticed.  The patterns are regular expressions over
+second scheduler, a second allocator or ``attach_array``, a kernel
+selector — so it cannot come back unnoticed.  The patterns are regular expressions over
 single lines, as ``grep -E`` reads them.
 """
 
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import repro
+from repro.baselines.lapack_lu import getrf_lu
+from repro.baselines.lapack_qr import geqrf_qr
+from repro.kernels.lu import getrf
+from repro.kernels.qr import geqrf
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -143,3 +148,15 @@ def test_plane_helper_defined_once(fn):
 
 def test_process_backend_makes_no_store_or_binding():
     assert grep(r"SharedArena\(|ShmBinding\(|HeapBinding\(", "runtime/process.py") == []
+
+
+# One kernel per task slot: no driver, builder or baseline selects
+# among kernels -- no leaf_kernel= knob, no table of kernel choices, no
+# panel= kernel on the blocked baselines.
+
+
+def test_no_kernel_selector():
+    pattern = r"leaf_kernel|leaf_kernels|TREE_KERNELS|PANEL_KERNELS|_SELECTORS"
+    assert grep(pattern, ".") == []
+    for fn in (getrf, geqrf, getrf_lu, geqrf_qr):
+        assert "panel" not in inspect.signature(fn).parameters, fn.__qualname__
