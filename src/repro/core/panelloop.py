@@ -179,7 +179,7 @@ def panel_program(
         keys of *state* a covering ``C[K]`` snapshot must read.
     ``update(em, handles, J, j0, j1, jcols)``
         emit one trailing segment's updates.
-    ``epilogue(graph, states)``
+    ``epilogue(graph, states, store)``
         emit what follows the last panel.
 
     With *A* (factored in place, bound by *store*: the heap by default)
@@ -201,7 +201,7 @@ def panel_program(
 
     def emit(window: int, graph: TaskGraph, tracker: BlockTracker) -> None:
         if window >= n_panels:
-            epilogue(graph, states)
+            epilogue(graph, states, store)
             return
         K = window
         em = Emitter(graph, tracker, store, guards, K, lookahead, layout.N)

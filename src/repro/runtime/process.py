@@ -26,9 +26,9 @@ dominates and the threaded backend cannot scale with physical cores.
   identically across the threaded and process backends.
 
 Tasks without ``meta["op"]`` (checkpoint snapshots, ABFT checksum
-hooks, row-swap epilogues, arbitrary test graphs, and every task of a
-graph bound to the heap rather than an arena) run their ordinary
-closure inline in the dispatcher — correct, just not parallel across
+hooks, arbitrary test graphs, and every task of a graph bound to the
+heap rather than an arena) run their ordinary closure inline in the
+dispatcher, on its own trace lane — correct, just not parallel across
 processes.  Worker death shows as a hang-up on the worker's pipe: the
 worker is respawned and every task it had in flight surfaces a
 structured :class:`~repro.resilience.recovery.RuntimeFailure` with
