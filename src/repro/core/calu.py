@@ -89,7 +89,6 @@ def calu_program(
     A: np.ndarray | None = None,
     lookahead: int | None = None,
     library: str = "repro",
-    arity: int = 4,
     update_width: int | None = None,
     update_library: str | None = None,
     guards: bool = True,
@@ -161,8 +160,7 @@ def calu_program(
         K = em.K
         k0, bk = K * b, layout.panel_width(K)
         add_tslu_tasks(
-            em, layout, chunks, tree, ws, library=library, arity=arity, absmax=absmax,
-            recompute=recompute,
+            em, layout, chunks, tree, ws, library=library, absmax=absmax, recompute=recompute
         )
         # What every L/U/S descriptor of this panel shares: the matrix
         # and the pivot block's corner, width and columns.

@@ -47,7 +47,6 @@ def caqr_program(
     A: np.ndarray | None = None,
     lookahead: int | None = None,
     library: str = "repro_qr",
-    arity: int = 4,
     guards: bool = True,
     checkpoint=None,
     store=None,
@@ -79,9 +78,7 @@ def caqr_program(
     numeric = A is not None
 
     def panel(em: Emitter, chunks, qstore):
-        leaves, merges = add_tsqr_tasks(
-            em, layout, chunks, tree, qstore, library=library, arity=arity
-        )
+        leaves, merges = add_tsqr_tasks(em, layout, chunks, tree, qstore, library=library)
         # Footprint keys of the implicit-Q factors the TSQR tasks
         # deposit in the PanelQRStore (read back by the trailing updates
         # and the checkpoint snapshots).

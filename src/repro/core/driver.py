@@ -270,7 +270,8 @@ class PlanPool:
     (``ok=False``: a worker may still write into its arena) or when it
     alone exceeds *bound* (an *ephemeral* build) — then closes the least
     recently used idle plans beyond *bound*, which counts plans unless
-    *size* prices one.  Nothing is compiled or closed under the lock.
+    *size* prices one; after :meth:`shut` it only closes the plan.
+    Nothing is compiled or closed under the lock.
     """
 
     def __init__(self, bound: int, size: Callable[[Plan], int] = lambda plan: 1) -> None:
@@ -278,6 +279,7 @@ class PlanPool:
         self._lock = make_lock("driver.plans")
         self._idle: list[tuple[tuple, Plan, int]] = []  # least recently used first
         self._counts = {"hits": 0, "builds": 0, "ephemeral": 0}
+        self._shut = False
 
     def checkout(self, key: tuple) -> Plan | None:
         with self._lock:
@@ -296,7 +298,9 @@ class PlanPool:
         size = self._size(plan)
         closing = [plan]
         with self._lock:
-            if size > self.bound:  # never kept, so it was never a hit
+            if self._shut:  # a straggler of a closed owner: close it, count nothing
+                pass
+            elif size > self.bound:  # never kept, so it was never a hit
                 self._counts["builds"] -= 1
                 self._counts["ephemeral"] += 1
             elif ok:
@@ -326,6 +330,13 @@ class PlanPool:
             idle, self._idle = self._idle, []
         for _, plan, _ in idle:
             plan.close()
+
+    def shut(self) -> None:
+        """Close every idle plan and keep none hereafter (the owner is
+        closing): a later check-in closes its plan and counts nothing."""
+        with self._lock:
+            self._shut = True
+        self.close()
 
 
 #: What :func:`factorize` may keep between calls, in :attr:`Plan.nbytes`:
@@ -407,10 +418,11 @@ def factorize(
     executor, owned = resolve_executor(
         "threaded" if executor is None else executor, min(tr, 4), hints=hints
     )
-    if isinstance(executor, SimulatedExecutor) and not executor.execute:
+    if isinstance(executor, SimulatedExecutor):
         raise ValueError(
-            f"{alg.name.lower()} computes factors: a SimulatedExecutor must run its tasks "
-            "(execute=True); without it only a symbolic program can be simulated"
+            f"{alg.name.lower()} computes factors and a SimulatedExecutor only prices a graph: "
+            "run a ThreadedExecutor or ProcessExecutor, or simulate the symbolic program "
+            "(calu_program/caqr_program) instead"
         )
     # Tasks reach shared memory wherever the executor dispatches to a
     # worker pool: a ProcessExecutor, or an engine over a caller's pool.

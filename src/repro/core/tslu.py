@@ -216,7 +216,6 @@ def add_tslu_tasks(
     ws: PanelWorkspace | None,
     *,
     library: str = "repro",
-    arity: int = 4,
     absmax: float | None = None,
     recompute: bool = True,
 ) -> None:
@@ -270,7 +269,7 @@ def add_tslu_tasks(
             meta["corrupt"] = _corrupt_candidates(ws, slot)
         em.task(name, "P", cost, op, reads=reads, writes=[cand(slot)], **meta)
 
-    levels = reduction_schedule(len(slots), tree, arity)
+    levels = reduction_schedule(len(slots), tree)
     n_merges = sum(len(level) for level in levels)
     # The panel's last election — its root merge, or its only leaf —
     # keeps its winners' factors in the root slot (payload "last"), and
@@ -362,9 +361,6 @@ def tslu(
     executor=None,
     overwrite: bool = False,
     check_finite: bool = True,
-    store=None,
-    memory_budget: int | None = None,
-    spill_dir=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factor one tall-skinny panel with tournament pivoting.
 
@@ -377,10 +373,7 @@ def tslu(
     ``MKL_dgetf2``: GEPP-quality pivots with ``O(log2 Tr)``
     synchronizations instead of one per column.
 
-    With *store* or *memory_budget* the panel streams through a tile
-    store (see :func:`repro.core.outofcore.tslu_ooc`) and the packed
-    factors are copied back into RAM to honour this contract — for
-    results that should *stay* out of core, call ``tslu_ooc`` directly.
+    A panel factored *out of core* is :func:`repro.core.outofcore.tslu_ooc`'s.
 
     Copy semantics: ``overwrite=True`` factors *A* in place only on the
     threaded path; the process backend stages the panel into a shared-
@@ -388,23 +381,6 @@ def tslu(
     ``overwrite`` a repeated (in-memory) shape reuses its plan as in
     :func:`~repro.core.calu.calu`, and ``lu`` is the caller's own array.
     """
-    if store is not None or memory_budget is not None:
-        if executor is not None:
-            raise ValueError(
-                "tslu: out-of-core runs (store=/memory_budget=) manage their own executor"
-            )
-        from repro.core.outofcore import tslu_ooc
-
-        with tslu_ooc(
-            A,
-            tr=None if memory_budget is not None else tr,
-            memory_budget=memory_budget,
-            store="mmap" if store is None else store,
-            spill_dir=spill_dir,
-            tree=tree,
-            check_finite=check_finite,
-        ) as res:
-            return res.lu(), res.piv
     from repro.core.driver import TSLU, factorize
 
     return factorize(

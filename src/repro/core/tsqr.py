@@ -167,7 +167,6 @@ def add_tsqr_tasks(
     qstore: PanelQRStore | None,
     *,
     library: str = "repro_qr",
-    arity: int = 4,
 ) -> tuple[list[tuple], list[MergeStep]]:
     """Emit the TSQR tasks (leaf QRs + tree merges) of the emitter's
     panel: the loop's P step for QR.
@@ -224,7 +223,7 @@ def add_tsqr_tasks(
         leaves.append((chunk, tid, t_spec))
 
     merge_steps: list[MergeStep] = []
-    for lvl, level in enumerate(reduction_schedule(len(chunks), tree, arity), start=1):
+    for lvl, level in enumerate(reduction_schedule(len(chunks), tree), start=1):
         for dst_pos, src_pos in level:
             dst = chunks[dst_pos]
             srcs = [chunks[p] for p in src_pos if p != dst_pos]
@@ -303,9 +302,6 @@ def tsqr(
     executor=None,
     overwrite: bool = False,
     check_finite: bool = True,
-    store=None,
-    memory_budget: int | None = None,
-    spill_dir=None,
 ):
     """QR-factor one tall-skinny panel with a reduction tree.
 
@@ -315,15 +311,7 @@ def tsqr(
     ``executor="auto"`` behaves as in :func:`~repro.core.calu.calu` (a
     standalone panel autotunes as a one-panel QR).
 
-    With *store* (``"mmap"``, ``"shm"`` or a
-    :class:`~repro.runtime.tilestore.TileStore`) or *memory_budget*
-    (bytes of fast memory) the panel is factored *out of core*: staged
-    into the tile store and streamed block by block (*A* may then also
-    be a ``(shape, fill)`` source; see :func:`repro.core.outofcore.
-    tsqr_ooc`, to which all other arguments forward).  The result is an
-    :class:`~repro.core.outofcore.OOCTSQRFactorization` — a
-    :class:`TSQRFactorization` whose reflectors stay in the tile store,
-    so the caller must ``destroy()`` it to release the spill files.
+    A panel factored *out of core* is :func:`repro.core.outofcore.tsqr_ooc`'s.
 
     Copy semantics: ``overwrite=True`` factors *A* in place only on the
     threaded (shared-address-space) path.  The process backend always
@@ -333,23 +321,6 @@ def tsqr(
     ``overwrite`` a repeated (in-memory) shape reuses its plan as in
     :func:`~repro.core.calu.calu`, and the result owns its memory.
     """
-    if store is not None or memory_budget is not None:
-        if executor is not None:
-            raise ValueError(
-                "tsqr: out-of-core runs (store=/memory_budget=) manage their own executor"
-            )
-        if tree != TreeKind.FLAT:
-            raise ValueError("tsqr: out-of-core streaming requires tree=TreeKind.FLAT")
-        from repro.core.outofcore import tsqr_ooc
-
-        return tsqr_ooc(
-            A,
-            tr=None if memory_budget is not None else tr,
-            memory_budget=memory_budget,
-            store="mmap" if store is None else store,
-            spill_dir=spill_dir,
-            check_finite=check_finite,
-        )
     from repro.core.driver import TSQR, factorize
 
     return factorize(

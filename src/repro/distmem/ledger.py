@@ -168,9 +168,7 @@ def distributed_tslu(
     root broadcasts ``U_kk`` and the pivot list; rows that cross ranks
     are swapped pairwise in one round.
 
-    *comm* supplies the channel — pass
-    ``CommLog(fault_plan=FaultPlan(...))`` to price the run over a
-    lossy network: only the counted traffic grows.
+    *comm* supplies the channel (a fresh :class:`CommLog` when None).
 
     *dead_ranks* models lost participants: each dead rank's buddy (the
     next surviving rank, cyclically) fetches the dead rank's block from

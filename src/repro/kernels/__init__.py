@@ -30,9 +30,6 @@ and as ``lapack_tpqrt/lapack_tpmqrt``) and
 from repro.kernels.blas import blas_trsm, gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
 from repro.kernels.lu import getf2, getf2_nopiv, getrf, lapack_getrf, rgetf2
 from repro.kernels.qr import (
-    apply_wy_q,
-    apply_wy_qt,
-    extract_r,
     extract_v,
     geqr2,
     geqr3,
@@ -54,10 +51,7 @@ from repro.kernels.structured import (
 
 __all__ = [
     "TstrfOps",
-    "apply_wy_q",
-    "apply_wy_qt",
     "blas_trsm",
-    "extract_r",
     "extract_v",
     "gemm",
     "geqr2",

@@ -52,9 +52,6 @@ __all__ = [
     "geqrt",
     "geqrf",
     "extract_v",
-    "extract_r",
-    "apply_wy_qt",
-    "apply_wy_q",
 ]
 
 
@@ -229,30 +226,3 @@ def extract_v(panel: np.ndarray) -> np.ndarray:
     np.copyto(V[:k], 0.0, where=~np.tri(k, dtype=bool, k=-1))
     np.fill_diagonal(V, 1.0)
     return V
-
-
-def extract_r(panel: np.ndarray) -> np.ndarray:
-    """Copy the upper-triangular/trapezoidal ``R`` out of a factored panel."""
-    n = panel.shape[1]
-    return np.triu(panel[:n, :])
-
-
-def apply_wy_qt(panel: np.ndarray, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Apply ``Q^T`` of a factored panel to ``C`` in place (convenience)."""
-    return larfb_left_t(extract_v(panel), T, C)
-
-
-def apply_wy_q(panel: np.ndarray, T: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Apply ``Q`` (not transposed) of a factored panel to ``C`` in place.
-
-    ``Q = I - V T V^T`` so ``Q C = C - V (T (V^T C))``.
-    """
-    V = extract_v(panel)
-    m, k = V.shape
-    n = C.shape[1]
-    add_call("larfb_q")
-    add_flops(4 * m * n * k + k * k * n)
-    W = V.T @ C
-    W = T @ W
-    C -= V @ W
-    return C

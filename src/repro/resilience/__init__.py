@@ -6,9 +6,8 @@ hardware actually produces:
 
 ``repro.resilience.faults``
     :class:`~repro.resilience.faults.FaultPlan` — deterministic,
-    seeded injection of task exceptions, NaN corruption, stalls and
-    dropped/corrupted messages, pluggable into both executors and
-    :class:`~repro.distmem.comm.CommLog`.
+    seeded injection of task exceptions, NaN corruption and stalls,
+    consulted by the real-clock executors (the simulator only prices).
 
 ``repro.resilience.recovery``
     :class:`~repro.resilience.recovery.RetryPolicy` (bounded backoff

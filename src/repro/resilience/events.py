@@ -28,8 +28,6 @@ __all__ = ["ResilienceEvent", "EVENT_KINDS"]
 #:     from tournament to partial pivoting).
 #: ``refine``
 #:     A solver escalated to (additional) iterative refinement.
-#: ``comm_drop`` / ``comm_corrupt``
-#:     A message fault detected and repaired by retransmission.
 #: ``abft_correct``
 #:     An ABFT checksum repaired a corrupted element in place.
 #: ``recompute``
@@ -54,8 +52,6 @@ EVENT_KINDS = (
     "retry",
     "degraded",
     "refine",
-    "comm_drop",
-    "comm_corrupt",
     "abft_correct",
     "recompute",
     "checkpoint",

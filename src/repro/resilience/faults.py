@@ -1,21 +1,15 @@
-"""Deterministic fault injection for executors and the comm layer.
+"""Deterministic fault injection for the execution engine.
 
 A :class:`FaultPlan` is a seeded schedule of failures: per-task-kind
 probabilities of raised exceptions, NaN/Inf output corruption and
-artificial stalls, plus drop/corrupt probabilities for the distributed
-``CommLog``.  Decisions are pure functions of ``(seed, task id,
+artificial stalls.  Decisions are pure functions of ``(seed, task id,
 attempt)`` — never of thread timing — so a faulty run is exactly
-reproducible on both the threaded and the simulated executor, and a
-*transient* plan is guaranteed to clear on retry.
+reproducible at any worker count, and a *transient* plan is guaranteed
+to clear on retry.
 
-The plan is pluggable:
-
-* ``ThreadedExecutor(fault_plan=...)`` / ``SimulatedExecutor(...)``
-  consult it before (stall, raise) and after (corrupt) every task;
-* ``CommLog(fault_plan=...)`` consults it per message and models a
-  reliable transport over the lossy channel: dropped or corrupted
-  messages are detected (ack/checksum) and retransmitted, with the
-  extra traffic counted.
+``ThreadedExecutor(fault_plan=...)`` / ``ProcessExecutor(...)`` consult
+it before (stall, raise) and after (corrupt) every task.  Faults live
+only where code runs: the simulator prices fault-free runs.
 
 Corruption targets the task's declared ``meta["corrupt"]`` hook when
 present (the TSLU builders attach hooks that poison the tournament's
@@ -39,8 +33,9 @@ __all__ = ["FaultPlan", "InjectedFault", "Rates"]
 #: with ``"*"`` as default) to a probability.
 Rates = "float | Mapping[str, float]"
 
-# Channel tags decorrelate the per-purpose random draws.
-_CH_RAISE, _CH_CORRUPT, _CH_STALL, _CH_MSG_DROP, _CH_MSG_CORRUPT, _CH_TARGET = range(6)
+# Channel tags decorrelate the per-purpose random draws.  Tags 3 and 4
+# are unused; the corruption site keeps tag 5 so seeded targets stay put.
+_CH_RAISE, _CH_CORRUPT, _CH_STALL, _CH_TARGET = 0, 1, 2, 5
 
 
 class InjectedFault(RuntimeError):
@@ -81,16 +76,13 @@ class FaultPlan:
         NaN, or stalling for ``stall_s`` seconds.  Each accepts a
         float (all kinds) or a ``{"P": 0.5, "*": 0.0}`` mapping.
     stall_s:
-        Length of an injected stall (wall seconds on the threaded
-        executor, virtual seconds on the simulated one).
+        Length of an injected stall, in wall seconds.
     transient:
         When True (default) faults only fire on a task's first attempt,
         so a retry policy can always recover.  When False every attempt
         re-draws, modelling a persistent failure.
     max_faults:
         Optional cap on the total number of injected faults.
-    msg_drop_rate, msg_corrupt_rate:
-        Per-message probabilities for :class:`~repro.distmem.comm.CommLog`.
     target:
         Optional array to poison on ``corrupt`` faults when the task
         has no ``meta["corrupt"]`` hook.  ``calu``/``caqr`` register
@@ -108,8 +100,6 @@ class FaultPlan:
         stall_s: float = 0.02,
         transient: bool = True,
         max_faults: int | None = None,
-        msg_drop_rate: float = 0.0,
-        msg_corrupt_rate: float = 0.0,
         target: np.ndarray | None = None,
     ) -> None:
         self.seed = int(seed)
@@ -118,8 +108,6 @@ class FaultPlan:
         self.stall_rate = stall_rate
         self.stall_s = float(stall_s)
         self.transient = bool(transient)
-        self.msg_drop_rate = float(msg_drop_rate)
-        self.msg_corrupt_rate = float(msg_corrupt_rate)
         self.target = target
         self._budget = None if max_faults is None else int(max_faults)
         self._lock = make_lock("resilience.faults")
@@ -219,15 +207,12 @@ class FaultPlan:
             )
 
     def post_task(self, task, attempt: int = 0, record=None) -> bool:
-        """Apply post-execution corruption; returns True if applied."""
+        """Apply post-execution corruption — *task*'s ``meta["corrupt"]``
+        hook, else a NaN poked into the registered ``target`` array;
+        returns True if applied."""
         d = self.decide(task, attempt)
         if not d.get("corrupt") or not self._take_budget():
             return False
-        return self.apply_corruption(task, record)
-
-    def apply_corruption(self, task, record=None) -> bool:
-        """Poison *task*'s output: its ``meta["corrupt"]`` hook, else
-        a NaN poked into the registered ``target`` array."""
         hook = task.meta.get("corrupt") if task.meta else None
         where = ""
         if hook is not None:
@@ -249,81 +234,3 @@ class FaultPlan:
             record,
         )
         return True
-
-    def virtual_faults(self, task, retry=None, record=None) -> tuple[float, BaseException | None, bool]:
-        """Fault decisions for a virtual-time (simulated) executor.
-
-        Replays the attempt sequence the threaded executor would see:
-        consumes budget, records events, and returns
-        ``(extra_delay_seconds, failure_or_None, corrupt)`` where the
-        delay accounts for injected stalls and retry backoff.
-        """
-        delay = 0.0
-        failure: BaseException | None = None
-        d0 = self.decide(task, 0)
-        if "stall" in d0 and self._take_budget():
-            delay += d0["stall"]
-            self._note(
-                ResilienceEvent(
-                    "fault_stall",
-                    task.name,
-                    task.tid,
-                    detail=f"injected {d0['stall'] * 1e3:.0f} ms stall",
-                    value=d0["stall"],
-                ),
-                record,
-            )
-        attempt = 0
-        while True:
-            d = self.decide(task, attempt)
-            if not d.get("raise") or not self._take_budget():
-                break
-            exc = InjectedFault(
-                f"injected fault in task {task.name!r} (attempt {attempt})",
-                task=task.name,
-                tid=task.tid,
-                pre_execution=True,
-            )
-            self._note(
-                ResilienceEvent(
-                    "fault_raise",
-                    task.name,
-                    task.tid,
-                    detail=f"injected exception (attempt {attempt})",
-                ),
-                record,
-            )
-            if retry is not None and retry.should_retry(task, exc, attempt):
-                delay += retry.delay(attempt, task.tid)
-                self._note(
-                    ResilienceEvent(
-                        "retry",
-                        task.name,
-                        task.tid,
-                        detail=f"attempt {attempt + 1} after InjectedFault",
-                    ),
-                    record,
-                )
-                attempt += 1
-                continue
-            failure = exc
-            break
-        corrupt = bool(d0.get("corrupt")) and failure is None and self._take_budget()
-        return delay, failure, corrupt
-
-    # ------------------------------------------------------------------
-    # Message faults (CommLog)
-    # ------------------------------------------------------------------
-    def on_message(self, src: int, dst: int, words: int, seq: int) -> str | None:
-        """Fault verdict for one message: ``"drop"``, ``"corrupt"`` or None."""
-        pair = (int(src) * 1009 + int(dst)) & 0x7FFFFFFF
-        if self.msg_drop_rate > 0.0 and self._draw(_CH_MSG_DROP, pair, seq) < self.msg_drop_rate:
-            if self._take_budget():
-                return "drop"
-        if (
-            self.msg_corrupt_rate > 0.0
-            and self._draw(_CH_MSG_CORRUPT, pair, seq) < self.msg_corrupt_rate
-        ):
-            if self._take_budget():
-                return "corrupt"
-        return None

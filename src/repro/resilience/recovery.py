@@ -31,7 +31,6 @@ FAILURE_KINDS = (
     "deadlock",  # watchdog: tasks remain but nothing is ready or running
     "worker_death",  # watchdog: a worker thread died with work in flight
     "health",  # a numerical health guard found corrupted results
-    "comm",  # message-level failure (retransmission cap exceeded)
     "deadline",  # the run's absolute deadline passed before completion
     "admission",  # the service shed the request before it ran
 )

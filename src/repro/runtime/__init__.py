@@ -22,7 +22,7 @@ health guards, tracing, watchdog): ``ThreadedExecutor`` is that class
 and :class:`~repro.runtime.process.ProcessExecutor` subclasses it with
 a pool of worker processes it owns.  The simulator keeps its own
 discrete-event loop over the same :class:`ReadyQueue` and shares the
-engine's ready bookkeeping, failure and health guard.
+engine's ready bookkeeping; it prices tasks and never runs them.
 """
 
 from repro.runtime.engine import ExecutionEngine

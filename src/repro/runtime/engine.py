@@ -11,9 +11,9 @@ dynamic scheduler, whose look-ahead lives in the task priorities — that
 all cores pop.  Tasks run on worker threads, or in a pool's worker
 processes fed by one dispatcher.
 
-The virtual clock is not here: the discrete-event loop lives in
-:mod:`repro.runtime.simulated` and shares :class:`_Bookkeeping`,
-:func:`failure` and :func:`health_guard` with this module.
+Fault injection, retry and the health guards live here only: the
+virtual clock (:mod:`repro.runtime.simulated`) prices a graph without
+running it, and shares :class:`_Bookkeeping` with this module.
 
 A run is over a complete :class:`~repro.runtime.graph.TaskGraph`: a
 plan's graph is emitted once, when it is compiled, and a
@@ -125,8 +125,8 @@ class _Bookkeeping:
         return {"n_tasks": n, "peak_live_tasks": n - self.n_skipped, "skipped": self.n_skipped}
 
 
-def failure(kind: str, message: str, task: Task | None = None, cause=None) -> RuntimeFailure:
-    """The one structured failure both clocks raise: *kind* is its
+def _failure(kind: str, message: str, task: Task | None = None, cause=None) -> RuntimeFailure:
+    """The one structured failure a run raises: *kind* is its
     ``failure_kind``, *task* the offender (None: the run itself) and
     *cause* the exception it wraps.  The partial trace is attached where
     the run ends."""
@@ -136,9 +136,9 @@ def failure(kind: str, message: str, task: Task | None = None, cause=None) -> Ru
     return exc
 
 
-def health_guard(task: Task, record) -> RuntimeFailure | None:
+def _health_guard(task: Task, record) -> RuntimeFailure | None:
     """What a task owes between its work succeeding and its successors'
-    release, on either clock: the numerical health guard (it reads only
+    release: the numerical health guard (it reads only
     blocks the task owns; verdicts go to *record*).  Returns the
     ``"health"`` failure that must end the run, else None."""
     guard = task.meta.get("health") if task.meta else None
@@ -148,7 +148,7 @@ def health_guard(task: Task, record) -> RuntimeFailure | None:
             record(verdict)
             if verdict.fatal:
                 message = f"health guard failed after task {task.name!r}: {verdict.detail}"
-                return failure("health", message, task)
+                return _failure("health", message, task)
     return None
 
 
@@ -327,7 +327,7 @@ class _RealClockRun:
             watchdog_thread.join(1.0)
         if not self.errors and not bk.finished:  # a worker thread died of a bug
             self.errors.append(
-                failure("worker_death", "a worker thread ended with tasks outstanding")
+                _failure("worker_death", "a worker thread ended with tasks outstanding")
             )
         if self.errors:
             exc = self.errors[0]
@@ -395,7 +395,7 @@ class _RealClockRun:
             time.sleep(retry.delay(attempt, task.tid))
             return True
         if not isinstance(exc, RuntimeFailure):
-            exc = failure(
+            exc = _failure(
                 "injected" if isinstance(exc, InjectedFault) else "task_error",
                 f"task {task.name!r} failed after {attempt + 1} attempt(s): {exc}",
                 task,
@@ -430,7 +430,7 @@ class _RealClockRun:
         record, release of its successors.  False when the run must end
         (the failure is recorded)."""
         # Outside the lock: the guard reads only blocks this task owns.
-        failed = health_guard(task, self.record_event)
+        failed = _health_guard(task, self.record_event)
         with self.work_available:
             self.running.pop(task.tid, None)
             self.progress[0] = time.monotonic()
@@ -718,7 +718,7 @@ class _RealClockRun:
     def _trip(self, kind: str, detail: str, message: str, task: Task | None = None, value=None):
         """The watchdog's verdict (lock held): log the fatal event, fail
         the run, let every waiter go."""
-        exc = failure(kind, message, task)
+        exc = _failure(kind, message, task)
         self.events.append(
             ResilienceEvent(kind, exc.task, exc.tid, detail=detail, value=value, fatal=True)
         )

@@ -3,9 +3,8 @@
 A numeric task of the CALU/CAQR/TSLU/TSQR builders is a *descriptor*
 ``(opname, payload)`` — the kernel step's name plus block coordinates
 and buffer specs — and its closure is ``partial(run_op, descriptor)``.
-The threaded and simulated executors, the footprint
-sanitizer and the process backend's workers therefore all execute the
-same function over the same coordinates; there is no second body to
+The threaded executor, the footprint sanitizer and the
+process backend's workers therefore all execute the same function over the same coordinates; there is no second body to
 keep in agreement.
 
 A spec resolves through :func:`repro.runtime.tilestore.attach_array`:

@@ -17,10 +17,12 @@ recomputed at every event from the set of concurrently running tasks
 (memory-bound tasks share the aggregate bandwidth).  Events are task
 starts and completions; the simulation is fully deterministic.
 
-The event loop lives here and shares the task lifecycle's common parts
-with the real clock (:mod:`repro.runtime.engine`): the ready
-bookkeeping (skip of completed tasks + ``resume`` event), the
-structured failure and the health guard.
+The simulator only prices: it never runs a task's closure, so it
+injects no faults and runs no health guards — the factors, and every
+fault a run can meet, come from the real engine
+(:mod:`repro.runtime.engine`).  The event loop lives here and shares
+the engine's ready bookkeeping (skip of completed tasks + ``resume``
+event).
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import TYPE_CHECKING
 
 # Module-style import, as in engine.py: counters imports repro.runtime.sync.
 from repro import counters as _counters
-from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.engine import _Bookkeeping, failure, health_guard
+from repro.runtime.engine import _Bookkeeping
 from repro.runtime.scheduler import ReadyQueue
 from repro.runtime.task import Task
 from repro.runtime.trace import TaskRecord, Trace
@@ -54,8 +55,6 @@ class _Running:
     max_rate: float  # work units / second cap
     demand: float  # bytes per work unit
     rate: float = 0.0
-    failure: BaseException | None = None  # injected fault fired at completion
-    corrupt: bool = False  # injected corruption applied at completion
 
 
 class SimulatedExecutor:
@@ -65,59 +64,28 @@ class SimulatedExecutor:
     ----------
     machine:
         The multicore model that prices every task.
-    execute:
-        If True, numeric closures are also executed (at completion, in
-        simulated-time order, which respects dependencies) — used by
-        tests to prove the simulated schedule computes the same result
-        as the threaded one.
-    fault_plan:
-        Optional :class:`~repro.resilience.faults.FaultPlan`; injected
-        stalls extend a task's setup phase in virtual time, injected
-        exceptions abort the run at the task's completion event with a
-        structured :class:`~repro.resilience.recovery.RuntimeFailure`
-        carrying the partial trace, and (in ``execute`` mode)
-        corruption faults poison the task's output.
-    retry:
-        Optional :class:`~repro.resilience.recovery.RetryPolicy`;
-        recoverable injected faults then cost backoff time in the
-        virtual schedule (recorded as ``retry`` events) instead of
-        failing the run — mirroring the threaded executor.
 
-    With ``execute=True`` the ``meta["health"]`` guards run after their
-    tasks, as on the real clock.
+    A run prices the graph's tasks and never calls their closures, so a
+    driver (``calu``/``caqr``/``tsqr``/``tslu``) refuses this executor;
+    simulate a driver's symbolic ``*_program`` instead.
     """
 
-    def __init__(
-        self,
-        machine: MachineModel,
-        execute: bool = False,
-        *,
-        fault_plan=None,
-        retry=None,
-    ) -> None:
+    def __init__(self, machine: MachineModel) -> None:
         self.machine = machine
-        self.execute = execute
-        self.fault_plan = fault_plan
-        self.retry = retry
 
     def run(self, source, journal=None) -> Trace:
-        """Simulate (and with ``execute=True`` run) every task of a
-        :class:`TaskGraph` (a :class:`~repro.runtime.program.GraphProgram`
-        is materialized first); *journal* as on the real clock (the
-        completed tasks to skip, one ``resume`` event)."""
+        """Simulate every task of a :class:`TaskGraph` (a
+        :class:`~repro.runtime.program.GraphProgram` is materialized
+        first); *journal* as on the real clock (the completed tasks to
+        skip, one ``resume`` event)."""
         bk = _Bookkeeping(source, journal)
         records: list[TaskRecord] = []
         events: list = []
-        try:
-            self._run_virtual(bk, records, events)
-        except RuntimeFailure as exc:
-            if exc.trace is None:
-                exc.trace = Trace(list(records), self.machine.cores, list(events))
-            raise
+        self._run_virtual(bk, records, events)
         return Trace(records, self.machine.cores, events, stats=bk.stats())
 
     def _run_virtual(self, bk: _Bookkeeping, records: list, events: list) -> None:
-        mach, plan, execute = self.machine, self.fault_plan, self.execute
+        mach = self.machine
         graph = bk.graph
         ready = ReadyQueue()
         ran_on: dict[int, int] = {}
@@ -138,40 +106,13 @@ class SimulatedExecutor:
                 if remote:
                     _counters.add_sync(remote)
                     _counters.add_words(int(task.cost.words))
-                fault, corrupt = None, False
-                if plan is not None:
-                    delay, fault, corrupt = plan.virtual_faults(
-                        task, retry=self.retry, record=events.append
-                    )
-                    setup += delay
                 work, rate, demand = mach.work_and_demand(task.cost)
-                running.append(
-                    _Running(
-                        task, core, clock, setup, work, rate, demand, failure=fault, corrupt=corrupt
-                    )
-                )
+                running.append(_Running(task, core, clock, setup, work, rate, demand))
 
         def complete(r: _Running) -> None:
             task = r.task
-            if r.failure is not None:
-                raise failure(
-                    "injected", f"task {task.name!r} failed: {r.failure}", task, r.failure
-                )
             ran_on[task.tid] = r.core
             records.append(TaskRecord(task.tid, task.name, task.kind, r.core, r.start, clock))
-            if execute and task.fn is not None:
-                try:
-                    task.fn()
-                except RuntimeFailure:
-                    raise
-                except Exception as exc:
-                    message = f"task {task.name!r} failed: {exc}"
-                    raise failure("task_error", message, task, exc) from exc
-            if r.corrupt and plan is not None and execute:
-                plan.apply_corruption(task, record=events.append)
-            failed = health_guard(task, events.append) if execute else None
-            if failed is not None:
-                raise failed
             for t in bk.complete(task.tid):
                 ready.push(t)
             free_cores.append(r.core)

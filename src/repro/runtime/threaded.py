@@ -9,7 +9,7 @@ NumPy releases the GIL inside its array kernels, so coarse tasks do
 overlap on real multicore hardware; on a 1-core CI box this executor
 still fully validates the dependency and locking logic (races would
 corrupt the factorization, which the test suite cross-checks against
-the sequential execution and the simulated executor).
+the sequential execution and the process backend).
 
 :class:`ThreadedExecutor` *is* the
 :class:`~repro.runtime.engine.ExecutionEngine` — that class under its

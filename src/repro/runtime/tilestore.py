@@ -5,8 +5,8 @@ array in any process, and there are three kinds:
 
 * the process's own heap (:class:`HeapBinding`) — a buffer that never
   leaves the address space needs no name, so its spec is the ndarray
-  itself.  That is what lets the threaded and simulated executors
-  run the very descriptors the process workers run;
+  itself.  That is what lets the threaded executor run the very
+  descriptors the process workers run;
 * a :class:`TileStore` region, ``(segment, byte_offset, shape, dtype)``
   — segments carved up by one 64-byte-aligned bump allocator, made by
   one of two backends: :class:`~repro.runtime.shm.SharedArena`

@@ -53,7 +53,7 @@ __all__ = ["FactorizationService", "ServiceConfig"]
 #: ``task_error`` is assumed deterministic (the same matrix will fail
 #: the same way), and ``deadline``/``admission`` are final by nature.
 _RETRYABLE_KINDS = frozenset(
-    {"worker_death", "timeout", "stall", "deadlock", "injected", "health", "comm"}
+    {"worker_death", "timeout", "stall", "deadlock", "injected", "health"}
 )
 
 
@@ -435,8 +435,7 @@ class FactorizationService:
         self._admission.wait_idle(timeout)
         if self._executor is not None:
             self._executor.close()
-        self._plans.bound = 0  # a straggler's plan is closed as it comes back
-        self._plans.close()
+        self._plans.shut()  # a straggler's plan is closed as it comes back
 
     def __enter__(self) -> "FactorizationService":
         return self

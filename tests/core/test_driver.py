@@ -59,7 +59,6 @@ def test_tr_below_one_is_named(name):
 
 
 OUT_OF_CORE = {
-    "tsqr-mmap": lambda A, **kw: tsqr(A, store="mmap", **kw),
     "tsqr_ooc": lambda A, **kw: tsqr_ooc(A, **{"tr": 4, **kw}),
     "tslu_ooc": lambda A, **kw: tslu_ooc(A, **{"tr": 4, **kw}),
 }
@@ -86,12 +85,14 @@ def test_service_validates_tr_at_its_entry():
 @pytest.mark.parametrize("name", DRIVERS)
 def test_a_simulator_that_will_not_execute_is_refused_before_staging(name, monkeypatch):
     # caqr used to return factors off by 0.85 relative, calu to die of a
-    # TypeError inside alg.result: the tasks were priced, never run.
+    # TypeError inside alg.result: the tasks were priced, never run.  The
+    # simulator only prices, so every driver refuses it and names the
+    # symbolic route.
     def staged(*args, **kwargs):
         raise AssertionError("staged a buffer for a run that cannot compute")
 
     monkeypatch.setattr(driver, "staged", staged)
-    with pytest.raises(ValueError, match="execute=True"):
+    with pytest.raises(ValueError, match="symbolic program"):
         DRIVERS[name](_panel(), tr=2, executor=SimulatedExecutor(generic(2)))
 
 
@@ -116,7 +117,6 @@ class Sequential:
 
 EXECUTORS = {
     "threaded": lambda: ThreadedExecutor(2),
-    "simulated": lambda: SimulatedExecutor(generic(2), execute=True),
     "process": lambda: ProcessExecutor(2),
     "duck": Sequential,
 }

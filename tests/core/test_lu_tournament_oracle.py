@@ -33,14 +33,13 @@ The test ids name the leaf kernel, ``rgetf2`` (:data:`LEAF`).
 
 from __future__ import annotations
 
-import inspect
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from repro.analysis.errors import growth_factor
-from repro.core.calu import calu, calu_program
+from repro.core.calu import calu
 from repro.core.driver import algorithm, compile
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import merged_chunks
@@ -57,7 +56,6 @@ from repro.runtime.threaded import ThreadedExecutor
 #: The leaf kernel, as the ids name it.
 LEAF = "rgetf2"
 TREES = [TreeKind.BINARY, TreeKind.FLAT, TreeKind.HYBRID]
-ARITY = inspect.signature(calu_program).parameters["arity"].default
 
 #: name -> (m, n, b, tr): the three LU workload shapes, a ragged and a wide one.
 SHAPES = {
@@ -110,7 +108,7 @@ def _reference_perm(A, b, tr, tree):
             sel = _gepp_select(block)
             cand[c.index] = (block[sel], np.arange(c.r0, c.r1)[sel])
         slots = [c.index for c in chunks]
-        for level in reduction_schedule(len(slots), tree, ARITY):
+        for level in reduction_schedule(len(slots), tree):
             for dst, srcs in level:
                 rows = np.vstack([cand[slots[s]][0] for s in srcs])
                 gidx = np.concatenate([cand[slots[s]][1] for s in srcs])
@@ -204,7 +202,7 @@ def _tournament_shape(m, n, b, tr, tree):
             chunks = merged_chunks(layout, K, tr)
             for c in chunks:
                 _gepp_select(rng.standard_normal((c.rows, bk)))
-            merges += sum(len(level) for level in reduction_schedule(len(chunks), tree, ARITY))
+            merges += sum(len(level) for level in reduction_schedule(len(chunks), tree))
     return leaves.kernel_calls, merges
 
 

@@ -122,18 +122,6 @@ def test_parity_when_tail_merging_leaves_fewer_chunks_than_tr(store_kind):
         np.testing.assert_array_equal(piv_mem, res.piv)
 
 
-def test_driver_store_param_routes_out_of_core():
-    m, n, tr = 600, 10, 4
-    A = RNG.standard_normal((m, n))
-    f_mem = tsqr(A, tr=tr, tree=TreeKind.FLAT)
-    with tsqr(A, tr=tr, store="mmap") as f_ooc:
-        np.testing.assert_array_equal(f_mem.R, f_ooc.R)
-    lu_mem, piv_mem = tslu(A, tr=tr, tree=TreeKind.FLAT)
-    lu_ooc, piv_ooc = tslu(A, tr=tr, tree=TreeKind.FLAT, store="mmap")
-    np.testing.assert_array_equal(lu_mem, lu_ooc)
-    np.testing.assert_array_equal(piv_mem, piv_ooc)
-
-
 def test_float32_stays_float32_out_of_core():
     """A float32 panel is staged, streamed and factored in float32, as
     the in-memory drivers factor it (float64 runs keep the parity tests
@@ -141,21 +129,11 @@ def test_float32_stays_float32_out_of_core():
     A = RNG.standard_normal((4000, 32)).astype(np.float32)
     f_mem = tsqr(A, tr=4)
     bound = 10 * A.shape[0] * np.finfo(np.float32).eps * np.linalg.norm(A, 2)
-    with tsqr(A, tr=4, memory_budget=200_000) as f:
+    with tsqr_ooc(A, memory_budget=200_000) as f:
         assert f.R.dtype == f.panel().dtype == np.float32
         assert np.abs(np.abs(f.R) - np.abs(f_mem.R)).max() <= bound
     with tsqr_ooc(A, tr=4) as f:  # the in-memory chunking: the in-memory bits
         np.testing.assert_array_equal(f.R, f_mem.R)
-
-
-def test_driver_store_param_rejects_conflicts():
-    A = RNG.standard_normal((40, 4))
-    with pytest.raises(ValueError, match="executor"):
-        tsqr(A, store="mmap", executor="process")
-    with pytest.raises(ValueError, match="FLAT"):
-        tsqr(A, store="mmap", tree=TreeKind.BINARY)
-    with pytest.raises(ValueError, match="executor"):
-        tslu(A, memory_budget=1 << 20, executor="process")
 
 
 def test_generator_source_never_materializes_panel():

@@ -24,12 +24,11 @@ from repro.core.calu import calu
 from repro.core.trees import TreeKind
 from repro.resilience import Checkpoint, FaultPlan, MemoryStore
 from repro.runtime import shm
-from repro.machine.presets import generic
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
-from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
+from repro.service import FactorizationService, ServiceConfig
 from tests.core.test_staging import _outputs
 
 fork_only = pytest.mark.skipif(
@@ -237,6 +236,26 @@ def test_a_clean_call_after_a_corrupted_one_sees_no_trace_of_it():
         assert np.array_equal(f.lu, ref.lu) and np.array_equal(f.piv, ref.piv)
 
 
+def test_a_check_in_after_the_service_closed_only_closes_the_plan():
+    # A request still running when its service closes checks its plan in
+    # afterwards: the plan is closed, and the counts keep saying it was
+    # built once, kept and hit — not that it was too big to keep.
+    svc = FactorizationService(ServiceConfig(cores=2, backend="threaded"))
+    params = (16, 2, TreeKind.BINARY)
+    key, plan = svc._plan_for("lu", (48, 32), params)
+    svc._plans.checkin(key, plan)
+    key, again = svc._plan_for("lu", (48, 32), params)
+    assert again is plan
+    before = svc._plans.stats()
+    assert before == {"cached": 0, "hits": 1, "builds": 1, "ephemeral": 0}
+    svc.close()
+    closed = []
+    plan.close = lambda: closed.append(plan)
+    svc._plans.checkin(key, plan)
+    assert closed == [plan]
+    assert svc._plans.stats() == before
+
+
 def test_a_plan_whose_run_raised_is_closed_not_pooled():
     from repro.resilience import RuntimeFailure
 
@@ -311,14 +330,11 @@ def test_compile_emits_the_whole_program():
         plan.close()
 
 
-@pytest.mark.parametrize(
-    "backend", ["threaded", pytest.param("process", marks=fork_only), "simulated"]
-)
+@pytest.mark.parametrize("backend", ["threaded", pytest.param("process", marks=fork_only)])
 def test_a_plan_building_run_has_every_task_live_from_the_start(backend):
     executor = {
         "threaded": lambda: ThreadedExecutor(2),
         "process": lambda: ProcessExecutor(2),
-        "simulated": lambda: SimulatedExecutor(generic(2), execute=True),
     }[backend]()
     try:
         stats = calu(_matrix(), **BASE, executor=executor).trace.stats

@@ -28,11 +28,10 @@ from repro.core.driver import ALGORITHMS, compile
 from repro.runtime import ops
 from repro.runtime.tilestore import attach_array
 from repro.core.trees import TreeKind
+from repro.core.outofcore import tsqr_ooc
 from repro.core.tsqr import tsqr
 from repro.counters import counting
-from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
-from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.core.test_golden_digests import SHAPES, TREES, _crc
 
@@ -112,7 +111,7 @@ def test_default_kernels_meet_the_householder_bounds_out_of_core(name):
     more than its upper triangles back would leave ``R`` right and
     ``Q`` wrong."""
     A, budget = OOC_INPUTS[name]
-    with tsqr(A, memory_budget=budget) as f:
+    with tsqr_ooc(A, memory_budget=budget) as f:
         assert len(f.store.merges) >= 2
         _assert_householder_bounds(A, f.q_explicit(), f.R)
 
@@ -121,7 +120,6 @@ def test_default_kernels_meet_the_householder_bounds_out_of_core(name):
 def executors():
     made = {
         "threaded": ThreadedExecutor(2),
-        "simulated": SimulatedExecutor(generic(2), execute=True),
         "process": ProcessExecutor(2),
     }
     yield made

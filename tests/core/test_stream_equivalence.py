@@ -23,9 +23,7 @@ from repro.core.calu import calu_program, calu
 from repro.core.caqr import caqr_program, caqr
 from repro.core.layout import BlockLayout
 from repro.core.trees import TreeKind
-from repro.machine.presets import generic
 from repro.runtime.process import ProcessExecutor
-from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.trace import Trace
 from repro.verify.equivalence import compare_graphs
@@ -140,7 +138,6 @@ def test_windows_partition_the_graph():
 
 EXECUTORS = [
     pytest.param(lambda: ThreadedExecutor(3), id="threaded"),
-    pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
     pytest.param(lambda: ProcessExecutor(3), id="process"),
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.outofcore import tsqr_ooc
 from repro.core.trees import TreeKind
 from repro.core.tsqr import tsqr
 from repro.runtime.threaded import ThreadedExecutor
@@ -60,7 +61,7 @@ def test_least_squares():
     A0 = make_rng(7).standard_normal((200, 15))
     x0 = make_rng(8).standard_normal(15)
     X0 = make_rng(8).standard_normal((15, 3))
-    with tsqr(A0, tr=4, store="mmap") as f_ooc:  # the same class, streamed
+    with tsqr_ooc(A0, tr=4) as f_ooc:  # the same class, streamed
         for f in (tsqr(A0, tr=4), f_ooc):
             x = f.solve_ls(A0 @ x0)
             assert np.linalg.norm(x - x0) < 1e-10

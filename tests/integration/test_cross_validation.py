@@ -11,9 +11,6 @@ from repro.core.caqr import caqr
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
-from repro.machine.presets import generic
-from repro.runtime.simulated import SimulatedExecutor
-from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import make_rng
 
 
@@ -64,16 +61,6 @@ def test_all_qr_variants_same_r_up_to_signs():
         tiled_qr(A, nb=24),
     ):
         np.testing.assert_allclose(np.abs(np.asarray(f.R)[:48, :48]), r_ref, rtol=1e-7, atol=1e-9)
-
-
-def test_threaded_and_simulated_numerics_bitwise_identical():
-    """The two executors run the same closures over the same graph, so
-    results are not just close — they are identical."""
-    A0 = make_rng(9).standard_normal((128, 128))
-    f_thr = calu(A0, b=32, tr=4, executor=ThreadedExecutor(4))
-    f_sim = calu(A0, b=32, tr=4, executor=SimulatedExecutor(generic(4), execute=True))
-    assert np.array_equal(f_thr.lu, f_sim.lu)
-    assert np.array_equal(f_thr.piv, f_sim.piv)
 
 
 def test_tslu_pivot_quality_vs_gepp():

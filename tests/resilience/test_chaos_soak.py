@@ -27,11 +27,9 @@ import pytest
 
 from repro.core.calu import calu
 from repro.core.caqr import caqr
-from repro.machine.presets import generic
 from repro.resilience.checkpoint import SNAPSHOT_FORMAT, Checkpoint, FileStore, MemoryStore
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RuntimeFailure
-from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import assert_lu_ok, make_rng
 
@@ -74,14 +72,12 @@ class CrashAfter:
 def _threaded():
     return ThreadedExecutor(2)
 
-def _simulated():
-    return SimulatedExecutor(generic(2), execute=True)
 
 
 # ----------------------------------------------------------------------
 # CALU crash/resume
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("make_inner", [_threaded, _simulated], ids=["threaded", "simulated"])
+@pytest.mark.parametrize("make_inner", [_threaded], ids=["threaded"])
 @pytest.mark.parametrize("frac", [0.05, 0.25, 0.6, 0.95])
 def test_calu_crash_resume_bitwise_identical(make_inner, frac):
     A0 = make_rng(0).standard_normal((64, 64))

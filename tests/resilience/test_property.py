@@ -1,4 +1,4 @@
-"""Property test: random DAGs under injected failures, all executors.
+"""Property test: random DAGs under injected failures, every real-clock executor.
 
 The invariant (the satellite's acceptance criterion): for any DAG shape
 and any deterministic fault plan, an executor run either
@@ -18,12 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.presets import generic
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process import ProcessExecutor
-from repro.runtime.simulated import SimulatedExecutor
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.threaded import ThreadedExecutor
 
@@ -121,33 +119,6 @@ def test_pool_permanent_faults_fail_structured(executor_cls, seed, n_tasks):
     else:
         assert vals == sequential_values(deps)
         assert len(trace.records) == n_tasks
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), n_tasks=st.integers(1, 20))
-def test_simulated_matches_threaded_failure_verdict(seed, n_tasks):
-    # The same plan on the simulated executor (execute mode) must reach
-    # the same verdict class: both complete, or both raise structured.
-    def outcome(make_ex):
-        g, vals, deps = value_graph(seed, n_tasks)
-        try:
-            make_ex().run(g)
-        except RuntimeFailure as e:
-            return ("failed", e.failure_kind)
-        return ("ok", vals == sequential_values(deps))
-
-    plan_args = dict(raise_rate=0.3)
-    threaded = outcome(
-        lambda: ThreadedExecutor(
-            1, fault_plan=FaultPlan(seed, **plan_args), retry=RetryPolicy(max_retries=0)
-        )
-    )
-    simulated = outcome(
-        lambda: SimulatedExecutor(
-            generic(1), execute=True, fault_plan=FaultPlan(seed, **plan_args)
-        )
-    )
-    assert threaded == simulated
 
 
 @pytest.mark.parametrize("executor_cls", POOL_EXECUTORS)

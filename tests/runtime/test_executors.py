@@ -1,4 +1,4 @@
-"""Tests for the threaded and simulated executors, and the conformance
+"""Tests for the threaded executor and the simulated pricer, and the conformance
 matrix every real-clock executor (the engine and its subclasses) meets."""
 
 import threading
@@ -126,20 +126,20 @@ class TestSimulatedExecutor:
             (r.tid, r.core, r.start) for r in t2.records
         ]
 
-    def test_execute_flag_runs_numerics(self):
-        mach = generic(2)
-        g, log, deps = random_graph(7, 30)
-        SimulatedExecutor(mach, execute=True).run(g)
-        assert sorted(log) == list(range(30))
-        pos = {t: i for i, t in enumerate(log)}
-        for t, dd in enumerate(deps):
-            for d in dd:
-                assert pos[d] < pos[t]
+    @pytest.mark.parametrize(
+        "knob",
+        [{"execute": True}, {"fault_plan": FaultPlan(0)}, {"retry": RetryPolicy()}],
+        ids=["execute", "fault_plan", "retry"],
+    )
+    def test_the_simulator_takes_only_a_machine(self, knob):
+        # It prices; running closures and injecting faults is the engine's.
+        with pytest.raises(TypeError):
+            SimulatedExecutor(generic(2), **knob)
 
     def test_without_execute_numerics_skipped(self):
         mach = generic(2)
         g, log, _ = random_graph(8, 10)
-        SimulatedExecutor(mach, execute=False).run(g)
+        SimulatedExecutor(mach).run(g)
         assert log == []
 
     def test_parallel_speedup(self):
@@ -365,7 +365,7 @@ class TestEngineConformance:
     [
         pytest.param(lambda: ThreadedExecutor(2), id="threaded"),
         pytest.param(lambda: ProcessExecutor(2), id="process"),
-        pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
+        pytest.param(lambda: SimulatedExecutor(generic(2)), id="simulated"),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -375,7 +375,8 @@ def test_syncs_and_words_count_exactly_the_cross_core_edges(make, seed):
     least one such edge — read back from the trace, so the count is
     exact whatever the schedule was.  Each task carries a ``noop``
     descriptor, so the process backend deals it to a worker process
-    (threads run the closure, which sleeps so both get tasks)."""
+    (threads run the closure, which sleeps so both get tasks; the
+    simulator counts a task's syncs as it starts it, running nothing)."""
     _, _, deps = random_graph(seed, 80)
     g = TaskGraph(f"placement{seed}")
     for i, d in enumerate(deps):

@@ -112,7 +112,6 @@ def test_eager_graph_through_engine_reports_its_tasks():
     "make_executor",
     [
         pytest.param(lambda: ThreadedExecutor(2), id="threaded"),
-        pytest.param(lambda: SimulatedExecutor(generic(2), execute=True), id="simulated"),
         pytest.param(lambda: ProcessExecutor(2), id="process"),
     ],
 )

@@ -6,7 +6,8 @@ simplification removed — an ``op_sync`` mirror, a shm fork in
 the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
 second scheduler, a second allocator or ``attach_array``, a kernel
-selector — so it cannot come back unnoticed.  The patterns are regular expressions over
+selector, a numeric or faulty simulator — so it cannot come back
+unnoticed.  The patterns are regular expressions over
 single lines, as ``grep -E`` reads them.
 """
 
@@ -19,8 +20,13 @@ import pytest
 import repro
 from repro.baselines.lapack_lu import getrf_lu
 from repro.baselines.lapack_qr import geqrf_qr
+from repro.core.calu import calu_program
+from repro.core.caqr import caqr_program
+from repro.core.tslu import add_tslu_tasks, tslu
+from repro.core.tsqr import add_tsqr_tasks, tsqr
 from repro.kernels.lu import getrf
 from repro.kernels.qr import geqrf
+from repro.runtime.simulated import SimulatedExecutor
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -160,3 +166,21 @@ def test_no_kernel_selector():
     assert grep(pattern, ".") == []
     for fn in (getrf, geqrf, getrf_lu, geqrf_qr):
         assert "panel" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+# The simulator prices, the engine computes: the simulated executor
+# takes a machine and nothing else, faults are injected only where code
+# runs, the channel is reliable, and the panel drivers do not forward to
+# the out-of-core ones.
+
+
+def test_simulator_prices_and_only_the_engine_injects_faults():
+    assert list(inspect.signature(SimulatedExecutor.__init__).parameters) == ["self", "machine"]
+    for fn in (tsqr, tslu):
+        knobs = {"store", "memory_budget", "spill_dir"} & set(inspect.signature(fn).parameters)
+        assert not knobs, fn.__qualname__
+    for fn in (calu_program, caqr_program, add_tslu_tasks, add_tsqr_tasks):
+        assert "arity" not in inspect.signature(fn).parameters, fn.__qualname__
+    words = "virtual_faults|on_message|msg_drop_rate|msg_corrupt_rate|max_retransmits|n_retransmits"
+    pattern = rf"\b({words})\b"  # bounded: factorization_messages_ca is no hit
+    assert grep(pattern, ".") == []
