@@ -315,13 +315,22 @@ def lookahead_ablation(machine: MachineModel | None = None, sizes=(2000, 5000)) 
     )
 
 
+#: Interleaved rounds per depth in :func:`lookahead_depth_ablation`:
+#: enough that one busy spell of the host cannot move a median.
+DEPTH_ROUNDS = 7
+
+
 def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 1, 2)) -> Table:
     """Look-ahead depth ``d``: numeric runtime.
 
     Unlike :func:`lookahead_ablation` (static priorities on the
     simulated machine), this sweeps ``calu(lookahead=d)`` through real
     threaded CALU runs: the knob widens the priority boost window, a
-    priority rule only, so the factors stay bitwise identical.
+    priority rule only, so the factors stay bitwise identical.  The
+    depths are timed interleaved, one run each per round, and each
+    reports its median over :data:`DEPTH_ROUNDS` rounds: a busy spell
+    of the host then lands on every depth alike instead of on one
+    depth's samples.
     """
     import time
 
@@ -330,22 +339,25 @@ def lookahead_depth_ablation(n: int = 256, b: int = 32, tr: int = 4, depths=(0, 
     A = np.random.default_rng(7).standard_normal((n, n))
     flops = lu_flops(n, n)
     cols = ["seconds", "GFLOP/s"]
-    values = np.zeros((len(depths), len(cols)))
     calu(A, b=b, tr=tr)  # warm caches and the thread machinery
-    for i, d in enumerate(depths):
-        best = float("inf")
-        for _ in range(3):
+    samples = np.zeros((DEPTH_ROUNDS, len(depths)))
+    for r in range(DEPTH_ROUNDS):
+        for i, d in enumerate(depths):
             t0 = time.perf_counter()
             calu(A, b=b, tr=tr, lookahead=d)
-            best = min(best, time.perf_counter() - t0)
-        values[i] = (best, flops / best / 1e9)
+            samples[r, i] = time.perf_counter() - t0
+    seconds = np.median(samples, axis=0)
+    values = np.column_stack([seconds, flops / seconds / 1e9])
     return Table(
         title=f"CALU look-ahead depth, m=n={n}, b={b}, Tr={tr} (numeric, threaded)",
         row_header="depth",
         row_labels=[f"d={d}" for d in depths],
         col_labels=cols,
         values=values,
-        notes=["d widens the priority boost window; the factors stay bitwise identical."],
+        notes=[
+            "d widens the priority boost window; the factors stay bitwise identical.",
+            f"seconds: median of {DEPTH_ROUNDS} rounds, the depths interleaved within each.",
+        ],
     )
 
 

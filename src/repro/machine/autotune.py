@@ -2,14 +2,16 @@
 
 The calibrated :class:`~repro.machine.model.MachineModel` prices every
 task's kernel time and per-task overhead, and the process backend's
-dispatch cost is at most one pipe round-trip per task — measurable
+dispatch cost is at most one pipe round-trip per shipped task — measurable
 (:func:`calibrate_pipe` times ``noop`` descriptors through a live
 worker pipe).  Given ``(kind, shape, b, Tr)`` this module predicts the
 threaded and process makespans over the *symbolic* task graph (no
-arithmetic executed) and picks the **backend**: process pays spawn plus
-one round-trip per task but scales with physical cores; threaded pays
-only scheduler overhead but serializes kernel dispatch on the GIL.  The
-unit of work is the paper's task, sized by ``b`` and ``Tr``.
+arithmetic executed) and picks the **backend**: process pays the spawn
+of ``cores - 1`` workers plus one round-trip per task it ships to them
+(the dispatcher runs the last lane itself) but scales with physical
+cores; threaded pays only scheduler overhead but serializes kernel
+dispatch on the GIL.  The unit of work is the paper's task, sized by
+``b`` and ``Tr``.
 
 Exposed as ``executor="auto"`` on the drivers (``calu``/``caqr``/
 ``tsqr``/``tslu``), through :func:`repro.runtime.process.resolve_executor`,
@@ -298,24 +300,31 @@ def autotune(
     n_tasks = len(times)
     mean_task_s = work / max(1, n_tasks)
 
-    spawn_s = 0.0 if persistent_pool else pipe.spawn_s * cores
+    # ProcessExecutor(cores) spawns cores - 1 workers and runs the last
+    # lane in the dispatcher (one worker and no such lane at one core).
+    procs = max(1, cores - 1)
+    spawn_s = 0.0 if persistent_pool else pipe.spawn_s * procs
+    # At most one pipe round-trip per task that leaves the dispatcher's
+    # lane, about procs/cores of them: the per-worker message is the
+    # only batching.
+    shipped = n_tasks * procs / cores
     threads = max(1, min(cores, tr, 4))
     predicted = {
         "threaded": max(span, work / threads),
-        # At most one pipe round-trip per task: the dispatcher's
-        # per-worker message is the only batching.
-        "process": max(span, work / cores) + n_tasks * pipe.roundtrip_s + spawn_s,
+        "process": max(span, work / cores) + shipped * pipe.roundtrip_s + spawn_s,
     }
     backend = min(predicted, key=predicted.__getitem__)
     if backend == "threaded":
         reason = (
             f"threaded wins: {n_tasks} tasks, mean {mean_task_s * 1e6:.0f}us/task; "
-            f"process would pay {n_tasks} round-trips + {spawn_s:.3g}s spawn"
+            f"process would ship {shipped:.0f} of them (one round-trip each) "
+            f"to {procs} worker(s) + {spawn_s:.3g}s spawn"
         )
     else:
         reason = (
-            f"process wins: work {work:.3g}s over {cores} cores beats "
-            f"{threads}-thread dispatch and {n_tasks} round-trips"
+            f"process wins: work {work:.3g}s over {cores} lanes ({procs} worker(s) "
+            f"and the dispatcher) beats {threads}-thread dispatch and "
+            f"{shipped:.0f} round-trips"
         )
     decision = DispatchDecision(
         backend=backend,

@@ -9,7 +9,7 @@ subclass that owns the worker pool its runs dispatch to.  Every run
 keeps one :class:`~repro.runtime.scheduler.ReadyQueue` — the paper's
 dynamic scheduler, whose look-ahead lives in the task priorities — that
 all cores pop.  Tasks run on worker threads, or in a pool's worker
-processes fed by one dispatcher.
+processes and the one dispatcher that feeds them, itself a lane.
 
 Fault injection, retry and the health guards live here only: the
 virtual clock (:mod:`repro.runtime.simulated`) prices a graph without
@@ -28,6 +28,7 @@ import select
 import threading
 import time
 from collections import deque
+from functools import partial
 
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
@@ -44,11 +45,12 @@ from repro.runtime.trace import TaskRecord, Trace
 
 __all__ = ["ExecutionEngine"]
 
-#: Tasks in flight per worker process under the dispatcher (queued in
-#: its pipe or running).  Deep enough that one message carries several
-#: small tasks, shallow enough that a newly released critical-path task
-#: never waits behind more than three; measured as the knee among
-#: 2/4/8 (docs/RUNTIME.md).  Not a tuning knob.
+#: Tasks in flight per worker *process* under the dispatcher (queued in
+#: its pipe or running); the dispatcher's own lane runs one at a time.
+#: Deep enough that one message carries several small tasks, shallow
+#: enough that a task dealt to a process never waits behind more than
+#: three; measured as the knee among 2/4/8 (docs/RUNTIME.md).  Not a
+#: tuning knob.
 _MAX_INFLIGHT = 4
 _POLL_S = 0.05  # dispatcher's wait for replies before it re-checks liveness and abort
 
@@ -162,8 +164,10 @@ class ExecutionEngine:
     Parameters
     ----------
     n_workers:
-        Worker threads (the paper's "available cores"), or the worker
-        processes of *process_pool* a run deals to.
+        Worker threads (the paper's "available cores"), or the lanes of
+        a run over *process_pool*: ``n_workers - 1`` of its worker
+        processes plus the dispatcher thread (with ``n_workers == 1``,
+        one process and no dispatcher lane).
     retry:
         Optional :class:`~repro.resilience.recovery.RetryPolicy`:
         failed tasks are re-run with backoff when that is safe
@@ -190,11 +194,12 @@ class ExecutionEngine:
     watchdog_poll_s / thread_name:
         The watchdog's polling period; the worker threads' name prefix.
     process_pool:
-        A :class:`~repro.runtime.process._WorkerPool`: tasks carrying a
-        ``meta["op"]`` descriptor then run in its worker processes, fed
-        by one dispatcher loop instead of ``n_workers`` threads (see
-        :meth:`_RealClockRun.dispatcher`); the pool may be shared by
-        concurrent engines.
+        A :class:`~repro.runtime.process._WorkerPool` of at least
+        ``max(1, n_workers - 1)`` processes: tasks carrying a
+        ``meta["op"]`` descriptor then run in its worker processes or
+        on the dispatcher's own lane, one loop instead of ``n_workers``
+        threads (see :meth:`_RealClockRun.dispatcher`); the pool may be
+        shared by concurrent engines.
 
     After each task the ``meta["health"]`` guard a builder attached, if
     any, runs (the drivers' ``guards=`` decides whether they attach
@@ -229,6 +234,11 @@ class ExecutionEngine:
         ):
             if seconds is not None and seconds < 0:
                 raise ValueError(f"{name} must be >= 0, got {seconds}")
+        if process_pool is not None and process_pool.n_workers < max(1, n_workers - 1):
+            raise ValueError(
+                f"an engine of {n_workers} lanes needs {max(1, n_workers - 1)} worker"
+                f" processes; the pool has {process_pool.n_workers}"
+            )
         self.n_workers = n_workers
         self.retry = retry
         self.fault_plan = fault_plan
@@ -285,8 +295,9 @@ class _RealClockRun:
         self.progress = [time.monotonic()]  # last completion, for stall detection
         self.stop = threading.Event()  # watchdog fired: abandon stuck workers
         self.threads: list[threading.Thread] = []
-        # The dispatcher's books (process backend only).
-        self.load = [0] * engine.n_workers  # tasks in flight per worker
+        # The dispatcher's books (process backend only): tasks in flight
+        # per worker process, lanes 0..W-2 (lane 0 when W == 1).
+        self.load = [0] * max(1, engine.n_workers - 1)
         self.redo: deque = deque()  # (task, attempt) to send again, ahead of the queue
         self.stats: dict = {}
         self.t0 = time.perf_counter()
@@ -333,15 +344,10 @@ class _RealClockRun:
             exc = self.errors[0]
             if isinstance(exc, RuntimeFailure) and exc.trace is None:
                 with self.lock:  # an abandoned worker may still be appending
-                    exc.trace = Trace(list(self.records), self._lanes(), list(self.events))
+                    exc.trace = Trace(list(self.records), engine.n_workers, list(self.events))
             raise exc
-        return Trace(self.records, self._lanes(), self.events, stats={**bk.stats(), **self.stats})
-
-    def _lanes(self) -> int:
-        """The trace's cores: one per worker, plus the dispatcher's own
-        lane (index ``n_workers``) when it ran a descriptor-less task."""
-        n = self.engine.n_workers
-        return n + any(rec.core == n for rec in self.records)
+        stats = {**bk.stats(), **self.stats}
+        return Trace(self.records, engine.n_workers, self.events, stats=stats)
 
     # ------------------------------------------------------------------
     # The lifecycle both execution paths share
@@ -404,18 +410,19 @@ class _RealClockRun:
         self._abort(task, exc)
         return False
 
-    def _run_inline(self, task: Task, attempt: int = 0):
-        """Run *task*'s closure in this thread, under the fault plan and
-        the retry policy; its ``(start, end)`` span, or None once the
-        failure has ended the run."""
+    def _run_inline(self, task: Task, attempt: int = 0, work=None):
+        """Run *work* (default: *task*'s closure) in this thread, under
+        the fault plan and the retry policy; its ``(start, end)`` span,
+        or None once the failure has ended the run."""
         plan, t0, clock = self.plan, self.t0, time.perf_counter
+        work = task.fn if work is None else work
         while True:
             start = clock() - t0
             try:
                 if plan is not None:
                     plan.pre_task(task, attempt, record=self.record_event)
-                if task.fn is not None:
-                    task.fn()
+                if work is not None:
+                    work()
                 if plan is not None:
                     plan.post_task(task, attempt, record=self.record_event)
             except BaseException as exc:  # noqa: BLE001 - handled by the policy
@@ -468,26 +475,44 @@ class _RealClockRun:
                 return
 
     # ------------------------------------------------------------------
-    # Processes: one dispatcher for the whole pool
+    # Processes: one dispatcher, the pool's processes and its own lane
     # ------------------------------------------------------------------
     def dispatcher(self) -> None:
-        """Feed the worker pool from one loop.
+        """Feed the worker pool from one loop that is itself a lane.
 
-        Each pass deals ready tasks to the least-loaded worker (at most
-        :data:`_MAX_INFLIGHT` in flight each), sends what one worker
-        was dealt as one message, runs descriptor-less tasks inline —
-        on the dispatcher's own lane, core ``n_workers``, which is where
-        the trace and the sync count place them — then sleeps in one
-        ``poll`` over the pipes with messages out and takes each reply
-        apart into per-task acks (:meth:`_absorb`).
+        A run of W >= 2 lanes deals to W - 1 worker processes (lanes
+        0..W-2) and runs lane W - 1 in this thread.  Each pass first
+        claims the highest-priority ready task for its own lane — when
+        it can take the pool's parent-lane token, so engines sharing a
+        pool never run two such tasks at once — then deals the rest to
+        the least-loaded process (at most :data:`_MAX_INFLIGHT` in
+        flight each), sends what one process was dealt as one message,
+        runs its own task inline and polls the pipes without blocking.
+        The critical chain (merge, finalize, the next column's updates,
+        the next leaf) thus pays no pipe round-trip while it stays on
+        this lane.  When there is nothing of its own to run it sleeps
+        in one ``poll`` over the pipes with messages out, then takes
+        each reply apart into per-task acks (:meth:`_absorb`).
+
+        Tasks without a descriptor always run inline, on lane W - 1.
+        With one process (W = 1) there is no lane of the dispatcher's:
+        such a task runs on lane 0, only while the process has nothing
+        in flight, so a lane's spans never overlap.
         Once the run is failing nothing new is dealt but messages
         already out are still collected — their tasks ran, so they are
-        recorded; only the watchdog's ``stop`` abandons
-        them.
+        recorded; only the watchdog's ``stop`` abandons them.
         """
+        # Imported here: ops imports the kernels, which import counters,
+        # which imports this package.
+        from repro.runtime.ops import run_op
+
         pool, plan = self.pool, self.plan
+        pool.bind_dispatcher()
         bk, queue, load, redo = self.bk, self.ready, self.load, self.redo
-        lane = len(load)  # this thread's core: where descriptor-less tasks run
+        lane = self.engine.n_workers - 1  # this thread's core
+        shared = lane < len(load)  # W == 1: the lane is the process's too
+        # A message's ack may also wait for the task this thread is running.
+        extra = 0 if shared else 1
         out: dict[int, tuple] = {}  # ticket -> (core, [(task, attempt)], sent at)
         poller = select.poll()
         watched: dict[int, int] = {}  # fd -> core, pipes with a message of ours out
@@ -495,6 +520,7 @@ class _RealClockRun:
         os.set_blocking(wake_w, False)
         poller.register(wake_r, select.POLLIN)
         messages, dispatch_s = 0, 0.0
+        token = False  # holding the pool's parent-lane token
 
         def wake() -> None:
             try:
@@ -504,11 +530,15 @@ class _RealClockRun:
 
         try:
             while not self.stop.is_set():
-                dealt: list[tuple] = []
+                dealt: list[tuple] = []  # (core, task, attempt, remote) for the processes
+                mine: list[tuple] = []  # (task, remote) for this thread's lane
                 with self.work_available:
                     if not self.errors:
                         if bk.finished:
                             break
+                        if not shared and queue and pool.take_lane():
+                            token = True
+                            mine.append(self._claim(lane, queue.pop()))
                         while (redo or queue) and min(load) < _MAX_INFLIGHT:
                             core = load.index(min(load))
                             if redo:
@@ -517,20 +547,24 @@ class _RealClockRun:
                             else:
                                 task = queue.pop()
                                 if not (task.meta and task.meta.get("op")):
-                                    core = lane
+                                    if shared and load[0]:
+                                        queue.push(task)  # its lane is busy
+                                        break
+                                    mine.append(self._claim(lane, task))
+                                    if shared:
+                                        break
+                                    continue
                                 task, remote = self._claim(core, task)
                                 dealt.append((core, task, 0, remote))
-                            if core != lane:
-                                load[core] += 1
-                        # A worker acks a whole message at once and
+                            load[core] += 1
+                        # A process acks a whole message at once and
                         # serves its messages in order, so a task's ack
                         # may wait for everything now in flight there:
                         # it is allowed one task_timeout for each.
                         now = time.monotonic()
                         for core, task, _, _ in dealt:
-                            allowed = 1 if core == lane else load[core]
-                            self.running[task.tid] = (task, now, core, allowed)
-                    if not dealt and not out:
+                            self.running[task.tid] = (task, now, core, load[core] + extra)
+                    if not dealt and not mine and not out:
                         if self.errors:
                             break
                         # Nothing ready, nothing out: not a state a valid
@@ -538,13 +572,12 @@ class _RealClockRun:
                         self.work_available.wait(0.1)
                         continue
                 batches: dict[int, list] = {}
-                inline = []
+                for task, remote in mine:
+                    if remote:
+                        self._count_remote(task, remote)
                 for core, task, attempt, remote in dealt:
                     if remote:
                         self._count_remote(task, remote)
-                    if core == lane:
-                        inline.append((task, attempt))
-                        continue
                     try:
                         if plan is not None:
                             plan.pre_task(task, attempt, record=self.record_event)
@@ -567,17 +600,21 @@ class _RealClockRun:
                     if fd is not None and watched.get(fd) != core:
                         poller.register(fd, select.POLLIN)
                         watched[fd] = core
-                for task, attempt in inline:
+                for task, _ in mine:
                     with self.lock:  # it starts now, in this thread: one task_timeout
                         self.running[task.tid] = (task, time.monotonic(), lane, 1)
-                    span = self._run_inline(task, attempt)
+                    op = task.meta.get("op") if task.meta else None
+                    span = self._run_inline(task, 0, partial(run_op, op) if op else None)
                     if span is not None:
                         self._finish(task, lane, *span)
+                if token:
+                    pool.give_lane()
+                    token = False
                 if not out:
                     continue
                 # Wait for a reply -- unless this pass left something to
                 # deal: inline tasks release successors, a retry is due.
-                busy = inline or (redo and min(load) < _MAX_INFLIGHT)
+                busy = mine or (redo and min(load) < _MAX_INFLIGHT)
                 ready = poller.poll(0 if busy else _POLL_S * 1000)
                 cores = {watched.get(fd) for fd, _ in ready}
                 if not ready:
@@ -605,6 +642,8 @@ class _RealClockRun:
                         poller.unregister(fd)
                         del watched[fd]
         finally:
+            if token:
+                pool.give_lane()
             for ticket, (core, _, _) in out.items():
                 pool.abandon(core, ticket)
             os.close(wake_r)

@@ -22,13 +22,25 @@ dominates and the threaded backend cannot scale with physical cores.
   post-task lifecycle as a threaded task — fault injection, health
   guards (reading the very store buffers the worker wrote: pivots,
   degradation flags, Q factors), record, release — so resume skips,
-  retry, streaming ``GraphProgram`` windows and the watchdog behave
-  identically across the threaded and process backends.
+  retry and the watchdog behave identically across the threaded and
+  process backends;
+* the dispatcher is one of the lanes: ``ProcessExecutor(W)`` spawns
+  ``W - 1`` workers, and on each pass the dispatcher first claims the
+  highest-priority ready task for lane ``W - 1`` and runs it inline,
+  so the panel chain pays no pipe round-trip while it leads the queue.
+  The pool holds one parent-lane token (:meth:`_WorkerPool.take_lane`)
+  so engines sharing it never run two such tasks at once.  The trade:
+  about one task in ``W`` runs outside process isolation;
+  ``ProcessExecutor(1)`` keeps its one worker and has no parent lane;
+* under a one-thread BLAS the dispatchers are bound to the last CPU
+  of the process's mask and the workers to the others
+  (:func:`_lane_cpus`), so a woken worker does not land on the CPU of
+  the dispatcher that woke it.
 
 Tasks without ``meta["op"]`` (checkpoint snapshots, ABFT checksum
 hooks, arbitrary test graphs, and every task of a graph bound to the
 heap rather than an arena) run their ordinary closure inline in the
-dispatcher, on its own trace lane — correct, just not parallel across
+dispatcher, on its lane — correct, just not parallel across
 processes.  Worker death shows as a hang-up on the worker's pipe: the
 worker is respawned and every task it had in flight surfaces a
 structured :class:`~repro.resilience.recovery.RuntimeFailure` with
@@ -38,11 +50,13 @@ usual :class:`~repro.resilience.recovery.RetryPolicy` machinery.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing
 import os
 import select
 import time
+from collections import deque
 
 # Module-style import: counters itself imports repro.runtime.sync, so a
 # from-import here would fail when counters is the first module loaded.
@@ -175,9 +189,13 @@ class _WorkerPool:
         self._pending: list[dict] = [{} for _ in range(n_workers)]
         self._replies: list[dict] = [{} for _ in range(n_workers)]
         self._closed = False
+        # The parent-lane token (see take_lane): a deque because its
+        # pop and append are atomic, so taking it never waits or nests.
+        self._lane = deque((None,))
         self.respawn_governor = respawn_governor
         self.respawns = 0  # lifetime respawn count (post-death restarts)
         self.deaths = 0  # lifetime worker deaths observed
+        self._cpus = _lane_cpus(n_workers)
 
     def _ensure(self, core: int) -> None:
         proc = self._procs[core]
@@ -192,6 +210,11 @@ class _WorkerPool:
         )
         proc.start()
         child_conn.close()
+        if self._cpus is not None:
+            try:
+                os.sched_setaffinity(proc.pid, self._cpus[:-1])
+            except OSError:  # exited already: the next message finds it dead
+                pass
         self._procs[core] = proc
         self._conns[core] = parent_conn
         self._pollers[core] = select.poll()
@@ -352,6 +375,36 @@ class _WorkerPool:
         return None if conn is None else conn.fileno()
 
     # ------------------------------------------------------------------
+    # The parent lane
+    # ------------------------------------------------------------------
+    def bind_dispatcher(self) -> None:
+        """Bind the calling thread — a run's dispatcher — to the one CPU
+        the workers of this pool keep off (see :func:`_lane_cpus`)."""
+        if self._cpus is not None:
+            try:
+                os.sched_setaffinity(0, self._cpus[-1:])
+            except OSError:  # the caller's CPU set shrank since: stay where we are
+                pass
+
+    def take_lane(self) -> bool:
+        """Take the pool's one parent-lane token, never waiting.
+
+        An engine's dispatcher holds it while it runs a descriptor task
+        in the parent process, so engines sharing the pool run at most
+        one such task at a time; one that cannot take it ships
+        everything to the processes.  Return it with :meth:`give_lane`.
+        """
+        try:
+            self._lane.pop()
+        except IndexError:
+            return False
+        return True
+
+    def give_lane(self) -> None:
+        """Return the token :meth:`take_lane` took."""
+        self._lane.append(None)
+
+    # ------------------------------------------------------------------
     # Liveness and on-demand healing
     # ------------------------------------------------------------------
     def worker_alive(self, core: int) -> bool | None:
@@ -427,6 +480,62 @@ class _WorkerPool:
             self._reap(core)
 
 
+def _lane_cpus(n_workers: int) -> list | None:
+    """The CPUs this process may use, sorted, or None: a pool binds its
+    dispatchers to the last and its workers, together, to the rest —
+    when there are more CPUs than *n_workers* and each BLAS call runs
+    one thread (:func:`_blas_threads`).
+
+    Unbound, the scheduler keeps placing a woken worker on the CPU of
+    the dispatcher that just wrote to it, which then waits out the
+    worker's whole message before it can run its own task: the lanes
+    take turns on one CPU instead of running side by side (on a 2-vCPU
+    host a write to an idle worker took ~170 µs of the dispatcher's
+    wall for ~40 µs of its CPU; bound, ~40 µs).  A multithreaded BLAS is
+    left unbound: a worker's kernel threads would crowd the CPUs it may
+    use.  Only this process's mask is read, so processes started side by
+    side bind alike; give each its own CPUs (``taskset``) to keep them
+    apart.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) <= n_workers or _blas_threads() != 1:
+        return None  # oversubscribed, or a threaded BLAS: binding would stack threads
+    return cpus
+
+
+def _blas_threads() -> int | None:
+    """Threads per call of the OpenBLAS libraries this process has
+    mapped, the most of any; None when it cannot tell (no ``/proc``, or
+    no OpenBLAS mapped: another vendor's BLAS counts as unknown)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if ".so" in line}
+    except OSError:
+        return None
+    threads = 0
+    for path in (path for path in libs if "openblas" in os.path.basename(path)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return None
+        get = next((getattr(lib, name) for name in _GET_THREADS if hasattr(lib, name)), None)
+        if get is None:
+            return None
+        threads = max(threads, get())
+    return threads or None
+
+
+#: The thread-count getter of an OpenBLAS build, by symbol prefix and
+#: integer width (the NumPy and SciPy wheels each bundle one).
+_GET_THREADS = tuple(
+    f"{prefix}openblas_get_num_threads{suffix}"
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
+)
+
+
 def _op_names(ops: list) -> str:
     names = [op[0] for op in ops]
     return f"op {names[0]!r}" if len(names) == 1 else f"ops {names}"
@@ -441,10 +550,14 @@ class ProcessExecutor(ExecutionEngine):
     OS processes over a shared-memory tile plane, so the factorization
     scales with physical cores instead of GIL time slices.
 
-    Tasks carrying ``meta["op"]`` descriptors run in workers; tasks
-    without one run inline in the parent-side dispatcher.  The pool is
-    made at first use and persists across runs; call :meth:`close` (or
-    use the executor as a context manager) when done.
+    ``n_workers`` is the run's lanes: ``n_workers - 1`` worker
+    processes plus the parent-side dispatcher, which runs the
+    highest-priority ready task itself (one process and no parent lane
+    when ``n_workers`` is 1).  Tasks carrying ``meta["op"]`` descriptors
+    run in workers or on that lane; tasks without one run inline in the
+    dispatcher.  The pool is made at first use and persists across
+    runs; call :meth:`close` (or use the executor as a context manager)
+    when done.
 
     Parameters are the positional ``n_workers`` and the keyword
     *options* of :class:`~repro.runtime.engine.ExecutionEngine` (less
@@ -470,7 +583,9 @@ class ProcessExecutor(ExecutionEngine):
     def pool(self) -> _WorkerPool:
         if self._pool is None or self._pool._closed:
             self._pool = _WorkerPool(
-                self.n_workers, self.start_method, respawn_governor=self.respawn_governor
+                max(1, self.n_workers - 1),
+                self.start_method,
+                respawn_governor=self.respawn_governor,
             )
         return self._pool
 
@@ -493,7 +608,8 @@ class ProcessExecutor(ExecutionEngine):
 
 
 def default_process_workers() -> int:
-    """Worker count for ``executor="process"``: the machine's cores, capped."""
+    """Lane count for ``executor="process"``: the machine's cores, capped
+    (``ProcessExecutor`` spawns one worker per lane but the dispatcher's)."""
     return max(1, min(os.cpu_count() or 1, 8))
 
 

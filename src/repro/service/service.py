@@ -64,8 +64,9 @@ class ServiceConfig:
     Parameters
     ----------
     cores:
-        Worker count: pool processes (process backend) and engine
-        threads per request.
+        Lanes per request: engine threads, or (process backend) the
+        pool's ``cores - 1`` worker processes plus the pool's one
+        parent lane, which the requests' dispatchers take in turns.
     backend:
         ``"process"`` (worker pool + shared arena), ``"threaded"``
         (in-process engine only), or ``"auto"`` (process where ``fork``

@@ -62,14 +62,27 @@ class TestDecisionInvariants:
         d = _decide(pipe=PipeCalibration(roundtrip_s=1.0, spawn_s=10.0, measured=False))
         assert d.backend == "threaded"
 
-    def test_process_pays_one_roundtrip_per_task(self):
-        # The dispatcher sends at most one message per task: nothing in
-        # the graph batches them, so the price scales with the task count.
-        free = _decide(pipe=PipeCalibration(roundtrip_s=0.0, spawn_s=0.0, measured=False))
-        priced = _decide(pipe=PipeCalibration(roundtrip_s=1e-3, spawn_s=0.0, measured=False))
+    def test_process_pays_one_roundtrip_per_task(self, cores=4):
+        # The dispatcher sends at most one message per task it ships:
+        # nothing in the graph batches them, so the price scales with the
+        # task count -- less the tasks of the dispatcher's own lane, one
+        # in *cores*, when there is one (cores >= 2).
+        pipe = lambda rt: PipeCalibration(roundtrip_s=rt, spawn_s=0.0, measured=False)
+        free, priced = _decide(pipe=pipe(0.0), cores=cores), _decide(pipe=pipe(1e-3), cores=cores)
         graph = at._symbolic_graph("lu", 384, 32, 32, 4, TreeKind.BINARY)
         extra = priced.predicted_s["process"] - free.predicted_s["process"]
-        assert extra == pytest.approx(len(graph.tasks) * 1e-3)
+        assert extra == pytest.approx(len(graph.tasks) * max(1, cores - 1) / cores * 1e-3)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_or_two_cores_pay_every_or_half_the_roundtrips(self, cores):
+        self.test_process_pays_one_roundtrip_per_task(cores)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_process_spawns_one_worker_per_lane_but_the_dispatchers(self, cores):
+        kw = {"pipe": PipeCalibration(roundtrip_s=0.0, spawn_s=1.0, measured=False), "cores": cores}
+        cold, warm = _decide(**kw), _decide(persistent_pool=True, **kw)
+        spawned = cold.predicted_s["process"] - warm.predicted_s["process"]
+        assert spawned == pytest.approx(max(1, cores - 1) * 1.0)
 
     def test_no_shape_defaults_to_threaded(self):
         d = autotune("qr", pipe=FAKE_PIPE, model=generic(4), cores=4)

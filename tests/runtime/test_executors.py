@@ -397,14 +397,14 @@ def test_syncs_and_words_count_exactly_the_cross_core_edges(make, seed):
 
 def test_a_closure_only_graph_runs_on_the_process_dispatchers_lane():
     """Tasks without a descriptor run in the dispatcher thread, and the
-    trace says so: every record on its lane (core ``n_workers``), no
-    sync between them, the lane counted as the trace's one extra core."""
+    trace says so: every record on its lane (core ``W - 1``, the last of
+    the run's W), no sync between them, no extra core."""
     _, _, deps = random_graph(3, 40)
     g = TaskGraph("closures")
     for i, d in enumerate(deps):
         g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3, words=5), fn=lambda: None, deps=d)
     with ProcessExecutor(2) as ex, counting() as c:
         trace = ex.run(g)
-    assert {r.core for r in trace.records} == {2}
-    assert len(trace.records) == len(deps) and trace.n_cores == 3
+    assert {r.core for r in trace.records} == {1}
+    assert len(trace.records) == len(deps) and trace.n_cores == 2
     assert c.syncs == 0 and c.words == 0

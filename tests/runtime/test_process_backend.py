@@ -18,6 +18,7 @@ Four layers, matching the subsystem's structure:
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ def _op_raise(payload):
     raise ValueError(f"worker-side error on {payload['what']}")
 
 
+def _op_sleep(payload):
+    time.sleep(payload["s"])
+
+
 @pytest.fixture(autouse=True)
 def _test_ops():
     extra = {
@@ -79,6 +84,7 @@ def _test_ops():
         "test_die": _op_die,
         "test_die_once": _op_die_once,
         "test_raise": _op_raise,
+        "test_sleep": _op_sleep,
     }
     ops.OPS.update(extra)
     yield
@@ -452,3 +458,165 @@ def test_solve_and_lstsq_accept_process_executor():
     y_t = lstsq(B, c, executor="threaded")
     y_p = lstsq(B, c, executor="process")
     np.testing.assert_array_equal(y_p, y_t)
+
+
+# ----------------------------------------------------------------------
+# The dispatcher is the last lane: W - 1 processes and the parent
+# ----------------------------------------------------------------------
+
+
+class _KeepsTrace(ProcessExecutor):
+    def run(self, graph, journal=None):
+        self.trace = super().run(graph, journal=journal)
+        return self.trace
+
+
+def _factors(alg, A, executor):
+    if alg == "calu":
+        f = calu(A, b=16, tr=4, executor=executor)
+        return f.lu, f.piv
+    if alg == "caqr":
+        f = caqr(A, b=16, tr=4, executor=executor)
+        return f.R, f.packed
+    if alg == "tslu":
+        return tslu(A[:, :16], tr=8, executor=executor)
+    f = tsqr(A[:, :16], tr=8, executor=executor)
+    return f.R, f.q_explicit()
+
+
+@pytest.mark.parametrize("W", [2, 3])
+@pytest.mark.parametrize("alg", ["calu", "caqr", "tslu", "tsqr"])
+def test_the_dispatcher_runs_the_last_of_w_lanes(alg, W):
+    A = make_rng(57).standard_normal((256, 96))
+    want = _factors(alg, A, ThreadedExecutor(1))
+    with _KeepsTrace(W) as ex:
+        got = _factors(alg, A, ex)
+        assert ex.pool.n_workers == len(ex.pool._procs) == W - 1
+        assert ex.pool.liveness() == [True] * (W - 1)
+    trace = ex.trace
+    assert trace.n_cores == W
+    graph_ops = trace.stats["n_tasks"]  # every task of a shared-plane graph has a descriptor
+    assert len(trace.records) == graph_ops
+    assert {r.core for r in trace.records} == set(range(W))  # the parent's lane included
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_one_process_has_no_parent_lane():
+    A = make_rng(58).standard_normal((128, 64))
+    want = _factors("calu", A, ThreadedExecutor(1))
+    with _KeepsTrace(1) as ex:
+        got = _factors("calu", A, ex)
+        assert ex.pool.n_workers == 1
+    assert ex.trace.n_cores == 1 and {r.core for r in ex.trace.records} == {0}
+    assert ex.trace.stats["messages"] > 0
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_closures_wait_for_the_one_process_lane():
+    """With one process its lane is also where closures run: a closure
+    starts only once the process has nothing in flight, so no two spans
+    of lane 0 overlap."""
+    g = TaskGraph("mixed")
+    for i in range(12):
+        if i % 3:
+            g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3), op=("test_sleep", {"s": 0.01}))
+        else:
+            g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3), fn=lambda: time.sleep(0.01))
+    with ProcessExecutor(1) as ex:
+        trace = ex.run(g)
+    assert trace.n_cores == 1 and {r.core for r in trace.records} == {0}
+    assert len(trace.records) == 12
+    trace.validate_schedule(g)
+
+
+def test_an_engine_needs_a_process_per_lane_but_its_own():
+    from repro.runtime.engine import ExecutionEngine
+
+    pool = _WorkerPool(1)
+    try:
+        ExecutionEngine(2, process_pool=pool)  # one process and the dispatcher
+        with pytest.raises(ValueError, match="3 lanes needs 2 worker processes"):
+            ExecutionEngine(3, process_pool=pool)
+    finally:
+        pool.close()
+
+
+def test_the_parent_lane_token_is_one_per_pool():
+    pool = _WorkerPool(1)
+    assert pool.take_lane() and not pool.take_lane()
+    pool.give_lane()
+    assert pool.take_lane()
+    pool.give_lane()
+    assert not pool.started  # the token spawns nothing
+
+
+@pytest.mark.parametrize("faulted", ["P", "S"], ids=["parent-lane", "worker"])
+def test_an_injected_fault_retries_alike_on_either_lane(faulted):
+    """The highest-priority ready task (the P one) runs on the
+    dispatcher's lane, the rest in the worker process; a fault injected
+    into either is logged, retried under the policy and completes, or
+    without a policy ends the run with the same structured failure."""
+    from repro.resilience.faults import FaultPlan
+
+    def graph():
+        g = TaskGraph("lanes")
+        g.add("p", TaskKind.P, Cost("gemm", flops=1e3), priority=10.0, op=("noop", {}))
+        for i in range(3):
+            g.add(f"s{i}", TaskKind.S, Cost("gemm", flops=1e3), op=("noop", {}))
+        return g
+
+    faults = lambda: FaultPlan(1, raise_rate={faulted: 1.0, "*": 0.0})
+    lane_of = {"P": 1, "S": 0}[faulted]
+    retry = RetryPolicy(max_retries=1, backoff_s=1e-4)
+    with ProcessExecutor(2, fault_plan=faults(), retry=retry) as ex:
+        trace = ex.run(graph())
+    hit = [r for r in trace.records if r.kind.value == faulted]
+    assert hit and {r.core for r in hit} <= {lane_of} | ({0} if faulted == "S" else set())
+    assert {r.core for r in trace.records if r.kind.value == "P"} == {1}
+    for r in hit:
+        assert [e.kind for e in trace.events if e.task == r.name] == ["fault_raise", "retry"]
+    with ProcessExecutor(2, fault_plan=faults()) as ex:
+        with pytest.raises(RuntimeFailure) as info:
+            ex.run(graph())
+    assert info.value.failure_kind == "injected"
+    assert info.value.task in {r.name for r in hit}
+
+
+bindable = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="binding lanes needs sched_setaffinity and two CPUs",
+)
+
+
+@bindable
+def test_workers_keep_off_the_dispatchers_cpu_under_a_one_thread_blas(monkeypatch):
+    from repro.runtime import process
+
+    monkeypatch.setattr(process, "_blas_threads", lambda: 1)
+    caller = os.sched_getaffinity(0)
+    seen = []
+    g = TaskGraph("where")
+    for i in range(3):  # ready side by side: the lane takes one, the worker the rest
+        g.add(f"t{i}", TaskKind.S, Cost("gemm", flops=1e3), op=("noop", {}))
+    g.add("c", TaskKind.S, Cost("gemm", flops=1e3), fn=lambda: seen.append(os.sched_getaffinity(0)))
+    with ProcessExecutor(2) as ex:
+        ex.run(g)
+        cpus = ex.pool._cpus
+        assert cpus == sorted(caller)
+        assert os.sched_getaffinity(ex.pool._procs[0].pid) == set(cpus[:-1])
+    assert seen == [{cpus[-1]}]  # the dispatcher thread: the one CPU the workers keep off
+    assert os.sched_getaffinity(0) == caller  # the caller's thread is left as it was
+
+
+@bindable
+def test_lanes_stay_unbound_under_a_threaded_blas_or_too_few_cpus(monkeypatch):
+    from repro.runtime import process
+
+    n = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(process, "_blas_threads", lambda: 2)
+    assert process._lane_cpus(1) is None  # each kernel's threads would stack on one CPU
+    monkeypatch.setattr(process, "_blas_threads", lambda: 1)
+    assert process._lane_cpus(n) is None  # no CPU left for the dispatchers
+    assert len(process._lane_cpus(n - 1)) == n

@@ -342,6 +342,53 @@ class TestConcurrency:
         assert_lock_sanity(w)
 
 
+@fork_only
+def test_two_process_clients_never_stack_parent_lane_tasks(monkeypatch):
+    """The pool has one parent lane, not one per engine: the dispatchers
+    of concurrent requests take turns on it (the pool's token), so no
+    two tasks run in the parent process at once; the factors do not move."""
+    from repro.runtime import engine as engine_mod
+
+    spans: list = []
+    finish = engine_mod._RealClockRun._finish
+
+    def recording(run, task, core, start, end):
+        if core == run.engine.n_workers - 1:  # the parent lane of a 2-lane run
+            spans.append((run.t0 + start, run.t0 + end))
+        return finish(run, task, core, start, end)
+
+    monkeypatch.setattr(engine_mod._RealClockRun, "_finish", recording)
+    rng = make_rng(31)
+    problems = [make_problem(rng, n=160) for _ in range(4)]
+    refs = [linalg_solve(A, rhs, cores=2) for A, rhs in problems]
+    spans.clear()
+    results: dict = {}
+    errors: list = []
+    with FactorizationService(ServiceConfig(cores=2, backend="process")) as svc:
+        assert svc._executor.pool.n_workers == 1
+
+        def client(k):
+            try:
+                for i in range(6):
+                    j = (k + i) % len(problems)
+                    results[k, i] = (j, svc.solve(*problems[j]))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert not errors and len(results) == 12
+    for j, x in results.values():
+        assert np.array_equal(x, refs[j])
+    assert len(spans) > 12  # the parent lane ran tasks of the requests
+    spans.sort()
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start >= end, "two parent-lane tasks overlapped"
+
+
 class TestOverload:
     def _slow_cfg(self, **kw):
         # Every panel task stalls, so each request takes >= stall_s.

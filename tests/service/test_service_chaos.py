@@ -72,7 +72,7 @@ def _soak(svc, problems, n_clients, n_requests, join_timeout):
     return outcomes, hung
 
 
-def _exercise_respawn_path(svc, problems):
+def _exercise_respawn_path(svc):
     """Deterministically drive the dead-worker heal under the core lock.
 
     The random kill storm may never land a kill exactly where a dead
@@ -81,8 +81,12 @@ def _exercise_respawn_path(svc, problems):
     rank order) this backend has — so exercise it synchronously: spawn, kill, and heal one worker via the pool's
     on-demand path, which takes the core lock and then consults the governor.
     """
-    A, rhs, _ = problems[0]
-    svc.solve(A, rhs)  # make sure at least one worker is spawned
+    # Large enough that tasks are ready side by side, so some leave the
+    # dispatcher's own lane and the one worker is spawned (a small
+    # one-panel chain may run whole on the parent lane).
+    n = 256
+    A = np.random.default_rng(0).standard_normal((n, n)) + n * np.eye(n)
+    svc.solve(A, np.ones(n))
     pool = svc._executor.pool
     live = [i for i, p in enumerate(pool._procs) if p is not None and p.is_alive()]
     core = live[0]
@@ -186,7 +190,7 @@ class TestChaosProcess:
             finally:
                 stop.set()
                 kt.join(timeout=10)
-            _exercise_respawn_path(svc, problems)
+            _exercise_respawn_path(svc)
             stats = svc.stats()
         _assert_contract(outcomes, hung, expected_total=n_clients * n_requests)
         # The per-core pipe lock covers one write or one drain, never the

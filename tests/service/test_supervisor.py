@@ -131,9 +131,13 @@ class TestPoolIntegration:
             pool.close()
 
     def test_a_process_service_heals_on_demand_without_a_thread(self):
+        # Big enough that tasks are ready side by side: the dispatcher
+        # runs one per pass on its own lane and ships the rest, so the
+        # one worker process of cores=2 is spawned (a single-panel
+        # chain would run whole on the parent lane).
         rng = np.random.default_rng(9)
-        A = rng.standard_normal((48, 48)) + 48 * np.eye(48)
-        rhs = rng.standard_normal(48)
+        A = rng.standard_normal((256, 256)) + 256 * np.eye(256)
+        rhs = rng.standard_normal(256)
         with FactorizationService(ServiceConfig(cores=2, backend="process")) as svc:
             assert not [t for t in threading.enumerate() if t.name == "repro-supervisor"]
             x = svc.solve(A, rhs)
