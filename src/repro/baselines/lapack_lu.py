@@ -32,19 +32,18 @@ __all__ = [
 ]
 
 
-def getf2_lu(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked BLAS2 LU (vendor ``dgetf2``). Returns ``(lu, piv)``."""
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+def getf2_lu(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unblocked BLAS2 LU (vendor ``dgetf2``) of a copy of *A*.
+    Returns ``(lu, piv)``."""
+    A = np.array(A, dtype=float, order="C", subok=False)
     piv = getf2(A)
     return A, piv
 
 
-def getrf_lu(
-    A: np.ndarray, b: int = 64, overwrite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked right-looking LU over ``getf2`` panels (vendor ``dgetrf``).
-    Returns ``(lu, piv)``."""
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+def getrf_lu(A: np.ndarray, b: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Blocked right-looking LU over ``getf2`` panels (vendor ``dgetrf``)
+    of a copy of *A*.  Returns ``(lu, piv)``."""
+    A = np.array(A, dtype=float, order="C", subok=False)
     piv = getrf(A, b=b)
     return A, piv
 
@@ -65,12 +64,11 @@ def getrf_program(
     row_chunks: int = 8,
     library: str = "mkl",
     lookahead: int = 0,
-    panel_kernel: str = "getrf_panel",
     fork_join: bool = True,
 ) -> GraphProgram:
     """Fork-join blocked LU as a graph program (``dgetrf`` baseline).
 
-    One window per iteration: one sequential panel task (default kernel
+    One window per iteration: one sequential panel task (priced as
     ``getrf_panel``: an internally blocked vendor panel, better than
     raw BLAS2 ``getf2`` but still serial and on the critical path),
     then per trailing block column a pivot-apply + ``trsm`` task and
@@ -88,7 +86,7 @@ def getrf_program(
         panel_tid = em.task(
             f"panel[{K}]",
             "P",
-            Cost.of(panel_kernel, m - k0, bk, library=library),
+            Cost.of("getrf_panel", m - k0, bk, library=library),
             reads=(),
             writes=layout.active_blocks(K, K),
             # Fork-join: classic libraries barrier between iterations —

@@ -27,22 +27,20 @@ __all__ = [
 ]
 
 
-def geqr2_qr(A: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked BLAS2 Householder QR (vendor ``dgeqr2``).
+def geqr2_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unblocked BLAS2 Householder QR (vendor ``dgeqr2``) of a copy of *A*.
 
     Returns ``(packed, tau)``.
     """
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+    A = np.array(A, dtype=float, order="C", subok=False)
     tau = geqr2(A)
     return A, tau
 
 
-def geqrf_qr(
-    A: np.ndarray, b: int = 64, overwrite: bool = False
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Blocked Householder QR over ``geqr2`` panels (vendor ``dgeqrf``).
-    Returns ``(packed, Ts)``."""
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+def geqrf_qr(A: np.ndarray, b: int = 64) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Blocked Householder QR over ``geqr2`` panels (vendor ``dgeqrf``)
+    of a copy of *A*.  Returns ``(packed, Ts)``."""
+    A = np.array(A, dtype=float, order="C", subok=False)
     Ts = geqrf(A, b=b)
     return A, Ts
 
@@ -62,13 +60,12 @@ def geqrf_program(
     b: int = 64,
     library: str = "mkl",
     lookahead: int = 0,
-    panel_kernel: str = "geqrf_panel",
     fork_join: bool = True,
 ) -> GraphProgram:
     """Fork-join blocked QR as a graph program (``dgeqrf`` baseline).
 
-    One window per iteration: one sequential panel task (``geqr2`` +
-    ``larft`` class), then one full-height ``larfb`` task per trailing
+    One window per iteration: one sequential panel task (priced as
+    ``geqrf_panel``, the ``geqr2`` + ``larft`` class), then one full-height ``larfb`` task per trailing
     block column — the update cannot be row-chunked.
     """
     layout = BlockLayout(m, n, b)
@@ -82,7 +79,7 @@ def geqrf_program(
         panel_tid = em.task(
             f"panel[{K}]",
             "P",
-            Cost.of(panel_kernel, rows_active, bk, library=library),
+            Cost.of("geqrf_panel", rows_active, bk, library=library),
             reads=(),
             writes=layout.active_blocks(K, K),
             # Fork-join: the vendor panel barriers on the previous update.

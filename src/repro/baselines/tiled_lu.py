@@ -106,9 +106,9 @@ def _unit_lower(B: np.ndarray) -> np.ndarray:
     return L
 
 
-def tiled_lu(A: np.ndarray, nb: int = 64, overwrite: bool = False) -> TiledLU:
-    """Factor ``A`` (``m >= n``) with PLASMA-style incremental pivoting."""
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+def tiled_lu(A: np.ndarray, nb: int = 64) -> TiledLU:
+    """Factor a copy of ``A`` (``m >= n``) with PLASMA-style incremental pivoting."""
+    A = np.array(A, dtype=float, order="C", subok=False)
     m, n = A.shape
     if m < n:
         raise ValueError(f"tiled_lu requires m >= n, got {A.shape}")

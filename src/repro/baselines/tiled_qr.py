@@ -117,9 +117,9 @@ class TiledQR:
         return scipy.linalg.solve_triangular(self.R, y[: self.n])
 
 
-def tiled_qr(A: np.ndarray, nb: int = 64, overwrite: bool = False) -> TiledQR:
-    """Factor ``A`` (``m >= n``) with PLASMA-style tiled QR."""
-    A = np.array(A, dtype=float, order="C", copy=not overwrite, subok=False)
+def tiled_qr(A: np.ndarray, nb: int = 64) -> TiledQR:
+    """Factor a copy of ``A`` (``m >= n``) with PLASMA-style tiled QR."""
+    A = np.array(A, dtype=float, order="C", subok=False)
     m, n = A.shape
     if m < n:
         raise ValueError(f"tiled_qr requires m >= n, got {A.shape}")

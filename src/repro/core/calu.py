@@ -94,7 +94,6 @@ def calu_program(
     guards: bool = True,
     checkpoint=None,
     abft: bool = False,
-    recompute: bool = True,
     store=None,
 ) -> tuple[GraphProgram, list[PanelWorkspace]]:
     """Build the CALU task graph as a :class:`GraphProgram`.
@@ -138,8 +137,7 @@ def calu_program(
     block tracker serializes it before any iteration-``K+1`` writer.
     *abft* replaces the S tasks' finiteness guard with Huang-Abraham
     checksum verification that repairs single-element corruption in
-    place.  *recompute* enables the TSLU tournament-replay rung of the
-    recovery ladder (see :func:`repro.core.tslu.add_tslu_tasks`).
+    place.
 
     *store* binds *A* and the per-panel workspace buffers (numeric runs
     only): the default is a :class:`~repro.runtime.tilestore.HeapBinding`
@@ -159,9 +157,7 @@ def calu_program(
     def panel(em: Emitter, chunks, ws):
         K = em.K
         k0, bk = K * b, layout.panel_width(K)
-        add_tslu_tasks(
-            em, layout, chunks, tree, ws, library=library, absmax=absmax, recompute=recompute
-        )
+        add_tslu_tasks(em, layout, chunks, tree, ws, library=library, absmax=absmax)
         # What every L/U/S descriptor of this panel shares: the matrix
         # and the pivot block's corner, width and columns.
         shared = numeric and {
@@ -378,19 +374,17 @@ def calu(
     tree: TreeKind = TreeKind.BINARY,
     executor=None,
     lookahead: int | None = None,
-    overwrite: bool = False,
     update_width: int | None = None,
-    check_finite: bool = True,
     guards: bool = True,
     checkpoint=None,
     abft: bool = False,
-    tournament_recompute: bool = True,
 ) -> CALUFactorization:
     """Factor ``A`` with multithreaded CALU (Algorithm 1).
 
     Parameters
     ----------
-    A : (m, n) array.
+    A : (m, n) array, finite (a NaN or Inf is a ``ValueError``); it is
+        copied to the working buffer, never factored in place.
     b : panel width (paper default ``min(100, n)``).
     tr : number of panel tasks ``Tr`` (tournament leaves).
     tree : reduction tree shape.
@@ -402,9 +396,6 @@ def calu(
         as an ``autotune`` event on the returned trace.
     lookahead : scheduling look-ahead depth; ``None`` is the paper's 1.
         A priority rule: it ranks the updates of panels ``K+1..K+lookahead``.
-    overwrite : allow factoring ``A`` in place (threaded path only;
-        the process backend stages onto the shared-memory arena — one
-        copy in, one copy out — whatever this flag says).
     update_width : optional trailing-update block size ``B >= b``
         (paper Section V extension): coarser, fewer update tasks.
     guards : attach numerical health guards to the task graph (see
@@ -421,15 +412,16 @@ def calu(
     abft : verify every trailing (S) update against Huang-Abraham
         checksums, repairing single-element corruption in place
         (recorded as ``abft_correct`` events) instead of aborting.
-    tournament_recompute : allow a corrupted TSLU tournament to be
-        replayed from clean panel data (identical pivots; recorded in
-        ``recovered_panels``) before degrading to partial pivoting.
+
+    A corrupted TSLU tournament is always replayed from clean panel
+    data (identical pivots; recorded in ``recovered_panels``) before the
+    panel degrades to partial pivoting.
 
     Returns a :class:`CALUFactorization`.  A repeated shape reuses its
     plan: a later call with the same shape, dtype, plane and knobs loads
     its matrix into the graph and buffers this one built
     (:func:`repro.core.driver.factorize`), so the result always owns its
-    memory; *checkpoint* and *overwrite* runs are compiled per call, and
+    memory; a *checkpoint* run is compiled per call, and
     :func:`repro.close_plans` hands the kept plans' memory back.
     """
     from repro.core.driver import ALGORITHMS, factorize
@@ -442,11 +434,8 @@ def calu(
         tree=tree,
         executor=executor,
         lookahead=lookahead,
-        overwrite=overwrite,
-        check_finite=check_finite,
         guards=guards,
         checkpoint=checkpoint,
         update_width=update_width,
         abft=abft,
-        recompute=tournament_recompute,
     )

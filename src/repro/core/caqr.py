@@ -203,8 +203,6 @@ def caqr(
     tree: TreeKind = TreeKind.FLAT,
     executor=None,
     lookahead: int | None = None,
-    overwrite: bool = False,
-    check_finite: bool = True,
     guards: bool = True,
     checkpoint=None,
 ) -> CAQRFactorization:
@@ -230,8 +228,6 @@ def caqr(
         tree=tree,
         executor=executor,
         lookahead=lookahead,
-        overwrite=overwrite,
-        check_finite=check_finite,
         guards=guards,
         checkpoint=checkpoint,
     )

@@ -228,7 +228,6 @@ def compile(
     tr: int,
     tree: TreeKind,
     shared: bool = False,
-    overwrite: bool = False,
     guards: bool = True,
     **build,
 ) -> Plan:
@@ -237,15 +236,15 @@ def compile(
     once, the service caches and the out-of-core drivers run.
 
     *A* is the matrix (copied to the working buffer: on a shared-memory
-    arena with *shared*, else on the heap, in place when *overwrite*
-    allows), a shape (an empty buffer to :meth:`Plan.load` into), or a
-    binding the caller staged and keeps (the streamed plane); a
-    standalone panel is one block column whatever *b* says.  The
-    program is the builder's, task for task, emitted whole here, so no
-    run emits; *build* is the builder's own (``checkpoint``, ...).
+    arena with *shared*, else on the heap), a shape (an empty buffer to
+    :meth:`Plan.load` into), or a binding the caller staged and keeps
+    (the streamed plane); a standalone panel is one block column
+    whatever *b* says.  The program is the builder's, task for task,
+    emitted whole here, so no run emits; *build* is the builder's own
+    (``checkpoint``, ...).
     """
     validate_knobs(tr=tr)
-    store, arena = staged(A, shared, overwrite=overwrite)
+    store, arena = staged(A, shared)
     try:
         m, n = store.A.shape
         layout = BlockLayout(m, n, n if alg.panel else b)
@@ -379,8 +378,6 @@ def factorize(
     tr: int,
     tree: TreeKind,
     executor=None,
-    overwrite: bool = False,
-    check_finite: bool = True,
     guards: bool = True,
     checkpoint=None,
     **build,
@@ -389,7 +386,7 @@ def factorize(
 
     The keywords are those of :func:`repro.core.calu.calu`; *build*
     holds whatever else the algorithm's program builder takes
-    (``lookahead``, and CALU's ``update_width``/``abft``/``recompute``).
+    (``lookahead``, and CALU's ``update_width``/``abft``).
     The steps: **validate** the knobs and the matrix; resolve the
     **executor** (``"auto"`` consults the autotuner with the problem's
     shape); **check out** the plan a previous call of this key left in
@@ -401,12 +398,11 @@ def factorize(
     copied out of the plan's buffers; **flush** the checkpoint writer;
     **check in** the plan — closed instead when the run raised or it is
     larger than the pool.  A run bound to more than its matrix bypasses
-    the pool and closes its plan as it returns: ``checkpoint=``,
-    ``overwrite=True`` (the caller's buffer is the working buffer) and
-    an unhashable *build* value.
+    the pool and closes its plan as it returns: ``checkpoint=`` and an
+    unhashable *build* value.
     """
     validate_knobs(tr=tr)
-    A = validate_matrix(A, "A", require_finite=check_finite)
+    A = validate_matrix(A, "A")
     m, n = A.shape
     if alg.panel:
         if m < n:
@@ -427,12 +423,9 @@ def factorize(
     # Tasks reach shared memory wherever the executor dispatches to a
     # worker pool: a ProcessExecutor, or an engine over a caller's pool.
     shared = getattr(executor, "pool", None) is not None
-    # check_finite=False means the caller opted into non-finite input
-    # ("garbage in"); the guards would only fight that.
-    guards = guards and check_finite
     decision = getattr(executor, "autotune_decision", None) if owned else None
     key = None
-    if checkpoint is None and not overwrite:
+    if checkpoint is None:
         key = (alg, A.shape, working_dtype(A), b, tr, tree, shared, guards)
         key += tuple(sorted(build.items()))
         try:
@@ -449,7 +442,6 @@ def factorize(
             tr=tr,
             tree=tree,
             shared=shared,
-            overwrite=overwrite,
             guards=guards,
             checkpoint=checkpoint,
             **build,

@@ -150,10 +150,10 @@ def plan_chunks(
     return merged_chunks(BlockLayout(m, n, b=n), 0, tr)
 
 
-def _stage_panel(
-    store: TileStore, src: MatrixSource, chunks: list[Chunk], check_finite: bool, dtype
-) -> tuple:
-    """Reserve a *dtype* store region for the panel and stream the source in."""
+def _stage_panel(store: TileStore, src: MatrixSource, chunks: list[Chunk], dtype) -> tuple:
+    """Reserve a *dtype* store region for the panel and stream the
+    source in, refusing a window with a non-finite entry before it is
+    stored."""
     m, n = src.shape
     a_spec = store.reserve((m, n), dtype)
     for chunk in chunks:
@@ -163,7 +163,7 @@ def _stage_panel(
                 f"source fill({chunk.r0}, {chunk.r1}) returned {block.shape}, "
                 f"expected {(chunk.rows, n)}"
             )
-        if check_finite and not np.isfinite(block).all():
+        if not np.isfinite(block).all():
             raise ValueError(
                 f"panel rows [{chunk.r0}, {chunk.r1}) contain non-finite entries"
             )
@@ -201,9 +201,7 @@ class StoreHandle:
 
 
 @contextmanager
-def _streamed(
-    alg, source, tree, tr, memory_budget, store, spill_dir, n_workers, check_finite
-):
+def _streamed(alg, source, tree, tr, memory_budget, store, spill_dir, n_workers):
     """Stage *source* into *store* (chunked as the in-memory drivers
     chunk), bind it, compile *alg* over the binding and run that:
     yields ``(plan, handle)`` — the
@@ -223,7 +221,7 @@ def _streamed(
     chunks = plan_chunks(m, n, tr=tr)
     tiles, owned = open_store(store, spill_dir)
     try:
-        a_spec = _stage_panel(tiles, src, chunks, check_finite, dtype)
+        a_spec = _stage_panel(tiles, src, chunks, dtype)
         binding = StreamedBinding(tiles, a_spec, max(2 * n, *(c.rows for c in chunks)))
         plan = compile(alg, binding, tr=tr, tree=tree)
         plan.run(ThreadedExecutor(max(1, n_workers)))
@@ -257,20 +255,20 @@ def tsqr_ooc(
     store="mmap",
     spill_dir=None,
     n_workers: int = 2,
-    check_finite: bool = True,
 ) -> OOCTSQRFactorization:
     """QR-factor a tall-skinny panel streamed through a tile store.
 
     *source* is an ndarray, a ``(shape, fill)`` pair or a
     :class:`MatrixSource`; it is staged into *store* window by window,
     then factored with the flat reduction tree without the panel ever
-    being resident.  *tr* pins the chunking (parity with the in-memory
+    being resident; a window with a NaN or Inf is a ``ValueError``
+    before it is stored.  *tr* pins the chunking (parity with the in-memory
     driver); otherwise the chunk height comes from *memory_budget*.
     The caller owns the returned factorization and should ``destroy()``
     it (or use it as a context manager) once done with ``Q``.
     """
     with _streamed(
-        TSQR, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers, check_finite
+        TSQR, source, TreeKind.FLAT, tr, memory_budget, store, spill_dir, n_workers
     ) as (plan, handle):
         R = np.triu(plan.A[: handle["n"], :])
         return OOCTSQRFactorization(store=plan.state[0], R=R, tr=plan.tr, tree=plan.tree, **handle)
@@ -307,7 +305,6 @@ def tslu_ooc(
     spill_dir=None,
     n_workers: int = 2,
     tree: TreeKind = TreeKind.FLAT,
-    check_finite: bool = True,
 ) -> OOCPanelLU:
     """LU-factor a tall-skinny panel streamed through a tile store.
 
@@ -319,7 +316,7 @@ def tslu_ooc(
     paths can run.
     """
     with _streamed(
-        TSLU, source, tree, tr, memory_budget, store, spill_dir, n_workers, check_finite
+        TSLU, source, tree, tr, memory_budget, store, spill_dir, n_workers
     ) as (plan, handle):
         ws = plan.state[0]
         return OOCPanelLU(piv=np.array(ws.piv), recovered=ws.recomputed, **handle)

@@ -217,7 +217,6 @@ def add_tslu_tasks(
     *,
     library: str = "repro",
     absmax: float | None = None,
-    recompute: bool = True,
 ) -> None:
     """Emit the TSLU tasks of the emitter's panel: the loop's P step for LU.
 
@@ -238,10 +237,9 @@ def add_tslu_tasks(
     :class:`~repro.resilience.faults.FaultPlan` can target the workspace
     instead of the matrix, and the finalize guards its pivot block.
     *absmax* (the matrix's pre-factorization magnitude, kept on *ws*)
-    enables the pivot-growth monitor on the finalize task.  *recompute*
-    lets the finalize task repair a corrupted tournament by replaying it
-    from the clean panel data (identical pivots) before degrading to
-    partial pivoting.
+    enables the pivot-growth monitor on the finalize task.  The finalize
+    task repairs a corrupted tournament by replaying it from the clean
+    panel data (identical pivots) before degrading to partial pivoting.
     """
     K, store = em.K, em.store
     m, k0, bk = layout.m, K * layout.b, layout.panel_width(K)
@@ -336,7 +334,6 @@ def add_tslu_tasks(
             "piv": ws.piv_spec,
             "leaves": [(c.index, c.r0, c.r1) for c in chunks],
             "merges": merges,
-            "allow_recompute": bool(recompute),
         },
     )
     # The finalize swaps + factors the whole active panel column (its
@@ -359,8 +356,6 @@ def tslu(
     tr: int = 4,
     tree: TreeKind = TreeKind.BINARY,
     executor=None,
-    overwrite: bool = False,
-    check_finite: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Factor one tall-skinny panel with tournament pivoting.
 
@@ -375,10 +370,9 @@ def tslu(
 
     A panel factored *out of core* is :func:`repro.core.outofcore.tslu_ooc`'s.
 
-    Copy semantics: ``overwrite=True`` factors *A* in place only on the
-    threaded path; the process backend stages the panel into a shared-
-    memory arena (one copy in, one copy out) regardless.  Without
-    ``overwrite`` a repeated (in-memory) shape reuses its plan as in
+    *A* is copied to the working buffer (on the heap, or onto the
+    shared-memory arena for the process backend), never factored in
+    place; a repeated shape reuses its plan as in
     :func:`~repro.core.calu.calu`, and ``lu`` is the caller's own array.
     """
     from repro.core.driver import TSLU, factorize
@@ -389,6 +383,4 @@ def tslu(
         tr=tr,
         tree=tree,
         executor=executor,
-        overwrite=overwrite,
-        check_finite=check_finite,
     )

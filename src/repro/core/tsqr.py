@@ -300,8 +300,6 @@ def tsqr(
     tr: int = 4,
     tree: TreeKind = TreeKind.FLAT,
     executor=None,
-    overwrite: bool = False,
-    check_finite: bool = True,
 ):
     """QR-factor one tall-skinny panel with a reduction tree.
 
@@ -313,12 +311,9 @@ def tsqr(
 
     A panel factored *out of core* is :func:`repro.core.outofcore.tsqr_ooc`'s.
 
-    Copy semantics: ``overwrite=True`` factors *A* in place only on the
-    threaded (shared-address-space) path.  The process backend always
-    stages the panel into a shared-memory arena — there ``overwrite``
-    merely skips nothing, since the single staging copy doubles as the
-    working copy and results are copied back off the arena.  Without
-    ``overwrite`` a repeated (in-memory) shape reuses its plan as in
+    *A* is copied to the working buffer (on the heap, or onto the
+    shared-memory arena for the process backend), never factored in
+    place; a repeated shape reuses its plan as in
     :func:`~repro.core.calu.calu`, and the result owns its memory.
     """
     from repro.core.driver import TSQR, factorize
@@ -329,6 +324,4 @@ def tsqr(
         tr=tr,
         tree=tree,
         executor=executor,
-        overwrite=overwrite,
-        check_finite=check_finite,
     )

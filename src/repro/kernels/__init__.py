@@ -27,7 +27,7 @@ and as ``lapack_tpqrt/lapack_tpmqrt``) and
 ``tstrf/ssssm`` (PLASMA's incremental-pivoting LU kernels).
 """
 
-from repro.kernels.blas import blas_trsm, gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
+from repro.kernels.blas import blas_trsm, gemm, ger, laswp, trsm_llnu, trsm_runn
 from repro.kernels.lu import getf2, getf2_nopiv, getrf, lapack_getrf, rgetf2
 from repro.kernels.qr import (
     extract_v,
@@ -70,7 +70,6 @@ __all__ = [
     "larft",
     "laswp",
     "rgetf2",
-    "scal_axpy_col",
     "ssssm_apply",
     "tpmqrt_left_t",
     "tpqrt",

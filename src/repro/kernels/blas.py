@@ -25,7 +25,7 @@ from scipy.linalg.blas import get_blas_funcs
 
 from repro.counters import add_call, add_flops, add_words
 
-__all__ = ["gemm", "trsm_llnu", "trsm_runn", "blas_trsm", "ger", "laswp", "scal_axpy_col"]
+__all__ = ["gemm", "trsm_llnu", "trsm_runn", "blas_trsm", "ger", "laswp"]
 
 
 def gemm(C: np.ndarray, A: np.ndarray, B: np.ndarray, alpha: float = -1.0, beta: float = 1.0) -> np.ndarray:
@@ -145,24 +145,6 @@ def ger(A: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float = -1.0) -> np.
     else:
         A += alpha * np.outer(x, y)
     return A
-
-
-def scal_axpy_col(A: np.ndarray, j: int) -> None:
-    """Eliminate column *j* of the active submatrix of ``A`` in place.
-
-    Scales ``A[j+1:, j]`` by ``1/A[j, j]`` and applies the rank-1
-    update to ``A[j+1:, j+1:]``.  This is the body of the classical
-    ``getf2`` loop, factored out so that both the pivoted and the
-    no-pivoting eliminations share it.
-    """
-    m, n = A.shape
-    piv = A[j, j]
-    if piv == 0.0:
-        raise ZeroDivisionError(f"zero pivot at position {j}")
-    add_flops(m - j - 1)
-    A[j + 1 :, j] /= piv
-    if j + 1 < n:
-        ger(A[j + 1 :, j + 1 :], A[j + 1 :, j], A[j, j + 1 :])
 
 
 def laswp(A: np.ndarray, piv: np.ndarray, forward: bool = True) -> np.ndarray:

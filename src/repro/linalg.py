@@ -76,8 +76,6 @@ def solve(
     checkpoint=None,
     executor=None,
     lookahead: int | None = None,
-    service=None,
-    deadline_s: float | None = None,
 ) -> np.ndarray:
     """Solve the square system ``A x = rhs`` with CALU.
 
@@ -101,36 +99,11 @@ def solve(
     ``executor="process"`` (or a
     :class:`~repro.runtime.process.ProcessExecutor`) to run the
     kernels in a worker-process pool over a shared-memory arena —
-    true multicore execution outside the GIL.
-
-    With *service* (a
-    :class:`~repro.service.service.FactorizationService`) the request
-    is routed through the overload-safe service instead: shared worker
-    pool, cached graph plans, admission control and — with
-    *deadline_s* — a per-request deadline.  May then raise
-    :class:`~repro.service.admission.AdmissionRejected` or
-    :class:`~repro.service.admission.DeadlineExceeded`; *checkpoint*,
-    *executor* and *refine* are the direct path's knobs and cannot be
-    combined with it.
+    true multicore execution outside the GIL.  A request with a
+    deadline, over a shared pool and cached plans, is
+    :meth:`FactorizationService.solve
+    <repro.service.service.FactorizationService.solve>`'s.
     """
-    if service is not None:
-        if checkpoint is not None or executor is not None or refine > 0:
-            raise ValueError(
-                "service= cannot be combined with checkpoint=, executor= or refine="
-            )
-        return service.solve(
-            A,
-            rhs,
-            b=b,
-            tr=tr,
-            tree=tree,
-            auto_refine=auto_refine,
-            rtol=rtol,
-            report=report,
-            deadline_s=deadline_s,
-        )
-    if deadline_s is not None:
-        raise ValueError("deadline_s requires service=")
     A = np.asarray(validate_matrix(A, "A"), dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"solve requires a square matrix, got shape {A.shape}")
@@ -206,25 +179,16 @@ def lstsq(
     cores: int = 4,
     executor=None,
     lookahead: int | None = None,
-    service=None,
-    deadline_s: float | None = None,
 ) -> np.ndarray:
     """Least-squares solution of ``min ||A x - rhs||_2`` with CAQR (``m >= n``).
 
     Unset parameters are filled from the paper's tuning heuristics.
     *executor*/*lookahead* are forwarded to :func:`~repro.core.caqr.caqr`
     (*lookahead* ranks the task priorities).  ``executor="process"`` runs the
-    panel/update kernels in a worker-process pool over shared memory.
-    With *service* the request goes through the overload-safe
-    :class:`~repro.service.service.FactorizationService` (cannot be
-    combined with *executor*); *deadline_s* bounds it end to end.
+    panel/update kernels in a worker-process pool over shared memory;
+    the service's request is :meth:`FactorizationService.lstsq
+    <repro.service.service.FactorizationService.lstsq>`.
     """
-    if service is not None:
-        if executor is not None:
-            raise ValueError("service= cannot be combined with executor=")
-        return service.lstsq(A, rhs, b=b, tr=tr, tree=tree, deadline_s=deadline_s)
-    if deadline_s is not None:
-        raise ValueError("deadline_s requires service=")
     A = np.asarray(validate_matrix(A, "A"), dtype=float)
     if A.shape[0] < A.shape[1]:
         raise ValueError(f"lstsq requires m >= n, got shape {A.shape}")

@@ -44,16 +44,11 @@ class NumericalHealthWarning(UserWarning):
 DEFAULT_GROWTH_LIMIT = 1e8
 
 
-def validate_matrix(
-    A,
-    name: str = "A",
-    *,
-    require_finite: bool = True,
-) -> np.ndarray:
+def validate_matrix(A, name: str = "A") -> np.ndarray:
     """Validate a public-API matrix argument; returns ``np.asarray(A)``.
 
-    Rejects non-2D inputs, empty matrices and (optionally) non-finite
-    entries with a clear :class:`ValueError` naming the argument.
+    Rejects non-2D inputs, empty matrices and non-finite entries with a
+    clear :class:`ValueError` naming the argument.
     """
     A = np.asarray(A)
     if A.ndim != 2:
@@ -66,12 +61,9 @@ def validate_matrix(
         raise ValueError(f"{name} must be numeric, got dtype {A.dtype}")
     if np.issubdtype(A.dtype, np.complexfloating):
         raise ValueError(f"{name} must be real, got dtype {A.dtype}")
-    if require_finite and not np.isfinite(A).all():
+    if not np.isfinite(A).all():
         bad = int(np.size(A) - np.count_nonzero(np.isfinite(A)))
-        raise ValueError(
-            f"{name} contains {bad} NaN or Inf entries "
-            "(pass check_finite=False to skip this check)"
-        )
+        raise ValueError(f"{name} contains {bad} NaN or Inf entries")
     return A
 
 

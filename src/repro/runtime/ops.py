@@ -164,7 +164,7 @@ def _op_tslu_finalize(p: dict) -> None:
     lu, gidx = _read_slot(p["root"])
     flags = attach_array(p["flags"])
     degraded = bool(flags[0]) or len(gidx) == 0 or not np.isfinite(lu).all()
-    if degraded and p["allow_recompute"]:
+    if degraded:
         # Recovery ladder, rung 1: the tournament tasks never wrote the
         # matrix, so replay the whole reduction from the clean panel.
         # Success restores fault-free pivots and factors bit for bit.
@@ -175,8 +175,8 @@ def _op_tslu_finalize(p: dict) -> None:
             flags[0] = 0
             flags[1] = 1
     if degraded:
-        # Rung 2 — graceful degradation: the tournament's candidates
-        # are unusable, so select pivots by classic GEPP partial
+        # Rung 2 — graceful degradation: the replay found the panel
+        # itself unusable too, so select pivots by classic GEPP partial
         # pivoting on a *copy* of the panel, whose top rows are then
         # the pivot block's factors (the actual panel is swapped as in
         # the tournament path, leaving the sub-pivot rows for the L

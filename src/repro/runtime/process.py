@@ -164,20 +164,13 @@ class _WorkerPool:
     temporary by construction.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        start_method: str | None = None,
-        respawn_governor=None,
-    ) -> None:
+    def __init__(self, n_workers: int, respawn_governor=None) -> None:
         self.n_workers = n_workers
-        if start_method is None:
-            # fork shares the parent's module state (no re-import per
-            # worker) and is the fast path on Linux; fall back to the
-            # platform default elsewhere.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else None
-        self._ctx = multiprocessing.get_context(start_method)
+        # fork shares the parent's module state (no re-import per
+        # worker) and is the fast path on Linux; fall back to the
+        # platform default elsewhere.
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if fork else None)
         self._procs: list = [None] * n_workers
         self._conns: list = [None] * n_workers
         self._pollers: list = [None] * n_workers  # one persistent poll per pipe
@@ -563,9 +556,6 @@ class ProcessExecutor(ExecutionEngine):
     *options* of :class:`~repro.runtime.engine.ExecutionEngine` (less
     ``process_pool``: the pool is this executor's own), plus:
 
-    start_method:
-        ``multiprocessing`` start method (default: ``"fork"`` where
-        available, else the platform default).
     respawn_governor:
         Optional rate limiter (an object with ``allow_respawn(core)``)
         consulted before respawning a dead worker, so a crash-looping
@@ -573,19 +563,16 @@ class ProcessExecutor(ExecutionEngine):
         :class:`~repro.service.supervisor.RespawnGovernor`.
     """
 
-    def __init__(self, *args, start_method: str | None = None, respawn_governor=None, **options):
+    def __init__(self, *args, respawn_governor=None, **options):
         options.setdefault("thread_name", "repro-dispatch")
         super().__init__(*args, process_pool=None, **options)
-        self.start_method = start_method
         self.respawn_governor = respawn_governor
 
     @property
     def pool(self) -> _WorkerPool:
         if self._pool is None or self._pool._closed:
             self._pool = _WorkerPool(
-                max(1, self.n_workers - 1),
-                self.start_method,
-                respawn_governor=self.respawn_governor,
+                max(1, self.n_workers - 1), respawn_governor=self.respawn_governor
             )
         return self._pool
 

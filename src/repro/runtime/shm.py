@@ -116,7 +116,7 @@ def working_dtype(A) -> np.dtype:
     return dtype if dtype in (np.float32, np.float64) else np.dtype(np.float64)
 
 
-def staged(A, shared: bool = False, *, overwrite: bool = False):
+def staged(A, shared: bool = False):
     """Make a factorization's one working buffer and bind it: returns
     ``(binding, arena)``, the arena (if one was made here) being the
     caller's to destroy.
@@ -126,8 +126,8 @@ def staged(A, shared: bool = False, *, overwrite: bool = False):
     With *shared* the buffer lives on a fresh :class:`SharedArena` — one
     ``alloc(zero=False)`` + ``copyto``, dtype and layout converted on
     the way — as a :class:`ShmBinding`; otherwise it is a float
-    C-ordered heap array (*A* itself when *overwrite* allows) in a
-    :class:`HeapBinding`.  Results leave through ``binding.detach``.
+    C-ordered heap copy in a :class:`HeapBinding`.  Results leave
+    through ``binding.detach``.
     """
     if hasattr(A, "a_spec"):
         return A, None
@@ -141,5 +141,4 @@ def staged(A, shared: bool = False, *, overwrite: bool = False):
         return ShmBinding(arena, buffer), arena
     if A is None:
         return HeapBinding(np.zeros(shape, dtype)), None
-    heap = np.array(A, dtype=dtype, order="C", copy=not overwrite, subok=False)
-    return HeapBinding(heap), None
+    return HeapBinding(np.array(A, dtype=dtype, order="C", subok=False)), None

@@ -74,8 +74,6 @@ class ServiceConfig:
     max_active, max_queue:
         Admission bounds: requests running concurrently, and requests
         queued behind them before load shedding kicks in.
-    default_deadline_s:
-        Deadline applied to requests that pass none (None = unbounded).
     task_timeout_s, stall_timeout_s:
         Per-task and no-progress watchdog timeouts forwarded to every
         request's engine (None = disabled).
@@ -83,23 +81,23 @@ class ServiceConfig:
         Total request-level attempts (1 = no retry).  A retry loads
         a fresh plan (the failed attempt's is closed) and re-runs the
         whole graph, so it is safe whichever tasks had completed.
-    retry_backoff_s, retry_jitter, seed:
-        Exponential-backoff base, jitter fraction and seed for the
-        request-level retry schedule (and, with ``task_retries``, the
-        engine's task-level :class:`RetryPolicy`).
+    seed:
+        Seed for the request-level retry schedule (and, with
+        ``task_retries``, the engine's task-level :class:`RetryPolicy`):
+        a 5 ms exponential-backoff base for the request retries, and
+        jitter of 0.5 on both.
     task_retries:
         Task-level retries inside each engine run.
-    breaker_threshold, breaker_window_s, breaker_open_s, breaker_probes:
+    breaker_threshold, breaker_window_s, breaker_open_s:
         Circuit-breaker tuning (see
-        :class:`~repro.service.breaker.CircuitBreaker`).
+        :class:`~repro.service.breaker.CircuitBreaker`; one successful
+        probe re-closes it).
     max_plans:
         Idle compiled plans kept for reuse; beyond it the least recently
         used is closed.  (Plans in use are bounded by ``max_active``.)
-    max_respawns, respawn_window_s:
-        Worker respawn-rate throttle (see
+    max_respawns:
+        Worker respawns allowed per second (see
         :class:`~repro.service.supervisor.RespawnGovernor`).
-    start_method:
-        ``multiprocessing`` start method for the pool (None = default).
     fault_plan_factory:
         Testing hook: a zero-argument callable returning a
         :class:`~repro.resilience.faults.FaultPlan` (or None) for each
@@ -110,22 +108,16 @@ class ServiceConfig:
     backend: str = "auto"
     max_active: int = 2
     max_queue: int = 8
-    default_deadline_s: float | None = None
     task_timeout_s: float | None = None
     stall_timeout_s: float | None = None
     max_attempts: int = 2
-    retry_backoff_s: float = 0.005
-    retry_jitter: float = 0.5
     seed: int = 0
     task_retries: int = 2
     breaker_threshold: int = 3
     breaker_window_s: float = 30.0
     breaker_open_s: float = 1.0
-    breaker_probes: int = 1
     max_plans: int = 8
     max_respawns: int = 8
-    respawn_window_s: float = 1.0
-    start_method: str | None = None
     fault_plan_factory: "Callable[[], object] | None" = None
 
     def __post_init__(self) -> None:
@@ -176,29 +168,20 @@ class FactorizationService:
             failure_threshold=cfg.breaker_threshold,
             window_s=cfg.breaker_window_s,
             open_s=cfg.breaker_open_s,
-            probe_successes=cfg.breaker_probes,
         )
-        self._governor = RespawnGovernor(cfg.max_respawns, cfg.respawn_window_s)
+        self._governor = RespawnGovernor(cfg.max_respawns)
         self._executor = None
         if backend == "process":
             from repro.runtime.process import ProcessExecutor
 
-            self._executor = ProcessExecutor(
-                n_workers=cfg.cores,
-                start_method=cfg.start_method,
-                respawn_governor=self._governor,
-            )
+            self._executor = ProcessExecutor(n_workers=cfg.cores, respawn_governor=self._governor)
         # Task-level retries (inside one engine run) and request-level
         # retries (whole-graph re-run) share the backoff machinery.
-        self._task_retry = RetryPolicy(
-            max_retries=cfg.task_retries,
-            jitter=cfg.retry_jitter,
-            seed=cfg.seed,
-        )
+        self._task_retry = RetryPolicy(max_retries=cfg.task_retries, jitter=0.5, seed=cfg.seed)
         self._request_retry = RetryPolicy(
             max_retries=max(cfg.max_attempts - 1, 0),
-            backoff_s=cfg.retry_backoff_s,
-            jitter=cfg.retry_jitter,
+            backoff_s=0.005,
+            jitter=0.5,
             seed=cfg.seed + 1,
             retry_all=True,
         )
@@ -293,8 +276,6 @@ class FactorizationService:
 
     def _request(self, op, A, params, deadline_s, extract):
         t0 = time.monotonic()
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
         deadline = None if deadline_s is None else t0 + float(deadline_s)
         self._admission.try_acquire(deadline, deadline_s or 0.0)
         req = _Request(next(self._rid), deadline, deadline_s or 0.0)

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import driver
 from repro.core.calu import calu
 from repro.core.caqr import caqr
+from repro.core.outofcore import tslu_ooc, tsqr_ooc
 from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.core.tsqr import tsqr
 from repro.linalg import lstsq, solve
 from repro.machine.autotune import recommend_params
+from repro.runtime.tilestore import TileStore
 from tests.conftest import make_rng
 
 
@@ -83,10 +86,39 @@ class TestCheckFinite:
             tsqr(A, tr=2)
 
     def test_opt_out(self):
+        """There is none: ``check_finite=`` is no keyword, and a NaN is
+        refused with no hint of one."""
         A = make_rng(7).standard_normal((20, 20))
         A[0, 0] = np.nan
-        f = calu(A, b=5, tr=2, check_finite=False)  # garbage in, no raise
-        assert np.isnan(f.lu).any()
+        with pytest.raises(TypeError):
+            calu(A, b=5, tr=2, check_finite=False)
+        with pytest.raises(ValueError, match=r"NaN or Inf entries$"):
+            calu(A, b=5, tr=2)
+
+    @pytest.mark.parametrize("name", ["calu", "caqr", "tsqr", "tslu", "tsqr_ooc", "tslu_ooc"])
+    def test_a_nan_is_refused_before_anything_is_staged(self, name, monkeypatch):
+        """Every driver refuses non-finite input; none has an opt-out.
+        The in-memory drivers check the whole matrix before staging it;
+        the out-of-core ones check each window before storing it, so a
+        NaN in the first window stores nothing."""
+
+        def staging(*args, **kwargs):
+            raise AssertionError("staged a non-finite matrix")
+
+        monkeypatch.setattr(driver, "staged", staging)
+        monkeypatch.setattr(TileStore, "store", staging)
+        A = make_rng(8).standard_normal((40, 8))
+        A[0, 3] = np.nan
+        run = {
+            "calu": lambda: calu(A, b=4, tr=2),
+            "caqr": lambda: caqr(A, b=4, tr=2),
+            "tsqr": lambda: tsqr(A, tr=2),
+            "tslu": lambda: tslu(A, tr=2),
+            "tsqr_ooc": lambda: tsqr_ooc(A, tr=2),
+            "tslu_ooc": lambda: tslu_ooc(A, tr=2),
+        }[name]
+        with pytest.raises(ValueError, match="NaN or Inf|non-finite"):
+            run()
 
 
 class TestChromeTracing:

@@ -91,10 +91,15 @@ def test_default_block_size_is_paper_value():
 
 
 def test_overwrite():
+    """calu has no in-place mode: the input is copied to the working
+    buffer, left as it was, and shares no memory with the factors."""
     A0 = make_rng(8).standard_normal((60, 60))
     A = A0.copy()
-    f = calu(A, b=20, tr=2, overwrite=True)
-    assert f.lu is A
+    with pytest.raises(TypeError):
+        calu(A, b=20, tr=2, overwrite=True)
+    f = calu(A, b=20, tr=2)
+    np.testing.assert_array_equal(A, A0)
+    assert not np.shares_memory(f.lu, A)
 
 
 def test_executors_agree():

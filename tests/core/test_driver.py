@@ -5,12 +5,13 @@ an algorithm record, so what used to be true of the driver that got the
 fix is true of all four: the knobs are validated at the entry, every
 executor (engine-backed or caller-made) gets the plan's materialized
 graph, ``executor="auto"`` is asked about the real shape
-and obeyed, and the input is never touched without ``overwrite``.
+and obeyed, and the input is never touched.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_engine_backed_executors_stream_and_duck_typed_get_the_graph(name, backe
         if backend == "process":
             executor.close()
     assert isinstance(executor.got, TaskGraph)  # the plan's graph, emitted by compile
-    assert np.array_equal(A, kept), "overwrite=False must leave the input alone"
+    assert np.array_equal(A, kept), "staging must leave the input alone"
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g, w)
 
@@ -353,11 +354,11 @@ def _hooks(graph) -> set[tuple[str, str]]:
 
 
 def test_the_panel_drivers_follow_the_guard_rule():
-    """``guards and check_finite``, as calu/caqr: tslu used to arm its
+    """``guards`` arms the hooks, as for calu/caqr: tslu used to arm its
     tournament guards whatever the caller said, tsqr armed none."""
-    for panel_driver in (tslu, tsqr):
+    for alg in (driver.TSLU, driver.TSQR):
         executor = Sequential()
-        panel_driver(_panel(), tr=3, executor=executor, check_finite=False)
+        driver.factorize(alg, _panel(), tr=3, tree=alg.tree, executor=executor, guards=False)
         assert _hooks(executor.got) == set()
     executor = Sequential()
     tslu(_panel(), tr=3, executor=executor)
@@ -372,11 +373,15 @@ def test_the_panel_drivers_follow_the_guard_rule():
 
 
 def test_a_nan_in_a_tsqr_leaf_is_a_structured_failure():
-    # The leaf's own guard names it; the parent commit only noticed at
-    # the end of the run, in the result's last line of defense.
-    A = np.ascontiguousarray(_panel())
-    plan = FaultPlan(seed=0, corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1, target=A[:8])
+    # The guard of the leaf whose rows hold the NaN names it; the parent
+    # commit only noticed at the end of the run, in the result's last
+    # line of defense.  The driver aims the plan at its working buffer.
+    A = _panel()
+    plan = FaultPlan(seed=0, corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)
     with pytest.raises(RuntimeFailure) as caught:
-        tsqr(A, tr=3, executor=ThreadedExecutor(1, fault_plan=plan), overwrite=True)
-    assert caught.value.failure_kind == "health" and caught.value.task == "P[0]leaf0"
-    assert [event.kind for event in plan.injected] == ["fault_corrupt"]
+        tsqr(A, tr=3, executor=ThreadedExecutor(1, fault_plan=plan))
+    (event,) = plan.injected
+    assert event.kind == "fault_corrupt" and event.task == "P[0]leaf0"
+    row = int(re.search(r"target\[(\d+)\]", event.detail)[1]) // A.shape[1]
+    assert caught.value.failure_kind == "health"
+    assert caught.value.task == f"P[0]leaf{row // 24}"  # tr=3 leaves of 24 rows

@@ -53,6 +53,12 @@ the ``calu_leftswaps`` descriptor (so the process backend ships it to a
 worker): hashing that task's body as ``"closure"`` again reproduced
 each CRC, and its ``Cost``, footprint and edges did not move.
 
+The 34 numeric LU keys were re-recorded when the tournament replay
+lost its off switch and the ``tslu_finalize`` payload dropped
+``"allow_recompute"``: hashing it back in as ``True`` reproduced each
+old CRC.  The two ``norecompute`` variant keys went with the switch
+(hashing their plain build with ``False`` put back reproduced theirs).
+
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).
 """
@@ -95,7 +101,6 @@ VARIANTS = {
         "lookahead0": {"lookahead": 0},
         "lookahead2": {"lookahead": 2},
         "mkl_updates": {"update_library": "mkl"},
-        "norecompute": {"recompute": False},
         "checkpoint": {"checkpoint": 2},
     },
     "qr": {

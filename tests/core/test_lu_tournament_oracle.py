@@ -306,7 +306,7 @@ def test_critical_path_mutants_fail_the_backward_error_bound(mutant, monkeypatch
         monkeypatch.setattr(ops, "_elect", _elect_forwarding_original_rows(ops._elect))
     else:
         monkeypatch.setitem(ops.OPS, "calu_l", _l_solve_with_unit_u)
-    f = calu(A, b=b, tr=tr, executor=executors["serial"], check_finite=False)
+    f = calu(A, b=b, tr=tr, executor=executors["serial"], guards=False)
     assert not _backward_error(A, f) <= C * m * np.finfo(np.float64).eps
 
 

@@ -91,10 +91,12 @@ def test_input_preserved_by_default():
 
 
 def test_overwrite():
-    A0 = make_rng(12).standard_normal((50, 5))
-    A = A0.copy()
-    f = tsqr(A, tr=2, overwrite=True)
-    assert not np.array_equal(A, A0)  # factored in place
+    """tsqr has no in-place mode: the leaves' reflectors live in a copy."""
+    A = make_rng(12).standard_normal((50, 5))
+    with pytest.raises(TypeError):
+        tsqr(A, tr=2, overwrite=True)
+    f = tsqr(A, tr=2)
+    assert not any(np.shares_memory(leaf.V.A, A) for leaf in f.store.leaves.values())
 
 
 def test_trees_give_same_r_up_to_signs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.counters import counting
-from repro.kernels.blas import blas_trsm, gemm, ger, laswp, scal_axpy_col, trsm_llnu, trsm_runn
+from repro.kernels.blas import blas_trsm, gemm, ger, laswp, trsm_llnu, trsm_runn
 
 
 class TestGemm:
@@ -174,23 +174,6 @@ class TestGer:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ger(np.zeros((3, 3)), np.zeros(2), np.zeros(3))
-
-
-class TestScalAxpyCol:
-    def test_eliminates_column(self, rng):
-        A = rng.standard_normal((6, 6))
-        A[0, 0] = 2.0
-        ref = A.copy()
-        scal_axpy_col(A, 0)
-        np.testing.assert_allclose(A[1:, 0], ref[1:, 0] / 2.0)
-        np.testing.assert_allclose(
-            A[1:, 1:], ref[1:, 1:] - np.outer(ref[1:, 0] / 2.0, ref[0, 1:]), rtol=1e-13
-        )
-
-    def test_zero_pivot_raises(self):
-        A = np.zeros((3, 3))
-        with pytest.raises(ZeroDivisionError):
-            scal_axpy_col(A, 0)
 
 
 class TestLaswp:

@@ -15,6 +15,7 @@ from repro.core.caqr import caqr
 from repro.core.tslu import tslu
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
+from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import assert_lu_ok, make_rng
@@ -30,6 +31,14 @@ class _CorruptOneTask(FaultPlan):
 
     def decide(self, task, attempt: int = 0) -> dict:
         return {"corrupt": True} if task.name == self.name and attempt == 0 else {}
+
+
+def _fail_the_replay(monkeypatch) -> None:
+    """Make rung 1 of the recovery ladder, the tournament replay, find
+    the panel unusable (as a non-finite panel would), so a corrupted
+    tournament goes on to rung 2 in this process — and in the worker
+    processes forked after this."""
+    monkeypatch.setattr(ops, "_recompute_tournament", lambda *args: None)
 
 
 class TestCALUDegradation:
@@ -90,13 +99,14 @@ class TestCALUDegradation:
             assert f.recovered_panels == (0,)
             assert f.degraded_panels == ()
 
-    def test_corrupted_tournament_falls_back_to_partial_pivoting(self):
+    def test_corrupted_tournament_falls_back_to_partial_pivoting(self, monkeypatch):
         A0 = make_rng(0).standard_normal((48, 48))
-        # With the recompute rung disabled, the historical behaviour:
-        # the finalize task degrades the panel to classic GEPP.
+        # When the replay fails too (rung 1), the finalize task degrades
+        # the panel to classic GEPP (rung 2).
+        _fail_the_replay(monkeypatch)
         plan = FaultPlan(0, corrupt_rate={"P": 1.0}, max_faults=1)
         ex = ThreadedExecutor(1, fault_plan=plan)
-        f = calu(A0, b=8, tr=4, executor=ex, tournament_recompute=False)
+        f = calu(A0, b=8, tr=4, executor=ex)
         assert_lu_ok(A0, f.lu, f.piv)
         assert f.degraded_panels == (0,)
         assert f.recovered_panels == ()
@@ -104,16 +114,11 @@ class TestCALUDegradation:
         assert counts.get("fault_corrupt") == 1
         assert counts.get("degraded", 0) >= 1
 
-    def test_degraded_panel_factors_match_plain_gepp_quality(self):
+    def test_degraded_panel_factors_match_plain_gepp_quality(self, monkeypatch):
         A0 = make_rng(1).standard_normal((40, 40))
+        _fail_the_replay(monkeypatch)
         plan = FaultPlan(2, corrupt_rate={"P": 1.0}, max_faults=1)
-        f = calu(
-            A0,
-            b=10,
-            tr=4,
-            executor=ThreadedExecutor(1, fault_plan=plan),
-            tournament_recompute=False,
-        )
+        f = calu(A0, b=10, tr=4, executor=ThreadedExecutor(1, fault_plan=plan))
         x = f.solve(np.ones(40))
         r = np.linalg.norm(A0 @ x - 1.0)
         assert r < 1e-8

@@ -44,11 +44,6 @@ class TestValidateMatrix:
         with pytest.raises(ValueError, match="A contains 1 NaN or Inf"):
             validate_matrix(A)
 
-    def test_finite_check_optional(self):
-        A = np.ones((3, 3))
-        A[0, 0] = np.nan
-        validate_matrix(A, require_finite=False)  # no raise
-
 
 class TestValidateRhs:
     def test_rejects_row_mismatch(self):

@@ -73,7 +73,6 @@ def _finalize(store, ws):
         "piv": ws.piv_spec,
         "leaves": [(0, 0, 12), (1, 12, 24)],
         "merges": [(0, [0, 1])],
-        "allow_recompute": True,
     }
     return ("tslu_finalize", payload)
 

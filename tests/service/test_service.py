@@ -251,22 +251,13 @@ class TestCachedPlanState:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degradation_does_not_outlive_its_request(self, backend, monkeypatch):
-        import dataclasses
-        import functools
+        from repro.runtime import ops
 
-        from repro.core.driver import ALGORITHMS
-
-        # Recompute disabled: a corrupted tournament degrades to partial
-        # pivoting.  A stale flag would silently degrade every later
-        # request served by the same cached plan.
-        calu_alg = ALGORITHMS["lu"]
-        monkeypatch.setitem(
-            ALGORITHMS,
-            "lu",
-            dataclasses.replace(
-                calu_alg, program=functools.partial(calu_alg.program, recompute=False)
-            ),
-        )
+        # The replay fails too (the pool's workers fork after this), so
+        # a corrupted tournament degrades to partial pivoting.  A stale
+        # flag would silently degrade every later request served by the
+        # same cached plan.
+        monkeypatch.setattr(ops, "_recompute_tournament", lambda *args: None)
         A = make_rng(22).standard_normal((96, 96))
         ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
         plans = iter([FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)])
@@ -616,31 +607,24 @@ class TestDrain:
 
 
 class TestLinalgEntry:
+    """``linalg.solve``/``lstsq`` take no ``service=``: a caller holding
+    the service calls its ``solve``/``lstsq``, deadline keyword and all,
+    and gets the direct call's answer for the same cores, bit for bit."""
+
     def test_solve_via_service_kwarg(self):
         rng = make_rng(16)
         A, rhs = make_problem(rng)
         with FactorizationService(ServiceConfig(cores=2, backend="threaded")) as svc:
-            x = linalg_solve(A, rhs, service=svc)
-            assert np.array_equal(x, svc.solve(A, rhs))
+            x = svc.solve(A, rhs, deadline_s=60.0)
+        assert np.array_equal(x, linalg_solve(A, rhs, cores=2))
 
     def test_lstsq_via_service_kwarg(self):
         rng = make_rng(17)
         A = rng.standard_normal((96, 32))
         rhs = rng.standard_normal(96)
         with FactorizationService(ServiceConfig(cores=2, backend="threaded")) as svc:
-            x = linalg_lstsq(A, rhs, service=svc)
-            assert np.array_equal(x, svc.lstsq(A, rhs))
-
-    def test_incompatible_kwargs_rejected(self):
-        rng = make_rng(18)
-        A, rhs = make_problem(rng, n=48)
-        with pytest.raises(ValueError):
-            linalg_solve(A, rhs, deadline_s=1.0)  # deadline needs a service
-        with FactorizationService(ServiceConfig(cores=2, backend="threaded")) as svc:
-            with pytest.raises(ValueError):
-                linalg_solve(A, rhs, service=svc, executor="process")
-            with pytest.raises(ValueError):
-                linalg_lstsq(A, rhs[:48], service=svc, executor="process")
+            x = svc.lstsq(A, rhs, deadline_s=60.0)
+        assert np.array_equal(x, linalg_lstsq(A, rhs, cores=2))
 
 
 class TestExports:

@@ -35,10 +35,10 @@ def test_version():
 @pytest.mark.parametrize(
     "name,params",
     [
-        ("calu", {"A", "b", "tr", "tree", "executor", "lookahead", "overwrite", "update_width", "check_finite"}),
-        ("caqr", {"A", "b", "tr", "tree", "executor", "lookahead", "overwrite", "check_finite"}),
-        ("tslu", {"A", "tr", "tree", "executor", "overwrite", "check_finite"}),
-        ("tsqr", {"A", "tr", "tree", "executor", "overwrite", "check_finite"}),
+        ("calu", {"A", "b", "tr", "tree", "executor", "lookahead", "update_width"}),
+        ("caqr", {"A", "b", "tr", "tree", "executor", "lookahead"}),
+        ("tslu", {"A", "tr", "tree", "executor"}),
+        ("tsqr", {"A", "tr", "tree", "executor"}),
         ("solve", {"A", "rhs", "b", "tr", "tree", "refine", "cores"}),
         ("lstsq", {"A", "rhs", "b", "tr", "tree", "cores"}),
     ],

@@ -6,11 +6,12 @@ simplification removed — an ``op_sync`` mirror, a shm fork in
 the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
 second scheduler, a second allocator or ``attach_array``, a kernel
-selector, a numeric or faulty simulator — so it cannot come back
-unnoticed.  The patterns are regular expressions over
-single lines, as ``grep -E`` reads them.
+selector, a numeric or faulty simulator, an option no caller sets —
+so it cannot come back unnoticed.  The patterns are regular
+expressions over single lines, as ``grep -E`` reads them.
 """
 
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -18,15 +19,23 @@ import re
 import pytest
 
 import repro
-from repro.baselines.lapack_lu import getrf_lu
-from repro.baselines.lapack_qr import geqrf_qr
-from repro.core.calu import calu_program
-from repro.core.caqr import caqr_program
+from repro import linalg
+from repro.baselines.lapack_lu import getf2_lu, getrf_lu, getrf_program
+from repro.baselines.lapack_qr import geqr2_qr, geqrf_program, geqrf_qr
+from repro.baselines.tiled_lu import tiled_lu
+from repro.baselines.tiled_qr import tiled_qr
+from repro.core import driver, outofcore
+from repro.core.calu import calu, calu_program
+from repro.core.caqr import caqr, caqr_program
 from repro.core.tslu import add_tslu_tasks, tslu
 from repro.core.tsqr import add_tsqr_tasks, tsqr
 from repro.kernels.lu import getrf
 from repro.kernels.qr import geqrf
+from repro.resilience.health import validate_matrix
+from repro.runtime.process import ProcessExecutor, _WorkerPool
+from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
+from repro.service.service import ServiceConfig
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -184,3 +193,45 @@ def test_simulator_prices_and_only_the_engine_injects_faults():
     words = "virtual_faults|on_message|msg_drop_rate|msg_corrupt_rate|max_retransmits|n_retransmits"
     pattern = rf"\b({words})\b"  # bounded: factorization_messages_ca is no hit
     assert grep(pattern, ".") == []
+
+
+# An option that only one value is ever passed for is that value: no
+# in-place staging, no non-finite input, no off switch for the
+# tournament replay, no service forwarding in linalg, and none of the
+# service knobs that nothing set.
+
+DELETED_OPTIONS = {
+    "overwrite",
+    "check_finite",
+    "require_finite",
+    "tournament_recompute",
+    "recompute",
+    "service",
+    "deadline_s",
+    "start_method",
+    "panel_kernel",
+}
+DELETED_FIELDS = {
+    "default_deadline_s",
+    "retry_backoff_s",
+    "retry_jitter",
+    "breaker_probes",
+    "respawn_window_s",
+    "start_method",
+}
+
+
+def test_no_option_without_a_caller():
+    fns = (
+        calu, caqr, tsqr, tslu, outofcore.tsqr_ooc, outofcore.tslu_ooc,
+        driver.factorize, driver.compile, staged, validate_matrix,
+        linalg.solve, linalg.lstsq, ProcessExecutor.__init__, _WorkerPool.__init__,
+        calu_program, add_tslu_tasks,
+        getf2_lu, getrf_lu, geqr2_qr, geqrf_qr, tiled_lu, tiled_qr,
+        getrf_program, geqrf_program,
+    )
+    for fn in fns:
+        left = DELETED_OPTIONS & set(inspect.signature(fn).parameters)
+        assert not left, (fn.__qualname__, left)
+    assert not DELETED_FIELDS & {f.name for f in dataclasses.fields(ServiceConfig)}
+    assert grep(r"allow_recompute", ".") == []
