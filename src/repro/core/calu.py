@@ -5,14 +5,21 @@ Block LU factorization ``Π A = L U`` with ca-pivoting.  Each iteration
 
 * task **P** — the TSLU tournament for panel ``K`` (``rgetf2`` leaves +
   a ``?getrf`` reduction tree + finalize), see :mod:`repro.core.tslu`;
-* task **L** — one ``dtrsm`` per row chunk computing a block of the
+* task **L** — one ``dtrsm`` per row range computing a block of the
   current column of ``L``;
-* task **U** — per trailing block column ``J``: apply the panel's row
-  swaps, then ``dtrsm`` for the block row of ``U``;
-* task **S** — per (row chunk, block column): the ``dgemm`` trailing
-  update;
+* task **U** — per trailing segment: apply the panel's row swaps, then
+  ``dtrsm`` for the segment's block row of ``U``;
+* task **S** — per (row range, trailing segment): the ``dgemm``
+  trailing update;
 * one final **X** task applying the deferred row swaps to the left
   part of ``L`` (Algorithm 1 line 41, ``dlaswap``).
+
+A row range is one of the panel's ``Tr`` row chunks below the pivot
+block, and a trailing segment one block column, unless that grain
+would leave a task with less work than the runtime spends on it
+(:data:`MIN_TASK_FLOPS`): then consecutive chunks stack into one range
+and the block columns behind the look-ahead one group into one segment
+(the paper's §V "reducing the number of tasks").
 
 The loop over ``K`` is :func:`repro.core.panelloop.panel_program`, which
 CAQR shares; this module supplies its LU steps.  Dependencies are
@@ -28,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.core.layout import BlockLayout
-from repro.core.panelloop import Emitter, panel_program
+from repro.core.panelloop import Emitter, grain_runs, panel_program
 from repro.core.priorities import task_priority
 from repro.core.trees import TreeKind
 from repro.core.tslu import PanelWorkspace, add_tslu_tasks
@@ -42,11 +49,20 @@ from repro.runtime.task import Cost, TaskKind
 from repro.runtime.trace import Trace
 
 __all__ = [
+    "MIN_TASK_FLOPS",
     "CALUFactorization",
     "calu",
     "calu_program",
     "panel_verdicts",
 ]
+
+#: The least work, in flops, a trailing-update task is cut to carry:
+#: about the 20 µs the runtime spends on a task (engine bookkeeping and
+#: its guard), at a small ``dgemm``'s 25–50 GFLOP/s.  A task's cost to
+#: the runtime, not a tuning knob: row chunks below the pivot block
+#: stack, and the block columns behind the look-ahead window group,
+#: until their S work per block column, resp. per segment, reaches it.
+MIN_TASK_FLOPS = 2**19
 
 
 def _s_fn_abft(payload: dict, cell: list):
@@ -122,11 +138,15 @@ def calu_program(
     streamed matrix only the guards on workspace buffers and the pivot
     block are armed: see :mod:`repro.core.panelloop`.)
 
-    ``update_width`` implements the paper's Section V extension: a
-    trailing-update block size ``B > b`` — trailing column segments are
-    grouped into super-segments of up to ``B`` columns, reducing the
-    task count and improving BLAS3 granularity at some cost in
-    look-ahead depth.  ``update_library`` prices the U/S update tasks
+    The update grain follows :data:`MIN_TASK_FLOPS`: the L/S row ranges
+    stack the panel's chunks, and the segments behind the look-ahead
+    window group block columns, until each carries that much S work
+    (:func:`repro.core.panelloop.trailing_segments`).
+    ``update_width`` implements the paper's Section V extension instead:
+    a trailing-update block size ``B > b`` — trailing column segments
+    are grouped into uniform super-segments of up to ``B`` columns,
+    reducing the task count and improving BLAS3 granularity at some
+    cost in look-ahead depth.  ``update_library`` prices the U/S update tasks
     under a different library personality (the paper's closing
     suggestion: "combining a fast panel factorization as in CALU with a
     highly optimized update of the trailing matrix as in MKL_dgetrf").
@@ -150,6 +170,8 @@ def calu_program(
     numeric = A is not None
     m, b = layout.m, layout.b
     upd_lib = update_library or library
+    # The §V grain (update_width) is the paper's: Tr row chunks, B-column segments.
+    floor = MIN_TASK_FLOPS if update_width is None else 0
     # The growth monitor's reference magnitude reads the whole matrix —
     # over a streamed panel a counted load of it, so in core only.
     absmax = float(np.abs(A).max()) if guards and isinstance(A, np.ndarray) and A.size else None
@@ -164,13 +186,23 @@ def calu_program(
             "a": em.store.a_spec, "m": m, "k0": k0, "bk": bk, "c0": k0, "c1": k0 + bk
         }
         # The chunks' rows below the pivot block, ``(slot, r0, r1, their
-        # blocks of column K)``: one L task each, and one S task per
-        # trailing segment.
+        # blocks of column K)``: one L task per row range, and one S task
+        # per (row range, trailing segment).
         below = [
             (c.index, r0, c.r1, [(i, K) for i in range(r0 // b, c.b1)])
             for c in chunks
             if (r0 := max(c.r0, k0 + bk)) < c.r1
         ]
+        if k0 + bk < layout.n:
+            # Stack consecutive chunks until a range's S work per block
+            # column reaches the floor.  A panel with no trailing column
+            # has no S work to stack for: its L tasks keep the chunk
+            # height (a streamed panel's loads included).
+            runs = grain_runs([2 * (r1 - r0) * bk * b for _, r0, r1, _ in below], floor)
+            below = [
+                (*below[i][:2], below[j - 1][2], [blk for *_, lb in below[i:j] for blk in lb])
+                for i, j in runs
+            ]
         # Task L: blocks of the current column of L (dtrsm).
         for slot, r0, r1, lblocks in below:
             em.task(
@@ -184,8 +216,7 @@ def calu_program(
         return (shared, below, bk, ws), [("piv", K)]
 
     def update(em: Emitter, handles, J: int, j0: int, j1: int, jcols: list[int]) -> None:
-        # Tasks U and S of one trailing segment (with update_width, a
-        # super-segment of the block columns *jcols*).
+        # Tasks U and S of one trailing segment: the block columns *jcols*.
         shared, below, bk, ws = handles
         K, nc = em.K, j1 - j0
         u_tid = em.task(
@@ -267,7 +298,7 @@ def calu_program(
     return panel_program(
         "calu", layout, tr, PanelWorkspace, panel, update, epilogue, A=A, store=store,
         lookahead=lookahead, guards=guards, checkpoint=checkpoint, library=library,
-        update_width=update_width,
+        update_width=update_width, min_task_flops=floor,
     )
 
 
@@ -374,7 +405,6 @@ def calu(
     tree: TreeKind = TreeKind.BINARY,
     executor=None,
     lookahead: int | None = None,
-    update_width: int | None = None,
     guards: bool = True,
     checkpoint=None,
     abft: bool = False,
@@ -396,8 +426,6 @@ def calu(
         as an ``autotune`` event on the returned trace.
     lookahead : scheduling look-ahead depth; ``None`` is the paper's 1.
         A priority rule: it ranks the updates of panels ``K+1..K+lookahead``.
-    update_width : optional trailing-update block size ``B >= b``
-        (paper Section V extension): coarser, fewer update tasks.
     guards : attach numerical health guards to the task graph (see
         :func:`calu_program`); disabled, a corrupted run may
         raise from deep inside a kernel instead of degrading
@@ -436,6 +464,5 @@ def calu(
         lookahead=lookahead,
         guards=guards,
         checkpoint=checkpoint,
-        update_width=update_width,
         abft=abft,
     )

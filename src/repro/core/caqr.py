@@ -91,7 +91,7 @@ def caqr_program(
         K, nc = em.K, j1 - j0
         shared = numeric and {"a": em.store.a_spec, "j0": j0, "j1": j1}
         vcols = {"c0": K * layout.b, "c1": K * layout.b + bk}  # the panel: where each V is packed
-        # Leaf updates: one dlarfb per (chunk, J).
+        # Leaf updates: one dlarfb per (chunk, segment).
         for chunk, tid, t_spec in leaves:
             name = f"S[{K}]leaf{chunk.index},{J}"
             em.task(
@@ -107,13 +107,13 @@ def caqr_program(
                 # V is read from the panel block, T out of the store:
                 # ("qleaf", K, slot) carries that edge.
                 reads=chunk.blocks(K) + [("qleaf", K, chunk.index)],
-                writes=chunk.blocks(J),
+                writes=[blk for Jc in jcols for blk in chunk.blocks(Jc)],
                 deps=[tid],
                 guard=em.block_guards and finite_block_guard(A, chunk.r0, chunk.r1, j0, j1, name),
             )
-        # Tree-node updates: tpmqrt on the two R slices per merge.
+        # Tree-node updates: tpmqrt on the R slices of each merge, per segment.
         for step in merges:
-            blocks = [(step.dst.b0, J)] + [(s.b0, J) for s in step.srcs]
+            blocks = [(c.b0, Jc) for Jc in jcols for c in (step.dst, *step.srcs)]
             name = f"S[{K}]node{step.dst.index}l{step.level},{J}"
             top = step.dst.r0
             em.task(

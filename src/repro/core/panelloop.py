@@ -36,7 +36,7 @@ from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 from repro.runtime.tilestore import HeapBinding
 
-__all__ = ["Emitter", "merged_chunks", "panel_program", "trailing_segments"]
+__all__ = ["Emitter", "grain_runs", "merged_chunks", "panel_program", "trailing_segments"]
 
 #: Task kind per priority class: the finalize is a P task ranked apart.
 _KINDS = {"P": TaskKind.P, "F": TaskKind.P, "L": TaskKind.L, "U": TaskKind.U, "S": TaskKind.S}
@@ -58,30 +58,72 @@ def merged_chunks(layout: BlockLayout, K: int, tr: int) -> list[Chunk]:
     return chunks
 
 
+def grain_runs(weights: list[float], floor: float) -> list[tuple[int, int]]:
+    """Group consecutive items into runs ``[start, stop)`` of at least *floor* weight.
+
+    A run takes the next item while its weight is under *floor*; a last
+    run still under it joins its predecessor.  With ``floor <= 0``
+    every item is a run of its own.
+    """
+    runs: list[list] = []  # [start, stop, weight]
+    for i, w in enumerate(weights):
+        if runs and runs[-1][2] < floor:
+            runs[-1][1] = i + 1
+            runs[-1][2] += w
+        else:
+            runs.append([i, i + 1, w])
+    if len(runs) > 1 and runs[-1][2] < floor:
+        last = runs.pop()
+        runs[-1][1] = last[1]
+    return [(start, stop) for start, stop, _ in runs]
+
+
 def trailing_segments(
-    layout: BlockLayout, K: int, update_width: int | None = None
+    layout: BlockLayout,
+    K: int,
+    update_width: int | None = None,
+    *,
+    lookahead: int = 1,
+    min_flops: float = 0,
 ) -> list[tuple[int, int, int, list[int]]]:
     """Panel *K*'s trailing column segments ``(J, j0, j1, block columns)``.
 
     Usually a segment is a full block column ``J > K``, but when the
     panel is narrower than its block column (last panel of a wide
     matrix, ``min(m, n) % b != 0``) the leftover columns of block column
-    ``K`` form a partial leading segment.  With ``update_width=B > b``
-    the segments are grouped into super-segments of up to ``B`` columns
-    (paper Section V), named after their first block column.
+    ``K`` form a partial leading segment.  A grouped segment is named
+    after its first block column.
+
+    With ``update_width=B > b`` the segments are grouped into uniform
+    super-segments of up to ``B`` columns (paper Section V).  Otherwise
+    the segments inside the look-ahead window (``J <= K + lookahead``;
+    all of them when ``lookahead < 0``) stay one block column each, and
+    the ones after it are grouped by :func:`grain_runs` so that each
+    segment's trailing-update work — ``2 * rows * bk`` flops per column
+    over the rows below the pivot block — reaches *min_flops*.
     """
-    c1 = K * layout.b + layout.panel_width(K)
+    bk = layout.panel_width(K)
+    c1 = K * layout.b + bk
     kb_end = min((K + 1) * layout.b, layout.n)
     base = [(K, c1, kb_end)] if c1 < kb_end else []
     base.extend((J, *layout.col_range(J)) for J in range(K + 1, layout.N))
-    segments: list[tuple[int, int, int, list[int]]] = []
-    for J, j0, j1 in base:
-        if update_width is not None and segments and j1 - segments[-1][1] <= update_width:
-            Jf, g0, _, cols = segments[-1]
-            segments[-1] = (Jf, g0, j1, cols + [J])
-        else:
-            segments.append((J, j0, j1, [J]))
-    return segments
+    if update_width is not None:
+        runs: list[tuple[int, int]] = []
+        for i, (_, _, j1) in enumerate(base):
+            if runs and j1 - base[runs[-1][0]][1] <= update_width:
+                runs[-1] = (runs[-1][0], i + 1)
+            else:
+                runs.append((i, i + 1))
+    else:
+        window = len(base) if lookahead < 0 else sum(J <= K + lookahead for J, _, _ in base)
+        per_col = 2 * (layout.m - c1) * bk
+        rest = grain_runs([per_col * (j1 - j0) for _, j0, j1 in base[window:]], min_flops)
+        runs = [(i, i + 1) for i in range(window)]
+        runs += [(window + start, window + stop) for start, stop in rest]
+    return [
+        (base[start][0], base[start][1], base[stop - 1][2], [J for J, _, _ in base[start:stop]])
+        for start, stop in runs
+    ]
 
 
 class Emitter:
@@ -163,6 +205,7 @@ def panel_program(
     checkpoint=None,
     library: str,
     update_width: int | None = None,
+    min_task_flops: float = 0,
 ) -> tuple[GraphProgram, list]:
     """The program of one factorization: a window per panel iteration
     plus, when the algorithm has an *epilogue* and more than one panel,
@@ -185,7 +228,8 @@ def panel_program(
     With *A* (factored in place, bound by *store*: the heap by default)
     tasks are numeric, without it symbolic; *guards* is honoured on
     numeric graphs only.  *lookahead* ranks priorities; ``None`` is the
-    paper's 1.
+    paper's 1.  *update_width* and *min_task_flops* group the trailing
+    segments (:func:`trailing_segments`).
     """
     if update_width is not None and update_width < layout.b:
         raise ValueError(f"update_width B={update_width} must be >= b={layout.b}")
@@ -210,7 +254,10 @@ def panel_program(
             states.append(state)
         handles, keys = panel(em, merged_chunks(layout, K, tr), state)
         state_keys.append(keys)
-        for J, j0, j1, jcols in trailing_segments(layout, K, update_width):
+        segments = trailing_segments(
+            layout, K, update_width, lookahead=lookahead, min_flops=min_task_flops
+        )
+        for J, j0, j1, jcols in segments:
             update(em, handles, J, j0, j1, jcols)
         if numeric and checkpoint is not None and checkpoint.should_snapshot(K):
             covered = checkpoint.covered_panels(K)

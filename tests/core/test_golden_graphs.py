@@ -59,6 +59,14 @@ lost its off switch and the ``tslu_finalize`` payload dropped
 old CRC.  The two ``norecompute`` variant keys went with the switch
 (hashing their plain build with ``False`` put back reproduced theirs).
 
+24 LU keys were re-recorded when CALU's update grain came to follow
+``MIN_TASK_FLOPS``: on the 256x256 b16 Tr=2, 100x70 b16 Tr=4 and
+48x80 b16 Tr=3 shapes, row chunks below the pivot block stack and the
+block columns behind the look-ahead one group (every plain key of
+those shapes and every LU variant key except ``update_width``, whose
+§V grain is the paper's).  ``tests/core/test_grain.py`` holds their
+previous CRCs and rebuilds each with the constant at 0.
+
 ``python -m tests.core.test_golden_graphs`` re-records the file (only
 ever meaningful when an issue *intends* to change the graphs).
 """

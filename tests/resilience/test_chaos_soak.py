@@ -102,8 +102,11 @@ def test_calu_coarse_interval_resume_identical():
     clean = calu(A0, b=8, tr=2)
     ckpt = Checkpoint(MemoryStore(), interval=3)
     with pytest.raises(RuntimeFailure):
-        calu(A0, b=8, tr=2, executor=CrashAfter(_threaded(), 70), checkpoint=ckpt)
+        # Past the first snapshot (C[2], the 28th of 66 tasks), before the second.
+        calu(A0, b=8, tr=2, executor=CrashAfter(_threaded(), 40), checkpoint=ckpt)
+    assert ckpt.snapshot_chain()
     f = calu(A0, b=8, tr=2, checkpoint=ckpt)
+    assert f.trace.resilience_summary().get("resume") == 1
     assert np.array_equal(f.lu, clean.lu)
     assert np.array_equal(f.piv, clean.piv)
 

@@ -294,12 +294,12 @@ class TestJournalResume:
         clean = calu(A, b=8, tr=2, checkpoint=Checkpoint())  # the crash run's task ids
         # One S task of iteration 3 draws a fault and nothing retries it:
         # the run dies past three boundaries, with other tasks in flight.
-        crash = FaultPlan(23, raise_rate={"S": 0.05})
+        crash = FaultPlan(36, raise_rate={"S": 0.05})
         drawn = [r.name for r in clean.trace.records if crash.decide(r).get("raise")]
-        assert drawn == ["S[3]1,4"]
+        assert drawn == ["S[3]0,4"]
         ckpt = Checkpoint()
         with ProcessExecutor(2, fault_plan=crash) as ex:
-            with pytest.raises(RuntimeFailure, match="S\\[3\\]1,4") as info:
+            with pytest.raises(RuntimeFailure, match="S\\[3\\]0,4") as info:
                 calu(A, b=8, tr=2, executor=ex, checkpoint=ckpt)
             assert info.value.failure_kind == "injected"
             assert ckpt.snapshot_chain()  # what the crash left to resume from

@@ -35,7 +35,7 @@ def test_version():
 @pytest.mark.parametrize(
     "name,params",
     [
-        ("calu", {"A", "b", "tr", "tree", "executor", "lookahead", "update_width"}),
+        ("calu", {"A", "b", "tr", "tree", "executor", "lookahead"}),
         ("caqr", {"A", "b", "tr", "tree", "executor", "lookahead"}),
         ("tslu", {"A", "tr", "tree", "executor"}),
         ("tsqr", {"A", "tr", "tree", "executor"}),

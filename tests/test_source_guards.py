@@ -198,7 +198,9 @@ def test_simulator_prices_and_only_the_engine_injects_faults():
 # An option that only one value is ever passed for is that value: no
 # in-place staging, no non-finite input, no off switch for the
 # tournament replay, no service forwarding in linalg, and none of the
-# service knobs that nothing set.
+# service knobs that nothing set.  The §V ``update_width`` stays on the
+# builder, where the experiments set it, and left the driver, where
+# nothing did.
 
 DELETED_OPTIONS = {
     "overwrite",
@@ -233,5 +235,8 @@ def test_no_option_without_a_caller():
     for fn in fns:
         left = DELETED_OPTIONS & set(inspect.signature(fn).parameters)
         assert not left, (fn.__qualname__, left)
+    for fn in (calu, linalg.solve):
+        assert "update_width" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "update_width" in inspect.signature(calu_program).parameters
     assert not DELETED_FIELDS & {f.name for f in dataclasses.fields(ServiceConfig)}
     assert grep(r"allow_recompute", ".") == []
