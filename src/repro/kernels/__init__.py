@@ -27,8 +27,8 @@ and as ``lapack_tpqrt/lapack_tpmqrt``) and
 ``tstrf/ssssm`` (PLASMA's incremental-pivoting LU kernels).
 """
 
-from repro.kernels.blas import blas_trsm, gemm, ger, laswp, trsm_llnu, trsm_runn
-from repro.kernels.lu import getf2, getf2_nopiv, getrf, lapack_getrf, rgetf2
+from repro.kernels.blas import blas_trsm, gemm, laswp, trsm_llnu, trsm_runn
+from repro.kernels.lu import getf2, getrf, lapack_getrf, rgetf2
 from repro.kernels.qr import (
     extract_v,
     geqr2,
@@ -58,9 +58,7 @@ __all__ = [
     "geqr3",
     "geqrf",
     "geqrt",
-    "ger",
     "getf2",
-    "getf2_nopiv",
     "getrf",
     "lapack_getrf",
     "lapack_tpmqrt",

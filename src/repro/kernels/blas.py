@@ -13,7 +13,6 @@ Flop conventions (LAPACK working-note style, real double precision):
 ===============================  =======================
 ``gemm``   C ± A·B               ``2·m·n·k``
 ``trsm``   triangular solve      ``m·n·k`` -> ``n²·m`` (see functions)
-``ger``    rank-1 update         ``2·m·n``
 ``laswp``  row interchanges      0 flops, ``2·n`` words per swap
 ===============================  =======================
 """
@@ -25,7 +24,7 @@ from scipy.linalg.blas import get_blas_funcs
 
 from repro.counters import add_call, add_flops, add_words
 
-__all__ = ["gemm", "trsm_llnu", "trsm_runn", "blas_trsm", "ger", "laswp"]
+__all__ = ["gemm", "trsm_llnu", "trsm_runn", "blas_trsm", "laswp"]
 
 
 def gemm(C: np.ndarray, A: np.ndarray, B: np.ndarray, alpha: float = -1.0, beta: float = 1.0) -> np.ndarray:
@@ -69,7 +68,9 @@ def trsm_llnu(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``L X = B`` in place in ``B`` — Left, Lower, No-transpose, Unit diagonal.
 
     Used for computing a block row of U (``task U``):
-    ``U_{K,J} = L_{KK}^{-1} A_{K,J}``.
+    ``U_{K,J} = L_{KK}^{-1} A_{K,J}``.  Only the strict lower triangle
+    of ``L`` is read, as BLAS ``?trsm`` with a unit diagonal does, so
+    ``L`` may be a packed LU block.
 
     Implemented by forward substitution over rows, each step a
     vectorized rank-update of the remaining rows.
@@ -82,7 +83,8 @@ def trsm_llnu(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     add_flops(k * (k - 1) * n)  # k-1 axpy rows of length n, twice per flop pair
     for i in range(1, k):
         # B[i] -= L[i, :i] @ B[:i]  (unit diagonal, no division)
-        B[i] -= L[i, :i] @ B[:i]
+        row = B[i]
+        row -= L[i, :i] @ B[:i]
     return B
 
 
@@ -127,26 +129,6 @@ def blas_trsm(T: np.ndarray, B: np.ndarray, *, left: bool, lower: bool, unit: bo
     return B
 
 
-def ger(A: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float = -1.0) -> np.ndarray:
-    """Rank-1 update ``A <- A + alpha * outer(x, y)`` in place.
-
-    The inner kernel of unblocked (BLAS2) LU: one call per eliminated
-    column.  The paper's claim that each column elimination is a rank-1
-    update of the trailing matrix (important for stability) corresponds
-    to this kernel.
-    """
-    m, n = A.shape
-    if x.shape != (m,) or y.shape != (n,):
-        raise ValueError(f"ger shape mismatch: A{A.shape}, x{x.shape}, y{y.shape}")
-    add_call("ger")
-    add_flops(2 * m * n)
-    if alpha == -1.0:
-        A -= np.outer(x, y)
-    else:
-        A += alpha * np.outer(x, y)
-    return A
-
-
 def laswp(A: np.ndarray, piv: np.ndarray, forward: bool = True) -> np.ndarray:
     """Apply a sequence of row interchanges to ``A`` in place (``dlaswp``).
 
@@ -166,21 +148,24 @@ def laswp(A: np.ndarray, piv: np.ndarray, forward: bool = True) -> np.ndarray:
     """
     m, n = A.shape
     add_call("laswp")
+    targets = np.asarray(piv).astype(np.int64, copy=False).tolist()
+    order = range(len(targets)) if forward else range(len(targets) - 1, -1, -1)
+    if targets and not (0 <= min(targets) and max(targets) < m):
+        i = next(i for i in order if not 0 <= targets[i] < m)
+        raise ValueError(
+            f"laswp: corrupted pivot piv[{i}] = {targets[i]} out of range for {m} rows"
+        )
     # Compose the interchanges on row indices — ``at[r]`` is the original
     # row now standing at position ``r`` — then move each touched row
     # once: one gather and one scatter instead of one pair per swap.
     at: dict[int, int] = {}
+    get = at.get
     swaps = 0
-    targets = np.asarray(piv).astype(np.int64, copy=False).tolist()
-    for i in range(len(targets)) if forward else range(len(targets) - 1, -1, -1):
+    for i in order:
         p = targets[i]
-        if not 0 <= p < m:
-            raise ValueError(
-                f"laswp: corrupted pivot piv[{i}] = {p} out of range for {m} rows"
-            )
         if p != i:
             swaps += 1
-            at[i], at[p] = at.get(p, p), at.get(i, i)
+            at[i], at[p] = get(p, p), get(i, i)
     if swaps:
         add_words(2 * n * swaps)
         A[list(at)] = A[list(at.values())]

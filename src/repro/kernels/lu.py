@@ -27,6 +27,17 @@ All variants factor in place: on return ``A`` holds ``L`` strictly
 below the diagonal (unit diagonal implicit) and ``U`` on and above it.
 They return the pivot vector in LAPACK ``ipiv`` convention
 (``piv[i] = p`` means rows ``i`` and ``p`` were swapped at step ``i``).
+
+On the small blocks a tournament leaf factors, the NumPy kernels' time
+is interpreter calls, not flops, so ``getf2`` spends five array
+operations per column (``abs`` into a reused buffer, ``argmax``, the
+scale, one ``multiply``, one in-place subtraction, plus a three-copy
+swap when the pivot moves) and reports its counters once per call.  No
+floating-point operation is reordered or re-associated for it: every
+factor and pivot of ``getf2``, ``rgetf2`` and ``getrf`` is bit for bit
+that of the per-column element loop (a ``ger`` per column), with the
+same flop and comparison totals —
+``tests/kernels/test_lu_leaf_parity.py`` holds that loop frozen.
 """
 
 from __future__ import annotations
@@ -36,11 +47,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from repro.analysis.flops import lu_flops
 from repro.counters import add_call, add_comparisons, add_flops
-from repro.kernels.blas import gemm, ger, laswp, trsm_llnu
+from repro.kernels.blas import gemm, laswp, trsm_llnu
 
 __all__ = [
     "getf2",
-    "getf2_nopiv",
     "rgetf2",
     "getrf",
     "lapack_getrf",
@@ -54,46 +64,54 @@ def getf2(A: np.ndarray) -> np.ndarray:
     """Unblocked LU with partial pivoting, in place. Returns ``piv``.
 
     For an ``m x n`` matrix with ``m >= n`` this performs
-    ``n²·m − n³/3`` flops (leading order), all of it in BLAS2 ``ger``
+    ``n²·m − n³/3`` flops (leading order), all of it in BLAS2 rank-1
     updates — memory-bound, which is exactly why the paper's TSLU
     replaces it on the critical path.
+
+    The column loop runs on a transposed working copy ``W`` (``W[j]``
+    is column ``j``, contiguous, so every inner loop runs down a
+    column) written back once at the end.  Per column: the pivot search
+    (``abs`` into a reused buffer, then ``argmax``: the first maximal
+    ``|a|`` wins, a NaN beats every number), a swap only when
+    ``p != j``, the multipliers scaled in place (one division each by
+    the pivot) and the rank-1 update as one ``multiply`` (multiplier
+    first) and one in-place subtraction, ``a - l·u`` once per entry
+    and column.  Those are the operations and operands of the element
+    loop, so every factor that is a number is bitwise its own whatever
+    the layout of ``A`` (a NaN stays a NaN; which NaN a product of two
+    keeps is up to NumPy's vector loops, in the element loop too).  An
+    exactly zero pivot leaves its column in place (LAPACK's ``info >
+    0``).  Flops and comparisons are reported once per call.
     """
     m, n = A.shape
     r = min(m, n)
     add_call("getf2")
     piv = np.arange(r, dtype=np.int64)
+    W = A.T.copy()
+    mag = np.empty(m, dtype=W.dtype)
+    row = np.empty(n, dtype=W.dtype)
+    flops = 0
     for j in range(r):
-        p = j + int(np.argmax(np.abs(A[j:, j])))
-        add_comparisons(m - j - 1)
-        piv[j] = p
+        w = W[j]
+        p = j + int(np.abs(w[j:], out=mag[j:]).argmax())
         if p != j:
-            A[[j, p]] = A[[p, j]]
-        if A[j, j] == 0.0:
-            # Singular column: nothing to eliminate, matching LAPACK's
-            # behaviour of leaving an exact zero pivot in place.
+            piv[j] = p
+            row[...] = W[:, j]
+            W[:, j] = W[:, p]
+            W[:, p] = row
+        d = w[j]
+        if d == 0.0:
             continue
-        add_flops(m - j - 1)
-        A[j + 1 :, j] /= A[j, j]
+        x = w[j + 1 :]
+        x /= d
         if j + 1 < n:
-            ger(A[j + 1 :, j + 1 :], A[j + 1 :, j], A[j, j + 1 :])
+            T = W[j + 1 :, j + 1 :]
+            T -= np.multiply(x, W[j + 1 :, j, None])
+        flops += (m - j - 1) * (2 * (n - j - 1) + 1)
+    A[...] = W.T
+    add_comparisons(r * m - r * (r + 1) // 2)
+    add_flops(flops)
     return piv
-
-
-def getf2_nopiv(A: np.ndarray) -> None:
-    """Unblocked LU *without* pivoting, in place.
-
-    Used on a panel whose tournament-selected pivot rows have already
-    been swapped to the top: CALU's second TSLU step.
-    """
-    m, n = A.shape
-    add_call("getf2_nopiv")
-    for j in range(min(m, n)):
-        if A[j, j] == 0.0:
-            raise ZeroDivisionError(f"zero pivot at {j} in no-pivoting LU")
-        add_flops(m - j - 1)
-        A[j + 1 :, j] /= A[j, j]
-        if j + 1 < n:
-            ger(A[j + 1 :, j + 1 :], A[j + 1 :, j], A[j, j + 1 :])
 
 
 def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
@@ -105,6 +123,14 @@ def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
     all the work into ``gemm`` calls, giving BLAS3 cache behaviour
     without an explicit block size — the property the paper exploits to
     make each TSLU leaf task fast.
+
+    The Python around the recursion is kept to its operations: the
+    diagonal block goes to :func:`~repro.kernels.blas.trsm_llnu` as a
+    C-ordered copy of the packed factor (the solve reads only its strict
+    lower triangle, and a C-ordered row is what every row solve has
+    always multiplied), and the two pivot halves are joined once.  Every
+    ``gemm`` and row solve sees the operands it always did, so the
+    factors are bit for bit the frozen recursion's.
 
     Parameters
     ----------
@@ -121,11 +147,12 @@ def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
     left, right = A[:, :n1], A[:, n1:]
     piv1 = rgetf2(left, threshold)
     laswp(right, piv1)
-    trsm_llnu(_unit_lower(left[:n1]), right[:n1])
+    trsm_llnu(left[:n1].copy(), right[:n1])
     gemm(right[n1:], left[n1:], right[:n1])
     piv2 = rgetf2(right[n1:], threshold)
     laswp(left[n1:], piv2)
-    return np.concatenate([piv1, piv2 + n1])
+    piv2 += n1
+    return np.concatenate((piv1, piv2))
 
 
 def getrf(A: np.ndarray, b: int = 64) -> np.ndarray:
@@ -148,7 +175,7 @@ def getrf(A: np.ndarray, b: int = 64) -> np.ndarray:
         laswp(A[k:, :k], pk)
         laswp(A[k:, k + bk :], pk)
         if k + bk < n:
-            trsm_llnu(_unit_lower(A[k : k + bk, k : k + bk]), A[k : k + bk, k + bk :])
+            trsm_llnu(A[k : k + bk, k : k + bk].copy(), A[k : k + bk, k + bk :])
             if k + bk < m:
                 gemm(A[k + bk :, k + bk :], A[k + bk :, k : k + bk], A[k : k + bk, k + bk :])
     return piv
@@ -185,9 +212,10 @@ def piv_to_perm(piv: np.ndarray, m: int) -> np.ndarray:
     result is written once.
     """
     moved: dict[int, int] = {}  # slot -> original row now there, where not the identity
+    get = moved.get
     for i, p in enumerate(np.asarray(piv).tolist()):
         if p != i:
-            moved[i], moved[p] = moved.get(p, p), moved.get(i, i)
+            moved[i], moved[p] = get(p, p), get(i, i)
     perm = np.arange(m, dtype=np.int64)
     if moved:
         perm[list(moved)] = list(moved.values())
@@ -245,10 +273,3 @@ def select_pivots(block: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarra
     work = block.copy()
     r = min(rows, cols)
     return piv_to_perm(fn(work), rows)[:r], work[:r]
-
-
-def _unit_lower(B: np.ndarray) -> np.ndarray:
-    """View-with-copy of the unit lower-triangular factor stored in ``B``."""
-    L = np.tril(B, -1)
-    np.fill_diagonal(L, 1.0)
-    return L

@@ -11,12 +11,12 @@ footprint names every column it writes (CAQR's too).
 
 from __future__ import annotations
 
-import importlib
 import json
 
 import numpy as np
 import pytest
 
+import repro.core.calu as calu_module
 from repro.core import panelloop
 from repro.core.calu import MIN_TASK_FLOPS, calu, calu_program
 from repro.core.caqr import CAQRFactorization, caqr_program
@@ -30,7 +30,6 @@ from repro.runtime.threaded import ThreadedExecutor
 from repro.verify.sanitize import fuzz_schedules, sanitize_footprints
 from tests.core import test_golden_graphs as golden
 
-calu_module = importlib.import_module("repro.core.calu")  # ``repro.core.calu`` is the driver
 
 #: ``(m, n, b, tr)`` whose tiles are below the constant somewhere.
 SMALL = [(256, 256, 16, 2), (100, 70, 16, 4), (48, 80, 16, 3)]

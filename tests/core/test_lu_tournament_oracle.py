@@ -19,7 +19,7 @@ class ``docs/ALGORITHMS.md`` warns about), fails it.
 The rest of the critical path runs on vendor kernels too: the panel's
 last election (its root merge, or its only leaf) keeps its winners'
 factors in the root slot and the finalize installs them — no
-``getf2_nopiv`` — and every L and U task is one BLAS ``?trsm``
+refactoring — and every L and U task is one BLAS ``?trsm``
 (``kernels.blas.blas_trsm``, ``strsm`` on float32).  The finalized pivot
 block must be bitwise the root slot, in both precisions, on the serial
 and process backends.  Two mutants — a finalize that installs the
@@ -47,7 +47,7 @@ from repro.core.trees import TreeKind, reduction_schedule
 from repro.core.tslu import tslu
 from repro.counters import counting
 from repro.kernels.blas import blas_trsm
-from repro.kernels.lu import getf2, getf2_nopiv, lapack_getrf, rgetf2, select_pivots
+from repro.kernels.lu import getf2, lapack_getrf, rgetf2, select_pivots
 from repro.resilience.recovery import RuntimeFailure
 from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
@@ -92,6 +92,13 @@ def _gepp_select(block):
     return _swap_perm(fn(block.copy()), rows)[: min(rows, cols)]
 
 
+def _lu_nopiv(P):
+    """Unpivoted right-looking LU of the panel *P*, in place."""
+    for j in range(min(P.shape)):
+        P[j + 1 :, j] /= P[j, j]
+        P[j + 1 :, j + 1 :] -= np.outer(P[j + 1 :, j], P[j, j + 1 :])
+
+
 def _reference_perm(A, b, tr, tree):
     """Right-looking CALU with ``rgetf2`` at every tournament node;
     returns ``perm`` with ``A[perm] = L U``."""
@@ -119,7 +126,7 @@ def _reference_perm(A, b, tr, tree):
             p = int(np.flatnonzero(perm == row)[0])
             perm[[k0 + i, p]] = perm[[p, k0 + i]]
             W[[k0 + i, p]] = W[[p, k0 + i]]
-        getf2_nopiv(W[k0:, k0 : k0 + bk])
+        _lu_nopiv(W[k0:, k0 : k0 + bk])
         if k0 + bk < n:
             L11 = W[k0 : k0 + bk, k0 : k0 + bk]
             W[k0 : k0 + bk, k0 + bk :] = scipy.linalg.solve_triangular(
@@ -255,7 +262,7 @@ def _backward_error(A, f) -> float:
 @pytest.mark.parametrize("name", SHAPES, ids=_leaf_id)
 def test_finalize_installs_the_last_elections_factors(name, tree, backend, dtype, executors):
     """Each panel's pivot block is bitwise its root slot, which the last
-    election filled; no ``getf2_nopiv`` runs, each L and U task is one
+    election filled (nothing refactors it), each L and U task is one
     ``?trsm``, and the factors meet the bound in the matrix's precision."""
     m, n, b, tr = SHAPES[name]
     A = _matrix(name, dtype)
@@ -273,7 +280,6 @@ def test_finalize_installs_the_last_elections_factors(name, tree, backend, dtype
             assert r == min(bk, m - k0) and rows.dtype == dtype
             assert np.array_equal(plan.A[k0 : k0 + r, k0 : k0 + bk], rows[:r]), K
         solves = sum(t.kind.value in "LU" for t in plan.program.graph.tasks)
-        assert "getf2_nopiv" not in c.kernel_calls
         assert c.kernel_calls.get("blas_trsm", 0) == solves
         f = plan.result(None, np.array)
     finally:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.counters import counting
-from repro.kernels.blas import blas_trsm, gemm, ger, laswp, trsm_llnu, trsm_runn
+from repro.kernels.blas import blas_trsm, gemm, laswp, trsm_llnu, trsm_runn
 
 
 class TestGemm:
@@ -153,27 +153,6 @@ class TestBlasTrsm:
             blas_trsm(np.eye(3), np.zeros((4, 2)), left=True, lower=True, unit=True)
         with pytest.raises(ValueError):
             blas_trsm(np.eye(3), np.zeros((4, 2)), left=False, lower=False, unit=False)
-
-
-class TestGer:
-    def test_rank1_update(self, rng):
-        A0 = rng.standard_normal((6, 4))
-        x = rng.standard_normal(6)
-        y = rng.standard_normal(4)
-        A = A0.copy()
-        ger(A, x, y)
-        np.testing.assert_allclose(A, A0 - np.outer(x, y), rtol=1e-14)
-
-    def test_alpha(self, rng):
-        A0 = rng.standard_normal((3, 3))
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        A = A0.copy()
-        ger(A, x, y, alpha=0.25)
-        np.testing.assert_allclose(A, A0 + 0.25 * np.outer(x, y), rtol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ger(np.zeros((3, 3)), np.zeros(2), np.zeros(3))
 
 
 class TestLaswp:

@@ -10,7 +10,6 @@ from repro.analysis.flops import lu_flops
 from repro.counters import counting
 from repro.kernels.lu import (
     getf2,
-    getf2_nopiv,
     getrf,
     lapack_getrf,
     perm_from_piv_rows,
@@ -95,21 +94,6 @@ def test_getrf_matches_getf2_result():
     p2 = getrf(A2, b=8)
     np.testing.assert_array_equal(p1, p2)
     np.testing.assert_allclose(A1, A2, rtol=1e-11, atol=1e-13)
-
-
-def test_getf2_nopiv_factorizes_dominant():
-    A0 = make_rng(5).standard_normal((12, 12)) + 20.0 * np.eye(12)
-    A = A0.copy()
-    getf2_nopiv(A)
-    L = np.tril(A, -1) + np.eye(12)
-    U = np.triu(A)
-    np.testing.assert_allclose(L @ U, A0, rtol=1e-12)
-
-
-def test_getf2_nopiv_zero_pivot_raises():
-    A = np.zeros((3, 3))
-    with pytest.raises(ZeroDivisionError):
-        getf2_nopiv(A)
 
 
 def test_getf2_flop_count_square():

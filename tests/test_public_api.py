@@ -60,6 +60,21 @@ def test_subpackages_importable():
     import repro.runtime
 
 
+@pytest.mark.parametrize("name", ["calu", "caqr", "tslu", "tsqr"])
+def test_core_names_its_driver_submodules(name):
+    """``repro.core.<name>`` is the submodule, so patching a constant on
+    ``import repro.core.<name> as m`` reaches the code that reads it;
+    the driver function is ``repro.<name>``."""
+    import importlib
+
+    import repro.core
+
+    module = importlib.import_module(f"repro.core.{name}")
+    assert getattr(repro.core, name) is module
+    assert getattr(repro, name) is getattr(module, name)
+    assert callable(getattr(repro, name)) and not callable(module)
+
+
 def test_experiment_registry_matches_cli_help():
     from repro.bench.experiments import EXPERIMENTS
 

@@ -6,8 +6,8 @@ simplification removed — an ``op_sync`` mirror, a shm fork in
 the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
 second scheduler, a second allocator or ``attach_array``, a kernel
-selector, a numeric or faulty simulator, an option no caller sets —
-so it cannot come back unnoticed.  The patterns are regular
+selector, a numeric or faulty simulator, an option no caller sets, a
+kernel no caller calls — so it cannot come back unnoticed.  The patterns are regular
 expressions over single lines, as ``grep -E`` reads them.
 """
 
@@ -19,7 +19,7 @@ import re
 import pytest
 
 import repro
-from repro import linalg
+from repro import kernels, linalg
 from repro.baselines.lapack_lu import getf2_lu, getrf_lu, getrf_program
 from repro.baselines.lapack_qr import geqr2_qr, geqrf_program, geqrf_qr
 from repro.baselines.tiled_lu import tiled_lu
@@ -175,6 +175,18 @@ def test_no_kernel_selector():
     assert grep(pattern, ".") == []
     for fn in (getrf, geqrf, getrf_lu, geqrf_qr):
         assert "panel" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+# A kernel nothing calls is gone: the finalize installs the last
+# election's factors, so there is no unpivoted getf2, and getf2 makes its
+# rank-1 update in place, so there is no ger.  The finalize keeps the
+# paper's ``"getf2_nopiv"`` Cost and profile key (a string, not a call).
+
+
+def test_no_unpivoted_getf2_or_rank1_kernel():
+    assert grep(r"def (getf2_nopiv|ger)\b|\b(getf2_nopiv|ger)\(", ".") == []
+    for name in ("getf2_nopiv", "ger"):
+        assert not hasattr(kernels, name), name
 
 
 # The simulator prices, the engine computes: the simulated executor
