@@ -3,8 +3,8 @@
 Block LU factorization ``Π A = L U`` with ca-pivoting.  Each iteration
 ``K`` emits:
 
-* task **P** — the TSLU tournament for panel ``K`` (``rgetf2`` leaves +
-  a ``?getrf`` reduction tree + finalize), see :mod:`repro.core.tslu`;
+* task **P** — the TSLU tournament for panel ``K`` (``?getrf`` at every
+  node of the reduction tree + finalize), see :mod:`repro.core.tslu`;
 * task **L** — one ``dtrsm`` per row range computing a block of the
   current column of ``L``;
 * task **U** — per trailing segment: apply the panel's row swaps, then

@@ -2,9 +2,10 @@
 
 The panel is split into ``Tr`` row chunks.  Each chunk elects ``b``
 candidate pivot rows by Gaussian elimination with partial pivoting
-(GEPP, task P at the tree leaves: the paper's recursive ``rgetf2``);
-candidate sets are merged by further GEPP sweeps up a reduction tree
-(task P at inner nodes: LAPACK ``?getrf``).  The winning
+(GEPP, task P at the tree leaves: LAPACK ``?getrf``, whose ``?getrf2``
+is the paper's recursive ``rgetf2`` and keeps its ``Cost``); candidate
+sets are merged by further GEPP sweeps up a reduction tree (task P at
+inner nodes: LAPACK ``?getrf`` too).  The winning
 ``b`` rows are swapped to the top of the panel and the pivot block is
 factored without further pivoting (the *finalize* step); the remaining
 panel rows become ``L`` via triangular solves (task L, emitted by CALU).

@@ -8,19 +8,19 @@ tasks call the vendor's kernels.  Each task slot runs one fixed kernel;
 nothing selects among them.  The QR set — ``geqrt``, ``lapack_tpqrt``
 and ``lapack_tpmqrt``, thin wrappers of LAPACK's ``?geqrt`` /
 ``?tpqrt`` / ``?tpmqrt`` — runs at the TSQR/CAQR leaves, tree merges
-and node updates.  The TSLU leaves run the paper's ``rgetf2``
-(``getf2`` on a chunk shorter than it is wide); ``lapack_getrf``, a
-thin wrapper of LAPACK's ``?getrf``, runs every tournament merge
-(``kernels.lu.select_pivots``), and the panel's last election hands its
-factors to the finalize; ``blas_trsm``, a thin wrapper of BLAS
+and node updates.  ``lapack_getrf``, a thin wrapper of LAPACK's
+``?getrf``, runs every TSLU tournament election, leaf and merge
+(``kernels.lu.select_pivots(block)``; a leaf's ``Cost`` keeps the
+paper's ``rgetf2``), and the panel's last election hands its factors
+to the finalize; ``blas_trsm``, a thin wrapper of BLAS
 ``?trsm``, runs CALU's L and U tasks.  Each kernel reports its flop
 count to :mod:`repro.counters`.
 
 Naming follows LAPACK so the correspondence with the paper's Algorithm
 listings is direct: ``getf2`` (BLAS2 LU), ``rgetf2`` (recursive LU, the
-paper's panel kernel), ``lapack_getrf`` (LAPACK's LU, the tournament
-merge), ``geqr2`` (BLAS2 QR), ``geqr3`` (recursive QR, the paper's
-panel kernel), ``geqrt`` (LAPACK's QR of one tile),
+paper's panel kernel), ``lapack_getrf`` (LAPACK's LU, every
+tournament election), ``geqr2`` (BLAS2 QR), ``geqr3`` (recursive QR,
+the paper's panel kernel), ``geqrt`` (LAPACK's QR of one tile),
 ``larfg/larft/larfb`` (compact-WY Householder), ``tpqrt/tpmqrt``
 (structured triangular-pentagonal QR, the TSQR tree kernel, on NumPy
 and as ``lapack_tpqrt/lapack_tpmqrt``) and

@@ -15,28 +15,30 @@ Four variants, mirroring the routines the paper names:
     the paper compares against.
 ``lapack_getrf``
     The vendor's ``?getrf`` itself, a thin wrapper — the selection
-    kernel of every TSLU tournament merge (GEPP on the stacked
-    candidates, whichever kernel runs it).
+    kernel of every TSLU tournament node, leaf and merge alike (GEPP on
+    a chunk or on the stacked candidates, whichever kernel runs it).
 
-Each TSLU task slot runs one of them (:func:`select_pivots`): a
-tournament leaf ``rgetf2`` (``getf2`` on a chunk shorter than it is
-wide), a merge ``lapack_getrf``.  The blocked ``getrf`` factors its
-panels with ``getf2``, as the paper's ``MKL_dgetrf`` baseline does.
+Every TSLU election runs ``lapack_getrf`` (:func:`select_pivots`), as
+the paper's tasks call the vendor's sequential LU; a leaf's ``Cost``
+keeps the paper's ``rgetf2``, which reference LAPACK's recursive
+``?getrf2`` implements.  The NumPy ``getf2``/``rgetf2`` stay for the
+blocked and tiled baselines and the host calibration: the blocked
+``getrf`` factors its panels with ``getf2``, as the paper's
+``MKL_dgetrf`` baseline does.
 
 All variants factor in place: on return ``A`` holds ``L`` strictly
 below the diagonal (unit diagonal implicit) and ``U`` on and above it.
 They return the pivot vector in LAPACK ``ipiv`` convention
 (``piv[i] = p`` means rows ``i`` and ``p`` were swapped at step ``i``).
 
-On the small blocks a tournament leaf factors, the NumPy kernels' time
-is interpreter calls, not flops, so ``getf2`` spends five array
-operations per column (``abs`` into a reused buffer, ``argmax``, the
-scale, one ``multiply``, one in-place subtraction, plus a three-copy
-swap when the pivot moves) and reports its counters once per call.  No
-floating-point operation is reordered or re-associated for it: every
-factor and pivot of ``getf2``, ``rgetf2`` and ``getrf`` is bit for bit
-that of the per-column element loop (a ``ger`` per column), with the
-same flop and comparison totals —
+On small blocks the NumPy kernels' time is interpreter calls, not flops,
+so ``getf2`` spends five array operations per column (``abs`` into a
+reused buffer, ``argmax``, the scale, one ``multiply``, one in-place
+subtraction, plus a three-copy swap when the pivot moves) and reports
+its counters once per call.  No floating-point operation is reordered or
+re-associated for it: every factor and pivot of ``getf2``, ``rgetf2``
+and ``getrf`` is bit for bit that of the per-column element loop (a
+``ger`` per column), with the same flop and comparison totals —
 ``tests/kernels/test_lu_leaf_parity.py`` holds that loop frozen.
 """
 
@@ -122,7 +124,7 @@ def rgetf2(A: np.ndarray, threshold: int = 16) -> np.ndarray:
     and factors the trailing part recursively.  Recursion turns almost
     all the work into ``gemm`` calls, giving BLAS3 cache behaviour
     without an explicit block size — the property the paper exploits to
-    make each TSLU leaf task fast.
+    make each TSLU leaf task fast (here LAPACK's ``?getrf2`` runs it).
 
     The Python around the recursion is kept to its operations: the
     diagonal block goes to :func:`~repro.kernels.blas.trsm_llnu` as a
@@ -186,11 +188,12 @@ def lapack_getrf(A: np.ndarray) -> np.ndarray:
 
     GEPP, so the pivots are those of :func:`getf2` / :func:`rgetf2` (up
     to ties broken by rounding) — the vendor's sequential LU, as the
-    paper's tasks call MKL/ACML.  Any shape: a ``m < n`` block yields
-    ``m`` pivots.  The routine is picked by dtype (``sgetrf`` for a
-    float32 block) and the call releases the GIL.  An exactly singular
-    column is left in place, as :func:`getf2` does (LAPACK's ``info >
-    0`` is not an error).  Counted as one call of ``lu_flops(m, n)``.
+    paper's tasks call MKL/ACML, at every TSLU tournament node.  Any
+    shape: a ``m < n`` block yields ``m`` pivots.  The routine is picked
+    by dtype (``sgetrf`` for a float32 block) and the call releases the
+    GIL.  An exactly singular column is left in place, as :func:`getf2`
+    does (LAPACK's ``info > 0`` is not an error).  Counted as one call of
+    ``lu_flops(m, n)``.
     """
     m, n = A.shape
     add_call("lapack_getrf")
@@ -246,30 +249,24 @@ def perm_from_piv_rows(rows: np.ndarray, m: int) -> np.ndarray:
     return np.array(piv, dtype=np.int64)
 
 
-#: The kernel every tournament leaf selects with (the paper's recursive
-#: LU; a block shorter than it is wide falls to ``getf2``).
-LEAF = rgetf2
-
-
-def select_pivots(block: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray]:
+def select_pivots(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GEPP a *copy* of *block*; return the selected positions and their factors.
 
-    The tournament-pivoting selection step: a leaf selects with
-    :data:`LEAF` (``getf2`` when the block is shorter than it is wide),
-    a *merge* with LAPACK ``?getrf`` (:func:`lapack_getrf`).  Returns
-    ``(sel, lu)``: the ``r = min(rows, cols)`` pivot positions in
-    order, and the top ``r`` rows of the factored copy — the packed
+    The tournament-pivoting selection step, at every node of the tree —
+    leaf or merge — one LAPACK ``?getrf`` (:func:`lapack_getrf`).  For a
+    block no wider than its block size reference LAPACK runs the
+    recursive ``?getrf2``: Toledo's recursion, the paper's leaf kernel.
+    A block shorter than it is wide elects its ``rows`` pivots.
+
+    Returns ``(sel, lu)``: the ``r = min(rows, cols)`` pivot positions
+    in order, and the top ``r`` rows of the factored copy — the packed
     no-pivoting LU of ``block[sel]`` (``L`` strictly below the diagonal,
     ``U`` on and above it), which the panel's last election hands to the
     finalize.  The input is never modified — callers forward the
-    original rows up the reduction tree, so the factored values must not
-    leak into the candidate sets.
+    original rows up the reduction tree, so the factored values must
+    not leak into the candidate sets.
     """
     rows, cols = block.shape
-    if merge:
-        fn = lapack_getrf
-    else:
-        fn = LEAF if rows >= cols else getf2
     work = block.copy()
     r = min(rows, cols)
-    return piv_to_perm(fn(work), rows)[:r], work[:r]
+    return piv_to_perm(lapack_getrf(work), rows)[:r], work[:r]

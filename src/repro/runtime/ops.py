@@ -20,10 +20,9 @@ updates a block in place hands it to :func:`_write_back` afterwards.
 Only descriptors over process-shared specs are also published as
 ``meta["op"]`` and shipped to workers.
 
-Each op runs one fixed kernel, so no payload names one: a TSLU leaf
-elects with ``rgetf2`` (``getf2`` on a chunk shorter than it is wide),
-a merge with LAPACK ``?getrf``; a TSQR leaf is LAPACK ``?geqrt``, a
-merge ``?tpqrt`` and a CAQR node update ``?tpmqrt``.
+Each op runs one fixed kernel, so no payload names one: every TSLU
+election, leaf or merge, is LAPACK ``?getrf``; a TSQR leaf is LAPACK
+``?geqrt``, a merge ``?tpqrt`` and a CAQR node update ``?tpmqrt``.
 
 Workspace state lives in store buffers on every backend, with small
 conventions:
@@ -72,16 +71,14 @@ def _write_back(A, r0: int, r1: int, c0: int, c1: int, block: np.ndarray) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _elect(
-    rows: np.ndarray, gidx: np.ndarray, merge: bool, last: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _elect(rows: np.ndarray, gidx: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
     """One tournament round: the winning candidate rows and their
-    panel-local indices, selected with a leaf's or a *merge*'s kernel
+    panel-local indices, selected by LAPACK ``?getrf``
     (:func:`~repro.kernels.lu.select_pivots`).  The rows are copies of
     the originals — the next round selects among them — except at the
     panel's *last* election, which returns the winners' packed LU from
     its factored work copy: the pivot block the finalize installs."""
-    sel, lu = select_pivots(rows, merge)
+    sel, lu = select_pivots(rows)
     return (lu if last else rows[sel]), gidx[sel]
 
 
@@ -101,7 +98,7 @@ def _op_tslu_leaf(p: dict) -> None:
     A = attach_array(p["a"])
     r0, r1, k0 = p["r0"], p["r1"], p["k0"]
     block = A[r0:r1, p["c0"] : p["c1"]]
-    _fill_slot(p["slot"], *_elect(block, np.arange(r0 - k0, r1 - k0), False, p["last"]))
+    _fill_slot(p["slot"], *_elect(block, np.arange(r0 - k0, r1 - k0), p["last"]))
 
 
 def _op_tslu_merge(p: dict) -> None:
@@ -116,7 +113,7 @@ def _op_tslu_merge(p: dict) -> None:
         n = min(len(rows), p["bk"])
         _fill_slot(p["dst"], rows[:n], gidx[:n])
         return
-    _fill_slot(p["dst"], *_elect(rows, gidx, True, p["last"]))
+    _fill_slot(p["dst"], *_elect(rows, gidx, p["last"]))
 
 
 def _recompute_tournament(
@@ -146,12 +143,11 @@ def _recompute_tournament(
         block = A[r0:r1, c0:c1]
         if not np.isfinite(block).all():
             return None
-        cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), False, not merges)
+        cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), not merges)
     for i, (dst, srcs) in enumerate(merges):
         cand[dst] = _elect(
             np.vstack([cand[s][0] for s in srcs]),
             np.concatenate([cand[s][1] for s in srcs]),
-            True,
             i == len(merges) - 1,
         )
     return cand[leaves[0][0]]

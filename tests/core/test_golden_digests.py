@@ -23,7 +23,13 @@ tournament election already computed (LAPACK ``?getrf`` at a root
 merge) instead of refactoring the winners with ``getf2_nopiv``, and the
 L/U tasks solve with BLAS ``?trsm`` — the pivots did not move, the
 factor bits did (``tests/core/test_lu_tournament_oracle.py`` is their
-acceptance).
+acceptance).  Six of them were re-recorded again when the tournament
+leaves moved from the NumPy ``rgetf2`` to LAPACK ``?getrf``: the
+``lu-256x256b16tr2``, ``lu-320x320b64tr2`` and ``lu-48x80b16tr3``
+entries (both trees), whose panels end in a one-leaf election that hands
+the leaf's own factors to the finalize.  The pivots did not move; the
+other four LU entries, whose every last election is a merge, did not
+either.
 
 The keys (and so the test ids) keep the ``-fuseNone`` suffix they were
 recorded under, when the drivers still had a task-fusion knob: an

@@ -1,20 +1,28 @@
-"""The LU tournament against a reference, and its merges on LAPACK.
+"""The LU tournament against a reference, every election on LAPACK.
 
-Every TSLU tournament leaf selects with the paper's ``rgetf2`` and
-every merge with LAPACK ``?getrf`` (``kernels.lu.select_pivots``).
-Each node of the tournament is plain GEPP on the stacked candidates
+Every TSLU tournament election, leaf or merge, is one LAPACK ``?getrf``
+(``kernels.lu.select_pivots``).  Each node of the tournament is plain
+GEPP on its chunk or on the stacked candidates
 (Demmel–Grigori–Hoemmen–Langou), so the kernel that runs it changes no
 selection: CALU's pivots must be those of a reference CALU written
 here, in NumPy, whose every tournament node — leaves and merges —
-selects with ``rgetf2``, on every tree and on the serial and process
-backends.  A block shorter than it is wide, which ``rgetf2`` refuses,
-must elect ``getf2``'s pivots.  The factors must meet the backward
-error bound of GEPP and a growth no worse than a small multiple of
-``scipy.linalg.lu``'s; under :func:`repro.counters.counting` each merge
-must be one ``?getrf`` call and the leaves must still be counted under
-``rgetf2``.  The pivot check has teeth: a merge that forwards its
-*factored* rows up the tree, instead of the original ones (the bug
-class ``docs/ALGORITHMS.md`` warns about), fails it.
+selects with the paper's ``rgetf2`` (``getf2`` on a block shorter than
+it is wide), on every tree and on the serial and process backends.  A
+leaf shorter than it is wide elects ``?getrf``'s ``rows`` pivots.  The
+factors must meet the backward error bound of GEPP and a growth no
+worse than a small multiple of ``scipy.linalg.lu``'s; under
+:func:`repro.counters.counting` every election must be one ``?getrf``
+call and no NumPy ``rgetf2``/``getf2`` may run.  The pivot check has
+teeth: a merge that forwards its *factored* rows up the tree, instead
+of the original ones (the bug class ``docs/ALGORITHMS.md`` warns
+about), fails it.
+
+The growth slice checks the ``?getrf`` leaves against the bounds the
+CALU analysis proves for tournament pivoting over a tree of height
+``H`` (Demmel–Grigori–Hoemmen–Langou, arXiv:0808.2664; Grigori–Demmel–
+Xiang): each panel's multipliers ``|L| <= 2^(b·H)`` and Wilkinson's
+growth factor ``<= 2^(n(H+1)-1)``, on a matrix built so that bad pivots
+show — a quarter of its rows nearly zero in the first column.  A leaf that elects the smallest ``|pivot|`` must fail both.
 
 The rest of the critical path runs on vendor kernels too: the panel's
 last election (its root merge, or its only leaf) keeps its winners'
@@ -28,7 +36,9 @@ unit-diagonal — must each fail the backward-error bound, and an exactly
 singular panel must fail at its finalize with the no-pivoting LU's
 ``ZeroDivisionError``.
 
-The test ids name the leaf kernel, ``rgetf2`` (:data:`LEAF`).
+The test ids name the leaf's paper kernel, ``rgetf2`` (:data:`LEAF`):
+the leaf's ``Cost`` keeps it, and LAPACK's recursive ``?getrf2`` is
+that recursion.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from repro.core.calu import calu
 from repro.core.driver import algorithm, compile
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import merged_chunks
-from repro.core.trees import TreeKind, reduction_schedule
+from repro.core.trees import TreeKind, reduction_schedule, tree_height
 from repro.core.tslu import tslu
 from repro.counters import counting
 from repro.kernels.blas import blas_trsm
@@ -53,7 +63,7 @@ from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
 
-#: The leaf kernel, as the ids name it.
+#: The leaf's paper kernel (its ``Cost``), as the ids name it.
 LEAF = "rgetf2"
 TREES = [TreeKind.BINARY, TreeKind.FLAT, TreeKind.HYBRID]
 
@@ -164,19 +174,21 @@ def test_pivots_are_those_of_the_leaf_kernel_at_every_node(name, tree, backend, 
 
 @pytest.mark.parametrize("shape", [(5, 12), (1, 4), (15, 16)], ids=lambda s: "{}x{}".format(*s))
 def test_a_leaf_shorter_than_it_is_wide_elects_getf2s_pivots(shape):
-    """``rgetf2`` needs ``rows >= cols``; a leaf block short of that
-    falls to ``getf2``: the same pivots and factors, and the block
-    itself untouched."""
+    """A leaf block shorter than it is wide elects ``?getrf``'s ``rows``
+    pivots — the ones ``getf2`` picks — with ``?getrf``'s factors, in
+    one call, and the block itself untouched."""
     block = np.random.default_rng(shape[0]).standard_normal(shape)
     before = block.copy()
     with counting() as c:
-        sel, lu = select_pivots(block, merge=False)
+        sel, lu = select_pivots(block)
     np.testing.assert_array_equal(block, before)
     work = block.copy()
-    piv = getf2(work)
+    piv = lapack_getrf(work)
+    assert len(sel) == shape[0]
     np.testing.assert_array_equal(sel, _swap_perm(piv, shape[0]))
+    np.testing.assert_array_equal(sel, _gepp_select(block))
     np.testing.assert_array_equal(lu, work)
-    assert c.kernel_calls.get("getf2") == 1 and "rgetf2" not in c.kernel_calls
+    assert c.kernel_calls == {"lapack_getrf": 1}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: np.dtype(d).name)
@@ -197,36 +209,119 @@ def test_factors_meet_the_gepp_bounds(name, tree, dtype, executors):
     assert growth_factor(A64, U) <= GROWTH_SLACK * growth_factor(A64, U_ref)
 
 
-def _tournament_shape(m, n, b, tr, tree):
-    """The leaf kernels' calls over every panel's leaves (counted on
-    blocks of their shapes) and the number of merges."""
-    layout = BlockLayout(m, n, b)
-    merges = 0
-    rng = np.random.default_rng(0)
-    with counting() as leaves:
+#: (m, n, b, tr) of the growth slice: two panels of 8 columns, each
+#: reduced over 4 leaves of 62 rows or more.
+GROWTH_SHAPE = (256, 16, 8, 4)
+#: The first column of every fourth row: nearly zero, so a leaf that
+#: pivots on it ships multipliers of about its inverse.
+GROWTH_TINY = 2.0**-60
+
+
+def _graded_matrix(dtype):
+    m, n, _, _ = GROWTH_SHAPE
+    A = np.random.default_rng(m * 1000 + n).standard_normal((m, n))
+    A[::4, 0] *= GROWTH_TINY
+    return A.astype(dtype)
+
+
+def _growth_against_the_bounds(tree, executor, dtype):
+    """Each panel's ``max|L|`` against ``2^(b·H)``, then the growth
+    factor against ``2^(n(H+1)-1)``, with ``H`` the height of the
+    panel's reduction tree: ``(measured, bound)`` pairs.  The growth is
+    Wilkinson's, over the active matrix at every panel boundary and
+    ``U`` (``max|U| / max|A|`` alone misses a panel whose pivot rows
+    stay small while the rows below them grow)."""
+    m, n, b, tr = GROWTH_SHAPE
+    A = _graded_matrix(dtype)
+    with np.errstate(all="ignore"):  # a bad elimination may overflow
+        f = calu(A, b=b, tr=tr, tree=tree, executor=executor, guards=False)
+        layout = BlockLayout(m, n, b)
+        A64 = A.astype(np.float64)
+        L, U = f.L.astype(np.float64), f.U.astype(np.float64)
+        checks, heights, active = [], [], [np.abs(U).max()]
         for K in range(layout.n_panels):
-            bk = layout.panel_width(K)
-            chunks = merged_chunks(layout, K, tr)
-            for c in chunks:
-                _gepp_select(rng.standard_normal((c.rows, bk)))
-            merges += sum(len(level) for level in reduction_schedule(len(chunks), tree))
-    return leaves.kernel_calls, merges
+            k0, bk = K * b, layout.panel_width(K)
+            H = tree_height(len(merged_chunks(layout, K, tr)), tree)
+            heights.append(H)
+            checks.append((float(np.abs(L[k0:, k0 : k0 + bk]).max()), 2.0 ** (bk * H)))
+            schur = A64[f.perm][k0:, k0:] - L[k0:, :k0] @ U[:k0, k0:]
+            active.append(np.abs(schur).max())
+        growth = float(max(active) / np.abs(A64).max())
+        checks.append((growth, 2.0 ** (n * (max(heights) + 1) - 1)))
+    return checks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("tree", [TreeKind.BINARY, TreeKind.FLAT], ids=lambda t: t.value)
+def test_leaf_pivot_growth_meets_the_tournament_bounds(tree, backend, dtype, executors):
+    """The ``?getrf`` leaves elect pivots whose growth is inside the
+    tournament-pivoting bounds — by orders of magnitude, as GEPP's."""
+    for measured, bound in _growth_against_the_bounds(tree, executors[backend], dtype):
+        assert measured <= bound
+        assert measured <= 1e3  # GEPP-like in practice: no panel near its bound
+
+
+def _smallest_pivot_select(block):
+    """Mutation's election: GEPP on a copy that pivots on the smallest
+    ``|a|`` of each column instead of the largest."""
+    W = block.astype(np.float64)
+    rows, cols = W.shape
+    order = np.arange(rows)
+    for j in range(min(rows, cols)):
+        p = j + int(np.argmin(np.abs(W[j:, j])))
+        W[[j, p]] = W[[p, j]]
+        order[[j, p]] = order[[p, j]]
+        W[j + 1 :, j] /= W[j, j]
+        W[j + 1 :, j + 1 :] -= np.outer(W[j + 1 :, j], W[j, j + 1 :])
+    return order[: min(rows, cols)]
+
+
+def _leaf_electing_the_smallest_pivot(p):
+    """Mutation: a tournament leaf whose election keeps the rows with the
+    smallest ``|pivot|``."""
+    A = ops.attach_array(p["a"])
+    r0, r1, k0 = p["r0"], p["r1"], p["k0"]
+    block = A[r0:r1, p["c0"] : p["c1"]]
+    sel = _smallest_pivot_select(block)
+    ops._fill_slot(p["slot"], block[sel], np.arange(r0 - k0, r1 - k0)[sel])
+
+
+@pytest.mark.parametrize("tree", [TreeKind.BINARY, TreeKind.FLAT], ids=lambda t: t.value)
+def test_a_leaf_electing_the_smallest_pivot_fails_the_growth_bounds(tree, monkeypatch, executors):
+    """In this process (the serial backend): its candidates are the
+    nearly-zero rows, and the first panel's multipliers and the growth
+    factor both break their bounds."""
+    monkeypatch.setitem(ops.OPS, "tslu_leaf", _leaf_electing_the_smallest_pivot)
+    first_panel, *_, growth = _growth_against_the_bounds(tree, executors["serial"], np.float64)
+    assert not first_panel[0] <= first_panel[1]
+    assert not growth[0] <= growth[1]
+
+
+def _tournament_shape(m, n, b, tr, tree):
+    """The number of leaves and of merges over every panel's tournament."""
+    layout = BlockLayout(m, n, b)
+    leaves = merges = 0
+    for K in range(layout.n_panels):
+        n_chunks = len(merged_chunks(layout, K, tr))
+        leaves += n_chunks
+        merges += sum(len(level) for level in reduction_schedule(n_chunks, tree))
+    return leaves, merges
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("tree", TREES, ids=lambda t: f"{LEAF}-{t.value}")
 def test_each_merge_is_one_getrf_call(tree, backend, executors):
+    """Every election, leaf or merge, is exactly one ``?getrf`` call,
+    and no NumPy ``rgetf2``/``getf2`` runs."""
     name = "lu_tall-2560x128"
     m, n, b, tr = SHAPES[name]
-    leaf_calls, merges = _tournament_shape(m, n, b, tr, tree)
+    leaves, merges = _tournament_shape(m, n, b, tr, tree)
     with counting() as c:
         calu(_matrix(name), b=b, tr=tr, tree=tree, executor=executors[backend])
     assert merges > 0
-    assert c.kernel_calls.get("lapack_getrf") == merges
-    leaf_names = (LEAF, "getf2")
-    assert {k: c.kernel_calls.get(k, 0) for k in leaf_names} == {
-        k: leaf_calls.get(k, 0) for k in leaf_names
-    }
+    assert c.kernel_calls.get("lapack_getrf") == leaves + merges
+    assert not {"rgetf2", "getf2"} & set(c.kernel_calls)
 
 
 def _merge_forwarding_factored_rows(p):
@@ -291,7 +386,7 @@ def test_finalize_installs_the_last_elections_factors(name, tree, backend, dtype
 def _elect_forwarding_original_rows(real):
     """Mutation: the last election keeps its winners' original rows, so
     the finalize installs ``A``'s rows where their factors belong."""
-    return lambda rows, gidx, merge, last: real(rows, gidx, merge, False)
+    return lambda rows, gidx, last: real(rows, gidx, False)
 
 
 def _l_solve_with_unit_u(p):

@@ -1,12 +1,14 @@
-"""The LU leaf kernels, bit for bit against frozen copies of their element loops.
+"""The NumPy LU kernels, bit for bit against frozen copies of their element loops.
 
-Every TSLU tournament leaf factors with ``rgetf2`` (``getf2`` below its
-threshold), and the blocked and tiled baselines factor their panels with
-``getf2``.  These kernels are written for few NumPy calls per column,
-but the contract is that no floating-point operation is reordered or
-re-associated: each multiplier is one division by its pivot, each
-trailing entry is updated ``a - l*u`` once per column in column order,
-every ``gemm`` and row solve sees the same operands.  So the factors,
+The blocked and tiled baselines factor their panels with ``getf2``, and
+the host calibration times ``getf2`` and ``rgetf2`` (every TSLU
+tournament leaf elects with LAPACK ``?getrf`` instead, which one test
+here pins: a leaf's election is ``?getrf``'s on a copy).  These kernels
+are written for few NumPy calls per column, but the contract is that
+no floating-point operation is reordered or re-associated: each
+multiplier is one division by its pivot, each trailing entry is updated
+``a - l*u`` once per column in column order, every ``gemm`` and row
+solve sees the same operands.  So the factors,
 pivots and counted totals must equal, bit for bit, those of the
 straightforward loops frozen below (the per-column ``ger`` version of
 ``getf2`` and the ``rgetf2``/``getrf``/``laswp``/``trsm_llnu``/
@@ -26,7 +28,7 @@ import pytest
 
 from repro.counters import add_call, add_comparisons, add_flops, add_words, counting
 from repro.kernels.blas import laswp, trsm_llnu
-from repro.kernels.lu import getf2, getrf, piv_to_perm, rgetf2, select_pivots
+from repro.kernels.lu import getf2, getrf, lapack_getrf, piv_to_perm, rgetf2, select_pivots
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +147,10 @@ def _ref_piv_to_perm(piv, m):
 
 
 def _ref_select(block):
+    """A tournament leaf's election: LAPACK ``?getrf`` on a copy."""
     rows, cols = block.shape
     work = block.copy()
-    piv = _ref_rgetf2(work) if rows >= cols else _ref_getf2(work)
+    piv = lapack_getrf(work)
     r = min(rows, cols)
     return _ref_piv_to_perm(piv, rows)[:r], work[:r]
 
@@ -287,6 +290,8 @@ def test_getrf_is_the_frozen_blocked_loop_bit_for_bit(shape, b, layout):
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f64", "f32"])
 @pytest.mark.parametrize("shape", SHAPES, ids=_ids(SHAPES))
 def test_a_tournament_leaf_elects_and_factors_bit_for_bit(shape, dtype):
+    """A leaf's selection and factors are ``?getrf``'s on a copy, in one
+    call, whatever the block's shape or values."""
     seed = shape[0] * 1000 + shape[1]
     for kind in KINDS:
         block = _values(kind, *shape, dtype, seed)
@@ -295,11 +300,12 @@ def test_a_tournament_leaf_elects_and_factors_bit_for_bit(shape, dtype):
             with counting() as c_ref:
                 sel_ref, lu_ref = _ref_select(block)
             with counting() as c_got:
-                sel_got, lu_got = select_pivots(block, merge=False)
+                sel_got, lu_got = select_pivots(block)
         assert _same_bits(block, before), kind  # the candidates stay unfactored
         assert np.array_equal(sel_got, sel_ref), kind
         assert _same_bits(lu_got, lu_ref), kind
         assert _totals(c_got) == _totals(c_ref), kind
+        assert c_got.kernel_calls == {"lapack_getrf": 1}, kind
 
 
 def test_ties_go_to_the_first_maximum():

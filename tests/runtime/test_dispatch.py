@@ -340,7 +340,7 @@ class TestSharedPool:
                 g.add(
                     f"t{i}",
                     TaskKind.S,
-                    Cost("gemm", flops=1e3),
+                    Cost("gemm", flops=engine_mod._SHIP_MIN_FLOPS),  # dealt, not kept home
                     op=(
                         "test_accumulate",
                         {"out": arena.spec(out[t]), "slot": i, "value": float(t + 1)},

@@ -229,12 +229,13 @@ def test_same_descriptor_same_bits_on_heap_and_in_a_worker(name, executor):
 def test_calu_over_a_spill_file_binding_on_two_workers():
     """End to end: the process backend factors on whichever store the
     binding names — here spill files — to the bits of the heap run,
-    on two worker processes and the dispatcher's lane."""
-    A = np.random.default_rng(11).standard_normal((96, 48))
-    want = calu(A, b=8, tr=2)
+    on two worker processes and the dispatcher's lane (its leaves clear
+    the dispatcher's shipping floor, so both processes are dealt some)."""
+    A = np.random.default_rng(11).standard_normal((1024, 64))
+    want = calu(A, b=32, tr=4)
     with MmapTileStore() as spill, ProcessExecutor(3) as ex:
         binding = ShmBinding(spill, spill.place(A))
-        plan = compile(algorithm("lu"), binding, b=8, tr=2, tree=TreeKind.BINARY)
+        plan = compile(algorithm("lu"), binding, b=32, tr=4, tree=TreeKind.BINARY)
         trace = plan.run(ex)
         got = plan.result(trace, binding.detach)
         assert ex.pool.liveness() == [True, True]  # spawned lazily: both were sent ops

@@ -7,8 +7,9 @@ the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
 second scheduler, a second allocator or ``attach_array``, a kernel
 selector, a numeric or faulty simulator, an option no caller sets, a
-kernel no caller calls — so it cannot come back unnoticed.  The patterns are regular
-expressions over single lines, as ``grep -E`` reads them.
+kernel no caller calls, a NumPy LU in the tournament — so it cannot
+come back unnoticed.  The patterns are regular expressions over single
+lines, as ``grep -E`` reads them.
 """
 
 import dataclasses
@@ -29,7 +30,8 @@ from repro.core.calu import calu, calu_program
 from repro.core.caqr import caqr, caqr_program
 from repro.core.tslu import add_tslu_tasks, tslu
 from repro.core.tsqr import add_tsqr_tasks, tsqr
-from repro.kernels.lu import getrf
+from repro.kernels import lu as lu_kernels
+from repro.kernels.lu import getrf, select_pivots
 from repro.kernels.qr import geqrf
 from repro.resilience.health import validate_matrix
 from repro.runtime.process import ProcessExecutor, _WorkerPool
@@ -187,6 +189,18 @@ def test_no_unpivoted_getf2_or_rank1_kernel():
     assert grep(r"def (getf2_nopiv|ger)\b|\b(getf2_nopiv|ger)\(", ".") == []
     for name in ("getf2_nopiv", "ger"):
         assert not hasattr(kernels, name), name
+
+
+# Every tournament election is LAPACK ``?getrf``: the task bodies and
+# the selection step name no NumPy recursive LU (a leaf's ``Cost`` keeps
+# the paper's ``"rgetf2"`` in the builder, a string, not a call).
+
+
+def test_no_numpy_lu_in_the_tournament():
+    assert grep(r"rgetf2", "runtime/ops.py") == []
+    assert "rgetf2" not in inspect.getsource(select_pivots)
+    assert not hasattr(lu_kernels, "LEAF")
+    assert list(inspect.signature(select_pivots).parameters) == ["block"]
 
 
 # The simulator prices, the engine computes: the simulated executor
