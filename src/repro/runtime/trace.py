@@ -10,6 +10,7 @@ those figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from repro.runtime.task import TaskKind
@@ -58,7 +59,7 @@ class Trace:
         events: Iterable = (),
         stats: dict | None = None,
     ) -> None:
-        self.records = sorted(records, key=lambda r: (r.start, r.core))
+        self.records = sorted(records, key=attrgetter("start", "core"))
         self.n_cores = n_cores
         self.events = list(events)
         self.stats = dict(stats) if stats else {}
