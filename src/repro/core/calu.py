@@ -131,7 +131,7 @@ def calu_program(
     workspace list fills as panel windows are emitted.
 
     With *guards* (the default, numeric runs only) the TSLU tasks carry
-    corruption detectors that trigger the partial-pivoting fallback,
+    corruption detectors that send the finalize to the tournament replay,
     the finalize tasks monitor pivot growth, and every trailing-update
     (S) task carries a finiteness guard over the block it wrote — so a
     corrupted run can never return silently wrong factors.  (Over a
@@ -303,20 +303,18 @@ def calu_program(
 
 
 def panel_verdicts(layout: BlockLayout, workspaces: list[PanelWorkspace]):
-    """What a finished run's workspaces say: ``(piv, degraded, recovered)``.
+    """What a finished run's workspaces say: ``(piv, recovered)``.
 
     *piv* is the global LAPACK-style swap sequence of length
-    ``min(m, n)`` stitched from the per-panel ones; the other two are
-    the indices of the panels that fell back to partial pivoting and of
-    those whose tournament was replayed.
+    ``min(m, n)`` stitched from the per-panel ones; *recovered* the
+    indices of the panels whose tournament was replayed.
     """
     piv = np.arange(min(layout.m, layout.n), dtype=np.int64)
     for K, ws in enumerate(workspaces):
         k0, bk = K * layout.b, layout.panel_width(K)
         piv[k0 : k0 + bk] = ws.piv[:bk] + k0
-    degraded = tuple(K for K, ws in enumerate(workspaces) if ws.degraded)
     recovered = tuple(K for K, ws in enumerate(workspaces) if ws.recomputed)
-    return piv, degraded, recovered
+    return piv, recovered
 
 
 @dataclass
@@ -328,11 +326,9 @@ class CALUFactorization:
     LAPACK-style swap sequence of length ``min(m, n)``.
 
     ``trace`` is the executor's schedule (with its resilience event
-    log); ``degraded_panels`` lists the panel indices whose tournament
-    fell back to partial pivoting after a detected corruption, and
-    ``recovered_panels`` the panels whose corrupted tournament was
-    instead repaired by replaying it from clean panel data (pivots
-    identical to a fault-free run).
+    log); ``recovered_panels`` lists the panels whose corrupted
+    tournament was repaired by replaying it from clean panel data
+    (pivots identical to a fault-free run).
     """
 
     lu: np.ndarray
@@ -341,7 +337,6 @@ class CALUFactorization:
     tr: int
     tree: TreeKind
     trace: Trace | None = None
-    degraded_panels: tuple[int, ...] = ()
     recovered_panels: tuple[int, ...] = ()
 
     @property
@@ -428,8 +423,8 @@ def calu(
         A priority rule: it ranks the updates of panels ``K+1..K+lookahead``.
     guards : attach numerical health guards to the task graph (see
         :func:`calu_program`); disabled, a corrupted run may
-        raise from deep inside a kernel instead of degrading
-        gracefully.
+        raise from deep inside a kernel instead of failing at the
+        guard that saw it.
     checkpoint : optional
         :class:`~repro.resilience.checkpoint.Checkpoint` arming the
         checkpoint/restart path: panel-boundary snapshots.  Call
@@ -442,8 +437,9 @@ def calu(
         (recorded as ``abft_correct`` events) instead of aborting.
 
     A corrupted TSLU tournament is always replayed from clean panel
-    data (identical pivots; recorded in ``recovered_panels``) before the
-    panel degrades to partial pivoting.
+    data (identical pivots; recorded in ``recovered_panels``); a panel
+    that is itself non-finite ends the run in a ``health``
+    :class:`~repro.resilience.recovery.RuntimeFailure`.
 
     Returns a :class:`CALUFactorization`.  A repeated shape reuses its
     plan: a later call with the same shape, dtype, plane and knobs loads

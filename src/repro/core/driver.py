@@ -77,7 +77,7 @@ class Algorithm:
 
 
 def _calu_result(A, panels, detach, *, layout, tr, tree, trace):
-    piv, degraded, recovered = panel_verdicts(layout, panels)
+    piv, recovered = panel_verdicts(layout, panels)
     return CALUFactorization(
         lu=detach(A),
         piv=piv,
@@ -85,7 +85,6 @@ def _calu_result(A, panels, detach, *, layout, tr, tree, trace):
         tr=tr,
         tree=tree,
         trace=trace,
-        degraded_panels=degraded,
         recovered_panels=recovered,
     )
 

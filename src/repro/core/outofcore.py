@@ -43,13 +43,13 @@ never exist as one array.  All streaming transfers go through
 lands in the global ``store_read_bytes``/``store_write_bytes`` counters
 that ``benchmarks/bench_outofcore.py`` compares against the I/O model.
 
-Degradation ladder: the finalize task is the in-memory one, so a
-corrupted tournament is *replayed* from the stored panel (rung 1: one
-extra streamed read of the panel, pivots and factors bitwise those of a
-fault-free run, reported as :attr:`OOCPanelLU.recovered`).  Rung 2 —
-partial pivoting on a copy of the whole panel — is the one step with no
-streamed form: the panel refuses a window that tall, and the run fails
-with a :class:`RuntimeError` saying the tournament was corrupted.
+Recovery: the finalize task is the in-memory one, so a corrupted
+tournament is *replayed* from the stored panel (one extra streamed
+read of the panel, pivots and factors bitwise those of a fault-free
+run, reported as :attr:`OOCPanelLU.recovered`).  A panel
+whose stored rows are themselves non-finite fails that replay, and the
+run fails as it does in memory: a ``health`` :class:`RuntimeFailure`
+naming the finalize task.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ benchmarks against ``MKL_dgetf2``.
 Resilience: leaf tasks are *idempotent* (they read the matrix and
 overwrite only their own candidate slot), so the runtime may retry
 them.  Health guards watch the tournament's candidate buffers; if a
-fault corrupts them, the panel *degrades gracefully* — the finalize
-task abandons the tournament and selects its pivots by classic GEPP
-partial pivoting on the panel, which costs one extra panel sweep but
-keeps the factorization correct (recorded as a ``degraded`` event).
+fault corrupts them, the finalize task replays the whole tournament
+from the panel, which the tournament only read: one extra panel sweep
+that restores the fault-free pivots and factors bit for bit (recorded
+as a ``recompute`` event).  A panel that is itself non-finite fails the
+replay, and with it the run (a ``health`` failure of the finalize).
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ class PanelWorkspace:
 
     ``slots[slot]`` is the ``(rows, gidx, count)`` candidate triple —
     pivot-row values copied out of the matrix, their row indices local
-    to the panel, and how many are valid; ``flags`` is ``[degraded,
+    to the panel, and how many are valid; ``flags`` is ``[corrupted,
     recomputed]``; ``piv_buf`` the length-prefixed LAPACK-style swap
-    sequence the finalize task selects.  ``piv`` / ``degraded`` /
-    ``recomputed`` are accessors over them.  A symbolic (cost-only)
-    graph's workspace has no buffers and reads as untouched.
+    sequence the finalize task selects.  ``piv`` / ``recomputed`` are
+    accessors over them.  A symbolic (cost-only) graph's workspace has
+    no buffers and reads as untouched.
     """
 
     slots: dict[int, tuple] = field(default_factory=dict)
@@ -114,12 +115,6 @@ class PanelWorkspace:
         return self.piv_buf[1 : 1 + int(self.piv_buf[0])]
 
     @property
-    def degraded(self) -> bool:
-        """The tournament's candidates were found corrupted and the
-        finalize task fell back to partial pivoting for this panel."""
-        return self.flags is not None and bool(self.flags[0])
-
-    @property
     def recomputed(self) -> bool:
         """The finalize task repaired a corrupted tournament by
         replaying the whole reduction from the (untouched) panel data —
@@ -129,7 +124,7 @@ class PanelWorkspace:
 
 
 def _candidate_guard(ws: PanelWorkspace, slot: int, K: int, name: str):
-    """Health guard for a tournament task: non-finite candidates degrade the panel."""
+    """Health guard for a tournament task: non-finite candidates flag the panel for replay."""
     rows, _, count = ws.slots[slot]
     flags = ws.flags
 
@@ -188,12 +183,6 @@ def _panel_guard(
                 task=name,
                 detail=f"panel {K}: corrupted tournament replayed from clean panel data",
             )
-        if ws.degraded:
-            return ResilienceEvent(
-                kind="degraded",
-                task=name,
-                detail=f"panel {K}: tournament corrupted, fell back to partial pivoting",
-            )
         absmax = ws.absmax
         if absmax is not None and absmax > 0:
             growth = float(np.abs(block).max()) / absmax
@@ -233,14 +222,15 @@ def add_tslu_tasks(
     only (*ws* is None).
 
     With ``em.guards`` the tournament tasks carry ``meta["health"]``
-    closures that detect corrupted candidate buffers and trigger the
-    partial-pivoting fallback, plus ``meta["corrupt"]`` hooks so a
+    closures that detect corrupted candidate buffers and flag the panel
+    for the finalize's replay, plus ``meta["corrupt"]`` hooks so a
     :class:`~repro.resilience.faults.FaultPlan` can target the workspace
     instead of the matrix, and the finalize guards its pivot block.
     *absmax* (the matrix's pre-factorization magnitude, kept on *ws*)
     enables the pivot-growth monitor on the finalize task.  The finalize
     task repairs a corrupted tournament by replaying it from the clean
-    panel data (identical pivots) before degrading to partial pivoting.
+    panel data (identical pivots), or fails the run when the panel
+    itself is non-finite.
     """
     K, store = em.K, em.store
     m, k0, bk = layout.m, K * layout.b, layout.panel_width(K)

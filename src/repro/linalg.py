@@ -43,15 +43,13 @@ class SolveReport:
 
     ``residual`` is the scaled backward-error residual
     ``||rhs - A x|| / (||A|| ||x|| + ||rhs||)``; ``converged`` says it
-    met the requested tolerance; ``degraded_panels`` forwards the
-    factorization's partial-pivoting fallbacks.
+    met the requested tolerance.
     """
 
     residual: float = float("nan")
     tol: float = float("nan")
     refine_steps: int = 0
     converged: bool = True
-    degraded_panels: tuple[int, ...] = ()
     history: list[float] = field(default_factory=list)
 
 
@@ -138,7 +136,7 @@ def monitored_solve(
     *report*.
     """
     x = f.solve(rhs)
-    rep = SolveReport(degraded_panels=f.degraded_panels)
+    rep = SolveReport()
     if refine > 0:
         x, hist = iterative_refinement(A, f, rhs, max_iters=refine, x0=x)
         rep.refine_steps = len(hist) - 1

@@ -1,8 +1,8 @@
 """Structured resilience events.
 
 Every resilience mechanism — fault injection, task retry, watchdog
-timeouts, numerical health guards, graceful degradation, message
-retransmission — reports what it did as a :class:`ResilienceEvent`.
+timeouts, numerical health guards, recomputation, checkpoints —
+reports what it did as a :class:`ResilienceEvent`.
 Executors collect the events alongside the schedule records, so a
 :class:`~repro.runtime.trace.Trace` (or a raised
 :class:`~repro.resilience.recovery.RuntimeFailure`) carries a complete,
@@ -23,11 +23,6 @@ __all__ = ["ResilienceEvent", "EVENT_KINDS"]
 #:     A fault the :class:`~repro.resilience.faults.FaultPlan` injected.
 #: ``retry``
 #:     A failed task attempt that the retry policy re-ran.
-#: ``degraded``
-#:     A graceful-degradation decision (e.g. a CALU panel falling back
-#:     from tournament to partial pivoting).
-#: ``refine``
-#:     A solver escalated to (additional) iterative refinement.
 #: ``abft_correct``
 #:     An ABFT checksum repaired a corrupted element in place.
 #: ``recompute``
@@ -50,8 +45,6 @@ EVENT_KINDS = (
     "fault_raise",
     "fault_corrupt",
     "retry",
-    "degraded",
-    "refine",
     "abft_correct",
     "recompute",
     "checkpoint",

@@ -49,7 +49,7 @@ class RuntimeFailure(RuntimeError):
     trace:
         The partial :class:`~repro.runtime.trace.Trace` of everything
         that completed before the failure, including resilience events
-        (retries, injected faults, degradations).  May be None when the
+        (retries, injected faults, recomputations).  May be None when the
         failure happened outside an executor run.
     """
 

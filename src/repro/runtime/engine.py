@@ -425,8 +425,15 @@ class _RealClockRun:
             time.sleep(retry.delay(attempt, task.tid))
             return True
         if not isinstance(exc, RuntimeFailure):
+            # A FloatingPointError is a task body's numerical verdict
+            # (a non-finite panel at its finalize): a health failure.
+            kind = (
+                "injected" if isinstance(exc, InjectedFault)
+                else "health" if isinstance(exc, FloatingPointError)
+                else "task_error"
+            )
             exc = _failure(
-                "injected" if isinstance(exc, InjectedFault) else "task_error",
+                kind,
                 f"task {task.name!r} failed after {attempt + 1} attempt(s): {exc}",
                 task,
                 exc,

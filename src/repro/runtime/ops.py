@@ -32,7 +32,7 @@ conventions:
   payload's ``last``) writes its winners' factors there, the packed LU
   the finalize installs, instead of their original rows;
 * a pivot buffer stores ``[length, swap_0, swap_1, ...]``;
-* a panel's ``flags`` buffer is ``[degraded, recomputed]``;
+* a panel's ``flags`` buffer is ``[corrupted, recomputed]``;
 * leaf ``T`` and merge ``Vb``/``T`` buffers hold the implicit-Q
   factors the ``PanelQRStore`` entries are views of (a leaf's ``V``
   has none: it stays packed below ``R`` in the panel).
@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from repro.kernels.blas import blas_trsm, gemm, laswp
-from repro.kernels.lu import getf2, perm_from_piv_rows, select_pivots
+from repro.kernels.lu import perm_from_piv_rows, select_pivots
 from repro.kernels.qr import extract_v, geqrt, larfb_left_t
 from repro.kernels.structured import lapack_tpmqrt, lapack_tpqrt
 from repro.runtime.tilestore import attach_array
@@ -106,9 +106,8 @@ def _op_tslu_merge(p: dict) -> None:
     rows = np.vstack([r for r, _ in srcs])
     gidx = np.concatenate([g for _, g in srcs])
     if not np.isfinite(rows).all():
-        # Corrupted candidates: mark the panel degraded and stop
-        # propagating poison up the tree.  The finalize task will fall
-        # back to partial pivoting on the panel itself.
+        # Corrupted candidates: flag the panel and stop propagating
+        # poison up the tree.  The finalize task replays the tournament.
         attach_array(p["flags"])[0] = 1
         n = min(len(rows), p["bk"])
         _fill_slot(p["dst"], rows[:n], gidx[:n])
@@ -123,7 +122,7 @@ def _recompute_tournament(
     c1: int,
     leaves: list[tuple[int, int, int]],
     merges: list[tuple[int, list[int]]],
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Replay a panel's whole tournament serially from the matrix.
 
     The tournament tasks only *read* the panel (candidates are copies),
@@ -134,15 +133,14 @@ def _recompute_tournament(
     elections of the task graph, with its kernels, so the returned root
     slot — the last election's factored winners and their indices — is
     bitwise that of a fault-free run.
-    Returns None when the panel itself is unusable (non-finite
-    entries), which sends the finalize task down the next rung of the
-    ladder.
+    Raises :class:`FloatingPointError` when the panel itself is
+    non-finite: no election over it can yield usable pivots.
     """
     cand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for slot, r0, r1 in leaves:
         block = A[r0:r1, c0:c1]
         if not np.isfinite(block).all():
-            return None
+            raise FloatingPointError(f"non-finite panel in columns {c0}:{c1}")
         cand[slot] = _elect(block, np.arange(r0 - k0, r1 - k0), not merges)
     for i, (dst, srcs) in enumerate(merges):
         cand[dst] = _elect(
@@ -159,34 +157,14 @@ def _op_tslu_finalize(p: dict) -> None:
     r = min(c1 - c0, m - k0)
     lu, gidx = _read_slot(p["root"])
     flags = attach_array(p["flags"])
-    degraded = bool(flags[0]) or len(gidx) == 0 or not np.isfinite(lu).all()
-    if degraded:
-        # Recovery ladder, rung 1: the tournament tasks never wrote the
-        # matrix, so replay the whole reduction from the clean panel.
-        # Success restores fault-free pivots and factors bit for bit.
-        replayed = _recompute_tournament(A, k0, c0, c1, p["leaves"], p["merges"])
-        if replayed is not None:
-            lu, gidx = replayed
-            degraded = False
-            flags[0] = 0
-            flags[1] = 1
-    if degraded:
-        # Rung 2 — graceful degradation: the replay found the panel
-        # itself unusable too, so select pivots by classic GEPP partial
-        # pivoting on a *copy* of the panel, whose top rows are then
-        # the pivot block's factors (the actual panel is swapped as in
-        # the tournament path, leaving the sub-pivot rows for the L
-        # tasks).
-        flags[0] = 1
-        try:
-            work = A[k0:m, c0:c1].copy()
-        except MemoryError as exc:  # e.g. a streamed panel: taller than fast memory
-            raise RuntimeError(
-                f"tournament corrupted; no memory for the panel-copy fallback: {exc}"
-            ) from exc
-        piv, lu = getf2(work), work[:r]
-    else:
-        piv = perm_from_piv_rows(gidx, m - k0)
+    if flags[0] or len(gidx) == 0 or not np.isfinite(lu).all():
+        # The tournament tasks never wrote the matrix, so replay the
+        # whole reduction from the clean panel: fault-free pivots and
+        # factors, bit for bit.  A non-finite panel raises instead.
+        lu, gidx = _recompute_tournament(A, k0, c0, c1, p["leaves"], p["merges"])
+        flags[0] = 0
+        flags[1] = 1
+    piv = perm_from_piv_rows(gidx, m - k0)
     # The no-pivoting LU of the winners exists only without a zero pivot.
     zero = np.flatnonzero(np.diagonal(lu) == 0)
     if zero.size:

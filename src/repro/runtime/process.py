@@ -21,7 +21,7 @@ dominates and the threaded backend cannot scale with physical cores.
   (:meth:`_WorkerPool.collect`).  Each ack then goes through the same
   post-task lifecycle as a threaded task — fault injection, health
   guards (reading the very store buffers the worker wrote: pivots,
-  degradation flags, Q factors), record, release — so resume skips,
+  tournament flags, Q factors), record, release — so resume skips,
   retry and the watchdog behave identically across the threaded and
   process backends;
 * the dispatcher is one of the lanes: ``ProcessExecutor(W)`` spawns

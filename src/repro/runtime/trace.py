@@ -42,7 +42,7 @@ class Trace:
     """An executed schedule: records plus aggregate statistics.
 
     ``events`` is the structured resilience log — every retry, injected
-    fault, degradation, health violation or watchdog finding the run
+    fault, recomputation, health violation or watchdog finding the run
     produced, as :class:`~repro.resilience.events.ResilienceEvent`
     entries.  Fault-free runs have an empty log.
 
@@ -85,7 +85,7 @@ class Trace:
         return 1.0 - self.busy_time() / (span * self.n_cores)
 
     def resilience_summary(self) -> dict[str, int]:
-        """Event counts by kind (``{"retry": 2, "degraded": 1, ...}``)."""
+        """Event counts by kind (``{"retry": 2, "recompute": 1, ...}``)."""
         out: dict[str, int] = {}
         for ev in self.events:
             out[ev.kind] = out.get(ev.kind, 0) + 1
@@ -94,10 +94,6 @@ class Trace:
     def retries(self) -> int:
         """Total task attempts beyond the first."""
         return self.resilience_summary().get("retry", 0)
-
-    def degradations(self) -> list:
-        """The ``degraded`` events (e.g. panels that fell back to GEPP)."""
-        return [ev for ev in self.events if ev.kind == "degraded"]
 
     def busy_by_kind(self) -> dict[str, float]:
         out: dict[str, float] = {}

@@ -182,7 +182,7 @@ def test_with_the_constant_at_zero_every_lu_graph_is_the_old_one(monkeypatch):
 class _PoisonedPanel(FaultPlan):
     """Poison the first leaf's candidate slot and then a row of the
     panel: the tournament replay finds the panel non-finite, and the
-    GEPP fallback factors that same panel."""
+    finalize fails the run."""
 
     def __init__(self) -> None:
         super().__init__(0, max_faults=1)

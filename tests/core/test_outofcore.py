@@ -24,6 +24,7 @@ from repro.core.tsqr import tsqr
 from repro.counters import counting
 from repro.kernels.lu import piv_to_perm
 from repro.resilience import FaultPlan
+from repro.resilience.recovery import RuntimeFailure
 from repro.runtime.shm import SharedArena
 from repro.runtime.threaded import ThreadedExecutor
 from repro.runtime.tilestore import StreamedBinding
@@ -180,14 +181,35 @@ def test_corrupted_tournament_is_replayed_out_of_core():
         before = tiles.io.read_bytes
         trace = ThreadedExecutor(2, fault_plan=plan).run(program)
         (ws,) = panels
-        assert ws.recomputed and not ws.degraded
+        assert ws.recomputed
         counts = trace.resilience_summary()
         assert counts["fault_corrupt"] >= 1 and counts["recompute"] == 1
-        assert "degraded" not in counts
         # One extra panel read: tournament + replay + L solves < 4 passes.
         assert 3 * A.nbytes - n * n * 8 <= tiles.io.read_bytes - before < 3.2 * A.nbytes
         np.testing.assert_array_equal(lu_mem, tiles.load(spec))
         np.testing.assert_array_equal(piv_mem, ws.piv)
+
+
+@pytest.mark.parametrize("guards", [True, False], ids=["guarded", "unguarded"])
+def test_non_finite_streamed_panel_fails_its_finalize(guards):
+    # The replay streams the leaf windows again; a NaN stored in one of
+    # them after staging leaves nothing clean to replay from, so the
+    # finalize fails the run as it does in memory.
+    m, n, tr = 900, 12, 5
+    with SharedArena() as tiles:
+        placed = tiles.place(RNG.standard_normal((m, n)))
+        window = tiles.spec(placed[720:900])
+        rows = tiles.load(window)
+        rows[5, 3] = np.nan
+        tiles.store(window, rows)
+        binding = StreamedBinding(tiles, tiles.spec(placed), max_rows=m // tr)
+        program, _ = calu_program(
+            BlockLayout(m, n, n), tr, TreeKind.BINARY, A=binding.A, store=binding, guards=guards
+        )
+        with pytest.raises(RuntimeFailure) as ei:
+            ThreadedExecutor(2).run(program)
+    assert ei.value.failure_kind == "health"
+    assert ei.value.task == "F[0]"
 
 
 # ---------------------------------------------------------------------------

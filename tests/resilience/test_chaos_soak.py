@@ -276,7 +276,6 @@ def test_abft_corrects_single_tile_corruption():
     counts = f.trace.resilience_summary()
     assert counts.get("fault_corrupt") == 1
     assert counts.get("abft_correct") == 1
-    assert f.degraded_panels == ()
     assert_lu_ok(A0, f.lu, f.piv)
 
 

@@ -1,10 +1,9 @@
-"""End-to-end fault injection on CALU/CAQR: graceful degradation.
+"""End-to-end fault injection on CALU/CAQR: recovery or a structured failure.
 
-The contract under test (the tentpole's acceptance criterion): with
-seeded faults the factorizations either complete with *correct* factors
-— retries and degradations visible in the trace — or raise a structured
-``RuntimeFailure`` naming the offending task.  Never a hang, never
-silently wrong factors.
+The contract under test: with seeded faults the factorizations either
+complete with *correct* factors — retries and tournament replays
+visible in the trace — or raise a structured ``RuntimeFailure`` naming
+the offending task.  Never a hang, never silently wrong factors.
 """
 
 import numpy as np
@@ -12,10 +11,11 @@ import pytest
 
 from repro.core.calu import calu
 from repro.core.caqr import caqr
+from repro.core.driver import ALGORITHMS, compile
+from repro.core.trees import TreeKind
 from repro.core.tslu import tslu
 from repro.resilience.faults import FaultPlan
 from repro.resilience.recovery import RetryPolicy, RuntimeFailure
-from repro.runtime import ops
 from repro.runtime.process import ProcessExecutor
 from repro.runtime.threaded import ThreadedExecutor
 from tests.conftest import assert_lu_ok, make_rng
@@ -33,14 +33,6 @@ class _CorruptOneTask(FaultPlan):
         return {"corrupt": True} if task.name == self.name and attempt == 0 else {}
 
 
-def _fail_the_replay(monkeypatch) -> None:
-    """Make rung 1 of the recovery ladder, the tournament replay, find
-    the panel unusable (as a non-finite panel would), so a corrupted
-    tournament goes on to rung 2 in this process — and in the worker
-    processes forked after this."""
-    monkeypatch.setattr(ops, "_recompute_tournament", lambda *args: None)
-
-
 class TestCALUDegradation:
     def test_corrupted_tournament_recomputed_from_clean_panel(self):
         A0 = make_rng(0).standard_normal((48, 48))
@@ -54,7 +46,6 @@ class TestCALUDegradation:
         f = calu(A0, b=8, tr=4, executor=ex)
         assert_lu_ok(A0, f.lu, f.piv)
         assert f.recovered_panels == (0,)
-        assert f.degraded_panels == ()
         counts = f.trace.resilience_summary()
         assert counts.get("fault_corrupt") == 1
         assert counts.get("recompute", 0) >= 1
@@ -97,31 +88,32 @@ class TestCALUDegradation:
         assert np.array_equal(piv, clean_piv)
         if driver == "calu":
             assert f.recovered_panels == (0,)
-            assert f.degraded_panels == ()
 
-    def test_corrupted_tournament_falls_back_to_partial_pivoting(self, monkeypatch):
-        A0 = make_rng(0).standard_normal((48, 48))
-        # When the replay fails too (rung 1), the finalize task degrades
-        # the panel to classic GEPP (rung 2).
-        _fail_the_replay(monkeypatch)
-        plan = FaultPlan(0, corrupt_rate={"P": 1.0}, max_faults=1)
-        ex = ThreadedExecutor(1, fault_plan=plan)
-        f = calu(A0, b=8, tr=4, executor=ex)
-        assert_lu_ok(A0, f.lu, f.piv)
-        assert f.degraded_panels == (0,)
-        assert f.recovered_panels == ()
-        counts = f.trace.resilience_summary()
-        assert counts.get("fault_corrupt") == 1
-        assert counts.get("degraded", 0) >= 1
-
-    def test_degraded_panel_factors_match_plain_gepp_quality(self, monkeypatch):
-        A0 = make_rng(1).standard_normal((40, 40))
-        _fail_the_replay(monkeypatch)
-        plan = FaultPlan(2, corrupt_rate={"P": 1.0}, max_faults=1)
-        f = calu(A0, b=10, tr=4, executor=ThreadedExecutor(1, fault_plan=plan))
-        x = f.solve(np.ones(40))
-        r = np.linalg.norm(A0 @ x - 1.0)
-        assert r < 1e-8
+    @pytest.mark.parametrize("guards", [True, False], ids=["guarded", "unguarded"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_non_finite_panel_fails_its_finalize(self, backend, guards):
+        # A NaN in the panel itself, loaded past the drivers' input
+        # check: the tournament replay finds no clean panel to replay
+        # from, so the finalize ends the run with a health failure,
+        # guarded or not — never with factors.
+        shared = backend == "process"
+        plan = compile(
+            ALGORITHMS["lu"], (48, 48), b=8, tr=4, tree=TreeKind.BINARY,
+            guards=guards, shared=shared,
+        )
+        ex = ProcessExecutor(2) if shared else ThreadedExecutor(1)
+        try:
+            plan.load(make_rng(0).standard_normal((48, 48)))
+            plan.A[40, 3] = np.nan
+            with pytest.raises(RuntimeFailure) as ei:
+                plan.run(ex)
+        finally:
+            if shared:
+                ex.close()
+            plan.close()
+        assert ei.value.failure_kind == "health"
+        assert ei.value.task == "F[0]"
+        assert "non-finite panel in columns 0:8" in str(ei.value)
 
     def test_injected_raises_recovered_by_retry(self):
         A0 = make_rng(2).standard_normal((48, 48))
@@ -140,7 +132,6 @@ class TestCALUDegradation:
         f = calu(A0, b=8, tr=4)
         assert_lu_ok(A0, f.lu, f.piv)
         assert f.trace is not None and f.trace.events == []
-        assert f.degraded_panels == ()
 
 
 class TestCAQRCorruption:

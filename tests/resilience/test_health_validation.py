@@ -135,11 +135,6 @@ class TestSolveHealthLoop:
             x = solve(A, np.ones(16), b=8, tr=2, auto_refine=False, rtol=1e-30)
         assert x.shape == (16,)
 
-    def test_report_forwards_degraded_panels(self):
-        A = make_rng(5).standard_normal((16, 16)) + 16 * np.eye(16)
-        _, rep = solve(A, np.ones(16), b=8, tr=2, report=True)
-        assert rep.degraded_panels == ()
-
 
 class TestFiniteBlockGuard:
     def test_clean_block_passes(self):

@@ -195,7 +195,7 @@ def test_more_clients_than_pooled_plans(backend):
 class TestCachedPlanState:
     """A cached plan owes each request a clean slate and armed guards.
 
-    The per-panel state (candidate counts, ``[degraded, recomputed]``
+    The per-panel state (candidate counts, ``[corrupted, recomputed]``
     flags, pivots) lives in store buffers only, and
     the driver's ``Plan.load`` resets it there — the same place on both
     backends.  Both regressions below fail on the parent commit.
@@ -232,32 +232,28 @@ class TestCachedPlanState:
                 )
                 trace = plan.run(engine)
                 f = plan.result(trace)
-                return trace, (f.piv, f.degraded_panels, f.recovered_panels)
+                return trace, (f.piv, f.recovered_panels)
 
             try:
                 faulty = FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)
-                trace1, (piv1, degraded1, recovered1) = run(faulty)
+                trace1, (piv1, recovered1) = run(faulty)
                 assert [e.kind for e in trace1.events].count("recompute") == 1
-                assert (degraded1, recovered1) == ((), (0,))
+                assert recovered1 == (0,)
                 assert np.array_equal(piv1, ref.piv)
 
-                trace2, (piv2, degraded2, recovered2) = run(None)
-                assert not {"recompute", "degraded"} & {e.kind for e in trace2.events}
-                assert (degraded2, recovered2) == ((), ())
+                trace2, (piv2, recovered2) = run(None)
+                assert "recompute" not in {e.kind for e in trace2.events}
+                assert recovered2 == ()
                 assert np.array_equal(piv2, ref.piv)
                 assert np.array_equal(plan.A, ref.lu)
             finally:
                 plan.close()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_degradation_does_not_outlive_its_request(self, backend, monkeypatch):
-        from repro.runtime import ops
-
-        # The replay fails too (the pool's workers fork after this), so
-        # a corrupted tournament degrades to partial pivoting.  A stale
-        # flag would silently degrade every later request served by the
-        # same cached plan.
-        monkeypatch.setattr(ops, "_recompute_tournament", lambda *args: None)
+    def test_degradation_does_not_outlive_its_request(self, backend):
+        # A corrupted tournament is replayed on the first request.  A
+        # stale ``recomputed`` flag would report a recovery on every
+        # later request served by the same cached plan.
         A = make_rng(22).standard_normal((96, 96))
         ref = calu(A, b=16, tr=3, tree=TreeKind.BINARY)
         plans = iter([FaultPlan(corrupt_rate={"P": 1.0, "*": 0.0}, max_faults=1)])
@@ -267,11 +263,11 @@ class TestCachedPlanState:
         with FactorizationService(cfg) as svc:
             b, tr, tree = self.PARAMS
             first = svc.factor(A, b=b, tr=tr, tree=tree)
-            assert first.degraded_panels == (0,)
+            assert first.recovered_panels == (0,)
             for _ in range(2):
                 later = svc.factor(A, b=b, tr=tr, tree=tree)
-                assert later.degraded_panels == () and later.recovered_panels == ()
-                assert "degraded" not in {e.kind for e in later.trace.events}
+                assert later.recovered_panels == ()
+                assert "recompute" not in {e.kind for e in later.trace.events}
                 assert np.array_equal(later.piv, ref.piv)
                 assert np.array_equal(later.lu, ref.lu)
             assert svc.stats()["plans"]["builds"] == 1

@@ -6,9 +6,10 @@ rerun the whole plan, so partial state never leaks) or raises a
 structured :class:`RuntimeFailure` subclass with a ``failure_kind`` —
 and it never hangs.
 
-Corruption faults are deliberately absent here: ABFT repair and
-degraded pivoting change the pivot sequence, which would break the
-bitwise assertions.  Those paths are covered by the resilience suite.
+Corruption faults are deliberately absent here: ABFT repair rebuilds
+a corrupted element from checksums, right to round-off but not bit for
+bit, which would break the bitwise assertions.  That path and the
+tournament replay are covered by the resilience suite.
 
 Long randomized variants are marked ``stress`` and excluded from the
 default run (see pyproject addopts).

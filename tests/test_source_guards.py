@@ -26,17 +26,20 @@ from repro.baselines.lapack_qr import geqr2_qr, geqrf_program, geqrf_qr
 from repro.baselines.tiled_lu import tiled_lu
 from repro.baselines.tiled_qr import tiled_qr
 from repro.core import driver, outofcore
-from repro.core.calu import calu, calu_program
+from repro.core.calu import CALUFactorization, calu, calu_program
 from repro.core.caqr import caqr, caqr_program
-from repro.core.tslu import add_tslu_tasks, tslu
+from repro.core.tslu import PanelWorkspace, add_tslu_tasks, tslu
 from repro.core.tsqr import add_tsqr_tasks, tsqr
 from repro.kernels import lu as lu_kernels
 from repro.kernels.lu import getrf, select_pivots
 from repro.kernels.qr import geqrf
+from repro.linalg import SolveReport
+from repro.resilience.events import EVENT_KINDS
 from repro.resilience.health import validate_matrix
 from repro.runtime.process import ProcessExecutor, _WorkerPool
 from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
+from repro.runtime.trace import Trace
 from repro.service.service import ServiceConfig
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -192,15 +195,23 @@ def test_no_unpivoted_getf2_or_rank1_kernel():
 
 
 # Every tournament election is LAPACK ``?getrf``: the task bodies and
-# the selection step name no NumPy recursive LU (a leaf's ``Cost`` keeps
-# the paper's ``"rgetf2"`` in the builder, a string, not a call).
+# the selection step name no NumPy LU (a leaf's ``Cost`` keeps the
+# paper's ``"rgetf2"`` in the builder, a string, not a call).  A panel
+# the replay cannot repair fails its finalize: there is no GEPP
+# fallback, and no ``degraded`` verdict it alone could report (the
+# service breaker's ``"degraded"`` routing mode is another matter).
 
 
 def test_no_numpy_lu_in_the_tournament():
     assert grep(r"rgetf2", "runtime/ops.py") == []
+    assert grep(r"\bgetf2\b", "runtime/ops.py") == []
     assert "rgetf2" not in inspect.getsource(select_pivots)
     assert not hasattr(lu_kernels, "LEAF")
     assert list(inspect.signature(select_pivots).parameters) == ["block"]
+    assert "degraded" not in EVENT_KINDS and "refine" not in EVENT_KINDS
+    assert not hasattr(Trace, "degradations") and not hasattr(PanelWorkspace, "degraded")
+    for cls in (CALUFactorization, SolveReport):
+        assert "degraded_panels" not in {f.name for f in dataclasses.fields(cls)}, cls
 
 
 # The simulator prices, the engine computes: the simulated executor
