@@ -1,12 +1,12 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the legacy pytest-benchmark scripts.
 
-Every paper-artifact benchmark writes its formatted table to
-``benchmarks/tables/<name>.txt`` so a full ``pytest benchmarks/
---benchmark-only`` run leaves the regenerated tables on disk next to
-the timing report.  ``benchmarks/results/`` is reserved for the
-checked-in ``BENCH_*.json`` perf-trajectory artifacts; keeping the
-throwaway text renders out of it means ``git status`` stays clean
-after a benchmark run.
+``bench_checkpoint.py`` and ``bench_resilience.py`` write their
+formatted tables to ``benchmarks/tables/<name>.txt`` through
+``save_result``; ``bench_kernels.py`` only times kernels.  Wall clock
+for the workloads is measured by ``benchmarks/e2e`` (its own runner,
+not these fixtures).  ``benchmarks/results/`` is reserved for the
+checked-in ``BENCH_checkpoint.json``; keeping the throwaway text
+renders out of it means ``git status`` stays clean after a run.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """LAPACK-style LU baselines (the paper's MKL/ACML ``dgetf2``/``dgetrf``).
 
-Numeric drivers reuse the sequential kernels; the graph builders model
-how a vendor library executes on a multicore machine:
+``getrf_lu`` runs the sequential blocked kernel; the graph builders
+model how a vendor library executes on a multicore machine:
 
 * ``getf2`` — one monolithic BLAS2 task (vendor ``dgetf2`` is
   effectively sequential and memory-bound — the paper's worst
@@ -19,25 +19,16 @@ import numpy as np
 
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import Emitter
-from repro.kernels.lu import getf2, getrf
+from repro.kernels.lu import getrf
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
 __all__ = [
-    "getf2_lu",
     "getrf_lu",
     "build_getf2_graph",
     "getrf_program",
 ]
-
-
-def getf2_lu(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked BLAS2 LU (vendor ``dgetf2``) of a copy of *A*.
-    Returns ``(lu, piv)``."""
-    A = np.array(A, dtype=float, order="C", subok=False)
-    piv = getf2(A)
-    return A, piv
 
 
 def getrf_lu(A: np.ndarray, b: int = 64) -> tuple[np.ndarray, np.ndarray]:

@@ -14,27 +14,16 @@ import numpy as np
 
 from repro.core.layout import BlockLayout
 from repro.core.panelloop import Emitter
-from repro.kernels.qr import geqr2, geqrf
+from repro.kernels.qr import geqrf
 from repro.runtime.graph import TaskGraph
 from repro.runtime.program import GraphProgram
 from repro.runtime.task import Cost, TaskKind
 
 __all__ = [
-    "geqr2_qr",
     "geqrf_qr",
     "build_geqr2_graph",
     "geqrf_program",
 ]
-
-
-def geqr2_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unblocked BLAS2 Householder QR (vendor ``dgeqr2``) of a copy of *A*.
-
-    Returns ``(packed, tau)``.
-    """
-    A = np.array(A, dtype=float, order="C", subok=False)
-    tau = geqr2(A)
-    return A, tau
 
 
 def geqrf_qr(A: np.ndarray, b: int = 64) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -41,7 +41,7 @@ Sources are an in-RAM array or a ``(shape, fill)`` generator pair
 never exist as one array.  All streaming transfers go through
 :meth:`TileStore.load`/:meth:`TileStore.store`, so measured traffic
 lands in the global ``store_read_bytes``/``store_write_bytes`` counters
-that ``benchmarks/bench_outofcore.py`` compares against the I/O model.
+that ``tests/core/test_outofcore.py`` holds within 5 % of the I/O model.
 
 Recovery: the finalize task is the in-memory one, so a corrupted
 tournament is *replayed* from the stored panel (one extra streamed

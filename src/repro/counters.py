@@ -73,8 +73,8 @@ class Counters:
         :class:`~repro.runtime.tilestore.TileStore` (slow memory): every
         ``load``/``store`` on a tile store reports here.  This is the
         measured counterpart of :mod:`repro.analysis.io_model`'s
-        predicted slow-memory traffic, gated by
-        ``benchmarks/bench_outofcore.py``.
+        predicted slow-memory traffic, held within 5 % of it by
+        ``tests/core/test_outofcore.py``.
     kernel_calls:
         Per-kernel-name invocation counts.
     """

@@ -27,7 +27,7 @@ never by holding the plane mapped.  Both count bytes — per store in
 :attr:`TileStore.io` and globally in :mod:`repro.counters`
 (``store_read_bytes``/``store_write_bytes``) — so measured traffic can
 be held against :mod:`repro.analysis.io_model`
-(``benchmarks/bench_outofcore.py`` gates the comparison).
+(``tests/core/test_outofcore.py`` holds it within 5 %).
 
 The driver that created a store owns it and calls :meth:`~TileStore.
 destroy` (idempotent; also run at garbage collection and interpreter
@@ -83,10 +83,6 @@ class StoreIO:
     write_bytes: int = 0
     reads: int = 0
     writes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.read_bytes + self.write_bytes
 
     def snapshot(self) -> dict[str, int]:
         return {

@@ -271,55 +271,3 @@ class Trace:
             for core in range(self.n_cores)
         ]
         return json.dumps({"traceEvents": meta + events, "displayTimeUnit": "ms"})
-
-    def to_svg(self, width: int = 960, row_height: int = 22) -> str:
-        """Render the schedule as an SVG Gantt chart.
-
-        Colours follow the paper's Figures 3-4: red = panel (P),
-        yellow/gold = L, green = trailing update (S); U is blue and
-        bookkeeping grey.  Returns the SVG document as a string.
-        """
-        colors = {"P": "#c0392b", "L": "#e2b007", "U": "#3069a8", "S": "#3d8b4f", "X": "#888888"}
-        span = self.makespan
-        height = self.n_cores * row_height + 40
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-        ]
-        if span > 0 and self.records:
-            t0 = min(r.start for r in self.records)
-            label_w = 56
-            plot_w = width - label_w - 8
-            for core in range(self.n_cores):
-                y = 20 + core * row_height
-                parts.append(
-                    f'<text x="4" y="{y + row_height * 0.7:.1f}" font-size="11" '
-                    f'font-family="monospace">core {core}</text>'
-                )
-                parts.append(
-                    f'<rect x="{label_w}" y="{y}" width="{plot_w}" '
-                    f'height="{row_height - 3}" fill="#f2f2f2"/>'
-                )
-            for r in self.records:
-                if r.duration <= 0:
-                    continue
-                x = label_w + (r.start - t0) / span * plot_w
-                w = max(0.5, r.duration / span * plot_w)
-                y = 20 + r.core * row_height
-                color = colors.get(r.kind.value, "#555555")
-                parts.append(
-                    f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" height="{row_height - 3}" '
-                    f'fill="{color}"><title>{r.name} [{r.kind.value}] '
-                    f'{r.start:.4g}-{r.end:.4g}s</title></rect>'
-                )
-            legend_y = 20 + self.n_cores * row_height + 12
-            x = label_w
-            for kind, label in (("P", "panel"), ("L", "L"), ("U", "U"), ("S", "update"), ("X", "other")):
-                parts.append(f'<rect x="{x}" y="{legend_y - 9}" width="10" height="10" fill="{colors[kind]}"/>')
-                parts.append(
-                    f'<text x="{x + 14}" y="{legend_y}" font-size="11" font-family="monospace">{label}</text>'
-                )
-                x += 14 + 8 * len(label) + 16
-        parts.append("</svg>")
-        return "\n".join(parts)

@@ -1,31 +1,18 @@
 """Tests for the LAPACK-style LU/QR baselines and their task graphs."""
 
 import numpy as np
-import pytest
 
-from repro.baselines.lapack_lu import build_getf2_graph, getrf_program, getf2_lu, getrf_lu
-from repro.baselines.lapack_qr import build_geqr2_graph, geqrf_program, geqr2_qr, geqrf_qr
+from repro.baselines.lapack_lu import build_getf2_graph, getrf_program, getrf_lu
+from repro.baselines.lapack_qr import build_geqr2_graph, geqrf_program, geqrf_qr
 from repro.runtime.task import TaskKind
 from tests.conftest import assert_lu_ok, make_rng
 
 
 class TestNumericDrivers:
-    @pytest.mark.parametrize("m,n", [(40, 40), (60, 25), (25, 60)])
-    def test_getf2_lu(self, m, n):
-        A0 = make_rng(m + n).standard_normal((m, n))
-        lu, piv = getf2_lu(A0)
-        assert_lu_ok(A0, lu, piv)
-
     def test_getrf_lu(self):
         A0 = make_rng(3).standard_normal((80, 50))
         lu, piv = getrf_lu(A0, b=16)
         assert_lu_ok(A0, lu, piv)
-
-    def test_geqr2_qr(self):
-        A0 = make_rng(4).standard_normal((50, 20))
-        packed, tau = geqr2_qr(A0)
-        R = np.triu(packed[:20])
-        np.testing.assert_allclose(np.abs(R), np.abs(np.linalg.qr(A0)[1]), rtol=1e-9, atol=1e-11)
 
     def test_geqrf_qr(self):
         A0 = make_rng(5).standard_normal((60, 30))
@@ -37,9 +24,7 @@ class TestNumericDrivers:
     def test_inputs_preserved(self):
         A0 = make_rng(6).standard_normal((30, 30))
         A = A0.copy()
-        getf2_lu(A)
         getrf_lu(A)
-        geqr2_qr(A)
         geqrf_qr(A)
         np.testing.assert_array_equal(A, A0)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.errors import growth_factor
 from repro.baselines.tiled_lu import tiled_lu_program, tiled_lu
-from repro.baselines.tiled_qr import tiled_qr_program, tiled_qr
+from repro.baselines.tiled_qr import tiled_qr_program
 from repro.runtime.task import TaskKind
 from tests.conftest import make_rng
 
@@ -69,38 +69,6 @@ class TestTiledLU:
         A = A0.copy()
         tiled_lu(A, nb=25)
         np.testing.assert_array_equal(A, A0)
-
-
-class TestTiledQR:
-    @pytest.mark.parametrize("m,n,nb", [(64, 64, 16), (120, 50, 32), (200, 80, 25), (250, 100, 33)])
-    def test_factorization(self, m, n, nb):
-        A0 = make_rng(m + n + nb).standard_normal((m, n))
-        f = tiled_qr(A0, nb=nb)
-        Q = f.q_explicit()
-        assert np.linalg.norm(A0 - Q @ f.R) / np.linalg.norm(A0) < 1e-12
-        assert np.linalg.norm(Q.T @ Q - np.eye(min(m, n))) < 1e-11
-
-    def test_apply_roundtrip(self):
-        A0 = make_rng(8).standard_normal((90, 40))
-        f = tiled_qr(A0, nb=20)
-        C = make_rng(9).standard_normal((90, 3))
-        np.testing.assert_allclose(f.apply_q(f.apply_qt(C)), C, atol=1e-11)
-
-    def test_least_squares(self):
-        A0 = make_rng(10).standard_normal((150, 50))
-        x0 = make_rng(11).standard_normal(50)
-        f = tiled_qr(A0, nb=25)
-        x = f.solve_ls(A0 @ x0)
-        assert np.linalg.norm(x - x0) < 1e-9
-
-    def test_wide_rejected(self):
-        with pytest.raises(ValueError, match="m >= n"):
-            tiled_qr(np.zeros((4, 8)))
-
-    def test_single_tile_matches_geqr2(self):
-        A0 = make_rng(12).standard_normal((30, 30))
-        f = tiled_qr(A0, nb=30)
-        np.testing.assert_allclose(np.abs(f.R), np.abs(np.linalg.qr(A0)[1]), rtol=1e-9, atol=1e-11)
 
 
 class TestTiledGraphs:

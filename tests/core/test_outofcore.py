@@ -343,7 +343,7 @@ _CAPPED_SCRIPT = textwrap.dedent(
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS semantics are Linux-specific")
 def test_memory_capped_factorization():
     """Factor a 78 MiB panel in a child whose address space may grow by
-    at most 192 MiB over baseline: only the streaming path survives."""
+    at most 64 MiB over baseline: only the streaming path survives."""
     import os
 
     env = dict(os.environ, PYTHONPATH="src")

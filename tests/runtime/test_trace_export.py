@@ -1,4 +1,4 @@
-"""Tests for trace export (JSON / SVG) and table CSV export."""
+"""Tests for trace export (JSON) and table CSV export."""
 
 import json
 
@@ -62,31 +62,6 @@ class TestJson:
     def test_from_json_empty(self):
         back = Trace.from_json(Trace([], 3).to_json())
         assert back.records == [] and back.n_cores == 3 and back.events == []
-
-
-class TestSvg:
-    def test_valid_document(self):
-        trace, graph = small_trace()
-        svg = trace.to_svg()
-        assert svg.startswith("<svg")
-        assert svg.rstrip().endswith("</svg>")
-        # One rect per nonzero-duration task plus core lanes and legend.
-        n_nonzero = sum(1 for r in trace.records if r.duration > 0)
-        assert svg.count("<title>") == n_nonzero
-
-    def test_core_lanes_labeled(self):
-        trace, _ = small_trace()
-        svg = trace.to_svg()
-        for core in range(4):
-            assert f"core {core}" in svg
-
-    def test_panel_color_present(self):
-        trace, _ = small_trace()
-        assert "#c0392b" in trace.to_svg()  # the paper's red panel bars
-
-    def test_empty_trace_renders(self):
-        svg = Trace([], 2).to_svg()
-        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
 class TestTableCsv:

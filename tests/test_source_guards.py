@@ -7,9 +7,9 @@ the eager ``build_*_graph`` wrappers, a mirrored pipeline step, a
 second compiled form, an engine built per run, a clock switch, a
 second scheduler, a second allocator or ``attach_array``, a kernel
 selector, a numeric or faulty simulator, an option no caller sets, a
-kernel no caller calls, a NumPy LU in the tournament — so it cannot
-come back unnoticed.  The patterns are regular expressions over single
-lines, as ``grep -E`` reads them.
+kernel no caller calls, a NumPy LU in the tournament, a second
+measurement path — so it cannot come back unnoticed.  The patterns
+are regular expressions over single lines, as ``grep -E`` reads them.
 """
 
 import dataclasses
@@ -20,11 +20,10 @@ import re
 import pytest
 
 import repro
-from repro import kernels, linalg
-from repro.baselines.lapack_lu import getf2_lu, getrf_lu, getrf_program
-from repro.baselines.lapack_qr import geqr2_qr, geqrf_program, geqrf_qr
+from repro import baselines, kernels, linalg
+from repro.baselines.lapack_lu import getrf_lu, getrf_program
+from repro.baselines.lapack_qr import geqrf_program, geqrf_qr
 from repro.baselines.tiled_lu import tiled_lu
-from repro.baselines.tiled_qr import tiled_qr
 from repro.core import driver, outofcore
 from repro.core.calu import CALUFactorization, calu, calu_program
 from repro.core.caqr import caqr, caqr_program
@@ -39,10 +38,12 @@ from repro.resilience.health import validate_matrix
 from repro.runtime.process import ProcessExecutor, _WorkerPool
 from repro.runtime.shm import staged
 from repro.runtime.simulated import SimulatedExecutor
+from repro.runtime.tilestore import StoreIO
 from repro.runtime.trace import Trace
 from repro.service.service import ServiceConfig
 
 SRC = pathlib.Path(repro.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def grep(pattern: str, *paths: str) -> list[str]:
@@ -266,8 +267,7 @@ def test_no_option_without_a_caller():
         driver.factorize, driver.compile, staged, validate_matrix,
         linalg.solve, linalg.lstsq, ProcessExecutor.__init__, _WorkerPool.__init__,
         calu_program, add_tslu_tasks,
-        getf2_lu, getrf_lu, geqr2_qr, geqrf_qr, tiled_lu, tiled_qr,
-        getrf_program, geqrf_program,
+        getrf_lu, geqrf_qr, tiled_lu, getrf_program, geqrf_program,
     )
     for fn in fns:
         left = DELETED_OPTIONS & set(inspect.signature(fn).parameters)
@@ -277,3 +277,26 @@ def test_no_option_without_a_caller():
     assert "update_width" in inspect.signature(calu_program).parameters
     assert not DELETED_FIELDS & {f.name for f in dataclasses.fields(ServiceConfig)}
     assert grep(r"allow_recompute", ".") == []
+
+
+# One place per measurement: wall clock in benchmarks/e2e, traffic and
+# parity in tier-1.  The legacy scripts that measured those again, the
+# results only they wrote, the numeric baselines only they ran (the
+# paper's vendor and PLASMA comparisons price the symbolic programs)
+# and a second Gantt renderer beside gantt() stay deleted.
+
+
+def test_no_second_measurement_path():
+    for rel in (
+        "bench_outofcore.py",
+        "bench_service.py",
+        "bench_numeric_factorizations.py",
+        "results/BENCH_outofcore.json",
+        "results/BENCH_service.json",
+    ):
+        assert not (REPO / "benchmarks" / rel).exists(), rel
+    for name in ("tiled_qr", "TiledQR", "getf2_lu", "geqr2_qr"):
+        assert name not in baselines.__all__, name
+    assert grep(r"def (tiled_qr|getf2_lu|geqr2_qr)\(|class (TiledQR|_LeafOp|_TsOp)\b", ".") == []
+    assert not hasattr(Trace, "to_svg")
+    assert not hasattr(StoreIO, "total_bytes")
